@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-json experiments matrix verify-examples clean
+.PHONY: all build test test-short race bench bench-json experiments matrix verify-examples loc no-deprecated clean
 
 all: build test
 
@@ -66,6 +66,18 @@ verify-examples:
 	$(GO) run ./cmd/pnpverify examples/adl/bridge.pnp
 	-$(GO) run ./cmd/pnpverify -bfs examples/adl/bridge-broken.pnp
 	-$(GO) run ./cmd/pnpverify examples/adl/lossy.pnp
+
+# Non-test Go lines outside bench/ — the figure the "one of each"
+# table in DESIGN.md tracks.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1
+
+# A deprecated alias is a second spelling of something: fail when one
+# appears outside test files, so it cannot come back unnoticed.
+no-deprecated:
+	@if grep -rn 'Deprecated:' --include='*.go' . | grep -v '_test\.go:'; then \
+		echo "deprecated aliases found: delete them or their callers' need for them"; exit 1; \
+	fi
 
 clean:
 	$(GO) clean ./...

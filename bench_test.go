@@ -579,9 +579,18 @@ func BenchmarkVerifydCache(b *testing.B) {
 		return job
 	}
 
+	serve := func(b *testing.B) *pnp.VerifyServer {
+		b.Helper()
+		svc, err := pnp.Serve(pnp.ServeOptions{Verify: pnp.VerifyServerConfig{Workers: 1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return svc.VerifyServer()
+	}
+
 	b.Run("Miss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := pnp.NewVerifyServer(pnp.VerifyServerConfig{Workers: 1})
+			s := serve(b)
 			job := submit(b, s)
 			if job.CacheHits != 0 {
 				b.Fatal("cold server cannot serve from cache")
@@ -592,7 +601,7 @@ func BenchmarkVerifydCache(b *testing.B) {
 		}
 	})
 	b.Run("Hit", func(b *testing.B) {
-		s := pnp.NewVerifyServer(pnp.VerifyServerConfig{Workers: 1})
+		s := serve(b)
 		defer s.Shutdown(context.Background())
 		submit(b, s) // warm the cache
 		b.ResetTimer()
@@ -622,15 +631,15 @@ func BenchmarkShardedVisitedBridge(b *testing.B) {
 		name string
 		opts checker.Options
 	}{
-		{"Exact", checker.Options{Workers: runtime.GOMAXPROCS(0), Visited: checker.VisitedExact}},
-		{"Collapse", checker.Options{Workers: runtime.GOMAXPROCS(0), Visited: checker.VisitedCollapse}},
-		{"CollapseSpill", checker.Options{Workers: runtime.GOMAXPROCS(0), Visited: checker.VisitedCollapse, MemLimit: 1}},
+		{"Exact", checker.Options{Workers: runtime.GOMAXPROCS(0), Storage: checker.StorageOptions{Visited: checker.VisitedExact}}},
+		{"Collapse", checker.Options{Workers: runtime.GOMAXPROCS(0), Storage: checker.StorageOptions{Visited: checker.VisitedCollapse}}},
+		{"CollapseSpill", checker.Options{Workers: runtime.GOMAXPROCS(0), Storage: checker.StorageOptions{Visited: checker.VisitedCollapse, MemLimit: 1}}},
 	}
 	for _, m := range modes {
 		m := m
 		b.Run(m.name, func(b *testing.B) {
-			if m.opts.MemLimit > 0 {
-				m.opts.SpillDir = b.TempDir()
+			if m.opts.Storage.MemLimit > 0 {
+				m.opts.Storage.SpillDir = b.TempDir()
 			}
 			cache := blocks.NewCache()
 			var last *checker.Result
@@ -650,7 +659,7 @@ func BenchmarkShardedVisitedBridge(b *testing.B) {
 			if last.Stats.StatesStored > 0 {
 				b.ReportMetric(float64(last.Stats.VisitedBytes)/float64(last.Stats.StatesStored), "bytes/state")
 			}
-			if m.opts.MemLimit > 0 {
+			if m.opts.Storage.MemLimit > 0 {
 				b.ReportMetric(float64(last.Stats.SpilledStates), "spilled")
 			}
 		})

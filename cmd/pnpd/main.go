@@ -144,11 +144,11 @@ func run() int {
 		Registry:           reg,
 		Tracer:             rec,
 		Logger:             logger,
-		Options: checker.Options{
+		Options: checker.Options{Storage: checker.StorageOptions{
 			Visited:  *visited,
 			MemLimit: memBudget,
 			SpillDir: *spillDir,
-		},
+		}},
 	}
 	if *root != "" {
 		dir := *root

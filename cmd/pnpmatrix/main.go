@@ -38,7 +38,7 @@ import (
 func main() {
 	msgs := flag.Int("msgs", 3, "messages the producer sends")
 	bufsize := flag.Int("bufsize", 1, "size of sized channels")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel search workers per cell (0 = sequential engines)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "breadth-first search workers per cell (0 = sequential DFS)")
 	metrics := flag.Bool("metrics", false, "collect checker metrics across the sweep and print the table")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of the sweep's spans")
 	flag.Parse()

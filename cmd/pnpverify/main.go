@@ -56,7 +56,7 @@ func main() {
 
 func run() int {
 	bfs := flag.Bool("bfs", false, "breadth-first search (shortest counterexamples)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel search workers for safety/reachability (0 = classic sequential engines)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "search workers for the breadth-first safety/reachability engine (0 = sequential DFS unless -bfs; -por and -unreached always use the DFS)")
 	maxStates := flag.Int("max-states", 0, "state limit (0 = unlimited)")
 	msc := flag.Bool("msc", false, "render counterexamples as message sequence charts")
 	bitstate := flag.Bool("bitstate", false, "bitstate hashing (probabilistic, lower memory)")
@@ -158,20 +158,22 @@ func run() int {
 		BFS:             *bfs,
 		Workers:         *workers,
 		MaxStates:       *maxStates,
-		Bitstate:        *bitstate,
 		WeakFairness:    *fair,
 		StrongFairness:  *strongFair,
 		PartialOrder:    *por,
 		ReportUnreached: *unreached,
-		Visited:         *visited,
-		MemLimit:        memBudget,
-		SpillDir:        *spillDir,
+		Storage: checker.StorageOptions{
+			Bitstate: *bitstate,
+			Visited:  *visited,
+			MemLimit: memBudget,
+			SpillDir: *spillDir,
+		},
 	}
 	if *ckptDir != "" {
 		// The key is the design's content address; VerifyAll suffixes it
 		// per property, so each search gets its own snapshot file.
 		sum := sha256.Sum256(src)
-		opts.Checkpoint = &checker.CheckpointOptions{
+		opts.Durability = &checker.DurabilityOptions{
 			Dir:      *ckptDir,
 			Key:      hex.EncodeToString(sum[:]),
 			Interval: *ckptInterval,

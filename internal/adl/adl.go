@@ -392,10 +392,10 @@ func (s *System) VerifyAll(opts checker.Options) map[string]*checker.Result {
 	// suffixed per property — mirroring how the verification service
 	// derives its checkpoint keys.
 	propOpts := func(o checker.Options, name, kind string) (checker.Options, *tracing.Span) {
-		if o.Checkpoint != nil && o.Checkpoint.Key != "" {
-			ck := *o.Checkpoint
+		if o.Durability != nil && o.Durability.Key != "" {
+			ck := *o.Durability
 			ck.Key = ck.Key + "-" + name
-			o.Checkpoint = &ck
+			o.Durability = &ck
 		}
 		if o.Tracer == nil {
 			return o, nil

@@ -2,6 +2,8 @@ package adl
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -69,6 +71,38 @@ func TestLoadAndVerify(t *testing.T) {
 	res := results["safety"]
 	if res == nil || !res.OK {
 		t.Fatalf("safety = %v", res.Summary())
+	}
+}
+
+// One submission carries several searchable properties, so VerifyAll
+// suffixes the caller's checkpoint key per property: the safety search
+// snapshots to CheckpointFileName(key+"-safety"), the file a resumed
+// run (and verifyd's GET /v1/checkpoints/{key}) looks for.
+func TestVerifyAllCheckpointsPerProperty(t *testing.T) {
+	sys, err := Load(pingSystem, resolver(map[string]string{"ping.pml": pingPml}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	want := filepath.Join(dir, checker.CheckpointFileName("design-safety"))
+	wrote := false
+	res := sys.VerifyAll(checker.Options{Workers: 1, Durability: &checker.DurabilityOptions{
+		Dir: dir, Key: "design",
+		OnWrite: func(file string, depth, states int) {
+			if file != want {
+				t.Errorf("checkpoint written to %s, want %s", file, want)
+			}
+			if _, err := os.Stat(want); err != nil {
+				t.Errorf("checkpoint not on disk: %v", err)
+			}
+			wrote = true
+		},
+	}})["safety"]
+	if !res.OK {
+		t.Fatalf("safety = %s", res.Summary())
+	}
+	if !wrote {
+		t.Fatal("the safety search never checkpointed")
 	}
 }
 

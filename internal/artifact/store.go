@@ -1,14 +1,13 @@
 package artifact
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
+	"pnp/internal/lru"
 	"pnp/internal/model"
 	"pnp/internal/obs"
 )
@@ -20,51 +19,30 @@ import (
 // what to recompile) survives eviction and restarts even though live
 // payloads do not.
 type Store struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // front = most recently used
-	entries map[model.ModuleFingerprint]*list.Element
-	dir     string // "" = memory only
-
-	hits, misses, evictions int64
-
-	mHits, mMisses, mEvictions *obs.Counter
-	mEntries                   *obs.Gauge
-}
-
-type storeEntry struct {
-	art *Artifact
+	mem *lru.Cache[model.ModuleFingerprint, *Artifact]
+	dir string // "" = memory only
 }
 
 // Stats is a point-in-time snapshot of store effectiveness.
-type Stats struct {
-	Entries   int   `json:"entries"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
+type Stats = lru.Stats
 
 // NewStore creates a store bounded to maxEntries artifacts (<= 0
 // selects the default of 1024). dir, when non-empty, is created and
 // used as the disk tier; a nil registry is fine.
 func NewStore(maxEntries int, dir string, reg *obs.Registry) (*Store, error) {
-	if maxEntries <= 0 {
-		maxEntries = 1024
-	}
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("artifact: %w", err)
 		}
 	}
 	return &Store{
-		max:        maxEntries,
-		ll:         list.New(),
-		entries:    make(map[model.ModuleFingerprint]*list.Element),
-		dir:        dir,
-		mHits:      reg.Counter("artifact_store_hits_total"),
-		mMisses:    reg.Counter("artifact_store_misses_total"),
-		mEvictions: reg.Counter("artifact_store_evictions_total"),
-		mEntries:   reg.Gauge("artifact_store_entries"),
+		mem: lru.New[model.ModuleFingerprint, *Artifact](maxEntries, lru.Metrics{
+			Hits:      reg.Counter("artifact_store_hits_total"),
+			Misses:    reg.Counter("artifact_store_misses_total"),
+			Evictions: reg.Counter("artifact_store_evictions_total"),
+			Entries:   reg.Gauge("artifact_store_entries"),
+		}),
+		dir: dir,
 	}, nil
 }
 
@@ -85,90 +63,47 @@ type envelope struct {
 // hit — the module's identity and source were reused even though its
 // payload needs reattaching.
 func (s *Store) Get(h model.ModuleFingerprint) (*Artifact, bool) {
-	s.mu.Lock()
-	if el, ok := s.entries[h]; ok {
-		s.hits++
-		s.mHits.Inc()
-		s.ll.MoveToFront(el)
-		art := el.Value.(*storeEntry).art
-		s.mu.Unlock()
-		return art, true
+	// Peek first, so a disk reload is accounted as the one hit it is
+	// rather than a memory miss followed by a hit.
+	if _, ok := s.mem.Peek(h); !ok {
+		if art := s.diskLoad(h); art != nil {
+			s.mem.Put(h, art)
+		}
 	}
-	s.mu.Unlock()
-	if art := s.diskLoad(h); art != nil {
-		s.mu.Lock()
-		s.hits++
-		s.mHits.Inc()
-		s.insertLocked(art)
-		s.mu.Unlock()
-		return art, true
-	}
-	s.mu.Lock()
-	s.misses++
-	s.mMisses.Inc()
-	s.mu.Unlock()
-	return nil, false
+	return s.mem.Get(h)
 }
 
 // Put stores an artifact, evicting the least recently used entry past
 // the bound and mirroring the envelope to disk when a tier is attached.
 // Storing an existing fingerprint refreshes its payload and recency.
+// Eviction drops only the in-memory copy; the disk envelope stays.
 func (s *Store) Put(art *Artifact) {
-	s.mu.Lock()
-	if el, ok := s.entries[art.Hash]; ok {
-		el.Value.(*storeEntry).art = art
-		s.ll.MoveToFront(el)
-		s.mu.Unlock()
-		return
+	_, known := s.mem.Peek(art.Hash)
+	s.mem.Put(art.Hash, art)
+	if !known {
+		s.diskWrite(art)
 	}
-	s.insertLocked(art)
-	s.mu.Unlock()
-	s.diskWrite(art)
 }
 
 // Attach reattaches a live payload to an already-stored artifact — the
 // step after a disk or wire hit hands back an envelope and the caller
 // recompiles its canonical source. A no-op for unknown fingerprints.
+// The stored artifact is replaced, not mutated: readers holding the
+// envelope keep a consistent value.
 func (s *Store) Attach(h model.ModuleFingerprint, payload any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[h]; ok {
-		el.Value.(*storeEntry).art.Payload = payload
-		s.ll.MoveToFront(el)
+	if art, ok := s.mem.Peek(h); ok {
+		live := *art
+		live.Payload = payload
+		s.mem.Put(h, &live)
 	}
-}
-
-// insertLocked adds a new entry, evicting LRU past the bound. Eviction
-// drops only the in-memory copy; the disk envelope, if any, stays.
-func (s *Store) insertLocked(art *Artifact) {
-	if el, ok := s.entries[art.Hash]; ok {
-		el.Value.(*storeEntry).art = art
-		s.ll.MoveToFront(el)
-		return
-	}
-	if s.ll.Len() >= s.max {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.entries, oldest.Value.(*storeEntry).art.Hash)
-		s.evictions++
-		s.mEvictions.Inc()
-	}
-	s.entries[art.Hash] = s.ll.PushFront(&storeEntry{art: art})
-	s.mEntries.Set(int64(s.ll.Len()))
 }
 
 // Peek answers a wire lookup: the artifact's envelope JSON, from memory
 // or disk, without touching hit/miss accounting — mirroring how result
 // cache peeks are free reads for the peer, not local cache traffic.
 func (s *Store) Peek(h model.ModuleFingerprint) ([]byte, bool) {
-	s.mu.Lock()
-	el, ok := s.entries[h]
-	var art *Artifact
-	if ok {
-		art = el.Value.(*storeEntry).art
-	}
-	s.mu.Unlock()
-	if art == nil {
+	art, ok := s.mem.Peek(h)
+	if !ok {
 		if art = s.diskLoad(h); art == nil {
 			return nil, false
 		}
@@ -248,23 +183,10 @@ func (s *Store) diskLoad(h model.ModuleFingerprint) *Artifact {
 }
 
 // Len reports the number of in-memory artifacts.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
+func (s *Store) Len() int { return s.mem.Len() }
 
 // Stats snapshots the store counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Entries:   s.ll.Len(),
-		Hits:      s.hits,
-		Misses:    s.misses,
-		Evictions: s.evictions,
-	}
-}
+func (s *Store) Stats() Stats { return s.mem.Stats() }
 
 // ParseHash decodes the {hash} path element of the v1 artifacts route,
 // rejecting anything that is not exactly one lowercase-hex fingerprint.

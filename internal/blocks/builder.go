@@ -183,15 +183,13 @@ func (s ConnectorSpec) Token() string {
 	return fmt.Sprintf("send=%s;channel=%s;recv=%s", s.Send.Token(), ch, s.Recv.Token())
 }
 
-// Cache memoizes compiled pml programs by source text, modeling the
-// paper's reuse of pre-defined building-block models across verification
-// runs. It is safe for concurrent use.
-//
-// Deprecated: the cache is unbounded and process-local. Services should
-// compose through internal/adl's modular load path backed by an
-// artifact.Store, which bounds memory, persists across restarts, and
-// tracks per-module reuse; Cache remains for in-process callers and the
-// experiment harnesses.
+// Cache is the in-process compile cache: it memoizes compiled pml
+// programs by source text, modeling the paper's reuse of pre-defined
+// building-block models across verification runs. It is safe for
+// concurrent use, unbounded and process-local — right for in-process
+// callers and the experiment harnesses. Services compose through
+// internal/adl's modular load path backed by an artifact.Store, which
+// bounds memory, persists across restarts, and tracks per-module reuse.
 type Cache struct {
 	mu     sync.Mutex
 	m      map[string]*pml.Compiled

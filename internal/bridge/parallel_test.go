@@ -43,15 +43,33 @@ func TestBridgeE8DeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: counterexample length %d, want %d", w, res.Trace.Len(), first.Trace.Len())
 		}
 	}
-	// The parallel engine is breadth-first, so E8's counterexample must
-	// be no longer than the sequential BFS one.
-	seq, err := Verify(cfg, blocks.NewCache(), checker.Options{BFS: true})
+	// The level engine is breadth-first, so E8's counterexample must be
+	// no longer than the sequential BFS one: 16 steps at 87cea14, the
+	// last commit that had that engine.
+	const seqBFSLen = 16
+	if first.Trace.Len() > seqBFSLen {
+		t.Errorf("parallel counterexample length %d exceeds sequential BFS %d",
+			first.Trace.Len(), seqBFSLen)
+	}
+	assertBFSIsWorkersOne(t, cfg, first)
+}
+
+// assertBFSIsWorkersOne: Options{BFS: true} is the level engine at one
+// worker — same verdict, stats, and counterexample as w1.
+func assertBFSIsWorkersOne(t *testing.T, cfg Config, w1 *checker.Result) {
+	t.Helper()
+	bfs, err := Verify(cfg, blocks.NewCache(), checker.Options{BFS: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Trace == nil || first.Trace.Len() > seq.Trace.Len() {
-		t.Errorf("parallel counterexample length %d exceeds sequential BFS %d",
-			first.Trace.Len(), seq.Trace.Len())
+	a, b := bfs.Stats, w1.Stats
+	a.Elapsed, b.Elapsed = 0, 0
+	a.VisitedBytes, b.VisitedBytes = 0, 0
+	if bfs.OK != w1.OK || bfs.Kind != w1.Kind || a != b {
+		t.Errorf("BFS and Workers=1 differ: %s %+v vs %s %+v", bfs.Summary(), a, w1.Summary(), b)
+	}
+	if (bfs.Trace == nil) != (w1.Trace == nil) || (bfs.Trace != nil && bfs.Trace.Len() != w1.Trace.Len()) {
+		t.Errorf("BFS and Workers=1 counterexamples differ")
 	}
 }
 
@@ -77,4 +95,11 @@ func TestBridgeE9DeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: stats diverge: %+v vs %+v", w, res.Stats, first.Stats)
 		}
 	}
+	// What the sequential BFS reported for E9 at 87cea14, the last
+	// commit that had that engine.
+	if s := first.Stats; s.StatesStored != 183506 || s.StatesMatched != 159441 ||
+		s.Transitions != 342946 || s.MaxDepth != 207 {
+		t.Errorf("stats diverge from sequential BFS: %+v", s)
+	}
+	assertBFSIsWorkersOne(t, cfg, first)
 }

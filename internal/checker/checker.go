@@ -76,7 +76,12 @@ type Options struct {
 	MaxStates int
 	// MaxDepth bounds DFS depth (0 = unlimited).
 	MaxDepth int
-	// BFS searches breadth-first, yielding shortest counterexamples.
+	// BFS searches breadth-first, yielding shortest counterexamples: the
+	// safety search runs on the level engine (see Workers) instead of
+	// the DFS. Precedence: PartialOrder or ReportUnreached force the
+	// sequential DFS whatever BFS and Workers say (both need a stack);
+	// otherwise BFS or Workers >= 1 selects the level engine; otherwise
+	// DFS. CheckReachable is always breadth-first.
 	BFS bool
 	// Invariants are checked in every reachable state.
 	Invariants []Invariant
@@ -102,65 +107,30 @@ type Options struct {
 	// often), via fair-SCC decomposition. Takes precedence over
 	// WeakFairness; the full product graph is materialized.
 	StrongFairness bool
-	// Workers selects the parallel safety/reachability engine: N >= 1
-	// runs a level-synchronized parallel BFS on N goroutines over a
-	// sharded visited set. Verdicts, StatesStored, and counterexample
-	// lengths are identical at every worker count (counterexamples stay
-	// shortest); which shortest counterexample is reported may vary.
-	// 0 — the default — keeps the classic sequential engines; the CLIs
-	// and verifyd default to runtime.GOMAXPROCS(0). Parallel exploration
-	// is breadth-first and is incompatible with PartialOrder and
-	// ReportUnreached (those searches fall back to the sequential DFS);
-	// liveness search (LTL, weak/strong fairness) and AG-EF goal checks
-	// are always sequential — Workers is a documented no-op there.
+	// Workers is the level engine's goroutine count: N >= 2 expands
+	// each BFS level on N goroutines over a sharded visited set; 1 — and
+	// 0 when BFS is set or for CheckReachable — runs the same engine
+	// inline on the caller's goroutine. Verdicts, StatesStored, and
+	// counterexample lengths are identical at every worker count
+	// (counterexamples stay shortest); which shortest counterexample is
+	// reported may vary. 0 — the default — without BFS selects the
+	// sequential DFS for safety; the CLIs and verifyd default to
+	// runtime.GOMAXPROCS(0). PartialOrder and ReportUnreached take the
+	// DFS regardless (see BFS); liveness search (LTL, weak/strong
+	// fairness) and AG-EF goal checks are always sequential — Workers is
+	// a documented no-op there.
 	Workers int
-	// Storage is the canonical nested spelling of the visited-set
-	// storage knobs (since PR10). The flat fields below — Bitstate,
-	// BitstateBits, Visited, MemLimit, SpillDir — are deprecated
-	// aliases; Normalized merges the two spellings, and checker.New and
-	// the verification service's OptionsKey normalize first, so either
-	// spelling verifies and cache-hits identically.
+	// Storage groups the visited-set storage knobs; see StorageOptions.
 	Storage StorageOptions
-	// Durability is the canonical nested spelling of Checkpoint (since
-	// PR10); see DurabilityOptions.
+	// Durability, when non-nil, makes the level engine durable: at
+	// level-barrier boundaries the frontier and the sharded visited set
+	// are snapshotted to a file under Durability.Dir, and a search
+	// restarted with Durability.Resume continues from the last complete
+	// snapshot instead of state zero. Like Progress and Metrics it never
+	// influences verdicts — a resumed search stores exactly the states an
+	// uninterrupted one would. No-op for the sequential DFS, liveness
+	// search, and bitstate runs (see DurabilityOptions).
 	Durability *DurabilityOptions
-	// Bitstate replaces the exact visited set with a double-hash bitstate
-	// table of 2^BitstateBits bits (Spin's -DBITSTATE analogue). The search
-	// becomes probabilistic: violations found are real, but coverage may be
-	// partial.
-	//
-	// Deprecated: set Storage.Bitstate / Storage.BitstateBits.
-	Bitstate     bool
-	BitstateBits uint
-	// Visited selects the exact visited-set storage of the parallel
-	// engine: VisitedExact ("" or "exact", the default) stores full
-	// canonical encodings; VisitedCollapse ("collapse") interns
-	// per-process and per-channel sub-vectors in side tables and stores
-	// each state as a tuple of indices (Spin's -DCOLLAPSE analogue),
-	// cutting bytes/state severalfold at the cost of extra hashing.
-	// Membership stays exact either way — verdicts, StatesStored, and
-	// counterexamples are identical — so Visited is a speed/memory knob,
-	// not a semantic one. Ignored by the sequential engines and by
-	// bitstate runs.
-	//
-	// Deprecated: set Storage.Visited.
-	Visited string
-	// MemLimit caps the resident bytes of the parallel engine's visited
-	// set (entries plus table overhead, the checker_visited_bytes gauge).
-	// When a level barrier finds the set over budget, its entries are
-	// spilled to fingerprint-indexed segment files under SpillDir and
-	// lookups probe the (mmap-backed) segments before the in-memory
-	// tier, so the search completes with the exact same verdict and
-	// stats instead of exhausting memory. 0 (default) disables spilling.
-	//
-	// Deprecated: set Storage.MemLimit.
-	MemLimit int64
-	// SpillDir is the parent directory for spill segments (a unique
-	// per-search subdirectory is created on first spill and removed when
-	// the search ends). Empty means the system temp directory.
-	//
-	// Deprecated: set Storage.SpillDir.
-	SpillDir string
 	// Progress, when non-nil, receives a periodic exploration snapshot
 	// every ProgressInterval plus one final snapshot — Spin-style
 	// progress lines for long searches.
@@ -181,24 +151,12 @@ type Options struct {
 	Context context.Context
 	// Tracer, when non-nil, records one span per search phase into the
 	// flight recorder, parented to the current span in Context (so a
-	// verifyd job's trace nests its checker phases). Parallel BFS engines
-	// add one event per level carrying the frontier size; snapshots
+	// verifyd job's trace nests its checker phases). The level engine
+	// adds one event per level carrying the frontier size; snapshots
 	// otherwise drive the span, so the hot path is unaffected. Like
 	// Progress and Metrics, Tracer never influences verdicts or cache
 	// keys.
 	Tracer *tracing.Recorder
-	// Checkpoint, when non-nil, makes the parallel BFS engines durable:
-	// at level-barrier boundaries the frontier and the sharded visited
-	// set are snapshotted to a file under Checkpoint.Dir, and a search
-	// restarted with Checkpoint.Resume continues from the last complete
-	// snapshot instead of state zero. Like Progress and Metrics it never
-	// influences verdicts — a resumed search stores exactly the states an
-	// uninterrupted one would. No-op for the sequential engines, liveness
-	// search, and bitstate runs (see CheckpointOptions).
-	//
-	// Deprecated: set Durability. When both are non-nil, Checkpoint
-	// wins (see Normalized).
-	Checkpoint *CheckpointOptions
 }
 
 // Stats summarizes the exploration.
@@ -212,10 +170,10 @@ type Stats struct {
 	Reduced   int
 	Truncated bool
 	Elapsed   time.Duration
-	// VisitedBytes is the peak resident size of the parallel engine's
-	// visited set (sampled at level barriers); 0 for sequential and
-	// bitstate runs. SpilledStates counts entries moved to disk segments
-	// under Options.MemLimit. Both are observability fields: they vary
+	// VisitedBytes is the peak resident size of the level engine's
+	// visited set (sampled at level barriers); 0 for DFS and bitstate
+	// runs. SpilledStates counts entries moved to disk segments under
+	// Options.Storage.MemLimit. Both are observability fields: they vary
 	// with storage mode and budget while the verdict does not.
 	VisitedBytes  int64
 	SpilledStates int
@@ -268,11 +226,9 @@ type Checker struct {
 	opts Options
 }
 
-// New creates a Checker for a system with the given options. Options
-// are normalized first, so the nested Storage/Durability groups and
-// their deprecated flat aliases are interchangeable.
+// New creates a Checker for a system with the given options.
 func New(sys *model.System, opts Options) *Checker {
-	return &Checker{sys: sys, opts: opts.Normalized()}
+	return &Checker{sys: sys, opts: opts}
 }
 
 // InvariantFromSource parses src as a global-scope pml expression and
@@ -375,8 +331,8 @@ func (s *bitstateSet) seen(key string) bool {
 func (s *bitstateSet) size() int { return s.count }
 
 func (c *Checker) newVisited() visitedSet {
-	if c.opts.Bitstate {
-		bits := c.opts.BitstateBits
+	if c.opts.Storage.Bitstate {
+		bits := c.opts.Storage.BitstateBits
 		if bits == 0 {
 			bits = 24
 		}

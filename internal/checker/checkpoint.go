@@ -14,7 +14,7 @@ import (
 	"pnp/internal/obs"
 )
 
-// CheckpointOptions makes the parallel BFS engines crash-safe. The
+// DurabilityOptions makes the level engine crash-safe. The
 // level barrier is the natural snapshot point: after a level completes,
 // the frontier plus the visited set fully determine the remainder of
 // the search, independent of worker count. A snapshot therefore resumes
@@ -22,11 +22,11 @@ import (
 // run would produce.
 //
 // Checkpointing applies only where the level barrier exists: the
-// parallel safety and reachability engines (Options.Workers >= 1,
-// exact visited set). Sequential DFS, liveness search, AG-EF goals, and
-// bitstate runs ignore it silently — the search still completes, it is
-// just not resumable.
-type CheckpointOptions struct {
+// level engine's safety and reachability searches over an exact visited
+// set. Sequential DFS, liveness search, AG-EF goals, and bitstate runs
+// ignore it silently — the search still completes, it is just not
+// resumable.
+type DurabilityOptions struct {
 	// Dir is the directory checkpoint files live in (created on demand).
 	Dir string
 	// Key names this search's checkpoint file within Dir; callers use a
@@ -101,7 +101,7 @@ func CheckpointFileName(key string) string {
 // method.
 type checkpointer struct {
 	c       *Checker
-	opts    CheckpointOptions
+	opts    DurabilityOptions
 	phase   string
 	file    string
 	modelID string
@@ -115,7 +115,7 @@ type checkpointer struct {
 // returns nil when it does not apply (no options, no key, or a bitstate
 // visited set — its bit table has no exact streamable entries).
 func (c *Checker) newCheckpointer(phase string, r *parRunner) *checkpointer {
-	o := c.opts.Checkpoint
+	o := c.opts.Durability
 	if o == nil || o.Dir == "" || o.Key == "" {
 		return nil
 	}

@@ -24,7 +24,7 @@ func snapAt(t *testing.T, dir string, depth int) (stolen string) {
 	t.Helper()
 	stolen = filepath.Join(dir, "stolen.bin")
 	s := sysFromSource(t, ckptSrc)
-	res := New(s, Options{Workers: 2, Checkpoint: &CheckpointOptions{
+	res := New(s, Options{Workers: 2, Durability: &DurabilityOptions{
 		Dir: dir, Key: "steal", Interval: 1,
 		OnWrite: func(file string, d, states int) {
 			if d == depth {
@@ -64,7 +64,7 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 			t.Fatal(err)
 		}
 		var depths []int
-		res := New(sysFromSource(t, ckptSrc), Options{Workers: w, Checkpoint: &CheckpointOptions{
+		res := New(sysFromSource(t, ckptSrc), Options{Workers: w, Durability: &DurabilityOptions{
 			Dir: dir, Key: "k", Resume: true,
 			OnWrite: func(file string, d, states int) { depths = append(depths, d) },
 		}}).CheckSafety()
@@ -99,7 +99,7 @@ active proctype R() { (a == 50 && b == 2) -> assert(false) }`
 	dir := t.TempDir()
 	sys := sysFromSource(t, src)
 	var stolen []byte
-	res := New(sys, Options{Workers: 2, Checkpoint: &CheckpointOptions{
+	res := New(sys, Options{Workers: 2, Durability: &DurabilityOptions{
 		Dir: dir, Key: "v", Interval: 1,
 		OnWrite: func(file string, d, states int) {
 			if d == 20 {
@@ -115,7 +115,7 @@ active proctype R() { (a == 50 && b == 2) -> assert(false) }`
 	if err := os.WriteFile(filepath.Join(rdir, CheckpointFileName("v")), stolen, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resumed := New(sysFromSource(t, src), Options{Workers: 8, Checkpoint: &CheckpointOptions{
+	resumed := New(sysFromSource(t, src), Options{Workers: 8, Durability: &DurabilityOptions{
 		Dir: rdir, Key: "v", Resume: true,
 	}}).CheckSafety()
 	if resumed.OK || resumed.Kind != full.Kind {
@@ -141,7 +141,7 @@ func TestCheckpointCanceledKeepsFileAndResumes(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	res := New(sysFromSource(t, ckptSrc), Options{Workers: 2, Context: ctx,
-		Checkpoint: &CheckpointOptions{
+		Durability: &DurabilityOptions{
 			Dir: dir, Key: "c", Interval: 1,
 			OnWrite: func(file string, d, states int) {
 				if d == 30 {
@@ -158,7 +158,7 @@ func TestCheckpointCanceledKeepsFileAndResumes(t *testing.T) {
 	}
 
 	resumed := New(sysFromSource(t, ckptSrc), Options{Workers: 2,
-		Checkpoint: &CheckpointOptions{Dir: dir, Key: "c", Resume: true}}).CheckSafety()
+		Durability: &DurabilityOptions{Dir: dir, Key: "c", Resume: true}}).CheckSafety()
 	if !resumed.OK {
 		t.Fatalf("resumed search should verify: %s", resumed.Summary())
 	}
@@ -186,7 +186,7 @@ func TestCheckpointReachabilityResume(t *testing.T) {
 	dir := t.TempDir()
 	var stolen []byte
 	sys2 := sysFromSource(t, ckptSrc)
-	res := New(sys2, Options{Workers: 2, Checkpoint: &CheckpointOptions{
+	res := New(sys2, Options{Workers: 2, Durability: &DurabilityOptions{
 		Dir: dir, Key: "r", Interval: 1,
 		OnWrite: func(file string, d, states int) {
 			if d == 25 {
@@ -204,7 +204,7 @@ func TestCheckpointReachabilityResume(t *testing.T) {
 	}
 	sys3 := sysFromSource(t, ckptSrc)
 	target3, _ := sys3.Prog.CompileGlobalExpr("a == 55 && b == 3")
-	resumed := New(sys3, Options{Workers: 8, Checkpoint: &CheckpointOptions{
+	resumed := New(sys3, Options{Workers: 8, Durability: &DurabilityOptions{
 		Dir: rdir, Key: "r", Resume: true,
 	}}).CheckReachable(target3)
 	if !resumed.OK || resumed.Trace == nil {
@@ -229,7 +229,7 @@ func TestCheckpointForeignOrCorruptSnapshotIgnored(t *testing.T) {
 		dir := t.TempDir()
 		os.WriteFile(filepath.Join(dir, CheckpointFileName("f")), data, 0o644)
 		res := New(sysFromSource(t, parOKSrc), Options{Workers: 2,
-			Checkpoint: &CheckpointOptions{Dir: dir, Key: "f", Resume: true}}).CheckSafety()
+			Durability: &DurabilityOptions{Dir: dir, Key: "f", Resume: true}}).CheckSafety()
 		want := New(sysFromSource(t, parOKSrc), Options{Workers: 1}).CheckSafety()
 		if !res.OK || !statsEqualIgnoringElapsed(res.Stats, want.Stats) {
 			t.Errorf("foreign snapshot not ignored: %+v vs fresh %+v", res.Stats, want.Stats)
@@ -241,7 +241,7 @@ func TestCheckpointForeignOrCorruptSnapshotIgnored(t *testing.T) {
 		bad[len(bad)/2] ^= 0xff // flip a bit mid-file: some section CRC must fail
 		os.WriteFile(filepath.Join(dir, CheckpointFileName("c")), bad, 0o644)
 		res := New(sysFromSource(t, ckptSrc), Options{Workers: 2,
-			Checkpoint: &CheckpointOptions{Dir: dir, Key: "c", Resume: true}}).CheckSafety()
+			Durability: &DurabilityOptions{Dir: dir, Key: "c", Resume: true}}).CheckSafety()
 		want := New(sysFromSource(t, ckptSrc), Options{Workers: 1}).CheckSafety()
 		if !res.OK || !statsEqualIgnoringElapsed(res.Stats, want.Stats) {
 			t.Errorf("corrupt snapshot not ignored: %+v vs fresh %+v", res.Stats, want.Stats)

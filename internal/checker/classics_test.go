@@ -124,7 +124,9 @@ proctype Node(chan in; chan out; byte myid) {
 	od
 }`
 
-func TestChangRobertsLeaderElection(t *testing.T) {
+// changRobertsRing instantiates the three-node ring with ids 5, 9, 2.
+func changRobertsRing(t *testing.T) *model.System {
+	t.Helper()
 	prog, err := pml.CompileSource(changRoberts)
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +146,12 @@ func TestChangRobertsLeaderElection(t *testing.T) {
 	if _, err := s.Spawn("Node", model.Chan(r1), model.Chan(r2), model.Int(2)); err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func TestChangRobertsLeaderElection(t *testing.T) {
+	s := changRobertsRing(t)
+	prog := s.Prog
 
 	// Safety: never a wrong leader, never more than one election.
 	inv1, err := InvariantFromSource(prog, "right-leader", "leader == 0 || leader == 9")

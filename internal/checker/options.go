@@ -2,69 +2,32 @@ package checker
 
 // StorageOptions groups the visited-set storage knobs — how states are
 // stored, never which states exist. Every combination computes the same
-// verdict; these trade memory for time. This nested form is the
-// canonical spelling (since PR10); the identically named flat fields on
-// Options remain as deprecated aliases and the two are merged by
-// Normalized, with a non-zero flat field overriding its nested
-// counterpart so legacy overlay code keeps working.
+// verdict; these trade memory for time.
 type StorageOptions struct {
-	// Visited selects the parallel engine's exact storage: VisitedExact
-	// ("" or "exact") or VisitedCollapse ("collapse").
+	// Visited selects the level engine's exact storage: VisitedExact
+	// ("" or "exact", the default) stores full canonical encodings;
+	// VisitedCollapse ("collapse") interns per-process and per-channel
+	// sub-vectors in side tables and stores each state as a tuple of
+	// indices (Spin's -DCOLLAPSE analogue), cutting bytes/state
+	// severalfold at the cost of extra hashing. Membership stays exact
+	// either way. Ignored by the sequential DFS and by bitstate runs.
 	Visited string
-	// MemLimit caps visited-set resident bytes; over budget, entries
-	// spill to segment files under SpillDir. 0 disables spilling.
+	// MemLimit caps the resident bytes of the level engine's visited set
+	// (entries plus table overhead, the checker_visited_bytes gauge).
+	// When a level barrier finds the set over budget, its entries are
+	// spilled to fingerprint-indexed segment files under SpillDir and
+	// lookups probe the (mmap-backed) segments before the in-memory
+	// tier, so the search completes with the exact same verdict and
+	// stats instead of exhausting memory. 0 disables spilling.
 	MemLimit int64
-	// SpillDir is the parent directory for spill segments (empty = the
-	// system temp directory).
+	// SpillDir is the parent directory for spill segments (a unique
+	// per-search subdirectory is created on first spill and removed when
+	// the search ends). Empty means the system temp directory.
 	SpillDir string
 	// Bitstate replaces the exact visited set with a double-hash
-	// bitstate table of 2^BitstateBits bits.
+	// bitstate table of 2^BitstateBits bits (Spin's -DBITSTATE
+	// analogue). The search becomes probabilistic: violations found are
+	// real, but coverage may be partial.
 	Bitstate     bool
 	BitstateBits uint
-}
-
-// DurabilityOptions is the canonical nested spelling of the
-// checkpoint/resume knobs (since PR10). It is the same type as
-// CheckpointOptions, so existing constructors work for either field.
-type DurabilityOptions = CheckpointOptions
-
-// Normalized merges the nested option groups with their deprecated flat
-// aliases and returns the canonical form: nested values propagate to
-// the flat fields (so engine code reading either spelling agrees), and
-// an explicitly set flat field overrides its nested counterpart.
-// checker.New and verifyd's OptionsKey both normalize first, which is
-// what makes old and new spellings hash — and verify — identically.
-func (o Options) Normalized() Options {
-	st := o.Storage
-	if o.Visited != "" {
-		st.Visited = o.Visited
-	}
-	if o.MemLimit != 0 {
-		st.MemLimit = o.MemLimit
-	}
-	if o.SpillDir != "" {
-		st.SpillDir = o.SpillDir
-	}
-	if o.Bitstate {
-		st.Bitstate = true
-	}
-	if o.BitstateBits != 0 {
-		st.BitstateBits = o.BitstateBits
-	}
-	o.Storage = st
-	o.Visited = st.Visited
-	o.MemLimit = st.MemLimit
-	o.SpillDir = st.SpillDir
-	o.Bitstate = st.Bitstate
-	o.BitstateBits = st.BitstateBits
-
-	// The legacy Checkpoint pointer wins when both are set: callers that
-	// derive per-property checkpoint keys clone-and-reassign it, and
-	// that edit must not be shadowed by a stale Durability alias.
-	if o.Checkpoint != nil {
-		o.Durability = o.Checkpoint
-	} else if o.Durability != nil {
-		o.Checkpoint = o.Durability
-	}
-	return o
 }

@@ -12,24 +12,18 @@ import (
 	"pnp/internal/trace"
 )
 
-// The parallel engine explores breadth-first one level at a time: all
-// frontier nodes of depth d are expanded (by Options.Workers goroutines
-// pulling from a shared index) before any node of depth d+1 is looked
-// at. The barrier is what makes the search worker-count-independent:
-// the set of states at depth d+1 is exactly successors(level d) minus
-// the visited set after level d, no matter how workers interleave, so
-// verdicts, StatesStored, and counterexample lengths match at every
-// worker count. Violations found while expanding a level are collected
-// and adjudicated deterministically at the barrier (see bestProblem)
-// instead of racing to report first.
-
-// parallelEligible reports whether the options route to the parallel
-// engine: Workers >= 1 and nothing that requires the sequential DFS.
-// Partial-order reduction depends on DFS-stack cycle detection and
-// ReportUnreached on observing every expansion, so both fall back.
-func (c *Checker) parallelEligible() bool {
-	return c.opts.Workers >= 1 && !c.opts.PartialOrder && !c.opts.ReportUnreached
-}
+// The level engine is the checker's one breadth-first search: safety
+// under Options.BFS or Options.Workers >= 1, and every CheckReachable.
+// It explores one level at a time: all frontier nodes of depth d are
+// expanded (by Options.Workers goroutines pulling from a shared index,
+// or inline on the caller's goroutine at one worker) before any node of
+// depth d+1 is looked at. The barrier is what makes the search
+// worker-count-independent: the set of states at depth d+1 is exactly
+// successors(level d) minus the visited set after level d, no matter
+// how workers interleave, so verdicts, StatesStored, and counterexample
+// lengths match at every worker count. Violations found while expanding
+// a level are collected and adjudicated deterministically at the
+// barrier (see bestProblem) instead of racing to report first.
 
 // parNode is one frontier entry. parent indexes the previous level's
 // slice (-1 at the root); in is the transition that produced the node.
@@ -127,7 +121,7 @@ func (r *parRunner) close() {
 
 // abort flags a worker-side stop condition. Cancellation and the state
 // limit drain the level early (their stats are best-effort, as in the
-// sequential engines); violations do NOT stop the level — it must
+// sequential DFS); violations do NOT stop the level — it must
 // complete so the stored set stays deterministic.
 func (r *parRunner) abortCancel() { r.cancel.Store(true); r.stop.Store(true) }
 func (r *parRunner) abortLimit()  { r.limit.Store(true); r.stop.Store(true) }
@@ -142,6 +136,10 @@ func (r *parRunner) runLevel(n int, work func(w *parWorker, i int)) {
 		for !r.stop.Load() {
 			i := int(idx.Add(1) - 1)
 			if i >= n {
+				break
+			}
+			if w.cc.hit() {
+				r.abortCancel()
 				break
 			}
 			work(w, i)
@@ -197,8 +195,8 @@ func (r *parRunner) collect(res *Result) (next []parNode, problems []parProblem)
 }
 
 // limitResult finishes a search that crossed MaxStates. StatesStored is
-// clamped to limit+1 — the value the sequential engines report when
-// they store the first state past the limit and stop.
+// clamped to limit+1 — the value the sequential DFS reports when it
+// stores the first state past the limit and stops.
 func (r *parRunner) limitResult(res *Result) *Result {
 	if res.Stats.StatesStored > r.c.opts.MaxStates+1 {
 		res.Stats.StatesStored = r.c.opts.MaxStates + 1
@@ -210,17 +208,11 @@ func (r *parRunner) limitResult(res *Result) *Result {
 	return res
 }
 
-// cancelResult mirrors canceler.cancelResult for the parallel engine.
+// cancelResult finishes a canceled search. Only a worker whose canceler
+// fired sets r.cancel, and every worker's canceler polls the one
+// Options.Context, so any of them can render the verdict.
 func (r *parRunner) cancelResult(res *Result) *Result {
-	res.OK = false
-	res.Kind = Canceled
-	res.Stats.Truncated = true
-	if err := r.c.opts.Context.Err(); err != nil {
-		res.Message = err.Error()
-	} else {
-		res.Message = "context canceled"
-	}
-	return res
+	return r.workers[0].cc.cancelResult(res)
 }
 
 // bestProblem picks the violation to report, deterministically: state
@@ -268,19 +260,113 @@ func (c *Checker) parTrace(levels [][]parNode, depth, node int, extra *model.Tra
 	return t
 }
 
-// checkSafetyPar is the parallel counterpart of checkSafetyBFS: same
-// verdict semantics (assertions, runtime errors, invariants, deadlock),
-// shortest counterexamples, level-synchronized exploration.
-func (c *Checker) checkSafetyPar() *Result {
+// expand is the per-node work of one level: generate the successors of
+// cur[i] and feed them through the visited set into w.next. A safety
+// search also records the node's own state problem and every violating
+// transition as adjudication candidates; a reachability search decides
+// only reachability and skips violating transitions.
+func (w *parWorker) expand(r *parRunner, cur []parNode, i int, safety bool) {
+	c := r.c
+	node := &cur[i]
+	w.trs = c.sys.SuccessorsAppend(node.st, w.arena, w.trs[:0])
+	w.trans += len(w.trs)
+	if safety {
+		if kind, msg := c.stateProblem(node.st, len(w.trs)); kind != NoViolation {
+			w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: kind, msg: msg})
+		}
+	}
+	// Expand fully even after recording a problem: the level's stored
+	// set must not depend on which worker saw what first.
+	for ti := range w.trs {
+		tr := w.trs[ti]
+		if tr.Violation != "" {
+			if safety {
+				w.problems = append(w.problems, parProblem{
+					node: i, trIdx: ti, kind: violationKind(tr.Violation),
+					msg: tr.Violation, tr: tr,
+				})
+			}
+			continue
+		}
+		w.scratch, w.ends = tr.Next.AppendComponentKeys(w.scratch[:0], w.ends[:0])
+		if r.visited.seen(model.Hash64(w.scratch), w.scratch, w.ends) {
+			w.matched++
+			w.arena.Recycle(tr.Next)
+			continue
+		}
+		n := r.stored.Add(1)
+		if c.opts.MaxStates > 0 && int(n) > c.opts.MaxStates {
+			r.abortLimit()
+			return
+		}
+		w.next = append(w.next, parNode{st: tr.Next, parent: int32(i), in: tr})
+	}
+}
+
+// scanTarget is the reachability search's pre-expansion pass: the whole
+// frontier is tested against target before any of it is expanded, so
+// the witness is shortest and the stored-state count is the same at
+// every worker count. It reports whether the search is over (witness
+// found, evaluation error, or cancellation), with res filled in.
+func (r *parRunner) scanTarget(levels [][]parNode, li int, target pml.RExpr, res *Result) bool {
+	cur := levels[li]
+	r.runLevel(len(cur), func(w *parWorker, i int) {
+		v, err := r.c.sys.EvalGlobal(cur[i].st, target)
+		if err != nil {
+			w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: RuntimeError, msg: err.Error()})
+		} else if v != 0 {
+			w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: NoViolation})
+		}
+	})
+	_, hits := r.collect(res)
+	if r.cancel.Load() {
+		r.cancelResult(res)
+		return true
+	}
+	// A target hit wins over an evaluation error at the same level: the
+	// search is asked for a witness, and both choices are adjudicated by
+	// smallest key, independent of worker count.
+	var sats, errs []parProblem
+	for _, p := range hits {
+		if p.kind == NoViolation {
+			sats = append(sats, p)
+		} else {
+			errs = append(errs, p)
+		}
+	}
+	if p := bestProblem(cur, sats); p != nil {
+		res.OK = true
+		res.Trace = r.c.parTrace(levels, li, p.node, nil)
+		res.Trace.Final = "target state reached"
+		return true
+	}
+	if p := bestProblem(cur, errs); p != nil {
+		res.Kind = RuntimeError
+		res.Message = p.msg
+		return true
+	}
+	return false
+}
+
+// searchLevels is the one breadth-first engine: restore or seed the
+// root level, then per level expand, collect at the barrier, honour
+// cancellation and the state limit, adjudicate, snapshot. With a nil
+// target it is the safety search (assertions, runtime errors,
+// invariants, deadlock; shortest counterexamples). With a target it is
+// the reachability search: Result.OK reports that the target IS
+// reachable, violations met along the way are ignored, and each level
+// is scanned for the target before it is expanded.
+func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
+	safety := target == nil
 	start := time.Now()
-	res := &Result{OK: true}
+	res := &Result{OK: safety}
 	defer func() { res.Stats.Elapsed = time.Since(start) }()
-	m := c.newMeter("safety-par-bfs")
+	m := c.newMeter(phase)
 	defer func() { m.finish(&res.Stats, res.Stats.MaxDepth) }()
 
-	r := c.newParRunner("safety-par-bfs")
+	r := c.newParRunner(phase)
 	defer r.close()
-	ck := c.newCheckpointer("safety-par-bfs", r)
+	ck := c.newCheckpointer(phase, r)
 	defer func() { ck.finish(res) }()
 	// On resume, levels[0] is the checkpointed frontier at depth base;
 	// counterexample prefixes then start at that frontier (the path from
@@ -304,44 +390,11 @@ func (c *Checker) checkSafetyPar() *Result {
 		}
 		r.gFrontier.Set(int64(len(cur)))
 
-		work := func(w *parWorker, i int) {
-			if w.cc.hit() {
-				r.abortCancel()
-				return
-			}
-			node := &cur[i]
-			w.trs = c.sys.SuccessorsAppend(node.st, w.arena, w.trs[:0])
-			w.trans += len(w.trs)
-			if kind, msg := c.stateProblem(node.st, len(w.trs)); kind != NoViolation {
-				w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: kind, msg: msg})
-			}
-			// Expand fully even after recording a problem: the level's
-			// stored set must not depend on which worker saw what first.
-			for ti := range w.trs {
-				tr := w.trs[ti]
-				if tr.Violation != "" {
-					w.problems = append(w.problems, parProblem{
-						node: i, trIdx: ti, kind: violationKind(tr.Violation),
-						msg: tr.Violation, tr: tr,
-					})
-					continue
-				}
-				w.scratch, w.ends = tr.Next.AppendComponentKeys(w.scratch[:0], w.ends[:0])
-				if r.visited.seen(model.Hash64(w.scratch), w.scratch, w.ends) {
-					w.matched++
-					w.arena.Recycle(tr.Next)
-					continue
-				}
-				n := r.stored.Add(1)
-				if c.opts.MaxStates > 0 && int(n) > c.opts.MaxStates {
-					r.abortLimit()
-					return
-				}
-				w.next = append(w.next, parNode{st: tr.Next, parent: int32(i), in: tr})
-			}
+		if !safety && r.scanTarget(levels, li, target, res) {
+			return res
 		}
 		prevStored := res.Stats.StatesStored
-		r.runLevel(len(cur), work)
+		r.runLevel(len(cur), func(w *parWorker, i int) { w.expand(r, cur, i, safety) })
 		next, problems := r.collect(res)
 		m.level(&res.Stats, depth, len(cur), res.Stats.StatesStored-prevStored)
 
@@ -363,7 +416,7 @@ func (c *Checker) checkSafetyPar() *Result {
 			res.Trace.Final = p.msg
 			return res
 		}
-		if c.opts.MaxDepth > 0 && depth+1 > c.opts.MaxDepth && len(next) > 0 {
+		if safety && c.opts.MaxDepth > 0 && depth+1 > c.opts.MaxDepth && len(next) > 0 {
 			res.Stats.Truncated = true
 			res.OK = false
 			res.Kind = SearchLimit
@@ -373,128 +426,8 @@ func (c *Checker) checkSafetyPar() *Result {
 		ck.maybeSnapshot(depth+1, next, r, &res.Stats)
 		levels = append(levels, next)
 	}
-	return res
-}
-
-// checkReachablePar is the parallel counterpart of checkReachable. Each
-// level is first scanned for target hits — entirely, before any
-// expansion — so the witness is shortest and the stored-state count is
-// the same at every worker count; only if no frontier state satisfies
-// the target is the level expanded.
-func (c *Checker) checkReachablePar(target pml.RExpr) *Result {
-	start := time.Now()
-	res := &Result{}
-	defer func() { res.Stats.Elapsed = time.Since(start) }()
-	m := c.newMeter("reachability-par")
-	defer func() { m.finish(&res.Stats, res.Stats.MaxDepth) }()
-
-	r := c.newParRunner("reachability-par")
-	defer r.close()
-	ck := c.newCheckpointer("reachability-par", r)
-	defer func() { ck.finish(res) }()
-	levels, base, resumed := ck.restore(r, res)
-	if !resumed {
-		levels = r.seedRoot()
-		res.Stats.StatesStored = 1
-		base = 0
+	if !safety {
+		res.Message = "target state is unreachable"
 	}
-
-	for li := 0; li < len(levels); li++ {
-		depth := base + li
-		cur := levels[li]
-		if len(cur) == 0 {
-			break
-		}
-		if depth > res.Stats.MaxDepth {
-			res.Stats.MaxDepth = depth
-		}
-		r.gFrontier.Set(int64(len(cur)))
-
-		// Pass 1: scan the whole frontier for the target.
-		scan := func(w *parWorker, i int) {
-			if w.cc.hit() {
-				r.abortCancel()
-				return
-			}
-			v, err := c.sys.EvalGlobal(cur[i].st, target)
-			if err != nil {
-				w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: RuntimeError, msg: err.Error()})
-				return
-			}
-			if v != 0 {
-				w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: NoViolation})
-			}
-		}
-		r.runLevel(len(cur), scan)
-		_, hits := r.collect(res)
-		if r.cancel.Load() {
-			return r.cancelResult(res)
-		}
-		// A target hit wins over an evaluation error at the same level:
-		// the search is asked for a witness, and both choices are
-		// adjudicated by smallest key, independent of worker count.
-		var sats, errs []parProblem
-		for _, p := range hits {
-			if p.kind == NoViolation {
-				sats = append(sats, p)
-			} else {
-				errs = append(errs, p)
-			}
-		}
-		if p := bestProblem(cur, sats); p != nil {
-			res.OK = true
-			res.Trace = c.parTrace(levels, li, p.node, nil)
-			res.Trace.Final = "target state reached"
-			return res
-		}
-		if p := bestProblem(cur, errs); p != nil {
-			res.Kind = RuntimeError
-			res.Message = p.msg
-			return res
-		}
-
-		// Pass 2: expand the frontier.
-		expand := func(w *parWorker, i int) {
-			if w.cc.hit() {
-				r.abortCancel()
-				return
-			}
-			node := &cur[i]
-			w.trs = c.sys.SuccessorsAppend(node.st, w.arena, w.trs[:0])
-			w.trans += len(w.trs)
-			for ti := range w.trs {
-				tr := w.trs[ti]
-				if tr.Violation != "" {
-					continue
-				}
-				w.scratch, w.ends = tr.Next.AppendComponentKeys(w.scratch[:0], w.ends[:0])
-				if r.visited.seen(model.Hash64(w.scratch), w.scratch, w.ends) {
-					w.matched++
-					w.arena.Recycle(tr.Next)
-					continue
-				}
-				n := r.stored.Add(1)
-				if c.opts.MaxStates > 0 && int(n) > c.opts.MaxStates {
-					r.abortLimit()
-					return
-				}
-				w.next = append(w.next, parNode{st: tr.Next, parent: int32(i), in: tr})
-			}
-		}
-		prevStored := res.Stats.StatesStored
-		r.runLevel(len(cur), expand)
-		next, _ := r.collect(res)
-		m.level(&res.Stats, depth, len(cur), res.Stats.StatesStored-prevStored)
-		if r.cancel.Load() {
-			return r.cancelResult(res)
-		}
-		if r.limit.Load() {
-			return r.limitResult(res)
-		}
-		ck.maybeSnapshot(depth+1, next, r, &res.Stats)
-		levels = append(levels, next)
-	}
-	res.Kind = NoViolation
-	res.Message = "target state is unreachable"
 	return res
 }

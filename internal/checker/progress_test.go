@@ -87,8 +87,8 @@ func TestProgressCallbackBFSPhase(t *testing.T) {
 	if !res.OK {
 		t.Fatalf("expected OK: %s", res.Summary())
 	}
-	if len(phases) == 0 || phases[0] != "safety-bfs" {
-		t.Errorf("phases = %v, want safety-bfs", phases)
+	if len(phases) == 0 || phases[0] != "safety-par-bfs" {
+		t.Errorf("phases = %v, want safety-par-bfs", phases)
 	}
 }
 

@@ -61,7 +61,10 @@ active proctype Drain() {
 
 // TestRandomProgramsVerdictAgreement: for random programs, the DFS, BFS,
 // and partial-order-reduced searches must agree on the verdict, and POR
-// must never store more states than the full search.
+// must never store more states than the full search. The level engine at
+// every worker count is held to the DFS too: same verdict kind, the same
+// StatesStored on violation-free programs, and one counterexample length
+// across worker counts.
 func TestRandomProgramsVerdictAgreement(t *testing.T) {
 	r := rand.New(rand.NewSource(20260707))
 	for i := 0; i < 120; i++ {
@@ -85,6 +88,21 @@ func TestRandomProgramsVerdictAgreement(t *testing.T) {
 		if por.Stats.StatesStored > dfs.Stats.StatesStored {
 			t.Fatalf("program %d: POR stored MORE states (%d > %d)\n%s",
 				i, por.Stats.StatesStored, dfs.Stats.StatesStored, src)
+		}
+		for _, w := range parWorkerCounts {
+			par := New(sysFromSource(t, src), Options{Workers: w}).CheckSafety()
+			if dfs.OK != par.OK || dfs.Kind != par.Kind {
+				t.Fatalf("program %d: DFS=(%v,%s) Workers=%d=(%v,%s)\n%s",
+					i, dfs.OK, dfs.Kind, w, par.OK, par.Kind, src)
+			}
+			if dfs.OK && dfs.Stats.StatesStored != par.Stats.StatesStored {
+				t.Fatalf("program %d: DFS stored %d states, Workers=%d %d\n%s",
+					i, dfs.Stats.StatesStored, w, par.Stats.StatesStored, src)
+			}
+			if !dfs.OK && par.Trace.Len() != bfs.Trace.Len() {
+				t.Fatalf("program %d: counterexample length %d at Workers=%d, %d under BFS\n%s",
+					i, par.Trace.Len(), w, bfs.Trace.Len(), src)
+			}
 		}
 	}
 }
@@ -111,6 +129,19 @@ func TestRandomProgramsReachabilityConsistent(t *testing.T) {
 		if res.OK && res2.OK && res.Trace.Len() != res2.Trace.Len() {
 			t.Fatalf("program %d: witness lengths differ: %d vs %d",
 				i, res.Trace.Len(), res2.Trace.Len())
+		}
+		// Every worker count decides the same, stores the same states,
+		// and finds a witness of the same (shortest) length.
+		for _, w := range parWorkerCounts {
+			par := New(sysFromSource(t, src), Options{Workers: w}).CheckReachable(target)
+			if par.OK != res.OK || par.Stats.StatesStored != res.Stats.StatesStored {
+				t.Fatalf("program %d: Workers=%d: reachable=%v stored=%d, want %v and %d\n%s",
+					i, w, par.OK, par.Stats.StatesStored, res.OK, res.Stats.StatesStored, src)
+			}
+			if res.OK && par.Trace.Len() != res.Trace.Len() {
+				t.Fatalf("program %d: Workers=%d: witness length %d, want %d\n%s",
+					i, w, par.Trace.Len(), res.Trace.Len(), src)
+			}
 		}
 	}
 }

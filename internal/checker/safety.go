@@ -12,13 +12,14 @@ import (
 
 // CheckSafety explores the reachable state space and reports the first
 // assertion violation, runtime error, invariant violation, or invalid end
-// state (deadlock). With Options.BFS the counterexample is shortest.
+// state (deadlock). PartialOrder and ReportUnreached need a stack and
+// run the sequential DFS whatever else is set; otherwise Workers >= 1 or
+// BFS runs the level engine (shortest counterexamples); otherwise DFS.
 func (c *Checker) CheckSafety() *Result {
 	var res *Result
-	if c.parallelEligible() {
-		withPhaseLabel("safety-par-bfs", func() { res = c.checkSafetyPar() })
-	} else if c.opts.BFS {
-		withPhaseLabel("safety-bfs", func() { res = c.checkSafetyBFS() })
+	needsStack := c.opts.PartialOrder || c.opts.ReportUnreached
+	if !needsStack && (c.opts.Workers >= 1 || c.opts.BFS) {
+		withPhaseLabel("safety-par-bfs", func() { res = c.searchLevels("safety-par-bfs", nil) })
 	} else {
 		phase := "safety-dfs"
 		if c.opts.PartialOrder {
@@ -245,87 +246,7 @@ func (c *Checker) checkSafetyDFS() *Result {
 // along the way are not reported; only reachability is decided.
 func (c *Checker) CheckReachable(target pml.RExpr) *Result {
 	var res *Result
-	if c.parallelEligible() {
-		withPhaseLabel("reachability-par", func() { res = c.checkReachablePar(target) })
-	} else {
-		withPhaseLabel("reachability", func() { res = c.checkReachable(target) })
-	}
-	return res
-}
-
-func (c *Checker) checkReachable(target pml.RExpr) *Result {
-	start := time.Now()
-	visited := c.newVisited()
-	res := &Result{}
-	defer func() { res.Stats.Elapsed = time.Since(start) }()
-	m := c.newMeter("reachability")
-	defer func() { m.finish(&res.Stats, res.Stats.MaxDepth) }()
-	cc := c.newCanceler()
-
-	sat := func(st *model.State) (bool, string) {
-		v, err := c.sys.EvalGlobal(st, target)
-		if err != nil {
-			return false, err.Error()
-		}
-		return v != 0, ""
-	}
-
-	init := c.sys.InitialState()
-	visited.seen(init.Key())
-	res.Stats.StatesStored = 1
-	arena := []bfsNode{{st: init, parent: -1}}
-
-	buildTrace := func(i int) *trace.Trace {
-		var rev []trace.Event
-		for j := i; j > 0; j = arena[j].parent {
-			rev = append(rev, eventOf(c.sys, arena[j].in))
-		}
-		t := &trace.Trace{Final: "target state reached"}
-		for k := len(rev) - 1; k >= 0; k-- {
-			t.Prefix = append(t.Prefix, rev[k])
-		}
-		return t
-	}
-
-	for head := 0; head < len(arena); head++ {
-		if cc.hit() {
-			return cc.cancelResult(res)
-		}
-		ok, errMsg := sat(arena[head].st)
-		if errMsg != "" {
-			res.Kind = RuntimeError
-			res.Message = errMsg
-			return res
-		}
-		if ok {
-			res.OK = true
-			res.Trace = buildTrace(head)
-			return res
-		}
-		trs := c.sys.Successors(arena[head].st)
-		res.Stats.Transitions += len(trs)
-		for _, tr := range trs {
-			if tr.Violation != "" {
-				continue
-			}
-			key := tr.Next.Key()
-			if visited.seen(key) {
-				res.Stats.StatesMatched++
-				continue
-			}
-			res.Stats.StatesStored++
-			m.tick(&res.Stats, res.Stats.MaxDepth)
-			if c.opts.MaxStates > 0 && res.Stats.StatesStored > c.opts.MaxStates {
-				res.Stats.Truncated = true
-				res.Kind = SearchLimit
-				res.Message = fmt.Sprintf("state limit %d exceeded", c.opts.MaxStates)
-				return res
-			}
-			arena = append(arena, bfsNode{st: tr.Next, parent: head, in: tr})
-		}
-	}
-	res.Kind = NoViolation
-	res.Message = "target state is unreachable"
+	withPhaseLabel("reachability-par", func() { res = c.searchLevels("reachability-par", target) })
 	return res
 }
 
@@ -353,8 +274,13 @@ func (c *Checker) checkEventuallyReachable(target pml.RExpr) *Result {
 	// MaxStates the way the other searches do — count the state, tick
 	// the meter, then flag the overrun — so the search stops within one
 	// state of the limit instead of finishing the whole expansion.
+	type graphNode struct {
+		st     *model.State
+		parent int
+		in     model.Transition
+	}
 	index := map[string]int{}
-	var arena []bfsNode
+	var arena []graphNode
 	var succs [][]int
 	limitHit := false
 	add := func(st *model.State, parent int, in model.Transition) int {
@@ -364,7 +290,7 @@ func (c *Checker) checkEventuallyReachable(target pml.RExpr) *Result {
 			return i
 		}
 		index[key] = len(arena)
-		arena = append(arena, bfsNode{st: st, parent: parent, in: in})
+		arena = append(arena, graphNode{st: st, parent: parent, in: in})
 		succs = append(succs, nil)
 		res.Stats.StatesStored++
 		m.tick(&res.Stats, 0)
@@ -448,87 +374,5 @@ func (c *Checker) checkEventuallyReachable(target pml.RExpr) *Result {
 		return res
 	}
 	res.OK = true
-	return res
-}
-
-type bfsNode struct {
-	st     *model.State
-	parent int
-	depth  int32
-	in     model.Transition
-}
-
-func (c *Checker) checkSafetyBFS() *Result {
-	start := time.Now()
-	visited := c.newVisited()
-	res := &Result{OK: true}
-	defer func() { res.Stats.Elapsed = time.Since(start) }()
-	m := c.newMeter("safety-bfs")
-	defer func() { m.finish(&res.Stats, res.Stats.MaxDepth) }()
-	cc := c.newCanceler()
-
-	buildTrace := func(arena []bfsNode, i int, extra *model.Transition) *trace.Trace {
-		var rev []trace.Event
-		for j := i; j > 0; j = arena[j].parent {
-			rev = append(rev, eventOf(c.sys, arena[j].in))
-		}
-		t := &trace.Trace{}
-		for k := len(rev) - 1; k >= 0; k-- {
-			t.Prefix = append(t.Prefix, rev[k])
-		}
-		if extra != nil {
-			t.Prefix = append(t.Prefix, eventOf(c.sys, *extra))
-		}
-		return t
-	}
-
-	fail := func(arena []bfsNode, i int, extra *model.Transition, kind ViolationKind, msg string) *Result {
-		res.OK = false
-		res.Kind = kind
-		res.Message = msg
-		res.Trace = buildTrace(arena, i, extra)
-		res.Trace.Final = msg
-		return res
-	}
-
-	init := c.sys.InitialState()
-	visited.seen(init.Key())
-	res.Stats.StatesStored = 1
-	arena := []bfsNode{{st: init, parent: -1}}
-
-	for head := 0; head < len(arena); head++ {
-		if cc.hit() {
-			return cc.cancelResult(res)
-		}
-		st := arena[head].st
-		trs := c.sys.Successors(st)
-		res.Stats.Transitions += len(trs)
-		if d := int(arena[head].depth); d > res.Stats.MaxDepth {
-			res.Stats.MaxDepth = d
-		}
-		if kind, msg := c.stateProblem(st, len(trs)); kind != NoViolation {
-			return fail(arena, head, nil, kind, msg)
-		}
-		for _, tr := range trs {
-			if tr.Violation != "" {
-				return fail(arena, head, &tr, violationKind(tr.Violation), tr.Violation)
-			}
-			key := tr.Next.Key()
-			if visited.seen(key) {
-				res.Stats.StatesMatched++
-				continue
-			}
-			res.Stats.StatesStored++
-			m.tick(&res.Stats, res.Stats.MaxDepth)
-			if c.opts.MaxStates > 0 && res.Stats.StatesStored > c.opts.MaxStates {
-				res.Stats.Truncated = true
-				res.OK = false
-				res.Kind = SearchLimit
-				res.Message = fmt.Sprintf("state limit %d exceeded", c.opts.MaxStates)
-				return res
-			}
-			arena = append(arena, bfsNode{st: tr.Next, parent: head, depth: arena[head].depth + 1, in: tr})
-		}
-	}
 	return res
 }

@@ -242,7 +242,7 @@ active proctype P() {
 	x = 1;
 	assert(x == 0)
 }`)
-	res := New(s, Options{Bitstate: true, BitstateBits: 16}).CheckSafety()
+	res := New(s, Options{Storage: StorageOptions{Bitstate: true, BitstateBits: 16}}).CheckSafety()
 	if res.OK || res.Kind != Assertion {
 		t.Fatalf("bitstate search missed the violation: %s", res.Summary())
 	}
@@ -252,7 +252,7 @@ func TestBitstateExploresCleanSystem(t *testing.T) {
 	s := sysFromSource(t, `
 byte x;
 active proctype P() { x = 1; x = 2; x = 3 }`)
-	res := New(s, Options{Bitstate: true}).CheckSafety()
+	res := New(s, Options{Storage: StorageOptions{Bitstate: true}}).CheckSafety()
 	if !res.OK {
 		t.Fatalf("got %s", res.Summary())
 	}

@@ -200,15 +200,11 @@ func ckptStorageOptions(t *testing.T, o Options, mode string) Options {
 	t.Helper()
 	switch mode {
 	case "collapse":
-		o.Visited = VisitedCollapse
+		o.Storage.Visited = VisitedCollapse
 	case "spill":
-		o.Visited = VisitedExact
-		o.MemLimit = 1
-		o.SpillDir = t.TempDir()
+		o.Storage = StorageOptions{Visited: VisitedExact, MemLimit: 1, SpillDir: t.TempDir()}
 	case "collapse-spill":
-		o.Visited = VisitedCollapse
-		o.MemLimit = 1
-		o.SpillDir = t.TempDir()
+		o.Storage = StorageOptions{Visited: VisitedCollapse, MemLimit: 1, SpillDir: t.TempDir()}
 	}
 	return o
 }
@@ -226,7 +222,7 @@ func TestCheckpointResumeAcrossStorageModes(t *testing.T) {
 			// Steal a mid-run snapshot from a search using snapMode storage.
 			dir := t.TempDir()
 			var stolen []byte
-			opts := ckptStorageOptions(t, Options{Workers: 2, Checkpoint: &CheckpointOptions{
+			opts := ckptStorageOptions(t, Options{Workers: 2, Durability: &DurabilityOptions{
 				Dir: dir, Key: "s", Interval: 1,
 				OnWrite: func(file string, d, states int) {
 					if d == 40 {
@@ -250,7 +246,7 @@ func TestCheckpointResumeAcrossStorageModes(t *testing.T) {
 				if err := os.WriteFile(filepath.Join(rdir, CheckpointFileName("s")), stolen, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				ropts := ckptStorageOptions(t, Options{Workers: 8, Checkpoint: &CheckpointOptions{
+				ropts := ckptStorageOptions(t, Options{Workers: 8, Durability: &DurabilityOptions{
 					Dir: rdir, Key: "s", Resume: true,
 				}}, resumeMode)
 				resumed := New(sysFromSource(t, ckptSrc), ropts).CheckSafety()
@@ -276,7 +272,7 @@ active proctype R() { (a == 50 && b == 2) -> assert(false) }`
 	}
 	dir := t.TempDir()
 	var stolen []byte
-	opts := ckptStorageOptions(t, Options{Workers: 2, Checkpoint: &CheckpointOptions{
+	opts := ckptStorageOptions(t, Options{Workers: 2, Durability: &DurabilityOptions{
 		Dir: dir, Key: "v", Interval: 1,
 		OnWrite: func(file string, d, states int) {
 			if d == 20 {
@@ -293,7 +289,7 @@ active proctype R() { (a == 50 && b == 2) -> assert(false) }`
 	if err := os.WriteFile(filepath.Join(rdir, CheckpointFileName("v")), stolen, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ropts := ckptStorageOptions(t, Options{Workers: 8, Checkpoint: &CheckpointOptions{
+	ropts := ckptStorageOptions(t, Options{Workers: 8, Durability: &DurabilityOptions{
 		Dir: rdir, Key: "v", Resume: true,
 	}}, "collapse-spill")
 	resumed := New(sysFromSource(t, src), ropts).CheckSafety()

@@ -529,21 +529,22 @@ const (
 // set per Options.Visited, wrapped in the disk-spill tier when a memory
 // budget is configured.
 func (c *Checker) newParVisited(contention, spilled *obs.Counter) parVisited {
-	if c.opts.Bitstate {
-		bits := c.opts.BitstateBits
+	st := c.opts.Storage
+	if st.Bitstate {
+		bits := st.BitstateBits
 		if bits == 0 {
 			bits = 24
 		}
 		return newParBitstateSet(bits, contention)
 	}
 	var mem visitedDrainer
-	if c.opts.Visited == VisitedCollapse {
+	if st.Visited == VisitedCollapse {
 		mem = newCollapseSet(c.sys.InitialState(), contention)
 	} else {
 		mem = newShardedSet(contention)
 	}
-	if c.opts.MemLimit > 0 {
-		return newSpillSet(mem, c.opts.MemLimit, c.opts.SpillDir, spilled)
+	if st.MemLimit > 0 {
+		return newSpillSet(mem, st.MemLimit, st.SpillDir, spilled)
 	}
 	return mem
 }

@@ -210,10 +210,10 @@ func TestCollapseSetResetKeepsSideTables(t *testing.T) {
 func parityOptions(t *testing.T) map[string]Options {
 	t.Helper()
 	return map[string]Options{
-		"exact":          {Visited: VisitedExact},
-		"collapse":       {Visited: VisitedCollapse},
-		"exact-spill":    {Visited: VisitedExact, MemLimit: 1, SpillDir: t.TempDir()},
-		"collapse-spill": {Visited: VisitedCollapse, MemLimit: 1, SpillDir: t.TempDir()},
+		"exact":          {Storage: StorageOptions{Visited: VisitedExact}},
+		"collapse":       {Storage: StorageOptions{Visited: VisitedCollapse}},
+		"exact-spill":    {Storage: StorageOptions{Visited: VisitedExact, MemLimit: 1, SpillDir: t.TempDir()}},
+		"collapse-spill": {Storage: StorageOptions{Visited: VisitedCollapse, MemLimit: 1, SpillDir: t.TempDir()}},
 	}
 }
 
@@ -251,7 +251,7 @@ active proctype Q() { x == 1 -> assert(x == 0) }`, Assertion},
 						t.Errorf("%s workers=%d: counterexample length %d, want %d",
 							name, workers, len(res.Trace.Prefix), len(base.Trace.Prefix))
 					}
-					if opts.MemLimit > 0 && res.Stats.SpilledStates == 0 {
+					if opts.Storage.MemLimit > 0 && res.Stats.SpilledStates == 0 {
 						t.Errorf("%s workers=%d: MemLimit=1 run spilled nothing", name, workers)
 					}
 					if res.Stats.VisitedBytes <= 0 {
@@ -304,7 +304,7 @@ func TestVisitedModesReachabilityParity(t *testing.T) {
 // set decodes to a valid state of the system.
 func TestCollapseSearchEncodingsDecode(t *testing.T) {
 	sys := sysFromSource(t, parOKSrc)
-	c := New(sys, Options{Workers: 2, Visited: VisitedCollapse})
+	c := New(sys, Options{Workers: 2, Storage: StorageOptions{Visited: VisitedCollapse}})
 	r := c.newParRunner("test")
 	defer r.close()
 	levels := r.seedRoot()
@@ -314,23 +314,7 @@ func TestCollapseSearchEncodingsDecode(t *testing.T) {
 		if len(cur) == 0 {
 			break
 		}
-		work := func(w *parWorker, i int) {
-			node := &cur[i]
-			w.trs = c.sys.SuccessorsAppend(node.st, w.arena, w.trs[:0])
-			for ti := range w.trs {
-				tr := w.trs[ti]
-				if tr.Violation != "" {
-					continue
-				}
-				w.scratch, w.ends = tr.Next.AppendComponentKeys(w.scratch[:0], w.ends[:0])
-				if r.visited.seen(model.Hash64(w.scratch), w.scratch, w.ends) {
-					continue
-				}
-				r.stored.Add(1)
-				w.next = append(w.next, parNode{st: tr.Next, parent: int32(i), in: tr})
-			}
-		}
-		r.runLevel(len(cur), work)
+		r.runLevel(len(cur), func(w *parWorker, i int) { w.expand(r, cur, i, false) })
 		next, _ := r.collect(res)
 		levels = append(levels, next)
 	}

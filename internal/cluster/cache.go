@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"container/list"
-	"sync"
-
+	"pnp/internal/lru"
 	"pnp/internal/obs"
 	"pnp/internal/verifyd"
 )
@@ -14,73 +12,17 @@ import (
 // without touching any worker; a miss falls through to a cache peek on
 // the key's ring owner (the worker-side tier) and only then to real
 // work.
-type reportLRU struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List
-	entries map[verifyd.CacheKey]*list.Element
+type reportLRU = lru.Cache[verifyd.CacheKey, cachedReport]
 
-	hits, misses int64
-
-	mEntries *obs.Gauge
-}
-
-type lruEntry struct {
-	key  verifyd.CacheKey
+// cachedReport is one coordinator cache entry. The report is shared —
+// callers must treat it as immutable.
+type cachedReport struct {
 	rep  *verifyd.Report
 	node string // node that computed the report
 }
 
 func newReportLRU(maxEntries int, reg *obs.Registry) *reportLRU {
-	if maxEntries <= 0 {
-		maxEntries = 1024
-	}
-	return &reportLRU{
-		max:      maxEntries,
-		ll:       list.New(),
-		entries:  make(map[verifyd.CacheKey]*list.Element),
-		mEntries: reg.Gauge("cluster_cache_entries"),
-	}
-}
-
-// Get looks a report up by submission key. The report is shared —
-// callers must treat it as immutable.
-func (c *reportLRU) Get(k verifyd.CacheKey) (rep *verifyd.Report, node string, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, found := c.entries[k]
-	if !found {
-		c.misses++
-		return nil, "", false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	e := el.Value.(*lruEntry)
-	return e.rep, e.node, true
-}
-
-// Put stores a completed report under its submission key.
-func (c *reportLRU) Put(k verifyd.CacheKey, rep *verifyd.Report, node string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		e := el.Value.(*lruEntry)
-		e.rep, e.node = rep, node
-		c.ll.MoveToFront(el)
-		return
-	}
-	if c.ll.Len() >= c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruEntry).key)
-	}
-	c.entries[k] = c.ll.PushFront(&lruEntry{key: k, rep: rep, node: node})
-	c.mEntries.Set(int64(c.ll.Len()))
-}
-
-// Stats snapshots the cache counters.
-func (c *reportLRU) Stats() verifyd.CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return verifyd.CacheStats{Entries: c.ll.Len(), Hits: c.hits, Misses: c.misses}
+	return lru.New[verifyd.CacheKey, cachedReport](maxEntries, lru.Metrics{
+		Entries: reg.Gauge("cluster_cache_entries"),
+	})
 }

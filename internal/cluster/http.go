@@ -84,8 +84,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // relayErr maps a submission failure onto the uniform envelope: a
 // worker's APIError is relayed verbatim (the coordinator is a proxy,
-// not a translator), a drain is 503, and anything else — placement
-// exhausted every node — is 503 unavailable, since the submission
+// not a translator), and anything else — a drain, or placement
+// exhausting every node — is 503 unavailable, since the submission
 // itself was never judged.
 func relayErr(w http.ResponseWriter, err error) {
 	var ae *client.APIError
@@ -95,10 +95,6 @@ func relayErr(w http.ResponseWriter, err error) {
 		}
 		writeJSON(w, ae.Status, verifyd.ErrorBody{Error: verifyd.ErrorInfo{
 			Code: ae.Code, Message: ae.Message, Line: ae.Line, Col: ae.Col}})
-		return
-	}
-	if errors.Is(err, verifyd.ErrDraining) {
-		verifyd.WriteError(w, http.StatusServiceUnavailable, verifyd.CodeUnavailable, err.Error())
 		return
 	}
 	verifyd.WriteError(w, http.StatusServiceUnavailable, verifyd.CodeUnavailable, err.Error())
@@ -379,7 +375,7 @@ func (c *Coordinator) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 	}
 	var key verifyd.CacheKey
 	copy(key[:], b)
-	rep, node, ok := c.cache.Get(key)
+	hit, ok := c.cache.Get(key)
 	if !ok {
 		verifyd.WriteError(w, http.StatusNotFound, verifyd.CodeNotFound, "no cached report for key "+raw)
 		return
@@ -388,7 +384,7 @@ func (c *Coordinator) handleCachePeek(w http.ResponseWriter, r *http.Request) {
 		Key    string          `json:"key"`
 		Node   string          `json:"node"`
 		Report *verifyd.Report `json:"report"`
-	}{raw, node, rep})
+	}{raw, hit.node, hit.rep})
 }
 
 // handleArtifactPeek resolves a module artifact by fanning the peek out

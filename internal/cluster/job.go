@@ -178,10 +178,10 @@ func (c *Coordinator) submitJob(ctx context.Context, req client.JobRequest) (*cj
 	}
 
 	// Tier 1: the coordinator's own result cache.
-	if rep, _, ok := c.cache.Get(key); ok {
+	if hit, ok := c.cache.Get(key); ok {
 		c.mCacheHits.Inc()
 		c.register(j)
-		c.finishCached(j, "coordinator", rep)
+		c.finishCached(j, "coordinator", hit.rep)
 		return j, nil
 	}
 
@@ -338,7 +338,7 @@ func (c *Coordinator) lookupJob(id string) (*cjob, bool) {
 // peek hits.
 func (c *Coordinator) finishCached(j *cjob, node string, rep *verifyd.Report) {
 	if node != "coordinator" && verifyd.Cacheable(rep) {
-		c.cache.Put(j.key, rep, node)
+		c.cache.Put(j.key, cachedReport{rep, node})
 	}
 	j.mu.Lock()
 	j.state = "done"
@@ -359,7 +359,7 @@ func (c *Coordinator) finishCached(j *cjob, node string, rep *verifyd.Report) {
 func (c *Coordinator) finishJob(j *cjob, node string, rjob *client.Job) {
 	rep := toReport(rjob.Report)
 	if verifyd.Cacheable(rep) {
-		c.cache.Put(j.key, rep, node)
+		c.cache.Put(j.key, cachedReport{rep, node})
 	}
 	j.mu.Lock()
 	j.state = "done"

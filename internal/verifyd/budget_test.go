@@ -109,9 +109,9 @@ func TestOptionsKeyNormalizesWorkers(t *testing.T) {
 func TestOptionsKeyIgnoresVisitedStorage(t *testing.T) {
 	base := OptionsKey(checker.Options{Workers: 1})
 	for name, o := range map[string]checker.Options{
-		"collapse":  {Workers: 1, Visited: checker.VisitedCollapse},
-		"mem-limit": {Workers: 1, MemLimit: 64 << 20},
-		"spill":     {Workers: 1, Visited: checker.VisitedCollapse, MemLimit: 1, SpillDir: "/tmp/x"},
+		"collapse":  {Workers: 1, Storage: checker.StorageOptions{Visited: checker.VisitedCollapse}},
+		"mem-limit": {Workers: 1, Storage: checker.StorageOptions{MemLimit: 64 << 20}},
+		"spill":     {Workers: 1, Storage: checker.StorageOptions{Visited: checker.VisitedCollapse, MemLimit: 1, SpillDir: "/tmp/x"}},
 	} {
 		if OptionsKey(o) != base {
 			t.Errorf("%s storage fragments the cache key: %q vs %q", name, OptionsKey(o), base)
@@ -123,16 +123,30 @@ func TestOptionsKeyIgnoresVisitedStorage(t *testing.T) {
 // unknown storage name keeps the default, and SpillDir has no wire
 // field at all (clients must not control server paths).
 func TestJobOptionsVisitedStorageOverrides(t *testing.T) {
-	s := &Server{cfg: Config{Options: checker.Options{Visited: checker.VisitedExact, SpillDir: "/srv/spill"}}}
-	o := s.jobOptions(jobRequest{Visited: ptrTo(checker.VisitedCollapse), MemLimitBytes: ptrTo(int64(1 << 20))})
-	if o.Visited != checker.VisitedCollapse || o.MemLimit != 1<<20 {
-		t.Errorf("overrides not applied: %+v", o)
-	}
-	if o.SpillDir != "/srv/spill" {
-		t.Errorf("SpillDir changed by wire request: %q", o.SpillDir)
-	}
-	o = s.jobOptions(jobRequest{Visited: ptrTo("bogus"), MemLimitBytes: ptrTo(int64(-5))})
-	if o.Visited != checker.VisitedExact || o.MemLimit != 0 {
-		t.Errorf("invalid overrides should keep defaults: %+v", o)
+	def := checker.StorageOptions{Visited: checker.VisitedCollapse, MemLimit: 64 << 20, SpillDir: "/srv/spill"}
+	s := &Server{cfg: Config{Options: checker.Options{Storage: def}}}
+	for _, tc := range []struct {
+		name         string
+		req          jobRequest
+		wantVisited  string
+		wantMemLimit int64
+	}{
+		{"absent keeps defaults", jobRequest{}, checker.VisitedCollapse, 64 << 20},
+		{"overrides applied", jobRequest{Visited: ptrTo(checker.VisitedCollapse), MemLimitBytes: ptrTo(int64(1 << 20))},
+			checker.VisitedCollapse, 1 << 20},
+		// An explicit 0 switches the server's budget off for this job.
+		{"zero clears the budget", jobRequest{MemLimitBytes: ptrTo(int64(0))}, checker.VisitedCollapse, 0},
+		{"exact overrides collapse", jobRequest{Visited: ptrTo(checker.VisitedExact)}, checker.VisitedExact, 64 << 20},
+		{"unknown name keeps default", jobRequest{Visited: ptrTo("bogus")}, checker.VisitedCollapse, 64 << 20},
+		{"negative budget keeps default", jobRequest{MemLimitBytes: ptrTo(int64(-5))}, checker.VisitedCollapse, 64 << 20},
+	} {
+		o := s.jobOptions(tc.req).Storage
+		if o.Visited != tc.wantVisited || o.MemLimit != tc.wantMemLimit {
+			t.Errorf("%s: Visited=%q MemLimit=%d, want %q and %d",
+				tc.name, o.Visited, o.MemLimit, tc.wantVisited, tc.wantMemLimit)
+		}
+		if o.SpillDir != def.SpillDir {
+			t.Errorf("%s: SpillDir changed by wire request: %q", tc.name, o.SpillDir)
+		}
 	}
 }

@@ -1,10 +1,8 @@
 package verifyd
 
 import (
-	"container/list"
-	"sync"
-
 	"pnp/internal/checker"
+	"pnp/internal/lru"
 	"pnp/internal/obs"
 )
 
@@ -12,104 +10,21 @@ import (
 // verdicts. It is safe for concurrent use by the service's workers.
 // Counters (hits, misses, evictions) and the current entry count are
 // mirrored into an obs registry when one is attached.
-type ResultCache struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // front = most recently used
-	entries map[CacheKey]*list.Element
-
-	hits, misses, evictions int64
-
-	mHits, mMisses, mEvictions *obs.Counter
-	mEntries                   *obs.Gauge
-}
-
-type cacheEntry struct {
-	key     CacheKey
-	verdict PropertyVerdict
-}
+type ResultCache = lru.Cache[CacheKey, PropertyVerdict]
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
-type CacheStats struct {
-	Entries   int   `json:"entries"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
+type CacheStats = lru.Stats
 
 // NewResultCache creates a cache bounded to maxEntries verdicts
 // (maxEntries <= 0 selects the default of 1024). A nil registry is
 // fine; counters then live only in the cache itself.
 func NewResultCache(maxEntries int, reg *obs.Registry) *ResultCache {
-	if maxEntries <= 0 {
-		maxEntries = 1024
-	}
-	return &ResultCache{
-		max:        maxEntries,
-		ll:         list.New(),
-		entries:    make(map[CacheKey]*list.Element),
-		mHits:      reg.Counter("verifyd_cache_hits_total"),
-		mMisses:    reg.Counter("verifyd_cache_misses_total"),
-		mEvictions: reg.Counter("verifyd_cache_evictions_total"),
-		mEntries:   reg.Gauge("verifyd_cache_entries"),
-	}
-}
-
-// Get looks up a verdict, marking it most recently used on a hit.
-func (c *ResultCache) Get(k CacheKey) (PropertyVerdict, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		c.mMisses.Inc()
-		return PropertyVerdict{}, false
-	}
-	c.hits++
-	c.mHits.Inc()
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).verdict, true
-}
-
-// Put stores a verdict, evicting the least recently used entry when the
-// cache is full. Storing an existing key refreshes its verdict and
-// recency.
-func (c *ResultCache) Put(k CacheKey, v PropertyVerdict) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		el.Value.(*cacheEntry).verdict = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	if c.ll.Len() >= c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-		c.mEvictions.Inc()
-	}
-	c.entries[k] = c.ll.PushFront(&cacheEntry{key: k, verdict: v})
-	c.mEntries.Set(int64(c.ll.Len()))
-}
-
-// Len reports the current number of cached verdicts.
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats snapshots the cache counters.
-func (c *ResultCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Entries:   c.ll.Len(),
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-	}
+	return lru.New[CacheKey, PropertyVerdict](maxEntries, lru.Metrics{
+		Hits:      reg.Counter("verifyd_cache_hits_total"),
+		Misses:    reg.Counter("verifyd_cache_misses_total"),
+		Evictions: reg.Counter("verifyd_cache_evictions_total"),
+		Entries:   reg.Gauge("verifyd_cache_entries"),
+	})
 }
 
 // reportCache is a bounded LRU from submission keys to completed job
@@ -118,85 +33,16 @@ func (c *ResultCache) Stats() CacheStats {
 // cache addresses whole reports by the wire content of the submission
 // (Submission.Key), so a coordinator can ask any node "have you already
 // answered exactly this request?" with one GET /v1/cache/{key} and no
-// composition work on either side.
-type reportCache struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List
-	entries map[CacheKey]*list.Element
-
-	hits, misses int64
-
-	mHits, mMisses *obs.Counter
-	mEntries       *obs.Gauge
-}
-
-type reportEntry struct {
-	key CacheKey
-	rep *Report
-}
+// composition work on either side. Reports are shared — callers must
+// treat them as immutable.
+type reportCache = lru.Cache[CacheKey, *Report]
 
 func newReportCache(maxEntries int, reg *obs.Registry) *reportCache {
-	if maxEntries <= 0 {
-		maxEntries = 1024
-	}
-	return &reportCache{
-		max:      maxEntries,
-		ll:       list.New(),
-		entries:  make(map[CacheKey]*list.Element),
-		mHits:    reg.Counter("verifyd_report_cache_hits_total"),
-		mMisses:  reg.Counter("verifyd_report_cache_misses_total"),
-		mEntries: reg.Gauge("verifyd_report_cache_entries"),
-	}
-}
-
-// Get looks a report up by submission key. The returned report is
-// shared — callers must treat it as immutable.
-func (c *reportCache) Get(k CacheKey) (*Report, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		c.misses++
-		c.mMisses.Inc()
-		return nil, false
-	}
-	c.hits++
-	c.mHits.Inc()
-	c.ll.MoveToFront(el)
-	return el.Value.(*reportEntry).rep, true
-}
-
-// Put stores a completed report, evicting LRU past the bound.
-func (c *reportCache) Put(k CacheKey, rep *Report) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		el.Value.(*reportEntry).rep = rep
-		c.ll.MoveToFront(el)
-		return
-	}
-	if c.ll.Len() >= c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*reportEntry).key)
-	}
-	c.entries[k] = c.ll.PushFront(&reportEntry{key: k, rep: rep})
-	c.mEntries.Set(int64(c.ll.Len()))
-}
-
-// Len reports the number of cached reports.
-func (c *reportCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Stats snapshots the report-cache counters.
-func (c *reportCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Entries: c.ll.Len(), Hits: c.hits, Misses: c.misses}
+	return lru.New[CacheKey, *Report](maxEntries, lru.Metrics{
+		Hits:    reg.Counter("verifyd_report_cache_hits_total"),
+		Misses:  reg.Counter("verifyd_report_cache_misses_total"),
+		Entries: reg.Gauge("verifyd_report_cache_entries"),
+	})
 }
 
 // Cacheable reports whether rep may be served for a future identical

@@ -39,15 +39,15 @@ func ModelHash(b *blocks.Builder) [sha256.Size]byte {
 }
 
 // OptionsKey canonicalizes the verdict-relevant checker options into a
-// stable string. Options are normalized first (checker.Options
-// Normalized), so the nested Storage group and its deprecated flat
-// aliases hash identically — the pin test for the PR10 options
-// redesign. Callback and plumbing fields (Progress, Metrics, Context)
-// do not influence verdicts and are excluded; Invariants are covered by
-// the property's own source text. Workers is normalized to the engine
-// it selects ("par"), not the count: the parallel engine's verdicts and
-// stats are identical at every worker count, and hashing the
-// dynamically granted count would fragment the cache for no reason.
+// stable string. Callback and plumbing fields (Progress, Metrics,
+// Context) do not influence verdicts and are excluded; Invariants are
+// covered by the property's own source text. Workers is normalized to
+// the engine it selects ("par"), not the count: the level engine's
+// verdicts and stats are identical at every worker count, and hashing
+// the dynamically granted count would fragment the cache for no reason.
+// (bfs=true;par=false now runs that same engine; the two spellings keep
+// their separate keys because durable cached verdicts are addressed by
+// this string and it must not move.)
 // Storage.Visited, Storage.MemLimit, and Storage.SpillDir are likewise
 // excluded: visited-set storage (exact, collapse-compressed, or
 // disk-spilled) trades memory for time without ever changing
@@ -55,7 +55,6 @@ func ModelHash(b *blocks.Builder) [sha256.Size]byte {
 // shares one cache entry. Bitstate is included — it genuinely changes
 // coverage. Durability never influences verdicts and is excluded.
 func OptionsKey(o checker.Options) string {
-	o = o.Normalized()
 	par := o.Workers >= 1 && !o.PartialOrder && !o.ReportUnreached
 	return fmt.Sprintf("ms=%d;md=%d;bfs=%t;id=%t;ru=%t;po=%t;wf=%t;sf=%t;bs=%t;bb=%d;par=%t",
 		o.MaxStates, o.MaxDepth, o.BFS, o.IgnoreDeadlock, o.ReportUnreached,

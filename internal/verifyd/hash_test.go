@@ -6,25 +6,20 @@ import (
 	"pnp/internal/checker"
 )
 
-// TestOptionsKeyPinsSpellings is the pin test for the PR10 options
-// redesign: the deprecated flat storage fields and the nested Storage
-// group must hash to the identical key string, so cached verdicts
-// survive callers migrating from one spelling to the other.
-func TestOptionsKeyPinsSpellings(t *testing.T) {
-	flat := checker.Options{
-		MaxStates: 1000, MaxDepth: 50, BFS: true,
-		Bitstate: true, BitstateBits: 24,
-		Visited: checker.VisitedCollapse, MemLimit: 1 << 20,
-	}
-	nested := checker.Options{
+// TestOptionsKeyPinsStorage pins the key the Storage group hashes to —
+// the string both option spellings produced before the flat aliases
+// were deleted — so verdicts cached under either keep hitting.
+func TestOptionsKeyPinsStorage(t *testing.T) {
+	got := OptionsKey(checker.Options{
 		MaxStates: 1000, MaxDepth: 50, BFS: true,
 		Storage: checker.StorageOptions{
 			Bitstate: true, BitstateBits: 24,
 			Visited: checker.VisitedCollapse, MemLimit: 1 << 20,
 		},
-	}
-	if fk, nk := OptionsKey(flat), OptionsKey(nested); fk != nk {
-		t.Fatalf("flat and nested spellings must hash identically:\n  flat   %s\n  nested %s", fk, nk)
+	})
+	want := "ms=1000;md=50;bfs=true;id=false;ru=false;po=false;wf=false;sf=false;bs=true;bb=24;par=false"
+	if got != want {
+		t.Fatalf("OptionsKey moved:\n  got  %s\n  want %s", got, want)
 	}
 }
 

@@ -309,7 +309,7 @@ func TestServerReplayIncompleteResumes(t *testing.T) {
 	var stolen []byte
 	refOpts := checker.Options{Workers: 2}
 	refOpts.Invariants = append([]checker.Invariant(nil), sys.Invariants...)
-	refOpts.Checkpoint = &checker.CheckpointOptions{
+	refOpts.Durability = &checker.DurabilityOptions{
 		Dir: t.TempDir(), Key: ckptKey, Interval: 1,
 		OnWrite: func(file string, depth, states int) {
 			if stolen == nil && depth >= stealDepth {

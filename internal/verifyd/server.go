@@ -176,7 +176,7 @@ type jobRequest struct {
 	// server's SearchBudget (0 or absent = as many as are idle).
 	Workers *int `json:"workers,omitempty"`
 	// Visited and MemLimitBytes tune visited-set storage (see
-	// checker.Options.Visited/MemLimit). They change memory footprint,
+	// checker.StorageOptions). They change memory footprint,
 	// never the verdict, so they are excluded from the submission key —
 	// a budgeted run shares its cache entry with an unbudgeted one.
 	// SpillDir is deliberately NOT wire-settable: clients must not
@@ -865,7 +865,7 @@ func (s *Server) run(job *Job) {
 			if job.resumeFrom != "" {
 				s.fetchCheckpoint(ctx, job.resumeFrom, ck.Key)
 			}
-			popts.Checkpoint = ck
+			popts.Durability = ck
 		}
 		pctx, pspan := s.tracer.StartSpan(ctx, "property:"+ps.Name, tracing.A("kind", ps.Kind))
 		popts.Context = pctx
@@ -950,13 +950,13 @@ func (s *Server) finishJob(job *Job, rep *Report, hits, misses int) {
 // a cluster replica that fetched the file — finds exactly its own
 // frontier. One checkpoint journal record is written per property per
 // attempt (the file path never changes, so later snapshots add nothing).
-func (s *Server) checkpointFor(job *Job, ps adl.PropertySource) *checker.CheckpointOptions {
+func (s *Server) checkpointFor(job *Job, ps adl.PropertySource) *checker.DurabilityOptions {
 	if s.ckptDir == "" || job.subKey == nil {
 		return nil
 	}
 	key := job.subKey.String() + "-" + ps.Name
 	var once sync.Once
-	return &checker.CheckpointOptions{
+	return &checker.DurabilityOptions{
 		Dir:      s.ckptDir,
 		Key:      key,
 		Interval: s.cfg.CheckpointInterval,
@@ -1350,11 +1350,11 @@ func (s *Server) jobOptions(req jobRequest) checker.Options {
 		// than failing the job: the knob is advisory, not semantic.
 		switch *req.Visited {
 		case checker.VisitedExact, checker.VisitedCollapse:
-			opts.Visited = *req.Visited
+			opts.Storage.Visited = *req.Visited
 		}
 	}
 	if req.MemLimitBytes != nil && *req.MemLimitBytes >= 0 {
-		opts.MemLimit = *req.MemLimitBytes
+		opts.Storage.MemLimit = *req.MemLimitBytes
 	}
 	return opts
 }

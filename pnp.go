@@ -361,15 +361,6 @@ type (
 	ResultCache = verifyd.ResultCache
 )
 
-// NewVerifyServer starts a verification service (workers begin draining
-// the queue immediately; use its Handler for the HTTP API and Shutdown
-// to drain).
-//
-// Deprecated: use Serve, which assembles the verification server, the
-// sweep routes, and the drain sequence behind one handler (since PR10).
-// NewVerifyServer remains for callers that want the bare job API.
-func NewVerifyServer(cfg VerifyServerConfig) *VerifyServer { return verifyd.NewServer(cfg) }
-
 // NewResultCache creates a standalone content-addressed verdict cache.
 func NewResultCache(maxEntries int, reg *MetricsRegistry) *ResultCache {
 	return verifyd.NewResultCache(maxEntries, reg)
@@ -411,14 +402,6 @@ func Sweep(ctx context.Context, spec SweepSpec, cfg SweepConfig) (*SweepResult, 
 // a producer/consumer system, each with its under-lossy companion.
 func MatrixSweep(msgs, bufsize int) SweepSpec { return sweep.Matrix(msgs, bufsize) }
 
-// NewSweepService layers sweep routes over a verification server's API.
-//
-// Deprecated: use Serve, which layers the sweep routes automatically
-// and keeps their drain ordered after the job queue's (since PR10).
-func NewSweepService(srv *VerifyServer, opts CheckOptions, reg *MetricsRegistry) *SweepService {
-	return sweep.NewService(srv, opts, reg)
-}
-
 // Remote-client API: a typed client for the verification service's HTTP
 // API, with retries and sweep streaming.
 type (
@@ -455,22 +438,13 @@ type (
 	HashRing = cluster.Ring
 )
 
-// NewCoordinator builds and starts a cluster coordinator fronting
-// cfg.Nodes. Shut it down with Coordinator.Shutdown.
-//
-// Deprecated: use Serve with ServeOptions.Cluster set — one entry point
-// covers both roles a pnpd process can play (since PR10).
-func NewCoordinator(cfg ClusterConfig) (*Coordinator, error) { return cluster.New(cfg) }
-
 // NewHashRing builds a consistent-hash ring with the given number of
 // virtual nodes per member (0 = a sensible default).
 func NewHashRing(replicas int) *HashRing { return cluster.NewRing(replicas) }
 
-// Unified service entry point (since PR10). Serve assembles everything
-// a pnpd process serves — the verification server, the sweep routes
-// layered over it, or a cluster coordinator — behind one handler and
-// one ordered shutdown, replacing the NewVerifyServer + NewSweepService
-// + NewCoordinator wiring every embedder used to repeat.
+// Service entry point. Serve assembles everything a pnpd process serves
+// — the verification server, the sweep routes layered over it, or a
+// cluster coordinator — behind one handler and one ordered shutdown.
 
 // ServeOptions selects and parameterizes the service Serve assembles.
 // Zero value: a memory-only single-node verification service with

@@ -118,7 +118,9 @@ func TestFacadeRuntime(t *testing.T) {
 	t.Cleanup(sys.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
 		if _, err := snd.Send(ctx, pnp.Message{Data: 42}); err != nil {
 			t.Errorf("send: %v", err)
 		}
@@ -127,6 +129,9 @@ func TestFacadeRuntime(t *testing.T) {
 	if err != nil || st != pnp.RecvSucc || m.Data != 42 {
 		t.Fatalf("receive = %v %v %v", st, m, err)
 	}
+	// The synchronous send returns only after its acknowledgement; wait
+	// for it, or the deferred cancel races the ack and fails the send.
+	<-sent
 }
 
 func TestFacadeADL(t *testing.T) {
