@@ -157,76 +157,27 @@ func run() int {
 			return string(b), err
 		}
 	}
-	// pnp.Serve assembles the verification server with the /v1/sweeps
-	// routes layered over it; every sweep fans out into jobs on this
-	// server, sharing its result cache and search budget with direct
-	// submissions. An explicit --data-dir that cannot be opened is a
-	// configuration error the operator must see — unlike library
-	// callers, the daemon refuses to silently degrade to memory-only.
+	// An explicit --data-dir that cannot be opened is a configuration
+	// error the operator must see — unlike library callers, the daemon
+	// refuses to silently degrade to memory-only.
 	svc, err := pnp.Serve(pnp.ServeOptions{Verify: cfg})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pnpd: data dir %s: %v\n", *dataDir, err)
 		return 1
 	}
-	srv := svc.VerifyServer()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pnpd: %v\n", err)
-		return 1
-	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Printf("pnpd: listening on http://%s (workers=%d, cache=%d, timeout=%s)\n",
-		ln.Addr(), cfgWorkers(cfg), *cacheEntries, *jobTimeout)
-	if *dataDir != "" {
-		fmt.Printf("pnpd: durable state in %s (checkpoint every %d level(s))\n", *dataDir, *ckptInterval)
-	}
-
-	if *metricsAddr != "" {
-		var mounts []obs.Mount
-		if rec != nil {
-			mounts = append(mounts, obs.Mount{Pattern: "/debug/trace", Handler: rec.Handler()})
+	banner := func(at net.Addr) string {
+		b := fmt.Sprintf("listening on http://%s (workers=%d, cache=%d, timeout=%s)",
+			at, cfgWorkers(cfg), *cacheEntries, *jobTimeout)
+		if *dataDir != "" {
+			b += fmt.Sprintf("\npnpd: durable state in %s (checkpoint every %d level(s))", *dataDir, *ckptInterval)
 		}
-		msrv, err := obs.Serve(reg, *metricsAddr, mounts...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pnpd: metrics: %v\n", err)
-			return 1
-		}
-		defer msrv.Close()
-		fmt.Printf("pnpd: metrics on http://%s/metrics\n", msrv.Addr())
+		return b
 	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		fmt.Printf("pnpd: %s received, draining\n", sig)
-	case err := <-errc:
-		fmt.Fprintf(os.Stderr, "pnpd: %v\n", err)
-		return 1
-	}
-
-	// Drain the service first, HTTP second: the moment svc.Shutdown
-	// begins, new submissions get 503 and /readyz reports draining —
-	// but the listener stays up, so orchestrators can watch the drain
-	// and clients can still collect verdicts for in-flight jobs. Only
-	// once every accepted job has finished (and every sweep has
-	// aggregated) does the HTTP server close.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := svc.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "pnpd: drain: %v\n", err)
-		return 1
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "pnpd: http shutdown: %v\n", err)
-	}
-	st := srv.Cache().Stats()
-	fmt.Printf("pnpd: drained (cache: %d entries, %d hits, %d misses, %d evictions)\n",
-		st.Entries, st.Hits, st.Misses, st.Evictions)
-	return 0
+	return serve(svc, *addr, *metricsAddr, reg, rec, banner, func() string {
+		st := svc.VerifyServer().Cache().Stats()
+		return fmt.Sprintf("drained (cache: %d entries, %d hits, %d misses, %d evictions)",
+			st.Entries, st.Hits, st.Misses, st.Evictions)
+	})
 }
 
 // cfgWorkers mirrors the server's worker-count default for the banner.
@@ -264,8 +215,18 @@ func runCoordinator(addr, nodes string, probeInterval time.Duration, cacheEntrie
 		fmt.Fprintf(os.Stderr, "pnpd: %v\n", err)
 		return 1
 	}
-	coord := svc.Coordinator()
+	banner := func(at net.Addr) string {
+		return fmt.Sprintf("coordinator on http://%s (nodes=%d, cache=%d, probe=%s)",
+			at, len(svc.Coordinator().Nodes()), cacheEntries, probeInterval)
+	}
+	return serve(svc, addr, metricsAddr, reg, rec, banner, func() string { return "coordinator drained" })
+}
 
+// serve runs an assembled service — either role — until SIGINT/SIGTERM,
+// then drains it. banner words the first line once the listener is up,
+// drained the last.
+func serve(svc *pnp.Service, addr, metricsAddr string, reg *obs.Registry, rec *tracing.Recorder,
+	banner func(at net.Addr) string, drained func() string) int {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pnpd: %v\n", err)
@@ -274,8 +235,7 @@ func runCoordinator(addr, nodes string, probeInterval time.Duration, cacheEntrie
 	httpSrv := &http.Server{Handler: svc.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Printf("pnpd: coordinator on http://%s (nodes=%d, cache=%d, probe=%s)\n",
-		ln.Addr(), len(coord.Nodes()), cacheEntries, probeInterval)
+	fmt.Println("pnpd: " + banner(ln.Addr()))
 
 	if metricsAddr != "" {
 		var mounts []obs.Mount
@@ -301,6 +261,12 @@ func runCoordinator(addr, nodes string, probeInterval time.Duration, cacheEntrie
 		return 1
 	}
 
+	// Drain the service first, HTTP second: the moment svc.Shutdown
+	// begins, new submissions get 503 and /readyz reports draining —
+	// but the listener stays up, so orchestrators can watch the drain
+	// and clients can still collect verdicts for in-flight jobs. Only
+	// once every accepted job has finished (and every sweep has
+	// aggregated) does the HTTP server close.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := svc.Shutdown(ctx); err != nil {
@@ -310,6 +276,6 @@ func runCoordinator(addr, nodes string, probeInterval time.Duration, cacheEntrie
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		fmt.Fprintf(os.Stderr, "pnpd: http shutdown: %v\n", err)
 	}
-	fmt.Println("pnpd: coordinator drained")
+	fmt.Println("pnpd: " + drained())
 	return 0
 }

@@ -108,7 +108,7 @@ func (s *Store) Peek(h model.ModuleFingerprint) ([]byte, bool) {
 			return nil, false
 		}
 	}
-	b, err := json.MarshalIndent(envelopeOf(art), "", "  ")
+	b, err := json.Marshal(envelopeOf(art))
 	if err != nil {
 		return nil, false
 	}

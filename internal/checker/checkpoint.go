@@ -5,11 +5,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 
+	"pnp/internal/frame"
 	"pnp/internal/model"
 	"pnp/internal/obs"
 )
@@ -48,9 +48,8 @@ type DurabilityOptions struct {
 	OnWrite func(file string, depth, states int)
 }
 
-// Checkpoint file layout: an 8-byte magic, then CRC-framed sections —
-// [u32 payload length][u32 CRC-32 (IEEE) of payload][payload] — where
-// the payload's first byte tags the section: 'H' JSON header, 'V' a
+// Checkpoint file layout: an 8-byte magic, then CRC-framed sections
+// (internal/frame) where the payload's first byte tags the section: 'H' JSON header, 'V' a
 // batch of visited-set encodings, 'F' a batch of frontier encodings.
 // State batches are concatenated [uvarint length][canonical encoding]
 // entries. Files are written to a temp name, fsynced, and renamed, so a
@@ -275,9 +274,7 @@ func (w *ckptWriter) section(tag byte, payload []byte) {
 }
 
 func (w *ckptWriter) framed(payload []byte) {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	hdr := frame.Header(payload)
 	w.raw(hdr[:])
 	w.raw(payload)
 }
@@ -351,19 +348,10 @@ func readCheckpoint(file string) (*ckptSnapshot, error) {
 	snap := &ckptSnapshot{}
 	sawHeader := false
 	for len(data) > 0 {
-		if len(data) < 8 {
-			return nil, fmt.Errorf("checker: %s: truncated section frame", file)
-		}
-		n := binary.LittleEndian.Uint32(data[0:4])
-		sum := binary.LittleEndian.Uint32(data[4:8])
-		data = data[8:]
-		if uint32(len(data)) < n || n == 0 {
-			return nil, fmt.Errorf("checker: %s: truncated section payload", file)
-		}
-		payload := data[:n]
-		data = data[n:]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("checker: %s: section CRC mismatch", file)
+		var payload []byte
+		payload, data, err = frame.Next(data)
+		if err != nil {
+			return nil, fmt.Errorf("checker: %s: section: %w", file, err)
 		}
 		tag, body := payload[0], payload[1:]
 		switch tag {

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"pnp/internal/frame"
 	"pnp/internal/model"
 	"pnp/internal/obs"
 )
@@ -26,10 +27,9 @@ import (
 // verdicts and StatesStored match the unbudgeted run; the search
 // degrades to disk speed instead of dying.
 //
-// Segment layout (same CRC framing as checkpoint files — [u32 payload
-// length][u32 CRC-32 (IEEE) of payload] — so bit rot is detected, and
-// the same tmp+fsync+rename protocol, so a file that exists is
-// complete):
+// Segment layout (the CRC framing of internal/frame, as in checkpoint
+// files, so bit rot is detected, and the same tmp+fsync+rename protocol,
+// so a file that exists is complete):
 //
 //	8-byte magic "PNPSPIL1"
 //	framed 'H' JSON header {count}
@@ -181,18 +181,19 @@ func writeSpillSegment(path string, count int, emit func(fn func(enc []byte))) e
 		return err
 	}
 	writeFrame := func(payload []byte) {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+		hdr := frame.Header(payload)
 		w.Write(hdr[:])
 		w.Write(payload)
 	}
 	writeFrame(append([]byte{spillSectionHeader}, hb...))
 
-	// Blob frame: reserve the 8-byte header, stream entries while
-	// accumulating the CRC and the index, patch the header afterwards.
-	blobFrameOff := int64(len(spillMagic)) + 8 + int64(1+len(hb))
-	w.Write(make([]byte, 8))
+	// Blob frame: reserve the header, stream entries while accumulating
+	// the CRC and the index, patch the header afterwards. This is the one
+	// frame not built by internal/frame: the blob is the whole visited set
+	// and is never held in memory, so its checksum has to be a running
+	// one. It is read back through frame.Next like every other frame.
+	blobFrameOff := int64(len(spillMagic)) + frame.HeaderSize + int64(1+len(hb))
+	w.Write(make([]byte, frame.HeaderSize))
 	type idxEnt struct{ fp, off uint64 }
 	index := make([]idxEnt, 0, count)
 	crc := crc32.NewIEEE()
@@ -226,7 +227,7 @@ func writeSpillSegment(path string, count int, emit func(fn func(enc []byte))) e
 		f.Close()
 		return err
 	}
-	var blobHdr [8]byte
+	var blobHdr [frame.HeaderSize]byte
 	binary.LittleEndian.PutUint32(blobHdr[0:4], uint32(blobLen))
 	binary.LittleEndian.PutUint32(blobHdr[4:8], crc.Sum32())
 	if _, err := f.WriteAt(blobHdr[:], blobFrameOff); err != nil {
@@ -283,24 +284,15 @@ func (g *spillSegment) validate() error {
 		return bad("bad magic")
 	}
 	pos := len(spillMagic)
-	frame := func() ([]byte, error) {
-		if len(data)-pos < 8 {
-			return nil, bad("truncated frame")
+	next := func() ([]byte, error) {
+		payload, rest, err := frame.Next(data[pos:])
+		if err != nil {
+			return nil, bad(err.Error())
 		}
-		n := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		sum := binary.LittleEndian.Uint32(data[pos+4 : pos+8])
-		pos += 8
-		if len(data)-pos < n {
-			return nil, bad("truncated payload")
-		}
-		payload := data[pos : pos+n]
-		pos += n
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, bad("CRC mismatch")
-		}
+		pos = len(data) - len(rest)
 		return payload, nil
 	}
-	hdr, err := frame()
+	hdr, err := next()
 	if err != nil {
 		return err
 	}
@@ -311,14 +303,14 @@ func (g *spillSegment) validate() error {
 	if err := json.Unmarshal(hdr[1:], &h); err != nil {
 		return bad("bad header: " + err.Error())
 	}
-	g.blobOff = pos + 8
-	blob, err := frame()
+	g.blobOff = pos + frame.HeaderSize
+	blob, err := next()
 	if err != nil {
 		return err
 	}
 	g.blobLen = len(blob)
-	g.indexOff = pos + 8
-	index, err := frame()
+	g.indexOff = pos + frame.HeaderSize
+	index, err := next()
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -265,6 +266,11 @@ func newStubNode() *stubNode {
 }
 
 func (s *stubNode) handler() http.Handler {
+	writeJSON := func(w http.ResponseWriter, code int, v any) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		json.NewEncoder(w).Encode(v)
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, client.Health{Status: "ok", Version: "stub"})
@@ -352,11 +358,11 @@ func waitSweepDone(t *testing.T, c *Coordinator, id string) sweep.Status {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		sj, ok := c.lookupSweep(id)
+		st, ok := c.Sweeps().Status(id)
 		if !ok {
 			t.Fatalf("sweep %s not registered", id)
 		}
-		if st := sj.status(true); st.State == "done" {
+		if st.State == "done" {
 			return st
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -403,7 +409,7 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 	ws := pingWire(sweepChannels)
 	want := localVerdicts(t, ws)
 
-	st, err := c.StartSweep(context.Background(), ws)
+	st, err := c.Sweeps().Start(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +437,7 @@ func TestClusterSweepMatchesSingleNode(t *testing.T) {
 
 	// Resubmitting the identical sweep is answered from the cluster
 	// cache: zero misses, every non-deduped cell a hit.
-	st2, err := c.StartSweep(context.Background(), ws)
+	st2, err := c.Sweeps().Start(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +495,7 @@ func TestClusterSweepSurvivesWorkerKill(t *testing.T) {
 		f.drop("stub")
 		close(stub.die)
 	}()
-	st, err := c.StartSweep(context.Background(), ws)
+	st, err := c.Sweeps().Start(context.Background(), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,7 +554,7 @@ func TestClusterDrainingRejectsSubmissions(t *testing.T) {
 	if _, err := c.SubmitJob(context.Background(), pingRequest(1)); !errors.Is(err, verifyd.ErrDraining) {
 		t.Fatalf("submit while draining: %v, want ErrDraining", err)
 	}
-	if _, err := c.StartSweep(context.Background(), pingWire([]string{"fifo(1)"})); !errors.Is(err, verifyd.ErrDraining) {
+	if _, err := c.Sweeps().Start(context.Background(), pingWire([]string{"fifo(1)"})); !errors.Is(err, verifyd.ErrDraining) {
 		t.Fatalf("sweep while draining: %v, want ErrDraining", err)
 	}
 }

@@ -8,7 +8,8 @@ import (
 // toReport converts the client's wire mirror of a report back into the
 // server-side type the coordinator re-serves and caches. The two types
 // are field-for-field mirrors of the same JSON document (the client
-// deliberately avoids importing server packages); this copy crosses
+// deliberately avoids importing server packages), which the direct
+// conversion of each verdict checks at compile time; this copy crosses
 // that boundary once, at the coordinator, instead of forcing every
 // consumer to care.
 func toReport(r *client.Report) *verifyd.Report {
@@ -23,25 +24,7 @@ func toReport(r *client.Report) *verifyd.Report {
 		Failed:    r.Failed,
 	}
 	for _, p := range r.Properties {
-		out.Properties = append(out.Properties, verifyd.PropertyVerdict{
-			Name:           p.Name,
-			Kind:           p.Kind,
-			OK:             p.OK,
-			Verdict:        p.Verdict,
-			Message:        p.Message,
-			Summary:        p.Summary,
-			States:         p.States,
-			Matched:        p.Matched,
-			Transitions:    p.Transitions,
-			Depth:          p.Depth,
-			Reduced:        p.Reduced,
-			Truncated:      p.Truncated,
-			ElapsedMS:      p.ElapsedMS,
-			Counterexample: p.Counterexample,
-			MSC:            p.MSC,
-			Unreached:      p.Unreached,
-			Cached:         p.Cached,
-		})
+		out.Properties = append(out.Properties, verifyd.PropertyVerdict(p))
 	}
 	return out
 }

@@ -12,6 +12,7 @@ import (
 
 	"pnp/internal/obs"
 	"pnp/internal/obs/tracing"
+	"pnp/internal/sweep"
 	"pnp/internal/verifyd"
 	"pnp/internal/verifyd/client"
 )
@@ -45,9 +46,8 @@ type Config struct {
 	CacheEntries int
 
 	// RetainJobs bounds completed coordinator jobs kept queryable
-	// (default 256); RetainSweeps likewise for sweeps (default 64).
-	RetainJobs   int
-	RetainSweeps int
+	// (default 256).
+	RetainJobs int
 
 	// Registry receives the cluster metric families; nil disables them.
 	Registry *obs.Registry
@@ -106,18 +106,19 @@ type Coordinator struct {
 	mFailovers    *obs.Counter
 	mCacheHits    *obs.Counter
 
-	mu         sync.Mutex
-	jobs       map[string]*cjob
-	jobOrder   []string // completed-job eviction order
-	nextJob    int
-	sweeps     map[string]*csweep
-	sweepOrder []string
-	nextSweep  int
+	mu       sync.Mutex
+	jobs     map[string]*cjob
+	jobOrder []string // completed-job eviction order
+	nextJob  int
+
+	// sweeps is the single-node sweep service over this coordinator as
+	// its cell executor.
+	sweeps *sweep.Service
 
 	draining atomic.Bool
 	stop     chan struct{}
 	probeWG  sync.WaitGroup
-	wg       sync.WaitGroup // job drivers and sweep runners
+	wg       sync.WaitGroup // job drivers
 }
 
 // New builds a coordinator over cfg.Nodes and starts its health-probe
@@ -139,9 +140,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetainJobs <= 0 {
 		cfg.RetainJobs = 256
 	}
-	if cfg.RetainSweeps <= 0 {
-		cfg.RetainSweeps = 64
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -158,9 +156,9 @@ func New(cfg Config) (*Coordinator, error) {
 		mFailovers:    cfg.Registry.Counter("cluster_failovers_total"),
 		mCacheHits:    cfg.Registry.Counter("cluster_cache_hits_total"),
 		jobs:          make(map[string]*cjob),
-		sweeps:        make(map[string]*csweep),
 		stop:          make(chan struct{}),
 	}
+	c.sweeps = sweep.NewService(c, cfg.Registry)
 	for _, raw := range cfg.Nodes {
 		name := normalizeNode(raw)
 		if _, dup := c.nodes[name]; dup {
@@ -218,7 +216,9 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	close(c.stop)
 	c.probeWG.Wait()
 	done := make(chan struct{})
-	go func() { c.wg.Wait(); close(done) }()
+	// Sweeps first: once they have finished nothing places new jobs, so
+	// the job-driver wait below cannot race a late wg.Add.
+	go func() { c.sweeps.Wait(); c.wg.Wait(); close(done) }()
 	select {
 	case <-done:
 		return nil
@@ -276,15 +276,7 @@ func (c *Coordinator) eject(n *node, err error) {
 	}
 }
 
-func (c *Coordinator) updateHealthyGauge() {
-	healthy := 0
-	for _, n := range c.nodes {
-		if n.healthy.Load() {
-			healthy++
-		}
-	}
-	c.mNodesHealthy.Set(int64(healthy))
-}
+func (c *Coordinator) updateHealthyGauge() { c.mNodesHealthy.Set(int64(c.HealthyNodes())) }
 
 // HealthyNodes reports how many nodes are currently admitted.
 func (c *Coordinator) HealthyNodes() int {
@@ -330,17 +322,7 @@ func (c *Coordinator) route(key verifyd.CacheKey) []*node {
 // verifyd.Submission), so ring placement, the coordinator cache, and
 // worker cache peeks all speak one key.
 func submissionKey(req client.JobRequest) verifyd.CacheKey {
-	return verifyd.Submission{
-		ADL:            req.ADL,
-		Components:     req.Components,
-		MaxStates:      req.MaxStates,
-		MaxDepth:       req.MaxDepth,
-		BFS:            req.BFS,
-		IgnoreDeadlock: req.IgnoreDeadlock,
-		PartialOrder:   req.PartialOrder,
-		WeakFairness:   req.WeakFairness,
-		StrongFairness: req.StrongFairness,
-	}.Key()
+	return verifyd.JobRequest(req).Submission().Key()
 }
 
 // NodeInfo is one node's row in the GET /v1/cluster document.

@@ -14,33 +14,18 @@ import (
 )
 
 // cjob is one job as the coordinator tracks it: the submission (kept
-// for re-placement), where it currently runs, and eventually its
-// report.
+// for re-placement) and its document — where it currently runs and,
+// eventually, its report.
 type cjob struct {
-	id        string
-	submitted time.Time
-	key       verifyd.CacheKey
-	req       client.JobRequest
-	traceID   string
-	span      *tracing.Span
+	key  verifyd.CacheKey
+	req  client.JobRequest
+	span *tracing.Span
+	done chan struct{} // closed once st.State is "done"
 
-	mu            sync.Mutex
-	state         string // "running" or "done"
-	report        *verifyd.Report
-	node          string
-	remoteID      string
-	failovers     int
-	attempt       int    // executions so far (0 = served from cache)
-	resumedFrom   string // node whose checkpoint the current attempt resumes
-	clusterCached bool
-	cacheHits     int
-	cacheMisses   int
-	modules       []client.ModuleInfo
-	modReused     int
-	modCompiled   int
-	workers       int
-	errMsg        string
-	done          chan struct{} // closed once state is "done"
+	// st.ID, st.seq, st.Submitted and st.TraceID are written once, before
+	// the job is reachable; everything else in st is guarded by mu.
+	mu sync.Mutex
+	st JobStatus
 }
 
 // JobStatus is the coordinator's job resource — the single-node job
@@ -75,44 +60,26 @@ type JobStatus struct {
 	ResumedFrom   string `json:"resumed_from,omitempty"`
 	ClusterCached bool   `json:"cluster_cached,omitempty"`
 	Err           string `json:"err,omitempty"`
+
+	seq int // registration order, the cursor GET /v1/jobs pages over
 }
 
 func (j *cjob) snapshot() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return JobStatus{
-		ID:              j.id,
-		State:           j.state,
-		Submitted:       j.submitted,
-		Report:          j.report,
-		CacheHits:       j.cacheHits,
-		CacheMisses:     j.cacheMisses,
-		Modules:         j.modules,
-		ModulesTotal:    len(j.modules),
-		ModulesReused:   j.modReused,
-		ModulesCompiled: j.modCompiled,
-		Workers:         j.workers,
-		TraceID:         j.traceID,
-		Node:            j.node,
-		RemoteID:        j.remoteID,
-		Failovers:       j.failovers,
-		Attempt:         j.attempt,
-		ResumedFrom:     j.resumedFrom,
-		ClusterCached:   j.clusterCached,
-		Err:             j.errMsg,
-	}
+	return j.st
 }
 
 func (j *cjob) setPlacement(node, remoteID string, attempt int, resumedFrom string) {
 	j.mu.Lock()
-	j.node, j.remoteID = node, remoteID
-	j.attempt, j.resumedFrom = attempt, resumedFrom
+	j.st.Node, j.st.RemoteID = node, remoteID
+	j.st.Attempt, j.st.ResumedFrom = attempt, resumedFrom
 	j.mu.Unlock()
 }
 
 func (j *cjob) bumpFailover() {
 	j.mu.Lock()
-	j.failovers++
+	j.st.Failovers++
 	j.mu.Unlock()
 }
 
@@ -120,7 +87,7 @@ func (j *cjob) bumpFailover() {
 func (j *cjob) placement() (node, remoteID string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.node, j.remoteID
+	return j.st.Node, j.st.RemoteID
 }
 
 // fatalSubmitErr reports whether a submission failure would repeat on
@@ -158,7 +125,7 @@ func (c *Coordinator) SubmitJob(ctx context.Context, req client.JobRequest) (Job
 }
 
 // submitJob is SubmitJob returning the live job handle; the sweep
-// fan-out holds it to wait on cells without racing job-table eviction.
+// executor holds it to wait on cells without racing job-table eviction.
 func (c *Coordinator) submitJob(ctx context.Context, req client.JobRequest) (*cjob, error) {
 	if c.draining.Load() {
 		return nil, verifyd.ErrDraining
@@ -166,15 +133,11 @@ func (c *Coordinator) submitJob(ctx context.Context, req client.JobRequest) (*cj
 	key := submissionKey(req)
 	jctx, span := c.tracer.StartSpan(ctx, "cluster-job", tracing.A("key", key.String()[:12]))
 	j := &cjob{
-		submitted: time.Now(),
-		key:       key,
-		req:       req,
-		span:      span,
-		state:     "running",
-		done:      make(chan struct{}),
+		key: key, req: req, span: span, done: make(chan struct{}),
+		st: JobStatus{State: "running", Submitted: time.Now()},
 	}
 	if span != nil {
-		j.traceID = span.TraceID().String()
+		j.st.TraceID = span.TraceID().String()
 	}
 
 	// Tier 1: the coordinator's own result cache.
@@ -289,7 +252,7 @@ func (c *Coordinator) driveJob(ctx context.Context, j *cjob, cands []*node, idx 
 			attempt++
 			j.setPlacement(n.name, rjob.ID, attempt, prev)
 			n.routed.Inc()
-			c.logger.Warn("cluster: job failed over", "job_id", j.id, "node", n.name,
+			c.logger.Warn("cluster: job failed over", "job_id", j.st.ID, "node", n.name,
 				"attempt", attempt, "resume_from", prev)
 			placed = true
 			break
@@ -306,11 +269,12 @@ func (c *Coordinator) driveJob(ctx context.Context, j *cjob, cands []*node, idx 
 func (c *Coordinator) register(j *cjob) {
 	c.mu.Lock()
 	c.nextJob++
-	j.id = fmt.Sprintf("job-%d", c.nextJob)
-	c.jobs[j.id] = j
+	j.st.seq = c.nextJob
+	j.st.ID = fmt.Sprintf("job-%d", c.nextJob)
+	c.jobs[j.st.ID] = j
 	c.mu.Unlock()
 	if j.span != nil {
-		j.span.SetAttr("job_id", j.id)
+		j.span.SetAttr("job_id", j.st.ID)
 	}
 }
 
@@ -341,17 +305,15 @@ func (c *Coordinator) finishCached(j *cjob, node string, rep *verifyd.Report) {
 		c.cache.Put(j.key, cachedReport{rep, node})
 	}
 	j.mu.Lock()
-	j.state = "done"
-	j.report = rep
-	j.node = node
-	j.clusterCached = true
+	j.st.State, j.st.Report, j.st.Node = "done", rep, node
+	j.st.ClusterCached = true
 	if rep != nil {
-		j.cacheHits = len(rep.Properties)
+		j.st.CacheHits = len(rep.Properties)
 	}
 	close(j.done)
 	j.mu.Unlock()
 	c.closeSpan(j, "cache", node)
-	c.retire(j.id)
+	c.retire(j.st.ID)
 }
 
 // finishJob completes a job from its node's final document and
@@ -362,32 +324,26 @@ func (c *Coordinator) finishJob(j *cjob, node string, rjob *client.Job) {
 		c.cache.Put(j.key, cachedReport{rep, node})
 	}
 	j.mu.Lock()
-	j.state = "done"
-	j.report = rep
-	j.node = node
-	j.cacheHits = rjob.CacheHits
-	j.cacheMisses = rjob.CacheMisses
-	j.modules = rjob.Modules
-	j.modReused = rjob.ModulesReused
-	j.modCompiled = rjob.ModulesCompiled
-	j.workers = rjob.Workers
+	j.st.State, j.st.Report, j.st.Node = "done", rep, node
+	j.st.CacheHits, j.st.CacheMisses, j.st.Workers = rjob.CacheHits, rjob.CacheMisses, rjob.Workers
+	j.st.Modules, j.st.ModulesTotal = rjob.Modules, len(rjob.Modules)
+	j.st.ModulesReused, j.st.ModulesCompiled = rjob.ModulesReused, rjob.ModulesCompiled
 	close(j.done)
 	j.mu.Unlock()
 	c.closeSpan(j, "node", node)
-	c.retire(j.id)
+	c.retire(j.st.ID)
 }
 
 // failJob completes a job with an error after every candidate refused
 // it.
 func (c *Coordinator) failJob(j *cjob, err error) {
 	j.mu.Lock()
-	j.state = "done"
-	j.errMsg = err.Error()
+	j.st.State, j.st.Err = "done", err.Error()
 	close(j.done)
 	j.mu.Unlock()
-	c.logger.Warn("cluster: job failed", "job_id", j.id, "err", err)
+	c.logger.Warn("cluster: job failed", "job_id", j.st.ID, "err", err)
 	c.closeSpan(j, "error", err.Error())
-	c.retire(j.id)
+	c.retire(j.st.ID)
 }
 
 func (c *Coordinator) closeSpan(j *cjob, attr, val string) {

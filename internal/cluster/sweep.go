@@ -3,274 +3,64 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"sync"
+	"log/slog"
 	"time"
 
-	"pnp/internal/adl"
-	"pnp/internal/blocks"
 	"pnp/internal/obs/tracing"
 	"pnp/internal/sweep"
-	"pnp/internal/verifyd"
 	"pnp/internal/verifyd/client"
 )
 
-// csweep is one sweep as the coordinator tracks it: the wire-compatible
-// twin of the single-node sweep service's job, with cells executed on
-// ring-routed cluster jobs instead of an in-process server.
-type csweep struct {
-	id      string
-	name    string
-	started time.Time
-	total   int
-	traceID string
+// The coordinator as the fleet executor of the one sweep engine
+// (sweep.Executor): sweeps are run, tracked and served by the same
+// sweep.Service a single pnpd uses, with each distinct cell placed as a
+// cluster job — routed and failed over individually, so a node dying
+// mid-sweep costs re-placing its in-flight cells, not the sweep.
 
-	mu         sync.Mutex
-	cells      []sweep.CellResult
-	result     *sweep.Result
-	errMsg     string
-	done       bool
-	notify     chan struct{}       // closed and replaced on every update
-	placements map[string][]string // node -> remote job ids (for trace merge)
-}
+// Sweeps returns the coordinator's sweep service: the single-node
+// engine and registry, with cells executed as cluster jobs.
+func (c *Coordinator) Sweeps() *sweep.Service { return c.sweeps }
 
-func (sj *csweep) status(withResult bool) sweep.Status {
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	st := sweep.Status{
-		ID: sj.id, Name: sj.name, State: "running", Started: sj.started,
-		Total: sj.total, Done: len(sj.cells), TraceID: sj.traceID, Err: sj.errMsg,
-	}
-	if sj.done {
-		st.State = "done"
-		if withResult {
-			st.Result = sj.result
-		}
-	}
-	return st
-}
+// Logger implements sweep.Executor.
+func (c *Coordinator) Logger() *slog.Logger { return c.logger }
 
-func (sj *csweep) notePlacement(node, remoteID string) {
-	if node == "" || node == "coordinator" || remoteID == "" {
-		return
-	}
-	sj.mu.Lock()
-	defer sj.mu.Unlock()
-	for _, id := range sj.placements[node] {
-		if id == remoteID {
-			return
-		}
-	}
-	sj.placements[node] = append(sj.placements[node], remoteID)
-}
-
-// StartSweep validates a sweep and launches its cluster fan-out in the
-// background, returning the initial status. Cells are deduplicated by
-// generated source (like the single-node engine) and each distinct cell
-// becomes one cluster job, routed and failed over individually — so a
-// node dying mid-sweep costs re-placing its in-flight cells, not the
-// sweep.
-func (c *Coordinator) StartSweep(ctx context.Context, ws sweep.WireSpec) (sweep.Status, error) {
-	if c.draining.Load() {
-		return sweep.Status{}, verifyd.ErrDraining
-	}
-	spec, err := ws.Compile()
-	if err != nil {
-		return sweep.Status{}, err
-	}
-	cells, err := spec.Expand()
-	if err != nil {
-		return sweep.Status{}, err
-	}
-	// Compose the first cell locally so bad designs fail the submission
-	// with a 4xx (line/col included), not a background error on a worker.
-	if _, err := adl.Load(cells[0].Source, func(path string) (string, error) {
-		if text, ok := spec.Components[path]; ok {
-			return text, nil
-		}
-		return "", fmt.Errorf("unknown component %q", path)
-	}, blocks.NewCache()); err != nil {
-		return sweep.Status{}, err
-	}
-
-	_, sspan := c.tracer.StartSpan(ctx, "sweep",
-		tracing.A("name", spec.Name), tracing.A("cells", strconv.Itoa(len(cells))))
-
-	c.mu.Lock()
-	c.nextSweep++
-	sj := &csweep{
-		id:         fmt.Sprintf("sweep-%d", c.nextSweep),
-		name:       spec.Name,
-		started:    time.Now(),
-		total:      len(cells),
-		notify:     make(chan struct{}),
-		placements: make(map[string][]string),
-	}
-	if sspan != nil {
-		sj.traceID = sspan.TraceID().String()
-		sspan.SetAttr("sweep_id", sj.id)
-	}
-	c.sweeps[sj.id] = sj
-	c.mu.Unlock()
-	c.logger.Info("cluster: sweep started", "sweep_id", sj.id, "name", spec.Name,
-		"cells", len(cells), "trace_id", sj.traceID)
-
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		runCtx := context.Background()
-		if sspan != nil {
-			runCtx = tracing.ContextWithSpan(runCtx, sspan)
-		}
-		res := c.runSweep(runCtx, sj, spec, cells)
-		sj.mu.Lock()
-		sj.result = res
-		sj.done = true
-		close(sj.notify)
-		sj.notify = make(chan struct{})
-		sj.mu.Unlock()
-		if sspan != nil {
-			sspan.SetAttr("passed", strconv.Itoa(res.Passed))
-			sspan.SetAttr("failed", strconv.Itoa(res.Failed))
-			sspan.End()
-		}
-		c.logger.Info("cluster: sweep done", "sweep_id", sj.id, "trace_id", sj.traceID,
-			"passed", res.Passed, "failed", res.Failed, "dedup_hits", res.DedupHits)
-		c.retireSweep(sj.id)
-	}()
-	return sj.status(false), nil
-}
-
-// runSweep executes the expanded cells as cluster jobs and aggregates
-// the result exactly like the single-node engine: dedup by source,
-// submit leaders, collect in index order. Per-cell failures (a cell no
-// node would accept) land in the cell's Err; the sweep always
-// completes.
-func (c *Coordinator) runSweep(ctx context.Context, sj *csweep, spec sweep.Spec, cells []sweep.Cell) *sweep.Result {
-	base := client.JobRequest{
+// Submit implements sweep.Executor: one cell becomes one cluster job
+// carrying the spec's components and overrides. Per-cell failures (a
+// cell no node would accept) land in the outcome's Err; the sweep
+// always completes.
+func (c *Coordinator) Submit(ctx context.Context, source string, spec sweep.Spec) (func(context.Context) (sweep.Outcome, error), error) {
+	req := client.JobRequest{
+		ADL:        source,
 		Components: spec.Components,
 		TimeoutMS:  int(spec.Timeout / time.Millisecond),
 	}
 	if spec.MaxStates > 0 {
-		ms := spec.MaxStates
-		base.MaxStates = &ms
+		req.MaxStates = &spec.MaxStates
 	}
 	if spec.Workers > 0 {
-		w := spec.Workers
-		base.Workers = &w
+		req.Workers = &spec.Workers
 	}
-
-	type submission struct {
-		job  *cjob
-		err  error
-		span *tracing.Span
+	j, err := c.submitJob(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	leaders := make(map[string]int, len(cells))
-	subs := make(map[int]*submission, len(cells))
-	for _, cell := range cells {
-		if _, ok := leaders[cell.Source]; ok {
-			continue
+	return func(ctx context.Context) (sweep.Outcome, error) {
+		if err := c.WaitJob(ctx, j); err != nil {
+			return sweep.Outcome{}, fmt.Errorf("cluster: waiting for %s: %w", j.st.ID, err)
 		}
-		leaders[cell.Source] = cell.Index
-		cctx, cspan := c.tracer.StartSpan(ctx, "cell:"+strconv.Itoa(cell.Index),
-			tracing.A("connector", cell.Connector))
-		req := base
-		req.ADL = cell.Source
-		job, err := c.submitJob(cctx, req)
-		subs[cell.Index] = &submission{job: job, err: err, span: cspan}
-		if err != nil {
-			cspan.SetAttr("error", err.Error())
-			cspan.End()
+		st := j.snapshot()
+		o := sweep.Outcome{
+			Report: st.Report, Err: st.Err, JobID: st.ID, Node: st.Node,
+			CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
+			ModulesReused: st.ModulesReused, ModulesCompiled: st.ModulesCompiled,
 		}
-	}
-
-	res := &sweep.Result{Name: spec.Name, Total: len(cells)}
-	start := time.Now()
-	for _, cell := range cells {
-		leader := leaders[cell.Source]
-		sub := subs[leader]
-		cr := sweep.CellResult{
-			Index:     cell.Index,
-			Connector: cell.Connector,
-			Send:      cell.Spec.Send.Token(),
-			Channel:   cell.Spec.Channel.Token(),
-			Size:      cell.Spec.Size,
-			Recv:      cell.Spec.Recv.Token(),
-			Faults:    cell.Faults,
-			Companion: cell.Companion,
-			Primary:   cell.Primary,
-			Deduped:   leader != cell.Index,
-		}
-		switch {
-		case sub.err != nil:
-			cr.Verdict = "error"
-			cr.Err = sub.err.Error()
-		default:
-			c.WaitJob(ctx, sub.job)
-			snap := sub.job.snapshot()
-			sj.notePlacement(snap.Node, snap.RemoteID)
-			cr.Node = snap.Node
-			if snap.Err != "" {
-				cr.Verdict = "error"
-				cr.Err = snap.Err
-			} else {
-				sweep.Classify(&cr, snap.Report)
-			}
-			if !cr.Deduped {
-				cr.CacheHits = snap.CacheHits
-				cr.CacheMisses = snap.CacheMisses
-				cr.ModulesReused = snap.ModulesReused
-				cr.ModulesCompiled = snap.ModulesCompiled
-				if sub.span != nil {
-					sub.span.SetAttr("verdict", cr.Verdict)
-					sub.span.SetAttr("node", snap.Node)
-					sub.span.SetAttr("job_id", snap.ID)
-					sub.span.End()
-				}
+		// A cache answer ran nowhere and recorded nothing. The fetcher is
+		// kept for the sweep's lifetime, so it holds the two ids only.
+		if node, remoteID := st.Node, st.RemoteID; remoteID != "" {
+			o.RemoteSpans = func(ctx context.Context) []tracing.SpanData {
+				return c.remoteSpans(ctx, node, remoteID)
 			}
 		}
-		// The single-node engine's cache accounting, plus the cluster
-		// tier: a cell is cache-served when it deduped into another cell,
-		// never missed (its node answered from caches), or was answered
-		// by a cluster cache tier without running at all.
-		if cr.Deduped {
-			res.DedupHits++
-		}
-		res.CacheHits += cr.CacheHits
-		res.CacheMisses += cr.CacheMisses
-		res.ModulesReused += cr.ModulesReused
-		res.ModulesCompiled += cr.ModulesCompiled
-		if cr.Err == "" && cr.OK {
-			res.Passed++
-		} else {
-			res.Failed++
-		}
-		res.Cells = append(res.Cells, cr)
-		sj.mu.Lock()
-		sj.cells = append(sj.cells, cr)
-		close(sj.notify)
-		sj.notify = make(chan struct{})
-		sj.mu.Unlock()
-	}
-	res.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return res
-}
-
-// retireSweep records a completed sweep and evicts the oldest beyond
-// the retention bound.
-func (c *Coordinator) retireSweep(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sweepOrder = append(c.sweepOrder, id)
-	for len(c.sweepOrder) > c.cfg.RetainSweeps {
-		delete(c.sweeps, c.sweepOrder[0])
-		c.sweepOrder = c.sweepOrder[1:]
-	}
-}
-
-func (c *Coordinator) lookupSweep(id string) (*csweep, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sj, ok := c.sweeps[id]
-	return sj, ok
+		return o, nil
+	}, nil
 }

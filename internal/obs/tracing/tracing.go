@@ -20,6 +20,7 @@ import (
 	"context"
 	"encoding/hex"
 	"math/rand/v2"
+	"sort"
 	"sync"
 	"time"
 )
@@ -337,6 +338,24 @@ func (r *Recorder) TraceHex(hexID string) []SpanData {
 	}
 	sortSpans(out)
 	return out
+}
+
+// Merge appends to have the spans of more it does not already hold (by
+// span id) and restores start order — how a coordinator folds the spans
+// a worker recorded into its own view of one trace.
+func Merge(have, more []SpanData) []SpanData {
+	seen := make(map[string]bool, len(have))
+	for _, s := range have {
+		seen[s.SpanID] = true
+	}
+	for _, s := range more {
+		if !seen[s.SpanID] {
+			seen[s.SpanID] = true
+			have = append(have, s)
+		}
+	}
+	sort.SliceStable(have, func(i, j int) bool { return have[i].Start.Before(have[j].Start) })
+	return have
 }
 
 // TraceSummary describes one trace present in the ring.

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strconv"
 	"time"
@@ -26,10 +27,10 @@ type Config struct {
 	SearchBudget int
 	CacheEntries int
 
-	// Options is the base checker configuration for every cell; the
-	// spec's MaxStates/Workers/Timeout overlay it. When the sweep runs on
-	// a shared server, pass the options that server was configured with
-	// so cells hash into the same cache entries as direct submissions.
+	// Options is the private server's base checker configuration for
+	// every cell; the spec's MaxStates/Workers/Timeout overlay it. A
+	// shared Server's cells start from its own options instead, so they
+	// hash into the same cache entries as direct submissions.
 	Options checker.Options
 
 	// Registry receives the sweep metric families (sweeps_total,
@@ -37,10 +38,9 @@ type Config struct {
 	// nil disables them.
 	Registry *obs.Registry
 
-	// Tracer records sweep and cell spans. When nil and Server is set,
-	// the server's own recorder is used, so one trace spans the sweep,
-	// its cells, and their jobs. For a private server the tracer is also
-	// handed down as its Config.Tracer.
+	// Tracer is the private server's flight recorder: sweep and cell
+	// spans record into the executing server's recorder, so one trace
+	// spans the sweep, its cells, and their jobs.
 	Tracer *tracing.Recorder
 
 	// OnCell, when set, is called with each cell's result as it completes,
@@ -156,6 +156,75 @@ func (r *Result) Ranked() []CellResult {
 	return out
 }
 
+// Outcome is one executed cell job as its Executor reports it.
+type Outcome struct {
+	// Report is the job's verdict document; nil with Err set when the job
+	// ran nowhere (every fleet node refused it).
+	Report *verifyd.Report
+	Err    string
+
+	CacheHits, CacheMisses         int
+	ModulesReused, ModulesCompiled int
+
+	// JobID is the executor's id for the job; Node names the fleet node
+	// that served it (empty in-process).
+	JobID string
+	Node  string
+	// RemoteSpans fetches the spans the job recorded outside this
+	// process's flight recorder; nil when there are none to fetch.
+	RemoteSpans func(context.Context) []tracing.SpanData
+}
+
+// Executor is what the sweep engine runs cells on: an in-process
+// verification server (Local) or a cluster coordinator's fleet.
+type Executor interface {
+	// Submit starts one cell's design as a job, applying the spec's
+	// components and per-cell overrides, and returns the wait for its
+	// outcome. An error means the cell could not be submitted at all
+	// (its design does not compose, no node accepts it); the sweep
+	// records it on the cell and carries on.
+	Submit(ctx context.Context, source string, spec Spec) (wait func(context.Context) (Outcome, error), err error)
+	// Tracer and Logger receive the sweep's own spans and lifecycle
+	// logs, so one trace covers a sweep, its cells and their jobs.
+	Tracer() *tracing.Recorder
+	Logger() *slog.Logger
+	// Draining reports that no new sweep should start.
+	Draining() bool
+}
+
+// local executes cells as jobs on an in-process verification server.
+type local struct{ *verifyd.Server }
+
+// Local returns the executor that runs cells as jobs on srv, starting
+// from srv's own checker options so cells hash into the same cache
+// entries as direct job submissions.
+func Local(srv *verifyd.Server) Executor { return local{srv} }
+
+func (l local) Submit(ctx context.Context, source string, spec Spec) (func(context.Context) (Outcome, error), error) {
+	opts := l.Options()
+	if spec.MaxStates > 0 {
+		opts.MaxStates = spec.MaxStates
+	}
+	if spec.Workers > 0 {
+		opts.Workers = spec.Workers
+	}
+	job, err := l.SubmitContext(ctx, source, spec.Components, opts, spec.Timeout)
+	if err != nil {
+		return nil, err
+	}
+	return func(ctx context.Context) (Outcome, error) {
+		if err := l.Wait(ctx, job); err != nil {
+			return Outcome{}, err
+		}
+		snap := l.Snapshot(job)
+		return Outcome{
+			Report: snap.Report, JobID: snap.ID,
+			CacheHits: snap.CacheHits, CacheMisses: snap.CacheMisses,
+			ModulesReused: snap.ModulesReused, ModulesCompiled: snap.ModulesCompiled,
+		}, nil
+	}, nil
+}
+
 // Run expands the spec and executes every cell on the configured server,
 // deduplicating identical cell sources into single jobs. Cells that fail
 // to submit (bad composition) carry their error in the result; Run
@@ -169,10 +238,6 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		ctx = context.Background()
 	}
 
-	tracer := cfg.Tracer
-	if tracer == nil && cfg.Server != nil {
-		tracer = cfg.Server.Tracer()
-	}
 	srv := cfg.Server
 	if srv == nil {
 		srv = verifyd.NewServer(verifyd.Config{
@@ -180,7 +245,7 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 			SearchBudget: cfg.SearchBudget,
 			CacheEntries: cfg.CacheEntries,
 			Registry:     cfg.Registry,
-			Tracer:       tracer,
+			Tracer:       cfg.Tracer,
 			Options:      cfg.Options,
 		})
 		defer func() {
@@ -189,7 +254,19 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 			srv.Shutdown(sctx)
 		}()
 	}
+	var observe func(CellResult, *Outcome)
+	if cfg.OnCell != nil {
+		observe = func(cr CellResult, _ *Outcome) { cfg.OnCell(cr) }
+	}
+	return run(ctx, spec, cells, Local(srv), cfg.Registry, observe)
+}
 
+// run is the sweep engine: it executes expanded cells on exec and
+// aggregates their results. observe, when non-nil, sees every cell's
+// result as it completes, in cell-index order, together with the
+// outcome of the job that produced it.
+func run(ctx context.Context, spec Spec, cells []Cell, exec Executor, reg *obs.Registry, observe func(CellResult, *Outcome)) (*Result, error) {
+	tracer := exec.Tracer()
 	// One sweep span roots the trace unless the caller already started
 	// one (the sweep service does, so the 202 response can carry the
 	// TraceID before any cell runs).
@@ -200,26 +277,18 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		defer sspan.End()
 	}
 
-	mSweeps := cfg.Registry.Counter("sweeps_total")
-	mCells := cfg.Registry.Counter("sweep_cells_total")
-	mCacheHits := cfg.Registry.Counter("sweep_cache_hits_total")
-	mInFlight := cfg.Registry.Gauge("sweep_cells_in_flight")
+	mSweeps := reg.Counter("sweeps_total")
+	mCells := reg.Counter("sweep_cells_total")
+	mCacheHits := reg.Counter("sweep_cache_hits_total")
+	mInFlight := reg.Gauge("sweep_cells_in_flight")
 	mSweeps.Inc()
-
-	opts := cfg.Options
-	if spec.MaxStates > 0 {
-		opts.MaxStates = spec.MaxStates
-	}
-	if spec.Workers > 0 {
-		opts.Workers = spec.Workers
-	}
 
 	// Submit one job per distinct cell source; later cells with the same
 	// source become followers of the first (the leader) and reuse its
 	// result. The under-lossy companions of an already-lossy-adjacent
 	// matrix are the common case: half a sweep can collapse this way.
 	type submission struct {
-		job  *verifyd.Job
+		wait func(context.Context) (Outcome, error)
 		err  error
 		span *tracing.Span // the cell's span, ended when its wait completes
 	}
@@ -232,8 +301,8 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		leaders[c.Source] = c.Index
 		cctx, cspan := tracer.StartSpan(ctx, "cell:"+strconv.Itoa(c.Index),
 			tracing.A("connector", c.Connector))
-		job, err := srv.SubmitContext(cctx, c.Source, spec.Components, opts, spec.Timeout)
-		subs[c.Index] = &submission{job: job, err: err, span: cspan}
+		wait, err := exec.Submit(cctx, c.Source, spec)
+		subs[c.Index] = &submission{wait: wait, err: err, span: cspan}
 		if err == nil {
 			mInFlight.Add(1)
 		} else {
@@ -259,26 +328,36 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 			Primary:   c.Primary,
 			Deduped:   leader != c.Index,
 		}
-		switch {
-		case sub.err != nil:
+		var outcome *Outcome
+		if sub.err != nil {
 			cr.Verdict = "error"
 			cr.Err = sub.err.Error()
-		default:
-			if err := srv.Wait(ctx, sub.job); err != nil {
+		} else {
+			o, err := sub.wait(ctx)
+			if err != nil {
 				sub.span.End()
 				return nil, fmt.Errorf("sweep: cell %d: %w", c.Index, err)
 			}
-			snap := srv.Snapshot(sub.job)
-			Classify(&cr, snap.Report)
+			outcome = &o
+			cr.Node = o.Node
+			if o.Err != "" {
+				cr.Verdict = "error"
+				cr.Err = o.Err
+			} else {
+				classify(&cr, o.Report)
+			}
 			if !cr.Deduped {
-				cr.CacheHits = snap.CacheHits
-				cr.CacheMisses = snap.CacheMisses
-				cr.ModulesReused = snap.ModulesReused
-				cr.ModulesCompiled = snap.ModulesCompiled
+				cr.CacheHits = o.CacheHits
+				cr.CacheMisses = o.CacheMisses
+				cr.ModulesReused = o.ModulesReused
+				cr.ModulesCompiled = o.ModulesCompiled
 				mInFlight.Add(-1)
 				if sub.span != nil {
 					sub.span.SetAttr("verdict", cr.Verdict)
-					sub.span.SetAttr("job_id", snap.ID)
+					sub.span.SetAttr("job_id", o.JobID)
+					if o.Node != "" {
+						sub.span.SetAttr("node", o.Node)
+					}
 					sub.span.End()
 				}
 			} else {
@@ -312,21 +391,20 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 			res.Failed++
 		}
 		res.Cells = append(res.Cells, cr)
-		if cfg.OnCell != nil {
-			cfg.OnCell(cr)
+		if observe != nil {
+			observe(cr, outcome)
 		}
 	}
 	res.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	return res, nil
 }
 
-// Classify reduces a job report to the cell's verdict: a failing safety
+// classify reduces a job report to the cell's verdict: a failing safety
 // property names the violation ("deadlock" for invalid end states), a
 // failing goal means the design can lose messages, and a clean report
 // delivers all. States is the safety search's cost — the number the
-// matrix experiment compares across cells. Exported so the cluster
-// coordinator classifies remotely executed cells by the same rule.
-func Classify(cr *CellResult, rep *verifyd.Report) {
+// matrix experiment compares across cells.
+func classify(cr *CellResult, rep *verifyd.Report) {
 	if rep == nil {
 		cr.Verdict = "error"
 		cr.Err = "job finished without a report"

@@ -1,17 +1,17 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"sync"
 	"time"
 
 	"pnp/internal/adl"
 	"pnp/internal/blocks"
-	"pnp/internal/checker"
 	"pnp/internal/obs"
 	"pnp/internal/obs/tracing"
 	"pnp/internal/verifyd"
@@ -130,6 +130,7 @@ type Status struct {
 // sweepJob is one running or completed sweep.
 type sweepJob struct {
 	id      string
+	seq     int // creation order, the listing order
 	name    string
 	started time.Time
 	total   int
@@ -141,6 +142,9 @@ type sweepJob struct {
 	err    string
 	done   bool
 	notify chan struct{} // closed and replaced on every update
+	// remote fetches the spans of every cell job that recorded them off
+	// this process (fleet workers), for the trace route to merge in.
+	remote []func(context.Context) []tracing.SpanData
 }
 
 func (sj *sweepJob) status(withResult bool) Status {
@@ -159,12 +163,23 @@ func (sj *sweepJob) status(withResult bool) Status {
 	return st
 }
 
-// Service serves the sweep routes of the v1 API on top of a verification
-// server. One POST fans out into a job per distinct cell; all sweeps
-// share the server's result cache and search budget.
+// update applies fn to the sweep under its lock and wakes every stream
+// follower.
+func (sj *sweepJob) update(fn func()) {
+	sj.mu.Lock()
+	fn()
+	close(sj.notify)
+	sj.notify = make(chan struct{})
+	sj.mu.Unlock()
+}
+
+// Service serves the sweep routes of the v1 API over whichever Executor
+// the process runs cells on — the local server in a single pnpd, the
+// fleet in a coordinator. One POST fans out into a job per distinct
+// cell; all sweeps share the executor's result caches and search
+// budget.
 type Service struct {
-	srv  *verifyd.Server
-	opts checker.Options
+	exec Executor
 	reg  *obs.Registry
 
 	mu     sync.Mutex
@@ -174,51 +189,24 @@ type Service struct {
 	wg     sync.WaitGroup
 }
 
-// NewService builds a sweep service over srv. opts is the base checker
-// configuration for sweep cells — pass the options srv was configured
-// with, so sweep cells share cache entries with direct job submissions.
-func NewService(srv *verifyd.Server, opts checker.Options, reg *obs.Registry) *Service {
-	return &Service{srv: srv, opts: opts, reg: reg, sweeps: make(map[string]*sweepJob)}
+// NewService builds a sweep service over exec. reg receives the sweep
+// metric families; nil disables them.
+func NewService(exec Executor, reg *obs.Registry) *Service {
+	return &Service{exec: exec, reg: reg, sweeps: make(map[string]*sweepJob)}
 }
 
 // Wait blocks until every accepted sweep has finished. Call after the
-// verification server has drained.
+// executor has drained.
 func (sv *Service) Wait() { sv.wg.Wait() }
-
-// Handler returns the sweep routes mounted over base (the verification
-// server's handler), forming the complete v1 surface:
-//
-//	POST /v1/sweeps             submit a sweep (WireSpec) -> 202 + status
-//	GET  /v1/sweeps             list sweeps
-//	GET  /v1/sweeps/{id}        sweep status; result included when done
-//	GET  /v1/sweeps/{id}/stream NDJSON: {"cell":...} per cell, then {"sweep":...}
-//	GET  /v1/sweeps/{id}/trace  the sweep's spans as NDJSON (404 w/o tracing)
-//
-// A submission carrying a W3C traceparent header joins the caller's
-// trace.
-func (sv *Service) Handler(base http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/sweeps", sv.handleSubmit)
-	mux.HandleFunc("GET /v1/sweeps", sv.handleList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", sv.handleSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}/stream", sv.handleStream)
-	mux.HandleFunc("GET /v1/sweeps/{id}/trace", sv.handleTrace)
-	mux.Handle("/", base)
-	return mux
-}
-
-// Run executes a compiled spec synchronously on the service's server,
-// sharing its cache, budget, and metrics. The Go-API twin of POST
-// /v1/sweeps for in-process embedders (pnp.Sweep with a service).
-func (sv *Service) Run(ctx context.Context, spec Spec) (*Result, error) {
-	return Run(ctx, spec, Config{Server: sv.srv, Options: sv.opts, Registry: sv.reg})
-}
 
 // Start validates and launches a sweep in the background, returning its
 // initial status. ctx is used only for trace parenting (a span or
 // extracted traceparent joins the sweep to the caller's trace); the
 // background run is never canceled by it.
 func (sv *Service) Start(ctx context.Context, ws WireSpec) (Status, error) {
+	if sv.exec.Draining() {
+		return Status{}, verifyd.ErrDraining
+	}
 	spec, err := ws.Compile()
 	if err != nil {
 		return Status{}, err
@@ -241,13 +229,14 @@ func (sv *Service) Start(ctx context.Context, ws WireSpec) (Status, error) {
 
 	// The sweep span starts here, not in the engine, so the 202 response
 	// already carries the TraceID a client needs to follow the trace.
-	_, sspan := sv.srv.Tracer().StartSpan(ctx, "sweep",
+	_, sspan := sv.exec.Tracer().StartSpan(ctx, "sweep",
 		tracing.A("name", spec.Name), tracing.A("cells", fmt.Sprintf("%d", len(cells))))
 
 	sv.mu.Lock()
 	sv.nextID++
 	sj := &sweepJob{
 		id:      fmt.Sprintf("sweep-%d", sv.nextID),
+		seq:     sv.nextID,
 		name:    spec.Name,
 		started: time.Now(),
 		total:   len(cells),
@@ -259,7 +248,8 @@ func (sv *Service) Start(ctx context.Context, ws WireSpec) (Status, error) {
 	}
 	sv.sweeps[sj.id] = sj
 	sv.mu.Unlock()
-	sv.srv.Logger().Info("sweep started", "sweep_id", sj.id, "name", spec.Name,
+	log := sv.exec.Logger()
+	log.Info("sweep started", "sweep_id", sj.id, "name", spec.Name,
 		"cells", len(cells), "trace_id", sj.traceID)
 
 	sv.wg.Add(1)
@@ -271,28 +261,22 @@ func (sv *Service) Start(ctx context.Context, ws WireSpec) (Status, error) {
 		if sspan != nil {
 			runCtx = tracing.ContextWithSpan(runCtx, sspan)
 		}
-		res, err := Run(runCtx, spec, Config{
-			Server:   sv.srv,
-			Options:  sv.opts,
-			Registry: sv.reg,
-			OnCell: func(cr CellResult) {
-				sj.mu.Lock()
+		res, err := run(runCtx, spec, cells, sv.exec, sv.reg, func(cr CellResult, o *Outcome) {
+			sj.update(func() {
 				sj.cells = append(sj.cells, cr)
-				close(sj.notify)
-				sj.notify = make(chan struct{})
-				sj.mu.Unlock()
-			},
+				if o != nil && !cr.Deduped && o.RemoteSpans != nil {
+					sj.remote = append(sj.remote, o.RemoteSpans)
+				}
+			})
 		})
-		sj.mu.Lock()
-		if err != nil {
-			sj.err = err.Error()
-		} else {
-			sj.result = res
-		}
-		sj.done = true
-		close(sj.notify)
-		sj.notify = make(chan struct{})
-		sj.mu.Unlock()
+		sj.update(func() {
+			if err != nil {
+				sj.err = err.Error()
+			} else {
+				sj.result = res
+			}
+			sj.done = true
+		})
 		if sspan != nil {
 			if err != nil {
 				sspan.SetAttr("error", err.Error())
@@ -303,9 +287,9 @@ func (sv *Service) Start(ctx context.Context, ws WireSpec) (Status, error) {
 			sspan.End()
 		}
 		if err != nil {
-			sv.srv.Logger().Warn("sweep failed", "sweep_id", sj.id, "trace_id", sj.traceID, "err", err)
+			log.Warn("sweep failed", "sweep_id", sj.id, "trace_id", sj.traceID, "err", err)
 		} else {
-			sv.srv.Logger().Info("sweep done", "sweep_id", sj.id, "trace_id", sj.traceID,
+			log.Info("sweep done", "sweep_id", sj.id, "trace_id", sj.traceID,
 				"passed", res.Passed, "failed", res.Failed, "dedup_hits", res.DedupHits)
 		}
 		sv.retire(sj.id)
@@ -332,76 +316,64 @@ func (sv *Service) lookup(id string) (*sweepJob, bool) {
 	return sj, ok
 }
 
-func (sv *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var ws WireSpec
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&ws); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			verifyd.WriteError(w, http.StatusRequestEntityTooLarge, verifyd.CodeTooLarge, "body exceeds 1MiB")
-			return
-		}
-		verifyd.WriteError(w, http.StatusBadRequest, verifyd.CodeInvalidArgument, "bad sweep spec: "+err.Error())
-		return
+// Routes is the sweep group of the v1 route table, served through
+// verifyd's transport like every other route.
+func (sv *Service) Routes() []verifyd.Route {
+	return []verifyd.Route{
+		{Pattern: "POST /v1/sweeps", Handler: verifyd.JSON(http.StatusAccepted, sv.handleSubmit)},
+		{Pattern: "GET /v1/sweeps", Handler: verifyd.Document(sv.list)},
+		{Pattern: "GET /v1/sweeps/{id}", Handler: verifyd.JSON(http.StatusOK, sv.handleSweep)},
+		{Pattern: "GET /v1/sweeps/{id}/stream", Handler: sv.handleStream},
+		{Pattern: "GET /v1/sweeps/{id}/trace", Handler: verifyd.Spans(sv.handleTrace)},
 	}
-	// Trace parenting from the request's traceparent over a background
-	// context: the sweep must not inherit the request's cancellation.
-	tctx := tracing.ContextWithRemote(context.Background(), tracing.Extract(r))
-	st, err := sv.Start(tctx, ws)
+}
+
+func (sv *Service) handleSubmit(r *http.Request) (any, error) {
+	body, err := verifyd.ReadBody(r)
 	if err != nil {
-		verifyd.WriteADLError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	var ws WireSpec
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&ws); err != nil {
+		return nil, fmt.Errorf("bad sweep spec: %w", err)
+	}
+	return sv.Start(verifyd.Detached(r), ws)
 }
 
-// handleTrace streams the sweep's recorded spans — sweep, cells, their
-// jobs and checker phases — as NDJSON. Spans may still be arriving while
-// the sweep runs. 404 when the server runs without a Tracer.
-func (sv *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	sj, ok := sv.lookup(r.PathValue("id"))
-	if !ok {
-		verifyd.WriteError(w, http.StatusNotFound, verifyd.CodeNotFound, "no such sweep")
-		return
-	}
-	tracer := sv.srv.Tracer()
-	if tracer == nil || sj.traceID == "" {
-		verifyd.WriteError(w, http.StatusNotFound, verifyd.CodeNotFound, "tracing disabled")
-		return
-	}
-	w.Header().Set("Content-Type", tracing.NDJSONContentType)
-	tracing.WriteNDJSON(w, tracer.TraceHex(sj.traceID))
-}
-
-func (sv *Service) handleList(w http.ResponseWriter, r *http.Request) {
+// list is the GET /v1/sweeps body: every retained sweep in creation
+// order, without the (large) results.
+func (sv *Service) list() any {
 	sv.mu.Lock()
 	jobs := make([]*sweepJob, 0, len(sv.sweeps))
 	for _, sj := range sv.sweeps {
 		jobs = append(jobs, sj)
 	}
 	sv.mu.Unlock()
+	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
 	out := struct {
 		Sweeps []Status `json:"sweeps"`
 	}{Sweeps: make([]Status, 0, len(jobs))}
 	for _, sj := range jobs {
 		out.Sweeps = append(out.Sweeps, sj.status(false))
 	}
-	// Listing order is creation order ("sweep-N" is monotonic).
-	for i := 1; i < len(out.Sweeps); i++ {
-		for j := i; j > 0 && out.Sweeps[j-1].Started.After(out.Sweeps[j].Started); j-- {
-			out.Sweeps[j-1], out.Sweeps[j] = out.Sweeps[j], out.Sweeps[j-1]
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
-func (sv *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	sj, ok := sv.lookup(r.PathValue("id"))
+// Status returns a sweep's status, result included once it is done.
+func (sv *Service) Status(id string) (Status, bool) {
+	sj, ok := sv.lookup(id)
 	if !ok {
-		verifyd.WriteError(w, http.StatusNotFound, verifyd.CodeNotFound, "no such sweep")
-		return
+		return Status{}, false
 	}
-	writeJSON(w, http.StatusOK, sj.status(true))
+	return sj.status(true), true
+}
+
+func (sv *Service) handleSweep(r *http.Request) (any, error) {
+	st, ok := sv.Status(r.PathValue("id"))
+	if !ok {
+		return nil, verifyd.NotFound("no such sweep")
+	}
+	return st, nil
 }
 
 // streamLine is one NDJSON line of GET /v1/sweeps/{id}/stream: cell
@@ -417,7 +389,7 @@ func (sv *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 		verifyd.WriteError(w, http.StatusNotFound, verifyd.CodeNotFound, "no such sweep")
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", tracing.NDJSONContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -448,10 +420,24 @@ func (sv *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+// handleTrace answers with the sweep's spans in this process's flight
+// recorder — sweep, cells, and on a local executor their jobs and
+// checker phases — merged with what fleet workers recorded for the cell
+// jobs placed on them.
+func (sv *Service) handleTrace(r *http.Request) ([]tracing.SpanData, error) {
+	sj, ok := sv.lookup(r.PathValue("id"))
+	if !ok {
+		return nil, verifyd.NotFound("no such sweep")
+	}
+	if sj.traceID == "" {
+		return nil, verifyd.NotFound("tracing disabled")
+	}
+	spans := sv.exec.Tracer().TraceHex(sj.traceID)
+	sj.mu.Lock()
+	remote := append([]func(context.Context) []tracing.SpanData(nil), sj.remote...)
+	sj.mu.Unlock()
+	for _, fetch := range remote {
+		spans = tracing.Merge(spans, fetch(r.Context()))
+	}
+	return spans, nil
 }

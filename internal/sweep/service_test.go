@@ -19,8 +19,8 @@ func newTestService(t *testing.T) (*Service, *httptest.Server, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	srv := verifyd.NewServer(verifyd.Config{Workers: 2, Registry: reg})
-	sv := NewService(srv, srv.Options(), reg)
-	hs := httptest.NewServer(sv.Handler(srv.Handler()))
+	sv := NewService(Local(srv), reg)
+	hs := httptest.NewServer(verifyd.NewHandler(verifyd.Routes(srv, sv.Routes()...)))
 	t.Cleanup(func() {
 		hs.Close()
 		srv.Shutdown(context.Background())

@@ -16,8 +16,8 @@ func newTracedService(t *testing.T) (*tracing.Recorder, *httptest.Server) {
 	t.Helper()
 	rec := tracing.NewRecorder(1024)
 	srv := verifyd.NewServer(verifyd.Config{Workers: 2, Tracer: rec})
-	sv := NewService(srv, srv.Options(), nil)
-	hs := httptest.NewServer(sv.Handler(srv.Handler()))
+	sv := NewService(Local(srv), nil)
+	hs := httptest.NewServer(verifyd.NewHandler(verifyd.Routes(srv, sv.Routes()...)))
 	t.Cleanup(func() {
 		hs.Close()
 		srv.Shutdown(context.Background())

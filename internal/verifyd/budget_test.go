@@ -127,18 +127,18 @@ func TestJobOptionsVisitedStorageOverrides(t *testing.T) {
 	s := &Server{cfg: Config{Options: checker.Options{Storage: def}}}
 	for _, tc := range []struct {
 		name         string
-		req          jobRequest
+		req          JobRequest
 		wantVisited  string
 		wantMemLimit int64
 	}{
-		{"absent keeps defaults", jobRequest{}, checker.VisitedCollapse, 64 << 20},
-		{"overrides applied", jobRequest{Visited: ptrTo(checker.VisitedCollapse), MemLimitBytes: ptrTo(int64(1 << 20))},
+		{"absent keeps defaults", JobRequest{}, checker.VisitedCollapse, 64 << 20},
+		{"overrides applied", JobRequest{Visited: ptrTo(checker.VisitedCollapse), MemLimitBytes: ptrTo(int64(1 << 20))},
 			checker.VisitedCollapse, 1 << 20},
 		// An explicit 0 switches the server's budget off for this job.
-		{"zero clears the budget", jobRequest{MemLimitBytes: ptrTo(int64(0))}, checker.VisitedCollapse, 0},
-		{"exact overrides collapse", jobRequest{Visited: ptrTo(checker.VisitedExact)}, checker.VisitedExact, 64 << 20},
-		{"unknown name keeps default", jobRequest{Visited: ptrTo("bogus")}, checker.VisitedCollapse, 64 << 20},
-		{"negative budget keeps default", jobRequest{MemLimitBytes: ptrTo(int64(-5))}, checker.VisitedCollapse, 64 << 20},
+		{"zero clears the budget", JobRequest{MemLimitBytes: ptrTo(int64(0))}, checker.VisitedCollapse, 0},
+		{"exact overrides collapse", JobRequest{Visited: ptrTo(checker.VisitedExact)}, checker.VisitedExact, 64 << 20},
+		{"unknown name keeps default", JobRequest{Visited: ptrTo("bogus")}, checker.VisitedCollapse, 64 << 20},
+		{"negative budget keeps default", JobRequest{MemLimitBytes: ptrTo(int64(-5))}, checker.VisitedCollapse, 64 << 20},
 	} {
 		o := s.jobOptions(tc.req).Storage
 		if o.Visited != tc.wantVisited || o.MemLimit != tc.wantMemLimit {

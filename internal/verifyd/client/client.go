@@ -126,7 +126,10 @@ type PropertyVerdict struct {
 	Cached         bool     `json:"cached"`
 }
 
-// JobRequest is the submission envelope for Submit.
+// JobRequest is the submission envelope for Submit. Its fields mirror
+// the server's envelope one for one, in order: the cluster coordinator
+// converts between the two types directly, so a field added to only one
+// side stops compiling instead of silently dropping off the key.
 type JobRequest struct {
 	ADL        string            `json:"adl"`
 	Components map[string]string `json:"components,omitempty"`
@@ -139,7 +142,6 @@ type JobRequest struct {
 	WeakFairness   *bool `json:"weak_fairness,omitempty"`
 	StrongFairness *bool `json:"strong_fairness,omitempty"`
 	Workers        *int  `json:"workers,omitempty"`
-	TimeoutMS      int   `json:"timeout_ms,omitempty"`
 
 	// Visited ("exact" or "collapse") and MemLimitBytes tune the
 	// server's visited-set storage for this job. Speed/memory knobs
@@ -148,6 +150,8 @@ type JobRequest struct {
 	// field: spill paths are server configuration.
 	Visited       *string `json:"visited,omitempty"`
 	MemLimitBytes *int64  `json:"mem_limit_bytes,omitempty"`
+
+	TimeoutMS int `json:"timeout_ms,omitempty"`
 
 	// Attempt and ResumeFrom form the resume token a cluster coordinator
 	// attaches when re-placing a job after a worker died mid-run: the

@@ -65,8 +65,8 @@ proctype Consumer(chan rsig; chan rdat; byte n) {
 func newWireServer(t *testing.T) *client.Client {
 	t.Helper()
 	srv := verifyd.NewServer(verifyd.Config{Workers: 2})
-	sv := sweep.NewService(srv, srv.Options(), nil)
-	hs := httptest.NewServer(sv.Handler(srv.Handler()))
+	sv := sweep.NewService(sweep.Local(srv), nil)
+	hs := httptest.NewServer(verifyd.NewHandler(verifyd.Routes(srv, sv.Routes()...)))
 	t.Cleanup(func() {
 		hs.Close()
 		srv.Shutdown(context.Background())

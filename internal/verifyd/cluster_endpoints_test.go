@@ -53,7 +53,7 @@ func TestCachePeekRoundtrip(t *testing.T) {
 
 	adl := loadExample(t, "bridge.pnp")
 	comps := bridgeComponents(t)
-	env, _ := json.Marshal(jobRequest{ADL: adl, Components: comps})
+	env, _ := json.Marshal(JobRequest{ADL: adl, Components: comps})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(env)))
 	if err != nil {
 		t.Fatal(err)

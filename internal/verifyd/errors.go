@@ -8,8 +8,7 @@ import (
 )
 
 // Error codes of the v1 HTTP API. Every failure response across every
-// /v1 route (including the sweep routes layered on by internal/sweep)
-// carries the same JSON envelope:
+// route of the table in transport.go carries the same JSON envelope:
 //
 //	{"error": {"code": "invalid_argument", "message": "...", "line": 2, "col": 5}}
 //
@@ -35,30 +34,51 @@ type ErrorBody struct {
 	Error ErrorInfo `json:"error"`
 }
 
-// WriteError writes the uniform error envelope. It is exported so every
-// handler layered onto the service's HTTP surface (the sweep service,
-// the cluster coordinator, future route groups) fails with the same
-// shape. A 503 carries Retry-After: 1 so clients (and the coordinator's
-// APIError.Temporary) can tell "busy or draining, come back" apart from
-// a dead transport.
-func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, status, ErrorBody{Error: ErrorInfo{Code: code, Message: msg}})
+// StatusError is a failure that already knows its HTTP status and
+// envelope: a lookup that found nothing (NotFound), an oversized body,
+// or a fleet backend relaying a worker's answer verbatim — the
+// coordinator is a proxy, not a translator.
+type StatusError struct {
+	Status int
+	Info   ErrorInfo
 }
 
-// WriteADLError writes err as the uniform envelope, carrying source
-// positions for ADL errors and mapping ErrDraining to 503/unavailable.
-func WriteADLError(w http.ResponseWriter, err error) {
+func (e *StatusError) Error() string { return e.Info.Message }
+
+// NotFound is the error of a lookup that found nothing: an enveloped 404.
+func NotFound(msg string) error {
+	return &StatusError{http.StatusNotFound, ErrorInfo{Code: CodeNotFound, Message: msg}}
+}
+
+// WriteError writes the uniform error envelope. It is exported so
+// per-backend extra routes fail with the same shape as the shared
+// table.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
+	writeErr(w, &StatusError{status, ErrorInfo{Code: code, Message: msg}})
+}
+
+// writeErr writes a backend's error as the uniform envelope: a
+// StatusError as it stands, ADL errors as 400 with their source
+// position, ErrDraining as 503/unavailable, anything else as a 400 —
+// the remaining failures of a submission are all judgements of its
+// content (unknown preset, unknown block kind, unresolvable component).
+// A 503 carries Retry-After: 1 so clients (and the coordinator's
+// APIError.Temporary) can tell "busy or draining, come back" apart from
+// a dead transport.
+func writeErr(w http.ResponseWriter, err error) {
+	var se *StatusError
 	var ae *adl.Error
 	switch {
+	case errors.As(err, &se):
 	case errors.As(err, &ae):
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: ErrorInfo{
-			Code: CodeInvalidArgument, Message: ae.Error(), Line: ae.Line, Col: ae.Col}})
+		se = &StatusError{http.StatusBadRequest, ErrorInfo{CodeInvalidArgument, ae.Error(), ae.Line, ae.Col}}
 	case errors.Is(err, ErrDraining):
-		WriteError(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error())
+		se = &StatusError{http.StatusServiceUnavailable, ErrorInfo{Code: CodeUnavailable, Message: err.Error()}}
 	default:
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, err.Error())
+		se = &StatusError{http.StatusBadRequest, ErrorInfo{Code: CodeInvalidArgument, Message: err.Error()}}
 	}
+	if se.Status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, se.Status, ErrorBody{Error: se.Info})
 }

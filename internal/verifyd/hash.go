@@ -147,3 +147,15 @@ func Key(model [sha256.Size]byte, prop adl.PropertySource, opts checker.Options,
 	h.Sum(out[:0])
 	return out
 }
+
+// parseCacheKey decodes and validates a hex submission key: one read back
+// from a journal record, or the untrusted {key} of GET /v1/cache/{key}.
+func parseCacheKey(hexKey string) (CacheKey, bool) {
+	var key CacheKey
+	b, err := hex.DecodeString(hexKey)
+	if err != nil || len(b) != sha256.Size {
+		return key, false
+	}
+	copy(key[:], b)
+	return key, true
+}

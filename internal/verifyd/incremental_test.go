@@ -89,7 +89,7 @@ func TestJobModulesOnWire(t *testing.T) {
 	defer tsrv.Close()
 	ts := tsrv.URL
 
-	env, _ := json.Marshal(jobRequest{
+	env, _ := json.Marshal(JobRequest{
 		ADL:        loadExample(t, "bridge.pnp"),
 		Components: bridgeComponents(t),
 	})

@@ -1,10 +1,8 @@
 package verifyd
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +10,7 @@ import (
 	"time"
 
 	"pnp/internal/artifact"
+	"pnp/internal/frame"
 	"pnp/internal/obs"
 )
 
@@ -22,10 +21,10 @@ import (
 // completed jobs are re-registered with their verdicts, incomplete jobs
 // are re-enqueued — so kill -9 loses nothing.
 //
-// Frame format, one record: [u32 payload length][u32 CRC-32 (IEEE) of
-// payload][JSON payload]. A torn tail (partial final record after a
-// crash) fails its CRC or length check and replay stops there — exactly
-// the records that were never acknowledged.
+// One record is one internal/frame frame around a JSON payload. A torn
+// tail (partial final record after a crash) fails its CRC or length
+// check and replay stops there — exactly the records that were never
+// acknowledged.
 //
 // Appends are group-committed: writers queue behind one fsync performed
 // by a dedicated flusher goroutine, so a burst of submissions pays one
@@ -55,7 +54,7 @@ type journalRecord struct {
 	Seq     int         `json:"seq,omitempty"`
 	Time    time.Time   `json:"time"`
 	Key     string      `json:"key,omitempty"`
-	Req     *jobRequest `json:"req,omitempty"`
+	Req     *JobRequest `json:"req,omitempty"`
 	Attempt int         `json:"attempt,omitempty"`
 	File    string      `json:"file,omitempty"`
 	Depth   int         `json:"depth,omitempty"`
@@ -159,14 +158,9 @@ func journalSegments(dir string) ([]int, error) {
 // there, never poisoning earlier records.
 func decodeRecords(data []byte) []journalRecord {
 	var recs []journalRecord
-	for len(data) >= 8 {
-		n := binary.LittleEndian.Uint32(data[0:4])
-		sum := binary.LittleEndian.Uint32(data[4:8])
-		if n == 0 || uint32(len(data)-8) < n {
-			break
-		}
-		payload := data[8 : 8+n]
-		if crc32.ChecksumIEEE(payload) != sum {
+	for {
+		payload, rest, err := frame.Next(data)
+		if err != nil {
 			break
 		}
 		var rec journalRecord
@@ -174,7 +168,7 @@ func decodeRecords(data []byte) []journalRecord {
 			break
 		}
 		recs = append(recs, rec)
-		data = data[8+n:]
+		data = rest
 	}
 	return recs
 }
@@ -183,7 +177,7 @@ func decodeRecords(data []byte) []journalRecord {
 // fsync). Safe for concurrent callers; callers must not hold locks the
 // flusher's compaction callbacks need.
 func (j *journal) append(rec journalRecord) error {
-	frame, err := encodeRecord(rec)
+	buf, err := encodeRecord(rec)
 	if err != nil {
 		return err
 	}
@@ -193,11 +187,11 @@ func (j *journal) append(rec journalRecord) error {
 		j.mu.Unlock()
 		return fmt.Errorf("verifyd: journal closed")
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(buf); err != nil {
 		j.mu.Unlock()
 		return err
 	}
-	j.size += int64(len(frame))
+	j.size += int64(len(buf))
 	j.waiters = append(j.waiters, w)
 	j.mu.Unlock()
 	select {
@@ -213,11 +207,7 @@ func encodeRecord(rec journalRecord) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[8:], payload)
-	return frame, nil
+	return frame.Append(make([]byte, 0, frame.HeaderSize+len(payload)), payload), nil
 }
 
 // flusher performs the group commits: every wakeup syncs once and
@@ -281,18 +271,18 @@ func (j *journal) compact(live func() []journalRecord) error {
 	}
 	var size int64
 	for _, rec := range recs {
-		frame, err := encodeRecord(rec)
+		buf, err := encodeRecord(rec)
 		if err != nil {
 			f.Close()
 			os.Remove(tmp)
 			return err
 		}
-		if _, err := f.Write(frame); err != nil {
+		if _, err := f.Write(buf); err != nil {
 			f.Close()
 			os.Remove(tmp)
 			return err
 		}
-		size += int64(len(frame))
+		size += int64(len(buf))
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -43,7 +43,7 @@ func durableComponents(t testing.TB) map[string]string {
 
 // submitHTTP posts the JSON envelope (the path that journals on a
 // durable server) and returns the accepted job's ID.
-func submitHTTP(t *testing.T, url string, req jobRequest) string {
+func submitHTTP(t *testing.T, url string, req JobRequest) string {
 	t.Helper()
 	env, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(env))
@@ -102,7 +102,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("fresh journal replayed %d records", len(recs))
 	}
 	want := []journalRecord{
-		{Type: recAccepted, ID: "job-1", Seq: 1, Key: "k1", Req: &jobRequest{ADL: "system x {}"}},
+		{Type: recAccepted, ID: "job-1", Seq: 1, Key: "k1", Req: &JobRequest{ADL: "system x {}"}},
 		{Type: recStarted, ID: "job-1", Seq: 1, Attempt: 1},
 		{Type: recCheckpoint, ID: "job-1", Seq: 1, Key: "k1-safety", File: "f.ckpt", Depth: 12},
 		{Type: recCompleted, ID: "job-1", Seq: 1, Key: "k1", Report: &Report{System: "x", OK: true}},
@@ -220,7 +220,7 @@ func TestJournalCompaction(t *testing.T) {
 // cache-served resubmission — without re-running anything.
 func TestServerReplayCompleted(t *testing.T) {
 	dataDir := t.TempDir()
-	req := jobRequest{ADL: durableADL, Components: durableComponents(t)}
+	req := JobRequest{ADL: durableADL, Components: durableComponents(t)}
 
 	s1, err := OpenServer(Config{Workers: 2, DataDir: dataDir})
 	if err != nil {
@@ -342,7 +342,7 @@ func TestServerReplayIncompleteResumes(t *testing.T) {
 	}
 	err = j.append(journalRecord{
 		Type: recAccepted, ID: "job-1", Seq: 1, Time: time.Now(), Key: subKey.String(),
-		Req: &jobRequest{ADL: durableADL, Components: comps}, Attempt: 1,
+		Req: &JobRequest{ADL: durableADL, Components: comps}, Attempt: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestServerReplayDedupesSameKey(t *testing.T) {
 	for i, id := range []string{"job-1", "job-2"} {
 		err := j.append(journalRecord{
 			Type: recAccepted, ID: id, Seq: i + 1, Time: time.Now(), Key: subKey.String(),
-			Req: &jobRequest{ADL: durableADL, Components: comps}, Attempt: 1,
+			Req: &JobRequest{ADL: durableADL, Components: comps}, Attempt: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -417,7 +417,7 @@ func TestServerReplayDedupesSameKey(t *testing.T) {
 	// A third with bad ADL: replay drops it without failing startup.
 	err = j.append(journalRecord{
 		Type: recAccepted, ID: "job-3", Seq: 3, Time: time.Now(),
-		Req: &jobRequest{ADL: "system broken {"},
+		Req: &JobRequest{ADL: "system broken {"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +465,7 @@ func TestServerMemoryOnlyUnchanged(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	id := submitHTTP(t, ts.URL, jobRequest{ADL: loadExample(t, "pingpong.pnp"),
+	id := submitHTTP(t, ts.URL, JobRequest{ADL: loadExample(t, "pingpong.pnp"),
 		Components: map[string]string{"pingpong.pml": loadExample(t, "pingpong.pml")}})
 	job, _ := s.Job(id)
 	done := waitDone(t, s, job)
@@ -555,7 +555,7 @@ func TestServerDurableJobJournals(t *testing.T) {
 		t.Error("durable server must report durable")
 	}
 	ts := httptest.NewServer(s.Handler())
-	id := submitHTTP(t, ts.URL, jobRequest{ADL: durableADL, Components: durableComponents(t)})
+	id := submitHTTP(t, ts.URL, JobRequest{ADL: durableADL, Components: durableComponents(t)})
 	job, _ := s.Job(id)
 	waitDone(t, s, job)
 	ts.Close()

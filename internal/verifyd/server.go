@@ -2,9 +2,6 @@ package verifyd
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -14,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -154,13 +150,13 @@ type Job struct {
 	// jreq retains the wire request for journal compaction until the job
 	// completes (nil on journal-less servers and in-process submissions);
 	// resumeFrom is the peer base URL to fetch search checkpoints from.
-	jreq       *jobRequest
+	jreq       *JobRequest
 	resumeFrom string
 }
 
-// jobRequest is the JSON submission envelope. Raw (non-JSON) bodies are
-// treated as bare ADL source with no overrides.
-type jobRequest struct {
+// JobRequest is the JSON submission envelope of POST /v1/jobs. Raw
+// (non-JSON) bodies are treated as bare ADL source with no overrides.
+type JobRequest struct {
 	ADL string `json:"adl"`
 	// Components maps referenced component paths to inline pml source.
 	Components map[string]string `json:"components,omitempty"`
@@ -370,113 +366,6 @@ func OpenServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// replay folds journal records back into server state: completed jobs
-// are re-registered done (verdicts served from disk), incomplete jobs
-// are rebuilt from their journaled wire requests and returned for
-// re-enqueueing. Incomplete jobs sharing a submission key are deduped —
-// the first becomes the leader and actually runs; followers wait for
-// its report, so a crash can never cause duplicate execution of one
-// submission. Runs before the worker pool starts; no locking needed.
-func (s *Server) replay(recs []journalRecord) []*Job {
-	type replayJob struct {
-		accepted  *journalRecord
-		completed *journalRecord
-		attempts  int
-	}
-	byID := make(map[string]*replayJob)
-	var order []string
-	for i := range recs {
-		rec := &recs[i]
-		rj := byID[rec.ID]
-		if rj == nil {
-			rj = &replayJob{}
-			byID[rec.ID] = rj
-			order = append(order, rec.ID)
-		}
-		switch rec.Type {
-		case recAccepted:
-			rj.accepted = rec
-		case recStarted:
-			if rec.Attempt > rj.attempts {
-				rj.attempts = rec.Attempt
-			}
-		case recCompleted:
-			rj.completed = rec
-		}
-		if rec.Seq > s.nextID {
-			s.nextID = rec.Seq
-		}
-	}
-
-	closedCh := make(chan struct{})
-	close(closedCh)
-	var requeue []*Job
-	leaders := make(map[string]*Job) // submission key -> re-enqueued leader
-	for _, id := range order {
-		rj := byID[id]
-		switch {
-		case rj.completed != nil:
-			rec := rj.completed
-			job := &Job{
-				ID: id, State: JobDone, Submitted: rec.Time, Report: rec.Report,
-				CacheHits: rec.CacheHits, CacheMisses: rec.CacheMisses,
-				Modules: rec.Modules, ModulesTotal: len(rec.Modules),
-				ModulesReused: rec.ModulesReused, ModulesCompiled: rec.ModulesCompiled,
-				Attempt: max(rec.Attempt, 1), done: closedCh, seq: rec.Seq,
-			}
-			s.jobs[id] = job
-			s.doneIDs = append(s.doneIDs, id)
-			if key, ok := parseCacheKey(rec.Key); ok && rec.Report != nil && Cacheable(rec.Report) {
-				s.reports.Put(key, rec.Report)
-			}
-			s.cRecovered.Add(1)
-		case rj.accepted != nil && rj.accepted.Req != nil:
-			rec := rj.accepted
-			req := rec.Req
-			resolve := s.resolver(req.Components)
-			sys, err := adl.LoadModular(req.ADL, resolve, s.artifacts)
-			if err != nil {
-				s.log.Error("journal replay: job no longer composes; dropping",
-					"job_id", id, "err", err.Error())
-				continue
-			}
-			job := &Job{
-				ID: id, State: JobQueued, Submitted: rec.Time,
-				Attempt: max(rj.attempts, rec.Attempt) + 1, ResumedFrom: "journal",
-				Modules: sys.Modules, ModulesTotal: len(sys.Modules),
-				ModulesReused: sys.ModulesReused, ModulesCompiled: sys.ModulesCompiled,
-				sys: sys, opts: s.jobOptions(*req),
-				timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
-				done:    make(chan struct{}), seq: rec.Seq, jreq: req,
-				tctx: context.Background(),
-			}
-			if key, ok := parseCacheKey(rec.Key); ok {
-				job.subKey = &key
-			}
-			s.jobs[id] = job
-			s.jobsWG.Add(1)
-			s.cRecovered.Add(1)
-			if job.subKey != nil {
-				if leader, dup := leaders[rec.Key]; dup {
-					// Follower: mirror the leader's report when it lands.
-					go s.finishFollower(job, leader)
-					s.log.Info("job recovered (deduped onto leader)",
-						"job_id", id, "leader", leader.ID, "attempt", job.Attempt)
-					continue
-				}
-				leaders[rec.Key] = job
-			}
-			requeue = append(requeue, job)
-			s.log.Info("job recovered; re-enqueued", "job_id", id, "attempt", job.Attempt)
-		}
-	}
-	for len(s.doneIDs) > s.cfg.RetainJobs {
-		delete(s.jobs, s.doneIDs[0])
-		s.doneIDs = s.doneIDs[1:]
-	}
-	return requeue
-}
-
 // resolver builds the component-resolution closure submissions use:
 // inline components shadow the configured resolver.
 func (s *Server) resolver(components map[string]string) adl.Resolver {
@@ -489,52 +378,6 @@ func (s *Server) resolver(components map[string]string) adl.Resolver {
 		}
 		return "", fmt.Errorf("unknown component %q (no resolver configured)", path)
 	}
-}
-
-// parseCacheKey decodes a hex submission key from a journal record.
-func parseCacheKey(hexKey string) (CacheKey, bool) {
-	var key CacheKey
-	b, err := hex.DecodeString(hexKey)
-	if err != nil || len(b) != sha256.Size {
-		return key, false
-	}
-	copy(key[:], b)
-	return key, true
-}
-
-// finishFollower completes a replayed duplicate submission from its
-// leader's report — zero duplicate execution for same-key submissions.
-func (s *Server) finishFollower(job *Job, leader *Job) {
-	<-leader.done
-	snap := s.snapshotJob(leader)
-	rep := snap.Report
-	hits := 0
-	if rep != nil {
-		hits = len(rep.Properties)
-	}
-	s.mu.Lock()
-	job.Report = rep
-	job.CacheHits = hits
-	job.State = JobDone
-	job.sys = nil
-	job.opts = checker.Options{}
-	job.jreq = nil
-	s.doneIDs = append(s.doneIDs, job.ID)
-	for len(s.doneIDs) > s.cfg.RetainJobs {
-		delete(s.jobs, s.doneIDs[0])
-		s.doneIDs = s.doneIDs[1:]
-	}
-	s.mu.Unlock()
-	if s.journal != nil && rep != nil {
-		s.appendJournal(journalRecord{
-			Type: recCompleted, ID: job.ID, Seq: job.seq, Time: time.Now(),
-			Key: subKeyHex(job), Report: rep, Attempt: job.Attempt, CacheHits: hits,
-		})
-	}
-	s.log.Info("job done (follower of "+leader.ID+")", "job_id", job.ID)
-	s.mCompleted.Inc()
-	close(job.done)
-	s.jobsWG.Done()
 }
 
 // subKeyHex renders a job's submission key ("" when it has none).
@@ -571,10 +414,6 @@ func (s *Server) ModelCacheStats() (hits, misses int) {
 	return int(st.Hits), int(st.Misses)
 }
 
-// ArtifactStore exposes the compiled-module store (for embedders like
-// the sweep service, the cluster coordinator's peeks, and tests).
-func (s *Server) ArtifactStore() *artifact.Store { return s.artifacts }
-
 // Tracer returns the server's flight recorder (nil when tracing is
 // disabled). Embedders like the sweep service record their own spans
 // into it so one trace spans sweep and jobs.
@@ -608,7 +447,7 @@ func (s *Server) SubmitContext(ctx context.Context, src string, components map[s
 // for HTTP submissions on a durable server, the wire request to
 // journal; the key must be attached before the job is queued, because a
 // cache-served job can complete within microseconds of the queue send.
-func (s *Server) submitKeyed(ctx context.Context, src string, components map[string]string, opts checker.Options, timeout time.Duration, subKey *CacheKey, wire *jobRequest) (*Job, error) {
+func (s *Server) submitKeyed(ctx context.Context, src string, components map[string]string, opts checker.Options, timeout time.Duration, subKey *CacheKey, wire *JobRequest) (*Job, error) {
 	jctx, jspan := s.tracer.StartSpan(ctx, "job")
 	resolve := s.resolver(components)
 	_, cspan := s.tracer.StartSpan(jctx, "compose")
@@ -1027,43 +866,6 @@ func (s *Server) fetchCheckpoint(ctx context.Context, base, key string) {
 	s.log.Info("checkpoint fetched from peer", "peer", base, "key", key)
 }
 
-// journalLive snapshots the records compaction must keep: one
-// self-contained completed record per retained done job, the accepted
-// record for every job still queued or running. The journal calls it
-// under its own lock; it takes s.mu — safe because no code path appends
-// to the journal while holding s.mu.
-func (s *Server) journalLive() []journalRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
-	var recs []journalRecord
-	for _, j := range jobs {
-		switch {
-		case j.State == JobDone:
-			if j.Report == nil {
-				continue
-			}
-			recs = append(recs, journalRecord{
-				Type: recCompleted, ID: j.ID, Seq: j.seq, Time: j.Submitted,
-				Key: subKeyHex(j), Report: j.Report, Attempt: j.Attempt,
-				CacheHits: j.CacheHits, CacheMisses: j.CacheMisses,
-				Modules:       j.Modules,
-				ModulesReused: j.ModulesReused, ModulesCompiled: j.ModulesCompiled,
-			})
-		case j.jreq != nil:
-			recs = append(recs, journalRecord{
-				Type: recAccepted, ID: j.ID, Seq: j.seq, Time: j.Submitted,
-				Key: subKeyHex(j), Req: j.jreq, Attempt: j.Attempt,
-			})
-		}
-	}
-	return recs
-}
-
 // checkProperty runs the checker for one declared property, mirroring
 // System.VerifyAll's per-property semantics.
 func (s *Server) checkProperty(sys *adl.System, ps adl.PropertySource, opts checker.Options) *checker.Result {
@@ -1125,452 +927,3 @@ func (s *Server) snapshotJob(job *Job) Job {
 // fields. The sweep engine and other in-process embedders read results
 // through it instead of touching the live job.
 func (s *Server) Snapshot(job *Job) Job { return s.snapshotJob(job) }
-
-// --- HTTP API ---
-
-// Handler returns the service's HTTP API:
-//
-//	POST /v1/jobs            submit ADL (raw text or JSON envelope) -> job
-//	GET  /v1/jobs            list jobs (?status=, ?cursor=, ?limit=)
-//	GET  /v1/jobs/{id}       job status; report included when done
-//	GET  /v1/jobs/{id}/wait  long-poll until done (or ?timeout=30s)
-//	GET  /v1/jobs/{id}/trace the job's spans as NDJSON (404 w/o tracing)
-//	GET  /v1/cache           result-cache statistics
-//	GET  /v1/cache/{key}     peek a cached report by submission key (hex)
-//	GET  /v1/artifacts/{hash} peek a compiled-module artifact by its
-//	                         module fingerprint (hex; since PR10)
-//	GET  /v1/checkpoints/{key} fetch a live search checkpoint (durable
-//	                         servers only; cluster replicas resume from it)
-//	GET  /healthz            liveness: 200 while the process runs
-//	GET  /readyz             readiness: 200 accepting jobs, 503 draining
-//	GET  /metrics            Prometheus exposition (plus /metrics.json)
-//	GET  /debug/trace        flight-recorder listing (?id= for one trace)
-//
-// A submission carrying a W3C traceparent header joins the caller's
-// trace. Every failure response is the uniform JSON envelope
-// {"error":{"code","message"}} (see WriteError); unknown paths get an
-// enveloped 404 so the whole surface fails uniformly.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/wait", s.handleWait)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("GET /v1/cache", s.handleCache)
-	mux.HandleFunc("GET /v1/cache/{key}", s.handleCachePeek)
-	mux.HandleFunc("GET /v1/artifacts/{hash}", s.handleArtifactPeek)
-	mux.HandleFunc("GET /v1/checkpoints/{key}", s.handleCheckpointPeek)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	if s.reg != nil {
-		mux.Handle("/metrics", s.reg.Handler())
-		mux.Handle("/metrics.json", s.reg.Handler())
-	}
-	if s.tracer != nil {
-		mux.Handle("GET /debug/trace", s.tracer.Handler())
-	}
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "no such route: "+r.URL.Path)
-	})
-	return mux
-}
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Health is the GET /healthz response body: liveness plus enough
-// identity and load detail for a cluster coordinator (or a human) to
-// tell nodes apart — build version, worker-pool shape, search-budget
-// occupancy, and cache sizes. The status code stays a plain 200 for the
-// process lifetime, so probes that only check the code (load balancers,
-// PR3-era scripts) keep working unchanged.
-type Health struct {
-	Status             string `json:"status"`
-	Version            string `json:"version"`
-	Workers            int    `json:"workers"`
-	SearchBudget       int    `json:"search_budget"`
-	SearchWorkersInUse int    `json:"search_workers_in_use"`
-	ResultCacheEntries int    `json:"result_cache_entries"`
-	ReportCacheEntries int    `json:"report_cache_entries"`
-	Jobs               int    `json:"jobs"`
-	// Durable reports whether the server journals jobs to a data dir —
-	// a coordinator may prefer durable nodes for long searches.
-	Durable  bool `json:"durable,omitempty"`
-	Draining bool `json:"draining,omitempty"`
-}
-
-// handleHealthz is liveness: the process is up and serving HTTP. It
-// stays 200 through a drain — a draining server is unhealthy only to
-// new traffic, which is readiness' job to signal; the body's draining
-// field lets a single probe see both.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.HealthInfo())
-}
-
-// HealthInfo snapshots the /healthz body (for embedders and tests).
-func (s *Server) HealthInfo() Health {
-	budget, inUse := s.budget.snapshot()
-	s.mu.Lock()
-	jobs := len(s.jobs)
-	s.mu.Unlock()
-	return Health{
-		Status:             "ok",
-		Version:            Version,
-		Workers:            s.cfg.Workers,
-		SearchBudget:       budget,
-		SearchWorkersInUse: inUse,
-		ResultCacheEntries: s.cache.Len(),
-		ReportCacheEntries: s.reports.Len(),
-		Jobs:               jobs,
-		Durable:            s.journal != nil,
-		Draining:           s.draining.Load(),
-	}
-}
-
-// handleReadyz is readiness: 503 once Shutdown begins, so orchestrators
-// stop routing new submissions while queued jobs finish.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, struct {
-			Status string `json:"status"`
-		}{"draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Status string `json:"status"`
-	}{"ready"})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, "body exceeds 1MiB")
-			return
-		}
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, "reading body: "+err.Error())
-		return
-	}
-	var req jobRequest
-	trimmed := strings.TrimSpace(string(body))
-	if strings.HasPrefix(trimmed, "{") {
-		if err := json.Unmarshal(body, &req); err != nil {
-			WriteError(w, http.StatusBadRequest, CodeInvalidArgument, "bad JSON envelope: "+err.Error())
-			return
-		}
-	} else {
-		req.ADL = trimmed
-	}
-	if strings.TrimSpace(req.ADL) == "" {
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument, "empty ADL source")
-		return
-	}
-
-	opts := s.jobOptions(req)
-	// The submission key is computed from the wire fields, exactly as a
-	// cluster coordinator computes it, so the completed report is
-	// peekable at GET /v1/cache/{key} under the address the coordinator
-	// already knows.
-	key := Submission{
-		ADL: req.ADL, Components: req.Components,
-		MaxStates: req.MaxStates, MaxDepth: req.MaxDepth,
-		BFS: req.BFS, IgnoreDeadlock: req.IgnoreDeadlock, PartialOrder: req.PartialOrder,
-		WeakFairness: req.WeakFairness, StrongFairness: req.StrongFairness,
-	}.Key()
-	// Trace parenting comes from the request's traceparent header, over a
-	// background context: the job must not inherit the HTTP request's
-	// cancellation, which fires as soon as the 202 is written.
-	tctx := tracing.ContextWithRemote(context.Background(), tracing.Extract(r))
-	job, err := s.submitKeyed(tctx, req.ADL, req.Components, opts, time.Duration(req.TimeoutMS)*time.Millisecond, &key, &req)
-	if err != nil {
-		WriteADLError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, s.snapshotJob(job))
-}
-
-// handleJobTrace streams one job's recorded spans as NDJSON. Spans may
-// still be arriving while the job runs; clients wanting the complete
-// trace should wait for the job first. 404 when the server runs without
-// a Tracer.
-func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "no such job")
-		return
-	}
-	snap := s.snapshotJob(job)
-	if s.tracer == nil || snap.TraceID == "" {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "tracing disabled")
-		return
-	}
-	w.Header().Set("Content-Type", tracing.NDJSONContentType)
-	tracing.WriteNDJSON(w, s.tracer.TraceHex(snap.TraceID))
-}
-
-// jobOptions overlays a submission's overrides onto the server defaults.
-func (s *Server) jobOptions(req jobRequest) checker.Options {
-	opts := s.cfg.Options
-	if req.MaxStates != nil {
-		opts.MaxStates = *req.MaxStates
-	}
-	if req.MaxDepth != nil {
-		opts.MaxDepth = *req.MaxDepth
-	}
-	if req.BFS != nil {
-		opts.BFS = *req.BFS
-	}
-	if req.IgnoreDeadlock != nil {
-		opts.IgnoreDeadlock = *req.IgnoreDeadlock
-	}
-	if req.PartialOrder != nil {
-		opts.PartialOrder = *req.PartialOrder
-	}
-	if req.WeakFairness != nil {
-		opts.WeakFairness = *req.WeakFairness
-	}
-	if req.StrongFairness != nil {
-		opts.StrongFairness = *req.StrongFairness
-	}
-	if req.Workers != nil {
-		opts.Workers = *req.Workers
-	}
-	if req.Visited != nil {
-		// Unknown storage names fall back to the server default rather
-		// than failing the job: the knob is advisory, not semantic.
-		switch *req.Visited {
-		case checker.VisitedExact, checker.VisitedCollapse:
-			opts.Storage.Visited = *req.Visited
-		}
-	}
-	if req.MemLimitBytes != nil && *req.MemLimitBytes >= 0 {
-		opts.Storage.MemLimit = *req.MemLimitBytes
-	}
-	return opts
-}
-
-// jobSummary is the GET /v1/jobs list element: everything a dashboard
-// needs without the (potentially large) verdict report.
-type jobSummary struct {
-	ID          string    `json:"id"`
-	State       JobState  `json:"state"`
-	Submitted   time.Time `json:"submitted"`
-	CacheHits   int       `json:"cache_hits"`
-	CacheMisses int       `json:"cache_misses"`
-	Workers     int       `json:"workers,omitempty"`
-	TraceID     string    `json:"trace_id,omitempty"`
-	// OK is present once the job is done.
-	OK *bool `json:"ok,omitempty"`
-}
-
-// handleJobs lists jobs in submission order with optional status
-// filtering and cursor pagination: ?status=queued|running|done,
-// ?cursor=<opaque, from the previous page's next_cursor>, ?limit=N
-// (default 100, max 1000). Evicted jobs are absent; the cursor remains
-// valid across evictions because it encodes a submission sequence
-// number, not an offset.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var filter JobState
-	switch st := q.Get("status"); st {
-	case "":
-	case string(JobQueued), string(JobRunning), string(JobDone):
-		filter = JobState(st)
-	default:
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument,
-			fmt.Sprintf("bad status %q: want queued, running, or done", st))
-		return
-	}
-	limit := 100
-	if ls := q.Get("limit"); ls != "" {
-		n, err := strconv.Atoi(ls)
-		if err != nil || n < 1 {
-			WriteError(w, http.StatusBadRequest, CodeInvalidArgument, "bad limit: "+ls)
-			return
-		}
-		limit = min(n, 1000)
-	}
-	after := 0
-	if cs := q.Get("cursor"); cs != "" {
-		n, err := strconv.Atoi(cs)
-		if err != nil || n < 0 {
-			WriteError(w, http.StatusBadRequest, CodeInvalidArgument, "bad cursor: "+cs)
-			return
-		}
-		after = n
-	}
-
-	s.mu.Lock()
-	all := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if j.seq > after && (filter == "" || j.State == filter) {
-			all = append(all, j)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	more := len(all) > limit
-	if more {
-		all = all[:limit]
-	}
-	out := struct {
-		Jobs       []jobSummary `json:"jobs"`
-		NextCursor string       `json:"next_cursor,omitempty"`
-	}{Jobs: make([]jobSummary, 0, len(all))}
-	for _, j := range all {
-		js := jobSummary{
-			ID: j.ID, State: j.State, Submitted: j.Submitted,
-			CacheHits: j.CacheHits, CacheMisses: j.CacheMisses, Workers: j.Workers,
-			TraceID: j.TraceID,
-		}
-		if j.State == JobDone && j.Report != nil {
-			ok := j.Report.OK
-			js.OK = &ok
-		}
-		out.Jobs = append(out.Jobs, js)
-	}
-	if more {
-		out.NextCursor = strconv.Itoa(all[len(all)-1].seq)
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "no such job")
-		return
-	}
-	writeJSON(w, http.StatusOK, s.snapshotJob(job))
-}
-
-func (s *Server) handleWait(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "no such job")
-		return
-	}
-	ctx := r.Context()
-	if tm := r.URL.Query().Get("timeout"); tm != "" {
-		d, err := time.ParseDuration(tm)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, CodeInvalidArgument, "bad timeout: "+err.Error())
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	if err := s.Wait(ctx, job); err != nil {
-		// Long-poll expired: report current state so clients can retry.
-		writeJSON(w, http.StatusOK, s.snapshotJob(job))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.snapshotJob(job))
-}
-
-func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
-	mh, mm := s.ModelCacheStats()
-	writeJSON(w, http.StatusOK, struct {
-		Results CacheStats `json:"results"`
-		Reports CacheStats `json:"reports"`
-		// Models keeps its PR2 shape for old clients; since PR10 it
-		// mirrors the artifact store, which Artifacts reports in full.
-		Models struct {
-			Hits   int `json:"hits"`
-			Misses int `json:"misses"`
-		} `json:"models"`
-		Artifacts artifact.Stats `json:"artifacts"`
-	}{
-		Results: s.cache.Stats(),
-		Reports: s.reports.Stats(),
-		Models: struct {
-			Hits   int `json:"hits"`
-			Misses int `json:"misses"`
-		}{mh, mm},
-		Artifacts: s.artifacts.Stats(),
-	})
-}
-
-// CachedReport is the GET /v1/cache/{key} hit body: the submission key
-// echoed back plus the completed report it addresses.
-type CachedReport struct {
-	Key    string  `json:"key"`
-	Report *Report `json:"report"`
-}
-
-// handleCachePeek answers "has this node already completed exactly this
-// submission?" — the worker-side read path of the cluster result cache.
-// The key is a Submission.Key in hex; a miss is an enveloped 404, so a
-// coordinator can treat it exactly like an unknown job id.
-func (s *Server) handleCachePeek(w http.ResponseWriter, r *http.Request) {
-	raw := r.PathValue("key")
-	b, err := hex.DecodeString(raw)
-	if err != nil || len(b) != sha256.Size {
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument,
-			"cache key must be 64 hex characters")
-		return
-	}
-	var key CacheKey
-	copy(key[:], b)
-	rep, ok := s.reports.Get(key)
-	if !ok {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "no cached report for key "+raw)
-		return
-	}
-	writeJSON(w, http.StatusOK, CachedReport{Key: raw, Report: rep})
-}
-
-// handleArtifactPeek answers "does this node hold this compiled
-// module?" — the artifact-store sibling of handleCachePeek. The hash is
-// a model.ModuleFingerprint in hex; a hit returns the artifact's
-// envelope (hash, kind, name, deps, canonical source), a miss an
-// enveloped 404. A cluster coordinator fans this peek across its fleet
-// so any node's compilation work is visible cluster-wide.
-func (s *Server) handleArtifactPeek(w http.ResponseWriter, r *http.Request) {
-	h, err := artifact.ParseHash(r.PathValue("hash"))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeInvalidArgument,
-			"artifact hash must be 64 hex characters")
-		return
-	}
-	body, ok := s.artifacts.Peek(h)
-	if !ok {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "no artifact for hash "+h.String())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-// handleCheckpointPeek serves a live search checkpoint file to a
-// cluster replica resuming this node's job. 404 on a memory-only server
-// and once the search has delivered a verdict (the checkpoint is
-// removed with it) — the replica then searches from scratch, which is
-// always correct. CheckpointFileName sanitizes the key, so the path
-// cannot escape the checkpoint dir.
-func (s *Server) handleCheckpointPeek(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if s.ckptDir == "" {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "server runs without a data dir")
-		return
-	}
-	f, err := os.Open(filepath.Join(s.ckptDir, checker.CheckpointFileName(key)))
-	if err != nil {
-		WriteError(w, http.StatusNotFound, CodeNotFound, "no checkpoint for key "+key)
-		return
-	}
-	defer f.Close()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	io.Copy(w, f)
-}

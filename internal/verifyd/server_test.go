@@ -214,7 +214,7 @@ func TestServiceHTTP(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	env, _ := json.Marshal(jobRequest{
+	env, _ := json.Marshal(JobRequest{
 		ADL:        loadExample(t, "bridge.pnp"),
 		Components: bridgeComponents(t),
 	})

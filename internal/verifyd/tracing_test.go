@@ -204,3 +204,31 @@ func TestTraceDisabled(t *testing.T) {
 		t.Fatalf("trace endpoint status = %d, want 404", rw.Code)
 	}
 }
+
+// TestReplayedJobHasNoTrace: a job re-registered from the journal ran in
+// an earlier process, so even on a traced server it carries no TraceID
+// and its trace endpoint 404s rather than streaming an empty body.
+func TestReplayedJobHasNoTrace(t *testing.T) {
+	dataDir := t.TempDir()
+	s1, err := OpenServer(Config{Workers: 1, DataDir: dataDir, Tracer: tracing.NewRecorder(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s1.Handler())
+	id := submitHTTP(t, ts.URL, JobRequest{ADL: loadExample(t, "pingpong.pnp"), Components: pingpongComponents(t)})
+	job, _ := s1.Job(id)
+	waitDone(t, s1, job)
+	ts.Close()
+	shutdownServer(t, s1)
+
+	s2, err := OpenServer(Config{Workers: 1, DataDir: dataDir, Tracer: tracing.NewRecorder(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownServer(t, s2)
+	rw := httptest.NewRecorder()
+	s2.Handler().ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/trace", nil))
+	if rw.Code != http.StatusNotFound || !strings.Contains(rw.Body.String(), CodeNotFound) {
+		t.Fatalf("replayed job's trace = %d %s, want the 404 envelope", rw.Code, rw.Body)
+	}
+}

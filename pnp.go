@@ -386,8 +386,9 @@ type (
 	// SweepResult aggregates a sweep's cells with dedup and cache
 	// counters; Ranked orders cells best-first.
 	SweepResult = sweep.Result
-	// SweepService serves sweeps over HTTP on top of a VerifyServer
-	// (POST /v1/sweeps, streaming NDJSON results).
+	// SweepService runs sweeps in the background of a verification
+	// service and keeps them queryable — the sweep routes of the v1 API
+	// are served from it.
 	SweepService = sweep.Service
 )
 
@@ -443,8 +444,9 @@ type (
 func NewHashRing(replicas int) *HashRing { return cluster.NewRing(replicas) }
 
 // Service entry point. Serve assembles everything a pnpd process serves
-// — the verification server, the sweep routes layered over it, or a
-// cluster coordinator — behind one handler and one ordered shutdown.
+// — one v1 route table and one sweep service, over a local verification
+// server or a cluster coordinator — behind one handler and one ordered
+// shutdown.
 
 // ServeOptions selects and parameterizes the service Serve assembles.
 // Zero value: a memory-only single-node verification service with
@@ -460,14 +462,15 @@ type ServeOptions struct {
 	Cluster *ClusterConfig
 }
 
-// Service is a running verification service assembled by Serve: either
-// a verification server with sweep routes, or a cluster coordinator.
-// Mount Handler on an http.Server and call Shutdown to drain.
+// Service is a running verification service assembled by Serve: the v1
+// surface over either a local verification server or a cluster
+// coordinator. Mount Handler on an http.Server and call Shutdown to
+// drain.
 type Service struct {
-	srv   *VerifyServer
-	swp   *SweepService
-	coord *Coordinator
-	h     http.Handler
+	srv    *VerifyServer
+	swp    *SweepService
+	coord  *Coordinator
+	routes []verifyd.Route
 }
 
 // Serve builds and starts the service described by opts. The returned
@@ -479,19 +482,24 @@ func Serve(opts ServeOptions) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Service{coord: coord, h: coord.Handler()}, nil
+		swp := coord.Sweeps()
+		return &Service{coord: coord, swp: swp, routes: verifyd.Routes(coord, swp.Routes()...)}, nil
 	}
 	srv, err := verifyd.OpenServer(opts.Verify)
 	if err != nil {
 		return nil, err
 	}
-	swp := sweep.NewService(srv, srv.Options(), opts.Verify.Registry)
-	return &Service{srv: srv, swp: swp, h: swp.Handler(srv.Handler())}, nil
+	swp := sweep.NewService(sweep.Local(srv), opts.Verify.Registry)
+	return &Service{srv: srv, swp: swp, routes: verifyd.Routes(srv, swp.Routes()...)}, nil
 }
+
+// Routes is the service's route table — what Handler serves, as data
+// (docs/API.md is checked against it).
+func (s *Service) Routes() []verifyd.Route { return s.routes }
 
 // Handler is the service's complete HTTP API (jobs, sweeps, artifacts,
 // health, metrics routes as configured).
-func (s *Service) Handler() http.Handler { return s.h }
+func (s *Service) Handler() http.Handler { return verifyd.NewHandler(s.routes) }
 
 // Shutdown drains the service: new submissions get 503 while in-flight
 // work finishes (bounded by ctx), in the right order — the job queue
@@ -513,7 +521,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // coordinator mode.
 func (s *Service) VerifyServer() *VerifyServer { return s.srv }
 
-// SweepService returns the sweep layer, nil in coordinator mode.
+// SweepService returns the sweep service. Both modes have one — the
+// same engine, running cells on the local server or on the fleet.
 func (s *Service) SweepService() *SweepService { return s.swp }
 
 // Coordinator returns the cluster coordinator, nil in single-node mode.
