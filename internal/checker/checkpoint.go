@@ -210,12 +210,14 @@ func (ck *checkpointer) snapshot(depth int, frontier []parNode, r *parRunner, st
 		w.framed(batch.Bytes())
 	}
 	const frontierBatch = 1 << 16
+	var enc []byte
 	for off := 0; off < len(frontier); off += frontierBatch {
 		end := min(off+frontierBatch, len(frontier))
 		batch.Reset()
 		batch.WriteByte(ckptSectionFrontier)
 		for i := off; i < end; i++ {
-			appendEntry(&batch, frontier[i].st.Key())
+			enc = frontier[i].st.AppendKey(enc[:0])
+			appendEntry(&batch, enc)
 		}
 		w.framed(batch.Bytes())
 	}

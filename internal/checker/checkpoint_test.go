@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pnp/internal/model"
@@ -87,7 +88,8 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 }
 
 // A violation behind the snapshot point is still found on resume, with
-// the same kind and counterexample length as the uninterrupted search.
+// the same kind and counterexample length as the uninterrupted search —
+// and, when both runs have one worker, the very same last steps.
 func TestCheckpointResumeFindsViolation(t *testing.T) {
 	src := ckptSrc + `
 active proctype R() { (a == 50 && b == 2) -> assert(false) }`
@@ -95,41 +97,60 @@ active proctype R() { (a == 50 && b == 2) -> assert(false) }`
 	if full.OK || full.Trace == nil {
 		t.Fatalf("baseline should find the assertion: %s", full.Summary())
 	}
+	for _, w := range []struct{ snap, resume int }{{1, 1}, {2, 8}} {
+		stolen := violationSnapshot(t, src, Options{Workers: w.snap}, 20)
+		rdir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(rdir, CheckpointFileName("v")), stolen, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resumed := New(sysFromSource(t, src), Options{Workers: w.resume, Durability: &DurabilityOptions{
+			Dir: rdir, Key: "v", Resume: true,
+		}}).CheckSafety()
+		if resumed.OK || resumed.Kind != full.Kind {
+			t.Fatalf("workers %d->%d: resumed: %s, want %s", w.snap, w.resume, resumed.Summary(), full.Kind)
+		}
+		if !statsEqualIgnoringElapsed(resumed.Stats, full.Stats) {
+			t.Errorf("workers %d->%d: resumed stats %+v, uninterrupted %+v", w.snap, w.resume, resumed.Stats, full.Stats)
+		}
+		assertResumedTrace(t, full, resumed, 20, w.resume == 1)
+	}
+}
 
-	dir := t.TempDir()
-	sys := sysFromSource(t, src)
+// violationSnapshot runs a checkpointed search of src that must find a
+// violation and returns the snapshot it wrote at depth.
+func violationSnapshot(t *testing.T, src string, opts Options, depth int) []byte {
+	t.Helper()
 	var stolen []byte
-	res := New(sys, Options{Workers: 2, Durability: &DurabilityOptions{
-		Dir: dir, Key: "v", Interval: 1,
+	opts.Durability = &DurabilityOptions{
+		Dir: t.TempDir(), Key: "v", Interval: 1,
 		OnWrite: func(file string, d, states int) {
-			if d == 20 {
+			if d == depth {
 				stolen, _ = os.ReadFile(file)
 			}
 		},
-	}}).CheckSafety()
+	}
+	res := New(sysFromSource(t, src), opts).CheckSafety()
 	if res.OK || len(stolen) == 0 {
-		t.Fatalf("expected violation and a depth-20 snapshot: %s", res.Summary())
+		t.Fatalf("expected violation and a depth-%d snapshot: %s", depth, res.Summary())
 	}
+	return stolen
+}
 
-	rdir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(rdir, CheckpointFileName("v")), stolen, 0o644); err != nil {
-		t.Fatal(err)
+// assertResumedTrace checks a counterexample resumed from a snapshot at
+// depth against the uninterrupted one: it starts at the checkpoint
+// frontier, so it covers only the levels explored after the resume. With
+// sameSteps (one worker on both sides, which keeps the frontier in the
+// uninterrupted run's order) it must be exactly that run's last steps;
+// otherwise same-level parents may be chosen differently, so only the
+// length is fixed.
+func assertResumedTrace(t *testing.T, full, resumed *Result, depth int, sameSteps bool) {
+	t.Helper()
+	if resumed.Trace == nil || resumed.Trace.Len() != full.Trace.Len()-depth {
+		t.Fatalf("resumed counterexample length %d, want %d (full %d minus %d checkpointed levels)",
+			resumed.Trace.Len(), full.Trace.Len()-depth, full.Trace.Len(), depth)
 	}
-	resumed := New(sysFromSource(t, src), Options{Workers: 8, Durability: &DurabilityOptions{
-		Dir: rdir, Key: "v", Resume: true,
-	}}).CheckSafety()
-	if resumed.OK || resumed.Kind != full.Kind {
-		t.Fatalf("resumed: %s, want %s", resumed.Summary(), full.Kind)
-	}
-	if !statsEqualIgnoringElapsed(resumed.Stats, full.Stats) {
-		t.Errorf("resumed stats %+v, uninterrupted %+v", resumed.Stats, full.Stats)
-	}
-	// The resumed counterexample starts at the checkpoint frontier: its
-	// prefix covers only the levels explored after the resume.
-	wantLen := full.Trace.Len() - 20
-	if resumed.Trace == nil || resumed.Trace.Len() != wantLen {
-		t.Errorf("resumed counterexample length %d, want %d (full %d minus 20 checkpointed levels)",
-			resumed.Trace.Len(), wantLen, full.Trace.Len())
+	if sameSteps && (!reflect.DeepEqual(resumed.Trace.Prefix, full.Trace.Prefix[depth:]) || resumed.Trace.Final != full.Trace.Final) {
+		t.Errorf("resumed counterexample\n%s\nis not the tail of\n%s", resumed.Trace, full.Trace)
 	}
 }
 

@@ -26,11 +26,13 @@ import (
 // barrier (see bestProblem) instead of racing to report first.
 
 // parNode is one frontier entry. parent indexes the previous level's
-// slice (-1 at the root); in is the transition that produced the node.
+// slice (-1 in levels[0]); idx is the position of the transition that
+// produced the node in its parent's deterministic SuccessorsAppend
+// order. st is nil once the node's level is retired (see advance):
+// counterexamples are replayed from levels[0], not read off the nodes.
 type parNode struct {
-	st     *model.State
-	parent int32
-	in     model.Transition
+	st          *model.State
+	parent, idx int32
 }
 
 // parProblem is one violation candidate found while working a level.
@@ -43,7 +45,6 @@ type parProblem struct {
 	trIdx int
 	kind  ViolationKind
 	msg   string
-	tr    model.Transition
 }
 
 // parWorker is the per-goroutine scratch: a state arena, a reusable key
@@ -241,23 +242,42 @@ func bestProblem(cur []parNode, problems []parProblem) *parProblem {
 	return best
 }
 
-// parTrace rebuilds the path to levels[depth][node], optionally
-// appending one extra (violating) transition.
-func (c *Checker) parTrace(levels [][]parNode, depth, node int, extra *model.Transition) *trace.Trace {
-	var rev []trace.Event
-	for li, ni := depth, node; li > 0; li-- {
-		n := &levels[li][ni]
-		rev = append(rev, eventOf(c.sys, n.in))
-		ni = int(n.parent)
+// parTrace rebuilds the path to levels[depth][node] by replaying the
+// recorded successor indices from its ancestor in levels[0], then, when
+// trIdx >= 0, appends the node's violating transition trIdx.
+func (c *Checker) parTrace(levels [][]parNode, depth, node, trIdx int) *trace.Trace {
+	idxs := make([]int, depth, depth+1)
+	for li := depth; li > 0; li-- {
+		n := &levels[li][node]
+		idxs[li-1] = int(n.idx)
+		node = int(n.parent)
 	}
+	if trIdx >= 0 {
+		idxs = append(idxs, trIdx)
+	}
+	st := levels[0][node].st
 	t := &trace.Trace{}
-	for k := len(rev) - 1; k >= 0; k-- {
-		t.Prefix = append(t.Prefix, rev[k])
-	}
-	if extra != nil {
-		t.Prefix = append(t.Prefix, eventOf(c.sys, *extra))
+	for _, i := range idxs {
+		tr := c.sys.Successors(st)[i]
+		t.Prefix = append(t.Prefix, eventOf(c.sys, tr))
+		st = tr.Next
 	}
 	return t
+}
+
+// advance appends the collected level next to levels and retires the
+// level it was expanded from, levels[li], unless that is levels[0]:
+// every later read of it goes through parTrace's replay. Its states go
+// to the worker arenas, whose next clones reuse their outer arrays, so
+// the search holds two levels of states, not all of them.
+func (r *parRunner) advance(levels [][]parNode, li int, next []parNode) [][]parNode {
+	if li > 0 {
+		for i := range levels[li] {
+			r.workers[i%len(r.workers)].arena.Recycle(levels[li][i].st)
+			levels[li][i].st = nil
+		}
+	}
+	return append(levels, next)
 }
 
 // expand is the per-node work of one level: generate the successors of
@@ -282,8 +302,7 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, i int, safety bool) {
 		if tr.Violation != "" {
 			if safety {
 				w.problems = append(w.problems, parProblem{
-					node: i, trIdx: ti, kind: violationKind(tr.Violation),
-					msg: tr.Violation, tr: tr,
+					node: i, trIdx: ti, kind: violationKind(tr.Violation), msg: tr.Violation,
 				})
 			}
 			continue
@@ -299,7 +318,7 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, i int, safety bool) {
 			r.abortLimit()
 			return
 		}
-		w.next = append(w.next, parNode{st: tr.Next, parent: int32(i), in: tr})
+		w.next = append(w.next, parNode{st: tr.Next, parent: int32(i), idx: int32(ti)})
 	}
 }
 
@@ -336,7 +355,7 @@ func (r *parRunner) scanTarget(levels [][]parNode, li int, target pml.RExpr, res
 	}
 	if p := bestProblem(cur, sats); p != nil {
 		res.OK = true
-		res.Trace = r.c.parTrace(levels, li, p.node, nil)
+		res.Trace = r.c.parTrace(levels, li, p.node, -1)
 		res.Trace.Final = "target state reached"
 		return true
 	}
@@ -408,11 +427,7 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 			res.OK = false
 			res.Kind = p.kind
 			res.Message = p.msg
-			var extra *model.Transition
-			if p.trIdx >= 0 {
-				extra = &p.tr
-			}
-			res.Trace = c.parTrace(levels, li, p.node, extra)
+			res.Trace = c.parTrace(levels, li, p.node, p.trIdx)
 			res.Trace.Final = p.msg
 			return res
 		}
@@ -424,7 +439,7 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 			return res
 		}
 		ck.maybeSnapshot(depth+1, next, r, &res.Stats)
-		levels = append(levels, next)
+		levels = r.advance(levels, li, next)
 	}
 	if !safety {
 		res.Message = "target state is unreachable"

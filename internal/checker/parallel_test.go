@@ -409,6 +409,38 @@ func TestEventuallyReachableMaxStatesClamp(t *testing.T) {
 
 // --- sharded visited set ---
 
+// The level engine holds two levels of states: once level d+1 is
+// collected, levels 1..d keep only the parent/idx links counterexamples
+// are replayed along, and levels[0] keeps its states to replay from.
+func TestLevelsRetiredAfterNextLevelCollected(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		c := New(sysFromSource(t, parOKSrc), Options{Workers: w})
+		r := c.newParRunner("test")
+		levels := r.seedRoot()
+		res := &Result{}
+		for li := 0; len(levels[li]) > 0; li++ {
+			cur := levels[li]
+			r.runLevel(len(cur), func(w *parWorker, i int) { w.expand(r, cur, i, true) })
+			next, _ := r.collect(res)
+			levels = r.advance(levels, li, next)
+			for d := 1; d <= li; d++ {
+				for i, n := range levels[d] {
+					if n.st != nil {
+						t.Fatalf("workers=%d: level %d collected, node %d of level %d still holds its state", w, li+1, i, d)
+					}
+				}
+			}
+			if levels[0][0].st == nil {
+				t.Fatalf("workers=%d: the root level was retired", w)
+			}
+		}
+		r.close()
+		if len(levels) < 10 {
+			t.Fatalf("workers=%d: only %d levels; model too shallow for the test", w, len(levels))
+		}
+	}
+}
+
 func encOf(i int) []byte {
 	return []byte(fmt.Sprintf("state-%d-%s", i, "padding-to-make-keys-nontrivial"))
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"pnp/internal/model"
 )
 
 // randomProgram generates a small well-formed pml program: a few
@@ -102,6 +104,45 @@ func TestRandomProgramsVerdictAgreement(t *testing.T) {
 			if !dfs.OK && par.Trace.Len() != bfs.Trace.Len() {
 				t.Fatalf("program %d: counterexample length %d at Workers=%d, %d under BFS\n%s",
 					i, par.Trace.Len(), w, bfs.Trace.Len(), src)
+			}
+		}
+	}
+}
+
+// TestRandomProgramsSuccessorsLeaveParentsUnchanged: successors share
+// their parents' inner slices (model.State is copy-on-write), so after a
+// whole breadth-first exploration with a recycling arena every stored
+// state must still encode as it did when it was stored.
+func TestRandomProgramsSuccessorsLeaveParentsUnchanged(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	for i := 0; i < 60; i++ {
+		src := randomProgram(r) + drainer
+		s := sysFromSource(t, src)
+		a := &model.Arena{}
+		init := s.InitialState()
+		stored := []*model.State{init}
+		keys := []string{string(init.AppendKey(nil))}
+		seen := map[string]bool{keys[0]: true}
+		var trs []model.Transition
+		for next := 0; next < len(stored); next++ {
+			trs = s.SuccessorsAppend(stored[next], a, trs[:0])
+			for _, tr := range trs {
+				if tr.Violation != "" {
+					continue
+				}
+				k := string(tr.Next.AppendKey(nil))
+				if seen[k] {
+					a.Recycle(tr.Next)
+					continue
+				}
+				seen[k] = true
+				stored = append(stored, tr.Next)
+				keys = append(keys, k)
+			}
+		}
+		for j, st := range stored {
+			if string(st.AppendKey(nil)) != keys[j] {
+				t.Fatalf("program %d: state %d of %d changed after it was stored\n%s", i, j, len(stored), src)
 			}
 		}
 	}

@@ -262,7 +262,8 @@ func TestCheckpointResumeAcrossStorageModes(t *testing.T) {
 }
 
 // A violation past the snapshot point is found on resume with the same
-// counterexample length, spill active on both sides of the restart.
+// counterexample length (the same last steps at one worker), spill
+// active on both sides of the restart.
 func TestCheckpointResumeSpilledFindsViolation(t *testing.T) {
 	src := ckptSrc + `
 active proctype R() { (a == 50 && b == 2) -> assert(false) }`
@@ -270,36 +271,22 @@ active proctype R() { (a == 50 && b == 2) -> assert(false) }`
 	if full.OK || full.Trace == nil {
 		t.Fatalf("baseline should find the assertion: %s", full.Summary())
 	}
-	dir := t.TempDir()
-	var stolen []byte
-	opts := ckptStorageOptions(t, Options{Workers: 2, Durability: &DurabilityOptions{
-		Dir: dir, Key: "v", Interval: 1,
-		OnWrite: func(file string, d, states int) {
-			if d == 20 {
-				stolen, _ = os.ReadFile(file)
-			}
-		},
-	}}, "collapse-spill")
-	res := New(sysFromSource(t, src), opts).CheckSafety()
-	if res.OK || len(stolen) == 0 {
-		t.Fatalf("expected violation and a depth-20 snapshot: %s", res.Summary())
-	}
-
-	rdir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(rdir, CheckpointFileName("v")), stolen, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ropts := ckptStorageOptions(t, Options{Workers: 8, Durability: &DurabilityOptions{
-		Dir: rdir, Key: "v", Resume: true,
-	}}, "collapse-spill")
-	resumed := New(sysFromSource(t, src), ropts).CheckSafety()
-	if resumed.OK || resumed.Kind != full.Kind {
-		t.Fatalf("resumed: %s, want %s", resumed.Summary(), full.Kind)
-	}
-	if !statsEqualIgnoringElapsed(resumed.Stats, full.Stats) {
-		t.Errorf("resumed stats %+v, uninterrupted %+v", resumed.Stats, full.Stats)
-	}
-	if wantLen := full.Trace.Len() - 20; resumed.Trace == nil || resumed.Trace.Len() != wantLen {
-		t.Errorf("resumed counterexample length %d, want %d", resumed.Trace.Len(), wantLen)
+	for _, w := range []struct{ snap, resume int }{{1, 1}, {2, 8}} {
+		stolen := violationSnapshot(t, src, ckptStorageOptions(t, Options{Workers: w.snap}, "collapse-spill"), 20)
+		rdir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(rdir, CheckpointFileName("v")), stolen, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ropts := ckptStorageOptions(t, Options{Workers: w.resume, Durability: &DurabilityOptions{
+			Dir: rdir, Key: "v", Resume: true,
+		}}, "collapse-spill")
+		resumed := New(sysFromSource(t, src), ropts).CheckSafety()
+		if resumed.OK || resumed.Kind != full.Kind {
+			t.Fatalf("workers %d->%d: resumed: %s, want %s", w.snap, w.resume, resumed.Summary(), full.Kind)
+		}
+		if !statsEqualIgnoringElapsed(resumed.Stats, full.Stats) {
+			t.Errorf("workers %d->%d: resumed stats %+v, uninterrupted %+v", w.snap, w.resume, resumed.Stats, full.Stats)
+		}
+		assertResumedTrace(t, full, resumed, 20, w.resume == 1)
 	}
 }

@@ -1,9 +1,16 @@
 package model
 
-// Hash64 is FNV-1a 64 over b — the hash State.Fingerprint streams over
-// the canonical encoding, exported so every package hashing encodings
-// (visited sets, checkpoint identity, spill indexes) agrees on one
-// implementation: Hash64(st.AppendKey(nil)) == st.Fingerprint().
+// FNV-1a 64 parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Hash64 is FNV-1a 64 over b — the one hash of canonical state
+// encodings (Hash64(st.AppendKey(nil))), exported so every package
+// hashing encodings (visited sets, checkpoint identity, spill indexes)
+// agrees on one implementation. Equal states always hash equally;
+// distinct states collide with probability ~2^-64.
 func Hash64(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(b); i++ {

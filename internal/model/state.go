@@ -9,8 +9,13 @@ import (
 // stores of every process, global variables, channel contents, and the
 // identity of the process holding atomic control (-1 for none).
 //
-// States are treated as immutable once created; successor generation
-// always works on copies.
+// States are immutable once created, and successors are copy-on-write:
+// a successor owns its PCs, Globals and the outer Locals/Chans arrays,
+// but shares every inner slice (one process's locals, one channel's
+// contents) with its parent until a transition writes it. A writer
+// replaces the one inner slice it changes with a fresh copy; no inner
+// slice is ever written in place or appended into, because siblings,
+// the parent and its ancestors may all be reading the same array.
 type State struct {
 	PCs     []int32
 	Locals  [][]int64
@@ -28,46 +33,33 @@ type State struct {
 	key atomic.Pointer[string]
 }
 
-// clone deep-copies the state (without the memoized key: the copy is
-// about to be mutated). A non-nil arena recycles the storage of
-// previously discarded states.
+// clone copies the state's own arrays and shares its inner slices (see
+// State), without the memoized key: the copy is about to be mutated. A
+// non-nil arena recycles the outer arrays of previously discarded states.
 func (st *State) clone(a *Arena) *State {
 	n := a.take()
 	n.PCs = append(n.PCs[:0], st.PCs...)
 	n.Globals = append(n.Globals[:0], st.Globals...)
+	n.Locals = append(n.Locals[:0], st.Locals...)
+	n.Chans = append(n.Chans[:0], st.Chans...)
 	n.Atomic = st.Atomic
-	if cap(n.Locals) < len(st.Locals) {
-		n.Locals = make([][]int64, len(st.Locals))
-	} else {
-		n.Locals = n.Locals[:len(st.Locals)]
-	}
-	for i, l := range st.Locals {
-		n.Locals[i] = append(n.Locals[i][:0], l...)
-	}
-	if cap(n.Chans) < len(st.Chans) {
-		n.Chans = make([][]int64, len(st.Chans))
-	} else {
-		n.Chans = n.Chans[:len(st.Chans)]
-	}
-	for i, c := range st.Chans {
-		n.Chans[i] = append(n.Chans[i][:0], c...)
-	}
 	return n
 }
 
 // Arena recycles successor-generation scratch for one explorer worker:
-// states discarded as duplicates hand their slice storage back, so the
-// next clone allocates nothing. An Arena must not be shared between
-// goroutines; a nil *Arena disables recycling (every clone allocates
-// fresh storage).
+// states discarded as duplicates, or retired once nothing reads them,
+// hand back their State and outer arrays, so the next clone allocates
+// none of them. Inner slices are never reused: other states may share
+// them. An Arena must not be shared between goroutines; a nil *Arena
+// disables recycling (every clone allocates fresh storage).
 type Arena struct {
 	free []*State
 }
 
 // Recycle returns a discarded state's storage to the arena. The caller
 // must hold the only reference: recycle states it just rejected (for
-// example a successor whose key was already in the visited set), never
-// states stored in a frontier, visited structure, or trace.
+// example a successor whose key was already in the visited set) or
+// states no frontier, visited structure, or trace still reads.
 func (a *Arena) Recycle(st *State) {
 	if a == nil || st == nil {
 		return
@@ -133,46 +125,4 @@ func (st *State) AppendKey(buf []byte) []byte {
 		}
 	}
 	return buf
-}
-
-// FNV-1a parameters for Fingerprint.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// Fingerprint returns the 64-bit FNV-1a hash of the canonical encoding
-// without materializing it — equal states always fingerprint equally,
-// distinct states collide with probability ~2^-64. The parallel checker
-// uses it to route states to visited-set shards before (and usually
-// instead of) building the full key.
-func (st *State) Fingerprint() uint64 {
-	h := uint64(fnvOffset64)
-	var tmp [binary.MaxVarintLen64]byte
-	mix := func(v int64) {
-		n := binary.PutVarint(tmp[:], v)
-		for i := 0; i < n; i++ {
-			h = (h ^ uint64(tmp[i])) * fnvPrime64
-		}
-	}
-	mix(int64(st.Atomic))
-	for _, pc := range st.PCs {
-		mix(int64(pc))
-	}
-	for _, g := range st.Globals {
-		mix(g)
-	}
-	for _, l := range st.Locals {
-		mix(int64(len(l)))
-		for _, v := range l {
-			mix(v)
-		}
-	}
-	for _, c := range st.Chans {
-		mix(int64(len(c)))
-		for _, v := range c {
-			mix(v)
-		}
-	}
-	return h
 }

@@ -89,8 +89,8 @@ func TestAppendKeyAndFingerprintMatchKey(t *testing.T) {
 		if string(buf) != "prefix-"+key {
 			t.Fatalf("AppendKey did not append to prefix")
 		}
-		if fp := st.Fingerprint(); fp != fnvOf([]byte(key)) {
-			t.Fatalf("Fingerprint %x != fnv(Key) %x", fp, fnvOf([]byte(key)))
+		if fp := Hash64([]byte(key)); fp != fnvOf([]byte(key)) {
+			t.Fatalf("Hash64(Key) %x != fnv(Key) %x", fp, fnvOf([]byte(key)))
 		}
 		checked++
 		for _, tr := range s.Successors(st) {
@@ -122,7 +122,7 @@ func TestSuccessorsAppendWithArenaMatchesSuccessors(t *testing.T) {
 	}
 }
 
-// TestConcurrentStateAccess races Key/AppendKey/Fingerprint memoization
+// TestConcurrentStateAccess races Key/AppendKey memoization
 // and per-worker arena successor generation over shared states; run
 // under -race it pins the State.Key concurrency contract.
 func TestConcurrentStateAccess(t *testing.T) {
@@ -167,8 +167,8 @@ func TestConcurrentStateAccess(t *testing.T) {
 						t.Errorf("racy AppendKey mismatch")
 						return
 					}
-					if st.Fingerprint() != fnvOf(buf) {
-						t.Errorf("racy Fingerprint mismatch")
+					if Hash64(buf) != fnvOf([]byte(want[i])) {
+						t.Errorf("racy Hash64 mismatch")
 						return
 					}
 					out = s.SuccessorsAppend(st, a, out[:0])

@@ -116,22 +116,25 @@ func (s *System) AmpleSuccessors(st *State) ([]Transition, bool) {
 // Else edges fire only when no sibling edge is executable.
 func (s *System) procSuccessors(st *State, p int, tmo bool, a *Arena, out []Transition) []Transition {
 	node := &s.insts[p].Proc.Nodes[st.PCs[p]]
-	anyEnabled := false
+	hasElse := false
 	for ei := range node.Edges {
 		e := &node.Edges[ei]
 		if e.Kind == pml.EdgeElse {
+			hasElse = true
 			continue
-		}
-		// A rendezvous receive is enabled when a matching sender is ready
-		// but fires via the sender's pairing, so enabledness must be
-		// checked independently of whether this side produced transitions.
-		if s.edgeEnabled(st, p, e, tmo) {
-			anyEnabled = true
 		}
 		out = s.execEdge(st, p, e, tmo, a, out)
 	}
-	if anyEnabled {
+	if !hasElse {
 		return out
+	}
+	// A rendezvous receive is enabled when a matching sender is ready but
+	// fires via the sender's pairing, so enabledness is checked on its
+	// own rather than read off the transitions produced above.
+	for ei := range node.Edges {
+		if e := &node.Edges[ei]; e.Kind != pml.EdgeElse && s.edgeEnabled(st, p, e, tmo) {
+			return out
+		}
 	}
 	for ei := range node.Edges {
 		e := &node.Edges[ei]
@@ -183,7 +186,7 @@ func (s *System) execEdge(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 			ref.Idx += int(i)
 		}
 		next := st.clone(a)
-		storeVar(next, p, ref, v)
+		storeVar(next, p, ref, v, false)
 		next.PCs[p] = int32(e.Dst)
 		s.normalizeAtomic(next, p)
 		return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: -1, Next: next})
@@ -217,9 +220,11 @@ func (s *System) execSend(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 	}
 	next := st.clone(a)
 	if e.Sorted {
-		next.Chans[id] = sortedInsert(next.Chans[id], vals, w)
+		next.Chans[id] = sortedInsert(st.Chans[id], vals, w)
 	} else {
-		next.Chans[id] = append(next.Chans[id], vals...)
+		// A fresh array: st's contents are shared (see State).
+		buf := make([]int64, 0, len(st.Chans[id])+len(vals))
+		next.Chans[id] = append(append(buf, st.Chans[id]...), vals...)
 	}
 	next.PCs[p] = int32(e.Dst)
 	s.normalizeAtomic(next, p)
@@ -280,8 +285,12 @@ func (s *System) execRecv(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 	if e.Random {
 		limit = n
 	}
+	buf := st.Chans[id]
 	for i := 0; i < limit; i++ {
-		msg := st.Chans[id][i*w : (i+1)*w]
+		// msg and the head-of-queue remainder alias buf, which no state
+		// ever writes (see State); a receive from the middle needs a fresh
+		// array.
+		msg := buf[i*w : (i+1)*w]
 		ok, err := s.patternMatches(st, p, e.RecvArgs, msg, tmo)
 		if err != nil {
 			return append(out, s.violate(st, p, e, err.Error()))
@@ -289,13 +298,17 @@ func (s *System) execRecv(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 		if !ok {
 			continue
 		}
-		vals := append([]int64(nil), msg...)
 		next := st.clone(a)
-		applyBinds(next, p, e.RecvArgs, vals)
-		next.Chans[id] = append(next.Chans[id][:i*w], next.Chans[id][(i+1)*w:]...)
+		applyBinds(next, p, e.RecvArgs, msg)
+		if i == 0 {
+			next.Chans[id] = buf[w:]
+		} else {
+			rest := make([]int64, 0, len(buf)-w)
+			next.Chans[id] = append(append(rest, buf[:i*w]...), buf[(i+1)*w:]...)
+		}
 		next.PCs[p] = int32(e.Dst)
 		s.normalizeAtomic(next, p)
-		return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: ChanID(id), Msg: vals, Next: next})
+		return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: ChanID(id), Msg: msg, Next: next})
 	}
 	return out
 }
@@ -320,23 +333,32 @@ func (s *System) patternMatches(st *State, p int, args []pml.RRecvArg, vals []in
 }
 
 // applyBinds stores message fields into bind targets, truncating to the
-// target variable's type.
+// target variable's type; p's locals are copied at most once.
 func applyBinds(st *State, p int, args []pml.RRecvArg, vals []int64) {
+	owned := false
 	for i, a := range args {
 		if a.Kind != pml.RArgBind {
 			continue
 		}
-		storeVar(st, p, a.Var, vals[i])
+		owned = storeVar(st, p, a.Var, vals[i], owned)
 	}
 }
 
-func storeVar(st *State, p int, ref pml.VarRef, v int64) {
+// storeVar writes v to ref in st, a fresh clone. A local write first
+// replaces p's locals, which st shares with its parent (see State), by
+// a private copy unless owned says this transition already made one. It
+// reports whether p's locals are now private.
+func storeVar(st *State, p int, ref pml.VarRef, v int64, owned bool) bool {
 	v = ref.Type.Truncate(v)
 	if ref.Global {
 		st.Globals[ref.Idx] = v
-	} else {
-		st.Locals[p][ref.Idx] = v
+		return owned
 	}
+	if !owned {
+		st.Locals[p] = append([]int64(nil), st.Locals[p]...)
+	}
+	st.Locals[p][ref.Idx] = v
+	return true
 }
 
 // sortedInsert inserts msg into buf (flattened messages of width w) before
@@ -465,7 +487,7 @@ func (s *System) edgeEnabled(st *State, p int, e *pml.Edge, tmo bool) bool {
 			w := len(shape.fields)
 			return len(st.Chans[id])/w < shape.cap
 		}
-		return len(s.rendezvousPartners(st, p, e, id, tmo)) > 0
+		return s.rendezvousReceiverReady(st, p, e, id, tmo)
 	case pml.EdgeRecv:
 		id := s.resolveChanFor(s.insts[p], e.Ch)
 		shape := &s.shapes[id]
@@ -493,19 +515,18 @@ func (s *System) edgeEnabled(st *State, p int, e *pml.Edge, tmo bool) bool {
 	}
 }
 
-// rendezvousPartners lists the pids currently offering a matching receive
-// for a rendezvous send.
-func (s *System) rendezvousPartners(st *State, p int, e *pml.Edge, id int, tmo bool) []int {
+// rendezvousReceiverReady reports whether some other process offers a
+// receive matching p's rendezvous send on channel id.
+func (s *System) rendezvousReceiverReady(st *State, p int, e *pml.Edge, id int, tmo bool) bool {
 	ev := env{s: s, st: st, proc: p, tmo: tmo}
 	vals := make([]int64, len(e.SendArgs))
 	for i, a := range e.SendArgs {
 		v, err := pml.Eval(a, ev)
 		if err != nil {
-			return []int{-1} // force "enabled": execution will surface the error
+			return true // "enabled": execution will surface the error
 		}
 		vals[i] = s.shapes[id].fields[i].Truncate(v)
 	}
-	var out []int
 	for q := range s.insts {
 		if q == p {
 			continue
@@ -516,14 +537,12 @@ func (s *System) rendezvousPartners(st *State, p int, e *pml.Edge, id int, tmo b
 			if er.Kind != pml.EdgeRecv || s.resolveChanFor(s.insts[q], er.Ch) != id {
 				continue
 			}
-			ok, err := s.patternMatches(st, q, er.RecvArgs, vals, tmo)
-			if err != nil || ok {
-				out = append(out, q)
-				break
+			if ok, err := s.patternMatches(st, q, er.RecvArgs, vals, tmo); err != nil || ok {
+				return true
 			}
 		}
 	}
-	return out
+	return false
 }
 
 // rendezvousSenderReady reports whether some process offers a rendezvous

@@ -269,8 +269,10 @@ var ErrDivByZero = errors.New("pml: division by zero")
 // declared bounds.
 var ErrIndexOutOfRange = errors.New("pml: array index out of range")
 
-// Eval evaluates a resolved expression in the given environment.
-func Eval(e RExpr, env EvalEnv) (int64, error) {
+// Eval evaluates a resolved expression in the given environment. It is
+// generic over the environment so a concrete env (internal/model's
+// per-state adapter) is passed by value, never boxed onto the heap.
+func Eval[E EvalEnv](e RExpr, env E) (int64, error) {
 	switch x := e.(type) {
 	case *RConst:
 		return x.V, nil
@@ -332,7 +334,7 @@ func Eval(e RExpr, env EvalEnv) (int64, error) {
 	}
 }
 
-func evalBinary(x *RBinary, env EvalEnv) (int64, error) {
+func evalBinary[E EvalEnv](x *RBinary, env E) (int64, error) {
 	a, err := Eval(x.X, env)
 	if err != nil {
 		return 0, err

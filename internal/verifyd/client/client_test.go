@@ -84,7 +84,14 @@ func TestRetryOnConnectionError(t *testing.T) {
 	addr := hs.URL
 	hs.Close()
 
-	c := New(addr, WithRetries(2), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	const seed = 7
+	opts := []Option{WithRetries(2), WithBackoff(time.Millisecond, 2*time.Millisecond), WithJitterSeed(seed)}
+	// An identically seeded twin draws the two jittered delays the
+	// client is about to sleep: equal jitter puts them in [0.5,1] ms and
+	// [1,2] ms, so the un-jittered 3 ms is not a lower bound.
+	twin := New(addr, opts...)
+	want := twin.jitter(time.Millisecond) + twin.jitter(2*time.Millisecond)
+	c := New(addr, opts...)
 	start := time.Now()
 	_, err := c.Job(context.Background(), "job-1")
 	if err == nil {
@@ -94,9 +101,8 @@ func TestRetryOnConnectionError(t *testing.T) {
 	if errors.As(err, &ae) {
 		t.Fatalf("connection failure surfaced as APIError: %v", ae)
 	}
-	// Backoff 1ms + 2ms must have elapsed.
-	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
-		t.Fatalf("no backoff observed: %v", elapsed)
+	if elapsed := time.Since(start); elapsed < want {
+		t.Fatalf("no backoff observed: %v elapsed, the seeded delays sum to %v", elapsed, want)
 	}
 }
 

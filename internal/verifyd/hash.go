@@ -148,8 +148,10 @@ func Key(model [sha256.Size]byte, prop adl.PropertySource, opts checker.Options,
 	return out
 }
 
-// parseCacheKey decodes and validates a hex submission key: one read back
-// from a journal record, or the untrusted {key} of GET /v1/cache/{key}.
+// parseCacheKey decodes and validates a hex submission key for both of
+// its callers: journal replay, which reads keys back from records, and
+// the HTTP cache peek, which answers 400 unless the untrusted {key} path
+// value of GET /v1/cache/{key} is exactly 64 hex characters.
 func parseCacheKey(hexKey string) (CacheKey, bool) {
 	var key CacheKey
 	b, err := hex.DecodeString(hexKey)
