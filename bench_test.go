@@ -1,20 +1,28 @@
-// Benchmarks regenerating every experiment of DESIGN.md's index. Each
-// benchmark reports domain metrics (states, states/sec) beyond wall time,
-// so the EXPERIMENTS.md tables can be reproduced with
+// Micro-benchmarks for what the repository benchmark does not time.
+// `go run ./bench` (see bench/README.md) is the one benchmark of record:
+// the bridge searches in every engine and storage mode, the service and
+// fleet loops, and per-layer costs such as compile and state-encoding
+// time. The rows kept here each measure something it never runs:
 //
-//	go test -bench=. -benchmem .
+//   - E10AtMostNBounded: the Fig. 14 at-most-N bridge under a state bound.
+//   - E11ModelConstruction: building the bridge model from scratch versus
+//     from cached block models, the paper's reuse claim as one ratio.
+//   - E12MatrixCell: single semantics-matrix cells built directly through
+//     blocks.Builder, one connector spec per row.
+//   - E13Ablation: the paper-literal block library against the optimized one.
+//   - PORAblation: the bridge search with partial-order reduction.
+//   - RuntimeThroughput: messages/second through executable connectors.
+//   - FaultMiddleware: what fault injection costs a connector not using it.
+//   - LTLTranslation: tableau construction across four formula shapes.
+//   - CheckerStateRate: raw exploration speed on a connector-free model.
 //
-// The row/series *shapes* mirror the paper's claims: the async-enter
-// bridge fails fast, the sync-enter bridge verifies, model reuse is an
-// order of magnitude cheaper than reconstruction, and the paper-literal
-// block models explode relative to the optimized ones.
+// Run them with
+//
+//	go test -run '^$' -bench=. -benchmem .
 package pnp_test
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -34,46 +42,6 @@ func reportStates(b *testing.B, res *checker.Result) {
 	if res.Stats.Elapsed > 0 {
 		b.ReportMetric(float64(res.Stats.StatesStored)/res.Stats.Elapsed.Seconds(), "states/s")
 	}
-}
-
-// BenchmarkE8BridgeViolation: time to find the Fig. 13 safety violation
-// with asynchronous enter sends.
-func BenchmarkE8BridgeViolation(b *testing.B) {
-	cache := blocks.NewCache()
-	var last *checker.Result
-	for i := 0; i < b.N; i++ {
-		res, err := bridge.Verify(bridge.Config{
-			Variant: bridge.ExactlyN, EnterSend: blocks.AsynBlockingSend,
-		}, cache, checker.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.OK {
-			b.Fatal("expected violation")
-		}
-		last = res
-	}
-	reportStates(b, last)
-}
-
-// BenchmarkE9BridgeVerification: exhaustive verification of the fixed
-// (synchronous enter) exactly-N bridge.
-func BenchmarkE9BridgeVerification(b *testing.B) {
-	cache := blocks.NewCache()
-	var last *checker.Result
-	for i := 0; i < b.N; i++ {
-		res, err := bridge.Verify(bridge.Config{
-			Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend,
-		}, cache, checker.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.OK {
-			b.Fatal("expected verified")
-		}
-		last = res
-	}
-	reportStates(b, last)
 }
 
 // BenchmarkE10AtMostNBounded: bounded sweep of the Fig. 14 at-most-N
@@ -282,60 +250,6 @@ func BenchmarkPORAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkE15Scaling sweeps the per-turn quota N of the verified bridge.
-func BenchmarkE15Scaling(b *testing.B) {
-	for _, n := range []int{1, 2} {
-		n := n
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			cache := blocks.NewCache()
-			var last *checker.Result
-			for i := 0; i < b.N; i++ {
-				res, err := bridge.Verify(bridge.Config{
-					Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend, N: n,
-				}, cache, checker.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			reportStates(b, last)
-		})
-	}
-}
-
-// BenchmarkE8ObservabilityOverhead re-runs the E8 search with the
-// observability hooks disabled (the default: nil registry, no progress
-// callback) and enabled. Disabled must track BenchmarkE8BridgeViolation
-// within noise — the hot path pays only nil checks — while Enabled
-// shows the true cost of live metrics collection.
-func BenchmarkE8ObservabilityOverhead(b *testing.B) {
-	run := func(b *testing.B, opts checker.Options) {
-		cache := blocks.NewCache()
-		var last *checker.Result
-		for i := 0; i < b.N; i++ {
-			res, err := bridge.Verify(bridge.Config{
-				Variant: bridge.ExactlyN, EnterSend: blocks.AsynBlockingSend,
-			}, cache, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.OK {
-				b.Fatal("expected violation")
-			}
-			last = res
-		}
-		reportStates(b, last)
-	}
-	b.Run("Disabled", func(b *testing.B) { run(b, checker.Options{}) })
-	b.Run("Enabled", func(b *testing.B) {
-		run(b, checker.Options{
-			Metrics:          pnp.NewMetricsRegistry(),
-			ProgressInterval: 100 * time.Millisecond,
-			Progress:         func(pnp.CheckProgress) {},
-		})
-	})
-}
-
 // BenchmarkRuntimeThroughput measures messages/second through executable
 // connectors of different compositions.
 func BenchmarkRuntimeThroughput(b *testing.B) {
@@ -522,175 +436,4 @@ active proctype P1() {
 		}
 	}
 	reportStates(b, last)
-}
-
-// BenchmarkPmlCompile: front-end cost of compiling the full block library.
-func BenchmarkPmlCompile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := pml.CompileSource(blocks.LibrarySource); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStateKey: the state-encoding hot path of the explorer.
-func BenchmarkStateKey(b *testing.B) {
-	bld, err := matrixBuild(blocks.ConnectorSpec{
-		Send: blocks.AsynBlockingSend, Channel: blocks.FIFOQueue, Size: 4, Recv: blocks.BlockingRecv,
-	}, 3, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := bld.System().InitialState()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = st.Key()
-	}
-}
-
-// BenchmarkVerifydCache measures the verification service's
-// content-addressed result cache. Miss is the full first-contact cost of
-// a submission (compose the model, hash it, run every property); Hit
-// re-submits the byte-identical design to a warm server and is answered
-// from the cache without running the checker. The Hit/Miss gap is the
-// E11 reuse claim promoted to the service layer.
-func BenchmarkVerifydCache(b *testing.B) {
-	src, err := os.ReadFile("examples/adl/pingpong.pnp")
-	if err != nil {
-		b.Fatal(err)
-	}
-	comp, err := os.ReadFile("examples/adl/pingpong.pml")
-	if err != nil {
-		b.Fatal(err)
-	}
-	comps := map[string]string{"pingpong.pml": string(comp)}
-	submit := func(b *testing.B, s *pnp.VerifyServer) *pnp.VerifyJob {
-		b.Helper()
-		job, err := s.Submit(string(src), comps, pnp.CheckOptions{}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.Wait(context.Background(), job); err != nil {
-			b.Fatal(err)
-		}
-		if job.Report == nil || !job.Report.OK {
-			b.Fatal("pingpong must verify")
-		}
-		return job
-	}
-
-	serve := func(b *testing.B) *pnp.VerifyServer {
-		b.Helper()
-		svc, err := pnp.Serve(pnp.ServeOptions{Verify: pnp.VerifyServerConfig{Workers: 1}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return svc.VerifyServer()
-	}
-
-	b.Run("Miss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := serve(b)
-			job := submit(b, s)
-			if job.CacheHits != 0 {
-				b.Fatal("cold server cannot serve from cache")
-			}
-			if err := s.Shutdown(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Hit", func(b *testing.B) {
-		s := serve(b)
-		defer s.Shutdown(context.Background())
-		submit(b, s) // warm the cache
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			job := submit(b, s)
-			if job.CacheMisses != 0 {
-				b.Fatal("warm re-submission must not run the checker")
-			}
-		}
-	})
-}
-
-// BenchmarkParallelSafety: the PR4 multi-core safety search on the E9
-// bridge model at increasing worker counts. The Workers1 row is the
-// parallel engine pinned to one goroutine (its scheduling overhead
-// floor); the GOMAXPROCS row is the headline speedup. On a single-core
-// host every row degenerates to the same schedule, so speedups only
-// manifest with 2+ cores.
-// BenchmarkShardedVisitedBridge measures visited-set storage cost on
-// the E9 workload (exhaustive verification of the fixed exactly-N
-// bridge): bytes/state for the exact tier versus collapse compression,
-// and the throughput cost of running under a spill-forcing 1-byte
-// memory budget. The verdict and StatesStored are identical across all
-// three — storage is a memory knob, never a semantic one.
-func BenchmarkShardedVisitedBridge(b *testing.B) {
-	modes := []struct {
-		name string
-		opts checker.Options
-	}{
-		{"Exact", checker.Options{Workers: runtime.GOMAXPROCS(0), Storage: checker.StorageOptions{Visited: checker.VisitedExact}}},
-		{"Collapse", checker.Options{Workers: runtime.GOMAXPROCS(0), Storage: checker.StorageOptions{Visited: checker.VisitedCollapse}}},
-		{"CollapseSpill", checker.Options{Workers: runtime.GOMAXPROCS(0), Storage: checker.StorageOptions{Visited: checker.VisitedCollapse, MemLimit: 1}}},
-	}
-	for _, m := range modes {
-		m := m
-		b.Run(m.name, func(b *testing.B) {
-			if m.opts.Storage.MemLimit > 0 {
-				m.opts.Storage.SpillDir = b.TempDir()
-			}
-			cache := blocks.NewCache()
-			var last *checker.Result
-			for i := 0; i < b.N; i++ {
-				res, err := bridge.Verify(bridge.Config{
-					Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend,
-				}, cache, m.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.OK {
-					b.Fatal("expected verified")
-				}
-				last = res
-			}
-			reportStates(b, last)
-			if last.Stats.StatesStored > 0 {
-				b.ReportMetric(float64(last.Stats.VisitedBytes)/float64(last.Stats.StatesStored), "bytes/state")
-			}
-			if m.opts.Storage.MemLimit > 0 {
-				b.ReportMetric(float64(last.Stats.SpilledStates), "spilled")
-			}
-		})
-	}
-}
-
-func BenchmarkParallelSafety(b *testing.B) {
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	for _, w := range counts {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		w := w
-		b.Run(fmt.Sprintf("Workers%d", w), func(b *testing.B) {
-			cache := blocks.NewCache()
-			var last *checker.Result
-			for i := 0; i < b.N; i++ {
-				res, err := bridge.Verify(bridge.Config{
-					Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend,
-				}, cache, checker.Options{Workers: w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.OK {
-					b.Fatal("expected verified")
-				}
-				last = res
-			}
-			reportStates(b, last)
-		})
-	}
 }

@@ -23,10 +23,11 @@
 //
 // With --data-dir the daemon is crash-safe: every accepted submission
 // is journaled to an append-only WAL before it is acknowledged, running
-// searches snapshot their frontier at BFS level barriers, and a
+// searches append each BFS level to a checkpoint log, and a
 // restarted daemon replays the journal — completed verdicts are served
 // from disk, interrupted jobs are re-enqueued and resume from their
-// last snapshot. kill -9 loses no acknowledged work. See docs/API.md.
+// last checkpoint commit. kill -9 loses no acknowledged work. See
+// docs/API.md.
 //
 // Every job and sweep is traced into a bounded in-process flight
 // recorder: GET /v1/jobs/{id}/trace and /v1/sweeps/{id}/trace stream
@@ -93,7 +94,7 @@ func run() int {
 	visited := flag.String("visited", "", "default visited-set storage for parallel searches: exact or collapse (jobs may override per submission)")
 	memLimit := flag.String("mem-limit", "", "default per-search visited-set memory budget (e.g. 2GiB); searches over budget spill visited states to disk")
 	spillDir := flag.String("spill-dir", "", "parent directory for spill segment files (default: the OS temp dir); never wire-settable by clients")
-	ckptInterval := flag.Int("checkpoint-interval", 1, "completed BFS levels between search snapshots (with --data-dir)")
+	ckptInterval := flag.Int("checkpoint-interval", 1, "completed BFS levels between checkpoint commits (with --data-dir)")
 	traceEntries := flag.Int("trace-entries", tracing.DefaultRecorderCapacity,
 		"flight-recorder capacity in spans; jobs and sweeps record traces served on /v1/*/trace and /debug/trace (0 disables tracing)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")

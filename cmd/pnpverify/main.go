@@ -17,11 +17,11 @@
 // when it outgrows the budget. Both change memory use only — verdicts,
 // counterexamples, and state counts are identical to an exact run.
 //
-// With -checkpoint-dir the parallel searches snapshot their frontier
-// and visited set into that directory at BFS level barriers, keyed by a
-// content hash of the design; re-running the same command after an
-// interruption resumes each property's search from its last snapshot
-// instead of starting over.
+// With -checkpoint-dir the parallel searches append each BFS level to a
+// log in that directory, keyed by a content hash of the design;
+// re-running the same command after an interruption resumes each
+// property's search from its last checkpoint commit instead of starting
+// over.
 //
 // With -remote the design is submitted to a running verification
 // service (pnpd) instead of being checked in-process: component files
@@ -66,8 +66,8 @@ func run() int {
 	visited := flag.String("visited", "", "visited-set storage for parallel searches: exact or collapse (collapse interns per-process/per-channel sub-vectors, Spin -DCOLLAPSE style)")
 	memLimit := flag.String("mem-limit", "", "visited-set memory budget with an optional size suffix (e.g. 512MB, 2GiB); searches over budget spill visited states to disk and keep going")
 	spillDir := flag.String("spill-dir", "", "parent directory for spill segment files (default: the OS temp dir)")
-	ckptDir := flag.String("checkpoint-dir", "", "snapshot parallel searches into this directory at BFS level barriers and resume them on re-run (keyed by a content hash of the design)")
-	ckptInterval := flag.Int("checkpoint-interval", 1, "completed BFS levels between snapshots (with -checkpoint-dir)")
+	ckptDir := flag.String("checkpoint-dir", "", "log parallel searches level by level into this directory and resume them on re-run (keyed by a content hash of the design)")
+	ckptInterval := flag.Int("checkpoint-interval", 1, "completed BFS levels between checkpoint commits (with -checkpoint-dir)")
 	unreached := flag.Bool("unreached", false, "report never-executed transitions (dead code)")
 	dotFile := flag.String("dot", "", "write the state graph (<=500 states) to this DOT file")
 	simulate := flag.Int("simulate", 0, "random-walk simulate N steps instead of verifying")
@@ -171,7 +171,7 @@ func run() int {
 	}
 	if *ckptDir != "" {
 		// The key is the design's content address; VerifyAll suffixes it
-		// per property, so each search gets its own snapshot file.
+		// per property, so each search gets its own checkpoint log.
 		sum := sha256.Sum256(src)
 		opts.Durability = &checker.DurabilityOptions{
 			Dir:      *ckptDir,

@@ -122,14 +122,13 @@ type Options struct {
 	Workers int
 	// Storage groups the visited-set storage knobs; see StorageOptions.
 	Storage StorageOptions
-	// Durability, when non-nil, makes the level engine durable: at
-	// level-barrier boundaries the frontier and the sharded visited set
-	// are snapshotted to a file under Durability.Dir, and a search
-	// restarted with Durability.Resume continues from the last complete
-	// snapshot instead of state zero. Like Progress and Metrics it never
-	// influences verdicts — a resumed search stores exactly the states an
-	// uninterrupted one would. No-op for the sequential DFS, liveness
-	// search, and bitstate runs (see DurabilityOptions).
+	// Durability, when non-nil, makes the level engine durable: at each
+	// level barrier the level just completed is appended to a log under
+	// Durability.Dir, and a search restarted with Durability.Resume
+	// continues from the log's last commit instead of state zero. Like
+	// Progress and Metrics it never influences verdicts — a resumed search
+	// stores exactly the states an uninterrupted one would. No-op for the
+	// sequential DFS and liveness search (see DurabilityOptions).
 	Durability *DurabilityOptions
 	// Progress, when non-nil, receives a periodic exploration snapshot
 	// every ProgressInterval plus one final snapshot — Spin-style

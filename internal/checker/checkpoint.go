@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,18 +15,19 @@ import (
 	"pnp/internal/obs"
 )
 
-// DurabilityOptions makes the level engine crash-safe. The
-// level barrier is the natural snapshot point: after a level completes,
-// the frontier plus the visited set fully determine the remainder of
-// the search, independent of worker count. A snapshot therefore resumes
-// to the exact verdict — and the exact StatesStored — an uninterrupted
-// run would produce.
+// DurabilityOptions makes the level engine crash-safe. The level engine
+// stores a state at exactly the moment it puts that state into the next
+// level, so the levels, concatenated, are the visited set and the last
+// of them is the frontier — together they fully determine the remainder
+// of the search, independent of worker count. A checkpoint is therefore
+// a log of levels, each appended once at the barrier that completes it,
+// and it resumes to the exact verdict — and the exact StatesStored — an
+// uninterrupted run would produce.
 //
-// Checkpointing applies only where the level barrier exists: the
-// level engine's safety and reachability searches over an exact visited
-// set. Sequential DFS, liveness search, AG-EF goals, and bitstate runs
-// ignore it silently — the search still completes, it is just not
-// resumable.
+// Checkpointing applies only where the level barrier exists: the level
+// engine's safety and reachability searches, in every storage mode.
+// Sequential DFS, liveness search, and AG-EF goals ignore it silently —
+// the search still completes, it is just not resumable.
 type DurabilityOptions struct {
 	// Dir is the directory checkpoint files live in (created on demand).
 	Dir string
@@ -34,44 +36,52 @@ type DurabilityOptions struct {
 	// submission carries several searchable properties). Empty disables
 	// checkpointing.
 	Key string
-	// Interval is the number of completed levels between snapshots
-	// (default 1: every barrier). Larger intervals trade re-exploration
-	// after a crash for less write bandwidth on deep searches.
+	// Interval is the number of completed levels between commits
+	// (default 1: every barrier). Every level is appended as it
+	// completes; a commit and an fsync make the log up to it durable, so
+	// larger intervals trade re-exploration after a crash for fewer
+	// fsyncs.
 	Interval int
-	// Resume loads the last complete snapshot for Key before exploring.
-	// A missing, foreign, or corrupt snapshot is ignored and the search
-	// starts fresh — resume is always safe to request.
+	// Resume continues the log for Key from its last intact commit
+	// before exploring. A missing, foreign, or corrupt log is ignored and
+	// the search starts fresh — resume is always safe to request.
 	Resume bool
-	// OnWrite, when non-nil, is called after each durable snapshot with
-	// the file path, the depth of the saved frontier, and the states
+	// OnWrite, when non-nil, is called after each durable commit with
+	// the file path, the depth of the committed frontier, and the states
 	// stored so far. verifyd journals checkpoint references through it.
 	OnWrite func(file string, depth, states int)
 }
 
-// Checkpoint file layout: an 8-byte magic, then CRC-framed sections
-// (internal/frame) where the payload's first byte tags the section: 'H' JSON header, 'V' a
-// batch of visited-set encodings, 'F' a batch of frontier encodings.
-// State batches are concatenated [uvarint length][canonical encoding]
-// entries. Files are written to a temp name, fsynced, and renamed, so a
-// file that exists is complete; CRCs guard against bit rot, not tears.
-const ckptMagic = "PNPCKPT1"
+// Checkpoint file layout: an 8-byte magic, then internal/frame frames
+// whose first payload byte is a tag:
+//
+//	'L' uvarint depth, then [uvarint length][canonical encoding] entries
+//	    (the spill blob's entry layout): one BFS level, split into
+//	    frames of about ckptFrameBytes
+//	'C' JSON ckptCommit: every level before it is durable
+//
+// Levels follow each other in depth order from the root. The file is
+// only ever appended to — a resume first truncates the uncommitted tail
+// — so a reader keeps the prefix up to the last commit that agrees with
+// the levels before it, and a log cut anywhere reads back as its last
+// durable state.
+const ckptMagic = "PNPCKPT2"
 
 const (
-	ckptSectionHeader   = 'H'
-	ckptSectionVisited  = 'V'
-	ckptSectionFrontier = 'F'
+	ckptTagLevel  = 'L'
+	ckptTagCommit = 'C'
+
+	ckptFrameBytes = 1 << 20
 )
 
-// ckptHeader is the 'H' section: identity (phase + model fingerprint,
-// so a stale file from another design or property kind is never
-// resumed), the saved depth, the section counts, and the cumulative
-// stats of the search up to the barrier.
-type ckptHeader struct {
+// ckptCommit is the 'C' record: identity (phase + model fingerprint, so
+// a log from another design or property kind is never resumed), the
+// depth of the last level, and the cumulative stats of the search at
+// that barrier. Stored is the number of entries before the commit.
+type ckptCommit struct {
 	Phase       string `json:"phase"`
 	Model       string `json:"model"`
 	Depth       int    `json:"depth"`
-	Visited     int    `json:"visited"`
-	Frontier    int    `json:"frontier"`
 	Stored      int    `json:"stored"`
 	Matched     int    `json:"matched"`
 	Transitions int    `json:"transitions"`
@@ -95,30 +105,28 @@ func CheckpointFileName(key string) string {
 	return string(b) + ".ckpt"
 }
 
-// checkpointer drives snapshots for one parallel search. A nil
-// checkpointer (disabled, wrong engine, bitstate) is a no-op on every
-// method.
+// checkpointer appends one level search's log. A nil checkpointer
+// (disabled, wrong engine) is a no-op on every method.
 type checkpointer struct {
 	c       *Checker
 	opts    DurabilityOptions
 	phase   string
 	file    string
 	modelID string
+	f       *os.File // the open log: nil until the first barrier or a resume
+	buf     []byte   // the frame being built, reused across barriers
+	enc     []byte
 	since   int
 	failed  bool
 
 	cBytes *obs.Counter
 }
 
-// newCheckpointer arms checkpointing for one parallel search, or
-// returns nil when it does not apply (no options, no key, or a bitstate
-// visited set — its bit table has no exact streamable entries).
-func (c *Checker) newCheckpointer(phase string, r *parRunner) *checkpointer {
+// newCheckpointer arms checkpointing for one level search, or returns
+// nil when it does not apply (no options or no key).
+func (c *Checker) newCheckpointer(phase string) *checkpointer {
 	o := c.opts.Durability
 	if o == nil || o.Dir == "" || o.Key == "" {
-		return nil
-	}
-	if _, ok := r.visited.(visitedDrainer); !ok {
 		return nil
 	}
 	ck := &checkpointer{c: c, opts: *o, phase: phase, modelID: modelFingerprint(c.sys)}
@@ -132,123 +140,121 @@ func (c *Checker) newCheckpointer(phase string, r *parRunner) *checkpointer {
 	return ck
 }
 
-// modelFingerprint identifies the system a snapshot belongs to (FNV-1a
-// over the model's structural fingerprint, hex).
+// modelFingerprint identifies the system a log belongs to (FNV-1a over
+// the model's structural fingerprint, hex).
 func modelFingerprint(sys *model.System) string {
 	var w model.Hash64Writer
 	sys.WriteFingerprint(&w)
 	return fmt.Sprintf("%016x", w.Sum64())
 }
 
-// maybeSnapshot writes a snapshot of the search at a completed level
-// barrier if the interval has elapsed. frontier is the next level
-// (depth = its distance from the root); an empty frontier means the
-// search is about to terminate, so nothing is written. A write failure
-// disables further snapshots but never fails the search.
-func (ck *checkpointer) maybeSnapshot(depth int, frontier []parNode, r *parRunner, st *Stats) {
-	if ck == nil || ck.failed || len(frontier) == 0 {
+// barrier appends next, the level just collected at depth, to the log,
+// and commits every Interval barriers. The first barrier of a fresh
+// search creates the log and writes root, the never-retired levels[0],
+// ahead of it. An empty next means the search is about to terminate, so
+// nothing is written. A write failure disables the checkpointer but
+// never fails the search.
+func (ck *checkpointer) barrier(depth int, root, next []parNode, st *Stats) {
+	if ck == nil || ck.failed || len(next) == 0 {
 		return
 	}
-	ck.since++
-	if ck.since < ck.opts.Interval {
-		return
+	if err := ck.extend(depth, root, next, st); err != nil {
+		ck.failed = true
+	}
+}
+
+func (ck *checkpointer) extend(depth int, root, next []parNode, st *Stats) error {
+	if ck.f == nil {
+		if err := ck.create(root); err != nil {
+			return err
+		}
+	}
+	if err := ck.writeLevel(depth, next); err != nil {
+		return err
+	}
+	if ck.since++; ck.since < ck.opts.Interval {
+		return nil
 	}
 	ck.since = 0
-	n, err := ck.snapshot(depth, frontier, r, st)
+	cb, err := json.Marshal(ckptCommit{
+		Phase: ck.phase, Model: ck.modelID, Depth: depth,
+		Stored: st.StatesStored, Matched: st.StatesMatched,
+		Transitions: st.Transitions, MaxDepth: st.MaxDepth,
+	})
 	if err != nil {
-		ck.failed = true
-		return
+		return err
 	}
-	ck.cBytes.Add(n)
+	ck.buf = append(ck.startFrame(ckptTagCommit), cb...)
+	if err := ck.writeFrame(); err != nil {
+		return err
+	}
+	if err := ck.f.Sync(); err != nil {
+		return err
+	}
 	if ck.opts.OnWrite != nil {
 		ck.opts.OnWrite(ck.file, depth, st.StatesStored)
 	}
+	return nil
 }
 
-// snapshot streams the visited set (shard by shard under each shard's
-// lock for the in-memory tiers, segment by segment for spilled entries)
-// and the frontier to file.tmp, fsyncs, and renames. Returns the bytes
-// written.
-func (ck *checkpointer) snapshot(depth int, frontier []parNode, r *parRunner, st *Stats) (int64, error) {
-	set := r.visited.(visitedDrainer)
+// create starts a fresh log holding the root level.
+func (ck *checkpointer) create(root []parNode) error {
 	if err := os.MkdirAll(ck.opts.Dir, 0o755); err != nil {
-		return 0, err
+		return err
 	}
-	tmp := ck.file + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.Create(ck.file)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	defer os.Remove(tmp)
-
-	w := &ckptWriter{f: f}
-	w.raw([]byte(ckptMagic))
-	hdr := ckptHeader{
-		Phase: ck.phase, Model: ck.modelID, Depth: depth,
-		Visited: set.size(), Frontier: len(frontier),
-		Stored: st.StatesStored, Matched: st.StatesMatched,
-		Transitions: st.Transitions, MaxDepth: st.MaxDepth,
-	}
-	hb, err := json.Marshal(hdr)
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	w.section(ckptSectionHeader, hb)
-	var batch bytes.Buffer
-	const visitedBatch = 1 << 20
-	batch.WriteByte(ckptSectionVisited)
-	set.forEachEncoding(func(enc []byte) {
-		appendEntry(&batch, enc)
-		if batch.Len() >= visitedBatch {
-			w.framed(batch.Bytes())
-			batch.Reset()
-			batch.WriteByte(ckptSectionVisited)
-		}
-	})
-	if batch.Len() > 1 {
-		w.framed(batch.Bytes())
-	}
-	const frontierBatch = 1 << 16
-	var enc []byte
-	for off := 0; off < len(frontier); off += frontierBatch {
-		end := min(off+frontierBatch, len(frontier))
-		batch.Reset()
-		batch.WriteByte(ckptSectionFrontier)
-		for i := off; i < end; i++ {
-			enc = frontier[i].st.AppendKey(enc[:0])
-			appendEntry(&batch, enc)
-		}
-		w.framed(batch.Bytes())
-	}
-	if w.err != nil {
-		f.Close()
-		return 0, w.err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, ck.file); err != nil {
-		return 0, err
-	}
+	ck.f = f
 	syncDir(ck.opts.Dir)
-	return w.n, nil
+	if err := ck.write([]byte(ckptMagic)); err != nil {
+		return err
+	}
+	return ck.writeLevel(0, root)
 }
 
-// appendEntry appends one uvarint-length-prefixed state encoding.
-func appendEntry[T ~string | ~[]byte](b *bytes.Buffer, enc T) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(enc)))
-	b.Write(tmp[:n])
-	b.Write([]byte(enc))
+// writeLevel appends one level as 'L' frames, encoding its states while
+// they are still live.
+func (ck *checkpointer) writeLevel(depth int, level []parNode) error {
+	start := func() { ck.buf = binary.AppendUvarint(ck.startFrame(ckptTagLevel), uint64(depth)) }
+	start()
+	for i := range level {
+		ck.enc = level[i].st.AppendKey(ck.enc[:0])
+		ck.buf = binary.AppendUvarint(ck.buf, uint64(len(ck.enc)))
+		ck.buf = append(ck.buf, ck.enc...)
+		if len(ck.buf) >= ckptFrameBytes || i == len(level)-1 {
+			if err := ck.writeFrame(); err != nil {
+				return err
+			}
+			start()
+		}
+	}
+	return nil
 }
 
-// syncDir fsyncs a directory so a rename survives power loss; errors
-// are ignored (not all filesystems support it).
+// startFrame resets buf to a blank frame header followed by tag.
+func (ck *checkpointer) startFrame(tag byte) []byte {
+	var hdr [frame.HeaderSize]byte
+	return append(append(ck.buf[:0], hdr[:]...), tag)
+}
+
+// writeFrame fills in buf's frame header and appends the frame to the
+// log in one write.
+func (ck *checkpointer) writeFrame() error {
+	h := frame.Header(ck.buf[frame.HeaderSize:])
+	copy(ck.buf, h[:])
+	return ck.write(ck.buf)
+}
+
+func (ck *checkpointer) write(b []byte) error {
+	n, err := ck.f.Write(b)
+	ck.cBytes.Add(int64(n))
+	return err
+}
+
+// syncDir fsyncs a directory so a new or renamed entry survives power
+// loss; errors are ignored (not all filesystems support it).
 func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
@@ -256,137 +262,144 @@ func syncDir(dir string) {
 	}
 }
 
-// ckptWriter frames sections and tracks bytes written / first error.
-type ckptWriter struct {
-	f   *os.File
-	n   int64
-	err error
-}
-
-func (w *ckptWriter) raw(b []byte) {
-	if w.err != nil {
-		return
-	}
-	_, w.err = w.f.Write(b)
-	w.n += int64(len(b))
-}
-
-func (w *ckptWriter) section(tag byte, payload []byte) {
-	w.framed(append([]byte{tag}, payload...))
-}
-
-func (w *ckptWriter) framed(payload []byte) {
-	hdr := frame.Header(payload)
-	w.raw(hdr[:])
-	w.raw(payload)
-}
-
-// restore loads the last complete snapshot into the runner and returns
-// the resumed frontier level and its depth. ok is false — and the
-// search starts fresh — when resume is off, the file is missing, or
-// anything about it fails validation.
+// restore loads the last intact commit of the log into the runner and
+// returns the resumed frontier level and its depth, leaving the log open
+// for appending right after that commit. ok is false — and the search
+// starts fresh — when resume is off, the file is missing, or anything
+// about it fails validation.
 func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, depth int, ok bool) {
 	if ck == nil || !ck.opts.Resume {
 		return nil, 0, false
 	}
-	snap, err := readCheckpoint(ck.file)
+	data, err := os.ReadFile(ck.file)
 	if err != nil {
 		return nil, 0, false
 	}
-	if snap.header.Phase != ck.phase || snap.header.Model != ck.modelID {
+	log, err := readCheckpoint(data)
+	if err != nil || log.commit.Phase != ck.phase || log.commit.Model != ck.modelID {
 		return nil, 0, false
 	}
 	shape := ck.c.sys.InitialState()
-	front := make([]parNode, 0, len(snap.frontier))
-	for _, enc := range snap.frontier {
-		st, err := model.DecodeKey(shape, []byte(enc))
+	frontier := log.visited[log.front:]
+	front := make([]parNode, 0, len(frontier))
+	for _, enc := range frontier {
+		st, err := model.DecodeKey(shape, enc)
 		if err != nil {
 			return nil, 0, false
 		}
 		front = append(front, parNode{st: st, parent: -1})
 	}
-	if len(front) != snap.header.Frontier || len(snap.visited) != snap.header.Visited {
+	f, err := os.OpenFile(ck.file, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		return nil, 0, false
 	}
-	for _, enc := range snap.visited {
-		// nil ends: the collapse set re-splits the encoding itself.
-		r.visited.seen(model.Hash64([]byte(enc)), []byte(enc), nil)
+	if err := f.Truncate(log.size); err != nil {
+		f.Close()
+		return nil, 0, false
 	}
-	r.stored.Store(int64(snap.header.Stored))
-	res.Stats.StatesStored = snap.header.Stored
-	res.Stats.StatesMatched = snap.header.Matched
-	res.Stats.Transitions = snap.header.Transitions
-	res.Stats.MaxDepth = snap.header.MaxDepth
-	return [][]parNode{front}, snap.header.Depth, true
+	ck.f = f
+	for _, enc := range log.visited {
+		// nil ends: the collapse set re-splits the encoding itself.
+		r.visited.seen(model.Hash64(enc), enc, nil)
+	}
+	c := log.commit
+	r.stored.Store(int64(c.Stored))
+	res.Stats.StatesStored = c.Stored
+	res.Stats.StatesMatched = c.Matched
+	res.Stats.Transitions = c.Transitions
+	res.Stats.MaxDepth = c.MaxDepth
+	return [][]parNode{front}, c.Depth, true
 }
 
-// finish removes the checkpoint once the search produced a real
+// finish closes the log and removes it once the search produced a real
 // verdict. A Canceled search keeps its file — that is the crash/resume
 // path — as does a crash (finish never runs).
 func (ck *checkpointer) finish(res *Result) {
-	if ck == nil || res.Kind == Canceled {
+	if ck == nil {
 		return
 	}
-	os.Remove(ck.file)
+	if ck.f != nil {
+		ck.f.Close()
+	}
+	if res.Kind != Canceled {
+		os.Remove(ck.file)
+	}
 }
 
-// ckptSnapshot is a parsed checkpoint file.
-type ckptSnapshot struct {
-	header   ckptHeader
-	visited  []string
-	frontier []string
+// ckptLog is the committed prefix of a checkpoint log.
+type ckptLog struct {
+	commit  ckptCommit
+	visited [][]byte // every stored state's encoding, level by level
+	front   int      // index in visited of the frontier, the last level
+	size    int64    // byte length of the prefix, through the commit
 }
 
-// readCheckpoint parses and validates a checkpoint file.
-func readCheckpoint(file string) (*ckptSnapshot, error) {
-	data, err := os.ReadFile(file)
-	if err != nil {
-		return nil, err
+// readCheckpoint parses a checkpoint log up to its last valid commit:
+// one whose depth is the last level's and whose Stored counts every
+// entry before it. Scanning stops at the first torn or corrupt frame, so
+// everything it keeps passed its CRC. Entries alias data.
+func readCheckpoint(data []byte) (*ckptLog, error) {
+	if !bytes.HasPrefix(data, []byte(ckptMagic)) {
+		return nil, errors.New("checker: bad checkpoint magic")
 	}
-	if len(data) < len(ckptMagic) || string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("checker: %s: bad checkpoint magic", file)
-	}
-	data = data[len(ckptMagic):]
-	snap := &ckptSnapshot{}
-	sawHeader := false
-	for len(data) > 0 {
-		var payload []byte
-		payload, data, err = frame.Next(data)
+	var (
+		log     *ckptLog
+		entries [][]byte
+		depth   = -1 // of the last level read
+		front   int  // where its entries start
+	)
+	rest := data[len(ckptMagic):]
+scan:
+	for len(rest) > 0 {
+		payload, next, err := frame.Next(rest)
 		if err != nil {
-			return nil, fmt.Errorf("checker: %s: section: %w", file, err)
+			break
 		}
-		tag, body := payload[0], payload[1:]
-		switch tag {
-		case ckptSectionHeader:
-			if err := json.Unmarshal(body, &snap.header); err != nil {
-				return nil, fmt.Errorf("checker: %s: bad header: %w", file, err)
+		rest = next
+		body := payload[1:]
+		switch payload[0] {
+		case ckptTagLevel:
+			d, w := binary.Uvarint(body)
+			switch {
+			case w <= 0:
+				break scan
+			case d == uint64(depth+1):
+				depth++
+				front = len(entries)
+			case depth < 0 || d != uint64(depth):
+				break scan
 			}
-			sawHeader = true
-		case ckptSectionVisited:
-			snap.visited, err = readEntries(body, snap.visited)
-		case ckptSectionFrontier:
-			snap.frontier, err = readEntries(body, snap.frontier)
+			more, err := readEntries(body[w:], entries)
+			if err != nil {
+				break scan
+			}
+			entries = more
+		case ckptTagCommit:
+			var c ckptCommit
+			if json.Unmarshal(body, &c) != nil || c.Depth != depth || c.Stored != len(entries) || front == len(entries) {
+				break scan
+			}
+			log = &ckptLog{commit: c, front: front, size: int64(len(data) - len(rest))}
 		default:
-			return nil, fmt.Errorf("checker: %s: unknown section %q", file, tag)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("checker: %s: %w", file, err)
+			break scan
 		}
 	}
-	if !sawHeader {
-		return nil, fmt.Errorf("checker: %s: missing header section", file)
+	if log == nil {
+		return nil, errors.New("checker: checkpoint has no intact commit")
 	}
-	return snap, nil
+	log.visited = entries[:log.commit.Stored]
+	return log, nil
 }
 
-// readEntries parses concatenated length-prefixed state encodings.
-func readEntries(body []byte, into []string) ([]string, error) {
+// readEntries appends the concatenated length-prefixed state encodings
+// in body to into.
+func readEntries(body []byte, into [][]byte) ([][]byte, error) {
 	for len(body) > 0 {
 		n, w := binary.Uvarint(body)
 		if w <= 0 || n > uint64(len(body)-w) {
 			return nil, io.ErrUnexpectedEOF
 		}
-		into = append(into, string(body[w:w+int(n)]))
+		into = append(into, body[w:w+int(n)])
 		body = body[w+int(n):]
 	}
 	return into, nil

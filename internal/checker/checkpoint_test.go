@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"pnp/internal/model"
+	"pnp/internal/obs"
 )
 
 // ckptSrc is deep enough (~120 levels) that a search canceled mid-way
@@ -266,6 +268,212 @@ func TestCheckpointForeignOrCorruptSnapshotIgnored(t *testing.T) {
 		want := New(sysFromSource(t, ckptSrc), Options{Workers: 1}).CheckSafety()
 		if !res.OK || !statsEqualIgnoringElapsed(res.Stats, want.Stats) {
 			t.Errorf("corrupt snapshot not ignored: %+v vs fresh %+v", res.Stats, want.Stats)
+		}
+	})
+}
+
+// A log cut at any byte of its last level or commit — a crash in the
+// middle of an append — resumes from the commit before the cut (uncut,
+// from the last one) to the uninterrupted stats.
+func TestCheckpointTornTailResumes(t *testing.T) {
+	const src = `
+byte a; byte b;
+active proctype P() { do :: a < 6 -> a = a + 1 :: else -> break od }
+active proctype Q() { do :: b < 6 -> b = b + 1 :: else -> break od }`
+	full := New(sysFromSource(t, src), Options{Workers: 1}).CheckSafety()
+	logs := map[int][]byte{}
+	New(sysFromSource(t, src), Options{Workers: 1, Durability: &DurabilityOptions{
+		Dir: t.TempDir(), Key: "t",
+		OnWrite: func(file string, d, _ int) { logs[d], _ = os.ReadFile(file) },
+	}}).CheckSafety()
+	prev, last := logs[4], logs[5]
+	if len(prev) == 0 || len(last) <= len(prev) || !bytes.HasPrefix(last, prev) {
+		t.Fatalf("depth-5 log (%d bytes) does not extend the depth-4 log (%d bytes)", len(last), len(prev))
+	}
+
+	dir := t.TempDir()
+	for cut := len(prev); cut <= len(last); cut++ {
+		want := 4
+		if cut == len(last) {
+			want = 5
+		}
+		if log, err := readCheckpoint(last[:cut]); err != nil || log.commit.Depth != want {
+			t.Fatalf("cut at %d: readCheckpoint = %+v, %v; want the depth-%d commit", cut, log, err, want)
+		}
+		if err := os.WriteFile(filepath.Join(dir, CheckpointFileName("t")), last[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first := -1
+		res := New(sysFromSource(t, src), Options{Workers: 2, Durability: &DurabilityOptions{
+			Dir: dir, Key: "t", Resume: true,
+			OnWrite: func(_ string, d, _ int) {
+				if first < 0 {
+					first = d
+				}
+			},
+		}}).CheckSafety()
+		if !res.OK || !statsEqualIgnoringElapsed(res.Stats, full.Stats) {
+			t.Fatalf("cut at %d: resumed %s %+v, uninterrupted %+v", cut, res.Summary(), res.Stats, full.Stats)
+		}
+		if first != want+1 {
+			t.Fatalf("cut at %d: first commit after resume at depth %d, want %d", cut, first, want+1)
+		}
+	}
+}
+
+// With Interval 3, a search canceled between two commits leaves levels
+// behind its last commit. Resume truncates them, continues the same log
+// — whose next commit then reads back — and ends with the uninterrupted
+// stats.
+func TestCheckpointIntervalResumeTruncatesUncommitted(t *testing.T) {
+	full := New(sysFromSource(t, ckptSrc), Options{Workers: 1}).CheckSafety()
+	dir := t.TempDir()
+	file := filepath.Join(dir, CheckpointFileName("i"))
+	// Cancellation lands at the next context poll, some levels after the
+	// commit that asks for it; try commits until one lands between two.
+	var data []byte
+	var log *ckptLog
+	for d := 3; d < 150 && log == nil; d += 3 {
+		ctx, cancel := context.WithCancel(context.Background())
+		res := New(sysFromSource(t, ckptSrc), Options{Workers: 1, Context: ctx,
+			Durability: &DurabilityOptions{
+				Dir: dir, Key: "i", Interval: 3,
+				OnWrite: func(_ string, depth, _ int) {
+					if depth == d {
+						cancel()
+					}
+				},
+			}}).CheckSafety()
+		cancel()
+		if res.Kind != Canceled {
+			continue
+		}
+		data, _ = os.ReadFile(file)
+		l, err := readCheckpoint(data)
+		if err != nil {
+			t.Fatalf("canceled log: %v", err)
+		}
+		if l.size < int64(len(data)) {
+			log = l
+		}
+	}
+	if log == nil {
+		t.Fatal("no canceled run left uncommitted levels behind its last commit")
+	}
+
+	var resumedLog []byte
+	var first int
+	res := New(sysFromSource(t, ckptSrc), Options{Workers: 2, Durability: &DurabilityOptions{
+		Dir: dir, Key: "i", Interval: 3, Resume: true,
+		OnWrite: func(file string, d, _ int) {
+			if resumedLog == nil {
+				first = d
+				resumedLog, _ = os.ReadFile(file)
+			}
+		},
+	}}).CheckSafety()
+	if !res.OK || !statsEqualIgnoringElapsed(res.Stats, full.Stats) {
+		t.Fatalf("resumed %s %+v, uninterrupted %+v", res.Summary(), res.Stats, full.Stats)
+	}
+	if want := log.commit.Depth + 3; first != want {
+		t.Fatalf("first commit after resume at depth %d, want %d", first, want)
+	}
+	if !bytes.HasPrefix(resumedLog, data[:log.size]) {
+		t.Fatal("resumed log does not continue the committed prefix")
+	}
+	if l, err := readCheckpoint(resumedLog); err != nil || l.commit.Depth != first || l.size != int64(len(resumedLog)) {
+		t.Fatalf("continued log reads back as %+v, %v; want its depth-%d commit at the end (stale levels left in?)", l, err, first)
+	}
+}
+
+// A checkpoint writes each stored state once: after a canceled run the
+// bytes written equal the log's size — nothing was rewritten.
+func TestCheckpointWritesEachStateOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res := New(sysFromSource(t, ckptSrc), Options{Workers: 2, Context: ctx, Metrics: reg,
+		Durability: &DurabilityOptions{
+			Dir: dir, Key: "w",
+			OnWrite: func(_ string, d, _ int) {
+				if d == 30 {
+					cancel()
+				}
+			},
+		}}).CheckSafety()
+	if res.Kind != Canceled {
+		t.Fatalf("expected Canceled, got %s", res.Summary())
+	}
+	fi, err := os.Stat(filepath.Join(dir, CheckpointFileName("w")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("checkpoint_bytes_written_total").Value(); got != fi.Size() {
+		t.Errorf("checkpoint_bytes_written_total = %d, log size %d", got, fi.Size())
+	}
+}
+
+// Bitstate runs resume too: replaying the logged states sets exactly
+// the bits the interrupted run had set.
+func TestCheckpointResumeBitstate(t *testing.T) {
+	bitstate := func(o Options) Options { return ckptStorageOptions(t, o, "bitstate") }
+	full := New(sysFromSource(t, ckptSrc), bitstate(Options{Workers: 1})).CheckSafety()
+	if !full.OK {
+		t.Fatalf("baseline should verify: %s", full.Summary())
+	}
+	var stolen []byte
+	snap := New(sysFromSource(t, ckptSrc), bitstate(Options{Workers: 2, Durability: &DurabilityOptions{
+		Dir: t.TempDir(), Key: "b",
+		OnWrite: func(file string, d, _ int) {
+			if d == 40 {
+				stolen, _ = os.ReadFile(file)
+			}
+		},
+	}})).CheckSafety()
+	if !snap.OK || len(stolen) == 0 {
+		t.Fatalf("expected a verified run and a depth-40 log: %s", snap.Summary())
+	}
+	for _, w := range []int{1, 8} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, CheckpointFileName("b")), stolen, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var first int
+		res := New(sysFromSource(t, ckptSrc), bitstate(Options{Workers: w, Durability: &DurabilityOptions{
+			Dir: dir, Key: "b", Resume: true,
+			OnWrite: func(_ string, d, _ int) {
+				if first == 0 {
+					first = d
+				}
+			},
+		}})).CheckSafety()
+		if !res.OK || !statsEqualIgnoringElapsed(res.Stats, full.Stats) {
+			t.Errorf("workers=%d: resumed %s %+v, uninterrupted %+v", w, res.Summary(), res.Stats, full.Stats)
+		}
+		if first != 41 {
+			t.Errorf("workers=%d: first commit after resume at depth %d, want 41", w, first)
+		}
+	}
+}
+
+// FuzzReadCheckpoint feeds readCheckpoint the bytes a replica may fetch
+// from a peer. It must never panic, and a log it accepts must hold
+// exactly the committed number of states and a non-empty frontier.
+func FuzzReadCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		log, err := readCheckpoint(data)
+		if err != nil {
+			return
+		}
+		if len(log.visited) != log.commit.Stored {
+			t.Fatalf("accepted %d states under a commit of %d", len(log.visited), log.commit.Stored)
+		}
+		if log.front < 0 || log.front >= len(log.visited) {
+			t.Fatalf("accepted an empty frontier (starts at %d of %d)", log.front, len(log.visited))
+		}
+		if log.size < int64(len(ckptMagic)) || log.size > int64(len(data)) {
+			t.Fatalf("committed prefix of %d bytes in %d", log.size, len(data))
 		}
 	})
 }

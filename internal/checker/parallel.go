@@ -369,12 +369,13 @@ func (r *parRunner) scanTarget(levels [][]parNode, li int, target pml.RExpr, res
 
 // searchLevels is the one breadth-first engine: restore or seed the
 // root level, then per level expand, collect at the barrier, honour
-// cancellation and the state limit, adjudicate, snapshot. With a nil
-// target it is the safety search (assertions, runtime errors,
-// invariants, deadlock; shortest counterexamples). With a target it is
-// the reachability search: Result.OK reports that the target IS
-// reachable, violations met along the way are ignored, and each level
-// is scanned for the target before it is expanded.
+// cancellation and the state limit, adjudicate, append the new level to
+// the checkpoint log. With a nil target it is the safety search
+// (assertions, runtime errors, invariants, deadlock; shortest
+// counterexamples). With a target it is the reachability search:
+// Result.OK reports that the target IS reachable, violations met along
+// the way are ignored, and each level is scanned for the target before
+// it is expanded.
 func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 	safety := target == nil
 	start := time.Now()
@@ -385,7 +386,7 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 
 	r := c.newParRunner(phase)
 	defer r.close()
-	ck := c.newCheckpointer(phase, r)
+	ck := c.newCheckpointer(phase)
 	defer func() { ck.finish(res) }()
 	// On resume, levels[0] is the checkpointed frontier at depth base;
 	// counterexample prefixes then start at that frontier (the path from
@@ -438,7 +439,7 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 			res.Message = fmt.Sprintf("depth limit %d reached; search incomplete", c.opts.MaxDepth)
 			return res
 		}
-		ck.maybeSnapshot(depth+1, next, r, &res.Stats)
+		ck.barrier(depth+1, levels[0], next, &res.Stats)
 		levels = r.advance(levels, li, next)
 	}
 	if !safety {

@@ -28,8 +28,8 @@ import (
 // degrades to disk speed instead of dying.
 //
 // Segment layout (the CRC framing of internal/frame, as in checkpoint
-// files, so bit rot is detected, and the same tmp+fsync+rename protocol,
-// so a file that exists is complete):
+// logs, so bit rot is detected, and a tmp+fsync+rename protocol, so a
+// file that exists is complete):
 //
 //	8-byte magic "PNPSPIL1"
 //	framed 'H' JSON header {count}
@@ -132,24 +132,8 @@ func (s *spillSet) maybeSpill() {
 	s.cSpill.Add(int64(n))
 }
 
-// forEachEncoding streams the segments and then the in-memory tier, so
-// checkpoints capture the full membership.
-func (s *spillSet) forEachEncoding(fn func(enc []byte)) {
-	for _, seg := range s.segs {
-		seg.forEach(fn)
-	}
-	s.mem.forEachEncoding(fn)
-}
-
-// reset drops both tiers (checkpoint-restore replays into a fresh set).
-func (s *spillSet) reset() {
-	s.mem.reset()
-	s.closeSegs()
-	s.spilled.Store(0)
-	s.failed = false
-}
-
-func (s *spillSet) closeSegs() {
+// close releases mappings and removes this search's segment directory.
+func (s *spillSet) close() {
 	for _, seg := range s.segs {
 		seg.close()
 	}
@@ -159,9 +143,6 @@ func (s *spillSet) closeSegs() {
 		s.runDir = ""
 	}
 }
-
-// close releases mappings and removes this search's segment directory.
-func (s *spillSet) close() { s.closeSegs() }
 
 // writeSpillSegment streams count entries from emit into a new segment
 // at path, via tmp+fsync+rename.
@@ -367,17 +348,6 @@ func (g *spillSegment) contains(fp uint64, enc []byte) bool {
 		}
 	}
 	return false
-}
-
-// forEach streams every entry in blob order.
-func (g *spillSegment) forEach(fn func(enc []byte)) {
-	blob := g.data[g.blobOff : g.blobOff+g.blobLen]
-	for off := uint64(0); off < uint64(len(blob)); {
-		l, w := binary.Uvarint(blob[off:])
-		start := off + uint64(w)
-		fn(blob[start : start+l])
-		off = start + l
-	}
 }
 
 func (g *spillSegment) close() {

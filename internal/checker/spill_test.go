@@ -46,15 +46,6 @@ func TestSpillSegmentRoundTrip(t *testing.T) {
 	if seg.contains(fps[0], append(append([]byte{}, encs[0]...), 0xFF)) {
 		t.Fatal("segment matched on fingerprint alone")
 	}
-	got := 0
-	seen := map[string]bool{}
-	seg.forEach(func(enc []byte) {
-		seen[string(enc)] = true
-		got++
-	})
-	if got != len(encs) || len(seen) != len(encs) {
-		t.Fatalf("forEach yielded %d entries (%d distinct), want %d", got, len(seen), len(encs))
-	}
 }
 
 // Every flavor of corruption must be detected at open — never probed.
@@ -157,12 +148,6 @@ func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 			if s.size() != len(encs) {
 				t.Fatalf("size = %d, want %d", s.size(), len(encs))
 			}
-			// Checkpoint streaming covers both tiers.
-			streamed := map[string]bool{}
-			s.forEachEncoding(func(enc []byte) { streamed[string(enc)] = true })
-			if len(streamed) != len(encs) {
-				t.Fatalf("forEachEncoding yielded %d distinct entries, want %d", len(streamed), len(encs))
-			}
 		})
 	}
 }
@@ -205,6 +190,8 @@ func ckptStorageOptions(t *testing.T, o Options, mode string) Options {
 		o.Storage = StorageOptions{Visited: VisitedExact, MemLimit: 1, SpillDir: t.TempDir()}
 	case "collapse-spill":
 		o.Storage = StorageOptions{Visited: VisitedCollapse, MemLimit: 1, SpillDir: t.TempDir()}
+	case "bitstate":
+		o.Storage = StorageOptions{Bitstate: true}
 	}
 	return o
 }

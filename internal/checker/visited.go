@@ -270,8 +270,7 @@ func (s *shardedSet) reset() {
 // read lock — after warm-up almost every component of a new state is
 // already interned — and only a genuinely new sub-vector upgrades to
 // the write lock. starts records each entry's arena offset by intern
-// index so tuples can be expanded back into full encodings (checkpoint
-// streaming, spill).
+// index so tuples can be expanded back into full encodings for a spill.
 type collapseTable struct {
 	mu     sync.RWMutex
 	t      encTable

@@ -45,7 +45,7 @@ const journalSegmentBytes = 4 << 20
 // journalRecord is one WAL entry. Fields beyond Type/ID are
 // type-dependent: accepted carries the full wire request (everything
 // needed to re-run the job), started the attempt number, checkpoint a
-// search-snapshot file reference, completed the final report. Completed
+// search-checkpoint file reference, completed the final report. Completed
 // records are self-contained (seq + key + report), so compaction keeps
 // only them for done jobs.
 type journalRecord struct {

@@ -54,15 +54,15 @@ type Config struct {
 	JobTimeout time.Duration
 	// DataDir, when set, makes the server crash-safe: HTTP submissions
 	// are journaled to an append-only WAL under DataDir/journal before
-	// they are acknowledged, long searches snapshot their frontier to
-	// DataDir/checkpoints at BFS level barriers, and a restarted server
+	// they are acknowledged, long searches append each BFS level to a
+	// log under DataDir/checkpoints, and a restarted server
 	// replays the journal — completed verdicts are re-served, incomplete
 	// jobs re-enqueued and resumed from their last checkpoint. Empty
 	// (the default) keeps the server exactly as before: memory-only,
 	// nothing written to disk.
 	DataDir string
 	// CheckpointInterval is the number of completed BFS levels between
-	// search snapshots when DataDir is set (default 1: every barrier).
+	// checkpoint commits when DataDir is set (default 1: every barrier).
 	CheckpointInterval int
 	// Resolver loads component files referenced by raw ADL submissions.
 	// JSON submissions can inline components instead; inline components
@@ -280,7 +280,7 @@ func NewServer(cfg Config) *Server {
 // Config.DataDir set it opens (or creates) the job journal, replays it
 // — re-registering completed jobs with their verdicts and re-enqueuing
 // incomplete ones — and arms search checkpointing; re-enqueued jobs
-// resume their searches from the last snapshot in
+// resume their searches from the last checkpoint commit in
 // DataDir/checkpoints. Without DataDir it is identical to NewServer.
 func OpenServer(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
@@ -788,7 +788,7 @@ func (s *Server) finishJob(job *Job, rep *Report, hits, misses int) {
 // property name, so a resumed attempt — locally after a restart, or on
 // a cluster replica that fetched the file — finds exactly its own
 // frontier. One checkpoint journal record is written per property per
-// attempt (the file path never changes, so later snapshots add nothing).
+// attempt (the file path never changes, so later commits add nothing).
 func (s *Server) checkpointFor(job *Job, ps adl.PropertySource) *checker.DurabilityOptions {
 	if s.ckptDir == "" || job.subKey == nil {
 		return nil
@@ -803,7 +803,7 @@ func (s *Server) checkpointFor(job *Job, ps adl.PropertySource) *checker.Durabil
 		OnWrite: func(file string, depth, states int) {
 			once.Do(func() {
 				// Depth doubles as the resume proof: a search resumed from
-				// a checkpoint writes its first snapshot past the restored
+				// a checkpoint writes its first commit past the restored
 				// depth, a fresh one at the first barrier.
 				s.appendJournal(journalRecord{
 					Type: recCheckpoint, ID: job.ID, Seq: job.seq, Time: time.Now(),
@@ -814,11 +814,11 @@ func (s *Server) checkpointFor(job *Job, ps adl.PropertySource) *checker.Durabil
 	}
 }
 
-// fetchCheckpoint pulls a search snapshot from a peer worker's
+// fetchCheckpoint pulls a search checkpoint log from a peer worker's
 // GET /v1/checkpoints/{key} into this server's checkpoint dir, so a
 // re-driven attempt continues the previous node's search instead of
 // restarting from state zero. Every failure path (peer already dead —
-// the common cause of the re-drive — no snapshot, bad local write)
+// the common cause of the re-drive — no checkpoint, bad local write)
 // degrades to a fresh search; resume is an optimization, never a
 // correctness dependency.
 func (s *Server) fetchCheckpoint(ctx context.Context, base, key string) {
