@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench experiments matrix verify-examples loc no-deprecated clean
+.PHONY: all build test test-short race bench experiments matrix verify-examples loc no-deprecated client-deps clean
 
 all: build test
 
@@ -53,6 +53,15 @@ loc:
 no-deprecated:
 	@if grep -rn 'Deprecated:' --include='*.go' . | grep -v '_test\.go:'; then \
 		echo "deprecated aliases found: delete them or their callers' need for them"; exit 1; \
+	fi
+
+# The typed client is safe to vendor: besides itself it may depend on
+# no repo package but the wire documents and the tracing vocabulary.
+client-deps:
+	@deps=$$($(GO) list -deps ./internal/verifyd/client | grep '^pnp/' | \
+		grep -vx -e pnp/internal/api -e pnp/internal/obs/tracing -e pnp/internal/verifyd/client); \
+	if [ -n "$$deps" ]; then \
+		echo "internal/verifyd/client depends on server packages:"; echo "$$deps"; exit 1; \
 	fi
 
 clean:

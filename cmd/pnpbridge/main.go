@@ -40,25 +40,12 @@ func main() {
 		os.Exit(1)
 	}
 	if rec != nil {
-		if err := writeChromeFile(*traceOut, rec.Spans()); err != nil {
+		if err := tracing.WriteChromeFile(*traceOut, rec.Spans()); err != nil {
 			fmt.Fprintf(os.Stderr, "pnpbridge: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
 	}
-}
-
-// writeChromeFile writes spans to path as Chrome trace_event JSON.
-func writeChromeFile(path string, spans []tracing.SpanData) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := tracing.WriteChromeTrace(f, spans)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
 }
 
 // newRegistry returns a fresh registry when metrics are requested, nil

@@ -70,16 +70,8 @@ func run(msgs, bufsize, workers int, metrics bool, traceOut string) error {
 		return err
 	}
 	if rec != nil {
-		f, err := os.Create(traceOut)
-		if err != nil {
+		if err := tracing.WriteChromeFile(traceOut, rec.Spans()); err != nil {
 			return err
-		}
-		werr := tracing.WriteChromeTrace(f, rec.Spans())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", traceOut)
 	}

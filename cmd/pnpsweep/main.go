@@ -20,12 +20,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"pnp/internal/adl"
+	"pnp/internal/api"
 	"pnp/internal/obs"
 	"pnp/internal/obs/tracing"
 	"pnp/internal/sweep"
@@ -55,7 +57,7 @@ func main() {
 	)
 	flag.Parse()
 
-	ws := client.SweepSpec{
+	ws := api.SweepSpec{
 		Name:       *name,
 		Connector:  *connector,
 		Sends:      splitList(*sends),
@@ -76,7 +78,7 @@ func main() {
 	}
 }
 
-func run(ws client.SweepSpec, adlPath, remote string, ranked int, jsonOut bool, traceOut string) error {
+func run(ws api.SweepSpec, adlPath, remote string, ranked int, jsonOut bool, traceOut string) error {
 	if ws.Preset == "" && adlPath == "" {
 		return fmt.Errorf("need -preset or -adl (see -h)")
 	}
@@ -95,12 +97,19 @@ func run(ws client.SweepSpec, adlPath, remote string, ranked int, jsonOut bool, 
 		}
 	}
 
-	var res *sweep.Result
+	// Local and remote runs produce the same document, so -json and the
+	// ranking below do not depend on where the sweep ran. Under -json the
+	// live table goes to stderr and stdout carries only the document.
+	table := io.Writer(os.Stdout)
+	if jsonOut {
+		table = os.Stderr
+	}
+	var res *api.SweepResult
 	var err error
 	if remote != "" {
-		res, err = runRemote(ws, remote, traceOut)
+		res, err = runRemote(ws, remote, traceOut, table)
 	} else {
-		res, err = runLocal(ws, traceOut)
+		res, err = runLocal(ws, traceOut, table)
 	}
 	if err != nil {
 		return err
@@ -152,27 +161,27 @@ func loadDesign(path string) (string, map[string]string, error) {
 	return base, comps, nil
 }
 
-func printHeader() {
-	fmt.Printf("%-52s %-22s %8s %7s %10s\n", "connector", "verdict", "states", "cached", "time")
+func printHeader(w io.Writer) {
+	fmt.Fprintf(w, "%-52s %-22s %8s %7s %10s\n", "connector", "verdict", "states", "cached", "time")
 }
 
-func printRow(connector, verdict string, states int, deduped bool, cacheMisses int, err string, elapsedMS float64) {
-	if err != "" {
-		fmt.Printf("%-52s %-22s %s\n", connector, "error", err)
+func printRow(w io.Writer, c api.SweepCell) {
+	if c.Err != "" {
+		fmt.Fprintf(w, "%-52s %-22s %s\n", c.Connector, "error", c.Err)
 		return
 	}
 	cached := "-"
-	if deduped {
+	if c.Deduped {
 		cached = "dedup"
-	} else if cacheMisses == 0 {
+	} else if c.CacheMisses == 0 {
 		cached = "hit"
 	}
-	fmt.Printf("%-52s %-22s %8d %7s %10s\n", connector, verdict, states, cached,
-		time.Duration(elapsedMS*float64(time.Millisecond)).Round(time.Millisecond))
+	fmt.Fprintf(w, "%-52s %-22s %8d %7s %10s\n", c.Connector, c.Verdict, c.States, cached,
+		time.Duration(c.ElapsedMS*float64(time.Millisecond)).Round(time.Millisecond))
 }
 
-func runLocal(ws client.SweepSpec, traceOut string) (*sweep.Result, error) {
-	spec, err := toWireSpec(ws).Compile()
+func runLocal(ws api.SweepSpec, traceOut string, table io.Writer) (*api.SweepResult, error) {
+	spec, err := sweep.Compile(ws)
 	if err != nil {
 		return nil, err
 	}
@@ -180,19 +189,17 @@ func runLocal(ws client.SweepSpec, traceOut string) (*sweep.Result, error) {
 	if traceOut != "" {
 		rec = tracing.NewRecorder(tracing.DefaultRecorderCapacity)
 	}
-	printHeader()
+	printHeader(table)
 	res, err := sweep.Run(context.Background(), spec, sweep.Config{
 		Registry: obs.NewRegistry(),
 		Tracer:   rec,
-		OnCell: func(c sweep.CellResult) {
-			printRow(c.Connector, c.Verdict, c.States, c.Deduped, c.CacheMisses, c.Err, c.ElapsedMS)
-		},
+		OnCell:   func(c api.SweepCell) { printRow(table, c) },
 	})
 	if err != nil {
 		return nil, err
 	}
 	if rec != nil {
-		if werr := writeChromeFile(traceOut, rec.Spans()); werr != nil {
+		if werr := tracing.WriteChromeFile(traceOut, rec.Spans()); werr != nil {
 			return nil, werr
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", traceOut)
@@ -200,7 +207,7 @@ func runLocal(ws client.SweepSpec, traceOut string) (*sweep.Result, error) {
 	return res, nil
 }
 
-func runRemote(ws client.SweepSpec, base, traceOut string) (*sweep.Result, error) {
+func runRemote(ws api.SweepSpec, base, traceOut string, table io.Writer) (*api.SweepResult, error) {
 	c := client.New(base)
 	ctx := context.Background()
 	// With -trace-out the submission carries a traceparent, so the remote
@@ -215,11 +222,9 @@ func runRemote(ws client.SweepSpec, base, traceOut string) (*sweep.Result, error
 	if err != nil {
 		return nil, err
 	}
-	fmt.Printf("sweep %s: %d cells on %s\n", st.ID, st.Total, base)
-	printHeader()
-	final, err := c.StreamSweep(ctx, st.ID, func(cell client.SweepCell) {
-		printRow(cell.Connector, cell.Verdict, cell.States, cell.Deduped, cell.CacheMisses, cell.Err, cell.ElapsedMS)
-	})
+	fmt.Fprintf(table, "sweep %s: %d cells on %s\n", st.ID, st.Total, base)
+	printHeader(table)
+	final, err := c.StreamSweep(ctx, st.ID, func(cell api.SweepCell) { printRow(table, cell) })
 	if err != nil {
 		return nil, err
 	}
@@ -237,60 +242,12 @@ func runRemote(ws client.SweepSpec, base, traceOut string) (*sweep.Result, error
 		} else {
 			fmt.Fprintf(os.Stderr, "pnpsweep: fetching remote trace: %v (is pnpd running with --trace-entries > 0?)\n", terr)
 		}
-		if werr := writeChromeFile(traceOut, spans); werr != nil {
+		if werr := tracing.WriteChromeFile(traceOut, spans); werr != nil {
 			return nil, werr
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", traceOut)
 	}
-	return fromWire(final.Result), nil
-}
-
-// writeChromeFile writes spans to path as Chrome trace_event JSON.
-func writeChromeFile(path string, spans []tracing.SpanData) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := tracing.WriteChromeTrace(f, spans)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
-}
-
-// toWireSpec converts the client's spec to the engine's wire form. The
-// two structs are the same shape on purpose; the copy keeps the CLI
-// compiling when either side grows a field.
-func toWireSpec(ws client.SweepSpec) sweep.WireSpec {
-	return sweep.WireSpec{
-		Name: ws.Name, Base: ws.Base, Components: ws.Components, Connector: ws.Connector,
-		Sends: ws.Sends, Channels: ws.Channels, Recvs: ws.Recvs, FaultPlans: ws.FaultPlans,
-		UnderLossy: ws.UnderLossy, LossySize: ws.LossySize,
-		MaxStates: ws.MaxStates, Workers: ws.Workers, TimeoutMS: ws.TimeoutMS,
-		Preset: ws.Preset, Msgs: ws.Msgs, BufSize: ws.BufSize,
-	}
-}
-
-// fromWire converts a remote sweep result into the engine's result type
-// so ranking and JSON output are mode-independent.
-func fromWire(r *client.SweepResult) *sweep.Result {
-	out := &sweep.Result{
-		Name: r.Name, Total: r.Total, Passed: r.Passed, Failed: r.Failed,
-		DedupHits: r.DedupHits, CacheHits: r.CacheHits, CacheMisses: r.CacheMisses,
-		ElapsedMS: r.ElapsedMS,
-	}
-	for _, c := range r.Cells {
-		out.Cells = append(out.Cells, sweep.CellResult{
-			Index: c.Index, Connector: c.Connector,
-			Send: c.Send, Channel: c.Channel, Size: c.Size, Recv: c.Recv,
-			Faults: c.Faults, Companion: c.Companion, Primary: c.Primary,
-			Verdict: c.Verdict, OK: c.OK, States: c.States,
-			CacheHits: c.CacheHits, CacheMisses: c.CacheMisses, Deduped: c.Deduped,
-			Node: c.Node, ElapsedMS: c.ElapsedMS, Err: c.Err,
-		})
-	}
-	return out
+	return final.Result, nil
 }
 
 func splitList(s string) []string {

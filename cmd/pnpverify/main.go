@@ -245,7 +245,7 @@ func run() int {
 			spilledTotal, float64(peakBytes)/(1<<20))
 	}
 	if rec != nil {
-		if err := writeChromeFile(*traceOut, rec.Spans()); err != nil {
+		if err := tracing.WriteChromeFile(*traceOut, rec.Spans()); err != nil {
 			fmt.Fprintf(os.Stderr, "pnpverify: %v\n", err)
 			return 1
 		}
@@ -374,7 +374,7 @@ func runRemote(base, src, dir string, bfs bool, workers, maxStates int, visited 
 		} else {
 			fmt.Fprintf(os.Stderr, "pnpverify: fetching remote trace: %v (is pnpd running with --trace-entries > 0?)\n", terr)
 		}
-		if err := writeChromeFile(traceOut, spans); err != nil {
+		if err := tracing.WriteChromeFile(traceOut, spans); err != nil {
 			fmt.Fprintf(os.Stderr, "pnpverify: %v\n", err)
 			return 1
 		}
@@ -424,20 +424,6 @@ func runRemote(base, src, dir string, bfs bool, workers, maxStates int, visited 
 	}
 	fmt.Println("all properties verified")
 	return 0
-}
-
-// writeChromeFile writes spans to path as Chrome trace_event JSON.
-func writeChromeFile(path string, spans []tracing.SpanData) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := tracing.WriteChromeTrace(f, spans)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
 }
 
 // fmtRate renders a states/second rate compactly (12345678 -> "12.3M/s").

@@ -42,7 +42,7 @@ import (
 	"sort"
 	"strings"
 
-	"pnp/internal/artifact"
+	"pnp/internal/api"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/faults"
@@ -94,7 +94,7 @@ type System struct {
 	// Modules is the design's module DAG in compilation order — library,
 	// components, linked program, connectors — with per-module reuse
 	// flags. Populated only by LoadModular; the counters summarize it.
-	Modules         []artifact.Info
+	Modules         []api.ModuleInfo
 	ModulesReused   int
 	ModulesCompiled int
 }
@@ -378,55 +378,64 @@ func propertySources(pf *parsedFile) []PropertySource {
 	return out
 }
 
-// VerifyAll checks every declared property: the safety search with all
-// invariants, then each LTL property. Results are keyed by property name;
-// the safety run is keyed "safety". With opts.Tracer set, each property
-// gets a "property:<name>" span wrapping its checker phases — the same
+// CheckpointKey is the checkpoint key of this property's search under
+// a submission-wide key: one submission carries several searchable
+// properties, so each gets its own checkpoint log.
+func (ps PropertySource) CheckpointKey(key string) string { return key + "-" + ps.Name }
+
+// Check runs the checker for one declared property: for the
+// "invariant" source the safety search with every invariant, for a goal
+// its AG EF search, for an LTL property its nested search.
+func (s *System) Check(ps PropertySource, opts checker.Options) *checker.Result {
+	switch ps.Kind {
+	case "invariant":
+		opts.Invariants = append(append([]checker.Invariant(nil), opts.Invariants...), s.Invariants...)
+		return checker.New(s.Builder.System(), opts).CheckSafety()
+	case "goal":
+		for _, g := range s.Goals {
+			if g.Name == ps.Name {
+				return checker.New(s.Builder.System(), opts).CheckEventuallyReachable(g.Expr)
+			}
+		}
+	case "ltl":
+		for _, p := range s.LTL {
+			if p.Name == ps.Name {
+				return checker.New(s.Builder.System(), opts).CheckLTL(p.Formula, p.Props)
+			}
+		}
+	}
+	return &checker.Result{OK: false, Kind: checker.RuntimeError,
+		Message: fmt.Sprintf("unknown property %s %q", ps.Kind, ps.Name)}
+}
+
+// VerifyAll checks every declared property in Sources order: the safety
+// search with all invariants, then each goal and LTL property. Results
+// are keyed by property name; the safety run is keyed "safety". A
+// caller-provided checkpoint key is suffixed per property
+// (CheckpointKey). With opts.Tracer set, each property gets a
+// "property:<name>" span wrapping its checker phases — the same
 // hierarchy the verification service records for remote jobs.
 func (s *System) VerifyAll(opts checker.Options) map[string]*checker.Result {
-	out := make(map[string]*checker.Result, 1+len(s.LTL))
-
-	// propOpts wraps one property's run in a span when tracing is on and
-	// gives each property its own checkpoint file: one submission carries
-	// several searchable properties, so a shared caller-provided key is
-	// suffixed per property — mirroring how the verification service
-	// derives its checkpoint keys.
-	propOpts := func(o checker.Options, name, kind string) (checker.Options, *tracing.Span) {
+	out := make(map[string]*checker.Result, len(s.Sources))
+	for _, ps := range s.Sources {
+		o := opts
 		if o.Durability != nil && o.Durability.Key != "" {
 			ck := *o.Durability
-			ck.Key = ck.Key + "-" + name
+			ck.Key = ps.CheckpointKey(ck.Key)
 			o.Durability = &ck
 		}
-		if o.Tracer == nil {
-			return o, nil
+		var span *tracing.Span
+		if o.Tracer != nil {
+			ctx := o.Context
+			if ctx == nil {
+				ctx = context.Background()
+			}
+			o.Context, span = o.Tracer.StartSpan(ctx, "property:"+ps.Name, tracing.A("kind", ps.Kind))
 		}
-		ctx := o.Context
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		pctx, span := o.Tracer.StartSpan(ctx, "property:"+name, tracing.A("kind", kind))
-		o.Context = pctx
-		return o, span
-	}
-	finish := func(span *tracing.Span, res *checker.Result) *checker.Result {
-		if span != nil {
-			span.SetAttr("ok", fmt.Sprint(res.OK))
-			span.End()
-		}
-		return res
-	}
-
-	safetyOpts := opts
-	safetyOpts.Invariants = append(append([]checker.Invariant(nil), opts.Invariants...), s.Invariants...)
-	so, span := propOpts(safetyOpts, "safety", "invariant")
-	out["safety"] = finish(span, checker.New(s.Builder.System(), so).CheckSafety())
-	for _, g := range s.Goals {
-		o, span := propOpts(opts, g.Name, "goal")
-		out[g.Name] = finish(span, checker.New(s.Builder.System(), o).CheckEventuallyReachable(g.Expr))
-	}
-	for _, p := range s.LTL {
-		o, span := propOpts(opts, p.Name, "ltl")
-		out[p.Name] = finish(span, checker.New(s.Builder.System(), o).CheckLTL(p.Formula, p.Props))
+		res := s.Check(ps, o)
+		span.SetAttr("ok", fmt.Sprint(res.OK))
+		span.End()
+		out[ps.Name] = res
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pnp/internal/api"
 	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/model"
@@ -43,7 +44,7 @@ func LoadModular(src string, resolve Resolver, store *artifact.Store) (*System, 
 		return nil, err
 	}
 
-	var modules []artifact.Info
+	var modules []api.ModuleInfo
 	record := func(ref artifact.Ref, reused bool) {
 		in := ref.Info()
 		in.Reused = reused

@@ -21,6 +21,7 @@
 package artifact
 
 import (
+	"pnp/internal/api"
 	"pnp/internal/model"
 )
 
@@ -53,21 +54,10 @@ type Artifact struct {
 	Payload any
 }
 
-// Info is the wire- and job-document form of one module ref: what the
-// v1 API reports per job under "modules" and what GET
-// /v1/artifacts/{hash} wraps. Reused records whether composition found
-// the module already in the store (true) or had to compile it (false).
-type Info struct {
-	Hash   string   `json:"hash"`
-	Kind   string   `json:"kind"`
-	Name   string   `json:"name,omitempty"`
-	Deps   []string `json:"deps,omitempty"`
-	Reused bool     `json:"reused,omitempty"`
-}
-
-// Info renders the ref in wire form (Reused left for the caller).
-func (r Ref) Info() Info {
-	in := Info{Hash: r.Hash.String(), Kind: r.Kind, Name: r.Name}
+// Info renders the ref as a job document's module entry (Reused left
+// for the caller).
+func (r Ref) Info() api.ModuleInfo {
+	in := api.ModuleInfo{Hash: r.Hash.String(), Kind: r.Kind, Name: r.Name}
 	for _, d := range r.Deps {
 		in.Deps = append(in.Deps, d.String())
 	}

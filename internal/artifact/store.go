@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"pnp/internal/api"
 	"pnp/internal/lru"
 	"pnp/internal/model"
 	"pnp/internal/obs"
@@ -44,17 +45,6 @@ func NewStore(maxEntries int, dir string, reg *obs.Registry) (*Store, error) {
 		}),
 		dir: dir,
 	}, nil
-}
-
-// envelope is the disk and wire form of one artifact: everything but
-// the live payload. Deterministic compilation makes the canonical
-// source a complete serialization of the compiled module.
-type envelope struct {
-	Hash   string   `json:"hash"`
-	Kind   string   `json:"kind"`
-	Name   string   `json:"name,omitempty"`
-	Deps   []string `json:"deps,omitempty"`
-	Source string   `json:"source"`
 }
 
 // Get looks an artifact up by fingerprint, marking it most recently
@@ -115,8 +105,10 @@ func (s *Store) Peek(h model.ModuleFingerprint) ([]byte, bool) {
 	return b, true
 }
 
-func envelopeOf(art *Artifact) envelope {
-	env := envelope{Hash: art.Hash.String(), Kind: art.Kind, Name: art.Name, Source: art.Source}
+// envelopeOf is the disk and wire form of one artifact: everything but
+// the live payload.
+func envelopeOf(art *Artifact) api.Artifact {
+	env := api.Artifact{Hash: art.Hash.String(), Kind: art.Kind, Name: art.Name, Source: art.Source}
 	for _, d := range art.Deps {
 		env.Deps = append(env.Deps, d.String())
 	}
@@ -161,7 +153,7 @@ func (s *Store) diskLoad(h model.ModuleFingerprint) *Artifact {
 	if err != nil {
 		return nil
 	}
-	var env envelope
+	var env api.Artifact
 	if err := json.Unmarshal(b, &env); err != nil {
 		return nil
 	}

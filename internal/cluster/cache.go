@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"pnp/internal/api"
 	"pnp/internal/lru"
 	"pnp/internal/obs"
 	"pnp/internal/verifyd"
@@ -17,7 +18,7 @@ type reportLRU = lru.Cache[verifyd.CacheKey, cachedReport]
 // cachedReport is one coordinator cache entry. The report is shared —
 // callers must treat it as immutable.
 type cachedReport struct {
-	rep  *verifyd.Report
+	rep  *api.Report
 	node string // node that computed the report
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/obs"
 	"pnp/internal/sweep"
 	"pnp/internal/verifyd"
@@ -77,8 +78,8 @@ func pingRequest(msgs int) client.JobRequest {
 	return client.JobRequest{ADL: pingADL(msgs), Components: pingComponents()}
 }
 
-func pingWire(channels []string) sweep.WireSpec {
-	return sweep.WireSpec{
+func pingWire(channels []string) api.SweepSpec {
+	return api.SweepSpec{
 		Name:       "ping",
 		Base:       pingADL(1),
 		Components: pingComponents(),
@@ -159,7 +160,7 @@ func newTestCluster(t *testing.T, f *fabric, hosts []string, mutate func(*Config
 	return c, reg
 }
 
-func waitJobStatus(t *testing.T, c *Coordinator, id string) JobStatus {
+func waitJobStatus(t *testing.T, c *Coordinator, id string) api.Job {
 	t.Helper()
 	j, ok := c.lookupJob(id)
 	if !ok {
@@ -354,7 +355,7 @@ func TestClusterFailsOverWhenNodeDies(t *testing.T) {
 
 // waitSweepDone polls the coordinator's sweep resource until it
 // finishes.
-func waitSweepDone(t *testing.T, c *Coordinator, id string) sweep.Status {
+func waitSweepDone(t *testing.T, c *Coordinator, id string) api.SweepStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -368,7 +369,7 @@ func waitSweepDone(t *testing.T, c *Coordinator, id string) sweep.Status {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("sweep did not finish in time")
-	return sweep.Status{}
+	return api.SweepStatus{}
 }
 
 // sweepChannels is the dimension pool for cluster sweep tests: eight
@@ -381,9 +382,9 @@ var sweepChannels = []string{
 
 // localVerdicts runs the same sweep in-process — the single-node ground
 // truth the cluster must reproduce byte-for-byte.
-func localVerdicts(t *testing.T, ws sweep.WireSpec) map[int]string {
+func localVerdicts(t *testing.T, ws api.SweepSpec) map[int]string {
 	t.Helper()
-	spec, err := ws.Compile()
+	spec, err := sweep.Compile(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +472,7 @@ func TestClusterSweepSurvivesWorkerKill(t *testing.T) {
 
 	// Confirm the ring sends at least one cell to the stub, so the kill
 	// below actually interrupts the sweep. Deterministic: names fixed.
-	spec, err := ws.Compile()
+	spec, err := sweep.Compile(ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/obs"
 	"pnp/internal/obs/tracing"
 	"pnp/internal/sweep"
@@ -71,13 +72,13 @@ type node struct {
 	draining atomic.Bool
 
 	mu      sync.Mutex
-	last    *client.Health // most recent successful probe
-	lastErr string         // most recent failure, for /v1/cluster
+	last    *api.Health // most recent successful probe
+	lastErr string      // most recent failure, for /v1/cluster
 
 	routed *obs.Counter // cluster_jobs_routed_total{node}
 }
 
-func (n *node) noteHealth(h *client.Health) {
+func (n *node) noteHealth(h *api.Health) {
 	n.mu.Lock()
 	n.last, n.lastErr = h, ""
 	n.mu.Unlock()
@@ -321,17 +322,17 @@ func (c *Coordinator) route(key verifyd.CacheKey) []*node {
 // request — the same hash the worker computes on arrival (see
 // verifyd.Submission), so ring placement, the coordinator cache, and
 // worker cache peeks all speak one key.
-func submissionKey(req client.JobRequest) verifyd.CacheKey {
-	return verifyd.JobRequest(req).Submission().Key()
+func submissionKey(req api.JobRequest) verifyd.CacheKey {
+	return verifyd.SubmissionOf(req).Key()
 }
 
 // NodeInfo is one node's row in the GET /v1/cluster document.
 type NodeInfo struct {
-	Name     string         `json:"name"`
-	Healthy  bool           `json:"healthy"`
-	Draining bool           `json:"draining,omitempty"`
-	Health   *client.Health `json:"health,omitempty"`
-	Err      string         `json:"err,omitempty"`
+	Name     string      `json:"name"`
+	Healthy  bool        `json:"healthy"`
+	Draining bool        `json:"draining,omitempty"`
+	Health   *api.Health `json:"health,omitempty"`
+	Err      string      `json:"err,omitempty"`
 }
 
 // ClusterInfo is the GET /v1/cluster document.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 
+	"pnp/internal/api"
 	"pnp/internal/model"
 	"pnp/internal/obs/tracing"
 	"pnp/internal/verifyd"
@@ -45,16 +46,16 @@ func (c *Coordinator) Tracer() *tracing.Recorder { return c.tracer }
 func relayErr(err error) error {
 	var ae *client.APIError
 	if errors.As(err, &ae) {
-		return &verifyd.StatusError{Status: ae.Status, Info: verifyd.ErrorInfo{
+		return &verifyd.StatusError{Status: ae.Status, Info: api.ErrorInfo{
 			Code: ae.Code, Message: ae.Message, Line: ae.Line, Col: ae.Col}}
 	}
-	return &verifyd.StatusError{Status: http.StatusServiceUnavailable, Info: verifyd.ErrorInfo{
+	return &verifyd.StatusError{Status: http.StatusServiceUnavailable, Info: api.ErrorInfo{
 		Code: verifyd.CodeUnavailable, Message: err.Error()}}
 }
 
 // SubmitRequest implements verifyd.Backend by placing the job.
-func (c *Coordinator) SubmitRequest(ctx context.Context, req verifyd.JobRequest) (any, error) {
-	st, err := c.SubmitJob(ctx, client.JobRequest(req))
+func (c *Coordinator) SubmitRequest(ctx context.Context, req api.JobRequest) (any, error) {
+	st, err := c.SubmitJob(ctx, req)
 	if err != nil {
 		return nil, relayErr(err)
 	}
@@ -98,7 +99,7 @@ func (c *Coordinator) ListJobs() []verifyd.ListedJob {
 	for _, j := range jobs {
 		st := j.snapshot()
 		st.Report = nil
-		out = append(out, verifyd.ListedJob{Seq: st.seq, State: verifyd.JobState(st.State), Doc: st})
+		out = append(out, verifyd.ListedJob{Seq: j.seq, State: st.State, Doc: st})
 	}
 	return out
 }
@@ -126,7 +127,7 @@ func (c *Coordinator) cacheDocument() any {
 // the client's.
 func (c *Coordinator) CachedReport(key verifyd.CacheKey) (any, bool) {
 	hit, ok := c.cache.Get(key)
-	return verifyd.CachedReport{Key: key.String(), Node: hit.node, Report: hit.rep}, ok
+	return api.CachedReport{Key: key.String(), Node: hit.node, Report: hit.rep}, ok
 }
 
 // Artifact implements verifyd.Backend by fanning the peek out across

@@ -5,66 +5,34 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/obs/tracing"
 	"pnp/internal/verifyd"
 	"pnp/internal/verifyd/client"
-	"sync"
 )
 
 // cjob is one job as the coordinator tracks it: the submission (kept
-// for re-placement) and its document — where it currently runs and,
-// eventually, its report.
+// for re-placement) and its document — the single-node job document
+// with the placement fields (node, remote_id, failovers,
+// cluster_cached) filled in, so existing clients decode it unchanged and
+// cluster-aware ones see the routing.
 type cjob struct {
 	key  verifyd.CacheKey
-	req  client.JobRequest
+	req  api.JobRequest
 	span *tracing.Span
 	done chan struct{} // closed once st.State is "done"
+	seq  int           // registration order, the cursor GET /v1/jobs pages over
 
-	// st.ID, st.seq, st.Submitted and st.TraceID are written once, before
+	// seq, st.ID, st.Submitted and st.TraceID are written once, before
 	// the job is reachable; everything else in st is guarded by mu.
 	mu sync.Mutex
-	st JobStatus
+	st api.Job
 }
 
-// JobStatus is the coordinator's job resource — the single-node job
-// document extended with placement fields (node, remote_id, failovers,
-// cluster_cached), so existing clients decode it unchanged and
-// cluster-aware ones see the routing.
-type JobStatus struct {
-	ID          string          `json:"id"`
-	State       string          `json:"state"`
-	Submitted   time.Time       `json:"submitted"`
-	Report      *verifyd.Report `json:"report,omitempty"`
-	CacheHits   int             `json:"cache_hits"`
-	CacheMisses int             `json:"cache_misses"`
-	Workers     int             `json:"workers,omitempty"`
-	TraceID     string          `json:"trace_id,omitempty"`
-
-	// Module accounting forwarded from the worker that ran the job
-	// (since PR10); zero/empty when a cache tier answered.
-	Modules         []client.ModuleInfo `json:"modules,omitempty"`
-	ModulesTotal    int                 `json:"modules_total,omitempty"`
-	ModulesReused   int                 `json:"modules_reused,omitempty"`
-	ModulesCompiled int                 `json:"modules_compiled,omitempty"`
-
-	Node     string `json:"node,omitempty"`
-	RemoteID string `json:"remote_id,omitempty"`
-	// Failovers counts re-placements; Attempt counts executions (one
-	// more than failovers that actually re-ran, zero when the job was
-	// served from a cache tier); ResumedFrom names the node whose search
-	// checkpoint the current attempt picked up, empty for fresh runs.
-	Failovers     int    `json:"failovers,omitempty"`
-	Attempt       int    `json:"attempt,omitempty"`
-	ResumedFrom   string `json:"resumed_from,omitempty"`
-	ClusterCached bool   `json:"cluster_cached,omitempty"`
-	Err           string `json:"err,omitempty"`
-
-	seq int // registration order, the cursor GET /v1/jobs pages over
-}
-
-func (j *cjob) snapshot() JobStatus {
+func (j *cjob) snapshot() api.Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.st
@@ -116,17 +84,17 @@ func transportErr(err error) bool {
 // ring walk from the key's owner — each candidate first peeked for a
 // cached report, then handed the job. A transport failure ejects the
 // candidate and moves on; a drain (503) just moves on.
-func (c *Coordinator) SubmitJob(ctx context.Context, req client.JobRequest) (JobStatus, error) {
+func (c *Coordinator) SubmitJob(ctx context.Context, req api.JobRequest) (api.Job, error) {
 	j, err := c.submitJob(ctx, req)
 	if err != nil {
-		return JobStatus{}, err
+		return api.Job{}, err
 	}
 	return j.snapshot(), nil
 }
 
 // submitJob is SubmitJob returning the live job handle; the sweep
 // executor holds it to wait on cells without racing job-table eviction.
-func (c *Coordinator) submitJob(ctx context.Context, req client.JobRequest) (*cjob, error) {
+func (c *Coordinator) submitJob(ctx context.Context, req api.JobRequest) (*cjob, error) {
 	if c.draining.Load() {
 		return nil, verifyd.ErrDraining
 	}
@@ -134,7 +102,7 @@ func (c *Coordinator) submitJob(ctx context.Context, req client.JobRequest) (*cj
 	jctx, span := c.tracer.StartSpan(ctx, "cluster-job", tracing.A("key", key.String()[:12]))
 	j := &cjob{
 		key: key, req: req, span: span, done: make(chan struct{}),
-		st: JobStatus{State: "running", Submitted: time.Now()},
+		st: api.Job{State: api.JobRunning, Submitted: time.Now()},
 	}
 	if span != nil {
 		j.st.TraceID = span.TraceID().String()
@@ -167,7 +135,7 @@ func (c *Coordinator) submitJob(ctx context.Context, req client.JobRequest) (*cj
 		case err == nil && rep != nil:
 			c.mCacheHits.Inc()
 			c.register(j)
-			c.finishCached(j, n.name, toReport(rep))
+			c.finishCached(j, n.name, rep)
 			return j, nil
 		case err != nil && transportErr(err):
 			c.eject(n, err)
@@ -269,7 +237,7 @@ func (c *Coordinator) driveJob(ctx context.Context, j *cjob, cands []*node, idx 
 func (c *Coordinator) register(j *cjob) {
 	c.mu.Lock()
 	c.nextJob++
-	j.st.seq = c.nextJob
+	j.seq = c.nextJob
 	j.st.ID = fmt.Sprintf("job-%d", c.nextJob)
 	c.jobs[j.st.ID] = j
 	c.mu.Unlock()
@@ -300,12 +268,12 @@ func (c *Coordinator) lookupJob(id string) (*cjob, bool) {
 // finishCached completes a job from a cache tier without running
 // anything. node is "coordinator" for LRU hits, the worker's name for
 // peek hits.
-func (c *Coordinator) finishCached(j *cjob, node string, rep *verifyd.Report) {
+func (c *Coordinator) finishCached(j *cjob, node string, rep *api.Report) {
 	if node != "coordinator" && verifyd.Cacheable(rep) {
 		c.cache.Put(j.key, cachedReport{rep, node})
 	}
 	j.mu.Lock()
-	j.st.State, j.st.Report, j.st.Node = "done", rep, node
+	j.st.State, j.st.Report, j.st.Node = api.JobDone, rep, node
 	j.st.ClusterCached = true
 	if rep != nil {
 		j.st.CacheHits = len(rep.Properties)
@@ -318,13 +286,13 @@ func (c *Coordinator) finishCached(j *cjob, node string, rep *verifyd.Report) {
 
 // finishJob completes a job from its node's final document and
 // publishes the report into the coordinator cache.
-func (c *Coordinator) finishJob(j *cjob, node string, rjob *client.Job) {
-	rep := toReport(rjob.Report)
+func (c *Coordinator) finishJob(j *cjob, node string, rjob *api.Job) {
+	rep := rjob.Report
 	if verifyd.Cacheable(rep) {
 		c.cache.Put(j.key, cachedReport{rep, node})
 	}
 	j.mu.Lock()
-	j.st.State, j.st.Report, j.st.Node = "done", rep, node
+	j.st.State, j.st.Report, j.st.Node = api.JobDone, rep, node
 	j.st.CacheHits, j.st.CacheMisses, j.st.Workers = rjob.CacheHits, rjob.CacheMisses, rjob.Workers
 	j.st.Modules, j.st.ModulesTotal = rjob.Modules, len(rjob.Modules)
 	j.st.ModulesReused, j.st.ModulesCompiled = rjob.ModulesReused, rjob.ModulesCompiled
@@ -338,7 +306,7 @@ func (c *Coordinator) finishJob(j *cjob, node string, rjob *client.Job) {
 // it.
 func (c *Coordinator) failJob(j *cjob, err error) {
 	j.mu.Lock()
-	j.st.State, j.st.Err = "done", err.Error()
+	j.st.State, j.st.Err = api.JobDone, err.Error()
 	close(j.done)
 	j.mu.Unlock()
 	c.logger.Warn("cluster: job failed", "job_id", j.st.ID, "err", err)

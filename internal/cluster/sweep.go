@@ -6,9 +6,9 @@ import (
 	"log/slog"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/obs/tracing"
 	"pnp/internal/sweep"
-	"pnp/internal/verifyd/client"
 )
 
 // The coordinator as the fleet executor of the one sweep engine
@@ -29,7 +29,7 @@ func (c *Coordinator) Logger() *slog.Logger { return c.logger }
 // cell no node would accept) land in the outcome's Err; the sweep
 // always completes.
 func (c *Coordinator) Submit(ctx context.Context, source string, spec sweep.Spec) (func(context.Context) (sweep.Outcome, error), error) {
-	req := client.JobRequest{
+	req := api.JobRequest{
 		ADL:        source,
 		Components: spec.Components,
 		TimeoutMS:  int(spec.Timeout / time.Millisecond),
@@ -48,15 +48,10 @@ func (c *Coordinator) Submit(ctx context.Context, source string, spec sweep.Spec
 		if err := c.WaitJob(ctx, j); err != nil {
 			return sweep.Outcome{}, fmt.Errorf("cluster: waiting for %s: %w", j.st.ID, err)
 		}
-		st := j.snapshot()
-		o := sweep.Outcome{
-			Report: st.Report, Err: st.Err, JobID: st.ID, Node: st.Node,
-			CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
-			ModulesReused: st.ModulesReused, ModulesCompiled: st.ModulesCompiled,
-		}
+		o := sweep.Outcome{Job: j.snapshot()}
 		// A cache answer ran nowhere and recorded nothing. The fetcher is
 		// kept for the sweep's lifetime, so it holds the two ids only.
-		if node, remoteID := st.Node, st.RemoteID; remoteID != "" {
+		if node, remoteID := o.Node, o.RemoteID; remoteID != "" {
 			o.RemoteSpans = func(ctx context.Context) []tracing.SpanData {
 				return c.remoteSpans(ctx, node, remoteID)
 			}

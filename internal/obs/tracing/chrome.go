@@ -3,6 +3,7 @@ package tracing
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -18,6 +19,21 @@ type chromeEvent struct {
 	TID   int            `json:"tid"`
 	Scope string         `json:"s,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
+}
+
+// WriteChromeFile writes spans to the file at path (created or
+// truncated) as a Chrome trace_event JSON document — what every CLI's
+// -trace-out flag does.
+func WriteChromeFile(path string, spans []SpanData) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := WriteChromeTrace(f, spans)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	return werr
 }
 
 // WriteChromeTrace renders spans as a Chrome trace_event JSON document.

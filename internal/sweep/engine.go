@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
 	"strconv"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/checker"
 	"pnp/internal/obs"
 	"pnp/internal/obs/tracing"
@@ -46,130 +46,16 @@ type Config struct {
 	// OnCell, when set, is called with each cell's result as it completes,
 	// in cell-index order — the streaming hook behind NDJSON responses
 	// and live CLI tables.
-	OnCell func(CellResult)
+	OnCell func(api.SweepCell)
 }
 
-// CellResult is one cell's outcome: its coordinates, its verdict, and
-// the cost of obtaining it.
-type CellResult struct {
-	Index     int    `json:"index"`
-	Connector string `json:"connector"`
-	Send      string `json:"send"`
-	Channel   string `json:"channel"`
-	Size      int    `json:"size,omitempty"`
-	Recv      string `json:"recv"`
-	Faults    string `json:"faults,omitempty"`
-	Companion bool   `json:"companion,omitempty"`
-	Primary   int    `json:"primary"`
-
-	// Verdict classifies the cell: "delivers-all", "may-lose-messages",
-	// "deadlock", or another checker violation kind. OK is the report's
-	// overall verdict; States is the safety search's stored-state count.
-	Verdict string `json:"verdict"`
-	OK      bool   `json:"ok"`
-	States  int    `json:"states"`
-	// Properties carries the full per-property verdicts of the cell's job.
-	Properties []verifyd.PropertyVerdict `json:"properties,omitempty"`
-
-	// CacheHits/CacheMisses are the cell's job counters; Deduped marks a
-	// cell that reused another cell's job in this sweep (its counters are
-	// then zero — the cost was paid once, by the leader).
-	CacheHits   int  `json:"cache_hits"`
-	CacheMisses int  `json:"cache_misses"`
-	Deduped     bool `json:"deduped,omitempty"`
-
-	// ModulesReused/ModulesCompiled are the cell's job module-compilation
-	// counters (since PR10): how many per-module artifacts the submission
-	// pulled from the artifact store versus compiled fresh.
-	ModulesReused   int `json:"modules_reused,omitempty"`
-	ModulesCompiled int `json:"modules_compiled,omitempty"`
-
-	// Node names the cluster node that served the cell ("coordinator"
-	// for cluster-cache answers); empty on a single-node sweep.
-	Node string `json:"node,omitempty"`
-
-	ElapsedMS float64 `json:"elapsed_ms"`
-	// Err reports a per-cell submission failure; the sweep continues.
-	Err string `json:"err,omitempty"`
-}
-
-// Result is the aggregated outcome of one sweep.
-type Result struct {
-	Name  string       `json:"name"`
-	Cells []CellResult `json:"cells"`
-
-	Total  int `json:"total"`
-	Passed int `json:"passed"`
-	Failed int `json:"failed"`
-	// DedupHits counts cells answered by another cell of this sweep;
-	// CacheHits/CacheMisses sum the executed jobs' property-cache
-	// counters.
-	DedupHits   int `json:"dedup_hits"`
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-	// ModulesReused/ModulesCompiled sum the executed jobs' module
-	// accounting (since PR10) — a warm sweep of near-identical cells
-	// shows reuse dominating compilation.
-	ModulesReused   int     `json:"modules_reused,omitempty"`
-	ModulesCompiled int     `json:"modules_compiled,omitempty"`
-	ElapsedMS       float64 `json:"elapsed_ms"`
-}
-
-// verdictRank orders verdicts from strongest to weakest guarantee.
-func verdictRank(v CellResult) int {
-	switch {
-	case v.Err != "":
-		return 4
-	case v.Verdict == "delivers-all":
-		return 0
-	case v.Verdict == "may-lose-messages":
-		return 1
-	case v.Verdict == "deadlock":
-		return 2
-	default:
-		if _, ok := checker.ParseViolationKind(v.Verdict); ok {
-			return 3
-		}
-		return 3
-	}
-}
-
-// Ranked returns the cells ordered best-first: strongest delivery
-// guarantee, then fewest stored states (the cheapest design that still
-// satisfies the properties), then cell order. Companion cells rank after
-// primaries with the same verdict and cost.
-func (r *Result) Ranked() []CellResult {
-	out := append([]CellResult(nil), r.Cells...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, rj := verdictRank(out[i]), verdictRank(out[j])
-		if ri != rj {
-			return ri < rj
-		}
-		if out[i].Companion != out[j].Companion {
-			return !out[i].Companion
-		}
-		if out[i].States != out[j].States {
-			return out[i].States < out[j].States
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out
-}
-
-// Outcome is one executed cell job as its Executor reports it.
+// Outcome is one executed cell job as its Executor reports it: the
+// job's document as the executor holds it — Report nil with Err set
+// when the job ran nowhere (every fleet node refused it), Node naming
+// the fleet node that served it (empty in-process) — and where to fetch
+// its spans.
 type Outcome struct {
-	// Report is the job's verdict document; nil with Err set when the job
-	// ran nowhere (every fleet node refused it).
-	Report *verifyd.Report
-	Err    string
-
-	CacheHits, CacheMisses         int
-	ModulesReused, ModulesCompiled int
-
-	// JobID is the executor's id for the job; Node names the fleet node
-	// that served it (empty in-process).
-	JobID string
-	Node  string
+	api.Job
 	// RemoteSpans fetches the spans the job recorded outside this
 	// process's flight recorder; nil when there are none to fetch.
 	RemoteSpans func(context.Context) []tracing.SpanData
@@ -216,12 +102,7 @@ func (l local) Submit(ctx context.Context, source string, spec Spec) (func(conte
 		if err := l.Wait(ctx, job); err != nil {
 			return Outcome{}, err
 		}
-		snap := l.Snapshot(job)
-		return Outcome{
-			Report: snap.Report, JobID: snap.ID,
-			CacheHits: snap.CacheHits, CacheMisses: snap.CacheMisses,
-			ModulesReused: snap.ModulesReused, ModulesCompiled: snap.ModulesCompiled,
-		}, nil
+		return Outcome{Job: l.Snapshot(job)}, nil
 	}, nil
 }
 
@@ -229,7 +110,7 @@ func (l local) Submit(ctx context.Context, source string, spec Spec) (func(conte
 // deduplicating identical cell sources into single jobs. Cells that fail
 // to submit (bad composition) carry their error in the result; Run
 // itself fails only on an invalid spec or a canceled context.
-func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
+func Run(ctx context.Context, spec Spec, cfg Config) (*api.SweepResult, error) {
 	cells, err := spec.Expand()
 	if err != nil {
 		return nil, err
@@ -254,9 +135,9 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 			srv.Shutdown(sctx)
 		}()
 	}
-	var observe func(CellResult, *Outcome)
+	var observe func(api.SweepCell, *Outcome)
 	if cfg.OnCell != nil {
-		observe = func(cr CellResult, _ *Outcome) { cfg.OnCell(cr) }
+		observe = func(cr api.SweepCell, _ *Outcome) { cfg.OnCell(cr) }
 	}
 	return run(ctx, spec, cells, Local(srv), cfg.Registry, observe)
 }
@@ -265,7 +146,7 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 // aggregates their results. observe, when non-nil, sees every cell's
 // result as it completes, in cell-index order, together with the
 // outcome of the job that produced it.
-func run(ctx context.Context, spec Spec, cells []Cell, exec Executor, reg *obs.Registry, observe func(CellResult, *Outcome)) (*Result, error) {
+func run(ctx context.Context, spec Spec, cells []Cell, exec Executor, reg *obs.Registry, observe func(api.SweepCell, *Outcome)) (*api.SweepResult, error) {
 	tracer := exec.Tracer()
 	// One sweep span roots the trace unless the caller already started
 	// one (the sweep service does, so the 202 response can carry the
@@ -311,12 +192,12 @@ func run(ctx context.Context, spec Spec, cells []Cell, exec Executor, reg *obs.R
 		}
 	}
 
-	res := &Result{Name: spec.Name, Total: len(cells)}
+	res := &api.SweepResult{Name: spec.Name, Total: len(cells)}
 	start := time.Now()
 	for _, c := range cells {
 		leader := leaders[c.Source]
 		sub := subs[leader]
-		cr := CellResult{
+		cr := api.SweepCell{
 			Index:     c.Index,
 			Connector: c.Connector,
 			Send:      c.Spec.Send.Token(),
@@ -354,7 +235,7 @@ func run(ctx context.Context, spec Spec, cells []Cell, exec Executor, reg *obs.R
 				mInFlight.Add(-1)
 				if sub.span != nil {
 					sub.span.SetAttr("verdict", cr.Verdict)
-					sub.span.SetAttr("job_id", o.JobID)
+					sub.span.SetAttr("job_id", o.ID)
 					if o.Node != "" {
 						sub.span.SetAttr("node", o.Node)
 					}
@@ -404,7 +285,7 @@ func run(ctx context.Context, spec Spec, cells []Cell, exec Executor, reg *obs.R
 // failing goal means the design can lose messages, and a clean report
 // delivers all. States is the safety search's cost — the number the
 // matrix experiment compares across cells.
-func classify(cr *CellResult, rep *verifyd.Report) {
+func classify(cr *api.SweepCell, rep *api.Report) {
 	if rep == nil {
 		cr.Verdict = "error"
 		cr.Err = "job finished without a report"

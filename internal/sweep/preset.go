@@ -3,6 +3,7 @@ package sweep
 import (
 	"fmt"
 
+	"pnp/internal/api"
 	"pnp/internal/blocks"
 )
 
@@ -93,7 +94,7 @@ func Matrix(msgs, bufsize int) Spec {
 // MatrixRow pairs a primary cell with its under-lossy companion's
 // verdict — one row of the E12 table.
 type MatrixRow struct {
-	Cell       CellResult
+	Cell       api.SweepCell
 	UnderLossy string
 }
 
@@ -101,7 +102,7 @@ type MatrixRow struct {
 // cells in matrix order, each with its companion's verdict (a lossy
 // primary is its own companion). Results from arbitrary sweeps work too;
 // cells without a companion repeat their own verdict.
-func MatrixRows(res *Result) []MatrixRow {
+func MatrixRows(res *api.SweepResult) []MatrixRow {
 	companion := make(map[int]string)
 	for _, c := range res.Cells {
 		if c.Companion {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pnp/internal/adl"
+	"pnp/internal/api"
 	"pnp/internal/blocks"
 	"pnp/internal/obs"
 	"pnp/internal/obs/tracing"
@@ -21,39 +22,8 @@ import (
 // ones are evicted FIFO (running sweeps are never evicted).
 const retainSweeps = 64
 
-// WireSpec is the JSON form of a sweep submission: the dimensions are
-// ADL tokens ("syn-blocking", "fifo(2)", "blocking") so clients never
-// depend on internal enum values. Preset names a built-in spec
-// ("matrix") and makes every other field except Msgs/BufSize optional.
-type WireSpec struct {
-	Name       string            `json:"name,omitempty"`
-	Base       string            `json:"base,omitempty"`
-	Components map[string]string `json:"components,omitempty"`
-	Connector  string            `json:"connector,omitempty"`
-
-	Sends    []string `json:"sends,omitempty"`
-	Channels []string `json:"channels,omitempty"`
-	Recvs    []string `json:"recvs,omitempty"`
-	// FaultPlans varies the design's faults block; each entry is the
-	// block's inner text ("" = none).
-	FaultPlans []string `json:"fault_plans,omitempty"`
-
-	UnderLossy bool `json:"under_lossy,omitempty"`
-	LossySize  int  `json:"lossy_size,omitempty"`
-
-	MaxStates int `json:"max_states,omitempty"`
-	Workers   int `json:"workers,omitempty"`
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-
-	// Preset selects a built-in spec ("matrix"); Msgs and BufSize
-	// parameterize it.
-	Preset  string `json:"preset,omitempty"`
-	Msgs    int    `json:"msgs,omitempty"`
-	BufSize int    `json:"buf_size,omitempty"`
-}
-
-// Compile resolves the wire form to an executable Spec.
-func (ws WireSpec) Compile() (Spec, error) {
+// Compile resolves a POST /v1/sweeps body to an executable Spec.
+func Compile(ws api.SweepSpec) (Spec, error) {
 	var spec Spec
 	switch ws.Preset {
 	case "":
@@ -109,24 +79,6 @@ func (ws WireSpec) Compile() (Spec, error) {
 	return spec, nil
 }
 
-// Status is the externally visible state of one sweep.
-type Status struct {
-	ID      string    `json:"id"`
-	Name    string    `json:"name"`
-	State   string    `json:"state"` // "running" or "done"
-	Started time.Time `json:"started"`
-	Total   int       `json:"total_cells"`
-	Done    int       `json:"done_cells"`
-	// TraceID is the hex trace the sweep's spans record into (empty when
-	// the server runs without a Tracer); GET /v1/sweeps/{id}/trace
-	// streams them.
-	TraceID string `json:"trace_id,omitempty"`
-	// Result is present once State is "done"; Err reports a sweep that
-	// failed outright (its cells are then absent).
-	Result *Result `json:"result,omitempty"`
-	Err    string  `json:"err,omitempty"`
-}
-
 // sweepJob is one running or completed sweep.
 type sweepJob struct {
 	id      string
@@ -137,8 +89,8 @@ type sweepJob struct {
 	traceID string
 
 	mu     sync.Mutex
-	cells  []CellResult
-	result *Result
+	cells  []api.SweepCell
+	result *api.SweepResult
 	err    string
 	done   bool
 	notify chan struct{} // closed and replaced on every update
@@ -147,10 +99,10 @@ type sweepJob struct {
 	remote []func(context.Context) []tracing.SpanData
 }
 
-func (sj *sweepJob) status(withResult bool) Status {
+func (sj *sweepJob) status(withResult bool) api.SweepStatus {
 	sj.mu.Lock()
 	defer sj.mu.Unlock()
-	st := Status{
+	st := api.SweepStatus{
 		ID: sj.id, Name: sj.name, State: "running", Started: sj.started,
 		Total: sj.total, Done: len(sj.cells), TraceID: sj.traceID, Err: sj.err,
 	}
@@ -203,17 +155,17 @@ func (sv *Service) Wait() { sv.wg.Wait() }
 // initial status. ctx is used only for trace parenting (a span or
 // extracted traceparent joins the sweep to the caller's trace); the
 // background run is never canceled by it.
-func (sv *Service) Start(ctx context.Context, ws WireSpec) (Status, error) {
+func (sv *Service) Start(ctx context.Context, ws api.SweepSpec) (api.SweepStatus, error) {
 	if sv.exec.Draining() {
-		return Status{}, verifyd.ErrDraining
+		return api.SweepStatus{}, verifyd.ErrDraining
 	}
-	spec, err := ws.Compile()
+	spec, err := Compile(ws)
 	if err != nil {
-		return Status{}, err
+		return api.SweepStatus{}, err
 	}
 	cells, err := spec.Expand()
 	if err != nil {
-		return Status{}, err
+		return api.SweepStatus{}, err
 	}
 	// Compose the first cell now so bad designs fail the submission, not
 	// the background run: Expand only parses the architecture, while
@@ -224,7 +176,7 @@ func (sv *Service) Start(ctx context.Context, ws WireSpec) (Status, error) {
 		}
 		return "", fmt.Errorf("unknown component %q", path)
 	}, blocks.NewCache()); err != nil {
-		return Status{}, err
+		return api.SweepStatus{}, err
 	}
 
 	// The sweep span starts here, not in the engine, so the 202 response
@@ -261,7 +213,7 @@ func (sv *Service) Start(ctx context.Context, ws WireSpec) (Status, error) {
 		if sspan != nil {
 			runCtx = tracing.ContextWithSpan(runCtx, sspan)
 		}
-		res, err := run(runCtx, spec, cells, sv.exec, sv.reg, func(cr CellResult, o *Outcome) {
+		res, err := run(runCtx, spec, cells, sv.exec, sv.reg, func(cr api.SweepCell, o *Outcome) {
 			sj.update(func() {
 				sj.cells = append(sj.cells, cr)
 				if o != nil && !cr.Deduped && o.RemoteSpans != nil {
@@ -333,7 +285,7 @@ func (sv *Service) handleSubmit(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ws WireSpec
+	var ws api.SweepSpec
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&ws); err != nil {
 		return nil, fmt.Errorf("bad sweep spec: %w", err)
 	}
@@ -351,8 +303,8 @@ func (sv *Service) list() any {
 	sv.mu.Unlock()
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq })
 	out := struct {
-		Sweeps []Status `json:"sweeps"`
-	}{Sweeps: make([]Status, 0, len(jobs))}
+		Sweeps []api.SweepStatus `json:"sweeps"`
+	}{Sweeps: make([]api.SweepStatus, 0, len(jobs))}
 	for _, sj := range jobs {
 		out.Sweeps = append(out.Sweeps, sj.status(false))
 	}
@@ -360,10 +312,10 @@ func (sv *Service) list() any {
 }
 
 // Status returns a sweep's status, result included once it is done.
-func (sv *Service) Status(id string) (Status, bool) {
+func (sv *Service) Status(id string) (api.SweepStatus, bool) {
 	sj, ok := sv.lookup(id)
 	if !ok {
-		return Status{}, false
+		return api.SweepStatus{}, false
 	}
 	return sj.status(true), true
 }
@@ -376,13 +328,8 @@ func (sv *Service) handleSweep(r *http.Request) (any, error) {
 	return st, nil
 }
 
-// streamLine is one NDJSON line of GET /v1/sweeps/{id}/stream: cell
-// lines as results arrive, then exactly one sweep line.
-type streamLine struct {
-	Cell  *CellResult `json:"cell,omitempty"`
-	Sweep *Status     `json:"sweep,omitempty"`
-}
-
+// handleStream serves GET /v1/sweeps/{id}/stream: an api.SweepLine per
+// cell as results arrive, then exactly one sweep line.
 func (sv *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	sj, ok := sv.lookup(r.PathValue("id"))
 	if !ok {
@@ -396,17 +343,17 @@ func (sv *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	seen := 0
 	for {
 		sj.mu.Lock()
-		pending := append([]CellResult(nil), sj.cells[seen:]...)
+		pending := append([]api.SweepCell(nil), sj.cells[seen:]...)
 		done := sj.done
 		notify := sj.notify
 		sj.mu.Unlock()
 		for i := range pending {
-			enc.Encode(streamLine{Cell: &pending[i]})
+			enc.Encode(api.SweepLine{Cell: &pending[i]})
 			seen++
 		}
 		if done {
 			st := sj.status(true)
-			enc.Encode(streamLine{Sweep: &st})
+			enc.Encode(api.SweepLine{Sweep: &st})
 			return
 		}
 		if flusher != nil {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/obs"
 	"pnp/internal/verifyd"
 )
@@ -29,7 +30,7 @@ func newTestService(t *testing.T) (*Service, *httptest.Server, *obs.Registry) {
 	return sv, hs, reg
 }
 
-func postSweep(t *testing.T, hs *httptest.Server, ws WireSpec) Status {
+func postSweep(t *testing.T, hs *httptest.Server, ws api.SweepSpec) api.SweepStatus {
 	t.Helper()
 	body, _ := json.Marshal(ws)
 	resp, err := http.Post(hs.URL+"/v1/sweeps", "application/json", strings.NewReader(string(body)))
@@ -40,14 +41,14 @@ func postSweep(t *testing.T, hs *httptest.Server, ws WireSpec) Status {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST /v1/sweeps: status %d", resp.StatusCode)
 	}
-	var st Status
+	var st api.SweepStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func waitSweep(t *testing.T, hs *httptest.Server, id string) Status {
+func waitSweep(t *testing.T, hs *httptest.Server, id string) api.SweepStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -55,7 +56,7 @@ func waitSweep(t *testing.T, hs *httptest.Server, id string) Status {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st Status
+		var st api.SweepStatus
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if err != nil {
@@ -67,12 +68,12 @@ func waitSweep(t *testing.T, hs *httptest.Server, id string) Status {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("sweep did not finish in time")
-	return Status{}
+	return api.SweepStatus{}
 }
 
-func pingWire(msgs int) WireSpec {
+func pingWire(msgs int) api.SweepSpec {
 	spec := pingSpec(msgs)
-	return WireSpec{
+	return api.SweepSpec{
 		Name:       spec.Name,
 		Base:       spec.Base,
 		Components: spec.Components,
@@ -105,7 +106,7 @@ func TestServiceSweepLifecycle(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var list struct {
-		Sweeps []Status `json:"sweeps"`
+		Sweeps []api.SweepStatus `json:"sweeps"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
@@ -120,7 +121,7 @@ func TestServiceSweepPreset(t *testing.T) {
 		t.Skip("matrix preset is expensive; run without -short")
 	}
 	_, hs, reg := newTestService(t)
-	st := postSweep(t, hs, WireSpec{Preset: "matrix", Msgs: 1, BufSize: 1})
+	st := postSweep(t, hs, api.SweepSpec{Preset: "matrix", Msgs: 1, BufSize: 1})
 	if st.Total != 90 {
 		t.Fatalf("matrix preset total = %d, want 90", st.Total)
 	}
@@ -150,10 +151,10 @@ func TestServiceStream(t *testing.T) {
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	var cells []CellResult
-	var finalSt *Status
+	var cells []api.SweepCell
+	var finalSt *api.SweepStatus
 	for sc.Scan() {
-		var line streamLine
+		var line api.SweepLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
@@ -198,7 +199,7 @@ func TestServiceErrorEnvelopes(t *testing.T) {
 		if resp.StatusCode != wantStatus {
 			t.Fatalf("%s %s: status %d, want %d", method, path, resp.StatusCode, wantStatus)
 		}
-		var eb verifyd.ErrorBody
+		var eb api.ErrorBody
 		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 			t.Fatalf("%s %s: bad envelope: %v", method, path, err)
 		}
@@ -221,18 +222,18 @@ func TestServiceErrorEnvelopes(t *testing.T) {
 }
 
 func TestWireSpecCompileErrors(t *testing.T) {
-	for _, ws := range []WireSpec{
+	for _, ws := range []api.SweepSpec{
 		{Sends: []string{"warp-drive"}},
 		{Channels: []string{"fifo("}},
 		{Recvs: []string{"psychic"}},
 		{Preset: "nosuch"},
 	} {
-		if _, err := ws.Compile(); err == nil {
+		if _, err := Compile(ws); err == nil {
 			t.Fatalf("Compile(%+v): want error", ws)
 		}
 	}
-	ws := WireSpec{Preset: "matrix", Msgs: 2, BufSize: 1, Name: "mine", TimeoutMS: 500}
-	spec, err := ws.Compile()
+	ws := api.SweepSpec{Preset: "matrix", Msgs: 2, BufSize: 1, Name: "mine", TimeoutMS: 500}
+	spec, err := Compile(ws)
 	if err != nil {
 		t.Fatal(err)
 	}

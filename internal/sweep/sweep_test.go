@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/model"
@@ -254,7 +255,7 @@ func TestRunStreamsInCellOrder(t *testing.T) {
 	spec := pingSpec(1)
 	spec.Recvs = []blocks.RecvPortKind{blocks.BlockingRecv, blocks.NonblockingRecv}
 	var order []int
-	_, err := Run(context.Background(), spec, Config{Workers: 2, OnCell: func(cr CellResult) {
+	_, err := Run(context.Background(), spec, Config{Workers: 2, OnCell: func(cr api.SweepCell) {
 		order = append(order, cr.Index)
 	}})
 	if err != nil {
@@ -288,7 +289,7 @@ func TestRunHonorsContext(t *testing.T) {
 }
 
 func TestRanked(t *testing.T) {
-	res := &Result{Cells: []CellResult{
+	res := &api.SweepResult{Cells: []api.SweepCell{
 		{Index: 0, Verdict: "may-lose-messages", States: 10},
 		{Index: 1, Verdict: "delivers-all", States: 20},
 		{Index: 2, Verdict: "delivers-all", States: 5},

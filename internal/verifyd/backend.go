@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/artifact"
 	"pnp/internal/checker"
 	"pnp/internal/model"
@@ -23,12 +24,12 @@ import (
 // those; see Routes).
 func (s *Server) Handler() http.Handler { return NewHandler(Routes(s)) }
 
-// Submission extracts the fields of the envelope that determine the
+// SubmissionOf extracts the fields of the envelope that determine the
 // verdict. It is the one place wire fields become a content address:
 // this server keys its report cache by it and the cluster coordinator
 // its ring and result cache, so GET /v1/cache/{key} on a worker answers
 // under the address the coordinator already knows.
-func (req JobRequest) Submission() Submission {
+func SubmissionOf(req api.JobRequest) Submission {
 	return Submission{
 		ADL: req.ADL, Components: req.Components,
 		MaxStates: req.MaxStates, MaxDepth: req.MaxDepth,
@@ -38,7 +39,7 @@ func (req JobRequest) Submission() Submission {
 }
 
 // jobOptions overlays a submission's overrides onto the server defaults.
-func (s *Server) jobOptions(req JobRequest) checker.Options {
+func (s *Server) jobOptions(req api.JobRequest) checker.Options {
 	opts := s.cfg.Options
 	if req.MaxStates != nil {
 		opts.MaxStates = *req.MaxStates
@@ -79,8 +80,8 @@ func (s *Server) jobOptions(req JobRequest) checker.Options {
 }
 
 // SubmitRequest queues one HTTP submission under its content address.
-func (s *Server) SubmitRequest(ctx context.Context, req JobRequest) (any, error) {
-	key := req.Submission().Key()
+func (s *Server) SubmitRequest(ctx context.Context, req api.JobRequest) (any, error) {
+	key := SubmissionOf(req).Key()
 	job, err := s.submitKeyed(ctx, req.ADL, req.Components, s.jobOptions(req),
 		time.Duration(req.TimeoutMS)*time.Millisecond, &key, &req)
 	if err != nil {
@@ -105,32 +106,18 @@ func (s *Server) JobRef(id string) (JobRef, bool) {
 	}, true
 }
 
-// jobSummary is the GET /v1/jobs list element: everything a dashboard
-// needs without the (potentially large) verdict report.
-type jobSummary struct {
-	ID          string    `json:"id"`
-	State       JobState  `json:"state"`
-	Submitted   time.Time `json:"submitted"`
-	CacheHits   int       `json:"cache_hits"`
-	CacheMisses int       `json:"cache_misses"`
-	Workers     int       `json:"workers,omitempty"`
-	TraceID     string    `json:"trace_id,omitempty"`
-	// OK is present once the job is done.
-	OK *bool `json:"ok,omitempty"`
-}
-
 // ListJobs implements Backend. Evicted jobs are absent.
 func (s *Server) ListJobs() []ListedJob {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]ListedJob, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		js := jobSummary{
+		js := api.JobSummary{
 			ID: j.ID, State: j.State, Submitted: j.Submitted,
 			CacheHits: j.CacheHits, CacheMisses: j.CacheMisses, Workers: j.Workers,
 			TraceID: j.TraceID,
 		}
-		if j.State == JobDone && j.Report != nil {
+		if j.State == api.JobDone && j.Report != nil {
 			js.OK = &j.Report.OK
 		}
 		out = append(out, ListedJob{j.seq, j.State, js})
@@ -155,20 +142,11 @@ func (s *Server) cacheDocument() any {
 	}{s.cache.Stats(), s.reports.Stats(), hitsMisses{mh, mm}, s.artifacts.Stats()}
 }
 
-// CachedReport is the GET /v1/cache/{key} hit body: the submission key
-// echoed back plus the completed report it addresses. A coordinator
-// adds the node that produced the report.
-type CachedReport struct {
-	Key    string  `json:"key"`
-	Node   string  `json:"node,omitempty"`
-	Report *Report `json:"report"`
-}
-
 // CachedReport implements Backend from the report cache — the
 // worker-side read path of the cluster result cache.
 func (s *Server) CachedReport(key CacheKey) (any, bool) {
 	rep, ok := s.reports.Get(key)
-	return CachedReport{Key: key.String(), Report: rep}, ok
+	return api.CachedReport{Key: key.String(), Report: rep}, ok
 }
 
 // Artifact implements Backend from the artifact store. A cluster
@@ -179,34 +157,15 @@ func (s *Server) Artifact(_ context.Context, h model.ModuleFingerprint) (any, bo
 	return json.RawMessage(body), ok
 }
 
-// Health is the GET /healthz response body: liveness plus enough
-// identity and load detail for a cluster coordinator (or a human) to
-// tell nodes apart — build version, worker-pool shape, search-budget
-// occupancy, and cache sizes. The status code stays a plain 200 for the
-// process lifetime, so probes that only check the code (load balancers,
-// PR3-era scripts) keep working unchanged.
-type Health struct {
-	Status             string `json:"status"`
-	Version            string `json:"version"`
-	Workers            int    `json:"workers"`
-	SearchBudget       int    `json:"search_budget"`
-	SearchWorkersInUse int    `json:"search_workers_in_use"`
-	ResultCacheEntries int    `json:"result_cache_entries"`
-	ReportCacheEntries int    `json:"report_cache_entries"`
-	Jobs               int    `json:"jobs"`
-	// Durable reports whether the server journals jobs to a data dir —
-	// a coordinator may prefer durable nodes for long searches.
-	Durable  bool `json:"durable,omitempty"`
-	Draining bool `json:"draining,omitempty"`
-}
-
-// HealthInfo snapshots the /healthz body (for embedders and tests).
-func (s *Server) HealthInfo() Health {
+// HealthInfo snapshots the /healthz body (for embedders and tests). The
+// status code stays a plain 200 for the process lifetime, so probes that
+// only check the code keep working.
+func (s *Server) HealthInfo() api.Health {
 	budget, inUse := s.budget.snapshot()
 	s.mu.Lock()
 	jobs := len(s.jobs)
 	s.mu.Unlock()
-	return Health{
+	return api.Health{
 		Status:             "ok",
 		Version:            Version,
 		Workers:            s.cfg.Workers,

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"pnp/internal/api"
 	"pnp/internal/checker"
 )
 
@@ -127,18 +128,18 @@ func TestJobOptionsVisitedStorageOverrides(t *testing.T) {
 	s := &Server{cfg: Config{Options: checker.Options{Storage: def}}}
 	for _, tc := range []struct {
 		name         string
-		req          JobRequest
+		req          api.JobRequest
 		wantVisited  string
 		wantMemLimit int64
 	}{
-		{"absent keeps defaults", JobRequest{}, checker.VisitedCollapse, 64 << 20},
-		{"overrides applied", JobRequest{Visited: ptrTo(checker.VisitedCollapse), MemLimitBytes: ptrTo(int64(1 << 20))},
+		{"absent keeps defaults", api.JobRequest{}, checker.VisitedCollapse, 64 << 20},
+		{"overrides applied", api.JobRequest{Visited: ptrTo(checker.VisitedCollapse), MemLimitBytes: ptrTo(int64(1 << 20))},
 			checker.VisitedCollapse, 1 << 20},
 		// An explicit 0 switches the server's budget off for this job.
-		{"zero clears the budget", JobRequest{MemLimitBytes: ptrTo(int64(0))}, checker.VisitedCollapse, 0},
-		{"exact overrides collapse", JobRequest{Visited: ptrTo(checker.VisitedExact)}, checker.VisitedExact, 64 << 20},
-		{"unknown name keeps default", JobRequest{Visited: ptrTo("bogus")}, checker.VisitedCollapse, 64 << 20},
-		{"negative budget keeps default", JobRequest{MemLimitBytes: ptrTo(int64(-5))}, checker.VisitedCollapse, 64 << 20},
+		{"zero clears the budget", api.JobRequest{MemLimitBytes: ptrTo(int64(0))}, checker.VisitedCollapse, 0},
+		{"exact overrides collapse", api.JobRequest{Visited: ptrTo(checker.VisitedExact)}, checker.VisitedExact, 64 << 20},
+		{"unknown name keeps default", api.JobRequest{Visited: ptrTo("bogus")}, checker.VisitedCollapse, 64 << 20},
+		{"negative budget keeps default", api.JobRequest{MemLimitBytes: ptrTo(int64(-5))}, checker.VisitedCollapse, 64 << 20},
 	} {
 		o := s.jobOptions(tc.req).Storage
 		if o.Visited != tc.wantVisited || o.MemLimit != tc.wantMemLimit {

@@ -1,6 +1,7 @@
 package verifyd
 
 import (
+	"pnp/internal/api"
 	"pnp/internal/checker"
 	"pnp/internal/lru"
 	"pnp/internal/obs"
@@ -10,7 +11,7 @@ import (
 // verdicts. It is safe for concurrent use by the service's workers.
 // Counters (hits, misses, evictions) and the current entry count are
 // mirrored into an obs registry when one is attached.
-type ResultCache = lru.Cache[CacheKey, PropertyVerdict]
+type ResultCache = lru.Cache[CacheKey, api.PropertyVerdict]
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats = lru.Stats
@@ -19,7 +20,7 @@ type CacheStats = lru.Stats
 // (maxEntries <= 0 selects the default of 1024). A nil registry is
 // fine; counters then live only in the cache itself.
 func NewResultCache(maxEntries int, reg *obs.Registry) *ResultCache {
-	return lru.New[CacheKey, PropertyVerdict](maxEntries, lru.Metrics{
+	return lru.New[CacheKey, api.PropertyVerdict](maxEntries, lru.Metrics{
 		Hits:      reg.Counter("verifyd_cache_hits_total"),
 		Misses:    reg.Counter("verifyd_cache_misses_total"),
 		Evictions: reg.Counter("verifyd_cache_evictions_total"),
@@ -35,10 +36,10 @@ func NewResultCache(maxEntries int, reg *obs.Registry) *ResultCache {
 // answered exactly this request?" with one GET /v1/cache/{key} and no
 // composition work on either side. Reports are shared — callers must
 // treat them as immutable.
-type reportCache = lru.Cache[CacheKey, *Report]
+type reportCache = lru.Cache[CacheKey, *api.Report]
 
 func newReportCache(maxEntries int, reg *obs.Registry) *reportCache {
-	return lru.New[CacheKey, *Report](maxEntries, lru.Metrics{
+	return lru.New[CacheKey, *api.Report](maxEntries, lru.Metrics{
 		Hits:    reg.Counter("verifyd_report_cache_hits_total"),
 		Misses:  reg.Counter("verifyd_report_cache_misses_total"),
 		Entries: reg.Gauge("verifyd_report_cache_entries"),
@@ -49,7 +50,7 @@ func newReportCache(maxEntries int, reg *obs.Registry) *reportCache {
 // submission: truncated or canceled searches are not verdicts about the
 // model and must never be replayed as such — the same rule the property
 // cache applies, lifted to the report level.
-func Cacheable(rep *Report) bool {
+func Cacheable(rep *api.Report) bool {
 	if rep == nil {
 		return false
 	}

@@ -1,8 +1,9 @@
 // Package client is the typed Go client of the verification service's
-// v1 HTTP API. It deliberately imports nothing from the server packages:
-// the wire types below mirror the documented JSON shapes (docs/API.md),
-// so the client compiles against the protocol, not the implementation —
-// the same position an external consumer of the API is in.
+// v1 HTTP API. It imports nothing from the server packages: its
+// documents are internal/api's, the one declaration of every v1 JSON
+// shape (docs/API.md), which the server encodes too. So the client
+// compiles against the protocol, not the implementation — the same
+// position an external consumer of the API is in.
 //
 // Transient failures — connection errors and 5xx responses on
 // idempotent requests — are retried with capped exponential backoff;
@@ -14,7 +15,8 @@
 // remote job or sweep joins the caller's trace; JobTrace and
 // SweepTrace pull the server's recorded spans back for local export.
 // The tracing package is shared protocol vocabulary, not server
-// implementation — the no-server-imports rule above still holds.
+// implementation — the no-server-imports rule above still holds
+// (make client-deps checks it).
 package client
 
 import (
@@ -33,239 +35,27 @@ import (
 	"sync"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/obs/tracing"
 )
 
-// Job mirrors the service's job resource. Node, Failovers, and
-// ClusterCached are populated only by a cluster coordinator; a single
-// pnpd leaves them zero.
-type Job struct {
-	ID          string    `json:"id"`
-	State       string    `json:"state"` // "queued", "running", "done"
-	Submitted   time.Time `json:"submitted"`
-	Report      *Report   `json:"report,omitempty"`
-	CacheHits   int       `json:"cache_hits"`
-	CacheMisses int       `json:"cache_misses"`
-	Workers     int       `json:"workers,omitempty"`
-	TraceID     string    `json:"trace_id,omitempty"`
-	// Attempt counts executions across crashes and failovers (1 for a
-	// fresh run); ResumedFrom records where this attempt's search
-	// checkpoints came from — a peer node's base URL (cluster re-drive)
-	// or "journal" (restart recovery). Both zero on an undisturbed job.
-	Attempt     int    `json:"attempt,omitempty"`
-	ResumedFrom string `json:"resumed_from,omitempty"`
-	// Modules is the submission's module DAG — block library, component
-	// files, linked program, connectors — with per-module content
-	// addresses and reuse flags; the counters summarize it (since PR10).
-	Modules         []ModuleInfo `json:"modules,omitempty"`
-	ModulesTotal    int          `json:"modules_total,omitempty"`
-	ModulesReused   int          `json:"modules_reused,omitempty"`
-	ModulesCompiled int          `json:"modules_compiled,omitempty"`
-
-	Node          string `json:"node,omitempty"`
-	Failovers     int    `json:"failovers,omitempty"`
-	ClusterCached bool   `json:"cluster_cached,omitempty"`
-	Err           string `json:"err,omitempty"`
-}
-
-// ModuleInfo mirrors one entry of a job's module DAG: the module's
-// content address, its kind ("library", "component", "program",
-// "connector"), the fingerprints it was compiled against, and whether
-// the server reused a stored artifact instead of compiling (since
-// PR10).
-type ModuleInfo struct {
-	Hash   string   `json:"hash"`
-	Kind   string   `json:"kind"`
-	Name   string   `json:"name,omitempty"`
-	Deps   []string `json:"deps,omitempty"`
-	Reused bool     `json:"reused,omitempty"`
-}
-
-// Artifact mirrors the GET /v1/artifacts/{hash} hit body: a compiled
-// module's envelope — identity plus the canonical source the
-// fingerprint covers (since PR10). Deterministic compilation makes the
-// source a faithful serialization of the compiled module.
-type Artifact struct {
-	Hash   string   `json:"hash"`
-	Kind   string   `json:"kind"`
-	Name   string   `json:"name,omitempty"`
-	Deps   []string `json:"deps,omitempty"`
-	Source string   `json:"source"`
-}
-
-// Report mirrors the service's verdict document.
-type Report struct {
-	System     string            `json:"system"`
-	Processes  int               `json:"processes"`
-	Channels   int               `json:"channels"`
-	OK         bool              `json:"ok"`
-	Failed     int               `json:"failed"`
-	Properties []PropertyVerdict `json:"properties"`
-}
-
-// PropertyVerdict mirrors one property's verdict.
-type PropertyVerdict struct {
-	Name    string `json:"name"`
-	Kind    string `json:"kind"`
-	OK      bool   `json:"ok"`
-	Verdict string `json:"verdict"`
-	Message string `json:"message,omitempty"`
-	Summary string `json:"summary"`
-
-	States      int     `json:"states"`
-	Matched     int     `json:"matched"`
-	Transitions int     `json:"transitions"`
-	Depth       int     `json:"depth"`
-	Reduced     int     `json:"reduced,omitempty"`
-	Truncated   bool    `json:"truncated,omitempty"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
-
-	Counterexample string   `json:"counterexample,omitempty"`
-	MSC            string   `json:"msc,omitempty"`
-	Unreached      []string `json:"unreached,omitempty"`
-	Cached         bool     `json:"cached"`
-}
-
-// JobRequest is the submission envelope for Submit. Its fields mirror
-// the server's envelope one for one, in order: the cluster coordinator
-// converts between the two types directly, so a field added to only one
-// side stops compiling instead of silently dropping off the key.
-type JobRequest struct {
-	ADL        string            `json:"adl"`
-	Components map[string]string `json:"components,omitempty"`
-
-	MaxStates      *int  `json:"max_states,omitempty"`
-	MaxDepth       *int  `json:"max_depth,omitempty"`
-	BFS            *bool `json:"bfs,omitempty"`
-	IgnoreDeadlock *bool `json:"ignore_deadlock,omitempty"`
-	PartialOrder   *bool `json:"partial_order,omitempty"`
-	WeakFairness   *bool `json:"weak_fairness,omitempty"`
-	StrongFairness *bool `json:"strong_fairness,omitempty"`
-	Workers        *int  `json:"workers,omitempty"`
-
-	// Visited ("exact" or "collapse") and MemLimitBytes tune the
-	// server's visited-set storage for this job. Speed/memory knobs
-	// only — they never change the verdict and do not enter the
-	// submission's content address. There is deliberately no spill-dir
-	// field: spill paths are server configuration.
-	Visited       *string `json:"visited,omitempty"`
-	MemLimitBytes *int64  `json:"mem_limit_bytes,omitempty"`
-
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-
-	// Attempt and ResumeFrom form the resume token a cluster coordinator
-	// attaches when re-placing a job after a worker died mid-run: the
-	// replica fetches the dead node's search checkpoint (GET
-	// /v1/checkpoints/{key}) and continues instead of re-exploring.
-	// Neither field enters the submission's content address.
-	Attempt    int    `json:"attempt,omitempty"`
-	ResumeFrom string `json:"resume_from,omitempty"`
-}
-
-// JobSummary mirrors a GET /v1/jobs list element.
-type JobSummary struct {
-	ID          string    `json:"id"`
-	State       string    `json:"state"`
-	Submitted   time.Time `json:"submitted"`
-	CacheHits   int       `json:"cache_hits"`
-	CacheMisses int       `json:"cache_misses"`
-	Workers     int       `json:"workers,omitempty"`
-	OK          *bool     `json:"ok,omitempty"`
-}
-
-// JobList is one page of GET /v1/jobs.
-type JobList struct {
-	Jobs       []JobSummary `json:"jobs"`
-	NextCursor string       `json:"next_cursor,omitempty"`
-}
-
-// SweepSpec mirrors the sweep submission (ADL-token dimensions).
-type SweepSpec struct {
-	Name       string            `json:"name,omitempty"`
-	Base       string            `json:"base,omitempty"`
-	Components map[string]string `json:"components,omitempty"`
-	Connector  string            `json:"connector,omitempty"`
-
-	Sends      []string `json:"sends,omitempty"`
-	Channels   []string `json:"channels,omitempty"`
-	Recvs      []string `json:"recvs,omitempty"`
-	FaultPlans []string `json:"fault_plans,omitempty"`
-
-	UnderLossy bool `json:"under_lossy,omitempty"`
-	LossySize  int  `json:"lossy_size,omitempty"`
-
-	MaxStates int `json:"max_states,omitempty"`
-	Workers   int `json:"workers,omitempty"`
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-
-	Preset  string `json:"preset,omitempty"`
-	Msgs    int    `json:"msgs,omitempty"`
-	BufSize int    `json:"buf_size,omitempty"`
-}
-
-// SweepCell mirrors one sweep cell's result.
-type SweepCell struct {
-	Index     int    `json:"index"`
-	Connector string `json:"connector"`
-	Send      string `json:"send"`
-	Channel   string `json:"channel"`
-	Size      int    `json:"size,omitempty"`
-	Recv      string `json:"recv"`
-	Faults    string `json:"faults,omitempty"`
-	Companion bool   `json:"companion,omitempty"`
-	Primary   int    `json:"primary"`
-
-	Verdict    string            `json:"verdict"`
-	OK         bool              `json:"ok"`
-	States     int               `json:"states"`
-	Properties []PropertyVerdict `json:"properties,omitempty"`
-
-	CacheHits   int  `json:"cache_hits"`
-	CacheMisses int  `json:"cache_misses"`
-	Deduped     bool `json:"deduped,omitempty"`
-
-	// Module accounting of the cell's job (since PR10).
-	ModulesReused   int `json:"modules_reused,omitempty"`
-	ModulesCompiled int `json:"modules_compiled,omitempty"`
-
-	// Node names the cluster node that served this cell ("coordinator"
-	// for cluster-cache hits); empty on a single-node sweep.
-	Node string `json:"node,omitempty"`
-
-	ElapsedMS float64 `json:"elapsed_ms"`
-	Err       string  `json:"err,omitempty"`
-}
-
-// SweepResult mirrors a completed sweep's aggregate.
-type SweepResult struct {
-	Name  string      `json:"name"`
-	Cells []SweepCell `json:"cells"`
-
-	Total       int `json:"total"`
-	Passed      int `json:"passed"`
-	Failed      int `json:"failed"`
-	DedupHits   int `json:"dedup_hits"`
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-	// Summed module accounting across the sweep's executed jobs (since
-	// PR10).
-	ModulesReused   int     `json:"modules_reused,omitempty"`
-	ModulesCompiled int     `json:"modules_compiled,omitempty"`
-	ElapsedMS       float64 `json:"elapsed_ms"`
-}
-
-// SweepStatus mirrors a sweep resource.
-type SweepStatus struct {
-	ID      string       `json:"id"`
-	Name    string       `json:"name"`
-	State   string       `json:"state"` // "running" or "done"
-	Started time.Time    `json:"started"`
-	Total   int          `json:"total_cells"`
-	Done    int          `json:"done_cells"`
-	Result  *SweepResult `json:"result,omitempty"`
-	Err     string       `json:"err,omitempty"`
-	TraceID string       `json:"trace_id,omitempty"`
-}
+// The v1 documents, under the names this package has always exported.
+// Each is declared once, in internal/api.
+type (
+	Job             = api.Job
+	JobRequest      = api.JobRequest
+	JobSummary      = api.JobSummary
+	JobList         = api.JobList
+	Report          = api.Report
+	PropertyVerdict = api.PropertyVerdict
+	ModuleInfo      = api.ModuleInfo
+	Artifact        = api.Artifact
+	Health          = api.Health
+	SweepSpec       = api.SweepSpec
+	SweepCell       = api.SweepCell
+	SweepResult     = api.SweepResult
+	SweepStatus     = api.SweepStatus
+)
 
 // APIError is a non-2xx response decoded from the uniform error
 // envelope {"error":{"code","message"}}.
@@ -437,14 +227,7 @@ func (c *Client) decode(resp *http.Response, out any) (retry bool, err error) {
 			ae.RetryAfter = secs
 		}
 	}
-	var eb struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-			Line    int    `json:"line"`
-			Col     int    `json:"col"`
-		} `json:"error"`
-	}
+	var eb api.ErrorBody
 	if derr := json.NewDecoder(resp.Body).Decode(&eb); derr == nil {
 		ae.Code, ae.Message, ae.Line, ae.Col = eb.Error.Code, eb.Error.Message, eb.Error.Line, eb.Error.Col
 	}
@@ -525,24 +308,6 @@ func (c *Client) Wait(ctx context.Context, id string) (*Job, error) {
 	}
 }
 
-// Health mirrors the GET /healthz body: liveness plus node identity
-// (build version) and load (worker pool, search-budget occupancy, cache
-// sizes, queue depth).
-type Health struct {
-	Status             string `json:"status"`
-	Version            string `json:"version"`
-	Workers            int    `json:"workers"`
-	SearchBudget       int    `json:"search_budget"`
-	SearchWorkersInUse int    `json:"search_workers_in_use"`
-	ResultCacheEntries int    `json:"result_cache_entries"`
-	ReportCacheEntries int    `json:"report_cache_entries"`
-	Jobs               int    `json:"jobs"`
-	// Durable reports whether the node journals jobs to a data dir and
-	// can therefore survive kill -9 without losing accepted work.
-	Durable  bool `json:"durable,omitempty"`
-	Draining bool `json:"draining,omitempty"`
-}
-
 // Health fetches the node's /healthz document.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
 	var h Health
@@ -563,10 +328,7 @@ func (c *Client) Ready(ctx context.Context) error {
 // a coordinator). A miss returns (nil, nil) — it is an expected answer,
 // not a failure.
 func (c *Client) CachePeek(ctx context.Context, key string) (*Report, error) {
-	var hit struct {
-		Key    string  `json:"key"`
-		Report *Report `json:"report"`
-	}
+	var hit api.CachedReport
 	err := c.do(ctx, http.MethodGet, "/v1/cache/"+url.PathEscape(key), nil, &hit)
 	var ae *APIError
 	if errors.As(err, &ae) && ae.Status == http.StatusNotFound {
@@ -705,10 +467,7 @@ func (c *Client) streamOnce(ctx context.Context, id string, seen *int, onCell fu
 	// Cell lines carry full property verdicts (counterexamples included),
 	// which overflow bufio's default 64KiB line limit on real designs.
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var line struct {
-		Cell  *SweepCell   `json:"cell"`
-		Sweep *SweepStatus `json:"sweep"`
-	}
+	var line api.SweepLine
 	for sc.Scan() {
 		line.Cell, line.Sweep = nil, nil
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {

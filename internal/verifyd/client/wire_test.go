@@ -1,14 +1,16 @@
 package client_test
 
-// Wire-compatibility tests: the client's mirrored types against the
-// real service over real HTTP. If a server payload shape drifts, these
-// fail before any external consumer notices.
+// Wire tests: the client against the real service, single node and
+// coordinator, over real HTTP.
 
 import (
 	"context"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"pnp/internal/cluster"
+	"pnp/internal/obs/tracing"
 	"pnp/internal/sweep"
 	"pnp/internal/verifyd"
 	"pnp/internal/verifyd/client"
@@ -155,5 +157,70 @@ func TestWireSweepRoundTrip(t *testing.T) {
 	}
 	if got.Result == nil || got.Result.Total != 3 {
 		t.Fatalf("sweep status %+v", got)
+	}
+}
+
+// runWireJob submits the wire design through c and waits for it.
+func runWireJob(t *testing.T, c *client.Client) *client.Job {
+	t.Helper()
+	ctx := context.Background()
+	job, err := c.Submit(ctx, client.JobRequest{ADL: wireADL, Components: map[string]string{"wire.pml": wirePML}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return done
+}
+
+// TestWireJobListCarriesTraceID: a traced node lists each job with the
+// trace it recorded into.
+func TestWireJobListCarriesTraceID(t *testing.T) {
+	srv := verifyd.NewServer(verifyd.Config{Workers: 2, Tracer: tracing.NewRecorder(0)})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Shutdown(context.Background())
+	})
+	c := client.New(hs.URL)
+	done := runWireJob(t, c)
+	list, err := c.Jobs(context.Background(), "", "", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 1 || done.TraceID == "" || list.Jobs[0].TraceID != done.TraceID {
+		t.Fatalf("list %+v, job trace %q", list, done.TraceID)
+	}
+}
+
+// TestWireCoordinatorJobCarriesRemoteID: a coordinator's job document
+// names the worker that ran the job and the job's id there.
+func TestWireCoordinatorJobCarriesRemoteID(t *testing.T) {
+	srv := verifyd.NewServer(verifyd.Config{Workers: 2})
+	worker := httptest.NewServer(srv.Handler())
+	coord, err := cluster.New(cluster.Config{Nodes: []string{worker.URL}, ProbeInterval: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() {
+		front.Close()
+		coord.Shutdown(context.Background())
+		worker.Close()
+		srv.Shutdown(context.Background())
+	})
+	c := client.New(front.URL)
+	done := runWireJob(t, c)
+	got, err := c.Job(context.Background(), done.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Node != worker.URL || got.RemoteID == "" {
+		t.Fatalf("coordinator job %+v: want node %s and a remote id", got, worker.URL)
+	}
+	if _, ok := srv.Job(got.RemoteID); !ok {
+		t.Fatalf("remote id %q names no job on the worker", got.RemoteID)
 	}
 }

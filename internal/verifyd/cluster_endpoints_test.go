@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pnp/internal/api"
 	"pnp/internal/checker"
 	"pnp/internal/obs"
 )
@@ -28,7 +29,7 @@ func TestHealthzDocument(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/healthz = %d, want 200", resp.StatusCode)
 	}
-	var h Health
+	var h api.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestCachePeekRoundtrip(t *testing.T) {
 
 	adl := loadExample(t, "bridge.pnp")
 	comps := bridgeComponents(t)
-	env, _ := json.Marshal(JobRequest{ADL: adl, Components: comps})
+	env, _ := json.Marshal(api.JobRequest{ADL: adl, Components: comps})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(string(env)))
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestCachePeekRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if done.State != JobDone || done.Report == nil {
+	if done.State != api.JobDone || done.Report == nil {
 		t.Fatalf("job did not finish: %+v", done)
 	}
 
@@ -87,7 +88,7 @@ func TestCachePeekRoundtrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("peek = %d, want 200", resp.StatusCode)
 	}
-	var hit CachedReport
+	var hit api.CachedReport
 	if err := json.NewDecoder(resp.Body).Decode(&hit); err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +153,18 @@ func TestSubmissionKeyDiscriminates(t *testing.T) {
 func ptrTo[T any](v T) *T { return &v }
 
 func TestCacheable(t *testing.T) {
-	ok := &Report{OK: true, Properties: []PropertyVerdict{{Name: "p", Verdict: "holds"}}}
+	ok := &api.Report{OK: true, Properties: []api.PropertyVerdict{{Name: "p", Verdict: "holds"}}}
 	if !Cacheable(ok) {
 		t.Error("clean report must be cacheable")
 	}
 	if Cacheable(nil) {
 		t.Error("nil report must not be cacheable")
 	}
-	trunc := &Report{Properties: []PropertyVerdict{{Name: "p", Truncated: true}}}
+	trunc := &api.Report{Properties: []api.PropertyVerdict{{Name: "p", Truncated: true}}}
 	if Cacheable(trunc) {
 		t.Error("truncated search is not a verdict; must not be cacheable")
 	}
-	canceled := &Report{Properties: []PropertyVerdict{{Name: "p", Verdict: checker.Canceled.String()}}}
+	canceled := &api.Report{Properties: []api.PropertyVerdict{{Name: "p", Verdict: checker.Canceled.String()}}}
 	if Cacheable(canceled) {
 		t.Error("canceled search must not be cacheable")
 	}

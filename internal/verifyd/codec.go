@@ -12,55 +12,19 @@ import (
 	"time"
 
 	"pnp/internal/adl"
+	"pnp/internal/api"
 	"pnp/internal/checker"
 )
 
-// PropertyVerdict is the JSON verdict for one property of one system.
-// It is the unit stored in the result cache and the element of a
-// Report's properties array; pnpverify --json emits the same shape.
-type PropertyVerdict struct {
-	Name    string `json:"name"`
-	Kind    string `json:"kind"` // "invariant", "goal", or "ltl"
-	OK      bool   `json:"ok"`
-	Verdict string `json:"verdict"` // "verified" or the violation kind
-	Message string `json:"message,omitempty"`
-	Summary string `json:"summary"`
-
-	States      int     `json:"states"`
-	Matched     int     `json:"matched"`
-	Transitions int     `json:"transitions"`
-	Depth       int     `json:"depth"`
-	Reduced     int     `json:"reduced,omitempty"`
-	Truncated   bool    `json:"truncated,omitempty"`
-	ElapsedMS   float64 `json:"elapsed_ms"`
-
-	// Counterexample is the violating trace listing; MSC renders the
-	// same trace as a message sequence chart over the system's
-	// processes. Both are empty for verified properties.
-	Counterexample string   `json:"counterexample,omitempty"`
-	MSC            string   `json:"msc,omitempty"`
-	Unreached      []string `json:"unreached,omitempty"`
-
-	// Cached is true when this verdict was served from the result cache
-	// without running the checker.
-	Cached bool `json:"cached"`
-}
-
-// Report is the complete verdict document for one verified system.
-type Report struct {
-	System     string            `json:"system"`
-	Processes  int               `json:"processes"`
-	Channels   int               `json:"channels"`
-	OK         bool              `json:"ok"`
-	Failed     int               `json:"failed"`
-	Properties []PropertyVerdict `json:"properties"`
-}
+// The v1 documents are declared in internal/api; this file holds the
+// server-side logic that builds the verdict documents from checker
+// results.
 
 // NewPropertyVerdict converts one checker result into its JSON verdict.
 // procs supplies process names for the MSC rendering; nil suppresses the
 // per-process columns.
-func NewPropertyVerdict(name, kind string, res *checker.Result, procs []string) PropertyVerdict {
-	v := PropertyVerdict{
+func NewPropertyVerdict(name, kind string, res *checker.Result, procs []string) api.PropertyVerdict {
+	v := api.PropertyVerdict{
 		Name:        name,
 		Kind:        kind,
 		OK:          res.OK,
@@ -89,7 +53,7 @@ func NewPropertyVerdict(name, kind string, res *checker.Result, procs []string) 
 // NewReport assembles the full verdict document for a system from the
 // VerifyAll result map, with properties sorted by name. This is the
 // codec behind both GET /v1/jobs/{id} and pnpverify --json.
-func NewReport(sys *adl.System, results map[string]*checker.Result) Report {
+func NewReport(sys *adl.System, results map[string]*checker.Result) api.Report {
 	kinds := make(map[string]string, len(sys.Sources))
 	for _, ps := range sys.Sources {
 		kinds[ps.Name] = ps.Kind
@@ -99,7 +63,7 @@ func NewReport(sys *adl.System, results map[string]*checker.Result) Report {
 	for _, in := range m.Instances() {
 		procs = append(procs, in.Name)
 	}
-	rep := Report{
+	rep := api.Report{
 		System:    sys.Name,
 		Processes: m.NumInstances(),
 		Channels:  m.NumChannels(),

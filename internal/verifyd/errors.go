@@ -5,10 +5,12 @@ import (
 	"net/http"
 
 	"pnp/internal/adl"
+	"pnp/internal/api"
 )
 
 // Error codes of the v1 HTTP API. Every failure response across every
-// route of the table in transport.go carries the same JSON envelope:
+// route of the table in transport.go carries the same JSON envelope
+// (api.ErrorBody):
 //
 //	{"error": {"code": "invalid_argument", "message": "...", "line": 2, "col": 5}}
 //
@@ -21,40 +23,27 @@ const (
 	CodeInternal        = "internal"
 )
 
-// ErrorInfo is the body of the uniform v1 error envelope.
-type ErrorInfo struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	Line    int    `json:"line,omitempty"`
-	Col     int    `json:"col,omitempty"`
-}
-
-// ErrorBody is the uniform v1 error envelope.
-type ErrorBody struct {
-	Error ErrorInfo `json:"error"`
-}
-
 // StatusError is a failure that already knows its HTTP status and
 // envelope: a lookup that found nothing (NotFound), an oversized body,
 // or a fleet backend relaying a worker's answer verbatim — the
 // coordinator is a proxy, not a translator.
 type StatusError struct {
 	Status int
-	Info   ErrorInfo
+	Info   api.ErrorInfo
 }
 
 func (e *StatusError) Error() string { return e.Info.Message }
 
 // NotFound is the error of a lookup that found nothing: an enveloped 404.
 func NotFound(msg string) error {
-	return &StatusError{http.StatusNotFound, ErrorInfo{Code: CodeNotFound, Message: msg}}
+	return &StatusError{http.StatusNotFound, api.ErrorInfo{Code: CodeNotFound, Message: msg}}
 }
 
 // WriteError writes the uniform error envelope. It is exported so
 // per-backend extra routes fail with the same shape as the shared
 // table.
 func WriteError(w http.ResponseWriter, status int, code, msg string) {
-	writeErr(w, &StatusError{status, ErrorInfo{Code: code, Message: msg}})
+	writeErr(w, &StatusError{status, api.ErrorInfo{Code: code, Message: msg}})
 }
 
 // writeErr writes a backend's error as the uniform envelope: a
@@ -71,14 +60,14 @@ func writeErr(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &se):
 	case errors.As(err, &ae):
-		se = &StatusError{http.StatusBadRequest, ErrorInfo{CodeInvalidArgument, ae.Error(), ae.Line, ae.Col}}
+		se = &StatusError{http.StatusBadRequest, api.ErrorInfo{Code: CodeInvalidArgument, Message: ae.Error(), Line: ae.Line, Col: ae.Col}}
 	case errors.Is(err, ErrDraining):
-		se = &StatusError{http.StatusServiceUnavailable, ErrorInfo{Code: CodeUnavailable, Message: err.Error()}}
+		se = &StatusError{http.StatusServiceUnavailable, api.ErrorInfo{Code: CodeUnavailable, Message: err.Error()}}
 	default:
-		se = &StatusError{http.StatusBadRequest, ErrorInfo{Code: CodeInvalidArgument, Message: err.Error()}}
+		se = &StatusError{http.StatusBadRequest, api.ErrorInfo{Code: CodeInvalidArgument, Message: err.Error()}}
 	}
 	if se.Status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, se.Status, ErrorBody{Error: se.Info})
+	writeJSON(w, se.Status, api.ErrorBody{Error: se.Info})
 }

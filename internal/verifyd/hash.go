@@ -45,9 +45,12 @@ func ModelHash(b *blocks.Builder) [sha256.Size]byte {
 // the engine it selects ("par"), not the count: the level engine's
 // verdicts and stats are identical at every worker count, and hashing
 // the dynamically granted count would fragment the cache for no reason.
-// (bfs=true;par=false now runs that same engine; the two spellings keep
-// their separate keys because durable cached verdicts are addressed by
-// this string and it must not move.)
+// BFS is hashed only when no worker is granted: the level engine runs
+// every parallel safety search whatever BFS says, and goal and LTL
+// searches ignore it, so bfs=true;par=true is the same search as the
+// default and shares its key. (The property cache is memory-only; the
+// durable journal and the coordinator address whole submissions by
+// Submission.Key, which still hashes the bfs override as sent.)
 // Storage.Visited, Storage.MemLimit, and Storage.SpillDir are likewise
 // excluded: visited-set storage (exact, collapse-compressed, or
 // disk-spilled) trades memory for time without ever changing
@@ -57,7 +60,7 @@ func ModelHash(b *blocks.Builder) [sha256.Size]byte {
 func OptionsKey(o checker.Options) string {
 	par := o.Workers >= 1 && !o.PartialOrder && !o.ReportUnreached
 	return fmt.Sprintf("ms=%d;md=%d;bfs=%t;id=%t;ru=%t;po=%t;wf=%t;sf=%t;bs=%t;bb=%d;par=%t",
-		o.MaxStates, o.MaxDepth, o.BFS, o.IgnoreDeadlock, o.ReportUnreached,
+		o.MaxStates, o.MaxDepth, o.BFS && !par, o.IgnoreDeadlock, o.ReportUnreached,
 		o.PartialOrder, o.WeakFairness, o.StrongFairness, o.Storage.Bitstate, o.Storage.BitstateBits, par)
 }
 

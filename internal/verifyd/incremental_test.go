@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"pnp/internal/api"
 	"pnp/internal/checker"
 	"pnp/internal/obs"
 )
@@ -89,7 +90,7 @@ func TestJobModulesOnWire(t *testing.T) {
 	defer tsrv.Close()
 	ts := tsrv.URL
 
-	env, _ := json.Marshal(JobRequest{
+	env, _ := json.Marshal(api.JobRequest{
 		ADL:        loadExample(t, "bridge.pnp"),
 		Components: bridgeComponents(t),
 	})

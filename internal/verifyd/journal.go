@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"pnp/internal/artifact"
+	"pnp/internal/api"
 	"pnp/internal/frame"
 	"pnp/internal/obs"
 )
@@ -49,25 +49,25 @@ const journalSegmentBytes = 4 << 20
 // records are self-contained (seq + key + report), so compaction keeps
 // only them for done jobs.
 type journalRecord struct {
-	Type    string      `json:"type"`
-	ID      string      `json:"id"`
-	Seq     int         `json:"seq,omitempty"`
-	Time    time.Time   `json:"time"`
-	Key     string      `json:"key,omitempty"`
-	Req     *JobRequest `json:"req,omitempty"`
-	Attempt int         `json:"attempt,omitempty"`
-	File    string      `json:"file,omitempty"`
-	Depth   int         `json:"depth,omitempty"`
-	Report  *Report     `json:"report,omitempty"`
+	Type    string          `json:"type"`
+	ID      string          `json:"id"`
+	Seq     int             `json:"seq,omitempty"`
+	Time    time.Time       `json:"time"`
+	Key     string          `json:"key,omitempty"`
+	Req     *api.JobRequest `json:"req,omitempty"`
+	Attempt int             `json:"attempt,omitempty"`
+	File    string          `json:"file,omitempty"`
+	Depth   int             `json:"depth,omitempty"`
+	Report  *api.Report     `json:"report,omitempty"`
 
 	CacheHits   int `json:"cache_hits,omitempty"`
 	CacheMisses int `json:"cache_misses,omitempty"`
 
 	// Module accounting of the completed job (since PR10), so a
 	// replayed verdict keeps reporting what its compilation reused.
-	Modules         []artifact.Info `json:"modules,omitempty"`
-	ModulesReused   int             `json:"modules_reused,omitempty"`
-	ModulesCompiled int             `json:"modules_compiled,omitempty"`
+	Modules         []api.ModuleInfo `json:"modules,omitempty"`
+	ModulesReused   int              `json:"modules_reused,omitempty"`
+	ModulesCompiled int              `json:"modules_compiled,omitempty"`
 }
 
 // journalFsyncBuckets resolve sub-millisecond SSD flushes out to

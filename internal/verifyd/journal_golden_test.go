@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"testing"
 	"time"
+
+	"pnp/internal/api"
 )
 
 // goldenJournal is two journal records exactly as the commit before
@@ -33,9 +35,9 @@ func TestJournalGoldenBytes(t *testing.T) {
 	ms := 1000
 	want := []journalRecord{
 		{Type: recAccepted, ID: "job-1", Seq: 1, Time: when, Key: "k1",
-			Req: &JobRequest{ADL: "system x {}", MaxStates: &ms, TimeoutMS: 250}, Attempt: 1},
+			Req: &api.JobRequest{ADL: "system x {}", MaxStates: &ms, TimeoutMS: 250}, Attempt: 1},
 		{Type: recCompleted, ID: "job-1", Seq: 1, Time: when, Key: "k1",
-			Report: &Report{System: "x", OK: true}, CacheMisses: 1},
+			Report: &api.Report{System: "x", OK: true}, CacheMisses: 1},
 	}
 
 	got := decodeRecords(golden)

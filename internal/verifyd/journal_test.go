@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pnp/internal/adl"
+	"pnp/internal/api"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/obs"
@@ -43,7 +44,7 @@ func durableComponents(t testing.TB) map[string]string {
 
 // submitHTTP posts the JSON envelope (the path that journals on a
 // durable server) and returns the accepted job's ID.
-func submitHTTP(t *testing.T, url string, req JobRequest) string {
+func submitHTTP(t *testing.T, url string, req api.JobRequest) string {
 	t.Helper()
 	env, _ := json.Marshal(req)
 	resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(env))
@@ -102,10 +103,10 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("fresh journal replayed %d records", len(recs))
 	}
 	want := []journalRecord{
-		{Type: recAccepted, ID: "job-1", Seq: 1, Key: "k1", Req: &JobRequest{ADL: "system x {}"}},
+		{Type: recAccepted, ID: "job-1", Seq: 1, Key: "k1", Req: &api.JobRequest{ADL: "system x {}"}},
 		{Type: recStarted, ID: "job-1", Seq: 1, Attempt: 1},
 		{Type: recCheckpoint, ID: "job-1", Seq: 1, Key: "k1-safety", File: "f.ckpt", Depth: 12},
-		{Type: recCompleted, ID: "job-1", Seq: 1, Key: "k1", Report: &Report{System: "x", OK: true}},
+		{Type: recCompleted, ID: "job-1", Seq: 1, Key: "k1", Report: &api.Report{System: "x", OK: true}},
 	}
 	for _, rec := range want {
 		if err := j.append(rec); err != nil {
@@ -193,7 +194,7 @@ func TestJournalCompaction(t *testing.T) {
 	if !j.overLimit() {
 		t.Fatal("journal under limit after 10 records with a 64-byte cap")
 	}
-	live := []journalRecord{{Type: recCompleted, ID: "job-1", Key: "k1", Report: &Report{OK: true}}}
+	live := []journalRecord{{Type: recCompleted, ID: "job-1", Key: "k1", Report: &api.Report{OK: true}}}
 	if err := j.compact(func() []journalRecord { return live }); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestJournalCompaction(t *testing.T) {
 // cache-served resubmission — without re-running anything.
 func TestServerReplayCompleted(t *testing.T) {
 	dataDir := t.TempDir()
-	req := JobRequest{ADL: durableADL, Components: durableComponents(t)}
+	req := api.JobRequest{ADL: durableADL, Components: durableComponents(t)}
 
 	s1, err := OpenServer(Config{Workers: 2, DataDir: dataDir})
 	if err != nil {
@@ -253,7 +254,7 @@ func TestServerReplayCompleted(t *testing.T) {
 		t.Fatalf("restarted server lost job %s", id)
 	}
 	snap := s2.Snapshot(job2)
-	if snap.State != JobDone || snap.Report == nil || !snap.Report.OK {
+	if snap.State != api.JobDone || snap.Report == nil || !snap.Report.OK {
 		t.Fatalf("recovered job not done: %+v", snap)
 	}
 	if snap.Report.Properties[0].States != done1.Report.Properties[0].States {
@@ -342,7 +343,7 @@ func TestServerReplayIncompleteResumes(t *testing.T) {
 	}
 	err = j.append(journalRecord{
 		Type: recAccepted, ID: "job-1", Seq: 1, Time: time.Now(), Key: subKey.String(),
-		Req: &JobRequest{ADL: durableADL, Components: comps}, Attempt: 1,
+		Req: &api.JobRequest{ADL: durableADL, Components: comps}, Attempt: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +409,7 @@ func TestServerReplayDedupesSameKey(t *testing.T) {
 	for i, id := range []string{"job-1", "job-2"} {
 		err := j.append(journalRecord{
 			Type: recAccepted, ID: id, Seq: i + 1, Time: time.Now(), Key: subKey.String(),
-			Req: &JobRequest{ADL: durableADL, Components: comps}, Attempt: 1,
+			Req: &api.JobRequest{ADL: durableADL, Components: comps}, Attempt: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -417,7 +418,7 @@ func TestServerReplayDedupesSameKey(t *testing.T) {
 	// A third with bad ADL: replay drops it without failing startup.
 	err = j.append(journalRecord{
 		Type: recAccepted, ID: "job-3", Seq: 3, Time: time.Now(),
-		Req: &JobRequest{ADL: "system broken {"},
+		Req: &api.JobRequest{ADL: "system broken {"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +466,7 @@ func TestServerMemoryOnlyUnchanged(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	id := submitHTTP(t, ts.URL, JobRequest{ADL: loadExample(t, "pingpong.pnp"),
+	id := submitHTTP(t, ts.URL, api.JobRequest{ADL: loadExample(t, "pingpong.pnp"),
 		Components: map[string]string{"pingpong.pml": loadExample(t, "pingpong.pml")}})
 	job, _ := s.Job(id)
 	done := waitDone(t, s, job)
@@ -555,7 +556,7 @@ func TestServerDurableJobJournals(t *testing.T) {
 		t.Error("durable server must report durable")
 	}
 	ts := httptest.NewServer(s.Handler())
-	id := submitHTTP(t, ts.URL, JobRequest{ADL: durableADL, Components: durableComponents(t)})
+	id := submitHTTP(t, ts.URL, api.JobRequest{ADL: durableADL, Components: durableComponents(t)})
 	job, _ := s.Job(id)
 	waitDone(t, s, job)
 	ts.Close()

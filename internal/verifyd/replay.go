@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pnp/internal/adl"
+	"pnp/internal/api"
 	"pnp/internal/checker"
 )
 
@@ -61,11 +62,14 @@ func (s *Server) replay(recs []journalRecord) []*Job {
 		case rj.completed != nil:
 			rec := rj.completed
 			job := &Job{
-				ID: id, State: JobDone, Submitted: rec.Time, Report: rec.Report,
-				CacheHits: rec.CacheHits, CacheMisses: rec.CacheMisses,
-				Modules: rec.Modules, ModulesTotal: len(rec.Modules),
-				ModulesReused: rec.ModulesReused, ModulesCompiled: rec.ModulesCompiled,
-				Attempt: max(rec.Attempt, 1), done: closedCh, seq: rec.Seq,
+				Job: api.Job{
+					ID: id, State: api.JobDone, Submitted: rec.Time, Report: rec.Report,
+					CacheHits: rec.CacheHits, CacheMisses: rec.CacheMisses,
+					Modules: rec.Modules, ModulesTotal: len(rec.Modules),
+					ModulesReused: rec.ModulesReused, ModulesCompiled: rec.ModulesCompiled,
+					Attempt: max(rec.Attempt, 1),
+				},
+				done: closedCh, seq: rec.Seq,
 			}
 			s.jobs[id] = job
 			s.doneIDs = append(s.doneIDs, id)
@@ -84,10 +88,12 @@ func (s *Server) replay(recs []journalRecord) []*Job {
 				continue
 			}
 			job := &Job{
-				ID: id, State: JobQueued, Submitted: rec.Time,
-				Attempt: max(rj.attempts, rec.Attempt) + 1, ResumedFrom: "journal",
-				Modules: sys.Modules, ModulesTotal: len(sys.Modules),
-				ModulesReused: sys.ModulesReused, ModulesCompiled: sys.ModulesCompiled,
+				Job: api.Job{
+					ID: id, State: api.JobQueued, Submitted: rec.Time,
+					Attempt: max(rj.attempts, rec.Attempt) + 1, ResumedFrom: "journal",
+					Modules: sys.Modules, ModulesTotal: len(sys.Modules),
+					ModulesReused: sys.ModulesReused, ModulesCompiled: sys.ModulesCompiled,
+				},
 				sys: sys, opts: s.jobOptions(*req),
 				timeout: time.Duration(req.TimeoutMS) * time.Millisecond,
 				done:    make(chan struct{}), seq: rec.Seq, jreq: req,
@@ -133,7 +139,7 @@ func (s *Server) finishFollower(job *Job, leader *Job) {
 	s.mu.Lock()
 	job.Report = rep
 	job.CacheHits = hits
-	job.State = JobDone
+	job.State = api.JobDone
 	job.sys = nil
 	job.opts = checker.Options{}
 	job.jreq = nil
@@ -171,7 +177,7 @@ func (s *Server) journalLive() []journalRecord {
 	var recs []journalRecord
 	for _, j := range jobs {
 		switch {
-		case j.State == JobDone:
+		case j.State == api.JobDone:
 			if j.Report == nil {
 				continue
 			}

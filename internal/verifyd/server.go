@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pnp/internal/adl"
+	"pnp/internal/api"
 	"pnp/internal/artifact"
 	"pnp/internal/checker"
 	"pnp/internal/obs"
@@ -83,52 +84,11 @@ type Config struct {
 	Options checker.Options
 }
 
-// JobState is the lifecycle phase of a submitted job.
-type JobState string
-
-// Job lifecycle states.
-const (
-	JobQueued  JobState = "queued"
-	JobRunning JobState = "running"
-	JobDone    JobState = "done"
-)
-
-// Job is one submitted verification task and, eventually, its report.
+// Job is one submitted verification task: its v1 document (embedded;
+// the state, counters and eventually the report, all guarded by the
+// server's lock) plus what the server needs to run it.
 type Job struct {
-	ID        string    `json:"id"`
-	State     JobState  `json:"state"`
-	Submitted time.Time `json:"submitted"`
-	// Report is present once State is "done".
-	Report *Report `json:"report,omitempty"`
-	// CacheHits counts properties of this job served from the result
-	// cache; CacheMisses counts properties actually searched.
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-	// Workers is the number of search workers granted from the server's
-	// SearchBudget while the job ran (0 until it starts).
-	Workers int `json:"workers,omitempty"`
-	// TraceID is the hex trace this job records spans into (empty when
-	// the server runs without a Tracer). GET /v1/jobs/{id}/trace streams
-	// the spans.
-	TraceID string `json:"trace_id,omitempty"`
-	// Attempt counts executions of this submission across crashes and
-	// failovers: 1 for a first run, incremented by a cluster
-	// coordinator's re-placement or a journal replay.
-	Attempt int `json:"attempt,omitempty"`
-	// ResumedFrom records where this attempt's search checkpoints came
-	// from: a peer worker's base URL (cluster re-drive) or "journal"
-	// (re-enqueued by replay on restart). Empty for a fresh run.
-	ResumedFrom string `json:"resumed_from,omitempty"`
-	// Modules is the submission's module DAG in compilation order —
-	// block library, component files, linked program, connectors — each
-	// with its content address and whether composition found it already
-	// in the artifact store (since PR10). The counters summarize the
-	// list: a warm one-connector edit shows ModulesReused ==
-	// ModulesTotal-1. The slice is immutable once set.
-	Modules         []artifact.Info `json:"modules,omitempty"`
-	ModulesTotal    int             `json:"modules_total,omitempty"`
-	ModulesReused   int             `json:"modules_reused,omitempty"`
-	ModulesCompiled int             `json:"modules_compiled,omitempty"`
+	api.Job
 
 	sys     *adl.System
 	opts    checker.Options
@@ -150,48 +110,8 @@ type Job struct {
 	// jreq retains the wire request for journal compaction until the job
 	// completes (nil on journal-less servers and in-process submissions);
 	// resumeFrom is the peer base URL to fetch search checkpoints from.
-	jreq       *JobRequest
+	jreq       *api.JobRequest
 	resumeFrom string
-}
-
-// JobRequest is the JSON submission envelope of POST /v1/jobs. Raw
-// (non-JSON) bodies are treated as bare ADL source with no overrides.
-type JobRequest struct {
-	ADL string `json:"adl"`
-	// Components maps referenced component paths to inline pml source.
-	Components map[string]string `json:"components,omitempty"`
-	// Search-shape overrides; nil fields keep the server's defaults.
-	MaxStates      *int  `json:"max_states,omitempty"`
-	MaxDepth       *int  `json:"max_depth,omitempty"`
-	BFS            *bool `json:"bfs,omitempty"`
-	IgnoreDeadlock *bool `json:"ignore_deadlock,omitempty"`
-	PartialOrder   *bool `json:"partial_order,omitempty"`
-	WeakFairness   *bool `json:"weak_fairness,omitempty"`
-	StrongFairness *bool `json:"strong_fairness,omitempty"`
-	// Workers caps the search workers granted to this job from the
-	// server's SearchBudget (0 or absent = as many as are idle).
-	Workers *int `json:"workers,omitempty"`
-	// Visited and MemLimitBytes tune visited-set storage (see
-	// checker.StorageOptions). They change memory footprint,
-	// never the verdict, so they are excluded from the submission key —
-	// a budgeted run shares its cache entry with an unbudgeted one.
-	// SpillDir is deliberately NOT wire-settable: clients must not
-	// control server filesystem paths. Spilling uses the server's
-	// configured SpillDir (or the OS temp dir).
-	Visited       *string `json:"visited,omitempty"`
-	MemLimitBytes *int64  `json:"mem_limit_bytes,omitempty"`
-	// TimeoutMS overrides the server's per-job timeout (0 keeps it).
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Attempt and ResumeFrom are the cluster re-drive resume token: a
-	// coordinator re-placing a job after a mid-run worker death sets
-	// Attempt to the execution count and ResumeFrom to the dead (or
-	// draining) worker's base URL, so the replica fetches the search
-	// checkpoint via GET /v1/checkpoints/{key} instead of re-exploring
-	// from state zero. Neither field enters the submission content
-	// address — they change where a verdict is computed, never what it
-	// is.
-	Attempt    int    `json:"attempt,omitempty"`
-	ResumeFrom string `json:"resume_from,omitempty"`
 }
 
 // Server runs verification jobs on a bounded worker pool with a shared
@@ -447,7 +367,7 @@ func (s *Server) SubmitContext(ctx context.Context, src string, components map[s
 // for HTTP submissions on a durable server, the wire request to
 // journal; the key must be attached before the job is queued, because a
 // cache-served job can complete within microseconds of the queue send.
-func (s *Server) submitKeyed(ctx context.Context, src string, components map[string]string, opts checker.Options, timeout time.Duration, subKey *CacheKey, wire *JobRequest) (*Job, error) {
+func (s *Server) submitKeyed(ctx context.Context, src string, components map[string]string, opts checker.Options, timeout time.Duration, subKey *CacheKey, wire *api.JobRequest) (*Job, error) {
 	jctx, jspan := s.tracer.StartSpan(ctx, "job")
 	resolve := s.resolver(components)
 	_, cspan := s.tracer.StartSpan(jctx, "compose")
@@ -471,23 +391,25 @@ func (s *Server) submitKeyed(ctx context.Context, src string, components map[str
 	}
 	s.nextID++
 	job := &Job{
-		ID:        fmt.Sprintf("job-%d", s.nextID),
-		State:     JobQueued,
-		Submitted: time.Now(),
-		sys:       sys,
-		opts:      opts,
-		timeout:   timeout,
-		done:      make(chan struct{}),
-		seq:       s.nextID,
-		subKey:    subKey,
-		tctx:      jctx,
-		span:      jspan,
-		Attempt:   1,
+		Job: api.Job{
+			ID:        fmt.Sprintf("job-%d", s.nextID),
+			State:     api.JobQueued,
+			Submitted: time.Now(),
+			Attempt:   1,
 
-		Modules:         sys.Modules,
-		ModulesTotal:    len(sys.Modules),
-		ModulesReused:   sys.ModulesReused,
-		ModulesCompiled: sys.ModulesCompiled,
+			Modules:         sys.Modules,
+			ModulesTotal:    len(sys.Modules),
+			ModulesReused:   sys.ModulesReused,
+			ModulesCompiled: sys.ModulesCompiled,
+		},
+		sys:     sys,
+		opts:    opts,
+		timeout: timeout,
+		done:    make(chan struct{}),
+		seq:     s.nextID,
+		subKey:  subKey,
+		tctx:    jctx,
+		span:    jspan,
 	}
 	if wire != nil {
 		job.Attempt = max(wire.Attempt, 1)
@@ -605,16 +527,16 @@ func (s *Server) worker() {
 
 // run executes (or cache-serves) every property of one job.
 func (s *Server) run(job *Job) {
-	s.setState(job, JobRunning)
+	s.setState(job, api.JobRunning)
 	s.log.Info("job running", "job_id", job.ID, "trace_id", job.TraceID)
 	// Whole-report fast path: an identical submission already completed
 	// here (possibly in a previous process — replay rebuilds this cache
 	// from the journal), so serve it without composing a search.
 	if job.subKey != nil {
 		if cached, ok := s.reports.Get(*job.subKey); ok {
-			rep := new(Report)
+			rep := new(api.Report)
 			*rep = *cached
-			rep.Properties = append([]PropertyVerdict(nil), cached.Properties...)
+			rep.Properties = append([]api.PropertyVerdict(nil), cached.Properties...)
 			for i := range rep.Properties {
 				rep.Properties[i].Cached = true
 			}
@@ -677,7 +599,7 @@ func (s *Server) run(job *Job) {
 		procs = append(procs, in.Name)
 	}
 
-	rep := &Report{
+	rep := &api.Report{
 		System:    sys.Name,
 		Processes: m.NumInstances(),
 		Channels:  m.NumChannels(),
@@ -708,7 +630,7 @@ func (s *Server) run(job *Job) {
 		}
 		pctx, pspan := s.tracer.StartSpan(ctx, "property:"+ps.Name, tracing.A("kind", ps.Kind))
 		popts.Context = pctx
-		res := s.checkProperty(sys, ps, popts)
+		res := sys.Check(ps, popts)
 		v := NewPropertyVerdict(ps.Name, ps.Kind, res, procs)
 		pspan.SetAttr("verdict", v.Verdict)
 		pspan.End()
@@ -736,7 +658,7 @@ func (s *Server) run(job *Job) {
 // FIFO eviction of old completed jobs), journal (a self-contained
 // completed record, making every earlier record of this job dead weight
 // for compaction), span, and done signal.
-func (s *Server) finishJob(job *Job, rep *Report, hits, misses int) {
+func (s *Server) finishJob(job *Job, rep *api.Report, hits, misses int) {
 	if job.subKey != nil && Cacheable(rep) {
 		s.reports.Put(*job.subKey, rep)
 	}
@@ -745,7 +667,7 @@ func (s *Server) finishJob(job *Job, rep *Report, hits, misses int) {
 	job.Report = rep
 	job.CacheHits = hits
 	job.CacheMisses = misses
-	job.State = JobDone
+	job.State = api.JobDone
 	// The composed system (and any per-job options) are dead weight once
 	// the report is published; drop them so retained jobs cost only
 	// their report.
@@ -784,8 +706,8 @@ func (s *Server) finishJob(job *Job, rep *Report, hits, misses int) {
 
 // checkpointFor builds one property's checkpoint options on a durable
 // server (nil on a memory-only one, or for jobs without a submission
-// key). The checkpoint key is the submission content address plus the
-// property name, so a resumed attempt — locally after a restart, or on
+// key). The checkpoint key is the submission content address suffixed
+// per property (adl.PropertySource.CheckpointKey), so a resumed attempt — locally after a restart, or on
 // a cluster replica that fetched the file — finds exactly its own
 // frontier. One checkpoint journal record is written per property per
 // attempt (the file path never changes, so later commits add nothing).
@@ -793,7 +715,7 @@ func (s *Server) checkpointFor(job *Job, ps adl.PropertySource) *checker.Durabil
 	if s.ckptDir == "" || job.subKey == nil {
 		return nil
 	}
-	key := job.subKey.String() + "-" + ps.Name
+	key := ps.CheckpointKey(job.subKey.String())
 	var once sync.Once
 	return &checker.DurabilityOptions{
 		Dir:      s.ckptDir,
@@ -866,64 +788,22 @@ func (s *Server) fetchCheckpoint(ctx context.Context, base, key string) {
 	s.log.Info("checkpoint fetched from peer", "peer", base, "key", key)
 }
 
-// checkProperty runs the checker for one declared property, mirroring
-// System.VerifyAll's per-property semantics.
-func (s *Server) checkProperty(sys *adl.System, ps adl.PropertySource, opts checker.Options) *checker.Result {
-	switch ps.Kind {
-	case "invariant":
-		safetyOpts := opts
-		safetyOpts.Invariants = append(append([]checker.Invariant(nil), opts.Invariants...), sys.Invariants...)
-		return checker.New(sys.Builder.System(), safetyOpts).CheckSafety()
-	case "goal":
-		for _, g := range sys.Goals {
-			if g.Name == ps.Name {
-				return checker.New(sys.Builder.System(), opts).CheckEventuallyReachable(g.Expr)
-			}
-		}
-	case "ltl":
-		for _, p := range sys.LTL {
-			if p.Name == ps.Name {
-				return checker.New(sys.Builder.System(), opts).CheckLTL(p.Formula, p.Props)
-			}
-		}
-	}
-	return &checker.Result{OK: false, Kind: checker.RuntimeError,
-		Message: fmt.Sprintf("unknown property %s %q", ps.Kind, ps.Name)}
-}
-
-func (s *Server) setState(job *Job, st JobState) {
+func (s *Server) setState(job *Job, st string) {
 	s.mu.Lock()
 	job.State = st
 	s.mu.Unlock()
 }
 
-// snapshotJob copies a job's externally visible fields under the lock so
-// handlers never race with run().
-func (s *Server) snapshotJob(job *Job) Job {
+// snapshotJob copies a job's document under the lock so handlers never
+// race with run(). The modules slice is written once at compose time and
+// never mutated, so sharing it across snapshots is race-free.
+func (s *Server) snapshotJob(job *Job) api.Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Job{
-		ID:          job.ID,
-		State:       job.State,
-		Submitted:   job.Submitted,
-		Report:      job.Report,
-		CacheHits:   job.CacheHits,
-		CacheMisses: job.CacheMisses,
-		Workers:     job.Workers,
-		TraceID:     job.TraceID,
-		Attempt:     job.Attempt,
-		ResumedFrom: job.ResumedFrom,
-		// The modules slice is written once at compose time and never
-		// mutated, so sharing it across snapshots is race-free.
-		Modules:         job.Modules,
-		ModulesTotal:    job.ModulesTotal,
-		ModulesReused:   job.ModulesReused,
-		ModulesCompiled: job.ModulesCompiled,
-		seq:             job.seq,
-	}
+	return job.Job
 }
 
-// Snapshot returns a race-free copy of a job's externally visible
-// fields. The sweep engine and other in-process embedders read results
-// through it instead of touching the live job.
-func (s *Server) Snapshot(job *Job) Job { return s.snapshotJob(job) }
+// Snapshot returns a race-free copy of a job's document. The sweep
+// engine and other in-process embedders read results through it instead
+// of touching the live job.
+func (s *Server) Snapshot(job *Job) api.Job { return s.snapshotJob(job) }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/checker"
 	"pnp/internal/faults"
 	"pnp/internal/obs"
@@ -44,7 +45,7 @@ func newTestServer(t testing.TB, cfg Config) *Server {
 	return s
 }
 
-func waitDone(t testing.TB, s *Server, job *Job) Job {
+func waitDone(t testing.TB, s *Server, job *Job) api.Job {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -73,7 +74,7 @@ func TestServiceBridgeLifecycle(t *testing.T) {
 	if bj.Report == nil || bj.Report.OK {
 		t.Fatalf("broken bridge must fail, got %+v", bj.Report)
 	}
-	var safety *PropertyVerdict
+	var safety *api.PropertyVerdict
 	for i := range bj.Report.Properties {
 		if bj.Report.Properties[i].Name == "safety" {
 			safety = &bj.Report.Properties[i]
@@ -214,7 +215,7 @@ func TestServiceHTTP(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	env, _ := json.Marshal(JobRequest{
+	env, _ := json.Marshal(api.JobRequest{
 		ADL:        loadExample(t, "bridge.pnp"),
 		Components: bridgeComponents(t),
 	})
@@ -230,7 +231,7 @@ func TestServiceHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if job.ID == "" || (job.State != JobQueued && job.State != JobRunning) {
+	if job.ID == "" || (job.State != api.JobQueued && job.State != api.JobRunning) {
 		t.Fatalf("bad submit response: %+v", job)
 	}
 
@@ -254,7 +255,7 @@ func TestServiceHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if done.State != JobDone || done.Report == nil || !done.Report.OK {
+	if done.State != api.JobDone || done.Report == nil || !done.Report.OK {
 		t.Fatalf("wait did not return a verified report: %+v", done)
 	}
 
@@ -319,7 +320,7 @@ func TestServiceBadADL(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
-	var e ErrorBody
+	var e api.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +387,7 @@ func TestServiceDrain(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	snap := s.snapshotJob(job)
-	if snap.State != JobDone || snap.Report == nil || !snap.Report.OK {
+	if snap.State != api.JobDone || snap.Report == nil || !snap.Report.OK {
 		t.Fatalf("drain must finish the queued job: %+v", snap)
 	}
 	if _, err := s.Submit(loadExample(t, "bridge.pnp"), comps, checker.Options{}, 0); err != ErrDraining {
@@ -432,11 +433,11 @@ func TestServiceDrainRace(t *testing.T) {
 	}
 	wg.Wait()
 	close(accepted)
-	if snap := s.snapshotJob(first); snap.State != JobDone {
+	if snap := s.snapshotJob(first); snap.State != api.JobDone {
 		t.Fatalf("job accepted before drain not finished: %+v", snap)
 	}
 	for job := range accepted {
-		if snap := s.snapshotJob(job); snap.State != JobDone {
+		if snap := s.snapshotJob(job); snap.State != api.JobDone {
 			t.Fatalf("accepted job %s not finished after drain: %+v", job.ID, snap)
 		}
 	}
@@ -640,12 +641,12 @@ func TestResultCacheLRU(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewResultCache(2, reg)
 	k := func(i byte) CacheKey { var key CacheKey; key[0] = i; return key }
-	c.Put(k(1), PropertyVerdict{Name: "a"})
-	c.Put(k(2), PropertyVerdict{Name: "b"})
+	c.Put(k(1), api.PropertyVerdict{Name: "a"})
+	c.Put(k(2), api.PropertyVerdict{Name: "b"})
 	if _, ok := c.Get(k(1)); !ok { // touch 1 -> 2 becomes LRU
 		t.Fatal("entry 1 missing")
 	}
-	c.Put(k(3), PropertyVerdict{Name: "c"}) // evicts 2
+	c.Put(k(3), api.PropertyVerdict{Name: "c"}) // evicts 2
 	if _, ok := c.Get(k(2)); ok {
 		t.Error("entry 2 should have been evicted")
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"pnp/internal/api"
 	"pnp/internal/checker"
 	"pnp/internal/obs"
 	"pnp/internal/obs/tracing"
@@ -215,7 +216,7 @@ func TestReplayedJobHasNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s1.Handler())
-	id := submitHTTP(t, ts.URL, JobRequest{ADL: loadExample(t, "pingpong.pnp"), Components: pingpongComponents(t)})
+	id := submitHTTP(t, ts.URL, api.JobRequest{ADL: loadExample(t, "pingpong.pnp"), Components: pingpongComponents(t)})
 	job, _ := s1.Job(id)
 	waitDone(t, s1, job)
 	ts.Close()

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"pnp/internal/api"
 	"pnp/internal/artifact"
 	"pnp/internal/model"
 	"pnp/internal/obs"
@@ -37,12 +38,13 @@ type Route struct {
 
 // Backend is what the job, cache and readiness routes ask per request.
 // Documents cross as any: each backend returns the document it already
-// builds (Job here, the coordinator's JobStatus with placement fields),
+// builds (the single-node api.Job here, the coordinator's with
+// placement fields),
 // and the transport only encodes it.
 type Backend interface {
 	// SubmitRequest accepts one decoded submission. ctx carries trace
 	// parenting only; the job outlives the request.
-	SubmitRequest(ctx context.Context, req JobRequest) (doc any, err error)
+	SubmitRequest(ctx context.Context, req api.JobRequest) (doc any, err error)
 	JobRef(id string) (JobRef, bool)
 	// ListJobs returns every job the backend still holds, in any order.
 	ListJobs() []ListedJob
@@ -76,8 +78,8 @@ type JobRef struct {
 // ListedJob is one job as GET /v1/jobs lists it: the backend's list
 // element plus what filtering and paging need to know about it.
 type ListedJob struct {
-	Seq   int // submission sequence number, the cursor pages are cut by
-	State JobState
+	Seq   int    // submission sequence number, the cursor pages are cut by
+	State string // api.JobQueued, api.JobRunning or api.JobDone
 	Doc   any
 }
 
@@ -169,7 +171,7 @@ func ReadBody(r *http.Request) ([]byte, error) {
 	var mbe *http.MaxBytesError
 	switch {
 	case errors.As(err, &mbe):
-		return nil, &StatusError{http.StatusRequestEntityTooLarge, ErrorInfo{Code: CodeTooLarge, Message: "body exceeds 1MiB"}}
+		return nil, &StatusError{http.StatusRequestEntityTooLarge, api.ErrorInfo{Code: CodeTooLarge, Message: "body exceeds 1MiB"}}
 	case err != nil:
 		return nil, fmt.Errorf("reading body: %w", err)
 	}
@@ -192,7 +194,7 @@ func (t transport) submitJob(r *http.Request) (any, error) {
 		return nil, err
 	}
 	// A body that is not a JSON object is bare ADL source, no overrides.
-	var req JobRequest
+	var req api.JobRequest
 	trimmed := strings.TrimSpace(string(body))
 	if strings.HasPrefix(trimmed, "{") {
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -214,9 +216,9 @@ func (t transport) submitJob(r *http.Request) (any, error) {
 // valid across evictions.
 func (t transport) listJobs(r *http.Request) (any, error) {
 	query := r.URL.Query()
-	status, limit, after := JobState(query.Get("status")), 100, 0
+	status, limit, after := query.Get("status"), 100, 0
 	switch status {
-	case "", JobQueued, JobRunning, JobDone:
+	case "", api.JobQueued, api.JobRunning, api.JobDone:
 	default:
 		return nil, fmt.Errorf("bad status %q: want queued, running, or done", status)
 	}
@@ -234,6 +236,7 @@ func (t transport) listJobs(r *http.Request) (any, error) {
 		}
 		after = n
 	}
+	// api.JobList's shape, with each backend's own list element.
 	var page struct {
 		Jobs       []any  `json:"jobs"`
 		NextCursor string `json:"next_cursor,omitempty"`
@@ -345,7 +348,7 @@ func (t transport) artifact(r *http.Request) (any, error) {
 // throughout — liveness is not readiness.
 func (t transport) ready(*http.Request) (any, error) {
 	if err := t.b.Ready(); err != nil {
-		return nil, &StatusError{http.StatusServiceUnavailable, ErrorInfo{Code: CodeUnavailable, Message: err.Error()}}
+		return nil, &StatusError{http.StatusServiceUnavailable, api.ErrorInfo{Code: CodeUnavailable, Message: err.Error()}}
 	}
 	return map[string]string{"status": "ready"}, nil
 }

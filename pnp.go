@@ -41,6 +41,7 @@ import (
 	"net/http"
 
 	"pnp/internal/adl"
+	"pnp/internal/api"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/cluster"
@@ -354,9 +355,9 @@ type (
 	// VerifyJob is one submitted verification task and its report.
 	VerifyJob = verifyd.Job
 	// VerifyReport is the complete verdict document for one system.
-	VerifyReport = verifyd.Report
+	VerifyReport = api.Report
 	// PropertyVerdict is the JSON verdict for one property.
-	PropertyVerdict = verifyd.PropertyVerdict
+	PropertyVerdict = api.PropertyVerdict
 	// ResultCache is a bounded LRU of content-addressed verdicts.
 	ResultCache = verifyd.ResultCache
 )
@@ -382,10 +383,10 @@ type (
 	// SweepCell is one expanded point of the variant matrix.
 	SweepCell = sweep.Cell
 	// SweepCellResult is one cell's verdict and cost.
-	SweepCellResult = sweep.CellResult
+	SweepCellResult = api.SweepCell
 	// SweepResult aggregates a sweep's cells with dedup and cache
 	// counters; Ranked orders cells best-first.
-	SweepResult = sweep.Result
+	SweepResult = api.SweepResult
 	// SweepService runs sweeps in the background of a verification
 	// service and keeps them queryable — the sweep routes of the v1 API
 	// are served from it.
