@@ -1,7 +1,7 @@
 // ABP: the alternating bit protocol over deliberately lossy connectors.
 // Shows the whole Plug-and-Play story on a classic protocol: a naive
-// transfer over a dropping-buffer channel provably loses messages; the
-// same connectors carrying the ABP retransmission discipline provably
+// transfer over a lossy channel provably loses messages; the same
+// connectors carrying the ABP retransmission discipline provably
 // deliver everything, in order, exactly once.
 package main
 
@@ -22,10 +22,10 @@ func main() {
 }
 
 func run() error {
-	fmt.Println("=== Alternating bit protocol over dropping channels ===")
+	fmt.Println("=== Alternating bit protocol over lossy channels ===")
 	fmt.Println()
-	fmt.Println("Both the data path and the ack path use the library's dropping")
-	fmt.Println("buffer: a message that arrives while the buffer is full is gone.")
+	fmt.Println("Both the data path and the ack path use the library's lossy(1)")
+	fmt.Println("buffer: any message in transit may be dropped.")
 	fmt.Println()
 
 	for _, payloads := range []int{1, 2, 3} {
@@ -42,7 +42,7 @@ func run() error {
 	}
 
 	fmt.Println()
-	fmt.Println("Go-back-N sliding window (window = 2 frames in flight):")
+	fmt.Println("Go-back-N sliding window (window = 2 frames in flight, dropping buffers):")
 	sw, err := swp.Verify(swp.Config{Frames: 3, Window: 2}, nil, checker.Options{})
 	if err != nil {
 		return err

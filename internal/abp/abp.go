@@ -13,7 +13,7 @@ import (
 
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
-	"pnp/internal/model"
+	"pnp/internal/core"
 )
 
 // Source is the pml model of the protocol components. The alternating bit
@@ -109,18 +109,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Build composes the protocol: sender and receiver joined by two lossy
+// design renders the protocol: sender and receiver joined by two lossy
 // connectors (data and ack), each an asynchronous blocking send into a
 // lossy(1) buffer polled through a nonblocking receive. At size 1 the
 // lossy channel's duplication branch never has a spare slot, so the
 // adversary is pure in-transit loss; the protocol's own alternating bit
-// is what makes duplicates (from retransmission) harmless.
-func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
+// is what makes duplicates (from retransmission) harmless. In-order
+// exactly-once delivery is the safety invariant pair; completion is the
+// fairness-independent goal "delivered".
+func design(cfg Config) *core.Design {
 	cfg = cfg.withDefaults()
-	b, err := blocks.NewBuilder(Source, cache)
-	if err != nil {
-		return nil, err
-	}
 	spec := blocks.ConnectorSpec{
 		Send:    blocks.AsynBlockingSend,
 		Channel: blocks.LossyBuffer, Size: 1,
@@ -130,48 +128,25 @@ func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
 		spec.Channel = blocks.DroppingBuffer
 	}
 	if cfg.Reliable {
-		spec.Channel = blocks.SingleSlot
-		spec.Size = 0
+		spec = spec.WithChannel(blocks.SingleSlot, 0)
 	}
-	data, err := b.NewConnector("Data", spec)
-	if err != nil {
-		return nil, err
-	}
-	ack, err := b.NewConnector("Ack", spec)
-	if err != nil {
-		return nil, err
-	}
-	sData, err := data.AddSender("Sender")
-	if err != nil {
-		return nil, err
-	}
-	rData, err := data.AddReceiver("Receiver")
-	if err != nil {
-		return nil, err
-	}
-	sAck, err := ack.AddSender("ReceiverAck")
-	if err != nil {
-		return nil, err
-	}
-	rAck, err := ack.AddReceiver("SenderAck")
-	if err != nil {
-		return nil, err
-	}
-	k := model.Int(int64(cfg.Payloads))
-	if _, err := b.Spawn("AbpSender",
-		model.Chan(sData.Sig), model.Chan(sData.Dat),
-		model.Chan(rAck.Sig), model.Chan(rAck.Dat), k); err != nil {
-		return nil, err
-	}
-	if _, err := b.Spawn("AbpReceiver",
-		model.Chan(rData.Sig), model.Chan(rData.Dat),
-		model.Chan(sAck.Sig), model.Chan(sAck.Dat), k); err != nil {
-		return nil, err
-	}
-	return b, nil
+	k := core.IntArg(int64(cfg.Payloads))
+	return core.NewDesign("abp", Source).
+		AddConnector("Data", spec).
+		AddConnector("Ack", spec).
+		AddInstance("sender", "AbpSender", 1, core.SendTo("Data"), core.RecvFrom("Ack"), k).
+		AddInstance("receiver", "AbpReceiver", 1, core.RecvFrom("Data"), core.SendTo("Ack"), k).
+		AddInvariant("in-order", "badDelivery == 0").
+		AddInvariant("exactly-once", fmt.Sprintf("delivered <= %d", cfg.Payloads)).
+		AddGoal("delivered", fmt.Sprintf("delivered == %d", cfg.Payloads))
 }
 
-// Results holds the three protocol verdicts.
+// Build composes the protocol.
+func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
+	return design(cfg).Build(cache)
+}
+
+// Results holds the protocol verdicts.
 type Results struct {
 	Safety   *checker.Result // no deadlock, no out-of-order delivery
 	Delivery *checker.Result // AG EF (delivered == k)
@@ -180,28 +155,9 @@ type Results struct {
 // Verify builds and checks the protocol: in-order exactly-once delivery
 // as an invariant, and completion as a fairness-independent goal.
 func Verify(cfg Config, cache *blocks.Cache, opts checker.Options) (*Results, error) {
-	cfg = cfg.withDefaults()
-	b, err := Build(cfg, cache)
+	res, err := design(cfg).Verify(cache, opts)
 	if err != nil {
 		return nil, err
 	}
-	inv, err := checker.InvariantFromSource(b.Program(), "in-order", "badDelivery == 0")
-	if err != nil {
-		return nil, err
-	}
-	bound, err := checker.InvariantFromSource(b.Program(), "exactly-once",
-		fmt.Sprintf("delivered <= %d", cfg.Payloads))
-	if err != nil {
-		return nil, err
-	}
-	safetyOpts := opts
-	safetyOpts.Invariants = append(safetyOpts.Invariants, inv, bound)
-	safety := checker.New(b.System(), safetyOpts).CheckSafety()
-
-	target, err := b.Program().CompileGlobalExpr(fmt.Sprintf("delivered == %d", cfg.Payloads))
-	if err != nil {
-		return nil, err
-	}
-	delivery := checker.New(b.System(), opts).CheckEventuallyReachable(target)
-	return &Results{Safety: safety, Delivery: delivery}, nil
+	return &Results{Safety: res["safety"], Delivery: res["delivered"]}, nil
 }

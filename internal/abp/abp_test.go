@@ -8,8 +8,20 @@ import (
 	"pnp/internal/model"
 )
 
+// pinCounts checks a safety search's stored / matched / transitions /
+// depth against the literals recorded for it. They hold at any worker
+// count of the level engine; the tests run it at one.
+func pinCounts(t *testing.T, r *checker.Result, stored, matched, transitions, depth int) {
+	t.Helper()
+	if s := r.Stats; s.StatesStored != stored || s.StatesMatched != matched ||
+		s.Transitions != transitions || s.MaxDepth != depth {
+		t.Errorf("safety stats %d / %d / %d / %d, want %d / %d / %d / %d",
+			s.StatesStored, s.StatesMatched, s.Transitions, s.MaxDepth, stored, matched, transitions, depth)
+	}
+}
+
 func TestABPOverLossyChannels(t *testing.T) {
-	res, err := Verify(Config{Payloads: 2}, nil, checker.Options{})
+	res, err := Verify(Config{Payloads: 2}, nil, checker.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,6 +31,7 @@ func TestABPOverLossyChannels(t *testing.T) {
 	if !res.Delivery.OK {
 		t.Fatalf("delivery goal failed: %s\n%s", res.Delivery.Summary(), res.Delivery.Trace)
 	}
+	pinCounts(t, res.Safety, 15719, 9172, 24890, 169)
 }
 
 func TestABPThreePayloads(t *testing.T) {
@@ -32,13 +45,27 @@ func TestABPThreePayloads(t *testing.T) {
 }
 
 func TestABPReliableControl(t *testing.T) {
-	res, err := Verify(Config{Payloads: 2, Reliable: true}, nil, checker.Options{})
+	res, err := Verify(Config{Payloads: 2, Reliable: true}, nil, checker.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Safety.OK || !res.Delivery.OK {
 		t.Fatalf("safety=%s delivery=%s", res.Safety.Summary(), res.Delivery.Summary())
 	}
+	pinCounts(t, res.Safety, 9967, 4441, 14407, 212)
+}
+
+// TestABPOverflowControl: over overflow-dropping buffers the protocol
+// verifies too, in a smaller state space than over lossy(1) channels.
+func TestABPOverflowControl(t *testing.T) {
+	res, err := Verify(Config{Payloads: 2, Overflow: true}, nil, checker.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Safety.OK || !res.Delivery.OK {
+		t.Fatalf("safety=%s delivery=%s", res.Safety.Summary(), res.Delivery.Summary())
+	}
+	pinCounts(t, res.Safety, 12983, 7126, 20108, 169)
 }
 
 // TestNaiveTransferOverLossyChannelFails is the contrast experiment

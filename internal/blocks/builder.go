@@ -110,11 +110,8 @@ var channelTokens = map[ChannelKind]string{
 // kinds are written with their size, as in "fifo(2)".
 func (k ChannelKind) Token() string { return channelTokens[k] }
 
-// sized reports whether the channel kind takes a size parameter.
-func (k ChannelKind) sized() bool { return k != SingleSlot }
-
 // Sized reports whether the channel kind takes a size parameter.
-func (k ChannelKind) Sized() bool { return k.sized() }
+func (k ChannelKind) Sized() bool { return k != SingleSlot }
 
 // MaxBufSize is the static capacity of the sized channel models; their
 // logical size parameter must be 1..MaxBufSize.
@@ -154,7 +151,7 @@ func (s ConnectorSpec) Validate() error {
 	if _, ok := channelProcs[s.Channel]; !ok {
 		return fmt.Errorf("blocks: unknown channel kind %d", s.Channel)
 	}
-	if s.Channel.sized() {
+	if s.Channel.Sized() {
 		if s.Size < 1 || s.Size > MaxBufSize {
 			return fmt.Errorf("blocks: channel size %d out of range 1..%d", s.Size, MaxBufSize)
 		}
@@ -164,7 +161,7 @@ func (s ConnectorSpec) Validate() error {
 
 // String renders the spec, e.g. "SynBlSendPort--FifoChannel(5)--BlRecvPort".
 func (s ConnectorSpec) String() string {
-	if s.Channel.sized() {
+	if s.Channel.Sized() {
 		return fmt.Sprintf("%s--%s(%d)--%s", s.Send, s.Channel, s.Size, s.Recv)
 	}
 	return fmt.Sprintf("%s--%s--%s", s.Send, s.Channel, s.Recv)
@@ -177,7 +174,7 @@ func (s ConnectorSpec) String() string {
 // module fingerprint however they were written.
 func (s ConnectorSpec) Token() string {
 	ch := s.Channel.Token()
-	if s.Channel.sized() {
+	if s.Channel.Sized() {
 		ch = fmt.Sprintf("%s(%d)", ch, s.Size)
 	}
 	return fmt.Sprintf("send=%s;channel=%s;recv=%s", s.Send.Token(), ch, s.Recv.Token())
@@ -248,12 +245,6 @@ type Builder struct {
 // cache is consulted first, reusing pre-built models.
 func NewBuilder(componentSource string, cache *Cache) (*Builder, error) {
 	return NewBuilderWithLibrary(LibrarySource, componentSource, cache)
-}
-
-// NewBuilderPlain uses the paper-literal (unoptimized) block models; it
-// exists for the state-explosion ablation of DESIGN.md experiment E13.
-func NewBuilderPlain(componentSource string, cache *Cache) (*Builder, error) {
-	return NewBuilderWithLibrary(LibrarySourcePlain, componentSource, cache)
 }
 
 // NewBuilderWithLibrary composes an explicit block-library source with the
@@ -331,7 +322,7 @@ func (b *Builder) NewConnector(name string, spec ConnectorSpec) (*Connector, err
 		model.Chan(c.sndSig), model.Chan(c.sndDat),
 		model.Chan(c.rcvSig), model.Chan(c.rcvDat),
 	}
-	if spec.Channel.sized() {
+	if spec.Channel.Sized() {
 		args = append(args, model.Int(int64(spec.Size)))
 	}
 	if _, err := b.sys.Spawn(channelProcs[spec.Channel], args...); err != nil {

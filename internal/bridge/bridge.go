@@ -23,7 +23,7 @@ import (
 
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
-	"pnp/internal/model"
+	"pnp/internal/core"
 )
 
 // Variant selects the traffic-control protocol.
@@ -43,15 +43,21 @@ func (v Variant) String() string {
 	return "at-most-N-cars-per-turn"
 }
 
-// CarSource is the pml model of a car component. It is shared verbatim by
-// both bridge variants and by both the safe and unsafe connector choices —
+// CarSource is the pml model of a car component: it requests entry,
+// drives onto the bridge once the SendStatus arrives, crosses, leaves,
+// and notifies the far-side controller. It is shared verbatim by both
+// bridge variants and by both the safe and unsafe connector choices —
 // the paper's standard-interface claim (E9) is that connector changes do
-// not touch this text.
-const CarSource = `
+// not touch this text. CarSource + exactlyNControllers is, byte for
+// byte, the bridge.pml that bench/designs/bridge.pnp and
+// examples/adl/bridge.pnp load, so both routes compose one model.
+const CarSource = `/* The single-lane bridge components (paper Section 4), written against
+ * the standard Plug-and-Play interfaces. Used by bridge.pnp and
+ * bridge-broken.pnp: the two ADL files differ only in one send-port kind,
+ * and these component models are shared verbatim. */
+
 byte blueOn, redOn;
 
-/* A car: requests entry, drives onto the bridge once the SendStatus
- * arrives, crosses, leaves, and notifies the far-side controller. */
 proctype Car(chan esig; chan edat; chan xsig; chan xdat; bit color) {
 	mtype st;
 	end: do
@@ -73,10 +79,10 @@ proctype Car(chan esig; chan edat; chan xsig; chan xdat; bit color) {
 
 // exactlyNControllers is the controller model for the Fig. 13 design: the
 // controllers alternate turns implicitly by counting exit notifications.
+// A controller admits n enter requests, then waits for n exit
+// notifications (produced by the other side's cars) before admitting the
+// next batch; the side that starts passive waits for exits first.
 const exactlyNControllers = `
-/* Exactly-N controller: admit n enter requests, then wait for n exit
- * notifications (produced by the other side's cars) before admitting the
- * next batch. The side that starts passive waits for exits first. */
 proctype TurnController(chan ensig; chan endat; chan exsig; chan exdat;
                         byte n; bit startsActive) {
 	byte i;
@@ -212,28 +218,22 @@ func (c Config) String() string {
 	return fmt.Sprintf("%s cars=%d n=%d enter=%s", c.Variant, c.CarsPerSide, c.N, c.EnterSend)
 }
 
-// Build composes the bridge system: components, connectors, and ports.
-func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
+// design renders the configured bridge as a design: the connectors,
+// instances and invariant of bench/designs/bridge.pnp, plus the yield
+// connectors of the at-most-N variant.
+func design(cfg Config) (*core.Design, error) {
 	cfg = cfg.withDefaults()
-	var src string
+	var ctl, src string
+	recvKind := blocks.BlockingRecv
 	switch cfg.Variant {
 	case ExactlyN:
-		src = CarSource + exactlyNControllers
+		ctl, src = "TurnController", CarSource+exactlyNControllers
 	case AtMostN:
-		src = CarSource + atMostNControllers
-	default:
-		return nil, fmt.Errorf("bridge: unknown variant %d", cfg.Variant)
-	}
-	b, err := blocks.NewBuilder(src, cache)
-	if err != nil {
-		return nil, err
-	}
-
-	recvKind := blocks.BlockingRecv
-	if cfg.Variant == AtMostN {
 		// The Fig. 14 controllers poll, so every controller-side receive
 		// port must be nonblocking.
-		recvKind = blocks.NonblockingRecv
+		ctl, src, recvKind = "YieldController", CarSource+atMostNControllers, blocks.NonblockingRecv
+	default:
+		return nil, fmt.Errorf("bridge: unknown variant %d", cfg.Variant)
 	}
 	enterSpec := blocks.ConnectorSpec{
 		Send: cfg.EnterSend, Channel: blocks.FIFOQueue, Size: cfg.EnterBuf, Recv: recvKind,
@@ -241,147 +241,51 @@ func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
 	exitSpec := blocks.ConnectorSpec{
 		Send: blocks.AsynBlockingSend, Channel: blocks.SingleSlot, Recv: recvKind,
 	}
-
-	blueEnter, err := b.NewConnector("BlueEnter", enterSpec)
-	if err != nil {
-		return nil, err
-	}
-	redEnter, err := b.NewConnector("RedEnter", enterSpec)
-	if err != nil {
-		return nil, err
-	}
 	// Blue cars exit at the red end and notify the red controller, and
 	// vice versa (the paper's RedExit / BlueExit connectors).
-	redExit, err := b.NewConnector("RedExit", exitSpec)
-	if err != nil {
-		return nil, err
+	d := core.NewDesign("bridge", src).
+		AddConnector("BlueEnter", enterSpec).
+		AddConnector("RedEnter", enterSpec).
+		AddConnector("RedExit", exitSpec).
+		AddConnector("BlueExit", exitSpec)
+	blueCtl := []core.InstanceArg{core.RecvFrom("BlueEnter"), core.RecvFrom("BlueExit")}
+	redCtl := []core.InstanceArg{core.RecvFrom("RedEnter"), core.RecvFrom("RedExit")}
+	if cfg.Variant == AtMostN {
+		yield := blocks.ConnectorSpec{Send: blocks.SynBlockingSend, Channel: blocks.SingleSlot, Recv: blocks.NonblockingRecv}
+		d.AddConnector("BlueToRed", yield).AddConnector("RedToBlue", yield)
+		// Each controller listens for the other's yield and yields on its own.
+		blueCtl = append(blueCtl, core.RecvFrom("RedToBlue"), core.SendTo("BlueToRed"))
+		redCtl = append(redCtl, core.RecvFrom("BlueToRed"), core.SendTo("RedToBlue"))
 	}
-	blueExit, err := b.NewConnector("BlueExit", exitSpec)
-	if err != nil {
-		return nil, err
-	}
-
-	spawnCars := func(color int64, enter, exit *blocks.Connector, label string) error {
-		for i := 0; i < cfg.CarsPerSide; i++ {
-			e, err := enter.AddSender(fmt.Sprintf("%sCar%d", label, i))
-			if err != nil {
-				return err
-			}
-			x, err := exit.AddSender(fmt.Sprintf("%sCar%dExit", label, i))
-			if err != nil {
-				return err
-			}
-			if _, err := b.Spawn("Car",
-				model.Chan(e.Sig), model.Chan(e.Dat),
-				model.Chan(x.Sig), model.Chan(x.Dat),
-				model.Int(color)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := spawnCars(0, blueEnter, redExit, "Blue"); err != nil {
-		return nil, err
-	}
-	if err := spawnCars(1, redEnter, blueExit, "Red"); err != nil {
-		return nil, err
-	}
-
-	blueEnterRecv, err := blueEnter.AddReceiver("BlueCtl")
-	if err != nil {
-		return nil, err
-	}
-	blueExitRecv, err := blueExit.AddReceiver("BlueCtlExit")
-	if err != nil {
-		return nil, err
-	}
-	redEnterRecv, err := redEnter.AddReceiver("RedCtl")
-	if err != nil {
-		return nil, err
-	}
-	redExitRecv, err := redExit.AddReceiver("RedCtlExit")
-	if err != nil {
-		return nil, err
-	}
-
-	switch cfg.Variant {
-	case ExactlyN:
-		if _, err := b.Spawn("TurnController",
-			model.Chan(blueEnterRecv.Sig), model.Chan(blueEnterRecv.Dat),
-			model.Chan(blueExitRecv.Sig), model.Chan(blueExitRecv.Dat),
-			model.Int(int64(cfg.N)), model.Int(1)); err != nil {
-			return nil, err
-		}
-		if _, err := b.Spawn("TurnController",
-			model.Chan(redEnterRecv.Sig), model.Chan(redEnterRecv.Dat),
-			model.Chan(redExitRecv.Sig), model.Chan(redExitRecv.Dat),
-			model.Int(int64(cfg.N)), model.Int(0)); err != nil {
-			return nil, err
-		}
-	case AtMostN:
-		yieldSpec := blocks.ConnectorSpec{
-			Send: blocks.SynBlockingSend, Channel: blocks.SingleSlot, Recv: blocks.NonblockingRecv,
-		}
-		blueToRed, err := b.NewConnector("BlueToRed", yieldSpec)
-		if err != nil {
-			return nil, err
-		}
-		redToBlue, err := b.NewConnector("RedToBlue", yieldSpec)
-		if err != nil {
-			return nil, err
-		}
-		blueYieldOut, err := blueToRed.AddSender("BlueCtlYield")
-		if err != nil {
-			return nil, err
-		}
-		blueYieldIn, err := redToBlue.AddReceiver("BlueCtlListen")
-		if err != nil {
-			return nil, err
-		}
-		redYieldOut, err := redToBlue.AddSender("RedCtlYield")
-		if err != nil {
-			return nil, err
-		}
-		redYieldIn, err := blueToRed.AddReceiver("RedCtlListen")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := b.Spawn("YieldController",
-			model.Chan(blueEnterRecv.Sig), model.Chan(blueEnterRecv.Dat),
-			model.Chan(blueExitRecv.Sig), model.Chan(blueExitRecv.Dat),
-			model.Chan(blueYieldIn.Sig), model.Chan(blueYieldIn.Dat),
-			model.Chan(blueYieldOut.Sig), model.Chan(blueYieldOut.Dat),
-			model.Int(int64(cfg.N)), model.Int(1)); err != nil {
-			return nil, err
-		}
-		if _, err := b.Spawn("YieldController",
-			model.Chan(redEnterRecv.Sig), model.Chan(redEnterRecv.Dat),
-			model.Chan(redExitRecv.Sig), model.Chan(redExitRecv.Dat),
-			model.Chan(redYieldIn.Sig), model.Chan(redYieldIn.Dat),
-			model.Chan(redYieldOut.Sig), model.Chan(redYieldOut.Dat),
-			model.Int(int64(cfg.N)), model.Int(0)); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
+	n := core.IntArg(int64(cfg.N))
+	return d.
+		AddInstance("blueCar", "Car", cfg.CarsPerSide, core.SendTo("BlueEnter"), core.SendTo("RedExit"), core.IntArg(0)).
+		AddInstance("redCar", "Car", cfg.CarsPerSide, core.SendTo("RedEnter"), core.SendTo("BlueExit"), core.IntArg(1)).
+		AddInstance("blueCtl", ctl, 1, append(blueCtl, n, core.IntArg(1))...).
+		AddInstance("redCtl", ctl, 1, append(redCtl, n, core.IntArg(0))...).
+		// Cars traveling in opposite directions are never on the bridge
+		// simultaneously.
+		AddInvariant("bridge-safety", "!(blueOn > 0 && redOn > 0)"), nil
 }
 
-// SafetyInvariant is the bridge-safety property: cars traveling in
-// opposite directions are never on the bridge simultaneously.
-func SafetyInvariant(b *blocks.Builder) (checker.Invariant, error) {
-	return checker.InvariantFromSource(b.Program(), "bridge-safety", "!(blueOn > 0 && redOn > 0)")
+// Build composes the bridge system: components, connectors, and ports.
+func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
+	d, err := design(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return d.Build(cache)
 }
 
 // Verify builds the configured bridge and checks the safety invariant.
 func Verify(cfg Config, cache *blocks.Cache, opts checker.Options) (*checker.Result, error) {
-	b, err := Build(cfg, cache)
+	d, err := design(cfg)
 	if err != nil {
 		return nil, err
 	}
-	inv, err := SafetyInvariant(b)
+	res, err := d.Verify(cache, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts.Invariants = append(opts.Invariants, inv)
-	return checker.New(b.System(), opts).CheckSafety(), nil
+	return res["safety"], nil
 }

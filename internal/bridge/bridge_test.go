@@ -1,11 +1,15 @@
 package bridge
 
 import (
+	"os"
 	"strings"
 	"testing"
 
+	"pnp/internal/adl"
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
+	"pnp/internal/verifyd"
 )
 
 // TestBridgeInitialDesignUnsafe is experiment E8: the Fig. 13 design with
@@ -104,12 +108,17 @@ func TestBridgeAtMostNAsyncUnsafe(t *testing.T) {
 		CarsPerSide: 1,
 		N:           1,
 		EnterSend:   blocks.AsynBlockingSend,
-	}, nil, checker.Options{})
+	}, nil, checker.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.OK {
 		t.Fatal("async enter sends should violate at-most-N bridge safety")
+	}
+	if s := res.Stats; s.StatesStored != 4885 || s.StatesMatched != 5229 ||
+		s.Transitions != 10113 || res.Trace.Len() != 16 {
+		t.Errorf("stats %d / %d / %d, counterexample %d steps; want 4885 / 5229 / 10113, 16",
+			s.StatesStored, s.StatesMatched, s.Transitions, res.Trace.Len())
 	}
 }
 
@@ -202,5 +211,39 @@ func TestBridgeSynCheckingSafe(t *testing.T) {
 		t.Log("synchronous checking send verified safe for this configuration")
 	} else if res.Kind != checker.InvariantViolation && res.Kind != checker.Deadlock {
 		t.Fatalf("unexpected failure kind: %s", res.Summary())
+	}
+}
+
+// TestBuildIsBenchBridge: Build's E9 configuration and the ADL file the
+// benchmark and pnpd verify are one model — the same ModelHash, at one
+// and at two cars per turn (the benchmark's own N=2 rewrite).
+func TestBuildIsBenchBridge(t *testing.T) {
+	read := func(name string) string {
+		b, err := os.ReadFile("../../bench/designs/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	src, pml := read("bridge.pnp"), read("bridge.pml")
+	for _, n := range []int{1, 2} {
+		if n == 2 {
+			src = strings.NewReplacer(", 1, 1)", ", 2, 1)", ", 1, 0)", ", 2, 0)").Replace(src)
+		}
+		store, err := artifact.NewStore(0, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := adl.LoadModular(src, func(string) (string, error) { return pml, nil }, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Build(Config{Variant: ExactlyN, CarsPerSide: 1, N: n, EnterSend: blocks.SynBlockingSend}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if verifyd.ModelHash(b) != verifyd.ModelHash(sys.Builder) {
+			t.Errorf("N=%d: bridge.Build and bench/designs/bridge.pnp compose different models", n)
+		}
 	}
 }

@@ -90,30 +90,29 @@ func (m *bridgeMonitor) leave(color int) {
 // batch fills; otherwise the run only ends when ctx expires.
 func Simulate(ctx context.Context, cfg SimulationConfig) (*SimulationResult, error) {
 	cfg = cfg.withDefaults()
-	enterSpec := blocks.ConnectorSpec{
-		Send: cfg.EnterSend, Channel: blocks.FIFOQueue, Size: 2, Recv: blocks.BlockingRecv,
-	}
-	exitSpec := blocks.ConnectorSpec{
-		Send: blocks.AsynBlockingSend, Channel: blocks.SingleSlot, Recv: blocks.BlockingRecv,
+	// The runtime connectors are the verified design's own.
+	d, err := design(Config{Variant: ExactlyN, CarsPerSide: cfg.CarsPerSide, N: cfg.N, EnterSend: cfg.EnterSend})
+	if err != nil {
+		return nil, err
 	}
 
 	type side struct {
 		enter *pnprt.Connector
 		exit  *pnprt.Connector // where this side's cars REPORT exits (far end)
 	}
-	blueEnter, err := pnprt.NewConnector("BlueEnter", enterSpec)
+	blueEnter, err := d.RuntimeConnector("BlueEnter")
 	if err != nil {
 		return nil, err
 	}
-	redEnter, err := pnprt.NewConnector("RedEnter", enterSpec)
+	redEnter, err := d.RuntimeConnector("RedEnter")
 	if err != nil {
 		return nil, err
 	}
-	redExit, err := pnprt.NewConnector("RedExit", exitSpec)
+	redExit, err := d.RuntimeConnector("RedExit")
 	if err != nil {
 		return nil, err
 	}
-	blueExit, err := pnprt.NewConnector("BlueExit", exitSpec)
+	blueExit, err := d.RuntimeConnector("BlueExit")
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 
+	"pnp/internal/adl"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
-	"pnp/internal/model"
 	"pnp/internal/pnprt"
 )
 
@@ -70,11 +74,9 @@ func SendTo(conn string) InstanceArg { return InstanceArg{Kind: ArgSend, Conn: c
 // RecvFrom attaches the instance as a receiver on the named connector.
 func RecvFrom(conn string) InstanceArg { return InstanceArg{Kind: ArgRecv, Conn: conn} }
 
-// NamedConnector pairs a connector name with its block composition.
-type NamedConnector struct {
-	Name string
-	Spec blocks.ConnectorSpec
-}
+// NamedConnector pairs a connector name with its block composition: a
+// connector declaration of the design's ADL.
+type NamedConnector = adl.ConnectorDecl
 
 // Instance declares component instances of a proctype.
 type Instance struct {
@@ -84,21 +86,12 @@ type Instance struct {
 	Args  []InstanceArg
 }
 
-// Property declarations.
-type invariantDecl struct {
-	Name string
-	Expr string
-}
-
-type goalDecl struct {
-	Name string
-	Expr string
-}
-
-type ltlDecl struct {
-	Name    string
-	Formula string
-	Props   map[string]string
+// propertyDecl is one declared property in its ADL form.
+type propertyDecl struct {
+	kind  string // the ADL keyword: "invariant", "goal" or "ltl"
+	name  string
+	expr  string            // the expression, or the LTL formula
+	props map[string]string // LTL atomic propositions
 }
 
 // Design is a complete Plug-and-Play system design. Designs are value-ish:
@@ -109,9 +102,7 @@ type Design struct {
 	Components string // pml source of the component models
 	Connectors []NamedConnector
 	Instances  []Instance
-	invariants []invariantDecl
-	goals      []goalDecl
-	ltls       []ltlDecl
+	properties []propertyDecl
 }
 
 // NewDesign creates an empty design over the given component models.
@@ -133,7 +124,7 @@ func (d *Design) AddInstance(name, proc string, count int, args ...InstanceArg) 
 
 // AddInvariant declares a global safety invariant.
 func (d *Design) AddInvariant(name, expr string) *Design {
-	d.invariants = append(d.invariants, invariantDecl{Name: name, Expr: expr})
+	d.properties = append(d.properties, propertyDecl{kind: "invariant", name: name, expr: expr})
 	return d
 }
 
@@ -142,13 +133,13 @@ func (d *Design) AddInvariant(name, expr string) *Design {
 // LTL eventuality, a goal is insensitive to scheduler fairness, so it is
 // the right way to state "no message is ever permanently lost".
 func (d *Design) AddGoal(name, expr string) *Design {
-	d.goals = append(d.goals, goalDecl{Name: name, Expr: expr})
+	d.properties = append(d.properties, propertyDecl{kind: "goal", name: name, expr: expr})
 	return d
 }
 
 // AddLTL declares an LTL property with its atomic propositions.
 func (d *Design) AddLTL(name, formula string, props map[string]string) *Design {
-	d.ltls = append(d.ltls, ltlDecl{Name: name, Formula: formula, Props: props})
+	d.properties = append(d.properties, propertyDecl{kind: "ltl", name: name, expr: formula, props: props})
 	return d
 }
 
@@ -157,9 +148,7 @@ func (d *Design) clone() *Design {
 	n := *d
 	n.Connectors = append([]NamedConnector(nil), d.Connectors...)
 	n.Instances = append([]Instance(nil), d.Instances...)
-	n.invariants = append([]invariantDecl(nil), d.invariants...)
-	n.goals = append([]goalDecl(nil), d.goals...)
-	n.ltls = append([]ltlDecl(nil), d.ltls...)
+	n.properties = append([]propertyDecl(nil), d.properties...)
 	return &n
 }
 
@@ -172,101 +161,162 @@ func (d *Design) connectorIndex(name string) (int, error) {
 	return -1, fmt.Errorf("core: design %s has no connector %q", d.Name, name)
 }
 
-// WithSendPort returns a copy of the design with the named connector's
-// send port replaced — the paper's plug-and-play edit. Components are
-// untouched.
-func (d *Design) WithSendPort(conn string, k blocks.SendPortKind) (*Design, error) {
+// plug returns a copy of the design with the named connector's spec
+// edited.
+func (d *Design) plug(conn string, edit func(blocks.ConnectorSpec) blocks.ConnectorSpec) (*Design, error) {
 	i, err := d.connectorIndex(conn)
 	if err != nil {
 		return nil, err
 	}
 	n := d.clone()
-	n.Connectors[i].Spec = n.Connectors[i].Spec.WithSend(k)
+	n.Connectors[i].Spec = edit(n.Connectors[i].Spec)
 	return n, nil
+}
+
+// WithSendPort returns a copy of the design with the named connector's
+// send port replaced — the paper's plug-and-play edit. Components are
+// untouched.
+func (d *Design) WithSendPort(conn string, k blocks.SendPortKind) (*Design, error) {
+	return d.plug(conn, func(s blocks.ConnectorSpec) blocks.ConnectorSpec { return s.WithSend(k) })
 }
 
 // WithRecvPort returns a copy with the named connector's receive port
 // replaced.
 func (d *Design) WithRecvPort(conn string, k blocks.RecvPortKind) (*Design, error) {
-	i, err := d.connectorIndex(conn)
-	if err != nil {
-		return nil, err
-	}
-	n := d.clone()
-	n.Connectors[i].Spec = n.Connectors[i].Spec.WithRecv(k)
-	return n, nil
+	return d.plug(conn, func(s blocks.ConnectorSpec) blocks.ConnectorSpec { return s.WithRecv(k) })
 }
 
 // WithChannel returns a copy with the named connector's channel replaced.
 func (d *Design) WithChannel(conn string, k blocks.ChannelKind, size int) (*Design, error) {
-	i, err := d.connectorIndex(conn)
+	return d.plug(conn, func(s blocks.ConnectorSpec) blocks.ConnectorSpec { return s.WithChannel(k, size) })
+}
+
+// ADL renders the design as an ADL document plus its one component
+// file, keyed by the path the document's components clause names. This
+// is the design's only composed form: Build and Verify load it through
+// internal/adl, and the same pair can be submitted to a verification
+// service unchanged. The text is byte-deterministic (LTL propositions
+// are sorted), so equal designs share a submission key. Names must be
+// ADL identifiers and expressions must not contain a double quote or a
+// newline; ADL returns an error naming the offending declaration rather
+// than text whose parse error would point into generated lines.
+func (d *Design) ADL() (src string, components map[string]string, err error) {
+	if err := valid("system", d.Name); err != nil {
+		return "", nil, err
+	}
+	path := d.Name + ".pml"
+	var b strings.Builder
+	fmt.Fprintf(&b, "system %s {\n    components %q\n", d.Name, path)
+	for _, c := range d.Connectors {
+		if err := valid("connector", c.Name); err != nil {
+			return "", nil, err
+		}
+		if err := c.Spec.Validate(); err != nil {
+			return "", nil, fmt.Errorf("core: connector %s: %w", c.Name, err)
+		}
+		fmt.Fprintf(&b, "\n    connector %s {\n        send    %s\n        channel %s\n        receive %s\n    }\n",
+			c.Name, c.Spec.Send.Token(), adl.ChannelToken(c.Spec.Channel, c.Spec.Size), c.Spec.Recv.Token())
+	}
+	b.WriteByte('\n')
+	for _, in := range d.Instances {
+		if err := valid("instance", in.Name); err != nil {
+			return "", nil, err
+		}
+		if err := valid("component", in.Proc); err != nil {
+			return "", nil, err
+		}
+		args := make([]string, len(in.Args))
+		for i, a := range in.Args {
+			switch a.Kind {
+			case ArgInt:
+				args[i] = strconv.FormatInt(a.N, 10)
+				continue
+			case ArgSend:
+				args[i] = "send " + a.Conn
+			case ArgRecv:
+				args[i] = "recv " + a.Conn
+			default:
+				return "", nil, fmt.Errorf("core: instance %s: bad argument kind", in.Name)
+			}
+			if err := valid("connector", a.Conn); err != nil {
+				return "", nil, err
+			}
+		}
+		count := ""
+		if in.Count > 1 {
+			count = fmt.Sprintf(" * %d", in.Count)
+		}
+		fmt.Fprintf(&b, "    instance %s%s = %s(%s)\n", in.Name, count, in.Proc, strings.Join(args, ", "))
+	}
+	for _, p := range d.properties {
+		if err := valid(p.kind, p.name, p.expr); err != nil {
+			return "", nil, err
+		}
+		fmt.Fprintf(&b, "    %s %s \"%s\"", p.kind, p.name, p.expr)
+		if p.kind == "ltl" {
+			names := make([]string, 0, len(p.props))
+			for n := range p.props {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			b.WriteString(" {")
+			for _, n := range names {
+				if err := valid("proposition", n, p.props[n]); err != nil {
+					return "", nil, err
+				}
+				fmt.Fprintf(&b, " %s = \"%s\";", n, p.props[n])
+			}
+			b.WriteString(" }")
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("}\n")
+	return b.String(), map[string]string{path: d.Components}, nil
+}
+
+// valid checks that a declaration's name is an ADL identifier
+// ([A-Za-z_][A-Za-z0-9_-]*) and that its expressions fit in ADL strings.
+func valid(what, name string, exprs ...string) error {
+	ok := name != ""
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		ok = ok && (c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
+			i > 0 && (c == '-' || c >= '0' && c <= '9'))
+	}
+	if !ok {
+		return fmt.Errorf("core: %s %q is not an ADL identifier ([A-Za-z_][A-Za-z0-9_-]*)", what, name)
+	}
+	for _, e := range exprs {
+		if strings.ContainsAny(e, "\"\n") {
+			return fmt.Errorf("core: %s %s: %q contains a double quote or a newline", what, name, e)
+		}
+	}
+	return nil
+}
+
+// load composes the design through its ADL rendering.
+func (d *Design) load(cache *blocks.Cache) (*adl.System, error) {
+	src, comps, err := d.ADL()
 	if err != nil {
 		return nil, err
 	}
-	n := d.clone()
-	n.Connectors[i].Spec = n.Connectors[i].Spec.WithChannel(k, size)
-	return n, nil
+	sys, err := adl.Load(src, func(path string) (string, error) { return comps[path], nil }, cache)
+	var ae *adl.Error
+	if errors.As(err, &ae) {
+		// A position would point into generated text; the message names
+		// the declaration.
+		return nil, fmt.Errorf("core: design %s: %s", d.Name, ae.Msg)
+	}
+	return sys, err
 }
 
 // Build composes the design into a verifiable model system.
 func (d *Design) Build(cache *blocks.Cache) (*blocks.Builder, error) {
-	b, err := blocks.NewBuilder(d.Components, cache)
+	sys, err := d.load(cache)
 	if err != nil {
 		return nil, err
 	}
-	conns := make(map[string]*blocks.Connector, len(d.Connectors))
-	for _, nc := range d.Connectors {
-		if _, dup := conns[nc.Name]; dup {
-			return nil, fmt.Errorf("core: duplicate connector %q", nc.Name)
-		}
-		c, err := b.NewConnector(nc.Name, nc.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("core: connector %s: %w", nc.Name, err)
-		}
-		conns[nc.Name] = c
-	}
-	for _, in := range d.Instances {
-		count := in.Count
-		if count < 1 {
-			count = 1
-		}
-		for k := 0; k < count; k++ {
-			label := in.Name
-			if count > 1 {
-				label = fmt.Sprintf("%s%d", in.Name, k)
-			}
-			args := make([]model.Arg, 0, 2*len(in.Args))
-			for ai, a := range in.Args {
-				switch a.Kind {
-				case ArgInt:
-					args = append(args, model.Int(a.N))
-				case ArgSend, ArgRecv:
-					c, ok := conns[a.Conn]
-					if !ok {
-						return nil, fmt.Errorf("core: instance %s references unknown connector %q", in.Name, a.Conn)
-					}
-					var ep blocks.Endpoint
-					var err error
-					epName := fmt.Sprintf("%s.a%d", label, ai)
-					if a.Kind == ArgSend {
-						ep, err = c.AddSender(epName)
-					} else {
-						ep, err = c.AddReceiver(epName)
-					}
-					if err != nil {
-						return nil, fmt.Errorf("core: instance %s: %w", in.Name, err)
-					}
-					args = append(args, model.Chan(ep.Sig), model.Chan(ep.Dat))
-				default:
-					return nil, fmt.Errorf("core: instance %s: bad argument kind", in.Name)
-				}
-			}
-			if _, err := b.Spawn(in.Proc, args...); err != nil {
-				return nil, fmt.Errorf("core: instance %s: %w", in.Name, err)
-			}
-		}
-	}
-	return b, nil
+	return sys.Builder, nil
 }
 
 // VerifyResults holds per-property verification outcomes; "safety" is the
@@ -283,37 +333,15 @@ func (v VerifyResults) AllOK() bool {
 	return true
 }
 
-// Verify builds the design and checks every declared property.
+// Verify builds the design and checks every declared property with
+// adl.System.VerifyAll: fairness, per-property checkpoints and tracing
+// apply as they do to a loaded ADL file.
 func (d *Design) Verify(cache *blocks.Cache, opts checker.Options) (VerifyResults, error) {
-	b, err := d.Build(cache)
+	sys, err := d.load(cache)
 	if err != nil {
 		return nil, err
 	}
-	out := make(VerifyResults, 1+len(d.ltls))
-	safetyOpts := opts
-	for _, inv := range d.invariants {
-		ci, err := checker.InvariantFromSource(b.Program(), inv.Name, inv.Expr)
-		if err != nil {
-			return nil, err
-		}
-		safetyOpts.Invariants = append(safetyOpts.Invariants, ci)
-	}
-	out["safety"] = checker.New(b.System(), safetyOpts).CheckSafety()
-	for _, g := range d.goals {
-		expr, err := b.Program().CompileGlobalExpr(g.Expr)
-		if err != nil {
-			return nil, fmt.Errorf("core: goal %s: %w", g.Name, err)
-		}
-		out[g.Name] = checker.New(b.System(), opts).CheckEventuallyReachable(expr)
-	}
-	for _, l := range d.ltls {
-		props, err := checker.PropsFromSource(b.Program(), l.Props)
-		if err != nil {
-			return nil, err
-		}
-		out[l.Name] = checker.New(b.System(), opts).CheckLTL(l.Formula, props)
-	}
-	return out, nil
+	return sys.VerifyAll(opts), nil
 }
 
 // RuntimeConnector instantiates the named connector as an executable

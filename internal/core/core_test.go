@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"pnp/internal/adl"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/pnprt"
@@ -218,5 +220,99 @@ func TestRuntimeConnectorFromDesign(t *testing.T) {
 	}
 	if _, err := d.RuntimeConnector("NoSuch"); err == nil {
 		t.Error("unknown connector accepted")
+	}
+}
+
+// TestADLDeterministic: the rendering is the design's submission key
+// input, so it must not depend on map order.
+func TestADLDeterministic(t *testing.T) {
+	d := pipeline()
+	d.AddLTL("props", "[] (a -> <> (b || c))",
+		map[string]string{"c": "got == 2", "a": "sent > 0", "b": "got > 0"})
+	first, comps, err := d.ADL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comps["pipeline.pml"] != counterComponents || len(comps) != 1 {
+		t.Errorf("components = %v, want the design's one component file", comps)
+	}
+	for i := 0; i < 50; i++ {
+		src, _, err := d.ADL()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src != first {
+			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, src, first)
+		}
+	}
+	if !strings.Contains(first, `{ a = "sent > 0"; b = "got > 0"; c = "got == 2"; }`) {
+		t.Errorf("propositions not sorted:\n%s", first)
+	}
+}
+
+func TestADLConnectorsRoundTrip(t *testing.T) {
+	d := pipeline()
+	d.AddConnector("Back", blocks.ConnectorSpec{
+		Send: blocks.SynCheckingSend, Channel: blocks.SingleSlot, Recv: blocks.NonblockingRecv,
+	})
+	src, _, err := d.ADL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls, err := adl.Connectors(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(decls, d.Connectors) {
+		t.Errorf("rendered connectors %+v, want %+v", decls, d.Connectors)
+	}
+}
+
+func TestADLCountZeroIsOneInstance(t *testing.T) {
+	d := NewDesign("zero", counterComponents)
+	d.AddConnector("Wire", blocks.ConnectorSpec{
+		Send: blocks.AsynBlockingSend, Channel: blocks.FIFOQueue, Size: 2, Recv: blocks.BlockingRecv,
+	})
+	d.AddInstance("prod", "Producer", 0, SendTo("Wire"), IntArg(2))
+	d.AddInstance("cons", "Consumer", 1, RecvFrom("Wire"), IntArg(2))
+	src, _, err := d.ADL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(src, "instance prod = Producer(send Wire, 2)") {
+		t.Errorf("count 0 should render one plain instance:\n%s", src)
+	}
+	b, err := d.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two components, plus the channel and the two ports.
+	if n := b.System().NumInstances(); n != 5 {
+		t.Errorf("%d processes, want 5", n)
+	}
+}
+
+// TestADLRejectsWhatItCannotRender: each error names the declaration,
+// never a position in the generated text.
+func TestADLRejectsWhatItCannotRender(t *testing.T) {
+	spec := blocks.ConnectorSpec{Send: blocks.AsynBlockingSend, Channel: blocks.SingleSlot, Recv: blocks.BlockingRecv}
+	for _, c := range []struct {
+		name string
+		edit func(d *Design)
+		want string
+	}{
+		{"connector name", func(d *Design) { d.AddConnector("my pipe", spec) }, `connector "my pipe"`},
+		{"instance name", func(d *Design) { d.AddInstance("2x", "Producer", 1, SendTo("Wire"), IntArg(1)) }, `instance "2x"`},
+		{"component name", func(d *Design) { d.AddInstance("p2", "No Proc", 1) }, `component "No Proc"`},
+		{"connector reference", func(d *Design) { d.AddInstance("p2", "Producer", 1, SendTo("a b"), IntArg(1)) }, `connector "a b"`},
+		{"invariant quote", func(d *Design) { d.AddInvariant("quoted", `sent == "1"`) }, "invariant quoted"},
+		{"formula newline", func(d *Design) { d.AddLTL("multi", "[] (a\n-> a)", map[string]string{"a": "sent > 0"}) }, "ltl multi"},
+	} {
+		d := pipeline()
+		c.edit(d)
+		_, _, err := d.ADL()
+		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "adl: line") {
+			t.Errorf("%s: err = %v, want one naming %s", c.name, err, c.want)
+		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
-	"pnp/internal/model"
+	"pnp/internal/core"
 )
 
 // Source is the pml model. Sequence numbers are 1..k (no wraparound for
@@ -105,94 +105,45 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Build composes sender and receiver over two lossy connectors. The data
-// channel holds up to the window size; the ack channel one ack.
-func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
+// design renders the protocol: sender and receiver joined by two
+// dropping connectors, an asynchronous blocking send into a dropping
+// buffer polled through a nonblocking receive. The data channel holds up
+// to the window size (dropping(w)); the ack channel one ack
+// (dropping(1)).
+func design(cfg Config) *core.Design {
 	cfg = cfg.withDefaults()
-	b, err := blocks.NewBuilder(Source, cache)
-	if err != nil {
-		return nil, err
-	}
-	dataSpec := blocks.ConnectorSpec{
+	data := blocks.ConnectorSpec{
 		Send:    blocks.AsynBlockingSend,
 		Channel: blocks.DroppingBuffer, Size: cfg.Window,
 		Recv: blocks.NonblockingRecv,
 	}
-	ackSpec := blocks.ConnectorSpec{
-		Send:    blocks.AsynBlockingSend,
-		Channel: blocks.DroppingBuffer, Size: 1,
-		Recv: blocks.NonblockingRecv,
-	}
-	data, err := b.NewConnector("Data", dataSpec)
-	if err != nil {
-		return nil, err
-	}
-	ack, err := b.NewConnector("Ack", ackSpec)
-	if err != nil {
-		return nil, err
-	}
-	sData, err := data.AddSender("Sender")
-	if err != nil {
-		return nil, err
-	}
-	rData, err := data.AddReceiver("Receiver")
-	if err != nil {
-		return nil, err
-	}
-	sAck, err := ack.AddSender("ReceiverAck")
-	if err != nil {
-		return nil, err
-	}
-	rAck, err := ack.AddReceiver("SenderAck")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := b.Spawn("SwpSender",
-		model.Chan(sData.Sig), model.Chan(sData.Dat),
-		model.Chan(rAck.Sig), model.Chan(rAck.Dat),
-		model.Int(int64(cfg.Frames)), model.Int(int64(cfg.Window))); err != nil {
-		return nil, err
-	}
-	if _, err := b.Spawn("SwpReceiver",
-		model.Chan(rData.Sig), model.Chan(rData.Dat),
-		model.Chan(sAck.Sig), model.Chan(sAck.Dat),
-		model.Int(int64(cfg.Frames))); err != nil {
-		return nil, err
-	}
-	return b, nil
+	k := core.IntArg(int64(cfg.Frames))
+	return core.NewDesign("swp", Source).
+		AddConnector("Data", data).
+		AddConnector("Ack", data.WithChannel(blocks.DroppingBuffer, 1)).
+		AddInstance("sender", "SwpSender", 1, core.SendTo("Data"), core.RecvFrom("Ack"), k, core.IntArg(int64(cfg.Window))).
+		AddInstance("receiver", "SwpReceiver", 1, core.RecvFrom("Data"), core.SendTo("Ack"), k).
+		AddInvariant("in-order", "badDelivery == 0").
+		AddInvariant("exactly-once", fmt.Sprintf("delivered <= %d", cfg.Frames)).
+		AddGoal("delivered", fmt.Sprintf("delivered == %d", cfg.Frames))
+}
+
+// Build composes the protocol.
+func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
+	return design(cfg).Build(cache)
 }
 
 // Results holds the verdicts.
 type Results struct {
 	Safety   *checker.Result
 	Delivery *checker.Result // AG EF (delivered == frames)
-	Complete *checker.Result // AG EF (sender finished too)
 }
 
 // Verify builds and checks the protocol.
 func Verify(cfg Config, cache *blocks.Cache, opts checker.Options) (*Results, error) {
-	cfg = cfg.withDefaults()
-	b, err := Build(cfg, cache)
+	res, err := design(cfg).Verify(cache, opts)
 	if err != nil {
 		return nil, err
 	}
-	inOrder, err := checker.InvariantFromSource(b.Program(), "in-order", "badDelivery == 0")
-	if err != nil {
-		return nil, err
-	}
-	once, err := checker.InvariantFromSource(b.Program(), "exactly-once",
-		fmt.Sprintf("delivered <= %d", cfg.Frames))
-	if err != nil {
-		return nil, err
-	}
-	safetyOpts := opts
-	safetyOpts.Invariants = append(safetyOpts.Invariants, inOrder, once)
-	safety := checker.New(b.System(), safetyOpts).CheckSafety()
-
-	target, err := b.Program().CompileGlobalExpr(fmt.Sprintf("delivered == %d", cfg.Frames))
-	if err != nil {
-		return nil, err
-	}
-	delivery := checker.New(b.System(), opts).CheckEventuallyReachable(target)
-	return &Results{Safety: safety, Delivery: delivery}, nil
+	return &Results{Safety: res["safety"], Delivery: res["delivered"]}, nil
 }

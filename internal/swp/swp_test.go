@@ -6,14 +6,27 @@ import (
 	"pnp/internal/checker"
 )
 
+// pinCounts checks a safety search's stored / matched / transitions /
+// depth against the literals recorded for it. They hold at any worker
+// count of the level engine; the tests run it at one.
+func pinCounts(t *testing.T, r *checker.Result, stored, matched, transitions, depth int) {
+	t.Helper()
+	if s := r.Stats; s.StatesStored != stored || s.StatesMatched != matched ||
+		s.Transitions != transitions || s.MaxDepth != depth {
+		t.Errorf("safety stats %d / %d / %d / %d, want %d / %d / %d / %d",
+			s.StatesStored, s.StatesMatched, s.Transitions, s.MaxDepth, stored, matched, transitions, depth)
+	}
+}
+
 func TestSlidingWindowSmall(t *testing.T) {
-	res, err := Verify(Config{Frames: 2, Window: 2}, nil, checker.Options{})
+	res, err := Verify(Config{Frames: 2, Window: 2}, nil, checker.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Safety.OK || !res.Delivery.OK {
 		t.Fatalf("safety=%s delivery=%s", res.Safety.Summary(), res.Delivery.Summary())
 	}
+	pinCounts(t, res.Safety, 258857, 136790, 395646, 276)
 }
 
 func TestSlidingWindowDefault(t *testing.T) {
@@ -35,13 +48,14 @@ func TestSlidingWindowDefault(t *testing.T) {
 
 func TestSlidingWindowWindowOne(t *testing.T) {
 	// Window 1 degenerates to stop-and-wait (ABP without the bit).
-	res, err := Verify(Config{Frames: 2, Window: 1}, nil, checker.Options{})
+	res, err := Verify(Config{Frames: 2, Window: 1}, nil, checker.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Safety.OK || !res.Delivery.OK {
 		t.Fatalf("safety=%s delivery=%s", res.Safety.Summary(), res.Delivery.Summary())
 	}
+	pinCounts(t, res.Safety, 39740, 21389, 61128, 187)
 }
 
 func TestSlidingWindowWiderWindow(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pnp"
+	"pnp/internal/verifyd/client"
 )
 
 const facadeComponents = `
@@ -332,6 +333,46 @@ func TestFacadeObservability(t *testing.T) {
 	for _, want := range []string{"checker_states_stored_total", "pnprt_channel_delivered_total"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestFacadeDesignIsServable: a design built with the facade renders to
+// the ADL document the service runs, and the service agrees with the
+// in-process Verify on every property's verdict and state count.
+func TestFacadeDesignIsServable(t *testing.T) {
+	local, err := facadeDesign().Verify(nil, pnp.CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, comps, err := facadeDesign().ADL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serveSingleNode(t)
+	t.Cleanup(func() { s.svc.Shutdown(context.Background()) })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cl := pnp.NewClient(s.base)
+	job, err := cl.Submit(ctx, client.JobRequest{ADL: src, Components: comps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job, err = cl.Wait(ctx, job.ID); err != nil {
+		t.Fatal(err)
+	}
+	if job.Report == nil || len(job.Report.Properties) != len(local) {
+		t.Fatalf("remote report %+v, want %d properties", job.Report, len(local))
+	}
+	for _, p := range job.Report.Properties {
+		r, ok := local[p.Name]
+		if !ok {
+			t.Errorf("remote property %q not verified locally", p.Name)
+			continue
+		}
+		if p.OK != r.OK || p.States != r.Stats.StatesStored {
+			t.Errorf("%s: remote ok=%v states=%d, local ok=%v states=%d",
+				p.Name, p.OK, p.States, r.OK, r.Stats.StatesStored)
 		}
 	}
 }
