@@ -115,7 +115,6 @@ type checkpointer struct {
 	modelID string
 	f       *os.File // the open log: nil until the first barrier or a resume
 	buf     []byte   // the frame being built, reused across barriers
-	enc     []byte
 	since   int
 	failed  bool
 
@@ -148,13 +147,13 @@ func modelFingerprint(sys *model.System) string {
 	return fmt.Sprintf("%016x", w.Sum64())
 }
 
-// barrier appends next, the level just collected at depth, to the log,
-// and commits every Interval barriers. The first barrier of a fresh
-// search creates the log and writes root, the never-retired levels[0],
-// ahead of it. An empty next means the search is about to terminate, so
-// nothing is written. A write failure disables the checkpointer but
-// never fails the search.
-func (ck *checkpointer) barrier(depth int, root, next []parNode, st *Stats) {
+// barrier appends next, the encodings of the level just collected at
+// depth, to the log, and commits every Interval barriers. The first
+// barrier of a fresh search creates the log and writes root, the
+// encodings of levels[0], ahead of it. An empty next means the search is
+// about to terminate, so nothing is written. A write failure disables
+// the checkpointer but never fails the search.
+func (ck *checkpointer) barrier(depth int, root, next []nodeEnc, st *Stats) {
 	if ck == nil || ck.failed || len(next) == 0 {
 		return
 	}
@@ -163,7 +162,7 @@ func (ck *checkpointer) barrier(depth int, root, next []parNode, st *Stats) {
 	}
 }
 
-func (ck *checkpointer) extend(depth int, root, next []parNode, st *Stats) error {
+func (ck *checkpointer) extend(depth int, root, next []nodeEnc, st *Stats) error {
 	if ck.f == nil {
 		if err := ck.create(root); err != nil {
 			return err
@@ -198,7 +197,7 @@ func (ck *checkpointer) extend(depth int, root, next []parNode, st *Stats) error
 }
 
 // create starts a fresh log holding the root level.
-func (ck *checkpointer) create(root []parNode) error {
+func (ck *checkpointer) create(root []nodeEnc) error {
 	if err := os.MkdirAll(ck.opts.Dir, 0o755); err != nil {
 		return err
 	}
@@ -214,15 +213,15 @@ func (ck *checkpointer) create(root []parNode) error {
 	return ck.writeLevel(0, root)
 }
 
-// writeLevel appends one level as 'L' frames, encoding its states while
-// they are still live.
-func (ck *checkpointer) writeLevel(depth int, level []parNode) error {
+// writeLevel appends one level, given by its nodes' encodings, as 'L'
+// frames.
+func (ck *checkpointer) writeLevel(depth int, level []nodeEnc) error {
 	start := func() { ck.buf = binary.AppendUvarint(ck.startFrame(ckptTagLevel), uint64(depth)) }
 	start()
 	for i := range level {
-		ck.enc = level[i].st.AppendKey(ck.enc[:0])
-		ck.buf = binary.AppendUvarint(ck.buf, uint64(len(ck.enc)))
-		ck.buf = append(ck.buf, ck.enc...)
+		enc := level[i].enc
+		ck.buf = binary.AppendUvarint(ck.buf, uint64(len(enc)))
+		ck.buf = append(ck.buf, enc...)
 		if len(ck.buf) >= ckptFrameBytes || i == len(level)-1 {
 			if err := ck.writeFrame(); err != nil {
 				return err
@@ -263,39 +262,50 @@ func syncDir(dir string) {
 }
 
 // restore loads the last intact commit of the log into the runner and
-// returns the resumed frontier level and its depth, leaving the log open
-// for appending right after that commit. ok is false — and the search
-// starts fresh — when resume is off, the file is missing, or anything
-// about it fails validation.
-func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, depth int, ok bool) {
+// returns the resumed frontier level, its encodings and its depth,
+// leaving the log open for appending right after that commit. ok is
+// false — and the search starts fresh — when resume is off, the file is
+// missing, or anything about it fails validation, including a frontier
+// state the system could not reach (model.System.CheckState) or one not
+// in canonical form.
+func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, encs []nodeEnc, depth int, ok bool) {
 	if ck == nil || !ck.opts.Resume {
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	data, err := os.ReadFile(ck.file)
 	if err != nil {
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	log, err := readCheckpoint(data)
 	if err != nil || log.commit.Phase != ck.phase || log.commit.Model != ck.modelID {
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
-	shape := ck.c.sys.InitialState()
+	sys := ck.c.sys
+	shape := sys.InitialState()
 	frontier := log.visited[log.front:]
 	front := make([]parNode, 0, len(frontier))
-	for _, enc := range frontier {
-		st, err := model.DecodeKey(shape, enc)
-		if err != nil {
-			return nil, 0, false
+	encs = make([]nodeEnc, 0, len(frontier))
+	for _, b := range frontier {
+		st, err := model.DecodeKey(shape, b)
+		if err != nil || sys.CheckState(st) != nil {
+			return nil, nil, 0, false
+		}
+		// The carried encoding is the decoded state's own, never the file
+		// bytes: a non-canonical entry would seed wrong successor encodings.
+		enc, ends := st.AppendComponentKeys(nil, nil)
+		if !bytes.Equal(enc, b) {
+			return nil, nil, 0, false
 		}
 		front = append(front, parNode{st: st, parent: -1})
+		encs = append(encs, nodeEnc{enc: enc, ends: ends})
 	}
 	f, err := os.OpenFile(ck.file, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	if err := f.Truncate(log.size); err != nil {
 		f.Close()
-		return nil, 0, false
+		return nil, nil, 0, false
 	}
 	ck.f = f
 	for _, enc := range log.visited {
@@ -308,7 +318,7 @@ func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, 
 	res.Stats.StatesMatched = c.Matched
 	res.Stats.Transitions = c.Transitions
 	res.Stats.MaxDepth = c.MaxDepth
-	return [][]parNode{front}, c.Depth, true
+	return [][]parNode{front}, encs, c.Depth, true
 }
 
 // finish closes the log and removes it once the search produced a real

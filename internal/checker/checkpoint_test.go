@@ -3,6 +3,7 @@ package checker
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,6 +271,58 @@ func TestCheckpointForeignOrCorruptSnapshotIgnored(t *testing.T) {
 			t.Errorf("corrupt snapshot not ignored: %+v vs fresh %+v", res.Stats, want.Stats)
 		}
 	})
+}
+
+// A log whose CRCs, commit and model id are all valid but whose frontier
+// holds a state the system cannot be in — the bytes are well-formed
+// varints, so DecodeKey accepts them — must be ignored, not expanded
+// (expanding a PC past its process's nodes indexes out of range): the
+// search starts fresh and reaches the fresh verdict.
+func TestCheckpointResumeRejectsImpossibleState(t *testing.T) {
+	const src = `
+chan c = [1] of { byte, byte };
+byte g;
+active proctype P() { byte l; c!1,2; c?l,g; l = g }`
+	want := New(sysFromSource(t, src), Options{Workers: 1}).CheckSafety()
+	cases := map[string]func(st *model.State) []byte{
+		"pc past the nodes": func(st *model.State) []byte { st.PCs[0] = 99; return st.AppendKey(nil) },
+		"negative pc":       func(st *model.State) []byte { st.PCs[0] = -1; return st.AppendKey(nil) },
+		"atomic holder":     func(st *model.State) []byte { st.Atomic = 1; return st.AppendKey(nil) },
+		"locals count":      func(st *model.State) []byte { st.Locals[0] = []int64{0, 0}; return st.AppendKey(nil) },
+		"partial message":   func(st *model.State) []byte { st.Chans[0] = []int64{1, 2, 3}; return st.AppendKey(nil) },
+		"over capacity":     func(st *model.State) []byte { st.Chans[0] = []int64{1, 2, 3, 4}; return st.AppendKey(nil) },
+		"pc past int32": func(st *model.State) []byte {
+			return append(binary.AppendVarint([]byte{1}, 1<<32), st.AppendKey(nil)[2:]...)
+		},
+		"non-canonical form": func(st *model.State) []byte { return append([]byte{0x81, 0x00}, st.AppendKey(nil)[1:]...) },
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			sys := sysFromSource(t, src)
+			dir := t.TempDir()
+			ck := New(sys, Options{Workers: 1, Durability: &DurabilityOptions{Dir: dir, Key: "bad"}}).newCheckpointer("safety-par-bfs")
+			root, _ := sys.InitialState().AppendComponentKeys(nil, nil)
+			ck.barrier(1, []nodeEnc{{enc: root}}, []nodeEnc{{enc: bad(sys.InitialState())}},
+				&Stats{StatesStored: 2, Transitions: 1})
+			if ck.failed {
+				t.Fatal("writing the log failed")
+			}
+			ck.f.Close()
+			data, err := os.ReadFile(ck.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readCheckpoint(data); err != nil {
+				t.Fatalf("the crafted log does not read back: %v", err)
+			}
+			res := New(sysFromSource(t, src), Options{Workers: 2, Durability: &DurabilityOptions{
+				Dir: dir, Key: "bad", Resume: true,
+			}}).CheckSafety()
+			if res.OK != want.OK || res.Kind != want.Kind || !statsEqualIgnoringElapsed(res.Stats, want.Stats) {
+				t.Fatalf("resumed %s %+v, fresh %s %+v", res.Summary(), res.Stats, want.Summary(), want.Stats)
+			}
+		})
+	}
 }
 
 // A log cut at any byte of its last level or commit — a crash in the

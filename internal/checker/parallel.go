@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,27 @@ type parNode struct {
 	parent, idx int32
 }
 
+// nodeEnc is a live node's canonical encoding and section ends (from
+// State.AppendComponentKeys), kept beside its level — level[i]'s is
+// encs[i] — rather than in parNode, so retired levels cost 16 bytes a
+// node. A successor's encoding is built from its parent's
+// (AppendComponentKeysFrom), and the checkpoint log and violation
+// adjudication read these bytes instead of re-encoding.
+type nodeEnc struct {
+	enc  []byte
+	ends []int
+}
+
+// add appends enc and ends to s, a worker's slab — the concatenated
+// encodings and ends of the nodes it stored for one level — and returns
+// the new node's nodeEnc, which aliases the slab.
+func (s *nodeEnc) add(enc []byte, ends []int) nodeEnc {
+	b, e := len(s.enc), len(s.ends)
+	s.enc = append(s.enc, enc...)
+	s.ends = append(s.ends, ends...)
+	return nodeEnc{enc: s.enc[b:len(s.enc):len(s.enc)], ends: s.ends[e:len(s.ends):len(s.ends)]}
+}
+
 // parProblem is one violation candidate found while working a level.
 // trIdx is the index of the violating transition in its node's
 // (deterministic) successor order, or -1 when the node's own state is
@@ -51,12 +73,20 @@ type parProblem struct {
 // buffer, a reusable transition slice, and local accumulators flushed
 // at each level barrier so the hot loop touches no shared counters
 // except the visited set and the stored-states total.
+//
+// slabs hold the encodings of the nodes this worker stored, by level
+// parity: expanding level d writes level d+1's into the slab of level
+// d-1, which every reader has retired by then (the barrier orders the
+// writes before the reads).
 type parWorker struct {
 	arena    *model.Arena
 	scratch  []byte
 	ends     []int
 	trs      []model.Transition
+	slabs    [2]nodeEnc
+	slab     *nodeEnc // the slab expand writes
 	next     []parNode
+	nextEnc  []nodeEnc
 	problems []parProblem
 	trans    int
 	matched  int
@@ -103,13 +133,13 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 }
 
 // seedRoot records the initial state in the visited set and returns the
-// one-node root level.
-func (r *parRunner) seedRoot() [][]parNode {
+// one-node root level and its encoding.
+func (r *parRunner) seedRoot() ([][]parNode, []nodeEnc) {
 	init := r.c.sys.InitialState()
 	enc, ends := init.AppendComponentKeys(nil, nil)
 	r.visited.seen(model.Hash64(enc), enc, ends)
 	r.stored.Store(1)
-	return [][]parNode{{{st: init, parent: -1}}}
+	return [][]parNode{{{st: init, parent: -1}}}, []nodeEnc{{enc: enc, ends: ends}}
 }
 
 // close releases visited-set resources (spill segment mappings and
@@ -162,17 +192,31 @@ func (r *parRunner) runLevel(n int, work func(w *parWorker, i int)) {
 	wg.Wait()
 }
 
+// expandLevel expands every node of cur, levels[li], whose encodings
+// are curEnc, and collects the next level at the barrier.
+func (r *parRunner) expandLevel(res *Result, li int, cur []parNode, curEnc []nodeEnc, safety bool) ([]parNode, []nodeEnc, []parProblem) {
+	for _, w := range r.workers {
+		w.slab = &w.slabs[(li+1)%2]
+		w.slab.enc, w.slab.ends = w.slab.enc[:0], w.slab.ends[:0]
+	}
+	r.runLevel(len(cur), func(w *parWorker, i int) { w.expand(r, cur, curEnc, i, safety) })
+	return r.collect(res)
+}
+
 // collect flushes every worker's level-local accumulators into the
-// result stats and returns the concatenated next frontier and problem
-// list. Concatenation order varies between runs; everything downstream
-// is order-insensitive (sets and min-adjudication).
-func (r *parRunner) collect(res *Result) (next []parNode, problems []parProblem) {
+// result stats and returns the concatenated next frontier, its
+// encodings, and the problem list. Concatenation order varies between
+// runs; everything downstream is order-insensitive (sets and
+// min-adjudication).
+func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, problems []parProblem) {
 	for _, w := range r.workers {
 		res.Stats.Transitions += w.trans
 		res.Stats.StatesMatched += w.matched
 		w.trans, w.matched = 0, 0
 		next = append(next, w.next...)
 		w.next = w.next[:0]
+		nextEnc = append(nextEnc, w.nextEnc...)
+		w.nextEnc = w.nextEnc[:0]
 		problems = append(problems, w.problems...)
 		w.problems = w.problems[:0]
 		r.cBusy.Add(w.busy.Nanoseconds())
@@ -192,7 +236,7 @@ func (r *parRunner) collect(res *Result) (next []parNode, problems []parProblem)
 		res.Stats.SpilledStates = int(s.spilled.Load())
 	}
 	r.gVisitedBytes.Set(r.visited.bytes())
-	return next, problems
+	return next, nextEnc, problems
 }
 
 // limitResult finishes a search that crossed MaxStates. StatesStored is
@@ -218,25 +262,28 @@ func (r *parRunner) cancelResult(res *Result) *Result {
 
 // bestProblem picks the violation to report, deterministically: state
 // problems (counterexample length = node depth) before violating
-// transitions (length = depth+1), then smallest state key, then
-// smallest transition index. The order is a pure function of the level
-// set, so every worker count reports the same counterexample.
-func bestProblem(cur []parNode, problems []parProblem) *parProblem {
+// transitions (length = depth+1), then smallest state encoding (curEnc,
+// the level's), then smallest transition index. The order is a pure
+// function of the level set, so every worker count reports the same
+// counterexample.
+func bestProblem(curEnc []nodeEnc, problems []parProblem) *parProblem {
 	rank := func(p *parProblem) int {
 		if p.trIdx < 0 {
 			return 0
 		}
 		return 1
 	}
+	less := func(p, q *parProblem) bool {
+		if rank(p) != rank(q) {
+			return rank(p) < rank(q)
+		}
+		c := bytes.Compare(curEnc[p.node].enc, curEnc[q.node].enc)
+		return c < 0 || c == 0 && p.trIdx < q.trIdx
+	}
 	var best *parProblem
-	var bestKey string
 	for i := range problems {
-		p := &problems[i]
-		k := cur[p.node].st.Key()
-		if best == nil ||
-			rank(p) < rank(best) ||
-			(rank(p) == rank(best) && (k < bestKey || (k == bestKey && p.trIdx < best.trIdx))) {
-			best, bestKey = p, k
+		if p := &problems[i]; best == nil || less(p, best) {
+			best = p
 		}
 	}
 	return best
@@ -281,13 +328,14 @@ func (r *parRunner) advance(levels [][]parNode, li int, next []parNode) [][]parN
 }
 
 // expand is the per-node work of one level: generate the successors of
-// cur[i] and feed them through the visited set into w.next. A safety
-// search also records the node's own state problem and every violating
-// transition as adjudication candidates; a reachability search decides
-// only reachability and skips violating transitions.
-func (w *parWorker) expand(r *parRunner, cur []parNode, i int, safety bool) {
+// cur[i], encode each from cur[i]'s encoding curEnc[i], and feed them
+// through the visited set into w.next. A safety search also records the
+// node's own state problem and every violating transition as
+// adjudication candidates; a reachability search decides only
+// reachability and skips violating transitions.
+func (w *parWorker) expand(r *parRunner, cur []parNode, curEnc []nodeEnc, i int, safety bool) {
 	c := r.c
-	node := &cur[i]
+	node, pe := &cur[i], &curEnc[i]
 	w.trs = c.sys.SuccessorsAppend(node.st, w.arena, w.trs[:0])
 	w.trans += len(w.trs)
 	if safety {
@@ -307,7 +355,7 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, i int, safety bool) {
 			}
 			continue
 		}
-		w.scratch, w.ends = tr.Next.AppendComponentKeys(w.scratch[:0], w.ends[:0])
+		w.scratch, w.ends = tr.Next.AppendComponentKeysFrom(node.st, pe.enc, pe.ends, w.scratch[:0], w.ends[:0])
 		if r.visited.seen(model.Hash64(w.scratch), w.scratch, w.ends) {
 			w.matched++
 			w.arena.Recycle(tr.Next)
@@ -319,6 +367,7 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, i int, safety bool) {
 			return
 		}
 		w.next = append(w.next, parNode{st: tr.Next, parent: int32(i), idx: int32(ti)})
+		w.nextEnc = append(w.nextEnc, w.slab.add(w.scratch, w.ends))
 	}
 }
 
@@ -327,7 +376,7 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, i int, safety bool) {
 // the witness is shortest and the stored-state count is the same at
 // every worker count. It reports whether the search is over (witness
 // found, evaluation error, or cancellation), with res filled in.
-func (r *parRunner) scanTarget(levels [][]parNode, li int, target pml.RExpr, res *Result) bool {
+func (r *parRunner) scanTarget(levels [][]parNode, li int, curEnc []nodeEnc, target pml.RExpr, res *Result) bool {
 	cur := levels[li]
 	r.runLevel(len(cur), func(w *parWorker, i int) {
 		v, err := r.c.sys.EvalGlobal(cur[i].st, target)
@@ -337,7 +386,7 @@ func (r *parRunner) scanTarget(levels [][]parNode, li int, target pml.RExpr, res
 			w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: NoViolation})
 		}
 	})
-	_, hits := r.collect(res)
+	_, _, hits := r.collect(res)
 	if r.cancel.Load() {
 		r.cancelResult(res)
 		return true
@@ -353,13 +402,13 @@ func (r *parRunner) scanTarget(levels [][]parNode, li int, target pml.RExpr, res
 			errs = append(errs, p)
 		}
 	}
-	if p := bestProblem(cur, sats); p != nil {
+	if p := bestProblem(curEnc, sats); p != nil {
 		res.OK = true
 		res.Trace = r.c.parTrace(levels, li, p.node, -1)
 		res.Trace.Final = "target state reached"
 		return true
 	}
-	if p := bestProblem(cur, errs); p != nil {
+	if p := bestProblem(curEnc, errs); p != nil {
 		res.Kind = RuntimeError
 		res.Message = p.msg
 		return true
@@ -392,12 +441,13 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 	// counterexample prefixes then start at that frontier (the path from
 	// the root was discarded with the crashed process). Verdicts, stats,
 	// and counterexample lengths are unaffected.
-	levels, base, resumed := ck.restore(r, res)
+	levels, rootEnc, base, resumed := ck.restore(r, res)
 	if !resumed {
-		levels = r.seedRoot()
+		levels, rootEnc = r.seedRoot()
 		res.Stats.StatesStored = 1
 		base = 0
 	}
+	curEnc := rootEnc
 
 	for li := 0; li < len(levels); li++ {
 		depth := base + li
@@ -410,12 +460,11 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 		}
 		r.gFrontier.Set(int64(len(cur)))
 
-		if !safety && r.scanTarget(levels, li, target, res) {
+		if !safety && r.scanTarget(levels, li, curEnc, target, res) {
 			return res
 		}
 		prevStored := res.Stats.StatesStored
-		r.runLevel(len(cur), func(w *parWorker, i int) { w.expand(r, cur, i, safety) })
-		next, problems := r.collect(res)
+		next, nextEnc, problems := r.expandLevel(res, li, cur, curEnc, safety)
 		m.level(&res.Stats, depth, len(cur), res.Stats.StatesStored-prevStored)
 
 		if r.cancel.Load() {
@@ -424,7 +473,7 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 		if r.limit.Load() {
 			return r.limitResult(res)
 		}
-		if p := bestProblem(cur, problems); p != nil {
+		if p := bestProblem(curEnc, problems); p != nil {
 			res.OK = false
 			res.Kind = p.kind
 			res.Message = p.msg
@@ -439,8 +488,9 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 			res.Message = fmt.Sprintf("depth limit %d reached; search incomplete", c.opts.MaxDepth)
 			return res
 		}
-		ck.barrier(depth+1, levels[0], next, &res.Stats)
+		ck.barrier(depth+1, rootEnc, nextEnc, &res.Stats)
 		levels = r.advance(levels, li, next)
+		curEnc = nextEnc
 	}
 	if !safety {
 		res.Message = "target state is unreachable"

@@ -416,13 +416,11 @@ func TestLevelsRetiredAfterNextLevelCollected(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		c := New(sysFromSource(t, parOKSrc), Options{Workers: w})
 		r := c.newParRunner("test")
-		levels := r.seedRoot()
+		levels, curEnc := r.seedRoot()
 		res := &Result{}
 		for li := 0; len(levels[li]) > 0; li++ {
-			cur := levels[li]
-			r.runLevel(len(cur), func(w *parWorker, i int) { w.expand(r, cur, i, true) })
-			next, _ := r.collect(res)
-			levels = r.advance(levels, li, next)
+			next, nextEnc, _ := r.expandLevel(res, li, levels[li], curEnc, true)
+			levels, curEnc = r.advance(levels, li, next), nextEnc
 			for d := 1; d <= li; d++ {
 				for i, n := range levels[d] {
 					if n.st != nil {

@@ -1,8 +1,10 @@
 package checker
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,6 +146,50 @@ func TestRandomProgramsSuccessorsLeaveParentsUnchanged(t *testing.T) {
 			if string(st.AppendKey(nil)) != keys[j] {
 				t.Fatalf("program %d: state %d of %d changed after it was stored\n%s", i, j, len(stored), src)
 			}
+		}
+	}
+}
+
+// TestRandomProgramsEncodeFromParent: encoding a successor from its
+// parent's encoding (as the level engine does) must reproduce the full
+// encoding, bytes and section ends, on every transition of random
+// programs, whose globals, channels and locals all change.
+func TestRandomProgramsEncodeFromParent(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	for i := 0; i < 60; i++ {
+		src := randomProgram(r) + drainer
+		s := sysFromSource(t, src)
+		a := &model.Arena{}
+		init := s.InitialState()
+		enc, ends := init.AppendComponentKeys(nil, nil)
+		level := []nodeEnc{{enc, ends}}
+		states := []*model.State{init}
+		seen := map[string]bool{string(enc): true}
+		var trs []model.Transition
+		for len(states) > 0 {
+			var nextStates []*model.State
+			var next []nodeEnc
+			for j, st := range states {
+				trs = s.SuccessorsAppend(st, a, trs[:0])
+				for _, tr := range trs {
+					if tr.Violation != "" {
+						continue
+					}
+					want, wantEnds := tr.Next.AppendComponentKeys(nil, nil)
+					got, gotEnds := tr.Next.AppendComponentKeysFrom(st, level[j].enc, level[j].ends, nil, nil)
+					if !bytes.Equal(got, want) || !slices.Equal(gotEnds, wantEnds) {
+						t.Fatalf("program %d, %s: encoded from parent %x %v, from scratch %x %v\n%s",
+							i, s.FormatTransition(tr), got, gotEnds, want, wantEnds, src)
+					}
+					if seen[string(want)] {
+						continue
+					}
+					seen[string(want)] = true
+					nextStates = append(nextStates, tr.Next)
+					next = append(next, nodeEnc{want, wantEnds})
+				}
+			}
+			states, level = nextStates, next
 		}
 	}
 }

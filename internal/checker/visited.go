@@ -48,30 +48,51 @@ const visitedShards = 64
 
 // encTable is an open-addressed hash table of byte strings over an
 // append-only arena of [uvarint length][bytes] entries. Each slot packs
-// the top 24 bits of the entry's hash (a cheap probe filter) with its
-// arena offset + 1 into one uint64, zero marking an empty slot, so slot
+// the top 28 bits of the entry's fingerprint (its tag) with the entry's
+// arena position + 1 into one uint64, zero marking an empty slot, so slot
 // overhead is 8 bytes against the ~48 of the map[uint64][]string it
-// replaced — and entries live as one length-prefixed copy in a single
-// arena instead of a string header plus heap object each. The arena
-// grows by 1/8 steps, not doubling, so bytes() (which reports capacity)
-// tracks real residency closely.
+// replaced — and entries live as one length-prefixed copy in the arena
+// instead of a string header plus heap object each.
 //
-// The fp passed to every method MUST be model.Hash64 of the entry bytes
-// — grow rehashes entries from their bytes alone. Probing starts at the
-// hash's low bits and filters on its top bits, so a full byte compare
-// happens only on a 24-bit tag match. Not safe for concurrent use;
-// callers shard and lock.
+// Probing starts at the fingerprint's top log2(len(slots)) bits, a
+// prefix of the tag, so grow re-slots every entry from its slot word
+// alone and never reads or rehashes an entry; a full byte compare
+// happens only on a tag match. The tag width caps one table at 2^28
+// slots (about 200M entries at 3/4 load), 2^34 across visitedShards
+// stripes.
+//
+// The arena is a list of pages that never move. A new page holds 4 KiB
+// plus 1/8 of the arena so far, at most 16 MiB unless one entry needs
+// more, so bytes() (which reports capacity) tracks real residency within
+// ~12%, and a slice from entryAt stays valid for the table's life.
+// Entries never straddle pages; an arena position packs (page, offset
+// in page) into 12+24 bits, up to 64 GiB per table. Both ceilings lie
+// far past any memory a search can have (the slot arrays alone would
+// be 128 GiB), so reaching one panics rather than returning an error.
+//
+// fp must be equal for equal entries — callers pass model.Hash64 of the
+// entry, or of the state the entry stands for. The table never computes
+// one. Not safe for concurrent use; callers shard and lock.
 type encTable struct {
-	slots []uint64 // tag(24) | arena offset+1 (40); 0 = empty
+	slots []uint64 // tag(28) | arena position+1 (36); 0 = empty
 	idxs  []uint32 // per-slot intern index; nil unless insertAt is given one
+	shift uint     // 64 - log2(len(slots)): an entry's home slot is fp>>shift
 	n     int
-	arena []byte
+	pages [][]byte
+	total int // capacity of all pages
 }
 
 const (
-	encTableMinSlots = 64
-	encTagShift      = 40
-	encOffMask       = 1<<encTagShift - 1
+	encTableMinSlotsLog2 = 6
+	encTableMinSlots     = 1 << encTableMinSlotsLog2
+	encTagBits           = 28
+	encTableMaxSlots     = 1 << encTagBits
+	encTagShift          = 64 - encTagBits
+	encPosMask           = 1<<encTagShift - 1
+	encPageBits          = 24 // bits of the offset within a page
+	encPageMin           = 4 << 10
+	encPageMax           = 1 << encPageBits
+	encMaxPages          = 1<<(encTagShift-encPageBits) - 1 // so position+1 never reaches the tag
 )
 
 // lookup reports whether b is present.
@@ -86,17 +107,15 @@ func (t *encTable) find(fp uint64, b []byte) (slot uint64, ok bool) {
 		return 0, false
 	}
 	mask := uint64(len(t.slots) - 1)
-	tag := fp &^ encOffMask
-	i := fp & mask
-	for {
+	tag := fp &^ encPosMask
+	for i := fp >> t.shift; ; i = (i + 1) & mask {
 		s := t.slots[i]
 		if s == 0 {
 			return i, false
 		}
-		if s&^encOffMask == tag && bytes.Equal(t.entryAt(s&encOffMask-1), b) {
+		if s&^encPosMask == tag && bytes.Equal(t.entryAt(s&encPosMask-1), b) {
 			return i, true
 		}
-		i = (i + 1) & mask
 	}
 }
 
@@ -114,58 +133,70 @@ func (t *encTable) testAndSet(fp uint64, b []byte) bool {
 func (t *encTable) ensure() {
 	if len(t.slots) == 0 {
 		t.slots = make([]uint64, encTableMinSlots)
+		t.shift = 64 - encTableMinSlotsLog2
 	}
 }
 
-func (t *encTable) insertAt(slot, fp uint64, b []byte, idx uint32) {
-	t.slots[slot] = fp&^encOffMask | uint64(len(t.arena)) + 1
+// insertAt stores b in the empty slot find returned and reports the
+// arena position of its entry.
+func (t *encTable) insertAt(slot, fp uint64, b []byte, idx uint32) uint64 {
+	pos := t.appendEntry(b)
+	t.slots[slot] = fp&^encPosMask | (pos + 1)
 	if t.idxs != nil {
 		t.idxs[slot] = idx
 	}
-	t.appendEntry(b)
 	t.n++
 	if t.n*4 >= len(t.slots)*3 {
 		t.grow()
 	}
+	return pos
 }
 
-// appendEntry adds a length-prefixed copy of b to the arena, growing it
-// in 1/8 steps so capacity stays within ~12% of the data.
-func (t *encTable) appendEntry(b []byte) {
-	if need := len(t.arena) + binary.MaxVarintLen64 + len(b); need > cap(t.arena) {
-		newCap := cap(t.arena) + cap(t.arena)/8 + 4096
-		if newCap < need {
-			newCap = need
+// appendEntry adds a length-prefixed copy of b to the last page, or to
+// a new one when it does not fit, and returns its arena position.
+func (t *encTable) appendEntry(b []byte) uint64 {
+	need := binary.MaxVarintLen64 + len(b)
+	p := len(t.pages) - 1
+	if p < 0 || cap(t.pages[p])-len(t.pages[p]) < need {
+		if len(t.pages) == encMaxPages {
+			panic("checker: visited table arena exceeds 64 GiB")
 		}
-		grown := make([]byte, len(t.arena), newCap)
-		copy(grown, t.arena)
-		t.arena = grown
+		size := max(min(t.total/8+encPageMin, encPageMax), need)
+		t.pages = append(t.pages, make([]byte, 0, size))
+		t.total += size
+		p++
 	}
-	t.arena = binary.AppendUvarint(t.arena, uint64(len(b)))
-	t.arena = append(t.arena, b...)
+	off := len(t.pages[p])
+	t.pages[p] = append(binary.AppendUvarint(t.pages[p], uint64(len(b))), b...)
+	return uint64(p)<<encPageBits | uint64(off)
 }
 
-func (t *encTable) entryAt(off uint64) []byte {
-	l, w := binary.Uvarint(t.arena[off:])
+func (t *encTable) entryAt(pos uint64) []byte {
+	page := t.pages[pos>>encPageBits]
+	off := pos & (encPageMax - 1)
+	l, w := binary.Uvarint(page[off:])
 	start := off + uint64(w)
-	return t.arena[start : start+l]
+	return page[start : start+l : start+l]
 }
 
 func (t *encTable) grow() {
 	old, oldIdxs := t.slots, t.idxs
 	n := 2 * len(old)
+	if n > encTableMaxSlots {
+		panic("checker: visited table exceeds 2^28 slots")
+	}
 	t.slots = make([]uint64, n)
 	if oldIdxs != nil {
 		t.idxs = make([]uint32, n)
 	}
+	t.shift--
 	mask := uint64(n - 1)
 	for i, s := range old {
 		if s == 0 {
 			continue
 		}
-		// The slot keeps only a 24-bit tag of the hash; the probe start
-		// in the doubled table comes from rehashing the entry bytes.
-		j := model.Hash64(t.entryAt(s&encOffMask-1)) & mask
+		// The home slot is a prefix of the tag the slot word keeps.
+		j := s >> t.shift
 		for t.slots[j] != 0 {
 			j = (j + 1) & mask
 		}
@@ -176,22 +207,21 @@ func (t *encTable) grow() {
 	}
 }
 
-// bytes is the resident footprint: arena data plus slot arrays.
+// bytes is the resident footprint: arena pages plus slot arrays.
 func (t *encTable) bytes() int64 {
-	return int64(cap(t.arena)) + int64(cap(t.slots))*8 + int64(cap(t.idxs))*4
+	return int64(t.total) + int64(cap(t.slots))*8 + int64(cap(t.idxs))*4
 }
 
-func (t *encTable) forEach(fn func(fp uint64, enc []byte)) {
+func (t *encTable) forEach(fn func(enc []byte)) {
 	for _, s := range t.slots {
 		if s != 0 {
-			e := t.entryAt(s&encOffMask - 1)
-			fn(model.Hash64(e), e)
+			fn(t.entryAt(s&encPosMask - 1))
 		}
 	}
 }
 
 func (t *encTable) reset() {
-	t.slots, t.idxs, t.arena, t.n = nil, nil, nil, 0
+	*t = encTable{}
 }
 
 // visitedShard is one stripe of shardedSet / collapseSet: a lock, an
@@ -250,7 +280,7 @@ func (s *shardedSet) forEachEncoding(fn func(enc []byte)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.t.forEach(func(_ uint64, enc []byte) { fn(enc) })
+		sh.t.forEach(fn)
 		sh.mu.Unlock()
 	}
 }
@@ -269,7 +299,7 @@ func (s *shardedSet) reset() {
 // locals, one channel's contents, or the shared core). Reads take the
 // read lock — after warm-up almost every component of a new state is
 // already interned — and only a genuinely new sub-vector upgrades to
-// the write lock. starts records each entry's arena offset by intern
+// the write lock. starts records each entry's arena position by intern
 // index so tuples can be expanded back into full encodings for a spill.
 type collapseTable struct {
 	mu     sync.RWMutex
@@ -298,8 +328,7 @@ func (ct *collapseTable) intern(b []byte) uint32 {
 		return ct.t.idxs[slot]
 	}
 	idx := uint32(len(ct.starts))
-	ct.starts = append(ct.starts, uint64(len(ct.t.arena)))
-	ct.t.insertAt(slot, fp, b, idx)
+	ct.starts = append(ct.starts, ct.t.insertAt(slot, fp, b, idx))
 	return idx
 }
 
@@ -346,8 +375,8 @@ func (s *collapseSet) seen(fp uint64, enc []byte, ends []int) bool {
 		ends, err = model.ComponentEnds(s.shape, enc, nil)
 		if err != nil {
 			// Only reachable with an encoding that AppendKey could not
-			// have produced; storing it exactly in shard 0 keeps the
-			// set total rather than dropping the state.
+			// have produced: intern it whole, as a one-index tuple, so
+			// the set stays total rather than dropping the state.
 			ends = []int{len(enc)}
 		}
 	}
@@ -363,9 +392,9 @@ func (s *collapseSet) seen(fp uint64, enc []byte, ends []int) bool {
 		start = end
 	}
 	sh.scratch = tuple
-	// The stripe table keys the tuple by its own hash (the encTable
-	// contract); the state fingerprint only routes to a stripe.
-	had := sh.t.testAndSet(model.Hash64(tuple), tuple)
+	// Equal tuples are equal states, so the state fingerprint keys the
+	// tuple in the stripe table as well as routing to the stripe.
+	had := sh.t.testAndSet(fp, tuple)
 	sh.mu.Unlock()
 	if !had {
 		s.stored.Add(1)
@@ -396,7 +425,7 @@ func (s *collapseSet) forEachEncoding(fn func(enc []byte)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		sh.t.forEach(func(_ uint64, tuple []byte) {
+		sh.t.forEach(func(tuple []byte) {
 			buf = buf[:0]
 			for _, ct := range s.compRefs(tuple) {
 				buf = append(buf, ct...)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"pnp/internal/model"
 )
@@ -31,9 +32,9 @@ func TestEncTableBasics(t *testing.T) {
 		t.Fatalf("n = %d, want %d", tab.n, n)
 	}
 	got := 0
-	tab.forEach(func(fp uint64, enc []byte) {
-		if model.Hash64(enc) != fp {
-			t.Fatalf("forEach fp mismatch for %q", enc)
+	tab.forEach(func(enc []byte) {
+		if !tab.lookup(model.Hash64(enc), enc) {
+			t.Fatalf("forEach yielded %q, which lookup does not find", enc)
 		}
 		got++
 	})
@@ -49,34 +50,97 @@ func TestEncTableBasics(t *testing.T) {
 	}
 }
 
-// Distinct entries whose hashes collide on both the probe slot and the
-// 24-bit slot tag must coexist: the table compares bytes on a tag
-// match, never trusts the hash alone. The colliding pair is mined from
-// real Hash64 values so the encTable contract (fp == Hash64(bytes))
-// holds.
+// Distinct entries whose fingerprints share the 28-bit slot tag — and
+// so, the home slot being a prefix of the tag, the home slot at every
+// table size — must coexist, across grows too: the table compares bytes
+// on a tag match and never trusts the fingerprint alone. The colliding
+// pair is mined from real Hash64 values.
 func TestEncTableFingerprintCollision(t *testing.T) {
-	type key struct{ tag, slot uint64 }
-	found := map[key]string{}
+	found := map[uint64]string{}
 	var a, b []byte
 	for i := 0; ; i++ {
 		s := "entry-" + string(rune('a'+i%26)) + fmt.Sprint(i)
-		fp := model.Hash64([]byte(s))
-		k := key{fp >> encTagShift, fp & (encTableMinSlots - 1)}
-		if prev, ok := found[k]; ok {
+		tag := model.Hash64([]byte(s)) >> encTagShift
+		if prev, ok := found[tag]; ok {
 			a, b = []byte(prev), []byte(s)
 			break
 		}
-		found[k] = s
+		found[tag] = s
 	}
 	var tab encTable
 	if tab.testAndSet(model.Hash64(a), a) || tab.testAndSet(model.Hash64(b), b) {
 		t.Fatal("fresh entries reported present")
 	}
+	if home := model.Hash64(a) >> tab.shift; home != model.Hash64(b)>>tab.shift {
+		t.Fatal("mined pair does not share a home slot")
+	}
+	for i := 0; i < 10000; i++ {
+		tab.testAndSet(model.Hash64(encOf(i)), encOf(i))
+		if i%2500 == 0 && (!tab.lookup(model.Hash64(a), a) || !tab.lookup(model.Hash64(b), b)) {
+			t.Fatalf("colliding entries lost after %d more inserts", i)
+		}
+	}
 	if !tab.testAndSet(model.Hash64(a), a) || !tab.testAndSet(model.Hash64(b), b) {
 		t.Fatal("colliding entries lost")
 	}
-	if tab.n != 2 {
-		t.Fatalf("n = %d, want 2", tab.n)
+	if tab.n != 10002 {
+		t.Fatalf("n = %d, want 10002", tab.n)
+	}
+}
+
+// The arena never moves: a slice of the first entry still aliases the
+// same memory after many pages and grows, and every entry is found.
+func TestEncTableEntriesNeverMove(t *testing.T) {
+	var tab encTable
+	first := encOf(-1)
+	tab.testAndSet(model.Hash64(first), first)
+	entry := func(b []byte) []byte {
+		slot, ok := tab.find(model.Hash64(b), b)
+		if !ok {
+			t.Fatalf("%q not found", b)
+		}
+		return tab.entryAt(tab.slots[slot]&encPosMask - 1)
+	}
+	e0 := entry(first)
+	slots := len(tab.slots)
+	for i := 0; i < 100000; i++ {
+		tab.testAndSet(model.Hash64(encOf(i)), encOf(i))
+	}
+	if len(tab.slots) < 8*slots || len(tab.pages) < 4 {
+		t.Fatalf("%d slots in %d pages: too few grows to test", len(tab.slots), len(tab.pages))
+	}
+	if e := entry(first); unsafe.SliceData(e) != unsafe.SliceData(e0) || !bytes.Equal(e0, first) {
+		t.Fatal("the first entry moved")
+	}
+	for i := 0; i < 100000; i++ {
+		if e := entry(encOf(i)); !bytes.Equal(e, encOf(i)) {
+			t.Fatalf("entry %d reads back %q", i, e)
+		}
+	}
+}
+
+// A slot word places its entry at every table size up to the ceiling
+// (grow reads nothing else), and the largest arena position never
+// spills into the tag.
+func TestEncTableSlotWordCarriesHomeSlot(t *testing.T) {
+	maxPos := uint64(encMaxPages-1)<<encPageBits | (encPageMax - 1)
+	if (maxPos+1)&^encPosMask != 0 {
+		t.Fatalf("arena position %#x + 1 overlaps the tag", maxPos)
+	}
+	if encTableMaxSlots != 1<<(64-encTagShift) {
+		t.Fatalf("slot ceiling %d is not the tag width", encTableMaxSlots)
+	}
+	for i := 0; i < 1000; i++ {
+		fp := model.Hash64(encOf(i))
+		for _, pos := range []uint64{0, uint64(i), maxPos} {
+			word := fp&^encPosMask | (pos + 1)
+			for shift := uint(64 - encTableMinSlotsLog2); shift >= encTagShift; shift-- {
+				if word>>shift != fp>>shift {
+					t.Fatalf("fp %#x at %d slots: slot word homes at %d, fingerprint at %d",
+						fp, uint64(1)<<(64-shift), word>>shift, fp>>shift)
+				}
+			}
+		}
 	}
 }
 
@@ -307,16 +371,11 @@ func TestCollapseSearchEncodingsDecode(t *testing.T) {
 	c := New(sys, Options{Workers: 2, Storage: StorageOptions{Visited: VisitedCollapse}})
 	r := c.newParRunner("test")
 	defer r.close()
-	levels := r.seedRoot()
+	levels, curEnc := r.seedRoot()
 	res := &Result{}
-	for li := 0; li < len(levels); li++ {
-		cur := levels[li]
-		if len(cur) == 0 {
-			break
-		}
-		r.runLevel(len(cur), func(w *parWorker, i int) { w.expand(r, cur, i, false) })
-		next, _ := r.collect(res)
-		levels = append(levels, next)
+	for li := 0; len(levels[li]) > 0; li++ {
+		next, nextEnc, _ := r.expandLevel(res, li, levels[li], curEnc, false)
+		levels, curEnc = append(levels, next), nextEnc
 	}
 	shape := sys.InitialState()
 	n := 0

@@ -3,6 +3,7 @@ package model
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // The collapse-compressed visited set stores a state as a tuple of
@@ -49,52 +50,163 @@ func (st *State) NumComponents() int {
 // the returned buffer) of every component section to ends. Hot paths
 // reuse both slices across states.
 func (st *State) AppendComponentKeys(buf []byte, ends []int) ([]byte, []int) {
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v int64) {
-		n := binary.PutVarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
+	return st.AppendComponentKeysFrom(nil, nil, nil, buf, ends)
+}
+
+// AppendComponentKeysFrom is AppendComponentKeys for a state derived
+// from parent, whose AppendComponentKeys output is penc with section
+// ends pends (offsets into penc). Every section the step from parent
+// left unchanged is copied from penc instead of re-encoded; the output
+// bytes and ends are identical to AppendComponentKeys'. A section is
+// unchanged when its Atomic, PCs and Globals are equal to the parent's
+// and each of its Locals/Chans slices is the parent's very slice (same
+// backing array and length). That identity test is sound because no
+// inner slice is ever written in place (see State), and a false
+// "changed" only costs a re-encode, so any parent of the same system is
+// correct; a nil parent, or one of another shape, encodes everything.
+func (st *State) AppendComponentKeysFrom(parent *State, penc []byte, pends []int, buf []byte, ends []int) ([]byte, []int) {
+	if parent != nil && !st.sameShape(parent, penc, pends) {
+		parent = nil
 	}
-	run := 0
-	mark := func(group int) {
-		if run++; run == group {
-			ends = append(ends, len(buf))
-			run = 0
+	w := sectionWriter{buf: buf, ends: ends, penc: penc, pends: pends, run: -1}
+	nctrl := 2 + len(st.PCs) // Atomic, each PC, the global vector
+	for u0 := 0; u0 < nctrl; u0 += ctrlGroup {
+		u1 := min(u0+ctrlGroup, nctrl)
+		if parent != nil && st.sameCtrl(parent, u0, u1) {
+			w.copy()
+			continue
+		}
+		w.flush()
+		for u := u0; u < u1; u++ {
+			switch {
+			case u == 0:
+				w.buf = binary.AppendVarint(w.buf, int64(st.Atomic))
+			case u <= len(st.PCs):
+				w.buf = binary.AppendVarint(w.buf, int64(st.PCs[u-1]))
+			default:
+				for _, g := range st.Globals {
+					w.buf = binary.AppendVarint(w.buf, g)
+				}
+			}
+		}
+		w.end()
+	}
+	var pl, pc [][]int64
+	if parent != nil {
+		pl, pc = parent.Locals, parent.Chans
+	}
+	w.slices(st.Locals, pl, localGroup)
+	w.slices(st.Chans, pc, chanGroup)
+	w.flush()
+	return w.buf, w.ends
+}
+
+// sameShape reports whether parent and its encoding can seed st's: the
+// same outer arities, and one section end per section, the last at the
+// end of penc.
+func (st *State) sameShape(parent *State, penc []byte, pends []int) bool {
+	return len(parent.PCs) == len(st.PCs) && len(parent.Globals) == len(st.Globals) &&
+		len(parent.Locals) == len(st.Locals) && len(parent.Chans) == len(st.Chans) &&
+		len(pends) == st.NumComponents() && pends[len(pends)-1] == len(penc)
+}
+
+// sameCtrl reports whether control units [u0, u1) — unit 0 is Atomic,
+// unit i in 1..len(PCs) is PCs[i-1], the last is the global vector —
+// equal parent's.
+func (st *State) sameCtrl(parent *State, u0, u1 int) bool {
+	for u := u0; u < u1; u++ {
+		switch {
+		case u == 0:
+			if st.Atomic != parent.Atomic {
+				return false
+			}
+		case u <= len(st.PCs):
+			if st.PCs[u-1] != parent.PCs[u-1] {
+				return false
+			}
+		default:
+			for i, g := range st.Globals {
+				if g != parent.Globals[i] {
+					return false
+				}
+			}
 		}
 	}
-	flush := func() {
-		if run > 0 {
-			ends = append(ends, len(buf))
-			run = 0
+	return true
+}
+
+// sameSlices reports whether every a[i] is b[i]'s very slice: the same
+// backing array and length, or both empty.
+func sameSlices(a, b [][]int64) bool {
+	for i := range a {
+		if len(a[i]) != len(b[i]) || len(a[i]) > 0 && unsafe.SliceData(a[i]) != unsafe.SliceData(b[i]) {
+			return false
 		}
 	}
-	put(int64(st.Atomic))
-	mark(ctrlGroup)
-	for _, pc := range st.PCs {
-		put(int64(pc))
-		mark(ctrlGroup)
+	return true
+}
+
+// sectionWriter emits one encoding section by section. Runs of sections
+// copied from the parent encoding are coalesced into one append.
+type sectionWriter struct {
+	buf   []byte
+	ends  []int
+	penc  []byte
+	pends []int
+	sec   int // index of the next section
+	run   int // first section of the pending copied run, -1 for none
+}
+
+// copy takes the next section from the parent encoding.
+func (w *sectionWriter) copy() {
+	if w.run < 0 {
+		w.run = w.sec
 	}
-	for _, g := range st.Globals {
-		put(g)
+	w.sec++
+}
+
+// end closes a freshly encoded section.
+func (w *sectionWriter) end() {
+	w.ends = append(w.ends, len(w.buf))
+	w.sec++
+}
+
+// flush appends the pending copied run of parent sections; a section
+// the caller encodes itself starts with one.
+func (w *sectionWriter) flush() {
+	if w.run < 0 {
+		return
 	}
-	mark(ctrlGroup) // the global vector is one unit
-	flush()
-	for _, l := range st.Locals {
-		put(int64(len(l)))
-		for _, v := range l {
-			put(v)
+	lo := 0
+	if w.run > 0 {
+		lo = w.pends[w.run-1]
+	}
+	shift := len(w.buf) - lo
+	w.buf = append(w.buf, w.penc[lo:w.pends[w.sec-1]]...)
+	for _, e := range w.pends[w.run:w.sec] {
+		w.ends = append(w.ends, e+shift)
+	}
+	w.run = -1
+}
+
+// slices emits cur, length-prefixed slice by slice, in sections of
+// group slices; a section whose slices are all par's is copied.
+func (w *sectionWriter) slices(cur, par [][]int64, group int) {
+	for i0 := 0; i0 < len(cur); i0 += group {
+		i1 := min(i0+group, len(cur))
+		if par != nil && sameSlices(cur[i0:i1], par[i0:i1]) {
+			w.copy()
+			continue
 		}
-		mark(localGroup)
-	}
-	flush()
-	for _, c := range st.Chans {
-		put(int64(len(c)))
-		for _, v := range c {
-			put(v)
+		w.flush()
+		for _, s := range cur[i0:i1] {
+			w.buf = binary.AppendVarint(w.buf, int64(len(s)))
+			for _, v := range s {
+				w.buf = binary.AppendVarint(w.buf, v)
+			}
 		}
-		mark(chanGroup)
+		w.end()
 	}
-	flush()
-	return buf, ends
 }
 
 // ComponentEnds recomputes the section end offsets of an

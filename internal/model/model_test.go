@@ -7,7 +7,7 @@ import (
 	"pnp/internal/pml"
 )
 
-func mustSystem(t *testing.T, src string) *System {
+func mustSystem(t testing.TB, src string) *System {
 	t.Helper()
 	prog, err := pml.CompileSource(src)
 	if err != nil {
