@@ -157,7 +157,7 @@ func TestABPDeliveryEventuallyUnderStrongFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := checker.New(b.System(), checker.Options{}).CheckLTLStrongFair("<> done", props)
+	res := checker.New(b.System(), checker.Options{StrongFairness: true}).CheckLTL("<> done", props)
 	if !res.OK {
 		t.Fatalf("<>done should hold under strong fairness: %s\n%s", res.Summary(), res.Trace)
 	}
@@ -179,7 +179,7 @@ func TestABPEventualityRefutedOverLossyChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := checker.New(b.System(), checker.Options{}).CheckLTLStrongFair("<> done", props)
+	res := checker.New(b.System(), checker.Options{StrongFairness: true}).CheckLTL("<> done", props)
 	if res.OK {
 		t.Fatal("<>done must be refuted over lossy channels: fairness cannot force the channel's drop choice")
 	}

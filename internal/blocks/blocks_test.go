@@ -521,7 +521,7 @@ proctype CountReceiver(chan portSig; chan portDat) {
 	// And under STRONG fairness the plain eventuality is provable: the
 	// receive port is enabled infinitely often in the starvation cycle's
 	// SCC, so it must eventually move and delivery completes.
-	sf := checker.New(b.System(), checker.Options{}).CheckLTLStrongFair("<> gotBoth", props)
+	sf := checker.New(b.System(), checker.Options{StrongFairness: true}).CheckLTL("<> gotBoth", props)
 	if !sf.OK {
 		t.Fatalf("under strong fairness <>gotBoth should hold: %s\n%s", sf.Summary(), sf.Trace)
 	}

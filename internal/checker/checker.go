@@ -1,7 +1,8 @@
 // Package checker is the finite-state verifier of the Plug-and-Play
 // toolchain: explicit-state safety search (assertions, deadlocks, global
-// invariants) with DFS or BFS, LTL checking via Büchi products and nested
-// depth-first search, optional bitstate hashing, and counterexample
+// invariants) with DFS or BFS, LTL checking under no, weak or strong
+// process fairness by one strongly-connected-component pass over the
+// stored Büchi product, optional bitstate hashing, and counterexample
 // reconstruction as traces.
 //
 // It plays the role Spin plays in the paper: systems composed from the
@@ -74,7 +75,8 @@ type Invariant struct {
 type Options struct {
 	// MaxStates bounds the number of stored states (0 = unlimited).
 	MaxStates int
-	// MaxDepth bounds DFS depth (0 = unlimited).
+	// MaxDepth bounds the safety search's depth — the DFS stack or the
+	// BFS level (0 = unlimited). Liveness and AG-EF searches ignore it.
 	MaxDepth int
 	// BFS searches breadth-first, yielding shortest counterexamples: the
 	// safety search runs on the level engine (see Workers) instead of
@@ -98,14 +100,15 @@ type Options struct {
 	// guaranteeing soundness. Verdicts are unchanged; state counts drop.
 	PartialOrder bool
 	// WeakFairness restricts LTL acceptance-cycle search to weakly fair
-	// runs (every continuously enabled process eventually moves), via the
-	// Choueka copy construction — Spin's -f option. It multiplies the
-	// product state space by the number of processes plus two.
+	// runs (every continuously enabled process eventually moves) —
+	// Spin's -f option. It is a rule on the product's strongly connected
+	// components, so the product stores no more states than without it.
 	WeakFairness bool
 	// StrongFairness restricts LTL acceptance-cycle search to strongly
 	// fair runs (every infinitely-often-enabled process moves infinitely
-	// often), via fair-SCC decomposition. Takes precedence over
-	// WeakFairness; the full product graph is materialized.
+	// often): a component whose cycles starve a process it enables is
+	// pruned of the nodes enabling it and decomposed again. Takes
+	// precedence over WeakFairness.
 	StrongFairness bool
 	// Workers is the level engine's goroutine count: N >= 2 expands
 	// each BFS level on N goroutines over a sharded visited set; 1 — and

@@ -2,7 +2,7 @@ package checker
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"time"
 
 	"pnp/internal/ltl"
@@ -27,400 +27,566 @@ func PropsFromSource(prog *pml.Compiled, defs map[string]string) (map[string]pml
 
 // CheckLTL verifies the system against an LTL formula (Spin syntax). The
 // named atomic propositions must all be defined in props as global-state
-// predicates. Finite runs are stutter-extended: a deadlocked or terminated
-// state repeats forever.
+// predicates. Finite runs are stutter-extended: a deadlocked or
+// terminated state repeats forever. Options.WeakFairness and
+// Options.StrongFairness restrict counterexamples to weakly or strongly
+// fair runs; strong wins when both are set.
+//
+// The search stores the reachable product of the system and a Büchi
+// automaton for the negated formula breadth-first, edges included, then
+// splits it into strongly connected components: the formula fails iff
+// some component holds an accepting node and a cycle that is fair under
+// the rule in force. Memory is O(transitions): about 8 bytes per product
+// edge on top of the states.
 func (c *Checker) CheckLTL(formula string, props map[string]pml.RExpr) *Result {
-	f, err := ltl.Parse(formula)
-	if err != nil {
-		return &Result{Kind: RuntimeError, Message: err.Error()}
-	}
-	return c.CheckLTLFormula(f, props)
-}
-
-// product node and successor types for the nested DFS. copy is the
-// weak-fairness counter of the Choueka construction (always 0 when
-// fairness is off).
-type pnode struct {
-	st   *model.State
-	q    int
-	copy int
-}
-
-type psucc struct {
-	to        int
-	tr        model.Transition
-	stutter   bool
-	violation string
-}
-
-const (
-	flagBlue uint8 = 1 << iota
-	flagRed
-	flagOnStack
-)
-
-// CheckLTLFormula is CheckLTL for a pre-parsed formula. With
-// Options.StrongFairness it dispatches to the fair-SCC search.
-func (c *Checker) CheckLTLFormula(f *ltl.Formula, props map[string]pml.RExpr) *Result {
-	if c.opts.StrongFairness {
-		var res *Result
-		withPhaseLabel("liveness-strongfair", func() { res = c.CheckLTLFormulaStrongFair(f, props) })
-		return res
-	}
 	var res *Result
-	withPhaseLabel("liveness-ndfs", func() { res = c.checkLTLNestedDFS(f, props) })
+	withPhaseLabel("liveness", func() { res = c.checkLTL(formula, props) })
 	return res
 }
 
-func (c *Checker) checkLTLNestedDFS(f *ltl.Formula, props map[string]pml.RExpr) *Result {
+// fairness is the scheduling assumption a counterexample cycle must meet.
+type fairness int
+
+const (
+	unfair       fairness = iota
+	weaklyFair            // a process enabled at every step of the cycle moves in it
+	stronglyFair          // a process enabled at some step of the cycle moves in it
+)
+
+var fairnessNames = [...]string{"", " under weak fairness", " under strong fairness"}
+
+// prodKey names a product node: a system state and an automaton state.
+type prodKey struct {
+	key string
+	q   int32
+}
+
+// noNode is the BFS parent of a root.
+const noNode = ^uint32(0)
+
+// product is the reachable product of the system and the Büchi
+// automaton, its nodes numbered in breadth-first order. Edges are kept as
+// compressed sparse rows: the edges out of node u are
+// to[start[u]:start[u+1]], and movers[e] holds the pids acting on edge e
+// (-1 when unused, so a stutter edge is {-1, -1}). No event is stored per
+// edge; event re-derives one by expanding the edge's source again.
+type product struct {
+	c     *Checker
+	aut   *ltl.Automaton
+	atoms []pml.RExpr
+	vals  []bool
+	sat   func(int) bool
+	fair  fairness
+	words int // bitset words per node in enabled; 0 without fairness
+	roots int // nodes 0..roots-1 hold the initial state
+
+	index     map[prodKey]uint32
+	states    []*model.State
+	q         []int32
+	parent    []uint32
+	start     []uint32
+	to        []uint32
+	movers    [][2]int16
+	enabled   []uint64
+	accepting bool // some stored node is accepting
+}
+
+func (c *Checker) checkLTL(formula string, props map[string]pml.RExpr) *Result {
 	start := time.Now()
 	res := &Result{OK: true}
 	defer func() { res.Stats.Elapsed = time.Since(start) }()
-	m := c.newMeter("liveness-ndfs")
+	m := c.newMeter("liveness")
 	defer func() { m.finish(&res.Stats, res.Stats.MaxDepth) }()
 	cc := c.newCanceler()
 
+	f, err := ltl.Parse(formula)
+	if err != nil {
+		return res.fail(RuntimeError, err.Error())
+	}
 	aut, err := ltl.Translate(ltl.Not(f))
 	if err != nil {
-		res.Kind = RuntimeError
-		res.Message = err.Error()
-		res.OK = false
-		return res
+		return res.fail(RuntimeError, err.Error())
 	}
-	atomExprs := make([]pml.RExpr, len(aut.Atoms))
-	for i, name := range aut.Atoms {
+	p := &product{c: c, aut: aut, index: map[prodKey]uint32{}}
+	for _, name := range aut.Atoms {
 		e, ok := props[name]
 		if !ok {
-			res.Kind = RuntimeError
-			res.OK = false
-			res.Message = fmt.Sprintf("undefined atomic proposition %q", name)
-			return res
+			return res.fail(RuntimeError, fmt.Sprintf("undefined atomic proposition %q", name))
 		}
-		atomExprs[i] = e
+		p.atoms = append(p.atoms, e)
+	}
+	p.vals = make([]bool, len(p.atoms))
+	p.sat = func(i int) bool { return p.vals[i] }
+	switch {
+	case c.opts.StrongFairness:
+		p.fair = stronglyFair
+	case c.opts.WeakFairness:
+		p.fair = weaklyFair
+	}
+	if p.fair != unfair {
+		p.words = (c.sys.NumInstances() + 63) / 64
 	}
 
-	// valuation evaluates the automaton's atoms on a system state.
-	valuation := func(st *model.State) (func(int) bool, string) {
-		vals := make([]bool, len(atomExprs))
-		for i, e := range atomExprs {
-			v, err := c.sys.EvalGlobal(st, e)
-			if err != nil {
-				return nil, err.Error()
-			}
-			vals[i] = v != 0
-		}
-		return func(i int) bool { return vals[i] }, ""
+	if !p.build(res, m, cc) || !p.accepting {
+		return res
 	}
-
-	// Weak fairness (Choueka construction): the product runs in copies
-	// 0..nProcs+1. Copy 0 waits for an accepting automaton state; copy i
-	// (1..nProcs) is passed when process i-1 takes the step or is disabled
-	// in the source state; copy nProcs+1 is the accepting layer and resets
-	// to 0. An accepting cycle then gives every continuously enabled
-	// process infinitely many steps.
-	nProcs := c.sys.NumInstances()
-	acceptCopy := 0
-	if c.opts.WeakFairness {
-		acceptCopy = nProcs + 1
+	s := newSCCPass(p, cc)
+	entry, moves := s.search()
+	if cc.hit() {
+		return cc.cancelResult(res)
 	}
-	accepting := func(nd pnode) bool {
-		if c.opts.WeakFairness {
-			return nd.copy == acceptCopy
-		}
-		return aut.States[nd.q].Accepting
+	if entry == noNode {
+		return res
 	}
+	res.fail(AcceptanceCycle, "LTL property violated"+fairnessNames[p.fair]+": "+f.String())
+	res.Trace = &trace.Trace{Prefix: p.prefix(entry), Cycle: s.cycle(entry, moves), Final: res.Message}
+	return res
+}
 
-	var arena []pnode
-	index := map[string]int{}
-	var flags []uint8
-	intern := func(st *model.State, key string, q, copy int) int {
-		k := key + "#" + strconv.Itoa(q) + "#" + strconv.Itoa(copy)
-		if i, ok := index[k]; ok {
-			res.Stats.StatesMatched++
-			return i
-		}
-		index[k] = len(arena)
-		arena = append(arena, pnode{st: st, q: q, copy: copy})
-		flags = append(flags, 0)
-		res.Stats.StatesStored++
-		m.tick(&res.Stats, res.Stats.MaxDepth)
-		return len(arena) - 1
-	}
+// fail marks r as failed with kind and msg.
+func (r *Result) fail(kind ViolationKind, msg string) *Result {
+	r.OK = false
+	r.Kind = kind
+	r.Message = msg
+	return r
+}
 
-	// nextCopy advances the fairness counter for a step out of nd whose
-	// acting processes are in moved (nil for a stutter step), into
-	// automaton state q2. enabled reports per-process enabledness in the
-	// source system state.
-	nextCopy := func(nd pnode, q2 int, moved map[int]bool, enabled func(int) bool) int {
-		if !c.opts.WeakFairness {
-			return 0
-		}
-		cp := nd.copy
-		if cp == acceptCopy {
-			cp = 0
-		}
-		if cp == 0 && aut.States[q2].Accepting {
-			cp = 1
-		}
-		for cp >= 1 && cp <= nProcs {
-			p := cp - 1
-			if moved[p] || !enabled(p) {
-				cp++
-				continue
-			}
-			break
-		}
-		return cp
-	}
-
-	// successors expands one product node: system step (or stutter at
-	// quiescence) followed by an automaton step on the *new* state's labels.
-	successors := func(i int) ([]psucc, string) {
-		nd := arena[i]
-		trs := c.sys.Successors(nd.st)
-		res.Stats.Transitions += len(trs)
-		var out []psucc
-
-		var enabledCache []int8
-		enabled := func(p int) bool {
-			if enabledCache == nil {
-				enabledCache = make([]int8, nProcs)
-			}
-			if enabledCache[p] == 0 {
-				if c.sys.ProcEnabled(nd.st, p) {
-					enabledCache[p] = 1
-				} else {
-					enabledCache[p] = -1
-				}
-			}
-			return enabledCache[p] == 1
-		}
-
-		step := func(next *model.State, key string, tr model.Transition, moved map[int]bool, stutter bool) string {
-			val, verr := valuation(next)
-			if verr != "" {
-				return verr
-			}
-			for _, at := range aut.States[nd.q].Trans {
-				if at.Sat(val) {
-					cp := nextCopy(nd, at.Dst, moved, enabled)
-					out = append(out, psucc{to: intern(next, key, at.Dst, cp), tr: tr, stutter: stutter})
-				}
-			}
-			return ""
-		}
-		if len(trs) == 0 {
-			if verr := step(nd.st, nd.st.Key(), model.Transition{}, nil, true); verr != "" {
-				return nil, verr
-			}
-			return out, ""
-		}
-		for _, tr := range trs {
-			if tr.Violation != "" {
-				out = append(out, psucc{to: -1, tr: tr, violation: tr.Violation})
-				continue
-			}
-			moved := map[int]bool{tr.Proc: true}
-			if tr.Partner >= 0 {
-				moved[tr.Partner] = true
-			}
-			if verr := step(tr.Next, tr.Next.Key(), tr, moved, false); verr != "" {
-				return nil, verr
-			}
-		}
-		return out, ""
-	}
-
-	succEvent := func(s psucc) trace.Event {
-		if s.stutter {
-			return trace.Event{Action: "(stutter)"}
-		}
-		return eventOf(c.sys, s.tr)
-	}
-
-	// Initial product nodes.
+// build stores the reachable product breadth-first, one level at a time.
+// It reports false when the search ended early — a safety violation
+// (with its shortest prefix), an evaluation error, the state limit, or
+// cancellation — with res filled in.
+func (p *product) build(res *Result, m *meter, cc *canceler) bool {
+	c := p.c
+	full := func() bool { return c.opts.MaxStates > 0 && len(p.states) > c.opts.MaxStates }
 	init := c.sys.InitialState()
-	val0, verr := valuation(init)
-	if verr != "" {
-		res.OK = false
-		res.Kind = RuntimeError
-		res.Message = verr
-		return res
+	if err := p.label(init); err != nil {
+		res.fail(RuntimeError, err.Error())
+		return false
 	}
-	var roots []int
-	initKey := init.Key()
-	for _, at := range aut.InitTrans {
-		if at.Sat(val0) {
-			cp := 0
-			if c.opts.WeakFairness && aut.States[at.Dst].Accepting {
-				cp = 1
-			}
-			roots = append(roots, intern(init, initKey, at.Dst, cp))
+	for _, at := range p.aut.InitTrans {
+		if at.Sat(p.sat) {
+			p.intern(init, at.Dst, noNode, res)
 		}
 	}
-
-	type frame struct {
-		node int
-		in   psucc
-		succ []psucc
-		idx  int
-	}
-	var stack []frame
-
-	prefixEvents := func() []trace.Event {
-		var out []trace.Event
-		for i := 1; i < len(stack); i++ {
-			out = append(out, succEvent(stack[i].in))
-		}
-		return out
-	}
-
-	failSafety := func(s psucc) *Result {
-		res.OK = false
-		res.Kind = violationKind(s.violation)
-		res.Message = s.violation
-		tr := &trace.Trace{Prefix: prefixEvents(), Final: s.violation}
-		tr.Prefix = append(tr.Prefix, succEvent(s))
-		res.Trace = tr
-		return res
-	}
-
-	// redSearch looks for a path from seed back to seed or to any node on
-	// the blue stack; it returns the cycle events on success.
-	redSearch := func(seed int) ([]trace.Event, string) {
-		type rframe struct {
-			node int
-			in   psucc
-			succ []psucc
-			idx  int
-		}
-		seedSucc, verr := successors(seed)
-		if verr != "" {
-			return nil, verr
-		}
-		rstack := []rframe{{node: seed, succ: seedSucc}}
-		for len(rstack) > 0 {
+	p.roots = len(p.states)
+	for lo, hi, depth := 0, len(p.states), 0; lo < hi; lo, hi, depth = hi, len(p.states), depth+1 {
+		res.Stats.MaxDepth = depth
+		for i := lo; i < hi; i++ {
+			u := uint32(i)
 			if cc.hit() {
-				return nil, ""
+				cc.cancelResult(res)
+				return false
 			}
-			top := &rstack[len(rstack)-1]
-			if top.idx >= len(top.succ) {
-				rstack = rstack[:len(rstack)-1]
-				continue
-			}
-			s := top.succ[top.idx]
-			top.idx++
-			if s.violation != "" {
-				continue // safety violations are reported by the blue search
-			}
-			if s.to == seed || flags[s.to]&flagOnStack != 0 {
-				// Cycle found: red path plus (if needed) the blue-stack
-				// segment from the hit node back to the seed.
-				var cyc []trace.Event
-				for i := 1; i < len(rstack); i++ {
-					cyc = append(cyc, succEvent(rstack[i].in))
+			trs := c.sys.Successors(p.states[u])
+			res.Stats.Transitions += len(trs)
+			p.start = append(p.start, uint32(len(p.to)))
+			for _, tr := range trs {
+				if v := tr.Violation; v != "" {
+					// Safety violations surface whatever the formula says.
+					res.fail(violationKind(v), v)
+					res.Trace = &trace.Trace{Prefix: append(p.prefix(u), eventOf(c.sys, tr)), Final: v}
+					return false
 				}
-				cyc = append(cyc, succEvent(s))
-				if s.to != seed {
-					hit := -1
-					for i, fr := range stack {
-						if fr.node == s.to {
-							hit = i
-							break
-						}
-					}
-					for i := hit + 1; i < len(stack); i++ {
-						cyc = append(cyc, succEvent(stack[i].in))
-					}
+			}
+			err := p.successors(u, trs, func(tr *model.Transition, q int) {
+				if !full() {
+					p.to = append(p.to, p.intern(tr.Next, q, u, res))
+					p.movers = append(p.movers, [2]int16{int16(tr.Proc), int16(tr.Partner)})
 				}
-				return cyc, ""
+			})
+			if err != nil {
+				res.fail(RuntimeError, err.Error())
+				return false
 			}
-			if flags[s.to]&flagRed != 0 {
-				continue
+			if full() {
+				res.Stats.Truncated = true
+				res.fail(SearchLimit, fmt.Sprintf("state limit %d exceeded", c.opts.MaxStates))
+				return false
 			}
-			flags[s.to] |= flagRed
-			ss, verr := successors(s.to)
-			if verr != "" {
-				return nil, verr
-			}
-			rstack = append(rstack, rframe{node: s.to, in: s, succ: ss})
 		}
-		return nil, ""
+		m.level(&res.Stats, depth, hi-lo, len(p.states)-hi)
 	}
+	p.start = append(p.start, uint32(len(p.to)))
+	return true
+}
 
-	reportCycle := func(cyc []trace.Event) *Result {
-		res.OK = false
-		res.Kind = AcceptanceCycle
-		res.Message = fmt.Sprintf("LTL property violated: %s", f)
-		res.Trace = &trace.Trace{Prefix: prefixEvents(), Cycle: cyc, Final: res.Message}
-		return res
+// intern returns the node of (st, q), storing it first if it is new.
+func (p *product) intern(st *model.State, q int, parent uint32, res *Result) uint32 {
+	k := prodKey{st.Key(), int32(q)}
+	if id, ok := p.index[k]; ok {
+		res.Stats.StatesMatched++
+		return id
 	}
+	id := uint32(len(p.states))
+	p.index[k] = id
+	p.states = append(p.states, st)
+	p.q = append(p.q, int32(q))
+	p.parent = append(p.parent, parent)
+	if p.words > 0 {
+		base := len(p.enabled)
+		for w := 0; w < p.words; w++ {
+			p.enabled = append(p.enabled, 0)
+		}
+		for pid := 0; pid < p.c.sys.NumInstances(); pid++ {
+			if p.c.sys.ProcEnabled(st, pid) {
+				p.enabled[base+pid/64] |= 1 << (pid % 64)
+			}
+		}
+	}
+	p.accepting = p.accepting || p.aut.States[q].Accepting
+	res.Stats.StatesStored++
+	return id
+}
 
-	for _, root := range roots {
-		if flags[root]&flagBlue != 0 {
+// label evaluates the automaton's atoms on st into p.vals.
+func (p *product) label(st *model.State) error {
+	for i, e := range p.atoms {
+		v, err := p.c.sys.EvalGlobal(st, e)
+		if err != nil {
+			return err
+		}
+		p.vals[i] = v != 0
+	}
+	return nil
+}
+
+// successors calls emit for every product edge out of u, always in the
+// same order: each system step of trs (a stutter step when there is
+// none), then each automaton move its target's labels allow.
+func (p *product) successors(u uint32, trs []model.Transition, emit func(tr *model.Transition, q int)) error {
+	if len(trs) == 0 {
+		trs = []model.Transition{{Proc: -1, Partner: -1, Ch: -1, Next: p.states[u]}}
+	}
+	for i := range trs {
+		if err := p.label(trs[i].Next); err != nil {
+			return err
+		}
+		for _, at := range p.aut.States[p.q[u]].Trans {
+			if at.Sat(p.sat) {
+				emit(&trs[i], at.Dst)
+			}
+		}
+	}
+	return nil
+}
+
+// event re-derives the trace event of edge e out of node u: expansion is
+// deterministic, so the edge's position names its transition.
+func (p *product) event(u, e uint32) trace.Event {
+	ev := stutterEvent
+	k := p.start[u]
+	p.successors(u, p.c.sys.Successors(p.states[u]), func(tr *model.Transition, _ int) {
+		if k == e && tr.Proc >= 0 {
+			ev = eventOf(p.c.sys, *tr)
+		}
+		k++
+	})
+	return ev
+}
+
+// stutterEvent is the step a state without successors repeats forever.
+var stutterEvent = trace.Event{Action: "(stutter)"}
+
+// prefix returns the events of the BFS path from a root to node v.
+func (p *product) prefix(v uint32) []trace.Event {
+	var out []trace.Event
+	for ; p.parent[v] != noNode; v = p.parent[v] {
+		u := p.parent[v]
+		e := p.start[u]
+		for p.to[e] != v {
+			e++
+		}
+		out = append(out, p.event(u, e))
+	}
+	slices.Reverse(out)
+	return out
+}
+
+func (p *product) enabledSet(v uint32) []uint64 {
+	return p.enabled[int(v)*p.words : int(v+1)*p.words]
+}
+
+func (p *product) isEnabled(v uint32, pid int) bool {
+	return p.enabledSet(v)[pid/64]&(1<<(pid%64)) != 0
+}
+
+func (p *product) moves(e uint32, pid int) bool {
+	return int(p.movers[e][0]) == pid || int(p.movers[e][1]) == pid
+}
+
+// sccPass decomposes node sets of the product into strongly connected
+// components with an iterative Tarjan over slices indexed by node id. A
+// node takes part in a pass when its tag is the pass's task; a
+// component under inspection has its nodes' comp set to stamp.
+type sccPass struct {
+	p       *product
+	cc      *canceler
+	tag     []uint32
+	index   []uint32 // discovery number in the node's current task, 0 = not yet
+	low     []uint32
+	onStack []bool
+	stack   []uint32
+	calls   []sccFrame
+	counter uint32
+	comp    []uint32
+	stamp   uint32
+	tasks   uint32
+}
+
+type sccFrame struct{ v, e uint32 }
+
+func newSCCPass(p *product, cc *canceler) *sccPass {
+	n := len(p.states)
+	return &sccPass{
+		p: p, cc: cc,
+		tag: make([]uint32, n), index: make([]uint32, n), low: make([]uint32, n),
+		onStack: make([]bool, n), comp: make([]uint32, n),
+	}
+}
+
+// search finds, among the components holding an accepting node and a
+// cycle fair under p.fair, the one whose lowest-numbered accepting node
+// is nearest a root, so the lasso through it has the shortest prefix. It
+// returns that node (noNode when there is none) and the pids that move
+// inside the component, and leaves s.stamp naming the component. Task 0
+// is the whole product; under strong fairness a component that starves a
+// pid it enables loses the nodes enabling it, and the rest is decomposed
+// again as a new task.
+func (s *sccPass) search() (entry uint32, moves []uint64) {
+	p := s.p
+	type task struct {
+		id      uint32
+		members []uint32
+	}
+	roots := make([]uint32, p.roots)
+	for i := range roots {
+		roots[i] = uint32(i)
+	}
+	tasks := []task{{0, roots}}
+	entry, stamp := noNode, uint32(0)
+	for len(tasks) > 0 {
+		tk := tasks[len(tasks)-1]
+		tasks = tasks[:len(tasks)-1]
+		s.run(tk.id, tk.members, func(scc []uint32) {
+			s.stamp++
+			acc := noNode
+			for _, v := range scc {
+				s.comp[v] = s.stamp
+				if p.aut.States[p.q[v]].Accepting {
+					acc = min(acc, v)
+				}
+			}
+			if acc >= entry {
+				return // no accepting node, or none nearer than the best so far
+			}
+			mv, starved := s.judge(scc)
+			switch {
+			case !slices.ContainsFunc(starved, func(w uint64) bool { return w != 0 }):
+				entry, moves, stamp = acc, mv, s.stamp
+			case p.fair == stronglyFair:
+				if rest := s.prune(scc, starved); len(rest) > 0 {
+					tasks = append(tasks, task{s.tasks, rest})
+				}
+			}
+		})
+	}
+	s.stamp = stamp
+	return entry, moves
+}
+
+// judge returns the pids that move inside the component stamped s.stamp
+// and the pids every cycle in it starves: under weak fairness those
+// enabled at all its nodes that never move, under strong fairness those
+// enabled at some node that never move. Without fairness both are nil.
+func (s *sccPass) judge(scc []uint32) (moves, starved []uint64) {
+	p := s.p
+	if p.fair == unfair {
+		return nil, nil
+	}
+	moves = make([]uint64, p.words)
+	some := make([]uint64, p.words)
+	all := make([]uint64, p.words)
+	for w := range all {
+		all[w] = ^uint64(0)
+	}
+	for _, v := range scc {
+		for e := p.start[v]; e < p.start[v+1]; e++ {
+			if s.comp[p.to[e]] != s.stamp {
+				continue
+			}
+			for _, pid := range p.movers[e] {
+				if pid >= 0 {
+					moves[pid/64] |= 1 << (pid % 64)
+				}
+			}
+		}
+		for w, en := range p.enabledSet(v) {
+			some[w] |= en
+			all[w] &= en
+		}
+	}
+	starved = all
+	if p.fair == stronglyFair {
+		starved = some
+	}
+	for w := range starved {
+		starved[w] &^= moves[w]
+	}
+	return moves, starved
+}
+
+// prune moves the component's nodes that enable no starved pid into a
+// new task and returns them.
+func (s *sccPass) prune(scc []uint32, starved []uint64) []uint32 {
+	s.tasks++
+	var rest []uint32
+	for _, v := range scc {
+		if !intersects(s.p.enabledSet(v), starved) {
+			s.tag[v], s.index[v] = s.tasks, 0
+			rest = append(rest, v)
+		}
+	}
+	return rest
+}
+
+func intersects(a, b []uint64) bool {
+	for w := range a {
+		if a[w]&b[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// run decomposes the nodes tagged task, reachable from members, calling
+// visit with each nontrivial component.
+func (s *sccPass) run(task uint32, members []uint32, visit func(scc []uint32)) {
+	p := s.p
+	for _, root := range members {
+		if s.tag[root] != task || s.index[root] != 0 {
 			continue
 		}
-		flags[root] |= flagBlue | flagOnStack
-		rootSucc, verr := successors(root)
-		if verr != "" {
-			res.OK = false
-			res.Kind = RuntimeError
-			res.Message = verr
-			return res
-		}
-		stack = append(stack[:0], frame{node: root, succ: rootSucc})
-		for len(stack) > 0 {
-			if cc.hit() {
-				return cc.cancelResult(res)
+		s.push(root)
+		for len(s.calls) > 0 {
+			if s.cc.hit() {
+				return
 			}
-			if len(stack) > res.Stats.MaxDepth {
-				res.Stats.MaxDepth = len(stack)
-			}
-			top := &stack[len(stack)-1]
-			if top.idx >= len(top.succ) {
-				// Postorder: run the red search from accepting nodes.
-				if accepting(arena[top.node]) {
-					flags[top.node] |= flagRed
-					cyc, verr := redSearch(top.node)
-					if verr != "" {
-						res.OK = false
-						res.Kind = RuntimeError
-						res.Message = verr
-						return res
-					}
-					if cyc != nil {
-						return reportCycle(cyc)
-					}
+			fr := &s.calls[len(s.calls)-1]
+			v := fr.v
+			if fr.e < p.start[v+1] {
+				w := p.to[fr.e]
+				fr.e++
+				switch {
+				case s.tag[w] != task:
+				case s.index[w] == 0:
+					s.push(w)
+				case s.onStack[w]:
+					s.low[v] = min(s.low[v], s.index[w])
 				}
-				flags[top.node] &^= flagOnStack
-				stack = stack[:len(stack)-1]
 				continue
 			}
-			s := top.succ[top.idx]
-			top.idx++
-			if s.violation != "" {
-				return failSafety(s)
+			s.calls = s.calls[:len(s.calls)-1]
+			if n := len(s.calls); n > 0 {
+				u := s.calls[n-1].v
+				s.low[u] = min(s.low[u], s.low[v])
 			}
-			if flags[s.to]&flagBlue != 0 {
+			if s.low[v] != s.index[v] {
 				continue
 			}
-			if c.opts.MaxStates > 0 && res.Stats.StatesStored > c.opts.MaxStates {
-				res.Stats.Truncated = true
-				res.OK = false
-				res.Kind = SearchLimit
-				res.Message = fmt.Sprintf("state limit %d exceeded", c.opts.MaxStates)
-				return res
+			i := len(s.stack) - 1
+			for s.stack[i] != v {
+				i--
 			}
-			flags[s.to] |= flagBlue | flagOnStack
-			ss, verr := successors(s.to)
-			if verr != "" {
-				res.OK = false
-				res.Kind = RuntimeError
-				res.Message = verr
-				return res
+			scc := s.stack[i:]
+			for _, w := range scc {
+				s.onStack[w] = false
 			}
-			stack = append(stack, frame{node: s.to, in: s, succ: ss})
+			if len(scc) > 1 || slices.Contains(p.to[p.start[v]:p.start[v+1]], v) {
+				visit(scc)
+			}
+			s.stack = s.stack[:i]
 		}
 	}
-	return res
+}
+
+func (s *sccPass) push(v uint32) {
+	s.counter++
+	s.index[v], s.low[v] = s.counter, s.counter
+	s.onStack[v] = true
+	s.stack = append(s.stack, v)
+	s.calls = append(s.calls, sccFrame{v, s.p.start[v]})
+}
+
+// cycle returns a cycle through entry inside the component stamped
+// s.stamp, as events. Under fairness it moves every pid in moves and,
+// under weak fairness, passes a node disabling each pid that does not
+// move (judge guaranteed one).
+func (s *sccPass) cycle(entry uint32, moves []uint64) []trace.Event {
+	p := s.p
+	var edges []uint32
+	cur := entry
+	walk := func(goal func(e uint32) bool) {
+		path := s.walk(cur, goal)
+		edges = append(edges, path...)
+		cur = p.to[path[len(path)-1]]
+	}
+	served := func(pid int) bool {
+		if p.fair == weaklyFair && !p.isEnabled(entry, pid) {
+			return true
+		}
+		for _, e := range edges {
+			if p.moves(e, pid) || p.fair == weaklyFair && !p.isEnabled(p.to[e], pid) {
+				return true
+			}
+		}
+		return false
+	}
+	for pid := 0; p.fair != unfair && pid < p.c.sys.NumInstances(); pid++ {
+		switch {
+		case served(pid):
+		case moves[pid/64]&(1<<(pid%64)) != 0:
+			walk(func(e uint32) bool { return p.moves(e, pid) })
+		case p.fair == weaklyFair:
+			walk(func(e uint32) bool { return !p.isEnabled(p.to[e], pid) })
+		}
+	}
+	if len(edges) == 0 || cur != entry {
+		walk(func(e uint32) bool { return p.to[e] == entry })
+	}
+	events := make([]trace.Event, len(edges))
+	for i, e := range edges {
+		events[i] = p.event(entry, e)
+		entry = p.to[e]
+	}
+	return events
+}
+
+// walk returns the shortest path of edges inside the component from u
+// whose last edge satisfies goal.
+func (s *sccPass) walk(u uint32, goal func(e uint32) bool) []uint32 {
+	p := s.p
+	type crumb struct{ from, e uint32 }
+	via := map[uint32]crumb{u: {noNode, 0}}
+	for queue := []uint32{u}; len(queue) > 0; queue = queue[1:] {
+		v := queue[0]
+		for e := p.start[v]; e < p.start[v+1]; e++ {
+			w := p.to[e]
+			if s.comp[w] != s.stamp {
+				continue
+			}
+			if goal(e) {
+				path := []uint32{e}
+				for x := v; via[x].from != noNode; x = via[x].from {
+					path = append(path, via[x].e)
+				}
+				slices.Reverse(path)
+				return path
+			}
+			if _, ok := via[w]; !ok {
+				via[w] = crumb{v, e}
+				queue = append(queue, w)
+			}
+		}
+	}
+	panic("checker: no path inside a strongly connected component")
 }

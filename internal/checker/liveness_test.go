@@ -191,3 +191,19 @@ active proctype P() { x = 1; x = 2; x = 3 }`), Options{}).CheckLTL("X X zero", p
 		t.Fatal("X X zero should fail (x==2 at step 2)")
 	}
 }
+
+// TestLTLMaxStatesClamp: the product search stops within one state of
+// MaxStates and says it was cut short.
+func TestLTLMaxStatesClamp(t *testing.T) {
+	s := sysFromSource(t, `
+byte x;
+active proctype P() { do :: x < 200 -> x = x + 1 :: else -> break od }`)
+	p := props(t, s.Prog, map[string]string{"big": "x > 100"})
+	res := New(s, Options{MaxStates: 5}).CheckLTL("<> big", p)
+	if res.Kind != SearchLimit || !res.Stats.Truncated {
+		t.Fatalf("want a truncated search limit verdict, got %s", res.Summary())
+	}
+	if res.Stats.StatesStored != 6 {
+		t.Errorf("StatesStored = %d, want MaxStates+1 = 6", res.Stats.StatesStored)
+	}
+}

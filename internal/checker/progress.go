@@ -17,9 +17,7 @@ import (
 // snapshot (Final == true) when the search ends.
 type Progress struct {
 	// Phase names the search: "safety-dfs", "safety-dfs-por",
-	// "safety-bfs", "safety-par-bfs", "liveness-ndfs",
-	// "liveness-strongfair", "reachability", "reachability-par",
-	// "ag-ef".
+	// "safety-par-bfs", "reachability-par", "liveness" or "ag-ef".
 	Phase string
 	// Exploration counters so far.
 	StatesStored  int

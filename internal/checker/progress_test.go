@@ -126,8 +126,8 @@ func TestProgressLTLPhase(t *testing.T) {
 	if !res.OK {
 		t.Fatalf("expected <>done to hold: %s", res.Summary())
 	}
-	if len(phases) == 0 || phases[0] != "liveness-ndfs" {
-		t.Errorf("phases = %v, want liveness-ndfs", phases)
+	if len(phases) == 0 || phases[0] != "liveness" {
+		t.Errorf("phases = %v, want liveness", phases)
 	}
 }
 

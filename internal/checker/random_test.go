@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pnp/internal/model"
+	"pnp/internal/trace"
 )
 
 // randomProgram generates a small well-formed pml program: a few
@@ -254,4 +255,98 @@ func TestRandomProgramsSimulationStaysInExploredSpace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// spinner loops forever on a private variable, so random programs have
+// cycles besides the stutter steps of terminated runs, and fairness has
+// something to rule out.
+const spinner = `
+active proctype Spin() {
+	byte t;
+	end: do
+	:: t = 1 - t
+	od
+}
+`
+
+// TestRandomProgramsLivenessOracle: on random programs, each fairness
+// rule may only rule counterexamples out (a property verified without
+// fairness holds under weak fairness, and one verified under weak
+// fairness holds under strong fairness), safety violations do not
+// depend on fairness, and every acceptance-cycle counterexample replays
+// through Successors, its cycle returning to the system state it left.
+func TestRandomProgramsLivenessOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	formulas := []string{"<> p", "[] <> p", "[] (p -> <> q)"}
+	rules := []Options{{}, {WeakFairness: true}, {StrongFairness: true}}
+	safety := func(v *Result) bool { return !v.OK && v.Kind != AcceptanceCycle }
+	for i := 0; i < 40; i++ {
+		src := randomProgram(r) + drainer + spinner
+		if New(sysFromSource(t, src), Options{MaxStates: 6000}).CheckSafety().Stats.Truncated {
+			continue // keep the battery quick: the product is a few times larger
+		}
+		for _, formula := range formulas {
+			var res [3]*Result
+			for j, opts := range rules {
+				s := sysFromSource(t, src)
+				p := props(t, s.Prog, map[string]string{"p": "g0 > 0", "q": "g1 > 0"})
+				res[j] = New(s, opts).CheckLTL(formula, p)
+				if !res[j].OK && res[j].Kind == AcceptanceCycle && !replays(s, res[j].Trace) {
+					t.Fatalf("program %d, %q, %+v: counterexample does not replay:\n%s\n%s", i, formula, opts, res[j].Trace, src)
+				}
+			}
+			for j := 1; j < 3; j++ {
+				if res[j-1].OK && !res[j].OK {
+					t.Fatalf("program %d, %q: verified under %+v, %s under %+v\n%s",
+						i, formula, rules[j-1], res[j].Kind, rules[j], src)
+				}
+				if (safety(res[j-1]) || safety(res[j])) && res[j-1].Kind != res[j].Kind {
+					t.Fatalf("program %d, %q: %s under %+v, %s under %+v\n%s",
+						i, formula, res[j-1].Kind, rules[j-1], res[j].Kind, rules[j], src)
+				}
+			}
+		}
+	}
+}
+
+// replays reports whether tr's events label a path of s from the initial
+// state whose cycle part ends in the system state it starts from. Equal
+// events may lead to different states, so it follows every match.
+func replays(s *model.System, tr *trace.Trace) bool {
+	step := func(states []*model.State, ev trace.Event) []*model.State {
+		var out []*model.State
+		seen := map[string]bool{}
+		add := func(st *model.State) {
+			if !seen[st.Key()] {
+				seen[st.Key()] = true
+				out = append(out, st)
+			}
+		}
+		for _, st := range states {
+			trs := s.Successors(st)
+			if len(trs) == 0 && ev == stutterEvent {
+				add(st)
+			}
+			for _, t := range trs {
+				if t.Violation == "" && eventOf(s, t) == ev {
+					add(t.Next)
+				}
+			}
+		}
+		return out
+	}
+	states := []*model.State{s.InitialState()}
+	for _, ev := range tr.Prefix {
+		states = step(states, ev)
+	}
+	for _, from := range states {
+		end := []*model.State{from}
+		for _, ev := range tr.Cycle {
+			end = step(end, ev)
+		}
+		if len(tr.Cycle) > 0 && slices.ContainsFunc(end, func(st *model.State) bool { return st.Key() == from.Key() }) {
+			return true
+		}
+	}
+	return false
 }
