@@ -27,6 +27,15 @@ import (
 // verdicts and StatesStored match the unbudgeted run; the search
 // degrades to disk speed instead of dying.
 //
+// Segments are merged as a binary counter over spills (the logarithmic
+// method of an LSM tree): a spill writes one segment holding the
+// in-memory tier plus every trailing segment that holds no more spills
+// than the running total, so a search that spilled S times probes at
+// most ⌊log2 S⌋+1 segments and each state is rewritten at most log2 S
+// times. A merge copies each source blob whole and k-way merges the
+// sources' sorted indexes with the new entries'; nothing on disk is
+// re-hashed or re-sorted.
+//
 // Segment layout (the CRC framing of internal/frame, as in checkpoint
 // logs, so bit rot is detected, and a tmp+fsync+rename protocol, so a
 // file that exists is complete):
@@ -37,9 +46,9 @@ import (
 //	[u32 index length][u32 index CRC]
 //	index: count × [fp u64 LE][blob offset u64 LE], sorted by fp
 //
-// The blob is streamed in drain order and its frame header patched
-// afterwards; only the 16-byte-per-entry index is buffered and sorted
-// in memory during a spill.
+// The blob and the index are both streamed and their frame headers
+// patched afterwards; only the 16-byte-per-entry index of the new
+// entries is buffered and sorted in memory during a spill.
 const spillMagic = "PNPSPIL1"
 
 const spillSectionHeader = 'H'
@@ -48,8 +57,11 @@ type spillHeader struct {
 	Count int `json:"count"`
 }
 
+// spillFrameMax is the largest payload a u32-length frame can hold.
+const spillFrameMax = 1<<32 - 1
+
 // spillSet wraps an in-memory visited set with the segment tier.
-// Segments are only appended at level barriers (maybeSpill), which the
+// Segments are only replaced at level barriers (maybeSpill), which the
 // runner serializes, so workers inside a level read an immutable
 // segment list without locks.
 type spillSet struct {
@@ -58,6 +70,8 @@ type spillSet struct {
 	dir     string // user-chosen parent ("" = system temp)
 	runDir  string // per-search segment directory, created lazily
 	segs    []*spillSegment
+	written int           // segment files written so far; names the next one
+	w       *bufio.Writer // reused by every spill
 	spilled atomic.Int64
 	failed  bool // a failed spill disables the tier; memory keeps growing
 	cSpill  *obs.Counter
@@ -85,10 +99,14 @@ func (s *spillSet) size() int { return int(s.spilled.Load()) + s.mem.size() }
 func (s *spillSet) bytes() int64 { return s.mem.bytes() }
 
 // maybeSpill flushes the in-memory tier to a new segment when it
-// exceeds the budget. Called at level barriers only. A spill that fails
-// (unwritable directory, corrupt segment on re-open) deletes its
-// partial output and permanently falls back to in-memory growth: the
-// search continues, just without the budget.
+// exceeds the budget, folding in the trailing segments spillFold
+// picks. Called at level barriers only. The new segment is written and
+// validated before the folded ones are deleted, and a merge that fails
+// is retried as a plain spill, so a merge never loses a state or
+// disables the tier. A spill that fails (unwritable directory, corrupt
+// segment on re-open) deletes its partial output and permanently falls
+// back to in-memory growth: the search continues, just without the
+// budget.
 func (s *spillSet) maybeSpill() {
 	if s.failed || s.mem.bytes() <= s.limit {
 		return
@@ -111,25 +129,75 @@ func (s *spillSet) maybeSpill() {
 			return
 		}
 		s.runDir = d
+		s.w = bufio.NewWriterSize(nil, 1<<20)
 	}
-	path := filepath.Join(s.runDir, fmt.Sprintf("seg-%06d.seg", len(s.segs)))
-	if err := writeSpillSegment(path, n, s.mem.forEachEncoding); err != nil {
-		os.Remove(path)
+	first := spillFold(n, s.segs)
+	srcs := s.segs[first:]
+	seg, err := s.writeSegment(n, srcs)
+	if err != nil && len(srcs) > 0 {
+		srcs = nil
+		seg, err = s.writeSegment(n, nil)
+	}
+	if err != nil {
 		s.failed = true
 		return
+	}
+	for _, old := range srcs {
+		old.close()
+		os.Remove(old.path)
+	}
+	s.segs = append(s.segs[:len(s.segs)-len(srcs)], seg)
+	s.mem.reset()
+	s.spilled.Add(int64(n))
+	s.cSpill.Add(int64(n))
+}
+
+// writeSegment writes the in-memory tier and srcs to a new segment file
+// and opens it. On error nothing new is left on disk.
+func (s *spillSet) writeSegment(n int, srcs []*spillSegment) (*spillSegment, error) {
+	path := filepath.Join(s.runDir, fmt.Sprintf("seg-%06d.seg", s.written))
+	s.written++
+	if err := writeSpillSegment(s.w, path, n, s.mem.forEachEncoding, srcs); err != nil {
+		os.Remove(path)
+		return nil, err
 	}
 	seg, err := openSpillSegment(path)
 	if err != nil {
 		// The segment we just wrote does not validate: treat it as lost
-		// and keep the entries in memory rather than trusting it.
+		// rather than trusting it.
 		os.Remove(path)
-		s.failed = true
-		return
+		return nil, err
 	}
-	s.segs = append(s.segs, seg)
-	s.mem.reset()
-	s.spilled.Add(int64(n))
-	s.cSpill.Add(int64(n))
+	seg.spills = 1
+	for _, src := range srcs {
+		seg.spills += src.spills
+	}
+	return seg, nil
+}
+
+// spillFold returns the index of the oldest segment a spill of n
+// entries folds into its new segment (len(segs): none). It walks back
+// from the newest segment, folding each one that holds no more spills
+// than the running total: spill counts then stay distinct powers of
+// two, strictly decreasing from the oldest segment, like the bits of a
+// binary counter. The walk also stops before a segment that would take
+// the folded blobs to half the frame limit or the merged index past
+// it, so a merge is never what overflows a frame (past that size the
+// counter is no longer binary and segments may accumulate).
+func spillFold(n int, segs []*spillSegment) int {
+	spills, count, blob := 1, uint64(n), uint64(0)
+	i := len(segs)
+	for ; i > 0; i-- {
+		g := segs[i-1]
+		if g.spills > spills || blob+uint64(g.blobLen) >= spillFrameMax/2 ||
+			16*(count+uint64(g.count)) > spillFrameMax {
+			break
+		}
+		spills += g.spills
+		count += uint64(g.count)
+		blob += uint64(g.blobLen)
+	}
+	return i
 }
 
 // close releases mappings and removes this search's segment directory.
@@ -144,80 +212,141 @@ func (s *spillSet) close() {
 	}
 }
 
-// writeSpillSegment streams count entries from emit into a new segment
-// at path, via tmp+fsync+rename.
-func writeSpillSegment(path string, count int, emit func(fn func(enc []byte))) error {
+// idxEnt is one index entry of a segment being written.
+type idxEnt struct{ fp, off uint64 }
+
+// crcWriter writes through to w and keeps a running CRC-32 (IEEE) of
+// what it wrote: the checksum of a frame streamed without being held.
+type crcWriter struct {
+	w   *bufio.Writer
+	crc uint32
+}
+
+func (c *crcWriter) write(p []byte) {
+	c.w.Write(p)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
+}
+
+// writeSpillSegment writes a new segment at path, via tmp+fsync+rename,
+// holding the blobs of srcs followed by the count entries emit streams.
+// Each source blob is copied whole, its offsets shifted by its base in
+// the new blob; the index is a k-way merge of the sources' sorted
+// indexes and the sorted index of the new entries. w is reset onto the
+// file.
+func writeSpillSegment(w *bufio.Writer, path string, count int, emit func(fn func(enc []byte)), srcs []*spillSegment) error {
+	total := count
+	for _, src := range srcs {
+		total += src.count
+	}
+	if 16*uint64(total) > spillFrameMax {
+		return fmt.Errorf("checker: spill: index exceeds frame limit (%d entries)", total)
+	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp)
-
-	w := bufio.NewWriterSize(f, 1<<20)
-	w.WriteString(spillMagic)
-	hb, err := json.Marshal(spillHeader{Count: count})
-	if err != nil {
+	fail := func(err error) error {
 		f.Close()
 		return err
 	}
-	writeFrame := func(payload []byte) {
-		hdr := frame.Header(payload)
-		w.Write(hdr[:])
-		w.Write(payload)
-	}
-	writeFrame(append([]byte{spillSectionHeader}, hb...))
 
-	// Blob frame: reserve the header, stream entries while accumulating
-	// the CRC and the index, patch the header afterwards. This is the one
-	// frame not built by internal/frame: the blob is the whole visited set
-	// and is never held in memory, so its checksum has to be a running
-	// one. It is read back through frame.Next like every other frame.
-	blobFrameOff := int64(len(spillMagic)) + frame.HeaderSize + int64(1+len(hb))
-	w.Write(make([]byte, frame.HeaderSize))
-	type idxEnt struct{ fp, off uint64 }
-	index := make([]idxEnt, 0, count)
-	crc := crc32.NewIEEE()
+	w.Reset(f)
+	w.WriteString(spillMagic)
+	hb, err := json.Marshal(spillHeader{Count: total})
+	if err != nil {
+		return fail(err)
+	}
+	hdr := append([]byte{spillSectionHeader}, hb...)
+	fh := frame.Header(hdr)
+	w.Write(fh[:])
+	w.Write(hdr)
+
+	// The blob and index frames are streamed: reserve each header, write
+	// the payload through a running CRC, patch the header afterwards.
+	// They are not built by internal/frame because a segment is never
+	// held in memory, but they are read back through frame.Next like
+	// every other frame.
+	var zero [frame.HeaderSize]byte
+	blobFrameOff := int64(len(spillMagic)) + frame.HeaderSize + int64(len(hdr))
+	w.Write(zero[:])
+	blob := crcWriter{w: w}
 	var blobLen uint64
+	bases := make([]uint64, len(srcs))
+	for k, src := range srcs {
+		bases[k] = blobLen
+		blob.write(src.data[src.blobOff : src.blobOff+src.blobLen])
+		blobLen += uint64(src.blobLen)
+	}
+	index := make([]idxEnt, 0, count)
 	var tmpLen [binary.MaxVarintLen64]byte
 	emit(func(enc []byte) {
 		index = append(index, idxEnt{fp: model.Hash64(enc), off: blobLen})
 		n := binary.PutUvarint(tmpLen[:], uint64(len(enc)))
-		w.Write(tmpLen[:n])
-		w.Write(enc)
-		crc.Write(tmpLen[:n])
-		crc.Write(enc)
+		blob.write(tmpLen[:n])
+		blob.write(enc)
 		blobLen += uint64(n) + uint64(len(enc))
 	})
 	if len(index) != count {
-		f.Close()
-		return fmt.Errorf("checker: spill: drained %d entries, expected %d", len(index), count)
+		return fail(fmt.Errorf("checker: spill: drained %d entries, expected %d", len(index), count))
 	}
-	if blobLen > 1<<32-1 {
-		f.Close()
-		return fmt.Errorf("checker: spill: blob exceeds frame limit (%d bytes)", blobLen)
+	if blobLen > spillFrameMax {
+		return fail(fmt.Errorf("checker: spill: blob exceeds frame limit (%d bytes)", blobLen))
 	}
 	sort.Slice(index, func(i, j int) bool { return index[i].fp < index[j].fp })
-	ib := make([]byte, 0, 16*len(index))
-	for _, e := range index {
-		ib = binary.LittleEndian.AppendUint64(ib, e.fp)
-		ib = binary.LittleEndian.AppendUint64(ib, e.off)
+
+	indexFrameOff := blobFrameOff + frame.HeaderSize + int64(blobLen)
+	w.Write(zero[:])
+	idx := crcWriter{w: w}
+	chunk := make([]byte, 0, 16<<10) // entries go out in chunks: one CRC update each
+	put := func(fp, off uint64) {
+		if len(chunk) == cap(chunk) {
+			idx.write(chunk)
+			chunk = chunk[:0]
+		}
+		chunk = binary.LittleEndian.AppendUint64(chunk, fp)
+		chunk = binary.LittleEndian.AppendUint64(chunk, off)
 	}
-	writeFrame(ib)
+	heads := make([]int, len(srcs))
+	for next := 0; ; {
+		best := -1
+		var bestFP uint64
+		for k, src := range srcs {
+			if heads[k] < src.count {
+				if fp := src.fpAt(heads[k]); best < 0 || fp < bestFP {
+					best, bestFP = k, fp
+				}
+			}
+		}
+		if next < len(index) && (best < 0 || index[next].fp < bestFP) {
+			put(index[next].fp, index[next].off)
+			next++
+		} else if best >= 0 {
+			put(bestFP, srcs[best].offAt(heads[best])+bases[best])
+			heads[best]++
+		} else {
+			break
+		}
+	}
+	idx.write(chunk)
 	if err := w.Flush(); err != nil {
-		f.Close()
+		return fail(err)
+	}
+	patch := func(off int64, n, crc uint32) error {
+		binary.LittleEndian.PutUint32(fh[0:4], n)
+		binary.LittleEndian.PutUint32(fh[4:8], crc)
+		_, err := f.WriteAt(fh[:], off)
 		return err
 	}
-	var blobHdr [frame.HeaderSize]byte
-	binary.LittleEndian.PutUint32(blobHdr[0:4], uint32(blobLen))
-	binary.LittleEndian.PutUint32(blobHdr[4:8], crc.Sum32())
-	if _, err := f.WriteAt(blobHdr[:], blobFrameOff); err != nil {
-		f.Close()
-		return err
+	if err := patch(blobFrameOff, uint32(blobLen), blob.crc); err != nil {
+		return fail(err)
+	}
+	if err := patch(indexFrameOff, uint32(16*total), idx.crc); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+		return fail(err)
 	}
 	if err := f.Close(); err != nil {
 		return err
@@ -237,6 +366,7 @@ type spillSegment struct {
 	data     []byte
 	mapped   bool
 	count    int
+	spills   int // spills merged into this segment (in memory only)
 	blobOff  int
 	blobLen  int
 	indexOff int
@@ -298,7 +428,7 @@ func (g *spillSegment) validate() error {
 	if pos != len(data) {
 		return bad("trailing bytes")
 	}
-	if h.Count < 0 || len(index) != 16*h.Count {
+	if len(index)%16 != 0 || h.Count != len(index)/16 { // not 16*Count: it can overflow
 		return bad("index/count mismatch")
 	}
 	g.count = h.Count

@@ -1,51 +1,106 @@
 package checker
 
 import (
+	"bufio"
+	"encoding/hex"
+	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
+	"pnp/internal/frame"
 	"pnp/internal/model"
 )
 
-func writeTestSegment(t *testing.T, dir string, encs [][]byte) string {
-	t.Helper()
-	path := filepath.Join(dir, "seg-000000.seg")
-	emit := func(fn func(enc []byte)) {
+func emitAll(encs [][]byte) func(fn func(enc []byte)) {
+	return func(fn func(enc []byte)) {
 		for _, e := range encs {
 			fn(e)
 		}
 	}
-	if err := writeSpillSegment(path, len(encs), emit); err != nil {
-		t.Fatalf("writeSpillSegment: %v", err)
+}
+
+func writeTestSegment(tb testing.TB, dir string, encs [][]byte) string {
+	tb.Helper()
+	path := filepath.Join(dir, "seg-000000.seg")
+	if err := writeSpillSegment(bufio.NewWriter(nil), path, len(encs), emitAll(encs), nil); err != nil {
+		tb.Fatalf("writeSpillSegment: %v", err)
 	}
 	return path
 }
 
+// writeMergedTestSegment writes every part but the last as a segment of
+// its own, then merges those sources with the last part's entries into
+// one segment.
+func writeMergedTestSegment(tb testing.TB, dir string, parts ...[][]byte) string {
+	tb.Helper()
+	var srcs []*spillSegment
+	for i, encs := range parts[:len(parts)-1] {
+		sub := filepath.Join(dir, fmt.Sprint(i))
+		if err := os.Mkdir(sub, 0o755); err != nil {
+			tb.Fatal(err)
+		}
+		seg, err := openSpillSegment(writeTestSegment(tb, sub, encs))
+		if err != nil {
+			tb.Fatalf("openSpillSegment: %v", err)
+		}
+		defer seg.close()
+		srcs = append(srcs, seg)
+	}
+	last := parts[len(parts)-1]
+	path := filepath.Join(dir, "merged.seg")
+	if err := writeSpillSegment(bufio.NewWriter(nil), path, len(last), emitAll(last), srcs); err != nil {
+		tb.Fatalf("writeSpillSegment: %v", err)
+	}
+	return path
+}
+
+// A segment, written whole or merged from sources and new entries,
+// holds exactly its entries.
 func TestSpillSegmentRoundTrip(t *testing.T) {
 	_, encs, fps, _ := benchComponentStates(1500)
-	path := writeTestSegment(t, t.TempDir(), encs)
-	seg, err := openSpillSegment(path)
-	if err != nil {
-		t.Fatalf("openSpillSegment: %v", err)
+	paths := map[string]string{
+		"plain":  writeTestSegment(t, t.TempDir(), encs),
+		"merged": writeMergedTestSegment(t, t.TempDir(), encs[:900], encs[900:1300], encs[1300:]),
 	}
-	defer seg.close()
-	if seg.count != len(encs) {
-		t.Fatalf("count = %d, want %d", seg.count, len(encs))
-	}
-	for j := range encs {
-		if !seg.contains(fps[j], encs[j]) {
-			t.Fatalf("entry %d missing from segment", j)
+	for name, path := range paths {
+		seg, err := openSpillSegment(path)
+		if err != nil {
+			t.Fatalf("%s: openSpillSegment: %v", name, err)
+		}
+		defer seg.close()
+		if seg.count != len(encs) {
+			t.Fatalf("%s: count = %d, want %d", name, seg.count, len(encs))
+		}
+		for j := range encs {
+			if !seg.contains(fps[j], encs[j]) {
+				t.Fatalf("%s: entry %d missing from segment", name, j)
+			}
+		}
+		absent := []byte("never-stored-encoding")
+		if seg.contains(model.Hash64(absent), absent) {
+			t.Fatalf("%s: segment claims to contain an absent entry", name)
+		}
+		// Same fingerprint, different bytes: must compare bytes, not hashes.
+		if seg.contains(fps[0], append(append([]byte{}, encs[0]...), 0xFF)) {
+			t.Fatalf("%s: segment matched on fingerprint alone", name)
 		}
 	}
-	absent := []byte("never-stored-encoding")
-	if seg.contains(model.Hash64(absent), absent) {
-		t.Fatal("segment claims to contain an absent entry")
-	}
-	// Same fingerprint, different bytes: must compare bytes, not hashes.
-	if seg.contains(fps[0], append(append([]byte{}, encs[0]...), 0xFF)) {
-		t.Fatal("segment matched on fingerprint alone")
-	}
+}
+
+// spillCorruptions are the ways a segment file can rot, each applied to
+// a copy of a valid file.
+var spillCorruptions = map[string]func([]byte) []byte{
+	"magic":     func(b []byte) []byte { b[0] ^= 0xff; return b },
+	"header":    func(b []byte) []byte { b[len(spillMagic)+9] ^= 0xff; return b },
+	"blob":      func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
+	"index":     func(b []byte) []byte { b[len(b)-4] ^= 0xff; return b },
+	"truncated": func(b []byte) []byte { return b[:len(b)-10] },
+	"trailing":  func(b []byte) []byte { return append(b, 0xAA) },
+	"empty":     func(b []byte) []byte { return b[:0] },
 }
 
 // Every flavor of corruption must be detected at open — never probed.
@@ -57,16 +112,7 @@ func TestSpillSegmentCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]func([]byte) []byte{
-		"magic":     func(b []byte) []byte { b[0] ^= 0xff; return b },
-		"header":    func(b []byte) []byte { b[len(spillMagic)+9] ^= 0xff; return b },
-		"blob":      func(b []byte) []byte { b[len(b)/2] ^= 0xff; return b },
-		"index":     func(b []byte) []byte { b[len(b)-4] ^= 0xff; return b },
-		"truncated": func(b []byte) []byte { return b[:len(b)-10] },
-		"trailing":  func(b []byte) []byte { return append(b, 0xAA) },
-		"empty":     func(b []byte) []byte { return b[:0] },
-	}
-	for name, mutate := range cases {
+	for name, mutate := range spillCorruptions {
 		t.Run(name, func(t *testing.T) {
 			bad := mutate(append([]byte(nil), data...))
 			p := filepath.Join(dir, "bad-"+name+".seg")
@@ -114,35 +160,158 @@ func TestSpillSetUnwritableDirDegrades(t *testing.T) {
 	}
 }
 
-// The spill set keeps exact membership across spills, for both exact
-// and collapse in-memory tiers.
-func TestSpillSetMembershipAcrossSpills(t *testing.T) {
-	shape, encs, fps, endss := benchComponentStates(2000)
-	mems := map[string]func() visitedDrainer{
+// spillMems are the in-memory tiers a spill set can wrap.
+func spillMems(shape *model.State) map[string]func() visitedDrainer {
+	return map[string]func() visitedDrainer{
 		"exact":    func() visitedDrainer { return newShardedSet(nil) },
 		"collapse": func() visitedDrainer { return newCollapseSet(shape, nil) },
 	}
-	for name, mk := range mems {
+}
+
+// The spill set keeps exact membership across spills, for both exact
+// and collapse in-memory tiers. Spilling after every small batch merges
+// like a binary counter: a search that spilled S times holds at most
+// bits.Len(S) segments, with strictly decreasing spill and state
+// counts, and one file each on disk.
+func TestSpillSetMembershipAcrossSpills(t *testing.T) {
+	shape, encs, fps, endss := benchComponentStates(2000)
+	for name, mk := range spillMems(shape) {
 		t.Run(name, func(t *testing.T) {
 			s := newSpillSet(mk(), 1, t.TempDir(), nil)
+			defer s.close()
+			spills := 0
+			for j := range encs {
+				if s.seen(fps[j], encs[j], endss[j]) {
+					t.Fatalf("fresh state %d reported seen", j)
+				}
+				if j%8 != 7 {
+					continue
+				}
+				s.maybeSpill() // MemLimit 1: every barrier spills
+				spills++
+				if len(s.segs) > bits.Len(uint(spills)) {
+					t.Fatalf("after %d spills: %d segments", spills, len(s.segs))
+				}
+				total := 0
+				for i, seg := range s.segs {
+					total += seg.spills
+					if i > 0 && (seg.spills >= s.segs[i-1].spills || seg.count >= s.segs[i-1].count) {
+						t.Fatalf("after %d spills: segment %d holds %d spills/%d states, older one %d/%d",
+							spills, i, seg.spills, seg.count, s.segs[i-1].spills, s.segs[i-1].count)
+					}
+				}
+				if total != spills {
+					t.Fatalf("segments hold %d spills, want %d", total, spills)
+				}
+				files, err := os.ReadDir(s.runDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fi := range files {
+					if strings.HasSuffix(fi.Name(), ".tmp") {
+						t.Fatalf("leftover %s", fi.Name())
+					}
+				}
+				if len(files) != len(s.segs) {
+					t.Fatalf("after %d spills: %d files for %d segments", spills, len(files), len(s.segs))
+				}
+			}
+			if spills < 200 {
+				t.Fatalf("only %d spills", spills)
+			}
+			for j := range encs {
+				if !s.seen(fps[j], encs[j], endss[j]) {
+					t.Fatalf("state %d lost after merges", j)
+				}
+			}
+			if s.size() != len(encs) || int(s.spilled.Load()) != len(encs) {
+				t.Fatalf("size = %d, spilled = %d, want %d", s.size(), s.spilled.Load(), len(encs))
+			}
+		})
+	}
+}
+
+func TestSpillFold(t *testing.T) {
+	seg := func(spills, count, blob int) *spillSegment {
+		return &spillSegment{spills: spills, count: count, blobLen: blob}
+	}
+	const half = spillFrameMax / 2
+	cases := []struct {
+		name string
+		n    int
+		segs []*spillSegment
+		want int
+	}{
+		{"no segments", 10, nil, 0},
+		{"equal spills", 10, []*spillSegment{seg(1, 10, 100)}, 0},
+		{"carry", 10, []*spillSegment{seg(4, 40, 400), seg(2, 20, 200), seg(1, 10, 100)}, 0},
+		{"older holds more spills", 10, []*spillSegment{seg(4, 40, 400), seg(1, 10, 100)}, 1},
+		{"spills, not states", 5000, []*spillSegment{seg(2, 20, 200)}, 1},
+		{"blob at half the cap", 10, []*spillSegment{seg(1, 10, half)}, 1},
+		{"folded blobs reach half the cap", 10, []*spillSegment{seg(2, 10, half/2+1), seg(1, 10, half/2+1)}, 1},
+		{"index frame limit", 1, []*spillSegment{seg(1, spillFrameMax/16, 100)}, 1},
+	}
+	for _, c := range cases {
+		if got := spillFold(c.n, c.segs); got != c.want {
+			t.Errorf("%s: spillFold = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// A merge that cannot be written leaves its sources in place and
+// membership exact: it is retried as a plain spill, and only when that
+// fails too does the tier give up.
+func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
+	_, encs, fps, endss := benchComponentStates(400)
+	for _, blocked := range []int{1, 2} {
+		t.Run(fmt.Sprintf("blocked-%d", blocked), func(t *testing.T) {
+			s := newSpillSet(newShardedSet(nil), 1, t.TempDir(), nil)
 			defer s.close()
 			for j := range encs {
 				if s.seen(fps[j], encs[j], endss[j]) {
 					t.Fatalf("fresh state %d reported seen", j)
 				}
-				if j%97 == 0 {
-					s.maybeSpill() // MemLimit 1: every barrier spills
+				if j%100 == 99 && j < 300 {
+					s.maybeSpill()
 				}
 			}
-			if s.spilled.Load() == 0 {
-				t.Fatal("nothing spilled despite 1-byte budget")
+			// Three spills: one segment of two spills, one of one.
+			before := slices.Clone(s.segs)
+			if len(before) != 2 {
+				t.Fatalf("%d segments before the merge, want 2", len(before))
 			}
-			if len(s.segs) == 0 {
-				t.Fatal("no segments on disk")
+			// A directory where the next segment's tmp file goes makes
+			// creating it fail.
+			for k := 0; k < blocked; k++ {
+				tmp := filepath.Join(s.runDir, fmt.Sprintf("seg-%06d.seg.tmp", s.written+k))
+				if err := os.Mkdir(tmp, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.maybeSpill() // would fold both segments
+			if !slices.Equal(s.segs[:2], before) {
+				t.Fatal("sources replaced by a failed merge")
+			}
+			for _, seg := range before {
+				if _, err := os.Stat(seg.path); err != nil {
+					t.Errorf("source %s: %v", seg.path, err)
+				}
+			}
+			switch blocked {
+			case 1:
+				if s.failed || len(s.segs) != 3 || s.spilled.Load() != 400 {
+					t.Fatalf("retry: failed=%v, %d segments, %d spilled; want a plain spill",
+						s.failed, len(s.segs), s.spilled.Load())
+				}
+			case 2:
+				if !s.failed || len(s.segs) != 2 || s.spilled.Load() != 300 {
+					t.Fatalf("failed=%v, %d segments, %d spilled; want the tier off, memory kept",
+						s.failed, len(s.segs), s.spilled.Load())
+				}
 			}
 			for j := range encs {
 				if !s.seen(fps[j], encs[j], endss[j]) {
-					t.Fatalf("state %d lost after spill", j)
+					t.Fatalf("state %d lost", j)
 				}
 			}
 			if s.size() != len(encs) {
@@ -150,6 +319,56 @@ func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSpillSegment feeds openSpillSegment arbitrary file contents. It
+// must reject them, or return a segment whose every index entry
+// resolves and is found by its own fingerprint, and whose probes never
+// panic.
+func FuzzSpillSegment(f *testing.F) {
+	golden, err := hex.DecodeString(goldenSpillSegment)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	dir := f.TempDir()
+	_, encs, _, _ := benchComponentStates(60)
+	merged, err := os.ReadFile(writeMergedTestSegment(f, dir, encs[:20], encs[20:40], encs[40:]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(merged)
+	for _, mutate := range spillCorruptions {
+		f.Add(mutate(slices.Clone(merged)))
+	}
+	// A header count whose 16× wraps around to the index length.
+	wrap := []byte(spillMagic)
+	wrap = frame.Append(wrap, []byte(`H{"count":1152921504606846977}`))
+	wrap = frame.Append(wrap, []byte("\x01a"))
+	wrap = frame.Append(wrap, make([]byte, 16))
+	f.Add(wrap)
+	path := filepath.Join(dir, "fuzz.seg")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := openSpillSegment(path)
+		if err != nil {
+			return
+		}
+		defer seg.close()
+		for i := 0; i < seg.count; i++ {
+			e, ok := seg.entryAt(seg.offAt(i))
+			if !ok {
+				t.Fatalf("index entry %d does not resolve", i)
+			}
+			if !seg.contains(seg.fpAt(i), e) {
+				t.Fatalf("entry %d not found under its own fingerprint", i)
+			}
+			seg.contains(model.Hash64(e), e)
+		}
+		seg.contains(0, nil)
+	})
 }
 
 // close removes the per-search segment directory.

@@ -204,6 +204,9 @@ func (sv *Service) Start(ctx context.Context, ws api.SweepSpec) (api.SweepStatus
 	log.Info("sweep started", "sweep_id", sj.id, "name", spec.Name,
 		"cells", len(cells), "trace_id", sj.traceID)
 
+	// The 202 describes the sweep as submitted: snapshot it before the
+	// run can finish its cells.
+	accepted := sj.status(false)
 	sv.wg.Add(1)
 	go func() {
 		defer sv.wg.Done()
@@ -246,7 +249,7 @@ func (sv *Service) Start(ctx context.Context, ws api.SweepSpec) (api.SweepStatus
 		}
 		sv.retire(sj.id)
 	}()
-	return sj.status(false), nil
+	return accepted, nil
 }
 
 // retire records a completed sweep and evicts the oldest beyond the
