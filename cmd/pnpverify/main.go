@@ -140,7 +140,9 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "pnpverify: writing %s: %v %v\n", *dotFile, werr, cerr)
 			return 1
 		}
-		fmt.Printf("state graph written to %s\n", *dotFile)
+		if !*jsonOut {
+			fmt.Printf("state graph written to %s\n", *dotFile)
+		}
 	}
 
 	if *simulate > 0 {

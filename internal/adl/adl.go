@@ -385,7 +385,7 @@ func (ps PropertySource) CheckpointKey(key string) string { return key + "-" + p
 
 // Check runs the checker for one declared property: for the
 // "invariant" source the safety search with every invariant, for a goal
-// its AG EF search, for an LTL property its nested search.
+// its AG EF search, for an LTL property its product search.
 func (s *System) Check(ps PropertySource, opts checker.Options) *checker.Result {
 	switch ps.Kind {
 	case "invariant":

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"pnp/internal/model"
 )
 
 // WriteDOT renders the reachable state graph (up to maxStates states) in
@@ -13,21 +11,19 @@ import (
 // documentation. Node labels show the global variables; edge labels show
 // the transition. States where an invariant fails are drawn in red, valid
 // end states with a double border.
+//
+// The graph is the one CheckEventuallyReachable searches, stored
+// breadth-first with O(transitions) memory: nodes are numbered in
+// breadth-first order, and when the cap cuts the search every drawn node
+// is declared, edges to states past the cap are left out, and a
+// "truncated" note is added.
 func (c *Checker) WriteDOT(w io.Writer, maxStates int) error {
 	if maxStates <= 0 {
 		maxStates = 500
 	}
-	index := map[string]int{}
-	var arena []*model.State
-	add := func(st *model.State) (int, bool) {
-		key := st.Key()
-		if i, ok := index[key]; ok {
-			return i, false
-		}
-		index[key] = len(arena)
-		arena = append(arena, st)
-		return len(arena) - 1, true
-	}
+	p := c.stateGraph(maxStates)
+	res := &Result{}
+	p.build(res, nil, nil)
 
 	if _, err := fmt.Fprintln(w, "digraph statespace {"); err != nil {
 		return err
@@ -37,64 +33,53 @@ func (c *Checker) WriteDOT(w io.Writer, maxStates int) error {
 	}
 
 	globals := c.sys.Prog.GlobalVars
-	label := func(st *model.State) string {
+	for u, st := range p.states[:min(len(p.states), maxStates)] {
 		var parts []string
 		for i, g := range globals {
 			parts = append(parts, fmt.Sprintf("%s=%d", g.Name, st.Globals[i]))
 		}
+		label := strings.Join(parts, "\\n")
 		if len(parts) == 0 {
-			return "·"
+			label = "·"
 		}
-		return strings.Join(parts, "\\n")
-	}
-	bad := func(st *model.State) bool {
-		for _, inv := range c.opts.Invariants {
-			v, err := c.sys.EvalGlobal(st, inv.Expr)
-			if err != nil || v == 0 {
-				return true
-			}
-		}
-		return false
-	}
-
-	init := c.sys.InitialState()
-	add(init)
-	truncated := false
-	for head := 0; head < len(arena); head++ {
-		st := arena[head]
 		attrs := ""
-		if bad(st) {
-			attrs = ", color=red, fontcolor=red"
+		for _, inv := range c.opts.Invariants {
+			if v, err := c.sys.EvalGlobal(st, inv.Expr); err != nil || v == 0 {
+				attrs = ", color=red, fontcolor=red"
+				break
+			}
 		}
 		trs := c.sys.Successors(st)
 		if len(trs) == 0 {
 			attrs += ", peripheries=2"
 		}
-		if _, err := fmt.Fprintf(w, "  s%d [label=\"%s\"%s];\n", head, label(st), attrs); err != nil {
+		if _, err := fmt.Fprintf(w, "  s%d [label=\"%s\"%s];\n", u, label, attrs); err != nil {
 			return err
 		}
+		if u+1 >= len(p.start) {
+			continue // stored, but not expanded before the cap
+		}
+		// The k-th transition without a violation is the row's k-th edge.
+		e := p.start[u]
 		for _, tr := range trs {
 			if tr.Violation != "" {
 				continue
 			}
-			to, fresh := add(tr.Next)
-			if fresh && len(arena) > maxStates {
-				truncated = true
-				arena = arena[:maxStates]
+			if e == p.start[u+1] {
 				break
 			}
-			if to < len(arena) {
-				el := strings.ReplaceAll(c.sys.FormatTransition(tr), `"`, `'`)
-				if _, err := fmt.Fprintf(w, "  s%d -> s%d [label=\"%s\", fontsize=8];\n", head, to, el); err != nil {
-					return err
-				}
+			to := p.to[e]
+			e++
+			if int(to) >= maxStates {
+				continue
+			}
+			el := strings.ReplaceAll(c.sys.FormatTransition(tr), `"`, `'`)
+			if _, err := fmt.Fprintf(w, "  s%d -> s%d [label=\"%s\", fontsize=8];\n", u, to, el); err != nil {
+				return err
 			}
 		}
-		if truncated {
-			break
-		}
 	}
-	if truncated {
+	if res.Stats.Truncated {
 		if _, err := fmt.Fprintf(w, "  trunc [label=\"(truncated at %d states)\", shape=plaintext];\n", maxStates); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -55,7 +56,24 @@ active proctype P() {
 	if err := New(s, Options{}).WriteDOT(&sb, 10); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "truncated") {
+	dot := sb.String()
+	if !strings.Contains(dot, "truncated") {
 		t.Errorf("truncation marker missing")
+	}
+	// Exactly the first maxStates states are drawn, and every edge joins
+	// two of them.
+	declared := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  (s\d+) \[label=`).FindAllStringSubmatch(dot, -1) {
+		declared[m[1]] = true
+	}
+	if len(declared) != 10 {
+		t.Errorf("%d nodes declared, want 10:\n%s", len(declared), dot)
+	}
+	for _, m := range regexp.MustCompile(`(s\d+) -> (s\d+)`).FindAllStringSubmatch(dot, -1) {
+		for _, n := range m[1:] {
+			if !declared[n] {
+				t.Errorf("edge %s names undeclared node %s:\n%s", m[0], n, dot)
+			}
+		}
 	}
 }

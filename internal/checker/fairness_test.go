@@ -21,11 +21,11 @@ active proctype Worker() {
 }`
 	p := props(t, sysFromSource(t, src).Prog, map[string]string{"finished": "done == 1"})
 
-	unfair := New(sysFromSource(t, src), Options{}).CheckLTL("<> finished", p)
+	unfair := verifyLTL(t, sysFromSource(t, src), Options{}, "<> finished", p)
 	if unfair.OK {
 		t.Fatal("without fairness, <>finished should be violated by starving the worker")
 	}
-	fair := New(sysFromSource(t, src), Options{WeakFairness: true}).CheckLTL("<> finished", p)
+	fair := verifyLTL(t, sysFromSource(t, src), Options{WeakFairness: true}, "<> finished", p)
 	if !fair.OK {
 		t.Fatalf("under weak fairness, <>finished should hold: %s\n%s", fair.Summary(), fair.Trace)
 	}
@@ -43,7 +43,7 @@ active proctype Spinner() {
 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"finished": "done == 1"})
-	res := New(s, Options{WeakFairness: true}).CheckLTL("<> finished", p)
+	res := verifyLTL(t, s, Options{WeakFairness: true}, "<> finished", p)
 	if res.OK {
 		t.Fatal("<>finished cannot hold: nothing ever sets done")
 	}
@@ -68,7 +68,7 @@ active proctype Server() {
 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"requested": "req == 1", "acked": "ack == 1"})
-	unfair := New(sysFromSource(t, src), Options{}).CheckLTL("[] (requested -> <> acked)", p)
+	unfair := verifyLTL(t, sysFromSource(t, src), Options{}, "[] (requested -> <> acked)", p)
 	if unfair.OK {
 		t.Fatal("without fairness the response property should fail (server noise loop)")
 	}
@@ -76,7 +76,7 @@ active proctype Server() {
 	// stays active through its noise branch, so the ack branch may starve
 	// — weak fairness is per process, not per transition. Document the
 	// semantics by asserting the (correct) negative verdict.
-	fair := New(s, Options{WeakFairness: true}).CheckLTL("[] (requested -> <> acked)", p)
+	fair := verifyLTL(t, s, Options{WeakFairness: true}, "[] (requested -> <> acked)", p)
 	if fair.OK {
 		t.Log("note: weak fairness proved the response property; transition-level scheduling resolved it")
 	} else if fair.Kind != AcceptanceCycle {
@@ -93,7 +93,7 @@ byte x;
 active proctype P() { x = 1; x = 0 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"on": "x == 1"})
-	res := New(s, Options{WeakFairness: true}).CheckLTL("[] <> on", p)
+	res := verifyLTL(t, s, Options{WeakFairness: true}, "[] <> on", p)
 	if res.OK {
 		t.Fatal("[]<>on must fail: the terminal state has x==0 forever and is fair")
 	}
@@ -106,8 +106,8 @@ func TestFairnessAgreesOnSafetyShapedLTL(t *testing.T) {
 byte x;
 active proctype P() { x = 1; x = 5 }`
 	p := props(t, sysFromSource(t, src).Prog, map[string]string{"small": "x < 2"})
-	unfair := New(sysFromSource(t, src), Options{}).CheckLTL("[] small", p)
-	fair := New(sysFromSource(t, src), Options{WeakFairness: true}).CheckLTL("[] small", p)
+	unfair := verifyLTL(t, sysFromSource(t, src), Options{}, "[] small", p)
+	fair := verifyLTL(t, sysFromSource(t, src), Options{WeakFairness: true}, "[] small", p)
 	if unfair.OK != fair.OK {
 		t.Fatalf("fairness changed a prefix-violation verdict: unfair=%v fair=%v", unfair.OK, fair.OK)
 	}
@@ -125,8 +125,8 @@ byte a, b;
 active proctype P() { do :: a = 1 - a od }
 active proctype Q() { do :: b = 1 - b od }`
 	p := props(t, sysFromSource(t, src).Prog, map[string]string{"zero": "a == 0"})
-	base := New(sysFromSource(t, src), Options{IgnoreDeadlock: true}).CheckLTL("[] <> zero", p)
-	fair := New(sysFromSource(t, src), Options{IgnoreDeadlock: true, WeakFairness: true}).CheckLTL("[] <> zero", p)
+	base := verifyLTL(t, sysFromSource(t, src), Options{IgnoreDeadlock: true}, "[] <> zero", p)
+	fair := verifyLTL(t, sysFromSource(t, src), Options{IgnoreDeadlock: true, WeakFairness: true}, "[] <> zero", p)
 	if fair.Stats.StatesStored != base.Stats.StatesStored {
 		t.Errorf("weakly fair search stored %d states, unfair %d", fair.Stats.StatesStored, base.Stats.StatesStored)
 	}
@@ -151,11 +151,11 @@ active proctype Worker() {
 }`
 	p := props(t, sysFromSource(t, src).Prog, map[string]string{"finished": "done == 1"})
 
-	weak := New(sysFromSource(t, src), Options{WeakFairness: true}).CheckLTL("<> finished", p)
+	weak := verifyLTL(t, sysFromSource(t, src), Options{WeakFairness: true}, "<> finished", p)
 	if weak.OK {
 		t.Fatal("weak fairness should NOT suffice: the worker is only intermittently enabled")
 	}
-	strong := New(sysFromSource(t, src), Options{StrongFairness: true}).CheckLTL("<> finished", p)
+	strong := verifyLTL(t, sysFromSource(t, src), Options{StrongFairness: true}, "<> finished", p)
 	if !strong.OK {
 		t.Fatalf("strong fairness should prove <>finished: %s\n%s", strong.Summary(), strong.Trace)
 	}
@@ -173,7 +173,7 @@ active proctype Spinner() {
 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"finished": "done == 1"})
-	res := New(s, Options{StrongFairness: true}).CheckLTL("<> finished", p)
+	res := verifyLTL(t, s, Options{StrongFairness: true}, "<> finished", p)
 	if res.OK {
 		t.Fatal("nothing sets done; <>finished must fail")
 	}
@@ -202,7 +202,7 @@ active proctype Q() {
 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"never": "a == 2"})
-	res := New(s, Options{StrongFairness: true}).CheckLTL("<> never", p)
+	res := verifyLTL(t, s, Options{StrongFairness: true}, "<> never", p)
 	if res.OK {
 		t.Fatal("<>never must fail")
 	}
@@ -220,7 +220,7 @@ byte x;
 active proctype P() { x = 1; x = 5 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"small": "x < 2"})
-	res := New(s, Options{StrongFairness: true}).CheckLTL("[] small", p)
+	res := verifyLTL(t, s, Options{StrongFairness: true}, "[] small", p)
 	if res.OK {
 		t.Fatal("[]small should fail")
 	}
@@ -234,7 +234,7 @@ byte x;
 active proctype P() { x = 1; assert(false) }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"q": "x == 0"})
-	res := New(s, Options{StrongFairness: true}).CheckLTL("[] (q || !q)", p)
+	res := verifyLTL(t, s, Options{StrongFairness: true}, "[] (q || !q)", p)
 	if res.OK || res.Kind != Assertion {
 		t.Fatalf("expected assertion, got %s", res.Summary())
 	}
@@ -248,7 +248,7 @@ byte x;
 active proctype P() { x = 1; x = 0 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"on": "x == 1"})
-	res := New(s, Options{StrongFairness: true}).CheckLTL("[] <> on", p)
+	res := verifyLTL(t, s, Options{StrongFairness: true}, "[] <> on", p)
 	if res.OK {
 		t.Fatal("[]<>on must fail at the terminal state")
 	}
@@ -270,7 +270,7 @@ active proctype Server() {
 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"requested": "req == 1", "acked": "ack == 1"})
-	res := New(s, Options{StrongFairness: true}).CheckLTL("[] (requested -> <> acked)", p)
+	res := verifyLTL(t, s, Options{StrongFairness: true}, "[] (requested -> <> acked)", p)
 	// The ack branch and the noise branch belong to the same process, so
 	// even strong *process* fairness cannot force the ack branch — this
 	// distinguishes process fairness from transition fairness. Assert the
@@ -297,7 +297,7 @@ active proctype Worker() {
 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"finished": "done == 1"})
-	res := New(s, Options{WeakFairness: true, StrongFairness: true}).CheckLTL("<> finished", p)
+	res := verifyLTL(t, s, Options{WeakFairness: true, StrongFairness: true}, "<> finished", p)
 	if !res.OK {
 		t.Fatalf("Options.StrongFairness not honored: %s", res.Summary())
 	}

@@ -70,6 +70,9 @@ const noNode = ^uint32(0)
 // to[start[u]:start[u+1]], and movers[e] holds the pids acting on edge e
 // (-1 when unused, so a stutter edge is {-1, -1}). No event is stored per
 // edge; event re-derives one by expanding the edge's source again.
+//
+// With a one-state automaton (stateGraph) it is the plain reachable
+// state graph that AG EF and WriteDOT read.
 type product struct {
 	c     *Checker
 	aut   *ltl.Automaton
@@ -77,8 +80,10 @@ type product struct {
 	vals  []bool
 	sat   func(int) bool
 	fair  fairness
-	words int // bitset words per node in enabled; 0 without fairness
-	roots int // nodes 0..roots-1 hold the initial state
+	words int  // bitset words per node in enabled; 0 without fairness
+	roots int  // nodes 0..roots-1 hold the initial state
+	limit int  // build stops once more than limit nodes are stored; 0 = no cap
+	graph bool // a violating step is left out instead of ending the search, and no stutter edges
 
 	index     map[prodKey]uint32
 	states    []*model.State
@@ -107,7 +112,7 @@ func (c *Checker) checkLTL(formula string, props map[string]pml.RExpr) *Result {
 	if err != nil {
 		return res.fail(RuntimeError, err.Error())
 	}
-	p := &product{c: c, aut: aut, index: map[prodKey]uint32{}}
+	p := &product{c: c, aut: aut, limit: c.opts.MaxStates, index: map[prodKey]uint32{}}
 	for _, name := range aut.Atoms {
 		e, ok := props[name]
 		if !ok {
@@ -143,6 +148,16 @@ func (c *Checker) checkLTL(formula string, props map[string]pml.RExpr) *Result {
 	return res
 }
 
+// stateGraph returns the reachable state graph of the system, up to
+// limit states, as a product with a one-state automaton and no atoms
+// (so sat is never called): every reachable state is exactly one node,
+// and its edges are the transitions without a safety violation.
+func (c *Checker) stateGraph(limit int) *product {
+	loop := []ltl.Trans{{Dst: 0}}
+	aut := &ltl.Automaton{States: []ltl.AState{{Trans: loop}}, InitTrans: loop}
+	return &product{c: c, aut: aut, limit: limit, graph: true, index: map[prodKey]uint32{}}
+}
+
 // fail marks r as failed with kind and msg.
 func (r *Result) fail(kind ViolationKind, msg string) *Result {
 	r.OK = false
@@ -153,11 +168,12 @@ func (r *Result) fail(kind ViolationKind, msg string) *Result {
 
 // build stores the reachable product breadth-first, one level at a time.
 // It reports false when the search ended early — a safety violation
-// (with its shortest prefix), an evaluation error, the state limit, or
-// cancellation — with res filled in.
+// (with its shortest prefix) unless in graph mode, an evaluation error,
+// the state limit, or cancellation — with res filled in. Every node it
+// expanded has its row of edges, even then.
 func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 	c := p.c
-	full := func() bool { return c.opts.MaxStates > 0 && len(p.states) > c.opts.MaxStates }
+	full := func() bool { return p.limit > 0 && len(p.states) > p.limit }
 	init := c.sys.InitialState()
 	if err := p.label(init); err != nil {
 		res.fail(RuntimeError, err.Error())
@@ -169,6 +185,7 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 		}
 	}
 	p.roots = len(p.states)
+	p.start = append(p.start, 0)
 	for lo, hi, depth := 0, len(p.states), 0; lo < hi; lo, hi, depth = hi, len(p.states), depth+1 {
 		res.Stats.MaxDepth = depth
 		for i := lo; i < hi; i++ {
@@ -179,9 +196,8 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 			}
 			trs := c.sys.Successors(p.states[u])
 			res.Stats.Transitions += len(trs)
-			p.start = append(p.start, uint32(len(p.to)))
 			for _, tr := range trs {
-				if v := tr.Violation; v != "" {
+				if v := tr.Violation; v != "" && !p.graph {
 					// Safety violations surface whatever the formula says.
 					res.fail(violationKind(v), v)
 					res.Trace = &trace.Trace{Prefix: append(p.prefix(u), eventOf(c.sys, tr)), Final: v}
@@ -194,19 +210,19 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 					p.movers = append(p.movers, [2]int16{int16(tr.Proc), int16(tr.Partner)})
 				}
 			})
+			p.start = append(p.start, uint32(len(p.to)))
 			if err != nil {
 				res.fail(RuntimeError, err.Error())
 				return false
 			}
 			if full() {
 				res.Stats.Truncated = true
-				res.fail(SearchLimit, fmt.Sprintf("state limit %d exceeded", c.opts.MaxStates))
+				res.fail(SearchLimit, fmt.Sprintf("state limit %d exceeded", p.limit))
 				return false
 			}
 		}
 		m.level(&res.Stats, depth, hi-lo, len(p.states)-hi)
 	}
-	p.start = append(p.start, uint32(len(p.to)))
 	return true
 }
 
@@ -251,13 +267,17 @@ func (p *product) label(st *model.State) error {
 }
 
 // successors calls emit for every product edge out of u, always in the
-// same order: each system step of trs (a stutter step when there is
-// none), then each automaton move its target's labels allow.
+// same order: each system step of trs without a violation (a stutter
+// step when trs is empty, outside graph mode), then each automaton move
+// its target's labels allow.
 func (p *product) successors(u uint32, trs []model.Transition, emit func(tr *model.Transition, q int)) error {
-	if len(trs) == 0 {
+	if len(trs) == 0 && !p.graph {
 		trs = []model.Transition{{Proc: -1, Partner: -1, Ch: -1, Next: p.states[u]}}
 	}
 	for i := range trs {
+		if trs[i].Violation != "" {
+			continue
+		}
 		if err := p.label(trs[i].Next); err != nil {
 			return err
 		}

@@ -21,7 +21,7 @@ func TestLTLEventuallyHolds(t *testing.T) {
 byte x;
 active proctype P() { x = 1; x = 2 }`)
 	p := props(t, s.Prog, map[string]string{"done": "x == 2"})
-	res := New(s, Options{}).CheckLTL("<> done", p)
+	res := verifyLTL(t, s, Options{}, "<> done", p)
 	if !res.OK {
 		t.Fatalf("expected <>done to hold, got %s\n%s", res.Summary(), res.Trace)
 	}
@@ -38,7 +38,7 @@ active proctype P() {
 	od
 }`)
 	p := props(t, s.Prog, map[string]string{"done": "x == 2"})
-	res := New(s, Options{}).CheckLTL("<> done", p)
+	res := verifyLTL(t, s, Options{}, "<> done", p)
 	if res.OK || res.Kind != AcceptanceCycle {
 		t.Fatalf("expected acceptance cycle, got %s", res.Summary())
 	}
@@ -57,7 +57,7 @@ active proctype P() {
 	od
 }`)
 	p := props(t, s.Prog, map[string]string{"small": "x < 2"})
-	res := New(s, Options{}).CheckLTL("[] small", p)
+	res := verifyLTL(t, s, Options{}, "[] small", p)
 	if !res.OK {
 		t.Fatalf("expected []small to hold, got %s", res.Summary())
 	}
@@ -68,7 +68,7 @@ func TestLTLAlwaysViolated(t *testing.T) {
 byte x;
 active proctype P() { x = 1; x = 5 }`)
 	p := props(t, s.Prog, map[string]string{"small": "x < 2"})
-	res := New(s, Options{}).CheckLTL("[] small", p)
+	res := verifyLTL(t, s, Options{}, "[] small", p)
 	if res.OK {
 		t.Fatalf("expected violation, got %s", res.Summary())
 	}
@@ -84,13 +84,13 @@ func TestLTLStutterExtensionAtTermination(t *testing.T) {
 byte x;
 active proctype P() { x = 1; x = 0 }`)
 	p := props(t, s.Prog, map[string]string{"on": "x == 1"})
-	res := New(s, Options{}).CheckLTL("[] <> on", p)
+	res := verifyLTL(t, s, Options{}, "[] <> on", p)
 	if res.OK {
 		t.Fatal("[]<>on should fail: the final state has x==0 forever")
 	}
-	res2 := New(sysFromSource(t, `
+	res2 := verifyLTL(t, sysFromSource(t, `
 byte x;
-active proctype P() { x = 0; x = 1 }`), Options{}).CheckLTL("<> [] on", p)
+active proctype P() { x = 0; x = 1 }`), Options{}, "<> [] on", p)
 	if !res2.OK {
 		t.Fatalf("<>[]on should hold via stuttering at the end: %s", res2.Summary())
 	}
@@ -115,7 +115,7 @@ active proctype Server() {
 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"requested": "req == 1", "acked": "ack == 1"})
-	res := New(s, Options{}).CheckLTL("[] (requested -> <> acked)", p)
+	res := verifyLTL(t, s, Options{}, "[] (requested -> <> acked)", p)
 	if !res.OK {
 		t.Fatalf("response property should hold: %s\n%s", res.Summary(), res.Trace)
 	}
@@ -139,7 +139,7 @@ active proctype Server() {
 }`
 	s := sysFromSource(t, src)
 	p := props(t, s.Prog, map[string]string{"requested": "req == 1", "acked": "ack == 1"})
-	res := New(s, Options{}).CheckLTL("[] (requested -> <> acked)", p)
+	res := verifyLTL(t, s, Options{}, "[] (requested -> <> acked)", p)
 	if res.OK || res.Kind != AcceptanceCycle {
 		t.Fatalf("expected response violation, got %s", res.Summary())
 	}
@@ -147,7 +147,7 @@ active proctype Server() {
 
 func TestLTLUndefinedProposition(t *testing.T) {
 	s := sysFromSource(t, `byte x; active proctype P() { x = 1 }`)
-	res := New(s, Options{}).CheckLTL("<> nosuch", map[string]pml.RExpr{})
+	res := verifyLTL(t, s, Options{}, "<> nosuch", map[string]pml.RExpr{})
 	if res.OK || res.Kind != RuntimeError {
 		t.Fatalf("expected runtime error, got %s", res.Summary())
 	}
@@ -158,7 +158,7 @@ func TestLTLUndefinedProposition(t *testing.T) {
 
 func TestLTLParseErrorSurfaces(t *testing.T) {
 	s := sysFromSource(t, `byte x; active proctype P() { x = 1 }`)
-	res := New(s, Options{}).CheckLTL("<> (", map[string]pml.RExpr{})
+	res := verifyLTL(t, s, Options{}, "<> (", map[string]pml.RExpr{})
 	if res.OK || res.Kind != RuntimeError {
 		t.Fatalf("expected parse error, got %s", res.Summary())
 	}
@@ -169,7 +169,7 @@ func TestLTLAssertionFoundDuringLivenessSearch(t *testing.T) {
 byte x;
 active proctype P() { x = 1; assert(false) }`)
 	p := props(t, s.Prog, map[string]string{"q": "x == 0"})
-	res := New(s, Options{}).CheckLTL("[] (q || !q)", p)
+	res := verifyLTL(t, s, Options{}, "[] (q || !q)", p)
 	if res.OK || res.Kind != Assertion {
 		t.Fatalf("expected assertion surfaced, got %s", res.Summary())
 	}
@@ -180,13 +180,13 @@ func TestLTLNextOperator(t *testing.T) {
 byte x;
 active proctype P() { x = 1; x = 2; x = 3 }`)
 	p := props(t, s.Prog, map[string]string{"one": "x == 1", "zero": "x == 0"})
-	res := New(s, Options{}).CheckLTL("zero && X one", p)
+	res := verifyLTL(t, s, Options{}, "zero && X one", p)
 	if !res.OK {
 		t.Fatalf("zero && X one should hold on the single path: %s", res.Summary())
 	}
-	res2 := New(sysFromSource(t, `
+	res2 := verifyLTL(t, sysFromSource(t, `
 byte x;
-active proctype P() { x = 1; x = 2; x = 3 }`), Options{}).CheckLTL("X X zero", p)
+active proctype P() { x = 1; x = 2; x = 3 }`), Options{}, "X X zero", p)
 	if res2.OK {
 		t.Fatal("X X zero should fail (x==2 at step 2)")
 	}
@@ -199,7 +199,7 @@ func TestLTLMaxStatesClamp(t *testing.T) {
 byte x;
 active proctype P() { do :: x < 200 -> x = x + 1 :: else -> break od }`)
 	p := props(t, s.Prog, map[string]string{"big": "x > 100"})
-	res := New(s, Options{MaxStates: 5}).CheckLTL("<> big", p)
+	res := verifyLTL(t, s, Options{MaxStates: 5}, "<> big", p)
 	if res.Kind != SearchLimit || !res.Stats.Truncated {
 		t.Fatalf("want a truncated search limit verdict, got %s", res.Summary())
 	}

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"pnp/internal/ltl"
 	"pnp/internal/model"
+	"pnp/internal/pml"
 	"pnp/internal/trace"
 )
 
@@ -273,8 +275,8 @@ active proctype Spin() {
 // rule may only rule counterexamples out (a property verified without
 // fairness holds under weak fairness, and one verified under weak
 // fairness holds under strong fairness), safety violations do not
-// depend on fairness, and every acceptance-cycle counterexample replays
-// through Successors, its cycle returning to the system state it left.
+// depend on fairness, and every acceptance-cycle counterexample is a
+// real one (lassoFault).
 func TestRandomProgramsLivenessOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	formulas := []string{"<> p", "[] <> p", "[] (p -> <> q)"}
@@ -291,8 +293,10 @@ func TestRandomProgramsLivenessOracle(t *testing.T) {
 				s := sysFromSource(t, src)
 				p := props(t, s.Prog, map[string]string{"p": "g0 > 0", "q": "g1 > 0"})
 				res[j] = New(s, opts).CheckLTL(formula, p)
-				if !res[j].OK && res[j].Kind == AcceptanceCycle && !replays(s, res[j].Trace) {
-					t.Fatalf("program %d, %q, %+v: counterexample does not replay:\n%s\n%s", i, formula, opts, res[j].Trace, src)
+				if !res[j].OK && res[j].Kind == AcceptanceCycle {
+					if fault := lassoFault(s, formula, p, opts, res[j].Trace); fault != "" {
+						t.Fatalf("program %d, %q, %+v: %s:\n%s\n%s", i, formula, opts, fault, res[j].Trace, src)
+					}
 				}
 			}
 			for j := 1; j < 3; j++ {
@@ -309,44 +313,251 @@ func TestRandomProgramsLivenessOracle(t *testing.T) {
 	}
 }
 
-// replays reports whether tr's events label a path of s from the initial
-// state whose cycle part ends in the system state it starts from. Equal
-// events may lead to different states, so it follows every match.
-func replays(s *model.System, tr *trace.Trace) bool {
-	step := func(states []*model.State, ev trace.Event) []*model.State {
-		var out []*model.State
-		seen := map[string]bool{}
-		add := func(st *model.State) {
-			if !seen[st.Key()] {
-				seen[st.Key()] = true
-				out = append(out, st)
+// verifyLTL runs CheckLTL and fails t unless every acceptance-cycle
+// counterexample it reports is a real one (lassoFault).
+func verifyLTL(t *testing.T, s *model.System, opts Options, formula string, p map[string]pml.RExpr) *Result {
+	t.Helper()
+	res := New(s, opts).CheckLTL(formula, p)
+	if !res.OK && res.Kind == AcceptanceCycle {
+		if fault := lassoFault(s, formula, p, opts, res.Trace); fault != "" {
+			t.Fatalf("%q: %s:\n%s", formula, fault, res.Trace)
+		}
+	}
+	return res
+}
+
+// lassoFault returns why tr is not a counterexample to formula under
+// the fairness rule of opts, or "" when it is one: its events label a
+// path of s whose cycle returns to the state it leaves, the word of
+// proposition values along that path violates formula by LTL semantics
+// alone, and the cycle is fair — under weak fairness every pid enabled
+// at all its states moves in it, under strong fairness every pid enabled
+// at one of its states does.
+func lassoFault(s *model.System, formula string, p map[string]pml.RExpr, opts Options, tr *trace.Trace) string {
+	path := replays(s, tr)
+	if path == nil {
+		return "counterexample does not replay"
+	}
+	f, err := ltl.Parse(formula)
+	if err != nil {
+		return err.Error()
+	}
+	w := &ltl.Word{}
+	for a := range p {
+		w.Atoms = append(w.Atoms, a)
+	}
+	slices.Sort(w.Atoms)
+	for i, st := range path[:len(path)-1] {
+		vals := make([]bool, len(w.Atoms))
+		for j, a := range w.Atoms {
+			v, err := s.EvalGlobal(st, p[a])
+			if err != nil {
+				return err.Error()
+			}
+			vals[j] = v != 0
+		}
+		if i < len(tr.Prefix) {
+			w.Prefix = append(w.Prefix, vals)
+		} else {
+			w.Cycle = append(w.Cycle, vals)
+		}
+	}
+	if ltl.EvalWord(f, w) {
+		return "the lasso satisfies the formula"
+	}
+	moved := map[string]bool{}
+	for _, ev := range tr.Cycle {
+		moved[ev.Proc], moved[ev.Partner] = true, true
+	}
+	cycle := path[len(tr.Prefix) : len(path)-1]
+	for pid := 0; pid < s.NumInstances(); pid++ {
+		some, all := false, true
+		for _, st := range cycle {
+			en := s.ProcEnabled(st, pid)
+			some, all = some || en, all && en
+		}
+		switch name := s.ProcName(pid); {
+		case moved[name]:
+		case opts.StrongFairness && some:
+			return fmt.Sprintf("%s is enabled in the cycle but never moves", name)
+		case opts.WeakFairness && all:
+			return fmt.Sprintf("%s is enabled throughout the cycle but never moves", name)
+		}
+	}
+	return ""
+}
+
+// replays returns a path of states of s from the initial state whose
+// steps carry tr's prefix and then its cycle events, the cycle ending in
+// the system state it starts from: len(tr.Prefix)+len(tr.Cycle)+1 states.
+// It returns nil when there is none. Equal events may lead to different
+// states, so it follows every match.
+func replays(s *model.System, tr *trace.Trace) []*model.State {
+	if len(tr.Cycle) == 0 {
+		return nil
+	}
+	pre := follow(s, s.InitialState(), tr.Prefix)
+	for j, c := range pre[len(pre)-1] {
+		cyc := follow(s, c.st, tr.Cycle)
+		for k, end := range cyc[len(cyc)-1] {
+			if end.st.Key() == c.st.Key() {
+				return append(walkBack(pre, j), walkBack(cyc, k)[1:]...)
 			}
 		}
-		for _, st := range states {
-			trs := s.Successors(st)
+	}
+	return nil
+}
+
+// replayed is a state reached while following events, with the index of
+// its predecessor in the previous layer.
+type replayed struct {
+	st   *model.State
+	from int
+}
+
+// follow returns layers of the states reachable from st by steps
+// carrying evs: layer i holds those after the first i events.
+func follow(s *model.System, st *model.State, evs []trace.Event) [][]replayed {
+	layers := [][]replayed{{{st, -1}}}
+	for _, ev := range evs {
+		var next []replayed
+		seen := map[string]bool{}
+		add := func(st *model.State, from int) {
+			if !seen[st.Key()] {
+				seen[st.Key()] = true
+				next = append(next, replayed{st, from})
+			}
+		}
+		for j, c := range layers[len(layers)-1] {
+			trs := s.Successors(c.st)
 			if len(trs) == 0 && ev == stutterEvent {
-				add(st)
+				add(c.st, j)
 			}
 			for _, t := range trs {
 				if t.Violation == "" && eventOf(s, t) == ev {
-					add(t.Next)
+					add(t.Next, j)
 				}
 			}
 		}
-		return out
+		layers = append(layers, next)
 	}
-	states := []*model.State{s.InitialState()}
-	for _, ev := range tr.Prefix {
-		states = step(states, ev)
+	return layers
+}
+
+// walkBack returns the states of the path through layers ending at the
+// k-th state of the last layer.
+func walkBack(layers [][]replayed, k int) []*model.State {
+	path := make([]*model.State, len(layers))
+	for i := len(layers) - 1; i >= 0; i-- {
+		path[i] = layers[i][k].st
+		k = layers[i][k].from
 	}
-	for _, from := range states {
-		end := []*model.State{from}
-		for _, ev := range tr.Cycle {
-			end = step(end, ev)
+	return path
+}
+
+// TestRandomProgramsEventuallyReachableOracle: AG EF on random programs
+// against a brute force that shares no code with the checker's graph. It
+// collects the reachable states through Successors (skipping violating
+// steps) with their breadth-first depths, and searches forward from
+// each for the target. The goal holds iff every state reaches the
+// target; otherwise the counterexample replays to a state that cannot,
+// and is as short as the shallowest such state.
+func TestRandomProgramsEventuallyReachableOracle(t *testing.T) {
+	const limit = 3000
+	r := rand.New(rand.NewSource(37))
+	checked := 0
+	for i := 0; checked < 40 && i < 80; i++ {
+		src := randomProgram(r) + drainer
+		s := sysFromSource(t, src)
+		succ := func(st *model.State) []*model.State {
+			var out []*model.State
+			for _, tr := range s.Successors(st) {
+				if tr.Violation == "" {
+					out = append(out, tr.Next)
+				}
+			}
+			return out
 		}
-		if len(tr.Cycle) > 0 && slices.ContainsFunc(end, func(st *model.State) bool { return st.Key() == from.Key() }) {
-			return true
+		depth := map[string]int{s.InitialState().Key(): 0}
+		states := []*model.State{s.InitialState()}
+		for j := 0; j < len(states) && len(states) <= limit; j++ {
+			for _, next := range succ(states[j]) {
+				if _, ok := depth[next.Key()]; !ok {
+					depth[next.Key()] = depth[states[j].Key()] + 1
+					states = append(states, next)
+				}
+			}
+		}
+		if len(states) > limit {
+			continue // keep the battery quick
+		}
+		checked++
+		// A value g0 takes somewhere, so the initial state reaches the
+		// target and counterexamples are not all empty.
+		var values []int
+		for _, st := range states {
+			values = append(values, int(st.Globals[0]))
+		}
+		slices.Sort(values)
+		values = slices.Compact(values)
+		target, err := s.Prog.CompileGlobalExpr(fmt.Sprintf("g0 == %d", values[r.Intn(len(values))]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := func(st *model.State) bool {
+			v, err := s.EvalGlobal(st, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v != 0
+		}
+		// stuck holds the states known not to reach the target: when a
+		// forward search fails, so does every state it passed.
+		stuck := map[string]bool{}
+		reaches := func(st *model.State) bool {
+			seen := map[string]bool{st.Key(): true}
+			for queue := []*model.State{st}; len(queue) > 0; queue = queue[1:] {
+				if hits(queue[0]) {
+					return true
+				}
+				for _, next := range succ(queue[0]) {
+					if k := next.Key(); !seen[k] && !stuck[k] {
+						seen[k] = true
+						queue = append(queue, next)
+					}
+				}
+			}
+			for k := range seen {
+				stuck[k] = true
+			}
+			return false
+		}
+		shallowest := -1
+		for _, st := range states {
+			if !stuck[st.Key()] && !reaches(st) && shallowest < 0 {
+				shallowest = depth[st.Key()]
+			}
+		}
+
+		res := New(s, Options{}).CheckEventuallyReachable(target)
+		if res.OK != (shallowest < 0) {
+			t.Fatalf("program %d: AG EF OK=%v (%s), brute force: shallowest stuck state at depth %d\n%s",
+				i, res.OK, res.Summary(), shallowest, src)
+		}
+		if res.OK {
+			continue
+		}
+		if res.Kind != InvariantViolation || res.Trace.Len() != shallowest {
+			t.Fatalf("program %d: %s with a %d-step counterexample, want a %d-step one\n%s",
+				i, res.Summary(), res.Trace.Len(), shallowest, src)
+		}
+		ends := follow(s, s.InitialState(), res.Trace.Prefix)
+		if !slices.ContainsFunc(ends[len(ends)-1], func(c replayed) bool { return stuck[c.st.Key()] }) {
+			t.Fatalf("program %d: the counterexample does not replay to a state that cannot reach the target:\n%s\n%s",
+				i, res.Trace, src)
 		}
 	}
-	return false
+	if checked < 30 {
+		t.Fatalf("only %d programs fit under %d states", checked, limit)
+	}
 }

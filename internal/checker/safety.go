@@ -2,6 +2,7 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -256,6 +257,14 @@ func (c *Checker) CheckReachable(target pml.RExpr) *Result {
 // which the target has become unreachable (e.g. a message was
 // irrecoverably lost). This is the fairness-independent way to check
 // "nothing is ever permanently lost".
+//
+// The search stores the reachable state graph breadth-first (the
+// product CheckLTL builds, and WriteDOT draws, with a one-state
+// automaton), then marks the states reaching target over the reversed
+// edges: O(transitions) memory, about 12 bytes per edge beyond the
+// states. Stats.MaxDepth is the breadth-first depth; the counterexample
+// is a shortest path to the first state, in breadth-first order, that
+// cannot reach target.
 func (c *Checker) CheckEventuallyReachable(target pml.RExpr) *Result {
 	var res *Result
 	withPhaseLabel("ag-ef", func() { res = c.checkEventuallyReachable(target) })
@@ -264,115 +273,59 @@ func (c *Checker) CheckEventuallyReachable(target pml.RExpr) *Result {
 
 func (c *Checker) checkEventuallyReachable(target pml.RExpr) *Result {
 	start := time.Now()
-	res := &Result{}
+	res := &Result{OK: true}
 	defer func() { res.Stats.Elapsed = time.Since(start) }()
 	m := c.newMeter("ag-ef")
 	defer func() { m.finish(&res.Stats, res.Stats.MaxDepth) }()
-	cc := c.newCanceler()
 
-	// Forward pass: build the full reachable graph. add enforces
-	// MaxStates the way the other searches do — count the state, tick
-	// the meter, then flag the overrun — so the search stops within one
-	// state of the limit instead of finishing the whole expansion.
-	type graphNode struct {
-		st     *model.State
-		parent int
-		in     model.Transition
-	}
-	index := map[string]int{}
-	var arena []graphNode
-	var succs [][]int
-	limitHit := false
-	add := func(st *model.State, parent int, in model.Transition) int {
-		key := st.Key()
-		if i, ok := index[key]; ok {
-			res.Stats.StatesMatched++
-			return i
-		}
-		index[key] = len(arena)
-		arena = append(arena, graphNode{st: st, parent: parent, in: in})
-		succs = append(succs, nil)
-		res.Stats.StatesStored++
-		m.tick(&res.Stats, 0)
-		if c.opts.MaxStates > 0 && res.Stats.StatesStored > c.opts.MaxStates {
-			limitHit = true
-		}
-		return len(arena) - 1
-	}
-	limitResult := func() *Result {
-		res.Stats.Truncated = true
-		res.Kind = SearchLimit
-		res.Message = fmt.Sprintf("state limit %d exceeded", c.opts.MaxStates)
+	p := c.stateGraph(c.opts.MaxStates)
+	if !p.build(res, m, c.newCanceler()) {
 		return res
 	}
-	add(c.sys.InitialState(), -1, model.Transition{})
-	if limitHit {
-		return limitResult()
+	// The reversed edges as compressed sparse rows: the predecessors of
+	// node v are in[from[v]:from[v+1]].
+	n := len(p.states)
+	from := make([]uint32, n+1)
+	for _, v := range p.to {
+		from[v+1]++
 	}
-	for head := 0; head < len(arena); head++ {
-		if cc.hit() {
-			return cc.cancelResult(res)
-		}
-		trs := c.sys.Successors(arena[head].st)
-		res.Stats.Transitions += len(trs)
-		for _, tr := range trs {
-			if tr.Violation != "" {
-				continue
-			}
-			succs[head] = append(succs[head], add(tr.Next, head, tr))
-			if limitHit {
-				return limitResult()
-			}
+	for v := range n {
+		from[v+1] += from[v]
+	}
+	in := make([]uint32, len(p.to))
+	next := slices.Clone(from[:n])
+	for u := range n {
+		for _, v := range p.to[p.start[u]:p.start[u+1]] {
+			in[next[v]] = uint32(u)
+			next[v]++
 		}
 	}
 
-	// Backward pass: states from which a target state is reachable.
-	good := make([]bool, len(arena))
-	preds := make([][]int, len(arena))
-	var queue []int
-	for i := range arena {
-		v, err := c.sys.EvalGlobal(arena[i].st, target)
+	good := make([]bool, n)
+	var stack []uint32
+	for v, st := range p.states {
+		x, err := c.sys.EvalGlobal(st, target)
 		if err != nil {
-			res.Kind = RuntimeError
-			res.Message = err.Error()
-			return res
+			return res.fail(RuntimeError, err.Error())
 		}
-		if v != 0 {
-			good[i] = true
-			queue = append(queue, i)
-		}
-		for _, j := range succs[i] {
-			preds[j] = append(preds[j], i)
+		if x != 0 {
+			good[v] = true
+			stack = append(stack, uint32(v))
 		}
 	}
-	for len(queue) > 0 {
-		i := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, p := range preds[i] {
-			if !good[p] {
-				good[p] = true
-				queue = append(queue, p)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, u := range in[from[v]:from[v+1]] {
+			if !good[u] {
+				good[u] = true
+				stack = append(stack, u)
 			}
 		}
 	}
-	for i := range arena {
-		if good[i] {
-			continue
-		}
-		// Found a reachable state from which the target is unreachable.
-		res.Kind = InvariantViolation
-		res.Message = "target became unreachable"
-		var rev []trace.Event
-		for j := i; j > 0; j = arena[j].parent {
-			rev = append(rev, eventOf(c.sys, arena[j].in))
-		}
-		t := &trace.Trace{Final: res.Message}
-		for k := len(rev) - 1; k >= 0; k-- {
-			t.Prefix = append(t.Prefix, rev[k])
-		}
-		res.Trace = t
-		return res
+	if v := slices.Index(good, false); v >= 0 {
+		res.fail(InvariantViolation, "target became unreachable")
+		res.Trace = &trace.Trace{Prefix: p.prefix(uint32(v)), Final: res.Message}
 	}
-	res.OK = true
 	return res
 }

@@ -338,6 +338,36 @@ active proctype P() {
 	}
 }
 
+// TestEventuallyReachableStatsMatchSafety: on a violation-free program
+// AG EF stores the same graph the safety search does, so it reports the
+// same states, transitions and breadth-first depth as the one-worker
+// level engine.
+func TestEventuallyReachableStatsMatchSafety(t *testing.T) {
+	src := `
+byte x, y;
+chan c = [2] of { byte };
+active proctype P() { do :: x < 5 -> x = x + 1; c!x :: x == 5 -> break od }
+active proctype Q() { byte v; do :: c?v -> y = v :: y == 5 -> break od }`
+	s := sysFromSource(t, src)
+	target, err := s.Prog.CompileGlobalExpr("y == 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := New(s, Options{IgnoreDeadlock: true}).CheckEventuallyReachable(target)
+	safe := New(sysFromSource(t, src), Options{IgnoreDeadlock: true, Workers: 1}).CheckSafety()
+	if !goal.OK || !safe.OK {
+		t.Fatalf("goal %s, safety %s: want both verified", goal.Summary(), safe.Summary())
+	}
+	g, w := goal.Stats, safe.Stats
+	if g.StatesStored != w.StatesStored || g.Transitions != w.Transitions || g.MaxDepth != w.MaxDepth {
+		t.Errorf("AG EF stored/transitions/depth %d/%d/%d, safety %d/%d/%d",
+			g.StatesStored, g.Transitions, g.MaxDepth, w.StatesStored, w.Transitions, w.MaxDepth)
+	}
+	if g.MaxDepth == 0 {
+		t.Error("AG EF reports depth 0")
+	}
+}
+
 func TestReportUnreached(t *testing.T) {
 	// The x==99 branch can never fire: x stays below 3.
 	s := sysFromSource(t, `
