@@ -40,7 +40,7 @@ matrix:
 verify-examples:
 	$(GO) run ./cmd/pnpverify examples/adl/pingpong.pnp
 	$(GO) run ./cmd/pnpverify examples/adl/bridge.pnp
-	-$(GO) run ./cmd/pnpverify -bfs examples/adl/bridge-broken.pnp
+	-$(GO) run ./cmd/pnpverify examples/adl/bridge-broken.pnp
 	-$(GO) run ./cmd/pnpverify examples/adl/lossy.pnp
 
 # Non-test Go lines outside bench/ — the figure the "one of each"

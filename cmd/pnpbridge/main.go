@@ -93,24 +93,21 @@ func run(quick, showTrace, metrics bool, rec *tracing.Recorder) error {
 	type row struct {
 		label string
 		cfg   bridge.Config
-		opts  checker.Options
 	}
 	rows := []row{
-		{"exactly-N (Fig.13 initial)", bridge.Config{Variant: bridge.ExactlyN, EnterSend: blocks.AsynBlockingSend}, checker.Options{}},
-		{"exactly-N (checking)", bridge.Config{Variant: bridge.ExactlyN, EnterSend: blocks.AsynCheckingSend}, checker.Options{}},
-		{"exactly-N (fixed, E9)", bridge.Config{Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend}, checker.Options{}},
-		{"exactly-N (syn-checking)", bridge.Config{Variant: bridge.ExactlyN, EnterSend: blocks.SynCheckingSend}, checker.Options{}},
-		{"at-most-N (Fig.14, async)", bridge.Config{Variant: bridge.AtMostN, EnterSend: blocks.AsynBlockingSend}, checker.Options{}},
+		{"exactly-N (Fig.13 initial)", bridge.Config{Variant: bridge.ExactlyN, EnterSend: blocks.AsynBlockingSend}},
+		{"exactly-N (checking)", bridge.Config{Variant: bridge.ExactlyN, EnterSend: blocks.AsynCheckingSend}},
+		{"exactly-N (fixed, E9)", bridge.Config{Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend}},
+		{"exactly-N (syn-checking)", bridge.Config{Variant: bridge.ExactlyN, EnterSend: blocks.SynCheckingSend}},
+		{"at-most-N (Fig.14, async)", bridge.Config{Variant: bridge.AtMostN, EnterSend: blocks.AsynBlockingSend}},
 	}
 	if !quick {
 		rows = append(rows, row{"at-most-N (Fig.14, E10)",
-			bridge.Config{Variant: bridge.AtMostN, EnterSend: blocks.SynBlockingSend}, checker.Options{}})
+			bridge.Config{Variant: bridge.AtMostN, EnterSend: blocks.SynBlockingSend}})
 	}
 	var e8 *checker.Result
 	for _, r := range rows {
-		r.opts.Metrics = regSafety
-		r.opts.Tracer = rec
-		res, err := bridge.Verify(r.cfg, cache, r.opts)
+		res, err := bridge.Verify(r.cfg, cache, checker.Options{Metrics: regSafety, Tracer: rec})
 		if err != nil {
 			return err
 		}
@@ -130,15 +127,9 @@ func run(quick, showTrace, metrics bool, rec *tracing.Recorder) error {
 	dumpMetrics(regSafety)
 
 	if showTrace && e8 != nil && e8.Trace != nil {
-		fmt.Println("\n-- E8 counterexample (shortest, BFS re-run) --")
-		resBFS, err := bridge.Verify(bridge.Config{
-			Variant: bridge.ExactlyN, EnterSend: blocks.AsynBlockingSend,
-		}, cache, checker.Options{BFS: true})
-		if err != nil {
-			return err
-		}
-		fmt.Println(resBFS.Trace)
-		fmt.Println(resBFS.Trace.MSC(nil))
+		fmt.Println("\n-- E8 counterexample (shortest) --")
+		fmt.Println(e8.Trace)
+		fmt.Println(e8.Trace.MSC(nil))
 	}
 
 	fmt.Println("\n== E11: model-construction reuse across the E8->E9 edit ==")

@@ -38,7 +38,7 @@ import (
 func main() {
 	msgs := flag.Int("msgs", 3, "messages the producer sends")
 	bufsize := flag.Int("bufsize", 1, "size of sized channels")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "breadth-first search workers per cell (0 = sequential DFS)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "breadth-first search workers per cell (0 or 1 = inline on one goroutine)")
 	metrics := flag.Bool("metrics", false, "collect checker metrics across the sweep and print the table")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of the sweep's spans")
 	flag.Parse()

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	pnpverify [-bfs] [-workers N] [-max-states N] [-msc] [-json]
+//	pnpverify [-workers N] [-max-states N] [-msc] [-json]
 //	          [-timeout 30s] [-progress] [-metrics-addr :8080]
 //	          [-trace-out trace.json] [-checkpoint-dir DIR]
 //	          [-visited collapse] [-mem-limit 2GiB] [-spill-dir DIR]
@@ -55,8 +55,7 @@ func main() {
 }
 
 func run() int {
-	bfs := flag.Bool("bfs", false, "breadth-first search (shortest counterexamples)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "search workers for the breadth-first safety/reachability engine (0 = sequential DFS unless -bfs; -por and -unreached always use the DFS)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "search workers for the breadth-first safety/reachability engine (0 or 1 = inline on one goroutine); verdicts, state counts and counterexample lengths are the same at every count")
 	maxStates := flag.Int("max-states", 0, "state limit (0 = unlimited)")
 	msc := flag.Bool("msc", false, "render counterexamples as message sequence charts")
 	bitstate := flag.Bool("bitstate", false, "bitstate hashing (probabilistic, lower memory)")
@@ -111,7 +110,7 @@ func run() int {
 		return string(b), err
 	}
 	if *remote != "" {
-		return runRemote(*remote, string(src), dir, *bfs, *workers, *maxStates, *visited, memBudget, *timeout, *jsonOut, *msc, *traceOut)
+		return runRemote(*remote, string(src), dir, *workers, *maxStates, *visited, memBudget, *timeout, *jsonOut, *msc, *traceOut)
 	}
 	sys, err := adl.Load(string(src), resolve, nil)
 	if err != nil {
@@ -157,7 +156,6 @@ func run() int {
 	}
 
 	opts := checker.Options{
-		BFS:             *bfs,
 		Workers:         *workers,
 		MaxStates:       *maxStates,
 		WeakFairness:    *fair,
@@ -317,7 +315,7 @@ func run() int {
 // With traceOut set, the submission carries a traceparent so the job
 // joins a locally-rooted trace; the server's spans are fetched back and
 // written together with the local root as one Chrome trace file.
-func runRemote(base, src, dir string, bfs bool, workers, maxStates int, visited string, memLimit int64, timeout time.Duration, jsonOut, msc bool, traceOut string) int {
+func runRemote(base, src, dir string, workers, maxStates int, visited string, memLimit int64, timeout time.Duration, jsonOut, msc bool, traceOut string) int {
 	refs, err := adl.ComponentRefs(src)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pnpverify: %v\n", err)
@@ -334,9 +332,6 @@ func runRemote(base, src, dir string, bfs bool, workers, maxStates int, visited 
 	}
 
 	req := client.JobRequest{ADL: src, Components: comps, TimeoutMS: int(timeout / time.Millisecond)}
-	if bfs {
-		req.BFS = &bfs
-	}
 	if workers > 0 {
 		req.Workers = &workers
 	}

@@ -32,7 +32,7 @@ func run() error {
 	res, err := bridge.Verify(bridge.Config{
 		Variant:   bridge.ExactlyN,
 		EnterSend: blocks.AsynBlockingSend,
-	}, cache, checker.Options{BFS: true})
+	}, cache, checker.Options{})
 	if err != nil {
 		return err
 	}

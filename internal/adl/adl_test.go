@@ -285,3 +285,38 @@ system c {
 		t.Fatal(err)
 	}
 }
+
+// TestBridgeExampleUnreached pins the never-executed transitions of
+// examples/adl/bridge.pnp to the list the sequential DFS that used to
+// implement ReportUnreached printed (at 8da67dd), one per line in
+// testdata/bridge-unreached.golden: the level engine executes the same
+// edges at every worker count.
+func TestBridgeExampleUnreached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two exhaustive bridge searches are too slow for -short")
+	}
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	dir := filepath.Join("..", "..", "examples", "adl")
+	want := strings.Split(strings.TrimSuffix(read(filepath.Join("testdata", "bridge-unreached.golden")), "\n"), "\n")
+	for _, w := range []int{0, 2} {
+		sys, err := Load(read(filepath.Join(dir, "bridge.pnp")), func(ref string) (string, error) {
+			return read(filepath.Join(dir, ref)), nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := sys.VerifyAll(checker.Options{ReportUnreached: true, Workers: w})["safety"]
+		if !res.OK {
+			t.Fatalf("workers=%d: %s", w, res.Summary())
+		}
+		if strings.Join(res.Unreached, "\n") != strings.Join(want, "\n") {
+			t.Errorf("workers=%d: unreached differs from the golden list:\n%s", w, strings.Join(res.Unreached, "\n"))
+		}
+	}
+}

@@ -72,6 +72,9 @@ type JobRequest struct {
 	// Components maps referenced component paths to inline pml source.
 	Components map[string]string `json:"components,omitempty"`
 	// Search-shape overrides; nil fields keep the server's defaults.
+	// BFS is accepted and ignored (every safety search is breadth-first)
+	// but still part of the submission key, so routing and journal keys
+	// of existing clients do not move.
 	MaxStates      *int  `json:"max_states,omitempty"`
 	MaxDepth       *int  `json:"max_depth,omitempty"`
 	BFS            *bool `json:"bfs,omitempty"`

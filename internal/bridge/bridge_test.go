@@ -161,7 +161,7 @@ func TestBridgeCounterexampleMentionsCar(t *testing.T) {
 		CarsPerSide: 1,
 		N:           1,
 		EnterSend:   blocks.AsynBlockingSend,
-	}, nil, checker.Options{BFS: true})
+	}, nil, checker.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,11 +96,11 @@ func TestBridgeE8DeterministicAcrossWorkers(t *testing.T) {
 	assertBFSIsWorkersOne(t, cfg, first)
 }
 
-// assertBFSIsWorkersOne: Options{BFS: true} is the level engine at one
-// worker — same verdict, stats, and counterexample as w1.
+// assertBFSIsWorkersOne: Options{} is the level engine at one worker —
+// same verdict, stats, and counterexample as w1.
 func assertBFSIsWorkersOne(t *testing.T, cfg Config, w1 *checker.Result) {
 	t.Helper()
-	bfs, err := Verify(cfg, blocks.NewCache(), checker.Options{BFS: true})
+	bfs, err := Verify(cfg, blocks.NewCache(), checker.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,15 +35,15 @@ func cancelTestSystem(t *testing.T) *model.System {
 // with a Canceled verdict instead of exhausting the 16M-state space.
 func TestContextCancelSafety(t *testing.T) {
 	sys := cancelTestSystem(t)
-	for _, bfs := range []bool{false, true} {
+	for _, por := range []bool{false, true} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		res := New(sys, Options{Context: ctx, BFS: bfs, IgnoreDeadlock: true}).CheckSafety()
+		res := New(sys, Options{Context: ctx, PartialOrder: por, IgnoreDeadlock: true}).CheckSafety()
 		cancel()
 		if res.OK || res.Kind != Canceled {
-			t.Fatalf("bfs=%v: want Canceled verdict, got %s", bfs, res.Summary())
+			t.Fatalf("por=%v: want Canceled verdict, got %s", por, res.Summary())
 		}
 		if !res.Stats.Truncated {
-			t.Fatalf("bfs=%v: canceled search must be marked truncated", bfs)
+			t.Fatalf("por=%v: canceled search must be marked truncated", por)
 		}
 	}
 }

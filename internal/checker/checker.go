@@ -1,6 +1,6 @@
 // Package checker is the finite-state verifier of the Plug-and-Play
-// toolchain: explicit-state safety search (assertions, deadlocks, global
-// invariants) with DFS or BFS, LTL checking under no, weak or strong
+// toolchain: breadth-first explicit-state safety search (assertions,
+// deadlocks, global invariants), LTL checking under no, weak or strong
 // process fairness by one strongly-connected-component pass over the
 // stored Büchi product, optional bitstate hashing, and counterexample
 // reconstruction as traces.
@@ -75,29 +75,24 @@ type Invariant struct {
 type Options struct {
 	// MaxStates bounds the number of stored states (0 = unlimited).
 	MaxStates int
-	// MaxDepth bounds the safety search's depth — the DFS stack or the
-	// BFS level (0 = unlimited). Liveness and AG-EF searches ignore it.
+	// MaxDepth bounds the safety search's BFS level (0 = unlimited).
+	// Liveness and AG-EF searches ignore it.
 	MaxDepth int
-	// BFS searches breadth-first, yielding shortest counterexamples: the
-	// safety search runs on the level engine (see Workers) instead of
-	// the DFS. Precedence: PartialOrder or ReportUnreached force the
-	// sequential DFS whatever BFS and Workers say (both need a stack);
-	// otherwise BFS or Workers >= 1 selects the level engine; otherwise
-	// DFS. CheckReachable is always breadth-first.
-	BFS bool
 	// Invariants are checked in every reachable state.
 	Invariants []Invariant
 	// IgnoreDeadlock disables invalid-end-state detection.
 	IgnoreDeadlock bool
 	// ReportUnreached records which compiled transitions never executed
 	// during the safety search and lists them in Result.Unreached.
-	// Incompatible with PartialOrder (the reduction legitimately skips
+	// Ignored under PartialOrder (the reduction legitimately skips
 	// transitions).
 	ReportUnreached bool
-	// PartialOrder enables ample-set partial-order reduction in the DFS
+	// PartialOrder enables ample-set partial-order reduction in the
 	// safety search: states where some process has only process-private
-	// (Local) moves expand only that process, with the cycle proviso
-	// guaranteeing soundness. Verdicts are unchanged; state counts drop.
+	// (Local) moves expand only that process, unless one of its moves
+	// reaches a state stored at the state's BFS level or before (the
+	// cycle proviso, which guarantees soundness). Verdicts are
+	// unchanged; state counts drop.
 	PartialOrder bool
 	// WeakFairness restricts LTL acceptance-cycle search to weakly fair
 	// runs (every continuously enabled process eventually moves) —
@@ -111,17 +106,15 @@ type Options struct {
 	// precedence over WeakFairness.
 	StrongFairness bool
 	// Workers is the level engine's goroutine count: N >= 2 expands
-	// each BFS level on N goroutines over a sharded visited set; 1 — and
-	// 0 when BFS is set or for CheckReachable — runs the same engine
-	// inline on the caller's goroutine. Verdicts, StatesStored, and
-	// counterexample lengths are identical at every worker count
-	// (counterexamples stay shortest); which shortest counterexample is
-	// reported may vary. 0 — the default — without BFS selects the
-	// sequential DFS for safety; the CLIs and verifyd default to
-	// runtime.GOMAXPROCS(0). PartialOrder and ReportUnreached take the
-	// DFS regardless (see BFS); liveness search (LTL, weak/strong
-	// fairness) and AG-EF goal checks are always sequential — Workers is
-	// a documented no-op there.
+	// each BFS level of the safety and reachability searches on N
+	// goroutines over a sharded visited set; 1 and 0 (the default) run
+	// the same engine inline on the caller's goroutine. Verdicts,
+	// StatesStored, Reduced, and counterexample lengths are identical
+	// at every worker count (counterexamples stay shortest); which
+	// shortest counterexample is reported may vary. The CLIs and
+	// verifyd default to runtime.GOMAXPROCS(0). Liveness search (LTL,
+	// weak/strong fairness) and AG-EF goal checks are always
+	// sequential — Workers is a documented no-op there.
 	Workers int
 	// Storage groups the visited-set storage knobs; see StorageOptions.
 	Storage StorageOptions
@@ -130,8 +123,8 @@ type Options struct {
 	// Durability.Dir, and a search restarted with Durability.Resume
 	// continues from the log's last commit instead of state zero. Like
 	// Progress and Metrics it never influences verdicts — a resumed search
-	// stores exactly the states an uninterrupted one would. No-op for the
-	// sequential DFS and liveness search (see DurabilityOptions).
+	// stores exactly the states an uninterrupted one would. No-op for
+	// liveness search and ReportUnreached (see DurabilityOptions).
 	Durability *DurabilityOptions
 	// Progress, when non-nil, receives a periodic exploration snapshot
 	// every ProgressInterval plus one final snapshot — Spin-style
@@ -173,8 +166,8 @@ type Stats struct {
 	Truncated bool
 	Elapsed   time.Duration
 	// VisitedBytes is the peak resident size of the level engine's
-	// visited set (sampled at level barriers); 0 for DFS and bitstate
-	// runs. SpilledStates counts entries moved to disk segments under
+	// visited set (sampled at level barriers); 0 for liveness and AG-EF
+	// searches. SpilledStates counts entries moved to disk segments under
 	// Options.Storage.MemLimit. Both are observability fields: they vary
 	// with storage mode and budget while the verdict does not.
 	VisitedBytes  int64
@@ -258,89 +251,6 @@ func eventOf(sys *model.System, tr model.Transition) trace.Event {
 		ev.Partner = sys.ProcName(tr.Partner)
 	}
 	return ev
-}
-
-// visitedSet is the exploration's duplicate detector.
-type visitedSet interface {
-	// seen tests-and-sets the key, reporting whether it was present.
-	seen(key string) bool
-	// size returns the number of stored entries (approximate for bitstate).
-	size() int
-}
-
-type mapSet struct {
-	m map[string]struct{}
-}
-
-func newMapSet() *mapSet { return &mapSet{m: make(map[string]struct{}, 1024)} }
-
-func (s *mapSet) seen(key string) bool {
-	if _, ok := s.m[key]; ok {
-		return true
-	}
-	s.m[key] = struct{}{}
-	return false
-}
-
-func (s *mapSet) size() int { return len(s.m) }
-
-// bitstateSet is a double-hash Bloom-style bitstate table, the classic
-// Spin supertrace structure.
-type bitstateSet struct {
-	bits  []uint64
-	mask  uint64
-	count int
-}
-
-func newBitstateSet(bitsLog2 uint) *bitstateSet {
-	if bitsLog2 < 10 {
-		bitsLog2 = 10
-	}
-	n := uint64(1) << bitsLog2
-	return &bitstateSet{bits: make([]uint64, n/64), mask: n - 1}
-}
-
-// bitstateHashes is the double-hash pair of the bitstate tables: FNV-1a
-// with two different offset bases, shared by the sequential and parallel
-// (sharded) implementations so both mark identical bit positions. The
-// primary hash is exactly model.Hash64 (h1 of the full encoding equals
-// State.Fingerprint); the secondary derives its seeds from the same
-// constants rather than restating them.
-func bitstateHashes[T ~string | ~[]byte](key T, mask uint64) (uint64, uint64) {
-	offset, prime := model.Hash64Seeds()
-	h1 := offset
-	h2 := prime*31 + 7
-	for i := 0; i < len(key); i++ {
-		h1 = (h1 ^ uint64(key[i])) * prime
-		h2 = (h2 ^ uint64(key[i])) * (prime + 2)
-	}
-	return h1 & mask, h2 & mask
-}
-
-func (s *bitstateSet) seen(key string) bool {
-	a, b := bitstateHashes(key, s.mask)
-	hadA := s.bits[a/64]&(1<<(a%64)) != 0
-	hadB := s.bits[b/64]&(1<<(b%64)) != 0
-	if hadA && hadB {
-		return true
-	}
-	s.bits[a/64] |= 1 << (a % 64)
-	s.bits[b/64] |= 1 << (b % 64)
-	s.count++
-	return false
-}
-
-func (s *bitstateSet) size() int { return s.count }
-
-func (c *Checker) newVisited() visitedSet {
-	if c.opts.Storage.Bitstate {
-		bits := c.opts.Storage.BitstateBits
-		if bits == 0 {
-			bits = 24
-		}
-		return newBitstateSet(bits)
-	}
-	return newMapSet()
 }
 
 // cancelPollEvery bounds how often search loops consult the context: once

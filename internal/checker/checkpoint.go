@@ -25,9 +25,12 @@ import (
 // uninterrupted run would produce.
 //
 // Checkpointing applies only where the level barrier exists: the level
-// engine's safety and reachability searches, in every storage mode.
-// Sequential DFS, liveness search, and AG-EF goals ignore it silently —
-// the search still completes, it is just not resumable.
+// engine's safety and reachability searches, in every storage mode,
+// with or without partial-order reduction. Liveness search, AG-EF
+// goals, and safety searches with Options.ReportUnreached (a resumed
+// search could not know which edges the levels before its frontier
+// executed) ignore it silently — the search still completes, it is
+// just not resumable.
 type DurabilityOptions struct {
 	// Dir is the directory checkpoint files live in (created on demand).
 	Dir string
@@ -74,18 +77,21 @@ const (
 	ckptFrameBytes = 1 << 20
 )
 
-// ckptCommit is the 'C' record: identity (phase + model fingerprint, so
-// a log from another design or property kind is never resumed), the
-// depth of the last level, and the cumulative stats of the search at
-// that barrier. Stored is the number of entries before the commit.
+// ckptCommit is the 'C' record: identity (phase + model fingerprint +
+// reduction, so a log from another design, property kind, or
+// reduction setting is never resumed), the depth of the last level,
+// and the cumulative stats of the search at that barrier. Stored is the
+// number of entries before the commit.
 type ckptCommit struct {
 	Phase       string `json:"phase"`
 	Model       string `json:"model"`
+	POR         bool   `json:"por,omitempty"`
 	Depth       int    `json:"depth"`
 	Stored      int    `json:"stored"`
 	Matched     int    `json:"matched"`
 	Transitions int    `json:"transitions"`
 	MaxDepth    int    `json:"max_depth"`
+	Reduced     int    `json:"reduced,omitempty"`
 }
 
 // CheckpointFileName maps a checkpoint key to its file name within the
@@ -125,7 +131,7 @@ type checkpointer struct {
 // nil when it does not apply (no options or no key).
 func (c *Checker) newCheckpointer(phase string) *checkpointer {
 	o := c.opts.Durability
-	if o == nil || o.Dir == "" || o.Key == "" {
+	if o == nil || o.Dir == "" || o.Key == "" || c.opts.ReportUnreached {
 		return nil
 	}
 	ck := &checkpointer{c: c, opts: *o, phase: phase, modelID: modelFingerprint(c.sys)}
@@ -176,9 +182,9 @@ func (ck *checkpointer) extend(depth int, root, next []nodeEnc, st *Stats) error
 	}
 	ck.since = 0
 	cb, err := json.Marshal(ckptCommit{
-		Phase: ck.phase, Model: ck.modelID, Depth: depth,
+		Phase: ck.phase, Model: ck.modelID, POR: ck.c.opts.PartialOrder, Depth: depth,
 		Stored: st.StatesStored, Matched: st.StatesMatched,
-		Transitions: st.Transitions, MaxDepth: st.MaxDepth,
+		Transitions: st.Transitions, MaxDepth: st.MaxDepth, Reduced: st.Reduced,
 	})
 	if err != nil {
 		return err
@@ -277,7 +283,8 @@ func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, 
 		return nil, nil, 0, false
 	}
 	log, err := readCheckpoint(data)
-	if err != nil || log.commit.Phase != ck.phase || log.commit.Model != ck.modelID {
+	if err != nil || log.commit.Phase != ck.phase || log.commit.Model != ck.modelID ||
+		log.commit.POR != ck.c.opts.PartialOrder {
 		return nil, nil, 0, false
 	}
 	sys := ck.c.sys
@@ -318,6 +325,7 @@ func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, 
 	res.Stats.StatesMatched = c.Matched
 	res.Stats.Transitions = c.Transitions
 	res.Stats.MaxDepth = c.MaxDepth
+	res.Stats.Reduced = c.Reduced
 	return [][]parNode{front}, encs, c.Depth, true
 }
 

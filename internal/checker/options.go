@@ -10,7 +10,7 @@ type StorageOptions struct {
 	// sub-vectors in side tables and stores each state as a tuple of
 	// indices (Spin's -DCOLLAPSE analogue), cutting bytes/state
 	// severalfold at the cost of extra hashing. Membership stays exact
-	// either way. Ignored by the sequential DFS and by bitstate runs.
+	// either way. Ignored by bitstate runs.
 	Visited string
 	// MemLimit caps the resident bytes of the level engine's visited set
 	// (entries plus table overhead, the checker_visited_bytes gauge).

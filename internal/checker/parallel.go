@@ -3,6 +3,8 @@ package checker
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,18 +15,18 @@ import (
 	"pnp/internal/trace"
 )
 
-// The level engine is the checker's one breadth-first search: safety
-// under Options.BFS or Options.Workers >= 1, and every CheckReachable.
-// It explores one level at a time: all frontier nodes of depth d are
-// expanded (by Options.Workers goroutines pulling from a shared index,
-// or inline on the caller's goroutine at one worker) before any node of
-// depth d+1 is looked at. The barrier is what makes the search
+// The level engine is the checker's one safety search and every
+// CheckReachable. It explores one level at a time: all frontier nodes
+// of depth d are expanded (by Options.Workers goroutines pulling from a
+// shared index, or inline on the caller's goroutine at one worker)
+// before any node of depth d+1 is looked at. The barrier is what makes the search
 // worker-count-independent: the set of states at depth d+1 is exactly
 // successors(level d) minus the visited set after level d, no matter
 // how workers interleave, so verdicts, StatesStored, and counterexample
 // lengths match at every worker count. Violations found while expanding
 // a level are collected and adjudicated deterministically at the
-// barrier (see bestProblem) instead of racing to report first.
+// barrier (see bestProblem) instead of racing to report first, and
+// partial-order reduction decides at the barrier too (see ampleLevel).
 
 // parNode is one frontier entry. parent indexes the previous level's
 // slice (-1 in levels[0]); idx is the position of the transition that
@@ -88,8 +90,10 @@ type parWorker struct {
 	next     []parNode
 	nextEnc  []nodeEnc
 	problems []parProblem
+	executed map[*pml.Edge]bool // ReportUnreached only; merged at the end
 	trans    int
 	matched  int
+	reduced  int
 	busy     time.Duration
 	cc       *canceler
 }
@@ -103,16 +107,16 @@ type parRunner struct {
 	stop    atomic.Bool  // cancel or state limit: workers drain promptly
 	limit   atomic.Bool
 	cancel  atomic.Bool
+	// ample[i] is the process whose ample set the current level's node i
+	// expands, or -1 for a full expansion; nil without PartialOrder.
+	ample []int32
 
 	gFrontier, gWorkers, gVisitedBytes *obs.Gauge
 	cBusy                              *obs.Counter
 }
 
 func (c *Checker) newParRunner(phase string) *parRunner {
-	w := c.opts.Workers
-	if w < 1 {
-		w = 1
-	}
+	w := max(c.opts.Workers, 1)
 	r := &parRunner{c: c}
 	var contention, spilled *obs.Counter
 	if reg := c.opts.Metrics; reg != nil {
@@ -128,6 +132,9 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 	r.workers = make([]*parWorker, w)
 	for i := range r.workers {
 		r.workers[i] = &parWorker{arena: &model.Arena{}, cc: c.newCanceler()}
+		if c.opts.ReportUnreached && !c.opts.PartialOrder {
+			r.workers[i].executed = make(map[*pml.Edge]bool)
+		}
 	}
 	return r
 }
@@ -151,9 +158,9 @@ func (r *parRunner) close() {
 }
 
 // abort flags a worker-side stop condition. Cancellation and the state
-// limit drain the level early (their stats are best-effort, as in the
-// sequential DFS); violations do NOT stop the level — it must
-// complete so the stored set stays deterministic.
+// limit drain the level early (their stats are best-effort);
+// violations do NOT stop the level — it must complete so the stored
+// set stays deterministic.
 func (r *parRunner) abortCancel() { r.cancel.Store(true); r.stop.Store(true) }
 func (r *parRunner) abortLimit()  { r.limit.Store(true); r.stop.Store(true) }
 
@@ -212,7 +219,8 @@ func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, pro
 	for _, w := range r.workers {
 		res.Stats.Transitions += w.trans
 		res.Stats.StatesMatched += w.matched
-		w.trans, w.matched = 0, 0
+		res.Stats.Reduced += w.reduced
+		w.trans, w.matched, w.reduced = 0, 0, 0
 		next = append(next, w.next...)
 		w.next = w.next[:0]
 		nextEnc = append(nextEnc, w.nextEnc...)
@@ -240,8 +248,8 @@ func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, pro
 }
 
 // limitResult finishes a search that crossed MaxStates. StatesStored is
-// clamped to limit+1 — the value the sequential DFS reports when it
-// stores the first state past the limit and stops.
+// clamped to limit+1, the first state past the limit, whichever worker
+// stored it.
 func (r *parRunner) limitResult(res *Result) *Result {
 	if res.Stats.StatesStored > r.c.opts.MaxStates+1 {
 		res.Stats.StatesStored = r.c.opts.MaxStates + 1
@@ -329,23 +337,34 @@ func (r *parRunner) advance(levels [][]parNode, li int, next []parNode) [][]parN
 
 // expand is the per-node work of one level: generate the successors of
 // cur[i], encode each from cur[i]'s encoding curEnc[i], and feed them
-// through the visited set into w.next. A safety search also records the
-// node's own state problem and every violating transition as
-// adjudication candidates; a reachability search decides only
-// reachability and skips violating transitions.
+// through the visited set into w.next. A node the pre-pass reduced
+// takes only its ample process's run of the successors; the indices
+// stay positions in the full order, which parTrace replays. A safety
+// search also records the node's own state problem and every violating
+// transition as adjudication candidates; a reachability search decides
+// only reachability and skips violating transitions.
 func (w *parWorker) expand(r *parRunner, cur []parNode, curEnc []nodeEnc, i int, safety bool) {
 	c := r.c
 	node, pe := &cur[i], &curEnc[i]
 	w.trs = c.sys.SuccessorsAppend(node.st, w.arena, w.trs[:0])
-	w.trans += len(w.trs)
 	if safety {
 		if kind, msg := c.stateProblem(node.st, len(w.trs)); kind != NoViolation {
 			w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: kind, msg: msg})
 		}
 	}
+	lo, hi := 0, len(w.trs)
+	if r.ample != nil && r.ample[i] >= 0 {
+		p := int(r.ample[i])
+		lo = slices.IndexFunc(w.trs, func(tr model.Transition) bool { return tr.Proc == p })
+		for hi = lo; hi < len(w.trs) && w.trs[hi].Proc == p; hi++ {
+		}
+		w.recycle(w.trs[:lo])
+		w.recycle(w.trs[hi:])
+	}
+	w.trans += hi - lo
 	// Expand fully even after recording a problem: the level's stored
 	// set must not depend on which worker saw what first.
-	for ti := range w.trs {
+	for ti := lo; ti < hi; ti++ {
 		tr := w.trs[ti]
 		if tr.Violation != "" {
 			if safety {
@@ -354,6 +373,12 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, curEnc []nodeEnc, i int,
 				})
 			}
 			continue
+		}
+		if w.executed != nil {
+			w.executed[tr.Edge] = true
+			if tr.PartnerEdge != nil {
+				w.executed[tr.PartnerEdge] = true
+			}
 		}
 		w.scratch, w.ends = tr.Next.AppendComponentKeysFrom(node.st, pe.enc, pe.ends, w.scratch[:0], w.ends[:0])
 		if r.visited.seen(model.Hash64(w.scratch), w.scratch, w.ends) {
@@ -369,6 +394,45 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, curEnc []nodeEnc, i int,
 		w.next = append(w.next, parNode{st: tr.Next, parent: int32(i), idx: int32(ti)})
 		w.nextEnc = append(w.nextEnc, w.slab.add(w.scratch, w.ends))
 	}
+}
+
+// recycle returns the successor states of trs to the worker's arena.
+// A violating transition's Next is its source state and stays.
+func (w *parWorker) recycle(trs []model.Transition) {
+	for _, tr := range trs {
+		if tr.Violation == "" {
+			w.arena.Recycle(tr.Next)
+		}
+	}
+}
+
+// ampleLevel is partial-order reduction's pre-pass over cur, run before
+// any state of the next level is stored: it fills r.ample with each
+// node's decision. A node expands only its ample set
+// (model.AmpleSuccessors) if none of the ample successors is already
+// stored, that is, in the levels up to cur's. That proviso reads only
+// the set frozen at the barrier, so the decisions are a function of
+// the level set, identical at every worker count and storage tier; and
+// it is sound: on every cycle, the node at the deepest level has a
+// cycle successor already stored, so that node expands fully.
+func (r *parRunner) ampleLevel(cur []parNode, curEnc []nodeEnc) {
+	r.ample = slices.Grow(r.ample[:0], len(cur))[:len(cur)]
+	r.runLevel(len(cur), func(w *parWorker, i int) {
+		node, pe := &cur[i], &curEnc[i]
+		w.trs = r.c.sys.AmpleSuccessors(node.st, w.arena, w.trs[:0])
+		r.ample[i] = -1
+		if len(w.trs) > 0 && !slices.ContainsFunc(w.trs, func(tr model.Transition) bool {
+			if tr.Violation != "" {
+				return false
+			}
+			w.scratch, w.ends = tr.Next.AppendComponentKeysFrom(node.st, pe.enc, pe.ends, w.scratch[:0], w.ends[:0])
+			return r.visited.contains(model.Hash64(w.scratch), w.scratch, w.ends)
+		}) {
+			r.ample[i] = int32(w.trs[0].Proc)
+			w.reduced++
+		}
+		w.recycle(w.trs)
+	})
 }
 
 // scanTarget is the reachability search's pre-expansion pass: the whole
@@ -463,6 +527,9 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 		if !safety && r.scanTarget(levels, li, curEnc, target, res) {
 			return res
 		}
+		if safety && c.opts.PartialOrder {
+			r.ampleLevel(cur, curEnc)
+		}
 		prevStored := res.Stats.StatesStored
 		next, nextEnc, problems := r.expandLevel(res, li, cur, curEnc, safety)
 		m.level(&res.Stats, depth, len(cur), res.Stats.StatesStored-prevStored)
@@ -494,6 +561,12 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 	}
 	if !safety {
 		res.Message = "target state is unreachable"
+	}
+	if executed := r.workers[0].executed; safety && executed != nil {
+		for _, w := range r.workers[1:] {
+			maps.Copy(executed, w.executed)
+		}
+		res.Unreached = c.collectUnreached(executed)
 	}
 	return res
 }

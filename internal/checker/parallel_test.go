@@ -113,12 +113,12 @@ active proctype P() { x = 1; x = 2; x = 3 }`, "x < 3", InvariantViolation},
 
 // On a violation-free model the level engine explores exactly the set
 // of states the sequential BFS did. That engine was deleted once the
-// level engine took over Options.BFS; the literals are what it reported
-// for parOKSrc at the last commit that had it (87cea14), so the check it
-// provided survives its removal.
+// level engine took over breadth-first search; the literals are what it
+// reported for parOKSrc at the last commit that had it (87cea14), so the
+// check it provided survives its removal.
 func TestParallelSafetyStatsMatchSequentialBFS(t *testing.T) {
 	want := Stats{StatesStored: 92, StatesMatched: 65, Transitions: 156, MaxDepth: 26}
-	for _, opts := range []Options{{BFS: true}, {Workers: 2}} {
+	for _, opts := range []Options{{}, {Workers: 2}} {
 		res := New(sysFromSource(t, parOKSrc), opts).CheckSafety()
 		if !res.OK {
 			t.Fatalf("%+v: expected OK: %s", opts, res.Summary())
@@ -130,7 +130,7 @@ func TestParallelSafetyStatsMatchSequentialBFS(t *testing.T) {
 }
 
 // bfsIdentityModels are the models of this file and classics_test.go on
-// which Options{BFS: true} and Options{Workers: 1} must be one engine.
+// which Options{} and Options{Workers: 1} must be one engine.
 func bfsIdentityModels(t *testing.T) map[string]func() *model.System {
 	src := func(s string) func() *model.System {
 		return func() *model.System { return sysFromSource(t, s) }
@@ -154,11 +154,11 @@ active proctype Q() { byte y; b?y; a!1 }`),
 	}
 }
 
-// Options.BFS and Options.Workers: 1 select the same engine run the same
-// way: verdict, every stat, and the counterexample are identical.
+// Workers: 0 and Workers: 1 select the same engine run the same way:
+// verdict, every stat, and the counterexample are identical.
 func TestBFSIsTheLevelEngineAtOneWorker(t *testing.T) {
 	for name, mk := range bfsIdentityModels(t) {
-		bfs := New(mk(), Options{BFS: true}).CheckSafety()
+		bfs := New(mk(), Options{}).CheckSafety()
 		w1 := New(mk(), Options{Workers: 1}).CheckSafety()
 		if bfs.OK != w1.OK || bfs.Kind != w1.Kind || bfs.Message != w1.Message {
 			t.Errorf("%s: verdicts differ: BFS %s, Workers=1 %s", name, bfs.Summary(), w1.Summary())
@@ -189,7 +189,7 @@ active proctype P() {
 func TestParallelShortestCounterexample(t *testing.T) {
 	const seqLen = 8
 	for _, w := range append([]int{0}, parWorkerCounts...) {
-		par := New(sysFromSource(t, shortestCESrc), Options{BFS: true, Workers: w}).CheckSafety()
+		par := New(sysFromSource(t, shortestCESrc), Options{Workers: w}).CheckSafety()
 		if par.OK || par.Trace == nil {
 			t.Fatalf("workers=%d should find the assertion: %s", w, par.Summary())
 		}
@@ -254,11 +254,11 @@ func TestParallelUnreachableTarget(t *testing.T) {
 		t.Fatalf("x == 200 should be unreachable: %s", res.Summary())
 	}
 	// An exhaustive reachability search stores the whole state space:
-	// 92 states, what the sequential search (and DFS) stored at 87cea14.
-	dfs := New(sysFromSource(t, parOKSrc), Options{}).CheckSafety()
-	if res.Stats.StatesStored != 92 || dfs.Stats.StatesStored != 92 {
-		t.Errorf("exhaustive reachability stored %d states, DFS %d, want 92",
-			res.Stats.StatesStored, dfs.Stats.StatesStored)
+	// 92 states, what the sequential search stored at 87cea14.
+	safety := New(sysFromSource(t, parOKSrc), Options{}).CheckSafety()
+	if res.Stats.StatesStored != 92 || safety.Stats.StatesStored != 92 {
+		t.Errorf("exhaustive reachability stored %d states, safety %d, want 92",
+			res.Stats.StatesStored, safety.Stats.StatesStored)
 	}
 }
 
@@ -304,20 +304,6 @@ active proctype P() {
 	}
 }
 
-// Partial-order reduction and unreached reporting need the sequential
-// DFS; Workers must fall back rather than change those verdicts.
-func TestParallelFallsBackForPORAndUnreached(t *testing.T) {
-	base := New(sysFromSource(t, parOKSrc), Options{PartialOrder: true}).CheckSafety()
-	par := New(sysFromSource(t, parOKSrc), Options{PartialOrder: true, Workers: 8}).CheckSafety()
-	if !statsEqualIgnoringElapsed(par.Stats, base.Stats) {
-		t.Errorf("POR run changed under Workers: %+v vs %+v", par.Stats, base.Stats)
-	}
-	ru := New(sysFromSource(t, parOKSrc), Options{ReportUnreached: true, Workers: 8}).CheckSafety()
-	if !ru.OK {
-		t.Fatalf("unreached-reporting run failed: %s", ru.Summary())
-	}
-}
-
 // dispatchSrc has a branch no run can take (x is never 5) and two
 // processes with process-private moves for the reduction to postpone.
 const dispatchSrc = `
@@ -332,51 +318,38 @@ active proctype P() {
 }
 active proctype Q() { byte m; m = 1; m = 2; x = 1 }`
 
-// The engine-selection precedence of Options.BFS: PartialOrder and
-// ReportUnreached take the DFS that implements them whatever BFS and
-// Workers say; otherwise BFS or Workers >= 1 takes the level engine.
+// There is one safety engine: every combination of worker count,
+// reduction and unreached reporting runs the level engine's phase,
+// whose name the bench reads. Unreached edges are listed unless the
+// reduction is on.
 func TestEngineDispatch(t *testing.T) {
-	for _, tc := range []struct {
-		opts  Options
-		phase string
-	}{
-		{Options{}, "safety-dfs"},
-		{Options{BFS: true}, "safety-par-bfs"},
-		{Options{Workers: 1}, "safety-par-bfs"},
-		{Options{BFS: true, Workers: 4}, "safety-par-bfs"},
-		{Options{ReportUnreached: true}, "safety-dfs"},
-		{Options{BFS: true, ReportUnreached: true}, "safety-dfs"},
-		{Options{Workers: 4, ReportUnreached: true}, "safety-dfs"},
-		{Options{PartialOrder: true}, "safety-dfs-por"},
-		{Options{BFS: true, PartialOrder: true}, "safety-dfs-por"},
-		{Options{BFS: true, Workers: 4, PartialOrder: true}, "safety-dfs-por"},
-		{Options{BFS: true, PartialOrder: true, ReportUnreached: true}, "safety-dfs-por"},
-	} {
-		opts := tc.opts
-		name := fmt.Sprintf("bfs=%t workers=%d por=%t unreached=%t",
-			opts.BFS, opts.Workers, opts.PartialOrder, opts.ReportUnreached)
-		var phase string
-		opts.Progress = func(p Progress) { phase = p.Phase }
-		res := New(sysFromSource(t, dispatchSrc), opts).CheckSafety()
-		if !res.OK {
-			t.Fatalf("%s: %s", name, res.Summary())
-		}
-		if phase != tc.phase {
-			t.Errorf("%s: ran %q, want %q", name, phase, tc.phase)
-		}
-		if opts.ReportUnreached && !opts.PartialOrder {
-			found := false
-			for _, u := range res.Unreached {
-				found = found || strings.HasPrefix(u, "P: x = ")
+	for _, w := range []int{0, 1, 4} {
+		for _, opts := range []Options{{}, {PartialOrder: true}, {ReportUnreached: true}, {PartialOrder: true, ReportUnreached: true}} {
+			opts.Workers = w
+			name := fmt.Sprintf("workers=%d por=%t unreached=%t", w, opts.PartialOrder, opts.ReportUnreached)
+			var phase string
+			opts.Progress = func(p Progress) { phase = p.Phase }
+			res := New(sysFromSource(t, dispatchSrc), opts).CheckSafety()
+			if !res.OK {
+				t.Fatalf("%s: %s", name, res.Summary())
 			}
-			if !found {
-				t.Errorf("%s: dead branch not in Unreached: %q", name, res.Unreached)
+			if phase != "safety-par-bfs" {
+				t.Errorf("%s: ran %q, want safety-par-bfs", name, phase)
 			}
-		} else if len(res.Unreached) != 0 {
-			t.Errorf("%s: Unreached = %q, want none", name, res.Unreached)
-		}
-		if (res.Stats.Reduced > 0) != opts.PartialOrder {
-			t.Errorf("%s: Reduced = %d", name, res.Stats.Reduced)
+			if opts.ReportUnreached && !opts.PartialOrder {
+				found := false
+				for _, u := range res.Unreached {
+					found = found || strings.HasPrefix(u, "P: x = ")
+				}
+				if !found {
+					t.Errorf("%s: dead branch not in Unreached: %q", name, res.Unreached)
+				}
+			} else if len(res.Unreached) != 0 {
+				t.Errorf("%s: Unreached = %q, want none", name, res.Unreached)
+			}
+			if (res.Stats.Reduced > 0) != opts.PartialOrder {
+				t.Errorf("%s: Reduced = %d", name, res.Stats.Reduced)
+			}
 		}
 	}
 }
@@ -498,17 +471,34 @@ func TestShardedSetConcurrentExactCount(t *testing.T) {
 	}
 }
 
+// The sharded bitstate set marks exactly the two bitstateHashes bits of
+// each key, as a plain one-goroutine bit array does, and contains reads
+// them without setting any.
 func TestParBitstateSetMatchesSequentialBits(t *testing.T) {
-	seq := newBitstateSet(14)
-	par := newParBitstateSet(14, nil)
+	const bits = 14
+	seq := make([]bool, 1<<bits)
+	par := newParBitstateSet(bits, nil)
+	stored := 0
 	for i := 0; i < 500; i++ {
 		enc := encOf(i)
-		if got, want := par.seen(model.Hash64(enc), enc, nil), seq.seen(string(enc)); got != want {
+		a, b := bitstateHashes(enc, par.mask)
+		want := seq[a] && seq[b]
+		if got := par.contains(model.Hash64(enc), enc, nil); got != want {
+			t.Fatalf("key %d: contains %v before insert, sequential %v", i, got, want)
+		}
+		if got := par.seen(model.Hash64(enc), enc, nil); got != want {
 			t.Fatalf("key %d: parallel bitstate %v, sequential %v", i, got, want)
 		}
+		if !want {
+			stored++
+		}
+		seq[a], seq[b] = true, true
+		if !par.contains(model.Hash64(enc), enc, nil) {
+			t.Fatalf("key %d: not contained after insert", i)
+		}
 	}
-	if par.size() != seq.size() {
-		t.Fatalf("sizes diverge: %d vs %d", par.size(), seq.size())
+	if par.size() != stored {
+		t.Fatalf("sizes diverge: %d vs %d", par.size(), stored)
 	}
 }
 
@@ -554,10 +544,10 @@ func BenchmarkShardedVisited(b *testing.B) {
 	b.Run("MapSet", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := newMapSet()
+			s := make(map[string]struct{}, 1024)
 			for j := range encs {
-				s.seen(string(encs[j]))
-				s.seen(string(encs[j]))
+				_ = s[string(encs[j])]
+				s[string(encs[j])] = struct{}{}
 			}
 		}
 	})

@@ -1,7 +1,12 @@
 package checker
 
 import (
+	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"pnp/internal/checker/ref"
 )
 
 // porPair runs the same source with and without partial-order reduction.
@@ -127,4 +132,89 @@ active proctype P1() {
 	if por.Stats.StatesStored > full.Stats.StatesStored {
 		t.Errorf("POR did not reduce: %d vs %d", por.Stats.StatesStored, full.Stats.StatesStored)
 	}
+}
+
+// porProgram is a random program that, half the time, also has a local
+// spin loop: a process whose only moves are process-private and never
+// end, the shape the cycle proviso exists for. Half the time it also
+// has an assertion on the globals, which may fail.
+func porProgram(r *rand.Rand) string {
+	src := randomProgram(r) + drainer
+	if r.Intn(2) == 0 {
+		src += "active proctype Spin() { byte s; end: do :: s = 1 - s od }\n"
+	}
+	if r.Intn(2) == 0 {
+		src += "active proctype W() { g0 > 0 -> assert(g1 == 0) }\n"
+	}
+	return src
+}
+
+// TestPORDeterministicAcrossWorkersAndStorage: the reduction decides
+// from the visited set frozen at the level barrier, so the verdict,
+// every stat (Reduced included) and the counterexample length are the
+// same at every worker count and storage tier, and after a resume from
+// a checkpoint taken at a random level. The verdict is the reference
+// search's, from no more states.
+func TestPORDeterministicAcrossWorkersAndStorage(t *testing.T) {
+	programs := 24
+	if testing.Short() {
+		programs = 8 // the race job runs -short
+	}
+	r := rand.New(rand.NewSource(38))
+	for i := 0; i < programs; i++ {
+		src := porProgram(r)
+		base := New(sysFromSource(t, src), Options{PartialOrder: true}).CheckSafety()
+		if want := ref.Check(sysFromSource(t, src)); refProblem(base) != want.Problem || base.Stats.StatesStored > want.Stored {
+			t.Fatalf("program %d: POR found %q storing %d states, reference %q storing %d\n%s",
+				i, refProblem(base), base.Stats.StatesStored, want.Problem, want.Stored, src)
+		}
+		for _, w := range []int{0, 1, 2, 8} {
+			for _, tier := range []string{"exact", "collapse", "spill", "resume"} {
+				opts := Options{PartialOrder: true, Workers: w}
+				skipped := 0 // levels a resumed counterexample starts past
+				switch tier {
+				case "collapse":
+					opts.Storage.Visited = VisitedCollapse
+				case "spill":
+					opts.Storage = StorageOptions{MemLimit: 1024, SpillDir: t.TempDir()}
+				case "resume":
+					skipped = 1 + r.Intn(base.Stats.MaxDepth)
+					opts.Durability = porSnapshot(t, src, skipped)
+				}
+				res := New(sysFromSource(t, src), opts).CheckSafety()
+				if res.OK != base.OK || res.Kind != base.Kind || !statsEqualIgnoringElapsed(res.Stats, base.Stats) {
+					t.Fatalf("program %d, workers=%d %s: %s %+v, want %s %+v\n%s",
+						i, w, tier, res.Summary(), res.Stats, base.Summary(), base.Stats, src)
+				}
+				if !base.OK && res.Trace.Len()+skipped != base.Trace.Len() {
+					t.Fatalf("program %d, workers=%d %s: counterexample of %d steps after %d, want %d\n%s",
+						i, w, tier, res.Trace.Len(), skipped, base.Trace.Len(), src)
+				}
+			}
+		}
+	}
+}
+
+// porSnapshot runs a reduced, checkpointed search of src on two workers
+// and returns options resuming from the log it had committed at depth,
+// the file a search killed at that barrier leaves behind.
+func porSnapshot(t *testing.T, src string, depth int) *DurabilityOptions {
+	t.Helper()
+	var stolen []byte
+	New(sysFromSource(t, src), Options{PartialOrder: true, Workers: 2, Durability: &DurabilityOptions{
+		Dir: t.TempDir(), Key: "por",
+		OnWrite: func(file string, d, _ int) {
+			if d == depth {
+				stolen, _ = os.ReadFile(file)
+			}
+		},
+	}}).CheckSafety()
+	if stolen == nil {
+		t.Fatalf("no checkpoint committed at depth %d\n%s", depth, src)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, CheckpointFileName("por")), stolen, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return &DurabilityOptions{Dir: dir, Key: "por", Resume: true}
 }

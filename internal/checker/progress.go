@@ -16,8 +16,8 @@ import (
 // Options.Progress every Options.ProgressInterval, plus one final
 // snapshot (Final == true) when the search ends.
 type Progress struct {
-	// Phase names the search: "safety-dfs", "safety-dfs-por",
-	// "safety-par-bfs", "reachability-par", "liveness" or "ag-ef".
+	// Phase names the search: "safety-par-bfs", "reachability-par",
+	// "liveness" or "ag-ef".
 	Phase string
 	// Exploration counters so far.
 	StatesStored  int
@@ -25,8 +25,7 @@ type Progress struct {
 	Transitions   int
 	Depth         int
 	Reduced       int
-	// Frontier is the size of the current BFS level (parallel engines
-	// only; 0 for depth-first searches).
+	// Frontier is the size of the current BFS level.
 	Frontier int
 	// Elapsed is the time since the search started; StatesPerSec is the
 	// average storage rate over that window.
@@ -108,34 +107,11 @@ func (c *Checker) newMeter(phase string) *meter {
 	return m
 }
 
-// tick is called once per stored state; it emits a snapshot when the
-// interval has elapsed. Cheap when not due: one decrement and compare.
-func (m *meter) tick(st *Stats, depth int) { m.tickN(st, depth, 1) }
-
-// tickN credits n stored states at once — the parallel engine calls it
-// at each level barrier instead of per state, so workers never touch
-// the meter.
-func (m *meter) tickN(st *Stats, depth, n int) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.countdown -= n
-	if m.countdown > 0 {
-		return
-	}
-	m.countdown = meterCheckEvery
-	now := time.Now()
-	if now.Before(m.next) {
-		return
-	}
-	m.next = now.Add(m.interval)
-	m.emit(st, depth, now, false)
-}
-
-// level is tickN plus trace bookkeeping: the parallel engines call it at
-// each level barrier with the frontier size, which becomes a span event
-// (the per-level timeline in the Chrome view) and the Frontier field of
-// subsequent snapshots.
+// level is called by the searches at each level barrier with the
+// frontier size, which becomes a span event (the per-level timeline in
+// the Chrome view) and the Frontier field of subsequent snapshots, and
+// the n states stored since the last call; it emits a snapshot when the
+// interval has elapsed. Workers never touch the meter.
 func (m *meter) level(st *Stats, depth, frontier, n int) {
 	if m == nil {
 		return
@@ -147,7 +123,16 @@ func (m *meter) level(st *Stats, depth, frontier, n int) {
 			tracing.A("frontier", strconv.Itoa(frontier)),
 			tracing.A("stored", strconv.Itoa(st.StatesStored)))
 	}
-	m.tickN(st, depth, n)
+	if m.countdown -= max(n, 0); m.countdown > 0 {
+		return
+	}
+	m.countdown = meterCheckEvery
+	now := time.Now()
+	if now.Before(m.next) {
+		return
+	}
+	m.next = now.Add(m.interval)
+	m.emit(st, depth, now, false)
 }
 
 // finish emits the final snapshot and ends the phase span; call it

@@ -31,7 +31,7 @@ active proctype R() {
 	od
 }`
 
-func TestProgressCallbackDFS(t *testing.T) {
+func TestProgressCallbackSafety(t *testing.T) {
 	s := sysFromSource(t, progressSource)
 	var snaps []Progress
 	res := New(s, Options{
@@ -54,8 +54,8 @@ func TestProgressCallbackDFS(t *testing.T) {
 			t.Error("non-last snapshot marked Final")
 		}
 	}
-	if last.Phase != "safety-dfs" {
-		t.Errorf("phase = %q, want safety-dfs", last.Phase)
+	if last.Phase != "safety-par-bfs" {
+		t.Errorf("phase = %q, want safety-par-bfs", last.Phase)
 	}
 	if last.StatesStored != res.Stats.StatesStored {
 		t.Errorf("final snapshot states = %d, want %d", last.StatesStored, res.Stats.StatesStored)
@@ -80,7 +80,7 @@ func TestProgressCallbackBFSPhase(t *testing.T) {
 	var phases []string
 	res := New(s, Options{
 		IgnoreDeadlock:   true,
-		BFS:              true,
+		Workers:          2,
 		Progress:         func(p Progress) { phases = append(phases, p.Phase) },
 		ProgressInterval: time.Nanosecond,
 	}).CheckSafety()
@@ -99,11 +99,11 @@ func TestProgressMetricsRegistry(t *testing.T) {
 	if !res.OK {
 		t.Fatalf("expected OK: %s", res.Summary())
 	}
-	stored := reg.Counter(obs.Labels("checker_states_stored_total", "phase", "safety-dfs")).Value()
+	stored := reg.Counter(obs.Labels("checker_states_stored_total", "phase", "safety-par-bfs")).Value()
 	if stored != int64(res.Stats.StatesStored) {
 		t.Errorf("metric states stored = %d, want %d", stored, res.Stats.StatesStored)
 	}
-	trans := reg.Counter(obs.Labels("checker_transitions_total", "phase", "safety-dfs")).Value()
+	trans := reg.Counter(obs.Labels("checker_transitions_total", "phase", "safety-par-bfs")).Value()
 	if trans != int64(res.Stats.Transitions) {
 		t.Errorf("metric transitions = %d, want %d", trans, res.Stats.Transitions)
 	}

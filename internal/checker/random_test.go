@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"pnp/internal/checker/ref"
 	"pnp/internal/ltl"
 	"pnp/internal/model"
 	"pnp/internal/pml"
@@ -66,50 +67,45 @@ active proctype Drain() {
 }
 `
 
-// TestRandomProgramsVerdictAgreement: for random programs, the DFS, BFS,
-// and partial-order-reduced searches must agree on the verdict, and POR
-// must never store more states than the full search. The level engine at
-// every worker count is held to the DFS too: same verdict kind, the same
-// StatesStored on violation-free programs, and one counterexample length
-// across worker counts.
+// refProblem renders a verdict the way ref.Result.Problem does.
+func refProblem(res *Result) string {
+	switch {
+	case res.OK:
+		return ""
+	case res.Kind == Deadlock:
+		return "deadlock"
+	}
+	return res.Message
+}
+
+// TestRandomProgramsVerdictAgreement: for random programs, the level
+// engine at every worker count agrees with the reference search (ref)
+// on the problem found, StatesStored, and counterexample length. The
+// partial-order-reduced search agrees with it on the problem found and
+// never stores more states.
 func TestRandomProgramsVerdictAgreement(t *testing.T) {
 	r := rand.New(rand.NewSource(20260707))
 	for i := 0; i < 120; i++ {
 		src := randomProgram(r) + drainer
-		dfs := New(sysFromSource(t, src), Options{}).CheckSafety()
-		bfs := New(sysFromSource(t, src), Options{BFS: true}).CheckSafety()
+		want := ref.Check(sysFromSource(t, src))
+		for _, w := range append([]int{0}, parWorkerCounts...) {
+			got := New(sysFromSource(t, src), Options{Workers: w}).CheckSafety()
+			if refProblem(got) != want.Problem || got.Stats.StatesStored != want.Stored {
+				t.Fatalf("program %d: Workers=%d found %q storing %d states, reference %q storing %d\n%s",
+					i, w, refProblem(got), got.Stats.StatesStored, want.Problem, want.Stored, src)
+			}
+			if !got.OK && got.Trace.Len() != want.CELen {
+				t.Fatalf("program %d: counterexample length %d at Workers=%d, reference %d\n%s",
+					i, got.Trace.Len(), w, want.CELen, src)
+			}
+		}
 		por := New(sysFromSource(t, src), Options{PartialOrder: true}).CheckSafety()
-
-		if dfs.OK != bfs.OK || dfs.Kind != bfs.Kind {
-			t.Fatalf("program %d: DFS=(%v,%s) BFS=(%v,%s)\n%s",
-				i, dfs.OK, dfs.Kind, bfs.OK, bfs.Kind, src)
+		if refProblem(por) != want.Problem {
+			t.Fatalf("program %d: POR found %q, reference %q\n%s", i, refProblem(por), want.Problem, src)
 		}
-		if dfs.OK != por.OK || dfs.Kind != por.Kind {
-			t.Fatalf("program %d: DFS=(%v,%s) POR=(%v,%s)\n%s",
-				i, dfs.OK, dfs.Kind, por.OK, por.Kind, src)
-		}
-		if dfs.Stats.StatesStored != bfs.Stats.StatesStored {
-			t.Fatalf("program %d: DFS stored %d states, BFS %d\n%s",
-				i, dfs.Stats.StatesStored, bfs.Stats.StatesStored, src)
-		}
-		if por.Stats.StatesStored > dfs.Stats.StatesStored {
+		if por.Stats.StatesStored > want.Stored {
 			t.Fatalf("program %d: POR stored MORE states (%d > %d)\n%s",
-				i, por.Stats.StatesStored, dfs.Stats.StatesStored, src)
-		}
-		for _, w := range parWorkerCounts {
-			par := New(sysFromSource(t, src), Options{Workers: w}).CheckSafety()
-			if dfs.OK != par.OK || dfs.Kind != par.Kind {
-				t.Fatalf("program %d: DFS=(%v,%s) Workers=%d=(%v,%s)\n%s",
-					i, dfs.OK, dfs.Kind, w, par.OK, par.Kind, src)
-			}
-			if dfs.OK && dfs.Stats.StatesStored != par.Stats.StatesStored {
-				t.Fatalf("program %d: DFS stored %d states, Workers=%d %d\n%s",
-					i, dfs.Stats.StatesStored, w, par.Stats.StatesStored, src)
-			}
-			if !dfs.OK && par.Trace.Len() != bfs.Trace.Len() {
-				t.Fatalf("program %d: counterexample length %d at Workers=%d, %d under BFS\n%s",
-					i, par.Trace.Len(), w, bfs.Trace.Len(), src)
-			}
+				i, por.Stats.StatesStored, want.Stored, src)
 		}
 	}
 }

@@ -11,23 +11,13 @@ import (
 	"pnp/internal/trace"
 )
 
-// CheckSafety explores the reachable state space and reports the first
-// assertion violation, runtime error, invariant violation, or invalid end
-// state (deadlock). PartialOrder and ReportUnreached need a stack and
-// run the sequential DFS whatever else is set; otherwise Workers >= 1 or
-// BFS runs the level engine (shortest counterexamples); otherwise DFS.
+// CheckSafety explores the reachable state space breadth-first on the
+// level engine and reports the first assertion violation, runtime
+// error, invariant violation, or invalid end state (deadlock), with a
+// shortest counterexample.
 func (c *Checker) CheckSafety() *Result {
 	var res *Result
-	needsStack := c.opts.PartialOrder || c.opts.ReportUnreached
-	if !needsStack && (c.opts.Workers >= 1 || c.opts.BFS) {
-		withPhaseLabel("safety-par-bfs", func() { res = c.searchLevels("safety-par-bfs", nil) })
-	} else {
-		phase := "safety-dfs"
-		if c.opts.PartialOrder {
-			phase = "safety-dfs-por"
-		}
-		withPhaseLabel(phase, func() { res = c.checkSafetyDFS() })
-	}
+	withPhaseLabel("safety-par-bfs", func() { res = c.searchLevels("safety-par-bfs", nil) })
 	return res
 }
 
@@ -85,160 +75,6 @@ func violationKind(msg string) ViolationKind {
 		return Assertion
 	}
 	return RuntimeError
-}
-
-type dfsFrame struct {
-	st  *model.State
-	key string
-	in  model.Transition // transition that produced this frame; Edge==nil at root
-	trs []model.Transition
-	idx int
-}
-
-func (c *Checker) checkSafetyDFS() *Result {
-	start := time.Now()
-	visited := c.newVisited()
-	res := &Result{OK: true}
-	defer func() { res.Stats.Elapsed = time.Since(start) }()
-	phase := "safety-dfs"
-	if c.opts.PartialOrder {
-		phase = "safety-dfs-por"
-	}
-	m := c.newMeter(phase)
-	defer func() { m.finish(&res.Stats, res.Stats.MaxDepth) }()
-	cc := c.newCanceler()
-
-	var executed map[*pml.Edge]bool
-	if c.opts.ReportUnreached && !c.opts.PartialOrder {
-		executed = make(map[*pml.Edge]bool)
-	}
-	mark := func(trs []model.Transition) {
-		if executed == nil {
-			return
-		}
-		for _, tr := range trs {
-			if tr.Violation != "" {
-				continue
-			}
-			executed[tr.Edge] = true
-			if tr.PartnerEdge != nil {
-				executed[tr.PartnerEdge] = true
-			}
-		}
-	}
-
-	// onStack supports the partial-order reduction's cycle proviso: an
-	// ample set whose successor closes a cycle on the DFS stack could
-	// postpone other processes forever, so such states expand fully.
-	onStack := map[string]bool{}
-	succsOf := func(st *model.State) []model.Transition {
-		if c.opts.PartialOrder {
-			if trs, ok := c.sys.AmpleSuccessors(st); ok {
-				closes := false
-				for _, tr := range trs {
-					if tr.Violation == "" && onStack[tr.Next.Key()] {
-						closes = true
-						break
-					}
-				}
-				if !closes {
-					res.Stats.Reduced++
-					return trs
-				}
-			}
-		}
-		return c.sys.Successors(st)
-	}
-
-	pathEvents := func(stack []dfsFrame, extra *model.Transition) *trace.Trace {
-		t := &trace.Trace{}
-		for i := 1; i < len(stack); i++ {
-			t.Prefix = append(t.Prefix, eventOf(c.sys, stack[i].in))
-		}
-		if extra != nil {
-			t.Prefix = append(t.Prefix, eventOf(c.sys, *extra))
-		}
-		return t
-	}
-
-	fail := func(stack []dfsFrame, extra *model.Transition, kind ViolationKind, msg string) *Result {
-		res.OK = false
-		res.Kind = kind
-		res.Message = msg
-		res.Trace = pathEvents(stack, extra)
-		res.Trace.Final = msg
-		return res
-	}
-
-	init := c.sys.InitialState()
-	initKey := init.Key()
-	visited.seen(initKey)
-	onStack[initKey] = true
-	res.Stats.StatesStored = 1
-
-	initTrs := succsOf(init)
-	mark(initTrs)
-	res.Stats.Transitions += len(initTrs)
-	stack := []dfsFrame{{st: init, key: initKey, trs: initTrs}}
-	if kind, msg := c.stateProblem(init, len(initTrs)); kind != NoViolation {
-		return fail(stack, nil, kind, msg)
-	}
-
-	for len(stack) > 0 {
-		if cc.hit() {
-			return cc.cancelResult(res)
-		}
-		if len(stack) > res.Stats.MaxDepth {
-			res.Stats.MaxDepth = len(stack)
-		}
-		top := &stack[len(stack)-1]
-		if top.idx >= len(top.trs) {
-			delete(onStack, top.key)
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		tr := top.trs[top.idx]
-		top.idx++
-
-		if tr.Violation != "" {
-			return fail(stack, &tr, violationKind(tr.Violation), tr.Violation)
-		}
-		key := tr.Next.Key()
-		if visited.seen(key) {
-			res.Stats.StatesMatched++
-			continue
-		}
-		res.Stats.StatesStored++
-		m.tick(&res.Stats, len(stack))
-		if c.opts.MaxStates > 0 && res.Stats.StatesStored > c.opts.MaxStates {
-			res.Stats.Truncated = true
-			res.OK = false
-			res.Kind = SearchLimit
-			res.Message = fmt.Sprintf("state limit %d exceeded", c.opts.MaxStates)
-			return res
-		}
-		if c.opts.MaxDepth > 0 && len(stack) >= c.opts.MaxDepth {
-			res.Stats.Truncated = true
-			continue
-		}
-		onStack[key] = true
-		succ := succsOf(tr.Next)
-		mark(succ)
-		res.Stats.Transitions += len(succ)
-		stack = append(stack, dfsFrame{st: tr.Next, key: key, in: tr, trs: succ})
-		if kind, msg := c.stateProblem(tr.Next, len(succ)); kind != NoViolation {
-			return fail(stack, nil, kind, msg)
-		}
-	}
-	if res.Stats.Truncated {
-		res.OK = false
-		res.Kind = SearchLimit
-		res.Message = fmt.Sprintf("depth limit %d reached; search incomplete", c.opts.MaxDepth)
-	}
-	if executed != nil && !res.Stats.Truncated {
-		res.Unreached = c.collectUnreached(executed)
-	}
-	return res
 }
 
 // CheckReachable searches breadth-first for a state satisfying target.

@@ -1,9 +1,11 @@
 package checker
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"pnp/internal/checker/ref"
 	"pnp/internal/model"
 	"pnp/internal/pml"
 )
@@ -193,7 +195,8 @@ active [2] proctype P() {
 }
 
 func TestBFSShortestCounterexample(t *testing.T) {
-	// The bug is reachable in 2 steps, but DFS may wander first.
+	// The bug is reachable in 3 steps, but a depth-first search may
+	// wander first.
 	src := `
 byte x;
 active proctype P() {
@@ -205,15 +208,13 @@ active proctype P() {
 active proctype Watch() {
 	x == 99 -> assert(false)
 }`
-	s1 := sysFromSource(t, src)
-	dfs := New(s1, Options{IgnoreDeadlock: true}).CheckSafety()
-	s2 := sysFromSource(t, src)
-	bfs := New(s2, Options{IgnoreDeadlock: true, BFS: true}).CheckSafety()
-	if dfs.OK || bfs.OK {
-		t.Fatalf("both searches should find the bug: dfs=%v bfs=%v", dfs.OK, bfs.OK)
+	want := ref.Check(sysFromSource(t, src))
+	bfs := New(sysFromSource(t, src), Options{IgnoreDeadlock: true}).CheckSafety()
+	if bfs.OK || want.Problem == "" {
+		t.Fatalf("both searches should find the bug: bfs=%v ref=%q", bfs.OK, want.Problem)
 	}
-	if bfs.Trace.Len() > dfs.Trace.Len() {
-		t.Errorf("BFS trace (%d) longer than DFS trace (%d)", bfs.Trace.Len(), dfs.Trace.Len())
+	if bfs.Trace.Len() != want.CELen {
+		t.Errorf("BFS trace (%d) differs from the reference search's (%d)", bfs.Trace.Len(), want.CELen)
 	}
 	if bfs.Trace.Len() != 3 { // x=99; guard; assert
 		t.Errorf("BFS trace length = %d, want 3:\n%s", bfs.Trace.Len(), bfs.Trace)
@@ -368,9 +369,17 @@ active proctype Q() { byte v; do :: c?v -> y = v :: y == 5 -> break od }`
 	}
 }
 
+// TestReportUnreached: the lists are the ones the sequential DFS that
+// used to implement ReportUnreached printed (at 8da67dd), at every
+// worker count: the executed-edge set is the same whichever engine
+// or worker executes the edges.
 func TestReportUnreached(t *testing.T) {
-	// The x==99 branch can never fire: x stays below 3.
-	s := sysFromSource(t, `
+	for _, tc := range []struct {
+		src  string
+		want []string
+	}{
+		// The x==99 branch can never fire: x stays below 3.
+		{`
 byte x;
 active proctype P() {
 	do
@@ -378,46 +387,38 @@ active proctype P() {
 	:: x == 99 -> x = 0
 	:: x == 2 -> break
 	od
-}`)
-	res := New(s, Options{ReportUnreached: true}).CheckSafety()
-	if !res.OK {
-		t.Fatalf("got %s", res.Summary())
-	}
-	found := false
-	for _, u := range res.Unreached {
-		if strings.Contains(u, "P:") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("dead branch not reported; unreached = %v", res.Unreached)
-	}
-
-	// A fully exercised proctype reports nothing.
-	s2 := sysFromSource(t, `
+}`, []string{"P: guard at 5:5", "P: guard at 6:5", "P: guard at 7:5", "P: guard at 6:5", "P: x = ... at 6:16"}},
+		// A fully exercised proctype reports nothing.
+		{`
 byte y;
-active proctype Q() { y = 1; y = 2 }`)
-	res2 := New(s2, Options{ReportUnreached: true}).CheckSafety()
-	if !res2.OK || len(res2.Unreached) != 0 {
-		t.Errorf("unexpected unreached report: %v", res2.Unreached)
+active proctype Q() { y = 1; y = 2 }`, nil},
+		{dispatchSrc, []string{"P: l = ... at 5:2", "P: guard at 7:5", "P: x = ... at 7:15", "Q: m = ... at 11:31"}},
+	} {
+		for _, w := range []int{0, 1, 4} {
+			res := New(sysFromSource(t, tc.src), Options{ReportUnreached: true, Workers: w}).CheckSafety()
+			if !res.OK {
+				t.Fatalf("workers=%d: got %s", w, res.Summary())
+			}
+			if !slices.Equal(res.Unreached, tc.want) {
+				t.Errorf("workers=%d: unreached = %q, want %q", w, res.Unreached, tc.want)
+			}
+		}
 	}
 }
 
-func TestDFSAndBFSAgreeOnStateCount(t *testing.T) {
+func TestLevelEngineAndRefAgreeOnStateCount(t *testing.T) {
 	src := `
 byte x;
 chan c = [2] of { byte };
 active proctype P() { c!1; c!2; x = 1 }
 active proctype Q() { byte v; c?v; c?v }`
-	s1 := sysFromSource(t, src)
-	dfs := New(s1, Options{}).CheckSafety()
-	s2 := sysFromSource(t, src)
-	bfs := New(s2, Options{BFS: true}).CheckSafety()
-	if !dfs.OK || !bfs.OK {
-		t.Fatalf("dfs=%s bfs=%s", dfs.Summary(), bfs.Summary())
+	want := ref.Check(sysFromSource(t, src))
+	bfs := New(sysFromSource(t, src), Options{}).CheckSafety()
+	if !bfs.OK || want.Problem != "" {
+		t.Fatalf("bfs=%s ref=%q", bfs.Summary(), want.Problem)
 	}
-	if dfs.Stats.StatesStored != bfs.Stats.StatesStored {
-		t.Errorf("state counts differ: DFS %d, BFS %d",
-			dfs.Stats.StatesStored, bfs.Stats.StatesStored)
+	if want.Stored != bfs.Stats.StatesStored {
+		t.Errorf("state counts differ: reference %d, level engine %d",
+			want.Stored, bfs.Stats.StatesStored)
 	}
 }

@@ -82,12 +82,20 @@ func newSpillSet(mem visitedDrainer, limit int64, dir string, spilled *obs.Count
 }
 
 func (s *spillSet) seen(fp uint64, enc []byte, ends []int) bool {
+	return s.spilledHas(fp, enc) || s.mem.seen(fp, enc, ends)
+}
+
+func (s *spillSet) contains(fp uint64, enc []byte, ends []int) bool {
+	return s.spilledHas(fp, enc) || s.mem.contains(fp, enc, ends)
+}
+
+func (s *spillSet) spilledHas(fp uint64, enc []byte) bool {
 	for _, seg := range s.segs {
 		if seg.contains(fp, enc) {
 			return true
 		}
 	}
-	return s.mem.seen(fp, enc, ends)
+	return false
 }
 
 // size is the total membership: spilled entries plus the in-memory tier.

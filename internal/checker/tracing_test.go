@@ -129,7 +129,7 @@ func TestCheckerSpanWithoutContext(t *testing.T) {
 		t.Fatalf("expected OK: %s", res.Summary())
 	}
 	spans := rec.Spans()
-	if len(spans) != 1 || spans[0].Name != "checker:safety-dfs" || spans[0].Parent != "" {
-		t.Fatalf("spans = %+v, want one root checker:safety-dfs span", spans)
+	if len(spans) != 1 || spans[0].Name != "checker:safety-par-bfs" || spans[0].Parent != "" {
+		t.Fatalf("spans = %+v, want one root checker:safety-par-bfs span", spans)
 	}
 }

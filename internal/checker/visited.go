@@ -21,6 +21,10 @@ import (
 // by the caller afterwards.
 type parVisited interface {
 	seen(fp uint64, enc []byte, ends []int) bool
+	// contains is seen without the set: it reports whether the state is
+	// present and stores nothing. Partial-order reduction's proviso
+	// reads the set through it between level barriers.
+	contains(fp uint64, enc []byte, ends []int) bool
 	size() int
 	// bytes estimates the resident memory of the structure: stored
 	// entries plus table overhead. It feeds the checker_visited_bytes
@@ -263,6 +267,13 @@ func (s *shardedSet) seen(fp uint64, enc []byte, _ []int) bool {
 	return had
 }
 
+func (s *shardedSet) contains(fp uint64, enc []byte, _ []int) bool {
+	sh := &s.shards[fp%visitedShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.t.lookup(fp, enc)
+}
+
 func (s *shardedSet) size() int { return int(s.stored.Load()) }
 
 func (s *shardedSet) bytes() int64 {
@@ -307,16 +318,21 @@ type collapseTable struct {
 	starts []uint64
 }
 
-func (ct *collapseTable) intern(b []byte) uint32 {
+// intern returns b's intern index, interning b first if add is set;
+// without add, an absent b reports false.
+func (ct *collapseTable) intern(b []byte, add bool) (uint32, bool) {
 	fp := model.Hash64(b)
 	ct.mu.RLock()
 	slot, ok := ct.t.find(fp, b)
 	if ok {
 		idx := ct.t.idxs[slot]
 		ct.mu.RUnlock()
-		return idx
+		return idx, true
 	}
 	ct.mu.RUnlock()
+	if !add {
+		return 0, false
+	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.t.ensure()
@@ -325,11 +341,11 @@ func (ct *collapseTable) intern(b []byte) uint32 {
 	}
 	slot, ok = ct.t.find(fp, b)
 	if ok {
-		return ct.t.idxs[slot]
+		return ct.t.idxs[slot], true
 	}
 	idx := uint32(len(ct.starts))
 	ct.starts = append(ct.starts, ct.t.insertAt(slot, fp, b, idx))
-	return idx
+	return idx, true
 }
 
 func (ct *collapseTable) entry(idx uint32) []byte {
@@ -370,6 +386,35 @@ func newCollapseSet(shape *model.State, contention *obs.Counter) *collapseSet {
 }
 
 func (s *collapseSet) seen(fp uint64, enc []byte, ends []int) bool {
+	sh := &s.shards[fp%visitedShards]
+	if !sh.mu.TryLock() {
+		s.contention.Add(1)
+		sh.mu.Lock()
+	}
+	tuple, _ := s.tuple(sh, enc, ends, true)
+	// Equal tuples are equal states, so the state fingerprint keys the
+	// tuple in the stripe table as well as routing to the stripe.
+	had := sh.t.testAndSet(fp, tuple)
+	sh.mu.Unlock()
+	if !had {
+		s.stored.Add(1)
+	}
+	return had
+}
+
+func (s *collapseSet) contains(fp uint64, enc []byte, ends []int) bool {
+	sh := &s.shards[fp%visitedShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	tuple, ok := s.tuple(sh, enc, ends, false)
+	return ok && sh.t.lookup(fp, tuple)
+}
+
+// tuple builds the index tuple of enc in sh.scratch, sh locked,
+// interning its components if add is set. Without add it reports false
+// at the first component never interned, which no stored state has.
+// Nil ends are recomputed from the system shape.
+func (s *collapseSet) tuple(sh *visitedShard, enc []byte, ends []int, add bool) ([]byte, bool) {
 	if ends == nil {
 		var err error
 		ends, err = model.ComponentEnds(s.shape, enc, nil)
@@ -380,26 +425,18 @@ func (s *collapseSet) seen(fp uint64, enc []byte, ends []int) bool {
 			ends = []int{len(enc)}
 		}
 	}
-	sh := &s.shards[fp%visitedShards]
-	if !sh.mu.TryLock() {
-		s.contention.Add(1)
-		sh.mu.Lock()
-	}
 	tuple := sh.scratch[:0]
 	start := 0
 	for i, end := range ends {
-		tuple = binary.AppendUvarint(tuple, uint64(s.comps[i].intern(enc[start:end])))
+		idx, ok := s.comps[i].intern(enc[start:end], add)
+		if !ok {
+			return nil, false
+		}
+		tuple = binary.AppendUvarint(tuple, uint64(idx))
 		start = end
 	}
 	sh.scratch = tuple
-	// Equal tuples are equal states, so the state fingerprint keys the
-	// tuple in the stripe table as well as routing to the stripe.
-	had := sh.t.testAndSet(fp, tuple)
-	sh.mu.Unlock()
-	if !had {
-		s.stored.Add(1)
-	}
-	return had
+	return tuple, true
 }
 
 func (s *collapseSet) size() int { return int(s.stored.Load()) }
@@ -523,6 +560,32 @@ func (s *parBitstateSet) seen(fp uint64, enc []byte, _ []int) bool {
 	}
 	s.count.Add(1)
 	return false
+}
+
+// bitstateHashes is the double-hash pair of the bitstate table: FNV-1a
+// with two different offset bases. The primary hash is exactly
+// model.Hash64 (h1 of the full encoding equals State.Fingerprint); the
+// secondary derives its seeds from the same constants rather than
+// restating them.
+func bitstateHashes(key []byte, mask uint64) (uint64, uint64) {
+	offset, prime := model.Hash64Seeds()
+	h1 := offset
+	h2 := prime*31 + 7
+	for _, b := range key {
+		h1 = (h1 ^ uint64(b)) * prime
+		h2 = (h2 ^ uint64(b)) * (prime + 2)
+	}
+	return h1 & mask, h2 & mask
+}
+
+func (s *parBitstateSet) contains(_ uint64, enc []byte, _ []int) bool {
+	a, b := bitstateHashes(enc, s.mask)
+	return s.bit(a) && s.bit(b)
+}
+
+// bit reports whether bit pos is set.
+func (s *parBitstateSet) bit(pos uint64) bool {
+	return atomic.LoadUint64(&s.bits[pos/64])&(1<<(pos%64)) != 0
 }
 
 // setBit atomically sets bit pos, reporting whether it was already set.

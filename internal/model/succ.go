@@ -84,11 +84,13 @@ func (s *System) successorsPass(st *State, tmo bool, a *Arena, out []Transition)
 // guards, assignments, skips), its transitions are independent of every
 // other process and invisible to global properties, so exploring only
 // that process's moves preserves all safety verdicts (the checker adds
-// the cycle proviso). It returns (transitions, true) when the reduction
-// applies, or (nil, false) for full expansion.
-func (s *System) AmpleSuccessors(st *State) ([]Transition, bool) {
+// the cycle proviso). It appends the first such process's enabled
+// transitions to out, or nothing when the state expands fully, drawing
+// states from a as SuccessorsAppend does. The appended transitions are
+// exactly the run of SuccessorsAppend's transitions whose Proc is theirs.
+func (s *System) AmpleSuccessors(st *State, a *Arena, out []Transition) []Transition {
 	if st.Atomic >= 0 {
-		return nil, false // atomic execution is already exclusive
+		return out // atomic execution is already exclusive
 	}
 	for p := range s.insts {
 		node := &s.insts[p].Proc.Nodes[st.PCs[p]]
@@ -105,11 +107,11 @@ func (s *System) AmpleSuccessors(st *State) ([]Transition, bool) {
 		if !allLocal {
 			continue
 		}
-		if trs := s.procSuccessors(st, p, false, nil, nil); len(trs) > 0 {
-			return trs, true
+		if more := s.procSuccessors(st, p, false, a, out); len(more) > len(out) {
+			return more
 		}
 	}
-	return nil, false
+	return out
 }
 
 // procSuccessors appends the transitions process p can take from st.

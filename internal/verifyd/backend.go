@@ -47,9 +47,6 @@ func (s *Server) jobOptions(req api.JobRequest) checker.Options {
 	if req.MaxDepth != nil {
 		opts.MaxDepth = *req.MaxDepth
 	}
-	if req.BFS != nil {
-		opts.BFS = *req.BFS
-	}
 	if req.IgnoreDeadlock != nil {
 		opts.IgnoreDeadlock = *req.IgnoreDeadlock
 	}

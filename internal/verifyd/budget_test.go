@@ -93,15 +93,13 @@ func TestOptionsKeyNormalizesWorkers(t *testing.T) {
 	if k1 != k8 {
 		t.Errorf("worker counts fragment the cache key: %q vs %q", k1, k8)
 	}
-	seq := OptionsKey(checker.Options{})
-	if k1 == seq {
-		t.Errorf("parallel and sequential engines must not share a key: %q", k1)
+	// Workers 0 runs the same engine inline, POR or not.
+	if k0 := OptionsKey(checker.Options{}); k1 != k0 {
+		t.Errorf("Workers 0 and 1 must share a key: %q vs %q", k0, k1)
 	}
-	// Workers with POR falls back to the sequential DFS, same as no
-	// Workers at all.
 	if OptionsKey(checker.Options{Workers: 8, PartialOrder: true}) !=
 		OptionsKey(checker.Options{PartialOrder: true}) {
-		t.Error("POR fallback should normalize to the sequential key")
+		t.Error("POR searches at different worker counts must share a key")
 	}
 }
 

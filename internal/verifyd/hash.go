@@ -41,16 +41,12 @@ func ModelHash(b *blocks.Builder) [sha256.Size]byte {
 // OptionsKey canonicalizes the verdict-relevant checker options into a
 // stable string. Callback and plumbing fields (Progress, Metrics,
 // Context) do not influence verdicts and are excluded; Invariants are
-// covered by the property's own source text. Workers is normalized to
-// the engine it selects ("par"), not the count: the level engine's
-// verdicts and stats are identical at every worker count, and hashing
-// the dynamically granted count would fragment the cache for no reason.
-// BFS is hashed only when no worker is granted: the level engine runs
-// every parallel safety search whatever BFS says, and goal and LTL
-// searches ignore it, so bfs=true;par=true is the same search as the
-// default and shares its key. (The property cache is memory-only; the
-// durable journal and the coordinator address whole submissions by
-// Submission.Key, which still hashes the bfs override as sent.)
+// covered by the property's own source text. Workers is excluded: there
+// is one safety engine, whose verdicts and stats are identical at every
+// worker count, and hashing the dynamically granted count would
+// fragment the cache for no reason. (The property cache is memory-only;
+// the durable journal and the coordinator address whole submissions by
+// Submission.Key, which still hashes the wire's bfs field as sent.)
 // Storage.Visited, Storage.MemLimit, and Storage.SpillDir are likewise
 // excluded: visited-set storage (exact, collapse-compressed, or
 // disk-spilled) trades memory for time without ever changing
@@ -58,10 +54,9 @@ func ModelHash(b *blocks.Builder) [sha256.Size]byte {
 // shares one cache entry. Bitstate is included — it genuinely changes
 // coverage. Durability never influences verdicts and is excluded.
 func OptionsKey(o checker.Options) string {
-	par := o.Workers >= 1 && !o.PartialOrder && !o.ReportUnreached
-	return fmt.Sprintf("ms=%d;md=%d;bfs=%t;id=%t;ru=%t;po=%t;wf=%t;sf=%t;bs=%t;bb=%d;par=%t",
-		o.MaxStates, o.MaxDepth, o.BFS && !par, o.IgnoreDeadlock, o.ReportUnreached,
-		o.PartialOrder, o.WeakFairness, o.StrongFairness, o.Storage.Bitstate, o.Storage.BitstateBits, par)
+	return fmt.Sprintf("ms=%d;md=%d;id=%t;ru=%t;po=%t;wf=%t;sf=%t;bs=%t;bb=%d",
+		o.MaxStates, o.MaxDepth, o.IgnoreDeadlock, o.ReportUnreached,
+		o.PartialOrder, o.WeakFairness, o.StrongFairness, o.Storage.Bitstate, o.Storage.BitstateBits)
 }
 
 // Submission is the wire-visible content of one job submission that

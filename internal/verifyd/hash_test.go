@@ -8,18 +8,17 @@ import (
 	"pnp/internal/checker"
 )
 
-// TestOptionsKeyPinsStorage pins the key the Storage group hashes to —
-// the string both option spellings produced before the flat aliases
-// were deleted — so verdicts cached under either keep hitting.
+// TestOptionsKeyPinsStorage pins the key the Storage group hashes to:
+// only bitstate and its table size, never the exact storage mode.
 func TestOptionsKeyPinsStorage(t *testing.T) {
 	got := OptionsKey(checker.Options{
-		MaxStates: 1000, MaxDepth: 50, BFS: true,
+		MaxStates: 1000, MaxDepth: 50,
 		Storage: checker.StorageOptions{
 			Bitstate: true, BitstateBits: 24,
 			Visited: checker.VisitedCollapse, MemLimit: 1 << 20,
 		},
 	})
-	want := "ms=1000;md=50;bfs=true;id=false;ru=false;po=false;wf=false;sf=false;bs=true;bb=24;par=false"
+	want := "ms=1000;md=50;id=false;ru=false;po=false;wf=false;sf=false;bs=true;bb=24"
 	if got != want {
 		t.Fatalf("OptionsKey moved:\n  got  %s\n  want %s", got, want)
 	}
@@ -29,7 +28,7 @@ func TestOptionsKeyPinsStorage(t *testing.T) {
 // silently invalidates every durable cached verdict.
 func TestOptionsKeyFormatStable(t *testing.T) {
 	got := OptionsKey(checker.Options{MaxStates: 10, Workers: 2})
-	want := "ms=10;md=0;bfs=false;id=false;ru=false;po=false;wf=false;sf=false;bs=false;bb=0;par=true"
+	want := "ms=10;md=0;id=false;ru=false;po=false;wf=false;sf=false;bs=false;bb=0"
 	if got != want {
 		t.Fatalf("OptionsKey format drifted:\n  got  %s\n  want %s", got, want)
 	}

@@ -537,7 +537,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 	if base != Key(hFixed, ps, checker.Options{}, "") {
 		t.Error("key must be deterministic")
 	}
-	if base == Key(hFixed, ps, checker.Options{BFS: true}, "") {
+	if base == Key(hFixed, ps, checker.Options{PartialOrder: true}, "") {
 		t.Error("search options must be part of the key")
 	}
 	if base == Key(hFixed, ps, checker.Options{MaxStates: 10}, "") {

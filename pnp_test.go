@@ -172,7 +172,7 @@ proctype Bumper(chan esig; chan edat) {
 	})
 	d.AddInstance("b", "Bumper", 2, pnp.SendTo("W"))
 	d.AddInvariant("once", "hits <= 1")
-	results, err := d.Verify(nil, pnp.CheckOptions{BFS: true})
+	results, err := d.Verify(nil, pnp.CheckOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestFacadeObservability(t *testing.T) {
 	if finals == 0 {
 		t.Fatal("no final progress snapshot delivered")
 	}
-	if v := reg.Counter(pnp.MetricLabels("checker_states_stored_total", "phase", "safety-dfs")).Value(); v == 0 {
+	if v := reg.Counter(pnp.MetricLabels("checker_states_stored_total", "phase", "safety-par-bfs")).Value(); v == 0 {
 		t.Fatal("checker metrics not collected")
 	}
 
