@@ -286,6 +286,27 @@ system c {
 	}
 }
 
+// loadExample loads examples/adl/name with decls added to its system
+// block, resolving component files next to it.
+func loadExample(t *testing.T, name, decls string) *System {
+	t.Helper()
+	dir := filepath.Join("..", "..", "examples", "adl")
+	read := func(path string) (string, error) {
+		b, err := os.ReadFile(filepath.Join(dir, path))
+		return string(b), err
+	}
+	src, err := read(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.LastIndex(src, "}")
+	sys, err := Load(src[:i]+decls+src[i:], read, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // TestBridgeExampleUnreached pins the never-executed transitions of
 // examples/adl/bridge.pnp to the list the sequential DFS that used to
 // implement ReportUnreached printed (at 8da67dd), one per line in
@@ -295,28 +316,80 @@ func TestBridgeExampleUnreached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two exhaustive bridge searches are too slow for -short")
 	}
-	read := func(path string) string {
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+	golden, err := os.ReadFile(filepath.Join("testdata", "bridge-unreached.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	dir := filepath.Join("..", "..", "examples", "adl")
-	want := strings.Split(strings.TrimSuffix(read(filepath.Join("testdata", "bridge-unreached.golden")), "\n"), "\n")
+	want := strings.TrimSuffix(string(golden), "\n")
 	for _, w := range []int{0, 2} {
-		sys, err := Load(read(filepath.Join(dir, "bridge.pnp")), func(ref string) (string, error) {
-			return read(filepath.Join(dir, ref)), nil
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := sys.VerifyAll(checker.Options{ReportUnreached: true, Workers: w})["safety"]
+		res := loadExample(t, "bridge.pnp", "").VerifyAll(checker.Options{ReportUnreached: true, Workers: w})["safety"]
 		if !res.OK {
 			t.Fatalf("workers=%d: %s", w, res.Summary())
 		}
-		if strings.Join(res.Unreached, "\n") != strings.Join(want, "\n") {
-			t.Errorf("workers=%d: unreached differs from the golden list:\n%s", w, strings.Join(res.Unreached, "\n"))
+		if got := strings.Join(res.Unreached, "\n"); got != want {
+			t.Errorf("workers=%d: unreached differs from the golden list:\n%s", w, got)
 		}
+	}
+}
+
+// TestBridgeExampleLiveness pins E9's liveness results on
+// examples/adl/bridge.pnp, as the liveness engine gave them before its
+// product moved onto the level engine's state table (at 57cfd0c): the
+// LTL phrasing of the bridge's safety claim, and a property that fails
+// with and without weak fairness, with its counterexample's lengths.
+func TestBridgeExampleLiveness(t *testing.T) {
+	sys := loadExample(t, "bridge.pnp", `
+    ltl no_crash "[] !both" { both = "blueOn > 0 && redOn > 0" }
+    ltl red_enters "<> red" { red = "redOn > 0" }
+`)
+	type want struct {
+		ok                                  bool
+		stored, matched, transitions, depth int
+		prefix, cycle                       int
+	}
+	for _, tc := range []struct {
+		prop string
+		opts checker.Options
+		want want
+	}{
+		{"no_crash", checker.Options{}, want{true, 183_506, 159_441, 342_946, 207, 0, 0}},
+		{"red_enters", checker.Options{}, want{false, 25_086, 24_094, 49_818, 90, 5, 3}},
+		{"red_enters", checker.Options{WeakFairness: true}, want{false, 25_086, 24_094, 49_818, 90, 17, 7}},
+		{"red_enters", checker.Options{StrongFairness: true}, want{true, 25_086, 24_094, 49_818, 90, 0, 0}},
+	} {
+		if tc.prop == "no_crash" && testing.Short() {
+			continue
+		}
+		res := sys.Check(PropertySource{Kind: "ltl", Name: tc.prop}, tc.opts)
+		st := res.Stats
+		got := want{res.OK, st.StatesStored, st.StatesMatched, st.Transitions, st.MaxDepth, 0, 0}
+		if res.Trace != nil {
+			got.prefix, got.cycle = len(res.Trace.Prefix), len(res.Trace.Cycle)
+		}
+		if !res.OK && res.Kind != checker.AcceptanceCycle {
+			t.Errorf("%s %+v: %s", tc.prop, tc.opts, res.Summary())
+		}
+		if got != tc.want {
+			t.Errorf("%s weak=%v strong=%v: got %+v, want %+v", tc.prop, tc.opts.WeakFairness, tc.opts.StrongFairness, got, tc.want)
+		}
+	}
+}
+
+// TestPingpongExampleDOT compares pnpverify -dot's drawing of
+// examples/adl/pingpong.pnp with testdata/pingpong.dot.golden, the bytes
+// WriteDOT wrote before its graph moved onto the level engine's state
+// table (at 57cfd0c).
+func TestPingpongExampleDOT(t *testing.T) {
+	sys := loadExample(t, "pingpong.pnp", "")
+	var got strings.Builder
+	if err := checker.New(sys.Builder.System(), checker.Options{Invariants: sys.Invariants}).WriteDOT(&got, 500); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "pingpong.dot.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("WriteDOT differs from testdata/pingpong.dot.golden:\n%s", got.String())
 	}
 }

@@ -165,9 +165,10 @@ type Stats struct {
 	Reduced   int
 	Truncated bool
 	Elapsed   time.Duration
-	// VisitedBytes is the peak resident size of the level engine's
-	// visited set (sampled at level barriers); 0 for liveness and AG-EF
-	// searches. SpilledStates counts entries moved to disk segments under
+	// VisitedBytes is the peak resident size of what the search stores,
+	// sampled at level barriers: the level engine's visited set, or the
+	// product of a liveness or AG-EF search (its state table, nodes and
+	// edges). SpilledStates counts entries moved to disk segments under
 	// Options.Storage.MemLimit. Both are observability fields: they vary
 	// with storage mode and budget while the verdict does not.
 	VisitedBytes  int64

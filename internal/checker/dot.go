@@ -33,7 +33,8 @@ func (c *Checker) WriteDOT(w io.Writer, maxStates int) error {
 	}
 
 	globals := c.sys.Prog.GlobalVars
-	for u, st := range p.states[:min(len(p.states), maxStates)] {
+	for u := range min(len(p.q), maxStates) {
+		st := p.decode(p.sid[u])
 		var parts []string
 		for i, g := range globals {
 			parts = append(parts, fmt.Sprintf("%s=%d", g.Name, st.Globals[i]))

@@ -36,8 +36,11 @@ func PropsFromSource(prog *pml.Compiled, defs map[string]string) (map[string]pml
 // automaton for the negated formula breadth-first, edges included, then
 // splits it into strongly connected components: the formula fails iff
 // some component holds an accepting node and a cycle that is fair under
-// the rule in force. Memory is O(transitions): about 8 bytes per product
-// edge on top of the states.
+// the rule in force. Each system state is stored once, as its canonical
+// encoding in the level engine's exact table; on top of that a product
+// node costs about 32 bytes (state id, automaton state, BFS parent, edge
+// row, index entry), 8 more for its enabled set under fairness, and an
+// edge 8. Stats.VisitedBytes reports the total.
 func (c *Checker) CheckLTL(formula string, props map[string]pml.RExpr) *Result {
 	var res *Result
 	withPhaseLabel("liveness", func() { res = c.checkLTL(formula, props) })
@@ -55,12 +58,6 @@ const (
 
 var fairnessNames = [...]string{"", " under weak fairness", " under strong fairness"}
 
-// prodKey names a product node: a system state and an automaton state.
-type prodKey struct {
-	key string
-	q   int32
-}
-
 // noNode is the BFS parent of a root.
 const noNode = ^uint32(0)
 
@@ -71,29 +68,40 @@ const noNode = ^uint32(0)
 // (-1 when unused, so a stutter edge is {-1, -1}). No event is stored per
 // edge; event re-derives one by expanding the edge's source again.
 //
+// System states are stored the way the level engine stores them: each
+// distinct state's canonical encoding once, in table, whose dense index
+// is the state's id; a node is a (state id, automaton state) pair. No
+// node keeps a *model.State: build holds live states for two levels
+// only, and the few readers after it (counterexamples, WriteDOT) decode
+// a node's state from its encoding.
+//
 // With a one-state automaton (stateGraph) it is the plain reachable
 // state graph that AG EF and WriteDOT read.
 type product struct {
-	c     *Checker
-	aut   *ltl.Automaton
-	atoms []pml.RExpr
-	vals  []bool
-	sat   func(int) bool
-	fair  fairness
-	words int  // bitset words per node in enabled; 0 without fairness
-	roots int  // nodes 0..roots-1 hold the initial state
-	limit int  // build stops once more than limit nodes are stored; 0 = no cap
-	graph bool // a violating step is left out instead of ending the search, and no stutter edges
+	c      *Checker
+	aut    *ltl.Automaton
+	atoms  []pml.RExpr
+	vals   []bool
+	sat    func(int) bool
+	fair   fairness
+	words  int       // bitset words per node in enabled; 0 without fairness
+	roots  int       // nodes 0..roots-1 hold the initial state
+	limit  int       // build stops once more than limit nodes are stored; 0 = no cap
+	graph  bool      // a violating step is left out instead of ending the search, and no stutter edges
+	target pml.RExpr // AG EF's target, evaluated into good as nodes are stored; nil for none
 
-	index     map[prodKey]uint32
-	states    []*model.State
+	table     idTable           // canonical encodings of system states, by state id
+	index     map[uint64]uint32 // node of (state id, q), keyed id<<32 | q
+	sid       []uint32          // node -> state id
 	q         []int32
 	parent    []uint32
 	start     []uint32
 	to        []uint32
 	movers    [][2]int16
 	enabled   []uint64
-	accepting bool // some stored node is accepting
+	good      []bool // target holds at the node's state; nil without target
+	targetErr error  // the target's first evaluation error, in node order
+	accepting bool   // some stored node is accepting
 }
 
 func (c *Checker) checkLTL(formula string, props map[string]pml.RExpr) *Result {
@@ -108,30 +116,10 @@ func (c *Checker) checkLTL(formula string, props map[string]pml.RExpr) *Result {
 	if err != nil {
 		return res.fail(RuntimeError, err.Error())
 	}
-	aut, err := ltl.Translate(ltl.Not(f))
+	p, err := c.ltlProduct(f, props)
 	if err != nil {
 		return res.fail(RuntimeError, err.Error())
 	}
-	p := &product{c: c, aut: aut, limit: c.opts.MaxStates, index: map[prodKey]uint32{}}
-	for _, name := range aut.Atoms {
-		e, ok := props[name]
-		if !ok {
-			return res.fail(RuntimeError, fmt.Sprintf("undefined atomic proposition %q", name))
-		}
-		p.atoms = append(p.atoms, e)
-	}
-	p.vals = make([]bool, len(p.atoms))
-	p.sat = func(i int) bool { return p.vals[i] }
-	switch {
-	case c.opts.StrongFairness:
-		p.fair = stronglyFair
-	case c.opts.WeakFairness:
-		p.fair = weaklyFair
-	}
-	if p.fair != unfair {
-		p.words = (c.sys.NumInstances() + 63) / 64
-	}
-
 	if !p.build(res, m, cc) || !p.accepting {
 		return res
 	}
@@ -148,6 +136,35 @@ func (c *Checker) checkLTL(formula string, props map[string]pml.RExpr) *Result {
 	return res
 }
 
+// ltlProduct returns the unbuilt product of the system and a Büchi
+// automaton for ¬f, under the fairness rule of the options.
+func (c *Checker) ltlProduct(f *ltl.Formula, props map[string]pml.RExpr) (*product, error) {
+	aut, err := ltl.Translate(ltl.Not(f))
+	if err != nil {
+		return nil, err
+	}
+	p := &product{c: c, aut: aut, limit: c.opts.MaxStates}
+	for _, name := range aut.Atoms {
+		e, ok := props[name]
+		if !ok {
+			return nil, fmt.Errorf("undefined atomic proposition %q", name)
+		}
+		p.atoms = append(p.atoms, e)
+	}
+	p.vals = make([]bool, len(p.atoms))
+	p.sat = func(i int) bool { return p.vals[i] }
+	switch {
+	case c.opts.StrongFairness:
+		p.fair = stronglyFair
+	case c.opts.WeakFairness:
+		p.fair = weaklyFair
+	}
+	if p.fair != unfair {
+		p.words = (c.sys.NumInstances() + 63) / 64
+	}
+	return p, nil
+}
+
 // stateGraph returns the reachable state graph of the system, up to
 // limit states, as a product with a one-state automaton and no atoms
 // (so sat is never called): every reachable state is exactly one node,
@@ -155,7 +172,7 @@ func (c *Checker) checkLTL(formula string, props map[string]pml.RExpr) *Result {
 func (c *Checker) stateGraph(limit int) *product {
 	loop := []ltl.Trans{{Dst: 0}}
 	aut := &ltl.Automaton{States: []ltl.AState{{Trans: loop}}, InitTrans: loop}
-	return &product{c: c, aut: aut, limit: limit, graph: true, index: map[prodKey]uint32{}}
+	return &product{c: c, aut: aut, limit: limit, graph: true}
 }
 
 // fail marks r as failed with kind and msg.
@@ -166,35 +183,84 @@ func (r *Result) fail(kind ViolationKind, msg string) *Result {
 	return r
 }
 
+// liveLevel holds what build keeps of one BFS level's nodes, in node
+// order: each node's state, and its encoding's section ends, k ints a
+// node (its bytes are its entry in product.table). Nodes built from
+// one transition share its state and are adjacent; no two transitions
+// share a state, so the level's distinct states are its runs of equal
+// pointers.
+type liveLevel struct {
+	sts  []*model.State
+	ends []int
+}
+
+func (lv *liveLevel) add(st *model.State, ends []int) {
+	lv.sts = append(lv.sts, st)
+	lv.ends = append(lv.ends, ends...)
+}
+
+// retire returns the level's states to a, each once, and empties it.
+func (lv *liveLevel) retire(a *model.Arena) {
+	for i, st := range lv.sts {
+		if i == 0 || st != lv.sts[i-1] {
+			a.Recycle(st)
+		}
+	}
+	lv.sts, lv.ends = lv.sts[:0], lv.ends[:0]
+}
+
 // build stores the reachable product breadth-first, one level at a time.
 // It reports false when the search ended early — a safety violation
 // (with its shortest prefix) unless in graph mode, an evaluation error,
 // the state limit, or cancellation — with res filled in. Every node it
 // expanded has its row of edges, even then.
+//
+// Like the level engine, it expands states from a recycling arena and
+// encodes each successor from its parent's encoding, and it holds the
+// *model.State of the level it expands and of the level it fills, no
+// more: a successor that stores no node goes back to the arena at once,
+// a level's states once the level is expanded.
 func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 	c := p.c
-	full := func() bool { return p.limit > 0 && len(p.states) > p.limit }
+	full := func() bool { return p.limit > 0 && len(p.q) > p.limit }
+	p.index = map[uint64]uint32{}
+	arena := &model.Arena{}
 	init := c.sys.InitialState()
+	k := init.NumComponents()
+	var cur, next liveLevel
+	enc, ends := init.AppendComponentKeys(nil, nil)
+	id := p.table.intern(model.Hash64(enc), enc)
 	if err := p.label(init); err != nil {
 		res.fail(RuntimeError, err.Error())
 		return false
 	}
 	for _, at := range p.aut.InitTrans {
 		if at.Sat(p.sat) {
-			p.intern(init, at.Dst, noNode, res)
+			if _, ok := p.intern(init, id, at.Dst, noNode, res); ok {
+				next.add(init, ends)
+			}
 		}
 	}
-	p.roots = len(p.states)
+	p.roots = len(p.q)
 	p.start = append(p.start, 0)
-	for lo, hi, depth := 0, len(p.states), 0; lo < hi; lo, hi, depth = hi, len(p.states), depth+1 {
+	var (
+		trs     []model.Transition
+		scratch []byte
+		sends   []int
+	)
+	for lo, hi, depth := 0, len(p.q), 0; lo < hi; lo, hi, depth = hi, len(p.q), depth+1 {
 		res.Stats.MaxDepth = depth
+		cur, next = next, cur
+		next.retire(arena)
 		for i := lo; i < hi; i++ {
 			u := uint32(i)
 			if cc.hit() {
 				cc.cancelResult(res)
 				return false
 			}
-			trs := c.sys.Successors(p.states[u])
+			st := cur.sts[i-lo]
+			penc, pends := p.table.entry(p.sid[u]), cur.ends[(i-lo)*k:(i-lo+1)*k]
+			trs = c.sys.SuccessorsAppend(st, arena, trs[:0])
 			res.Stats.Transitions += len(trs)
 			for _, tr := range trs {
 				if v := tr.Violation; v != "" && !p.graph {
@@ -204,10 +270,28 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 					return false
 				}
 			}
-			err := p.successors(u, trs, func(tr *model.Transition, q int) {
-				if !full() {
-					p.to = append(p.to, p.intern(tr.Next, q, u, res))
-					p.movers = append(p.movers, [2]int16{int16(tr.Proc), int16(tr.Partner)})
+			mark := len(next.sts)
+			var last *model.Transition
+			var live *model.State // the state the new nodes of last hold
+			err := p.successors(u, st, trs, func(tr *model.Transition, q int) {
+				if full() {
+					return
+				}
+				if tr != last {
+					last, live = tr, tr.Next
+					scratch, sends = tr.Next.AppendComponentKeysFrom(st, penc, pends, scratch[:0], sends[:0])
+					id = p.table.intern(model.Hash64(scratch), scratch)
+				}
+				v, ok := p.intern(tr.Next, id, q, u, res)
+				p.to = append(p.to, v)
+				p.movers = append(p.movers, [2]int16{int16(tr.Proc), int16(tr.Partner)})
+				if ok {
+					if live == st {
+						// A stutter step: st is the expanded level's, so
+						// the new level gets its own copy.
+						live = p.decode(id)
+					}
+					next.add(live, sends)
 				}
 			})
 			p.start = append(p.start, uint32(len(p.to)))
@@ -215,27 +299,41 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 				res.fail(RuntimeError, err.Error())
 				return false
 			}
+			// Successors that stored no node go back to the arena now;
+			// the rest are next's, in trs order.
+			for j := range trs {
+				kept := false
+				for ; mark < len(next.sts) && next.sts[mark] == trs[j].Next; mark++ {
+					kept = true
+				}
+				if !kept && trs[j].Violation == "" {
+					arena.Recycle(trs[j].Next)
+				}
+			}
 			if full() {
 				res.Stats.Truncated = true
 				res.fail(SearchLimit, fmt.Sprintf("state limit %d exceeded", p.limit))
 				return false
 			}
 		}
-		m.level(&res.Stats, depth, hi-lo, len(p.states)-hi)
+		res.Stats.VisitedBytes = p.bytes()
+		m.visited(res.Stats.VisitedBytes)
+		m.level(&res.Stats, depth, hi-lo, len(p.q)-hi)
 	}
 	return true
 }
 
-// intern returns the node of (st, q), storing it first if it is new.
-func (p *product) intern(st *model.State, q int, parent uint32, res *Result) uint32 {
-	k := prodKey{st.Key(), int32(q)}
-	if id, ok := p.index[k]; ok {
+// intern returns the node of (state id, q), storing it first if it is
+// new (ok reports that); st is the state itself.
+func (p *product) intern(st *model.State, id uint32, q int, parent uint32, res *Result) (node uint32, ok bool) {
+	k := uint64(id)<<32 | uint64(q)
+	if v, ok := p.index[k]; ok {
 		res.Stats.StatesMatched++
-		return id
+		return v, false
 	}
-	id := uint32(len(p.states))
-	p.index[k] = id
-	p.states = append(p.states, st)
+	v := uint32(len(p.q))
+	p.index[k] = v
+	p.sid = append(p.sid, id)
 	p.q = append(p.q, int32(q))
 	p.parent = append(p.parent, parent)
 	if p.words > 0 {
@@ -249,9 +347,34 @@ func (p *product) intern(st *model.State, q int, parent uint32, res *Result) uin
 			}
 		}
 	}
+	if p.target != nil {
+		x, err := p.c.sys.EvalGlobal(st, p.target)
+		if err != nil && p.targetErr == nil {
+			p.targetErr = err
+		}
+		p.good = append(p.good, err == nil && x != 0)
+	}
 	p.accepting = p.accepting || p.aut.States[q].Accepting
 	res.Stats.StatesStored++
-	return id
+	return v, true
+}
+
+// bytes is the resident size of the product: the state table, the node
+// index (counted at 16 bytes an entry) and the per-node and per-edge
+// arrays.
+func (p *product) bytes() int64 {
+	b := p.table.bytes() + int64(len(p.index))*16
+	b += int64(cap(p.sid)+cap(p.q)+cap(p.parent)+cap(p.start)+cap(p.to))*4 + int64(cap(p.movers))*4
+	return b + int64(cap(p.enabled))*8 + int64(cap(p.good))
+}
+
+// decode rebuilds the system state of state id from its encoding.
+func (p *product) decode(id uint32) *model.State {
+	st, err := model.DecodeKey(p.c.sys.InitialState(), p.table.entry(id))
+	if err != nil {
+		panic("checker: a stored product state does not decode: " + err.Error())
+	}
+	return st
 }
 
 // label evaluates the automaton's atoms on st into p.vals.
@@ -266,13 +389,13 @@ func (p *product) label(st *model.State) error {
 	return nil
 }
 
-// successors calls emit for every product edge out of u, always in the
-// same order: each system step of trs without a violation (a stutter
-// step when trs is empty, outside graph mode), then each automaton move
-// its target's labels allow.
-func (p *product) successors(u uint32, trs []model.Transition, emit func(tr *model.Transition, q int)) error {
+// successors calls emit for every product edge out of u, whose state is
+// st, always in the same order: each system step of trs without a
+// violation (a stutter step to st when trs is empty, outside graph
+// mode), then each automaton move its target's labels allow.
+func (p *product) successors(u uint32, st *model.State, trs []model.Transition, emit func(tr *model.Transition, q int)) error {
 	if len(trs) == 0 && !p.graph {
-		trs = []model.Transition{{Proc: -1, Partner: -1, Ch: -1, Next: p.states[u]}}
+		trs = []model.Transition{{Proc: -1, Partner: -1, Ch: -1, Next: st}}
 	}
 	for i := range trs {
 		if trs[i].Violation != "" {
@@ -295,7 +418,8 @@ func (p *product) successors(u uint32, trs []model.Transition, emit func(tr *mod
 func (p *product) event(u, e uint32) trace.Event {
 	ev := stutterEvent
 	k := p.start[u]
-	p.successors(u, p.c.sys.Successors(p.states[u]), func(tr *model.Transition, _ int) {
+	st := p.decode(p.sid[u])
+	p.successors(u, st, p.c.sys.Successors(st), func(tr *model.Transition, _ int) {
 		if k == e && tr.Proc >= 0 {
 			ev = eventOf(p.c.sys, *tr)
 		}
@@ -356,7 +480,7 @@ type sccPass struct {
 type sccFrame struct{ v, e uint32 }
 
 func newSCCPass(p *product, cc *canceler) *sccPass {
-	n := len(p.states)
+	n := len(p.q)
 	return &sccPass{
 		p: p, cc: cc,
 		tag: make([]uint32, n), index: make([]uint32, n), low: make([]uint32, n),

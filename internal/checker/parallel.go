@@ -111,8 +111,8 @@ type parRunner struct {
 	// expands, or -1 for a full expansion; nil without PartialOrder.
 	ample []int32
 
-	gFrontier, gWorkers, gVisitedBytes *obs.Gauge
-	cBusy                              *obs.Counter
+	gFrontier, gWorkers *obs.Gauge
+	cBusy               *obs.Counter
 }
 
 func (c *Checker) newParRunner(phase string) *parRunner {
@@ -125,7 +125,6 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 		r.cBusy = reg.Counter(obs.Labels("checker_worker_busy_ns_total", "phase", phase))
 		r.gFrontier = reg.Gauge(obs.Labels("checker_frontier_states", "phase", phase))
 		r.gWorkers = reg.Gauge(obs.Labels("checker_workers", "phase", phase))
-		r.gVisitedBytes = reg.Gauge(obs.Labels("checker_visited_bytes", "phase", phase))
 	}
 	r.gWorkers.Set(int64(w))
 	r.visited = c.newParVisited(contention, spilled)
@@ -233,9 +232,8 @@ func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, pro
 	res.Stats.StatesStored = int(r.stored.Load())
 
 	// Barrier-granularity memory accounting: record the peak before any
-	// spill (that is what the search actually needed resident), let the
-	// spill tier flush if the budget is exceeded, then publish the
-	// current footprint.
+	// spill (that is what the search actually needed resident), then let
+	// the spill tier flush if the budget is exceeded.
 	if b := r.visited.bytes(); b > res.Stats.VisitedBytes {
 		res.Stats.VisitedBytes = b
 	}
@@ -243,7 +241,6 @@ func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, pro
 		s.maybeSpill()
 		res.Stats.SpilledStates = int(s.spilled.Load())
 	}
-	r.gVisitedBytes.Set(r.visited.bytes())
 	return next, nextEnc, problems
 }
 
@@ -532,6 +529,7 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 		}
 		prevStored := res.Stats.StatesStored
 		next, nextEnc, problems := r.expandLevel(res, li, cur, curEnc, safety)
+		m.visited(r.visited.bytes())
 		m.level(&res.Stats, depth, len(cur), res.Stats.StatesStored-prevStored)
 
 		if r.cancel.Load() {

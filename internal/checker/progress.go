@@ -57,7 +57,7 @@ type meter struct {
 	// carry deltas since the previous emit so they aggregate correctly
 	// across properties sharing one registry.
 	mStored, mMatched, mTrans, mReduced *obs.Counter
-	gStored, gDepth, gHeap              *obs.Gauge
+	gStored, gDepth, gHeap, gVisited    *obs.Gauge
 	lastStored, lastMatched, lastTrans  int
 	lastReduced                         int
 
@@ -96,6 +96,7 @@ func (c *Checker) newMeter(phase string) *meter {
 		m.gStored = reg.Gauge(obs.Labels("checker_states_stored", "phase", phase))
 		m.gDepth = reg.Gauge(obs.Labels("checker_depth", "phase", phase))
 		m.gHeap = reg.Gauge("checker_heap_alloc_bytes")
+		m.gVisited = reg.Gauge(obs.Labels("checker_visited_bytes", "phase", phase))
 	}
 	if tr := c.opts.Tracer; tr != nil {
 		ctx := c.opts.Context
@@ -133,6 +134,15 @@ func (m *meter) level(st *Stats, depth, frontier, n int) {
 	}
 	m.next = now.Add(m.interval)
 	m.emit(st, depth, now, false)
+}
+
+// visited publishes b, the resident size of what the search stores, as
+// the checker_visited_bytes gauge; every search calls it at each level
+// barrier.
+func (m *meter) visited(b int64) {
+	if m != nil {
+		m.gVisited.Set(b)
+	}
 }
 
 // finish emits the final snapshot and ends the phase span; call it

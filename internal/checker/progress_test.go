@@ -131,6 +131,40 @@ func TestProgressLTLPhase(t *testing.T) {
 	}
 }
 
+// TestVisitedBytesGauge: every search reports what it stores as
+// Stats.VisitedBytes and publishes it as checker_visited_bytes under its
+// phase — liveness and AG-EF their product, so pnpverify's peak covers
+// them too.
+func TestVisitedBytesGauge(t *testing.T) {
+	s := sysFromSource(t, progressSource)
+	props, err := PropsFromSource(s.Prog, map[string]string{"done": "a == 5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := s.Prog.CompileGlobalExpr("a == 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	c := New(s, Options{Metrics: reg, IgnoreDeadlock: true})
+	for phase, res := range map[string]*Result{
+		"safety-par-bfs": c.CheckSafety(),
+		"liveness":       c.CheckLTL("<> done", props),
+		"ag-ef":          c.CheckEventuallyReachable(target),
+	} {
+		if !res.OK {
+			t.Fatalf("%s: %s", phase, res.Summary())
+		}
+		// Each stored node costs its encoding plus at least its ids.
+		if floor := int64(res.Stats.StatesStored) * 16; res.Stats.VisitedBytes < floor {
+			t.Errorf("%s: VisitedBytes = %d for %d states, want at least %d", phase, res.Stats.VisitedBytes, res.Stats.StatesStored, floor)
+		}
+		if g := reg.Gauge(obs.Labels("checker_visited_bytes", "phase", phase)).Value(); g != res.Stats.VisitedBytes {
+			t.Errorf("%s: checker_visited_bytes = %d, want %d", phase, g, res.Stats.VisitedBytes)
+		}
+	}
+}
+
 func TestSummaryIncludesElapsedAndReduced(t *testing.T) {
 	r := &Result{OK: true}
 	r.Stats.StatesStored = 10

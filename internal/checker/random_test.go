@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -556,4 +557,116 @@ func TestRandomProgramsEventuallyReachableOracle(t *testing.T) {
 	if checked < 30 {
 		t.Fatalf("only %d programs fit under %d states", checked, limit)
 	}
+}
+
+// stutterLast reaches a terminated state last in its BFS level while
+// the other branch goes on, so the build recycles that level's states
+// just before expanding the terminated state's stutter successors.
+const stutterLast = `
+byte g0, g1;
+active proctype P() {
+	if
+	:: g0 = 2; do :: g0 < 9 -> g0 = g0 + 1 :: else -> break od
+	:: g0 = 1
+	fi
+}`
+
+// TestRandomProgramsProductStatesReplay guards the product build's
+// state recycling: nodes share states (one per automaton state a step
+// reaches, and a stutter step reaches its own state), and a state
+// recycled while a node still reads it would store wrong encodings.
+// On stutterLast and random programs, half of them ending in states
+// that stutter, under multi-state automata (X X X p makes stutter
+// steps store new nodes), every node's prefix must replay from the
+// initial state to the state its table entry encodes, and the built
+// product must hold no *model.State.
+func TestRandomProgramsProductStatesReplay(t *testing.T) {
+	r := rand.New(rand.NewSource(39))
+	checked := 0
+	for i := 0; i < 31; i++ {
+		src := stutterLast
+		if i > 0 {
+			src = randomProgram(r)
+		}
+		if i%2 == 1 {
+			src += drainer + spinner
+		}
+		for _, formula := range []string{"[] (p -> <> q)", "X X X p"} {
+			f, err := ltl.Parse(formula)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := sysFromSource(t, src)
+			p, err := New(s, Options{MaxStates: 3000}).ltlProduct(f, props(t, s.Prog, map[string]string{"p": "g0 > 0", "q": "g1 > 0"}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.build(&Result{}, nil, nil) {
+				continue
+			}
+			checked++
+			if path := statePath(reflect.ValueOf(p).Elem(), "product", map[uintptr]bool{}); path != "" {
+				t.Fatalf("program %d, %s: the built product holds a *model.State at %s", i, formula, path)
+			}
+			for v := range uint32(len(p.q)) {
+				want := p.table.entry(p.sid[v])
+				ends := follow(s, s.InitialState(), p.prefix(v))
+				if !slices.ContainsFunc(ends[len(ends)-1], func(c replayed) bool { return bytes.Equal(c.st.AppendKey(nil), want) }) {
+					t.Fatalf("program %d, %s: node %d's prefix does not replay to its stored state:\n%s\n%s",
+						i, formula, v, &trace.Trace{Prefix: p.prefix(v)}, src)
+				}
+			}
+		}
+	}
+	if checked < 40 {
+		t.Fatalf("only %d products fit under the state limit", checked)
+	}
+}
+
+// statePath returns the path from v to a *model.State it references,
+// or "" when it references none. The checker and the automaton are
+// shared with the caller and not walked; seen breaks pointer cycles.
+func statePath(v reflect.Value, path string, seen map[uintptr]bool) string {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return ""
+		}
+		if v.Type() == reflect.TypeFor[*model.State]() {
+			return path
+		}
+		seen[v.Pointer()] = true
+		return statePath(v.Elem(), path, seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return ""
+		}
+		return statePath(v.Elem(), path, seen)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			name := v.Type().Field(i).Name
+			if v.Type() == reflect.TypeFor[product]() && (name == "c" || name == "aut") {
+				continue
+			}
+			if p := statePath(v.Field(i), path+"."+name, seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if k := v.Type().Elem().Kind(); k <= reflect.Complex128 {
+			return "" // elements of a basic kind hold no pointer
+		}
+		for i := range v.Len() {
+			if p := statePath(v.Index(i), fmt.Sprintf("%s[%d]", path, i), seen); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if p := statePath(it.Value(), path+"[key]", seen); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }

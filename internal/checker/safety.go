@@ -96,11 +96,13 @@ func (c *Checker) CheckReachable(target pml.RExpr) *Result {
 //
 // The search stores the reachable state graph breadth-first (the
 // product CheckLTL builds, and WriteDOT draws, with a one-state
-// automaton), then marks the states reaching target over the reversed
-// edges: O(transitions) memory, about 12 bytes per edge beyond the
-// states. Stats.MaxDepth is the breadth-first depth; the counterexample
-// is a shortest path to the first state, in breadth-first order, that
-// cannot reach target.
+// automaton), noting per state whether target holds as it is stored,
+// then marks the states reaching target over the reversed edges:
+// O(transitions) memory, each state's encoding once plus about 40 bytes
+// a state and 12 an edge (Stats.VisitedBytes counts the stored graph).
+// Stats.MaxDepth is the breadth-first depth; the counterexample is a
+// shortest path to the first state, in breadth-first order, that cannot
+// reach target.
 func (c *Checker) CheckEventuallyReachable(target pml.RExpr) *Result {
 	var res *Result
 	withPhaseLabel("ag-ef", func() { res = c.checkEventuallyReachable(target) })
@@ -115,12 +117,16 @@ func (c *Checker) checkEventuallyReachable(target pml.RExpr) *Result {
 	defer func() { m.finish(&res.Stats, res.Stats.MaxDepth) }()
 
 	p := c.stateGraph(c.opts.MaxStates)
+	p.target = target
 	if !p.build(res, m, c.newCanceler()) {
 		return res
 	}
+	if p.targetErr != nil {
+		return res.fail(RuntimeError, p.targetErr.Error())
+	}
 	// The reversed edges as compressed sparse rows: the predecessors of
 	// node v are in[from[v]:from[v+1]].
-	n := len(p.states)
+	n := len(p.q)
 	from := make([]uint32, n+1)
 	for _, v := range p.to {
 		from[v+1]++
@@ -137,15 +143,10 @@ func (c *Checker) checkEventuallyReachable(target pml.RExpr) *Result {
 		}
 	}
 
-	good := make([]bool, n)
+	good := p.good
 	var stack []uint32
-	for v, st := range p.states {
-		x, err := c.sys.EvalGlobal(st, target)
-		if err != nil {
-			return res.fail(RuntimeError, err.Error())
-		}
-		if x != 0 {
-			good[v] = true
+	for v, ok := range good {
+		if ok {
 			stack = append(stack, uint32(v))
 		}
 	}

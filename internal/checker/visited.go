@@ -306,16 +306,59 @@ func (s *shardedSet) reset() {
 	s.stored.Store(0)
 }
 
+// idTable is an encTable that numbers its entries: each distinct byte
+// string gets the next dense index, and starts records each index's
+// arena position, so an index reads its entry back. Not safe for
+// concurrent use.
+type idTable struct {
+	t      encTable
+	starts []uint64
+}
+
+// find returns b's index, if b is present.
+func (it *idTable) find(fp uint64, b []byte) (uint32, bool) {
+	slot, ok := it.t.find(fp, b)
+	if !ok {
+		return 0, false
+	}
+	return it.t.idxs[slot], true
+}
+
+// intern returns b's index, storing b under the next index first if it
+// is absent.
+func (it *idTable) intern(fp uint64, b []byte) uint32 {
+	it.t.ensure()
+	if it.t.idxs == nil {
+		it.t.idxs = make([]uint32, len(it.t.slots))
+	}
+	slot, ok := it.t.find(fp, b)
+	if ok {
+		return it.t.idxs[slot]
+	}
+	idx := uint32(len(it.starts))
+	it.starts = append(it.starts, it.t.insertAt(slot, fp, b, idx))
+	return idx
+}
+
+// entry returns the bytes stored under idx; the slice stays valid for
+// the table's life.
+func (it *idTable) entry(idx uint32) []byte {
+	return it.t.entryAt(it.starts[idx])
+}
+
+func (it *idTable) bytes() int64 {
+	return it.t.bytes() + int64(cap(it.starts))*8
+}
+
 // collapseTable interns the sub-vectors of one component (one process's
 // locals, one channel's contents, or the shared core). Reads take the
 // read lock — after warm-up almost every component of a new state is
 // already interned — and only a genuinely new sub-vector upgrades to
-// the write lock. starts records each entry's arena position by intern
-// index so tuples can be expanded back into full encodings for a spill.
+// the write lock. Intern indices read their sub-vectors back, so tuples
+// can be expanded into full encodings for a spill.
 type collapseTable struct {
-	mu     sync.RWMutex
-	t      encTable
-	starts []uint64
+	mu sync.RWMutex
+	idTable
 }
 
 // intern returns b's intern index, interning b first if add is set;
@@ -323,39 +366,20 @@ type collapseTable struct {
 func (ct *collapseTable) intern(b []byte, add bool) (uint32, bool) {
 	fp := model.Hash64(b)
 	ct.mu.RLock()
-	slot, ok := ct.t.find(fp, b)
-	if ok {
-		idx := ct.t.idxs[slot]
-		ct.mu.RUnlock()
-		return idx, true
-	}
+	idx, ok := ct.find(fp, b)
 	ct.mu.RUnlock()
-	if !add {
-		return 0, false
+	if ok || !add {
+		return idx, ok
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	ct.t.ensure()
-	if ct.t.idxs == nil {
-		ct.t.idxs = make([]uint32, len(ct.t.slots))
-	}
-	slot, ok = ct.t.find(fp, b)
-	if ok {
-		return ct.t.idxs[slot], true
-	}
-	idx := uint32(len(ct.starts))
-	ct.starts = append(ct.starts, ct.t.insertAt(slot, fp, b, idx))
-	return idx, true
-}
-
-func (ct *collapseTable) entry(idx uint32) []byte {
-	return ct.t.entryAt(ct.starts[idx])
+	return ct.idTable.intern(fp, b), true
 }
 
 func (ct *collapseTable) bytes() int64 {
 	ct.mu.RLock()
 	defer ct.mu.RUnlock()
-	return ct.t.bytes() + int64(cap(ct.starts))*8
+	return ct.idTable.bytes()
 }
 
 // collapseSet is the collapse-compressed visited set (Spin's -DCOLLAPSE

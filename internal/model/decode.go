@@ -13,10 +13,11 @@ import (
 // System.InitialState(). Inner slice lengths are length-prefixed in the
 // encoding itself.
 //
-// DecodeKey is the read side of search checkpointing: frontier states
-// persisted as their canonical encodings are rebuilt through it on
-// resume. The round trip is exact — st2 := DecodeKey(shape,
-// st.AppendKey(nil)) satisfies st2.Key() == st.Key().
+// DecodeKey is the read side of every store of encodings: a resumed
+// checkpoint rebuilds its frontier states through it, and the liveness
+// product rebuilds the states its counterexamples and DOT drawings need
+// from its state table. The round trip is exact — st2 :=
+// DecodeKey(shape, st.AppendKey(nil)) encodes to the same bytes as st.
 //
 // Well-formed bytes are not necessarily a state of the system: a
 // decoded state from outside the process must pass System.CheckState

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"encoding/binary"
-	"sync/atomic"
-)
+import "encoding/binary"
 
 // State is one global state of the system: program counters and local
 // stores of every process, global variables, channel contents, and the
@@ -22,20 +19,11 @@ type State struct {
 	Globals []int64
 	Chans   [][]int64 // flattened messages, width = len(channel fields)
 	Atomic  int32
-
-	// key memoizes the canonical encoding behind an atomic pointer so
-	// states may be shared by concurrent explorer workers: the encoding
-	// is a pure function of the immutable fields above, so racing
-	// computations produce identical strings and whichever Store wins is
-	// correct. (This used to be a plain string whose memoization assumed
-	// single-threaded exploration; the parallel engine removed that
-	// assumption.)
-	key atomic.Pointer[string]
 }
 
 // clone copies the state's own arrays and shares its inner slices (see
-// State), without the memoized key: the copy is about to be mutated. A
-// non-nil arena recycles the outer arrays of previously discarded states.
+// State). A non-nil arena recycles the outer arrays of previously
+// discarded states.
 func (st *State) clone(a *Arena) *State {
 	n := a.take()
 	n.PCs = append(n.PCs[:0], st.PCs...)
@@ -46,12 +34,13 @@ func (st *State) clone(a *Arena) *State {
 	return n
 }
 
-// Arena recycles successor-generation scratch for one explorer worker:
-// states discarded as duplicates, or retired once nothing reads them,
-// hand back their State and outer arrays, so the next clone allocates
-// none of them. Inner slices are never reused: other states may share
-// them. An Arena must not be shared between goroutines; a nil *Arena
-// disables recycling (every clone allocates fresh storage).
+// Arena recycles successor-generation scratch for one explorer (a level
+// engine worker, or the liveness product's build): states discarded as
+// duplicates, or retired once nothing reads them, hand back their State
+// and outer arrays, so the next clone allocates none of them. Inner
+// slices are never reused: other states may share them. An Arena must
+// not be shared between goroutines; a nil *Arena disables recycling
+// (every clone allocates fresh storage).
 type Arena struct {
 	free []*State
 }
@@ -67,28 +56,23 @@ func (a *Arena) Recycle(st *State) {
 	a.free = append(a.free, st)
 }
 
-// take pops a recycled state (resetting its memoized key) or allocates
-// a fresh one.
+// take pops a recycled state, whose fields clone overwrites, or
+// allocates a fresh one.
 func (a *Arena) take() *State {
 	if a == nil || len(a.free) == 0 {
 		return &State{}
 	}
 	st := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
-	st.key.Store(nil)
 	return st
 }
 
-// Key serializes the state into a compact byte string usable as a map key.
-// The encoding is injective: slice boundaries are length-prefixed. The
-// result is memoized; Key is safe to call from concurrent workers.
+// Key returns the state's canonical encoding (AppendKey's bytes) as a
+// string, usable as a map key. The encoding is injective: slice
+// boundaries are length-prefixed. Searches store encodings, not Key
+// strings; Key serves tests and tools that keep a map of states.
 func (st *State) Key() string {
-	if p := st.key.Load(); p != nil {
-		return *p
-	}
-	k := string(st.AppendKey(nil))
-	st.key.Store(&k)
-	return k
+	return string(st.AppendKey(nil))
 }
 
 // AppendKey appends the state's canonical encoding (the same bytes Key
