@@ -16,12 +16,12 @@ type StorageOptions struct {
 	// (entries plus table overhead, the checker_visited_bytes gauge).
 	// When a level barrier finds the set over budget, its entries are
 	// spilled to fingerprint-indexed segment files under SpillDir and
-	// lookups probe the (mmap-backed) segments before the in-memory
+	// lookups probe the (mmap-backed) segments after the in-memory
 	// tier, so the search completes with the exact same verdict and
-	// stats instead of exhausting memory. Each spill merges the trailing
-	// segments that hold no more spills than it into its own, so a
-	// search that spilled S times probes at most ⌊log2 S⌋+1 segments.
-	// 0 disables spilling.
+	// stats instead of exhausting memory. Each spill's index merges the
+	// indexes of the trailing segments that hold no more spills than
+	// it, so a search that spilled S times probes at most ⌊log2 S⌋+1
+	// indexes. 0 disables spilling.
 	MemLimit int64
 	// SpillDir is the parent directory for spill segments (a unique
 	// per-search subdirectory is created on first spill and removed when

@@ -127,7 +127,7 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 		r.gWorkers = reg.Gauge(obs.Labels("checker_workers", "phase", phase))
 	}
 	r.gWorkers.Set(int64(w))
-	r.visited = c.newParVisited(contention, spilled)
+	r.visited = c.newParVisited(phase, contention, spilled)
 	r.workers = make([]*parWorker, w)
 	for i := range r.workers {
 		r.workers[i] = &parWorker{arena: &model.Arena{}, cc: c.newCanceler()}

@@ -80,24 +80,39 @@ func refProblem(res *Result) string {
 }
 
 // TestRandomProgramsVerdictAgreement: for random programs, the level
-// engine at every worker count agrees with the reference search (ref)
+// engine at every worker count, and over the exact and collapse spill
+// tiers at one and two workers, agrees with the reference search (ref)
 // on the problem found, StatesStored, and counterexample length. The
 // partial-order-reduced search agrees with it on the problem found and
 // never stores more states.
 func TestRandomProgramsVerdictAgreement(t *testing.T) {
 	r := rand.New(rand.NewSource(20260707))
+	spillDir := t.TempDir()
 	for i := 0; i < 120; i++ {
 		src := randomProgram(r) + drainer
 		want := ref.Check(sysFromSource(t, src))
+		runs := map[string]Options{}
 		for _, w := range append([]int{0}, parWorkerCounts...) {
-			got := New(sysFromSource(t, src), Options{Workers: w}).CheckSafety()
+			runs[fmt.Sprintf("Workers=%d", w)] = Options{Workers: w}
+		}
+		// The spill tier under a 1 KB budget, which spills at nearly
+		// every barrier: storage never changes what the search finds.
+		// Every spill creates a file, so only every other program runs
+		// it, each taking the next of the four worker × tier pairs.
+		if i%2 == 0 {
+			w, v := 1+i/2%2, []string{VisitedExact, VisitedCollapse}[i/4%2]
+			runs[fmt.Sprintf("Workers=%d %s-spill", w, v)] = Options{Workers: w,
+				Storage: StorageOptions{Visited: v, MemLimit: 1024, SpillDir: spillDir}}
+		}
+		for name, opts := range runs {
+			got := New(sysFromSource(t, src), opts).CheckSafety()
 			if refProblem(got) != want.Problem || got.Stats.StatesStored != want.Stored {
-				t.Fatalf("program %d: Workers=%d found %q storing %d states, reference %q storing %d\n%s",
-					i, w, refProblem(got), got.Stats.StatesStored, want.Problem, want.Stored, src)
+				t.Fatalf("program %d: %s found %q storing %d states, reference %q storing %d\n%s",
+					i, name, refProblem(got), got.Stats.StatesStored, want.Problem, want.Stored, src)
 			}
 			if !got.OK && got.Trace.Len() != want.CELen {
-				t.Fatalf("program %d: counterexample length %d at Workers=%d, reference %d\n%s",
-					i, got.Trace.Len(), w, want.CELen, src)
+				t.Fatalf("program %d: counterexample length %d at %s, reference %d\n%s",
+					i, got.Trace.Len(), name, want.CELen, src)
 			}
 		}
 		por := New(sysFromSource(t, src), Options{PartialOrder: true}).CheckSafety()

@@ -10,7 +10,11 @@ import (
 // mapFile returns a read-only view of the file at path: an mmap where
 // the platform supports it (mapped=true — pages are file-backed and
 // reclaimable, so multi-GB spill segments cost no heap), falling back
-// to reading the file into memory.
+// to reading the file into memory. The spill tier maps every segment
+// once and keeps it mapped until the search ends, since later indexes
+// point into its blob; it stops spilling at spillMaxFiles segments, well
+// below the process's mapping limit (vm.max_map_count), rather than
+// reach this fallback.
 func mapFile(path string) (data []byte, mapped bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -8,11 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"pnp/internal/frame"
 	"pnp/internal/model"
+	"pnp/internal/obs"
 )
 
 func emitAll(encs [][]byte) func(fn func(enc []byte)) {
@@ -26,48 +26,59 @@ func emitAll(encs [][]byte) func(fn func(enc []byte)) {
 func writeTestSegment(tb testing.TB, dir string, encs [][]byte) string {
 	tb.Helper()
 	path := filepath.Join(dir, "seg-000000.seg")
-	if err := writeSpillSegment(bufio.NewWriter(nil), path, len(encs), emitAll(encs), nil); err != nil {
+	if err := writeSpillSegment(bufio.NewWriter(nil), path, 0, len(encs), emitAll(encs), nil); err != nil {
 		tb.Fatalf("writeSpillSegment: %v", err)
 	}
 	return path
 }
 
-// writeMergedTestSegment writes every part but the last as a segment of
-// its own, then merges those sources with the last part's entries into
-// one segment.
-func writeMergedTestSegment(tb testing.TB, dir string, parts ...[][]byte) string {
+// writeMergedTestSegment writes every part but the last as a plain
+// segment, numbered in order, then segment len(parts)-1: the last part's
+// blob and an index merging its entries with all of theirs. It returns
+// the merged segment's path and its sources, open until the test ends;
+// the merged segment only validates in their context.
+func writeMergedTestSegment(tb testing.TB, dir string, parts ...[][]byte) (string, []*spillSegment) {
 	tb.Helper()
-	var srcs []*spillSegment
-	for i, encs := range parts[:len(parts)-1] {
-		sub := filepath.Join(dir, fmt.Sprint(i))
-		if err := os.Mkdir(sub, 0o755); err != nil {
-			tb.Fatal(err)
+	w := bufio.NewWriter(nil)
+	write := func(num int, fold []*spillSegment) string {
+		path := filepath.Join(dir, fmt.Sprintf("seg-%06d.seg", num))
+		if err := writeSpillSegment(w, path, num, len(parts[num]), emitAll(parts[num]), fold); err != nil {
+			tb.Fatalf("writeSpillSegment: %v", err)
 		}
-		seg, err := openSpillSegment(writeTestSegment(tb, sub, encs))
+		return path
+	}
+	last := len(parts) - 1
+	var srcs []*spillSegment
+	for num := range last {
+		seg, err := openSpillSegment(write(num, nil), srcs...)
 		if err != nil {
 			tb.Fatalf("openSpillSegment: %v", err)
 		}
-		defer seg.close()
+		tb.Cleanup(seg.close)
 		srcs = append(srcs, seg)
 	}
-	last := parts[len(parts)-1]
-	path := filepath.Join(dir, "merged.seg")
-	if err := writeSpillSegment(bufio.NewWriter(nil), path, len(last), emitAll(last), srcs); err != nil {
-		tb.Fatalf("writeSpillSegment: %v", err)
-	}
-	return path
+	return write(last, srcs), srcs
 }
 
 // A segment, written whole or merged from sources and new entries,
-// holds exactly its entries.
+// holds exactly its entries; a merged one only in the context of the
+// segments its index points into.
 func TestSpillSegmentRoundTrip(t *testing.T) {
 	_, encs, fps, _ := benchComponentStates(1500)
-	paths := map[string]string{
-		"plain":  writeTestSegment(t, t.TempDir(), encs),
-		"merged": writeMergedTestSegment(t, t.TempDir(), encs[:900], encs[900:1300], encs[1300:]),
+	merged, srcs := writeMergedTestSegment(t, t.TempDir(), encs[:900], encs[900:1300], encs[1300:])
+	if seg, err := openSpillSegment(merged); err == nil {
+		seg.close()
+		t.Fatal("merged segment opened without the segments it points into")
 	}
-	for name, path := range paths {
-		seg, err := openSpillSegment(path)
+	type opened struct {
+		path  string
+		prior []*spillSegment
+	}
+	for name, o := range map[string]opened{
+		"plain":  {writeTestSegment(t, t.TempDir(), encs), nil},
+		"merged": {merged, srcs},
+	} {
+		seg, err := openSpillSegment(o.path, o.prior...)
 		if err != nil {
 			t.Fatalf("%s: openSpillSegment: %v", name, err)
 		}
@@ -139,7 +150,7 @@ func TestSpillSetUnwritableDirDegrades(t *testing.T) {
 	}
 	defer os.Chmod(dir, 0o755)
 	_, encs, fps, endss := benchComponentStates(500)
-	s := newSpillSet(newShardedSet(nil), 1, filepath.Join(dir, "sub"), nil)
+	s := newSpillSet(newShardedSet(nil), 1, filepath.Join(dir, "sub"), spillMetrics{})
 	defer s.close()
 	for j := range encs {
 		if s.seen(fps[j], encs[j], endss[j]) {
@@ -160,6 +171,40 @@ func TestSpillSetUnwritableDirDegrades(t *testing.T) {
 	}
 }
 
+// A spillSet that has written maxFiles segments turns the tier off
+// instead of mapping another: later states stay in memory, the
+// segments already written stay probed, and membership stays exact.
+func TestSpillSetStopsAtMaxFiles(t *testing.T) {
+	_, encs, fps, endss := benchComponentStates(500)
+	s := newSpillSet(newShardedSet(nil), 1, t.TempDir(), spillMetrics{})
+	defer s.close()
+	s.maxFiles = 3
+	for j := range encs {
+		if s.seen(fps[j], encs[j], endss[j]) {
+			t.Fatalf("fresh state %d reported seen", j)
+		}
+		if j%50 == 49 {
+			s.maybeSpill()
+		}
+	}
+	if !s.failed || len(s.files) != 3 || s.spilled.Load() != 150 {
+		t.Fatalf("failed=%v, %d files, %d spilled; want the tier off after 3 files of 150 states",
+			s.failed, len(s.files), s.spilled.Load())
+	}
+	files, err := os.ReadDir(s.runDir)
+	if err != nil || len(files) != 3 {
+		t.Fatalf("%d files in the run dir (%v), want 3", len(files), err)
+	}
+	for j := range encs {
+		if !s.seen(fps[j], encs[j], endss[j]) {
+			t.Fatalf("state %d lost", j)
+		}
+	}
+	if s.size() != len(encs) || s.mem.size() != len(encs)-150 {
+		t.Fatalf("size = %d (%d in memory), want %d (%d)", s.size(), s.mem.size(), len(encs), len(encs)-150)
+	}
+}
+
 // spillMems are the in-memory tiers a spill set can wrap.
 func spillMems(shape *model.State) map[string]func() visitedDrainer {
 	return map[string]func() visitedDrainer{
@@ -170,14 +215,14 @@ func spillMems(shape *model.State) map[string]func() visitedDrainer {
 
 // The spill set keeps exact membership across spills, for both exact
 // and collapse in-memory tiers. Spilling after every small batch merges
-// like a binary counter: a search that spilled S times holds at most
-// bits.Len(S) segments, with strictly decreasing spill and state
-// counts, and one file each on disk.
+// indexes like a binary counter: a search that spilled S times probes
+// at most bits.Len(S) indexes, with strictly decreasing spill and state
+// counts, and keeps one file per spill on disk.
 func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 	shape, encs, fps, endss := benchComponentStates(2000)
 	for name, mk := range spillMems(shape) {
 		t.Run(name, func(t *testing.T) {
-			s := newSpillSet(mk(), 1, t.TempDir(), nil)
+			s := newSpillSet(mk(), 1, t.TempDir(), spillMetrics{})
 			defer s.close()
 			spills := 0
 			for j := range encs {
@@ -207,13 +252,8 @@ func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, fi := range files {
-					if strings.HasSuffix(fi.Name(), ".tmp") {
-						t.Fatalf("leftover %s", fi.Name())
-					}
-				}
-				if len(files) != len(s.segs) {
-					t.Fatalf("after %d spills: %d files for %d segments", spills, len(files), len(s.segs))
+				if len(files) != len(s.files) || len(s.files) != spills {
+					t.Fatalf("after %d spills: %d files for %d segments", spills, len(files), len(s.files))
 				}
 			}
 			if spills < 200 {
@@ -232,10 +272,9 @@ func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 }
 
 func TestSpillFold(t *testing.T) {
-	seg := func(spills, count, blob int) *spillSegment {
-		return &spillSegment{spills: spills, count: count, blobLen: blob}
+	seg := func(spills, count int) *spillSegment {
+		return &spillSegment{spills: spills, count: count}
 	}
-	const half = spillFrameMax / 2
 	cases := []struct {
 		name string
 		n    int
@@ -243,13 +282,11 @@ func TestSpillFold(t *testing.T) {
 		want int
 	}{
 		{"no segments", 10, nil, 0},
-		{"equal spills", 10, []*spillSegment{seg(1, 10, 100)}, 0},
-		{"carry", 10, []*spillSegment{seg(4, 40, 400), seg(2, 20, 200), seg(1, 10, 100)}, 0},
-		{"older holds more spills", 10, []*spillSegment{seg(4, 40, 400), seg(1, 10, 100)}, 1},
-		{"spills, not states", 5000, []*spillSegment{seg(2, 20, 200)}, 1},
-		{"blob at half the cap", 10, []*spillSegment{seg(1, 10, half)}, 1},
-		{"folded blobs reach half the cap", 10, []*spillSegment{seg(2, 10, half/2+1), seg(1, 10, half/2+1)}, 1},
-		{"index frame limit", 1, []*spillSegment{seg(1, spillFrameMax/16, 100)}, 1},
+		{"equal spills", 10, []*spillSegment{seg(1, 10)}, 0},
+		{"carry", 10, []*spillSegment{seg(4, 40), seg(2, 20), seg(1, 10)}, 0},
+		{"older holds more spills", 10, []*spillSegment{seg(4, 40), seg(1, 10)}, 1},
+		{"spills, not states", 5000, []*spillSegment{seg(2, 20)}, 1},
+		{"index frame limit", 1, []*spillSegment{seg(1, spillFrameMax/16)}, 1},
 	}
 	for _, c := range cases {
 		if got := spillFold(c.n, c.segs); got != c.want {
@@ -265,7 +302,7 @@ func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
 	_, encs, fps, endss := benchComponentStates(400)
 	for _, blocked := range []int{1, 2} {
 		t.Run(fmt.Sprintf("blocked-%d", blocked), func(t *testing.T) {
-			s := newSpillSet(newShardedSet(nil), 1, t.TempDir(), nil)
+			s := newSpillSet(newShardedSet(nil), 1, t.TempDir(), spillMetrics{})
 			defer s.close()
 			for j := range encs {
 				if s.seen(fps[j], encs[j], endss[j]) {
@@ -280,15 +317,15 @@ func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
 			if len(before) != 2 {
 				t.Fatalf("%d segments before the merge, want 2", len(before))
 			}
-			// A directory where the next segment's tmp file goes makes
+			// A directory where the next segment file goes makes
 			// creating it fail.
 			for k := 0; k < blocked; k++ {
-				tmp := filepath.Join(s.runDir, fmt.Sprintf("seg-%06d.seg.tmp", s.written+k))
-				if err := os.Mkdir(tmp, 0o755); err != nil {
+				path := filepath.Join(s.runDir, fmt.Sprintf("seg-%06d.seg", s.written+k))
+				if err := os.Mkdir(path, 0o755); err != nil {
 					t.Fatal(err)
 				}
 			}
-			s.maybeSpill() // would fold both segments
+			s.maybeSpill() // would fold both indexes
 			if !slices.Equal(s.segs[:2], before) {
 				t.Fatal("sources replaced by a failed merge")
 			}
@@ -321,10 +358,12 @@ func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
 	}
 }
 
-// FuzzSpillSegment feeds openSpillSegment arbitrary file contents. It
-// must reject them, or return a segment whose every index entry
+// FuzzSpillSegment feeds openSpillSegment arbitrary file contents,
+// opened standalone and as the segment written after two fixed sources.
+// It must reject them, or return a segment whose every index entry
 // resolves and is found by its own fingerprint, and whose probes never
-// panic.
+// panic. What opens standalone opens in context too: it names no
+// other segment.
 func FuzzSpillSegment(f *testing.F) {
 	golden, err := hex.DecodeString(goldenSpillSegment)
 	if err != nil {
@@ -333,7 +372,8 @@ func FuzzSpillSegment(f *testing.F) {
 	f.Add(golden)
 	dir := f.TempDir()
 	_, encs, _, _ := benchComponentStates(60)
-	merged, err := os.ReadFile(writeMergedTestSegment(f, dir, encs[:20], encs[20:40], encs[40:]))
+	mergedPath, srcs := writeMergedTestSegment(f, dir, encs[:20], encs[20:40], encs[40:])
+	merged, err := os.ReadFile(mergedPath)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -352,30 +392,80 @@ func FuzzSpillSegment(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		seg, err := openSpillSegment(path)
-		if err != nil {
-			return
-		}
-		defer seg.close()
-		for i := 0; i < seg.count; i++ {
-			e, ok := seg.entryAt(seg.offAt(i))
-			if !ok {
-				t.Fatalf("index entry %d does not resolve", i)
+		standalone := false
+		for _, prior := range [][]*spillSegment{nil, srcs} {
+			seg, err := openSpillSegment(path, prior...)
+			if err != nil {
+				if standalone {
+					t.Fatalf("opens standalone, not after its %d sources: %v", len(prior), err)
+				}
+				continue
 			}
-			if !seg.contains(seg.fpAt(i), e) {
-				t.Fatalf("entry %d not found under its own fingerprint", i)
+			standalone = prior == nil
+			for i := 0; i < seg.count; i++ {
+				e, ok := seg.entryAt(seg.offAt(i))
+				if !ok {
+					t.Fatalf("index entry %d does not resolve", i)
+				}
+				if !seg.contains(seg.fpAt(i), e) {
+					t.Fatalf("entry %d not found under its own fingerprint", i)
+				}
+				seg.contains(model.Hash64(e), e)
 			}
-			seg.contains(model.Hash64(e), e)
+			seg.contains(0, nil)
+			seg.close()
 		}
-		seg.contains(0, nil)
 	})
+}
+
+// A 1 KB-budget search records one checker_spill_seconds sample per
+// spill, and at every barrier checker_spill_bytes_total equals the
+// summed size of the files in the run dir: every spill adds one file
+// and no file is ever rewritten.
+func TestSpillMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	parent := t.TempDir()
+	const phase = "safety-par-bfs"
+	seconds := reg.Histogram(obs.Labels("checker_spill_seconds", "phase", phase), spillSecondsBuckets)
+	written := reg.Counter(obs.Labels("checker_spill_bytes_total", "phase", phase))
+	barriers := 0
+	onWrite := func(string, int, int) {
+		barriers++
+		runs, _ := filepath.Glob(filepath.Join(parent, "pnp-spill-*", "*"))
+		var size int64
+		for _, p := range runs {
+			fi, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size += fi.Size()
+		}
+		if seconds.Count() != int64(len(runs)) || written.Value() != size {
+			t.Fatalf("barrier %d: %d spill samples and %d bytes counted, %d files of %d bytes on disk",
+				barriers, seconds.Count(), written.Value(), len(runs), size)
+		}
+	}
+	res := New(sysFromSource(t, ckptSrc), Options{Workers: 2, Metrics: reg,
+		Storage:    StorageOptions{MemLimit: 1024, SpillDir: parent},
+		Durability: &DurabilityOptions{Dir: t.TempDir(), Key: "m", Interval: 1, OnWrite: onWrite},
+	}).CheckSafety()
+	if !res.OK || res.Stats.SpilledStates == 0 {
+		t.Fatalf("%s, %d spilled", res.Summary(), res.Stats.SpilledStates)
+	}
+	if seconds.Count() < 100 || barriers < 100 {
+		t.Fatalf("%d spills over %d barriers", seconds.Count(), barriers)
+	}
+	spilled := reg.Counter(obs.Labels("checker_visited_spilled_states_total", "phase", phase))
+	if spilled.Value() != int64(res.Stats.SpilledStates) {
+		t.Errorf("spilled states counter %d, Stats %d", spilled.Value(), res.Stats.SpilledStates)
+	}
 }
 
 // close removes the per-search segment directory.
 func TestSpillSetCloseRemovesSegments(t *testing.T) {
 	_, encs, fps, endss := benchComponentStates(300)
 	parent := t.TempDir()
-	s := newSpillSet(newShardedSet(nil), 1, parent, nil)
+	s := newSpillSet(newShardedSet(nil), 1, parent, spillMetrics{})
 	for j := range encs {
 		s.seen(fps[j], encs[j], endss[j])
 	}

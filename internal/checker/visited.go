@@ -642,8 +642,9 @@ const (
 // newParVisited builds the parallel engine's visited structure:
 // bitstate when requested, otherwise an exact or collapse-compressed
 // set per Options.Visited, wrapped in the disk-spill tier when a memory
-// budget is configured.
-func (c *Checker) newParVisited(contention, spilled *obs.Counter) parVisited {
+// budget is configured (only then are the spill tier's instruments
+// registered for phase).
+func (c *Checker) newParVisited(phase string, contention, spilled *obs.Counter) parVisited {
 	st := c.opts.Storage
 	if st.Bitstate {
 		bits := st.BitstateBits
@@ -659,7 +660,7 @@ func (c *Checker) newParVisited(contention, spilled *obs.Counter) parVisited {
 		mem = newShardedSet(contention)
 	}
 	if st.MemLimit > 0 {
-		return newSpillSet(mem, st.MemLimit, st.SpillDir, spilled)
+		return newSpillSet(mem, st.MemLimit, st.SpillDir, newSpillMetrics(c.opts.Metrics, phase, spilled))
 	}
 	return mem
 }

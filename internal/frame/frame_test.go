@@ -47,3 +47,28 @@ func TestCorruptFrames(t *testing.T) {
 		}
 	}
 }
+
+// FuzzFrameNext feeds Next arbitrary bytes. It must never panic, and a
+// payload it accepts must alias data and re-Append to exactly the bytes
+// it was split from.
+func FuzzFrameNext(f *testing.F) {
+	good := Append(nil, []byte("payload"))
+	f.Add(good)
+	f.Add(Append(good, []byte("second")))
+	f.Add(good[:len(good)-1])
+	f.Add(make([]byte, HeaderSize))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, rest, err := Next(data)
+		if err != nil {
+			return
+		}
+		if len(payload) == 0 || &payload[0] != &data[HeaderSize] {
+			t.Fatal("accepted payload does not alias data")
+		}
+		consumed := data[:len(data)-len(rest)]
+		if !bytes.Equal(Append(nil, payload), consumed) {
+			t.Fatalf("re-Append = %x, split from %x", Append(nil, payload), consumed)
+		}
+	})
+}
