@@ -18,10 +18,11 @@ type StorageOptions struct {
 	// spilled to fingerprint-indexed segment files under SpillDir and
 	// lookups probe the (mmap-backed) segments after the in-memory
 	// tier, so the search completes with the exact same verdict and
-	// stats instead of exhausting memory. Each spill's index merges the
-	// indexes of the trailing segments that hold no more spills than
-	// it, so a search that spilled S times probes at most ⌊log2 S⌋+1
-	// indexes. 0 disables spilling.
+	// stats. The budget covers the visited set only: the two live
+	// levels' states are outside it, and on wide levels they dominate.
+	// Each spill's index merges the indexes of the trailing segments
+	// that hold no more spills than it, so a search that spilled S
+	// times probes at most ⌊log2 S⌋+1 indexes. 0 disables spilling.
 	MemLimit int64
 	// SpillDir is the parent directory for spill segments (a unique
 	// per-search subdirectory is created on first spill and removed when

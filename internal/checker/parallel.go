@@ -17,9 +17,11 @@ import (
 
 // The level engine is the checker's one safety search and every
 // CheckReachable. It explores one level at a time: all frontier nodes
-// of depth d are expanded (by Options.Workers goroutines pulling from a
-// shared index, or inline on the caller's goroutine at one worker)
-// before any node of depth d+1 is looked at. The barrier is what makes the search
+// of depth d are expanded before any node of depth d+1 is looked at —
+// inline on the caller's goroutine at one worker, otherwise by
+// Options.Workers goroutines that each expand the segment of the level
+// it stored, in chunks, then steal chunks of the others' (see
+// runLevel). The barrier is what makes the search
 // worker-count-independent: the set of states at depth d+1 is exactly
 // successors(level d) minus the visited set after level d, no matter
 // how workers interleave, so verdicts, StatesStored, and counterexample
@@ -73,8 +75,9 @@ type parProblem struct {
 
 // parWorker is the per-goroutine scratch: a state arena, a reusable key
 // buffer, a reusable transition slice, and local accumulators flushed
-// at each level barrier so the hot loop touches no shared counters
-// except the visited set and the stored-states total.
+// at each level barrier so the hot loop touches no shared memory but
+// the visited set (and, under Options.MaxStates, the stored-states
+// total the limit needs).
 //
 // slabs hold the encodings of the nodes this worker stored, by level
 // parity: expanding level d writes level d+1's into the slab of level
@@ -94,6 +97,7 @@ type parWorker struct {
 	trans    int
 	matched  int
 	reduced  int
+	stored   int // new states, unless MaxStates is set: then parRunner.stored counts them
 	busy     time.Duration
 	cc       *canceler
 }
@@ -103,13 +107,15 @@ type parRunner struct {
 	c       *Checker
 	workers []*parWorker
 	visited parVisited
-	stored  atomic.Int64 // states stored so far, root included
+	stored  atomic.Int64 // states stored, root included: as of the last barrier, or of the last store under MaxStates
 	stop    atomic.Bool  // cancel or state limit: workers drain promptly
 	limit   atomic.Bool
 	cancel  atomic.Bool
 	// ample[i] is the process whose ample set the current level's node i
 	// expands, or -1 for a full expansion; nil without PartialOrder.
 	ample []int32
+	// cursors are runLevel's claim positions, one per worker.
+	cursors []levelCursor
 
 	gFrontier, gWorkers *obs.Gauge
 	cBusy               *obs.Counter
@@ -129,6 +135,7 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 	r.gWorkers.Set(int64(w))
 	r.visited = c.newParVisited(phase, contention, spilled)
 	r.workers = make([]*parWorker, w)
+	r.cursors = make([]levelCursor, w)
 	for i := range r.workers {
 		r.workers[i] = &parWorker{arena: &model.Arena{}, cc: c.newCanceler()}
 		if c.opts.ReportUnreached && !c.opts.PartialOrder {
@@ -163,64 +170,124 @@ func (r *parRunner) close() {
 func (r *parRunner) abortCancel() { r.cancel.Store(true); r.stop.Store(true) }
 func (r *parRunner) abortLimit()  { r.limit.Store(true); r.stop.Store(true) }
 
-// runLevel drives work(worker, nodeIndex) over every index of cur,
-// spreading indices across the workers. With one worker it runs inline,
-// goroutine-free.
-func (r *parRunner) runLevel(n int, work func(w *parWorker, i int)) {
-	var idx atomic.Int64
-	loop := func(w *parWorker) {
+// levelCursor is the next unclaimed index of one worker's segment of a
+// level and the segment's end, padded to its own cache line so claims
+// on different segments never contend for one.
+type levelCursor struct {
+	next atomic.Int64
+	end  int64
+	_    [48]byte
+}
+
+// runLevel drives work(worker, nodeIndex) over every index of a level
+// of n nodes. Worker k owns segment [bounds[k], bounds[k+1]) — the
+// nodes it stored (see collect), whose states its own arena holds — and
+// claims chunks of it until it is exhausted, then steals chunks from
+// the other segments in turn. Bounds that do not split n among the
+// workers (the root, a resumed level) are replaced by an even split.
+// Every worker polls stop and its canceler before each node. With one
+// worker it runs inline, goroutine-free, in index order.
+func (r *parRunner) runLevel(n int, bounds []int, work func(w *parWorker, i int)) {
+	bounds = r.segments(n, bounds)
+	for k := range r.cursors {
+		r.cursors[k].next.Store(int64(bounds[k]))
+		r.cursors[k].end = int64(bounds[k+1])
+	}
+	chunk := int64(max(1, min(64, n/(8*len(r.workers)))))
+	run := func(k int, w *parWorker) {
 		t0 := time.Now()
-		for !r.stop.Load() {
-			i := int(idx.Add(1) - 1)
-			if i >= n {
-				break
-			}
-			if w.cc.hit() {
-				r.abortCancel()
-				break
-			}
-			work(w, i)
-		}
+		r.claim(k, w, chunk, work)
 		w.busy += time.Since(t0)
 	}
 	if len(r.workers) == 1 {
-		loop(r.workers[0])
+		run(0, r.workers[0])
 		return
 	}
 	var wg sync.WaitGroup
-	for _, w := range r.workers {
+	for k, w := range r.workers {
 		wg.Add(1)
-		go func(w *parWorker) {
+		go func(k int, w *parWorker) {
 			defer wg.Done()
-			loop(w)
-		}(w)
+			run(k, w)
+		}(k, w)
 	}
 	wg.Wait()
 }
 
+// claim is worker k's share of runLevel: chunks of its own segment,
+// then of segments k+1, k+2, ... (mod workers) until every chunk is
+// claimed or the level stops. A claim past a segment's end claims
+// nothing, so each index is worked exactly once.
+func (r *parRunner) claim(k int, w *parWorker, chunk int64, work func(w *parWorker, i int)) {
+	for j := range r.cursors {
+		c := &r.cursors[(k+j)%len(r.cursors)]
+		for {
+			lo := c.next.Add(chunk) - chunk
+			if lo >= c.end {
+				break
+			}
+			for i := lo; i < min(lo+chunk, c.end); i++ {
+				if r.stop.Load() {
+					return
+				}
+				if w.cc.hit() {
+					r.abortCancel()
+					return
+				}
+				work(w, int(i))
+			}
+		}
+	}
+}
+
+// segments returns bounds if they split a level of n nodes into one
+// segment per worker, and an even split otherwise.
+func (r *parRunner) segments(n int, bounds []int) []int {
+	w := len(r.workers)
+	if len(bounds) == w+1 && bounds[0] == 0 && bounds[w] == n && slices.IsSorted(bounds) {
+		return bounds
+	}
+	even := make([]int, w+1)
+	for k := range even {
+		even[k] = k * n / w
+	}
+	return even
+}
+
 // expandLevel expands every node of cur, levels[li], whose encodings
-// are curEnc, and collects the next level at the barrier.
-func (r *parRunner) expandLevel(res *Result, li int, cur []parNode, curEnc []nodeEnc, safety bool) ([]parNode, []nodeEnc, []parProblem) {
+// are curEnc and whose worker segments are bounds, and collects the
+// next level at the barrier.
+func (r *parRunner) expandLevel(res *Result, li int, cur []parNode, curEnc []nodeEnc, bounds []int, safety bool) ([]parNode, []nodeEnc, []int, []parProblem) {
 	for _, w := range r.workers {
 		w.slab = &w.slabs[(li+1)%2]
 		w.slab.enc, w.slab.ends = w.slab.enc[:0], w.slab.ends[:0]
 	}
-	r.runLevel(len(cur), func(w *parWorker, i int) { w.expand(r, cur, curEnc, i, safety) })
+	r.runLevel(len(cur), bounds, func(w *parWorker, i int) { w.expand(r, cur, curEnc, i, safety) })
 	return r.collect(res)
 }
 
 // collect flushes every worker's level-local accumulators into the
 // result stats and returns the concatenated next frontier, its
-// encodings, and the problem list. Concatenation order varies between
-// runs; everything downstream is order-insensitive (sets and
-// min-adjudication).
-func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, problems []parProblem) {
+// encodings, the bounds of each worker's segment of it (worker k's
+// nodes are next[bounds[k]:bounds[k+1]]), and the problem list.
+// Concatenation order varies between runs; everything downstream is
+// order-insensitive (sets and min-adjudication).
+func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, bounds []int, problems []parProblem) {
+	bounds = make([]int, 1, len(r.workers)+1)
+	n := 0
+	for _, w := range r.workers {
+		n += len(w.next)
+	}
+	next, nextEnc = make([]parNode, 0, n), make([]nodeEnc, 0, n)
+	stored := 0
 	for _, w := range r.workers {
 		res.Stats.Transitions += w.trans
 		res.Stats.StatesMatched += w.matched
 		res.Stats.Reduced += w.reduced
-		w.trans, w.matched, w.reduced = 0, 0, 0
+		stored += w.stored
+		w.trans, w.matched, w.reduced, w.stored = 0, 0, 0, 0
 		next = append(next, w.next...)
+		bounds = append(bounds, len(next))
 		w.next = w.next[:0]
 		nextEnc = append(nextEnc, w.nextEnc...)
 		w.nextEnc = w.nextEnc[:0]
@@ -229,7 +296,7 @@ func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, pro
 		r.cBusy.Add(w.busy.Nanoseconds())
 		w.busy = 0
 	}
-	res.Stats.StatesStored = int(r.stored.Load())
+	res.Stats.StatesStored = int(r.stored.Add(int64(stored)))
 
 	// Barrier-granularity memory accounting: record the peak before any
 	// spill (that is what the search actually needed resident), then let
@@ -241,7 +308,7 @@ func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, pro
 		s.maybeSpill()
 		res.Stats.SpilledStates = int(s.spilled.Load())
 	}
-	return next, nextEnc, problems
+	return next, nextEnc, bounds, problems
 }
 
 // limitResult finishes a search that crossed MaxStates. StatesStored is
@@ -318,15 +385,21 @@ func (c *Checker) parTrace(levels [][]parNode, depth, node, trIdx int) *trace.Tr
 }
 
 // advance appends the collected level next to levels and retires the
-// level it was expanded from, levels[li], unless that is levels[0]:
-// every later read of it goes through parTrace's replay. Its states go
-// to the worker arenas, whose next clones reuse their outer arrays, so
-// the search holds two levels of states, not all of them.
-func (r *parRunner) advance(levels [][]parNode, li int, next []parNode) [][]parNode {
+// level it was expanded from, levels[li], whose worker segments are
+// bounds, unless that is levels[0]: every later read of it goes through
+// parTrace's replay. Each segment's states go back to the arena of the
+// worker that produced them, whose next clones reuse their outer
+// arrays, so the search holds two levels of states, not all of them,
+// and no worker's memory drifts to another.
+func (r *parRunner) advance(levels [][]parNode, li int, bounds []int, next []parNode) [][]parNode {
 	if li > 0 {
-		for i := range levels[li] {
-			r.workers[i%len(r.workers)].arena.Recycle(levels[li][i].st)
-			levels[li][i].st = nil
+		cur := levels[li]
+		bounds = r.segments(len(cur), bounds)
+		for k, w := range r.workers {
+			for i := bounds[k]; i < bounds[k+1]; i++ {
+				w.arena.Recycle(cur[i].st)
+				cur[i].st = nil
+			}
 		}
 	}
 	return append(levels, next)
@@ -383,8 +456,9 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, curEnc []nodeEnc, i int,
 			w.arena.Recycle(tr.Next)
 			continue
 		}
-		n := r.stored.Add(1)
-		if c.opts.MaxStates > 0 && int(n) > c.opts.MaxStates {
+		if c.opts.MaxStates <= 0 {
+			w.stored++
+		} else if int(r.stored.Add(1)) > c.opts.MaxStates {
 			r.abortLimit()
 			return
 		}
@@ -412,9 +486,9 @@ func (w *parWorker) recycle(trs []model.Transition) {
 // the level set, identical at every worker count and storage tier; and
 // it is sound: on every cycle, the node at the deepest level has a
 // cycle successor already stored, so that node expands fully.
-func (r *parRunner) ampleLevel(cur []parNode, curEnc []nodeEnc) {
+func (r *parRunner) ampleLevel(cur []parNode, curEnc []nodeEnc, bounds []int) {
 	r.ample = slices.Grow(r.ample[:0], len(cur))[:len(cur)]
-	r.runLevel(len(cur), func(w *parWorker, i int) {
+	r.runLevel(len(cur), bounds, func(w *parWorker, i int) {
 		node, pe := &cur[i], &curEnc[i]
 		w.trs = r.c.sys.AmpleSuccessors(node.st, w.arena, w.trs[:0])
 		r.ample[i] = -1
@@ -437,9 +511,9 @@ func (r *parRunner) ampleLevel(cur []parNode, curEnc []nodeEnc) {
 // the witness is shortest and the stored-state count is the same at
 // every worker count. It reports whether the search is over (witness
 // found, evaluation error, or cancellation), with res filled in.
-func (r *parRunner) scanTarget(levels [][]parNode, li int, curEnc []nodeEnc, target pml.RExpr, res *Result) bool {
+func (r *parRunner) scanTarget(levels [][]parNode, li int, curEnc []nodeEnc, bounds []int, target pml.RExpr, res *Result) bool {
 	cur := levels[li]
-	r.runLevel(len(cur), func(w *parWorker, i int) {
+	r.runLevel(len(cur), bounds, func(w *parWorker, i int) {
 		v, err := r.c.sys.EvalGlobal(cur[i].st, target)
 		if err != nil {
 			w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: RuntimeError, msg: err.Error()})
@@ -447,7 +521,7 @@ func (r *parRunner) scanTarget(levels [][]parNode, li int, curEnc []nodeEnc, tar
 			w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: NoViolation})
 		}
 	})
-	_, _, hits := r.collect(res)
+	_, _, _, hits := r.collect(res)
 	if r.cancel.Load() {
 		r.cancelResult(res)
 		return true
@@ -508,7 +582,9 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 		res.Stats.StatesStored = 1
 		base = 0
 	}
-	curEnc := rootEnc
+	// curBounds are levels[li]'s worker segments; the root and a resumed
+	// frontier have none, so their levels are split evenly.
+	curEnc, curBounds := rootEnc, []int(nil)
 
 	for li := 0; li < len(levels); li++ {
 		depth := base + li
@@ -521,14 +597,14 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 		}
 		r.gFrontier.Set(int64(len(cur)))
 
-		if !safety && r.scanTarget(levels, li, curEnc, target, res) {
+		if !safety && r.scanTarget(levels, li, curEnc, curBounds, target, res) {
 			return res
 		}
 		if safety && c.opts.PartialOrder {
-			r.ampleLevel(cur, curEnc)
+			r.ampleLevel(cur, curEnc, curBounds)
 		}
 		prevStored := res.Stats.StatesStored
-		next, nextEnc, problems := r.expandLevel(res, li, cur, curEnc, safety)
+		next, nextEnc, nextBounds, problems := r.expandLevel(res, li, cur, curEnc, curBounds, safety)
 		m.visited(r.visited.bytes())
 		m.level(&res.Stats, depth, len(cur), res.Stats.StatesStored-prevStored)
 
@@ -554,8 +630,8 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 			return res
 		}
 		ck.barrier(depth+1, rootEnc, nextEnc, &res.Stats)
-		levels = r.advance(levels, li, next)
-		curEnc = nextEnc
+		levels = r.advance(levels, li, curBounds, next)
+		curEnc, curBounds = nextEnc, nextBounds
 	}
 	if !safety {
 		res.Message = "target state is unreachable"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pnp/internal/model"
@@ -380,6 +381,56 @@ func TestEventuallyReachableMaxStatesClamp(t *testing.T) {
 	}
 }
 
+// TestRunLevelClaimsEveryIndexOnce: whatever the worker count, level
+// size and segment bounds — an even split, one worker owning the whole
+// level, or bounds left over from another level — runLevel hands every
+// index to work exactly once. Once stop is set mid-level, each worker
+// finishes at most the node in hand, well within one chunk.
+func TestRunLevelClaimsEveryIndexOnce(t *testing.T) {
+	sys := sysFromSource(t, parOKSrc)
+	for _, workers := range []int{1, 2, 3, 8} {
+		r := New(sys, Options{Workers: workers}).newParRunner("test")
+		for _, n := range []int{0, 1, 7, 1000} {
+			even := make([]int, workers+1)
+			skewed := make([]int, workers+1)
+			stale := make([]int, workers+1)
+			for k := range even {
+				even[k] = k * n / workers
+				skewed[k] = n // worker 0 owns the level
+				stale[k] = k * (n + 5) / workers
+			}
+			skewed[0] = 0
+			for name, bounds := range map[string][]int{"even": even, "skewed": skewed, "stale": stale, "none": nil} {
+				hits := make([]atomic.Int32, n)
+				r.runLevel(n, bounds, func(_ *parWorker, i int) { hits[i].Add(1) })
+				for i := range hits {
+					if h := hits[i].Load(); h != 1 {
+						t.Fatalf("workers=%d n=%d %s bounds: index %d worked %d times", workers, n, name, i, h)
+					}
+				}
+				if n < 2 {
+					continue
+				}
+				// after counts the nodes begun with stop already set.
+				var calls, after atomic.Int64
+				r.runLevel(n, bounds, func(*parWorker, int) {
+					if r.stop.Load() {
+						after.Add(1)
+					}
+					if calls.Add(1) == int64(n/2) {
+						r.stop.Store(true)
+					}
+				})
+				r.stop.Store(false)
+				if extra := after.Load(); extra > int64(workers-1) {
+					t.Fatalf("workers=%d n=%d %s bounds: %d nodes worked after stop", workers, n, name, extra)
+				}
+			}
+		}
+		r.close()
+	}
+}
+
 // --- sharded visited set ---
 
 // The level engine holds two levels of states: once level d+1 is
@@ -390,10 +441,12 @@ func TestLevelsRetiredAfterNextLevelCollected(t *testing.T) {
 		c := New(sysFromSource(t, parOKSrc), Options{Workers: w})
 		r := c.newParRunner("test")
 		levels, curEnc := r.seedRoot()
+		var bounds []int
 		res := &Result{}
 		for li := 0; len(levels[li]) > 0; li++ {
-			next, nextEnc, _ := r.expandLevel(res, li, levels[li], curEnc, true)
-			levels, curEnc = r.advance(levels, li, next), nextEnc
+			next, nextEnc, nextBounds, _ := r.expandLevel(res, li, levels[li], curEnc, bounds, true)
+			levels, curEnc = r.advance(levels, li, bounds, next), nextEnc
+			bounds = nextBounds
 			for d := 1; d <= li; d++ {
 				for i, n := range levels[d] {
 					if n.st != nil {

@@ -154,7 +154,11 @@ func porProgram(r *rand.Rand) string {
 // every stat (Reduced included) and the counterexample length are the
 // same at every worker count and storage tier, and after a resume from
 // a checkpoint taken at a random level. The verdict is the reference
-// search's, from no more states.
+// search's. A reduced search that verifies stores no more states than
+// the reference; one that finds a problem has a counterexample no shorter
+// than the reference's, and may store more states on the way, because
+// the reduction keeps every reachable problem but not the shortest path
+// to it.
 func TestPORDeterministicAcrossWorkersAndStorage(t *testing.T) {
 	programs := 24
 	if testing.Short() {
@@ -164,7 +168,9 @@ func TestPORDeterministicAcrossWorkersAndStorage(t *testing.T) {
 	for i := 0; i < programs; i++ {
 		src := porProgram(r)
 		base := New(sysFromSource(t, src), Options{PartialOrder: true}).CheckSafety()
-		if want := ref.Check(sysFromSource(t, src)); refProblem(base) != want.Problem || base.Stats.StatesStored > want.Stored {
+		want := ref.Check(sysFromSource(t, src))
+		if refProblem(base) != want.Problem || base.OK && base.Stats.StatesStored > want.Stored ||
+			!base.OK && base.Trace.Len() < want.CELen {
 			t.Fatalf("program %d: POR found %q storing %d states, reference %q storing %d\n%s",
 				i, refProblem(base), base.Stats.StatesStored, want.Problem, want.Stored, src)
 		}

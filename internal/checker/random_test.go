@@ -24,6 +24,8 @@ func randomProgram(r *rand.Rand) string {
 	sb.WriteString("byte g0, g1;\n")
 	sb.WriteString("chan ch0 = [1] of { byte };\n")
 	sb.WriteString("chan ch1 = [2] of { byte };\n")
+	sb.WriteString("chan rv = [0] of { byte };\n")
+	chans := []string{"ch0", "ch1", "rv"}
 
 	nProcs := 2 + r.Intn(2)
 	for pi := 0; pi < nProcs; pi++ {
@@ -31,7 +33,7 @@ func randomProgram(r *rand.Rand) string {
 		sb.WriteString("\tbyte l0, l1;\n")
 		nStmts := 2 + r.Intn(5)
 		for si := 0; si < nStmts; si++ {
-			switch r.Intn(8) {
+			switch r.Intn(10) {
 			case 0:
 				fmt.Fprintf(&sb, "\tl0 = l0 + %d;\n", r.Intn(3))
 			case 1:
@@ -39,9 +41,9 @@ func randomProgram(r *rand.Rand) string {
 			case 2:
 				fmt.Fprintf(&sb, "\tg%d = g%d + 1;\n", r.Intn(2), r.Intn(2))
 			case 3:
-				fmt.Fprintf(&sb, "\tch%d!%d;\n", r.Intn(2), r.Intn(4))
+				fmt.Fprintf(&sb, "\t%s!%d;\n", chans[r.Intn(3)], r.Intn(4))
 			case 4:
-				fmt.Fprintf(&sb, "\tif\n\t:: ch%d?l0\n\t:: else -> l0 = 0\n\tfi;\n", r.Intn(2))
+				fmt.Fprintf(&sb, "\tif\n\t:: %s?l0\n\t:: else -> l0 = 0\n\tfi;\n", chans[r.Intn(3)])
 			case 5:
 				fmt.Fprintf(&sb, "\tif\n\t:: g0 > %d -> l1 = 1\n\t:: else -> l1 = 2\n\tfi;\n", r.Intn(3))
 			case 6:
@@ -49,6 +51,11 @@ func randomProgram(r *rand.Rand) string {
 				fmt.Fprintf(&sb, "\tl0 = 0;\n\tdo\n\t:: l0 < %d -> l0 = l0 + 1\n\t:: else -> break\n\tod;\n", 1+r.Intn(3))
 			case 7:
 				sb.WriteString("\tskip;\n")
+			case 8:
+				// A rendezvous receive: a match or a bind.
+				sb.WriteString([]string{"\trv?1;\n", "\trv?l0;\n"}[r.Intn(2)])
+			case 9:
+				fmt.Fprintf(&sb, "\trv!%d;\n", r.Intn(3))
 			}
 		}
 		sb.WriteString("\tskip\n}\n")
@@ -57,13 +64,18 @@ func randomProgram(r *rand.Rand) string {
 }
 
 // drainer keeps channels from blocking forever at termination: a process
-// that consumes anything left over, at an end label.
+// that consumes anything left over, at an end label. It is also a
+// rendezvous partner for every statement on rv: it takes any send, and
+// its rv!1 matches both rv?1 and rv?l0 (one send keeps the state spaces
+// small).
 const drainer = `
 active proctype Drain() {
 	byte v;
 	end: do
 	:: ch0?v
 	:: ch1?v
+	:: rv?v
+	:: rv!1
 	od
 }
 `

@@ -25,6 +25,8 @@ type parVisited interface {
 	// present and stores nothing. Partial-order reduction's proviso
 	// reads the set through it between level barriers.
 	contains(fp uint64, enc []byte, ends []int) bool
+	// size is the number of states stored. Only called at level
+	// barriers (no concurrent seen).
 	size() int
 	// bytes estimates the resident memory of the structure: stored
 	// entries plus table overhead. It feeds the checker_visited_bytes
@@ -243,7 +245,6 @@ type visitedShard struct {
 // compares the cheap uint64 first and the bytes only on a slot hit.
 type shardedSet struct {
 	shards [visitedShards]visitedShard
-	stored atomic.Int64
 	// contention counts TryLock misses — a worker arriving at a stripe
 	// another worker holds. Nil (metrics disabled) is a no-op.
 	contention *obs.Counter
@@ -261,9 +262,6 @@ func (s *shardedSet) seen(fp uint64, enc []byte, _ []int) bool {
 	}
 	had := sh.t.testAndSet(fp, enc)
 	sh.mu.Unlock()
-	if !had {
-		s.stored.Add(1)
-	}
 	return had
 }
 
@@ -274,7 +272,19 @@ func (s *shardedSet) contains(fp uint64, enc []byte, _ []int) bool {
 	return sh.t.lookup(fp, enc)
 }
 
-func (s *shardedSet) size() int { return int(s.stored.Load()) }
+func (s *shardedSet) size() int { return shardsSize(&s.shards) }
+
+// shardsSize sums the entries of every stripe, each under its lock.
+func shardsSize(shards *[visitedShards]visitedShard) int {
+	n := 0
+	for i := range shards {
+		sh := &shards[i]
+		sh.mu.Lock()
+		n += sh.t.n
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 func (s *shardedSet) bytes() int64 {
 	var b int64
@@ -303,7 +313,6 @@ func (s *shardedSet) reset() {
 		sh.t.reset()
 		sh.mu.Unlock()
 	}
-	s.stored.Store(0)
 }
 
 // idTable is an encTable that numbers its entries: each distinct byte
@@ -394,7 +403,6 @@ func (ct *collapseTable) bytes() int64 {
 type collapseSet struct {
 	comps  []collapseTable // 1 + processes + channels
 	shards [visitedShards]visitedShard
-	stored atomic.Int64
 	// shape re-splits encodings that arrive without section boundaries
 	// (checkpoint restore).
 	shape      *model.State
@@ -420,9 +428,6 @@ func (s *collapseSet) seen(fp uint64, enc []byte, ends []int) bool {
 	// tuple in the stripe table as well as routing to the stripe.
 	had := sh.t.testAndSet(fp, tuple)
 	sh.mu.Unlock()
-	if !had {
-		s.stored.Add(1)
-	}
 	return had
 }
 
@@ -463,7 +468,7 @@ func (s *collapseSet) tuple(sh *visitedShard, enc []byte, ends []int, add bool) 
 	return tuple, true
 }
 
-func (s *collapseSet) size() int { return int(s.stored.Load()) }
+func (s *collapseSet) size() int { return shardsSize(&s.shards) }
 
 func (s *collapseSet) bytes() int64 {
 	var b int64
@@ -537,7 +542,6 @@ func (s *collapseSet) reset() {
 		sh.t.reset()
 		sh.mu.Unlock()
 	}
-	s.stored.Store(0)
 }
 
 // paddedMutex is a mutex padded to its own cache line.

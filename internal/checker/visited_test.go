@@ -374,7 +374,7 @@ func TestCollapseSearchEncodingsDecode(t *testing.T) {
 	levels, curEnc := r.seedRoot()
 	res := &Result{}
 	for li := 0; len(levels[li]) > 0; li++ {
-		next, nextEnc, _ := r.expandLevel(res, li, levels[li], curEnc, false)
+		next, nextEnc, _, _ := r.expandLevel(res, li, levels[li], curEnc, nil, false)
 		levels, curEnc = append(levels, next), nextEnc
 	}
 	shape := sys.InitialState()

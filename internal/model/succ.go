@@ -237,39 +237,80 @@ func (s *System) execSend(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 // receive another process is currently offering; each pairing is one
 // combined transition.
 func (s *System) rendezvous(st *State, p int, e *pml.Edge, id int, vals []int64, tmo bool, a *Arena, out []Transition) []Transition {
-	for q := range s.insts {
-		if q == p {
+	for _, site := range s.rendezvousSites().recv[id] {
+		q, er := int(site.proc), site.e
+		if q == p || st.PCs[q] != site.node {
 			continue
 		}
-		node := &s.insts[q].Proc.Nodes[st.PCs[q]]
-		for ei := range node.Edges {
-			er := &node.Edges[ei]
-			if er.Kind != pml.EdgeRecv {
-				continue
-			}
-			if s.resolveChanFor(s.insts[q], er.Ch) != id {
-				continue
-			}
-			ok, err := s.patternMatches(st, q, er.RecvArgs, vals, tmo)
-			if err != nil {
-				out = append(out, s.violate(st, q, er, err.Error()))
-				continue
-			}
-			if !ok {
-				continue
-			}
-			next := st.clone(a)
-			applyBinds(next, q, er.RecvArgs, vals)
-			next.PCs[p] = int32(e.Dst)
-			next.PCs[q] = int32(er.Dst)
-			s.normalizeAtomic(next, p)
-			out = append(out, Transition{
-				Proc: p, Edge: e, Partner: q, PartnerEdge: er,
-				Ch: ChanID(id), Msg: vals, Next: next,
-			})
+		ok, err := s.patternMatches(st, q, er.RecvArgs, vals, tmo)
+		if err != nil {
+			out = append(out, s.violate(st, q, er, err.Error()))
+			continue
 		}
+		if !ok {
+			continue
+		}
+		next := st.clone(a)
+		applyBinds(next, q, er.RecvArgs, vals)
+		next.PCs[p] = int32(e.Dst)
+		next.PCs[q] = int32(er.Dst)
+		s.normalizeAtomic(next, p)
+		out = append(out, Transition{
+			Proc: p, Edge: e, Partner: q, PartnerEdge: er,
+			Ch: ChanID(id), Msg: vals, Next: next,
+		})
 	}
 	return out
+}
+
+// rvSite is one rendezvous operation on offer: process proc, when its
+// PC is node, may take edge e, a send or receive on a zero-capacity
+// channel.
+type rvSite struct {
+	proc, node int32
+	e          *pml.Edge
+}
+
+// rvIndex is the rendezvous partner index: for each channel id, the
+// receive and send sites on it in (process, node, edge) order, nil for
+// a buffered channel. Channel arguments are bound at Spawn and never
+// change, so the sites whose node is their process's current PC are,
+// in this order, exactly what a scan of every process's current node
+// would find.
+type rvIndex struct {
+	recv, send [][]rvSite
+}
+
+// rendezvousSites returns the partner index, building it after a Spawn
+// or AddChannel cleared it. Concurrent searches may each build it; the
+// builds are equal.
+func (s *System) rendezvousSites() *rvIndex {
+	if x := s.rv.Load(); x != nil {
+		return x
+	}
+	x := &rvIndex{recv: make([][]rvSite, len(s.shapes)), send: make([][]rvSite, len(s.shapes))}
+	for p, inst := range s.insts {
+		for ni := range inst.Proc.Nodes {
+			for ei := range inst.Proc.Nodes[ni].Edges {
+				e := &inst.Proc.Nodes[ni].Edges[ei]
+				if e.Kind != pml.EdgeSend && e.Kind != pml.EdgeRecv {
+					continue
+				}
+				id := s.resolveChanFor(inst, e.Ch)
+				if s.shapes[id].cap != 0 {
+					continue
+				}
+				site := rvSite{proc: int32(p), node: int32(ni), e: e}
+				if e.Kind == pml.EdgeRecv {
+					x.recv[id] = append(x.recv[id], site)
+				} else {
+					x.send[id] = append(x.send[id], site)
+				}
+			}
+		}
+	}
+	s.rv.Store(x)
+	return x
 }
 
 func (s *System) execRecv(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out []Transition) []Transition {
@@ -529,19 +570,13 @@ func (s *System) rendezvousReceiverReady(st *State, p int, e *pml.Edge, id int, 
 		}
 		vals[i] = s.shapes[id].fields[i].Truncate(v)
 	}
-	for q := range s.insts {
-		if q == p {
+	for _, site := range s.rendezvousSites().recv[id] {
+		q := int(site.proc)
+		if q == p || st.PCs[q] != site.node {
 			continue
 		}
-		node := &s.insts[q].Proc.Nodes[st.PCs[q]]
-		for ei := range node.Edges {
-			er := &node.Edges[ei]
-			if er.Kind != pml.EdgeRecv || s.resolveChanFor(s.insts[q], er.Ch) != id {
-				continue
-			}
-			if ok, err := s.patternMatches(st, q, er.RecvArgs, vals, tmo); err != nil || ok {
-				return true
-			}
+		if ok, err := s.patternMatches(st, q, site.e.RecvArgs, vals, tmo); err != nil || ok {
+			return true
 		}
 	}
 	return false
@@ -551,34 +586,28 @@ func (s *System) rendezvousReceiverReady(st *State, p int, e *pml.Edge, id int, 
 // send on channel id whose values match p's receive pattern. Used for
 // else-semantics and atomic renormalization on the receiving side.
 func (s *System) rendezvousSenderReady(st *State, p int, e *pml.Edge, id int, tmo bool) bool {
-	for q := range s.insts {
-		if q == p {
+	for _, site := range s.rendezvousSites().send[id] {
+		q, es := int(site.proc), site.e
+		if q == p || st.PCs[q] != site.node {
 			continue
 		}
-		node := &s.insts[q].Proc.Nodes[st.PCs[q]]
-		for ei := range node.Edges {
-			es := &node.Edges[ei]
-			if es.Kind != pml.EdgeSend || s.resolveChanFor(s.insts[q], es.Ch) != id {
-				continue
+		ev := env{s: s, st: st, proc: q, tmo: tmo}
+		vals := make([]int64, len(es.SendArgs))
+		bad := false
+		for i, a := range es.SendArgs {
+			v, err := pml.Eval(a, ev)
+			if err != nil {
+				bad = true
+				break
 			}
-			ev := env{s: s, st: st, proc: q, tmo: tmo}
-			vals := make([]int64, len(es.SendArgs))
-			bad := false
-			for i, a := range es.SendArgs {
-				v, err := pml.Eval(a, ev)
-				if err != nil {
-					bad = true
-					break
-				}
-				vals[i] = s.shapes[id].fields[i].Truncate(v)
-			}
-			if bad {
-				return true
-			}
-			ok, err := s.patternMatches(st, p, e.RecvArgs, vals, tmo)
-			if err != nil || ok {
-				return true
-			}
+			vals[i] = s.shapes[id].fields[i].Truncate(v)
+		}
+		if bad {
+			return true
+		}
+		ok, err := s.patternMatches(st, p, e.RecvArgs, vals, tmo)
+		if err != nil || ok {
+			return true
 		}
 	}
 	return false

@@ -7,6 +7,7 @@ package model
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"pnp/internal/pml"
 )
@@ -52,6 +53,9 @@ type System struct {
 	shapes []chanShape
 	insts  []*Instance
 	byName map[string]ChanID
+	// rv is the rendezvous partner index (see rendezvousSites), built
+	// on first use; Spawn and AddChannel clear it.
+	rv atomic.Pointer[rvIndex]
 }
 
 // New creates a System over a compiled program, materializing its global
@@ -75,6 +79,7 @@ func (s *System) AddChannel(name string, capacity int, fields []pml.Type) ChanID
 	if name != "" {
 		s.byName[name] = id
 	}
+	s.rv.Store(nil)
 	return id
 }
 
@@ -145,6 +150,7 @@ func (s *System) Spawn(procName string, args ...Arg) (*Instance, error) {
 		return nil, err
 	}
 	s.insts = append(s.insts, inst)
+	s.rv.Store(nil)
 	return inst, nil
 }
 
