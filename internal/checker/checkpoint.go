@@ -58,9 +58,9 @@ type DurabilityOptions struct {
 // Checkpoint file layout: an 8-byte magic, then internal/frame frames
 // whose first payload byte is a tag:
 //
-//	'L' uvarint depth, then [uvarint length][canonical encoding] entries
-//	    (the spill blob's entry layout): one BFS level, split into
-//	    frames of about ckptFrameBytes
+//	'L' uvarint depth, then [uvarint length][state vector] entries (the
+//	    spill blob's entry layout): one BFS level, split into frames of
+//	    about ckptFrameBytes
 //	'C' JSON ckptCommit: every level before it is durable
 //
 // Levels follow each other in depth order from the root. The file is
@@ -68,7 +68,13 @@ type DurabilityOptions struct {
 // — so a reader keeps the prefix up to the last commit that agrees with
 // the levels before it, and a log cut anywhere reads back as its last
 // durable state.
-const ckptMagic = "PNPCKPT2"
+//
+// PNPCKPT3 logs hold state vectors. A PNPCKPT2 log, whose entries are
+// the varint encoding that preceded them, is ignored like any foreign
+// file: an old entry can have a vector's length and pass
+// System.CheckState, and resuming from it would expand a state the
+// design cannot reach.
+const ckptMagic = "PNPCKPT3"
 
 const (
 	ckptTagLevel  = 'L'
@@ -153,13 +159,12 @@ func modelFingerprint(sys *model.System) string {
 	return fmt.Sprintf("%016x", w.Sum64())
 }
 
-// barrier appends next, the encodings of the level just collected at
-// depth, to the log, and commits every Interval barriers. The first
-// barrier of a fresh search creates the log and writes root, the
-// encodings of levels[0], ahead of it. An empty next means the search is
+// barrier appends next, the level just collected at depth, to the log,
+// and commits every Interval barriers. The first barrier of a fresh
+// search creates the log and writes root, levels[0], ahead of it. An empty next means the search is
 // about to terminate, so nothing is written. A write failure disables
 // the checkpointer but never fails the search.
-func (ck *checkpointer) barrier(depth int, root, next []nodeEnc, st *Stats) {
+func (ck *checkpointer) barrier(depth int, root, next []parNode, st *Stats) {
 	if ck == nil || ck.failed || len(next) == 0 {
 		return
 	}
@@ -168,7 +173,7 @@ func (ck *checkpointer) barrier(depth int, root, next []nodeEnc, st *Stats) {
 	}
 }
 
-func (ck *checkpointer) extend(depth int, root, next []nodeEnc, st *Stats) error {
+func (ck *checkpointer) extend(depth int, root, next []parNode, st *Stats) error {
 	if ck.f == nil {
 		if err := ck.create(root); err != nil {
 			return err
@@ -203,7 +208,7 @@ func (ck *checkpointer) extend(depth int, root, next []nodeEnc, st *Stats) error
 }
 
 // create starts a fresh log holding the root level.
-func (ck *checkpointer) create(root []nodeEnc) error {
+func (ck *checkpointer) create(root []parNode) error {
 	if err := os.MkdirAll(ck.opts.Dir, 0o755); err != nil {
 		return err
 	}
@@ -219,13 +224,13 @@ func (ck *checkpointer) create(root []nodeEnc) error {
 	return ck.writeLevel(0, root)
 }
 
-// writeLevel appends one level, given by its nodes' encodings, as 'L'
-// frames.
-func (ck *checkpointer) writeLevel(depth int, level []nodeEnc) error {
+// writeLevel appends one level, given by its nodes' state vectors, as
+// 'L' frames.
+func (ck *checkpointer) writeLevel(depth int, level []parNode) error {
 	start := func() { ck.buf = binary.AppendUvarint(ck.startFrame(ckptTagLevel), uint64(depth)) }
 	start()
 	for i := range level {
-		enc := level[i].enc
+		enc := level[i].st.Bytes()
 		ck.buf = binary.AppendUvarint(ck.buf, uint64(len(enc)))
 		ck.buf = append(ck.buf, enc...)
 		if len(ck.buf) >= ckptFrameBytes || i == len(level)-1 {
@@ -268,56 +273,54 @@ func syncDir(dir string) {
 }
 
 // restore loads the last intact commit of the log into the runner and
-// returns the resumed frontier level, its encodings and its depth,
-// leaving the log open for appending right after that commit. ok is
-// false — and the search starts fresh — when resume is off, the file is
-// missing, or anything about it fails validation, including a frontier
-// state the system could not reach (model.System.CheckState) or one not
-// in canonical form.
-func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, encs []nodeEnc, depth int, ok bool) {
+// returns the resumed frontier level and its depth, leaving the log
+// open for appending right after that commit. ok is false — and the
+// search starts fresh — when resume is off, the file is missing, or
+// anything about it fails validation: an entry that is not a vector of
+// the system's length, or a frontier state the system could not reach
+// or not in canonical form (model.System.CheckState).
+func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, depth int, ok bool) {
 	if ck == nil || !ck.opts.Resume {
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	data, err := os.ReadFile(ck.file)
 	if err != nil {
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	log, err := readCheckpoint(data)
 	if err != nil || log.commit.Phase != ck.phase || log.commit.Model != ck.modelID ||
 		log.commit.POR != ck.c.opts.PartialOrder {
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	sys := ck.c.sys
 	shape := sys.InitialState()
+	// Every entry goes into the visited set, whose collapse tier cuts it
+	// at the vector's fixed offsets.
+	for _, enc := range log.visited {
+		if len(enc) != len(shape.Bytes()) {
+			return nil, 0, false
+		}
+	}
 	frontier := log.visited[log.front:]
 	front := make([]parNode, 0, len(frontier))
-	encs = make([]nodeEnc, 0, len(frontier))
 	for _, b := range frontier {
 		st, err := model.DecodeKey(shape, b)
 		if err != nil || sys.CheckState(st) != nil {
-			return nil, nil, 0, false
-		}
-		// The carried encoding is the decoded state's own, never the file
-		// bytes: a non-canonical entry would seed wrong successor encodings.
-		enc, ends := st.AppendComponentKeys(nil, nil)
-		if !bytes.Equal(enc, b) {
-			return nil, nil, 0, false
+			return nil, 0, false
 		}
 		front = append(front, parNode{st: st, parent: -1})
-		encs = append(encs, nodeEnc{enc: enc, ends: ends})
 	}
 	f, err := os.OpenFile(ck.file, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	if err := f.Truncate(log.size); err != nil {
 		f.Close()
-		return nil, nil, 0, false
+		return nil, 0, false
 	}
 	ck.f = f
 	for _, enc := range log.visited {
-		// nil ends: the collapse set re-splits the encoding itself.
-		r.visited.seen(model.Hash64(enc), enc, nil)
+		r.visited.seen(model.Hash64(enc), enc)
 	}
 	c := log.commit
 	r.stored.Store(int64(c.Stored))
@@ -326,7 +329,7 @@ func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, 
 	res.Stats.Transitions = c.Transitions
 	res.Stats.MaxDepth = c.MaxDepth
 	res.Stats.Reduced = c.Reduced
-	return [][]parNode{front}, encs, c.Depth, true
+	return [][]parNode{front}, c.Depth, true
 }
 
 // finish closes the log and removes it once the search produced a real

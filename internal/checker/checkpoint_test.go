@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"pnp/internal/frame"
 	"pnp/internal/model"
 	"pnp/internal/obs"
 )
@@ -273,47 +275,61 @@ func TestCheckpointForeignOrCorruptSnapshotIgnored(t *testing.T) {
 	})
 }
 
+// craftedLog is a log of src's search committed at depth 1: the root
+// level, then a level holding front alone, whatever its bytes.
+func craftedLog(t *testing.T, sys *model.System, front []byte) []byte {
+	t.Helper()
+	data := []byte(ckptMagic)
+	for depth, enc := range [][]byte{sys.InitialState().Bytes(), front} {
+		payload := binary.AppendUvarint([]byte{ckptTagLevel}, uint64(depth))
+		payload = binary.AppendUvarint(payload, uint64(len(enc)))
+		data = frame.Append(data, append(payload, enc...))
+	}
+	commit, err := json.Marshal(ckptCommit{Phase: "safety-par-bfs", Model: modelFingerprint(sys), Depth: 1, Stored: 2, Transitions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame.Append(data, append([]byte{ckptTagCommit}, commit...))
+}
+
 // A log whose CRCs, commit and model id are all valid but whose frontier
-// holds a state the system cannot be in — the bytes are well-formed
-// varints, so DecodeKey accepts them — must be ignored, not expanded
-// (expanding a PC past its process's nodes indexes out of range): the
-// search starts fresh and reaches the fresh verdict.
+// holds bytes that are not a state the system can be in must be
+// ignored, not expanded (expanding a PC past its process's nodes
+// indexes out of range): the search starts fresh and reaches the fresh
+// verdict. The vector of src is [atomic][pc][g][l][count][field][field].
 func TestCheckpointResumeRejectsImpossibleState(t *testing.T) {
 	const src = `
 chan c = [1] of { byte, byte };
 byte g;
 active proctype P() { byte l; c!1,2; c?l,g; l = g }`
 	want := New(sysFromSource(t, src), Options{Workers: 1}).CheckSafety()
-	cases := map[string]func(st *model.State) []byte{
-		"pc past the nodes": func(st *model.State) []byte { st.PCs[0] = 99; return st.AppendKey(nil) },
-		"negative pc":       func(st *model.State) []byte { st.PCs[0] = -1; return st.AppendKey(nil) },
-		"atomic holder":     func(st *model.State) []byte { st.Atomic = 1; return st.AppendKey(nil) },
-		"locals count":      func(st *model.State) []byte { st.Locals[0] = []int64{0, 0}; return st.AppendKey(nil) },
-		"partial message":   func(st *model.State) []byte { st.Chans[0] = []int64{1, 2, 3}; return st.AppendKey(nil) },
-		"over capacity":     func(st *model.State) []byte { st.Chans[0] = []int64{1, 2, 3, 4}; return st.AppendKey(nil) },
-		"pc past int32": func(st *model.State) []byte {
-			return append(binary.AppendVarint([]byte{1}, 1<<32), st.AppendKey(nil)[2:]...)
-		},
-		"non-canonical form": func(st *model.State) []byte { return append([]byte{0x81, 0x00}, st.AppendKey(nil)[1:]...) },
+	set := func(off int, b byte) func(v []byte) []byte {
+		return func(v []byte) []byte { v[off] = b; return v }
+	}
+	cases := map[string]func(v []byte) []byte{
+		"pc past the nodes": set(1, 99),
+		"negative pc":       set(1, 0xff), // the byte -1 truncates to
+		"atomic holder":     set(0, 2),    // process 1 of 1
+		// A vector laid out with a second local of P.
+		"locals count": func(v []byte) []byte { return append(v[:4:4], append([]byte{0}, v[4:]...)...) },
+		// A vector cut inside the message slot.
+		"partial message": func(v []byte) []byte { return v[:6] },
+		"over capacity":   set(4, 2),
+		// A vector with a 4-byte PC.
+		"pc past int32": func(v []byte) []byte { return append(v[:2:2], append([]byte{0, 0, 0}, v[2:]...)...) },
+		// A byte past the channel's count that is not zero.
+		"non-canonical form": set(5, 1),
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
 			sys := sysFromSource(t, src)
 			dir := t.TempDir()
-			ck := New(sys, Options{Workers: 1, Durability: &DurabilityOptions{Dir: dir, Key: "bad"}}).newCheckpointer("safety-par-bfs")
-			root, _ := sys.InitialState().AppendComponentKeys(nil, nil)
-			ck.barrier(1, []nodeEnc{{enc: root}}, []nodeEnc{{enc: bad(sys.InitialState())}},
-				&Stats{StatesStored: 2, Transitions: 1})
-			if ck.failed {
-				t.Fatal("writing the log failed")
-			}
-			ck.f.Close()
-			data, err := os.ReadFile(ck.file)
-			if err != nil {
-				t.Fatal(err)
-			}
+			data := craftedLog(t, sys, bad(sys.InitialState().AppendKey(nil)))
 			if _, err := readCheckpoint(data); err != nil {
 				t.Fatalf("the crafted log does not read back: %v", err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, CheckpointFileName("bad")), data, 0o644); err != nil {
+				t.Fatal(err)
 			}
 			res := New(sysFromSource(t, src), Options{Workers: 2, Durability: &DurabilityOptions{
 				Dir: dir, Key: "bad", Resume: true,
@@ -323,6 +339,18 @@ active proctype P() { byte l; c!1,2; c?l,g; l = g }`
 			}
 		})
 	}
+	// The crafted log itself resumes when its frontier is a real state.
+	sys := sysFromSource(t, src)
+	succ := sys.Successors(sys.InitialState())[0].Next
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, CheckpointFileName("good")), craftedLog(t, sys, succ.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck := New(sys, Options{Workers: 1, Durability: &DurabilityOptions{Dir: dir, Key: "good", Resume: true}}).newCheckpointer("safety-par-bfs")
+	if _, depth, ok := ck.restore(New(sys, Options{Workers: 1}).newParRunner("safety-par-bfs"), &Result{}); !ok || depth != 1 {
+		t.Fatalf("a crafted log of a reachable frontier does not resume: ok %v, depth %d", ok, depth)
+	}
+	ck.finish(&Result{Kind: Canceled})
 }
 
 // A log cut at any byte of its last level or commit — a crash in the

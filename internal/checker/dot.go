@@ -37,7 +37,7 @@ func (c *Checker) WriteDOT(w io.Writer, maxStates int) error {
 		st := p.decode(p.sid[u])
 		var parts []string
 		for i, g := range globals {
-			parts = append(parts, fmt.Sprintf("%s=%d", g.Name, st.Globals[i]))
+			parts = append(parts, fmt.Sprintf("%s=%d", g.Name, c.sys.Global(st, i)))
 		}
 		label := strings.Join(parts, "\\n")
 		if len(parts) == 0 {

@@ -14,9 +14,22 @@ import (
 // searched with one worker and captured at depth 2.
 const goldenSrc = "byte a; active proctype P() { do :: a < 3 -> a = a + 1 :: else -> break od }"
 
-// goldenCheckpoint is today's log of goldenSrc at depth 2: levels 0, 1
-// and 2, one state each, then the commit.
+// goldenCheckpoint is the log of goldenSrc at depth 2: levels 0, 1
+// and 2, one state vector each, then the commit.
 const goldenCheckpoint = "" +
+	"504e50434b50543306000000d8a6dbe94c00030002000600000029bea0cd4c01030003007500000011fad2a7437b2270" +
+	"68617365223a227361666574792d7061722d626673222c226d6f64656c223a2266333262306438343463623365663166" +
+	"222c226465707468223a312c2273746f726564223a322c226d617463686564223a302c227472616e736974696f6e7322" +
+	"3a312c226d61785f6465707468223a307d060000002ec51ce44c020300020175000000f0922ddb437b22706861736522" +
+	"3a227361666574792d7061722d626673222c226d6f64656c223a2266333262306438343463623365663166222c226465" +
+	"707468223a322c2273746f726564223a332c226d617463686564223a302c227472616e736974696f6e73223a322c226d" +
+	"61785f6465707468223a317d"
+
+// goldenCheckpointV2 is the same log in the PNPCKPT2 format, whose
+// entries are the varint state encoding that preceded state vectors. A
+// rolling restart can hand one to a newer binary, which must ignore it
+// and search fresh.
+const goldenCheckpointV2 = "" +
 	"504e50434b505432070000000aa9f2544c00040104000007000000c1ae2a9c4c0104010600007500000011fad2a7437b" +
 	"227068617365223a227361666574792d7061722d626673222c226d6f64656c223a226633326230643834346362336566" +
 	"3166222c226465707468223a312c2273746f726564223a322c226d617463686564223a302c227472616e736974696f6e" +
@@ -76,10 +89,11 @@ func goldenLogAt(t *testing.T, depth int) []byte {
 	return log
 }
 
-// TestCheckpointGoldenBytes pins the level-log format: today's writer
+// TestCheckpointGoldenBytes pins the level-log format: the writer
 // produces the golden bytes, they parse to the expected commit and
-// levels, and a PNPCKPT1 snapshot from the previous format is ignored
-// on resume — the search starts fresh and reaches the same verdict.
+// levels, and a PNPCKPT1 snapshot or a PNPCKPT2 log from a previous
+// format is ignored on resume — the search starts fresh and reaches the
+// same verdict and counts.
 func TestCheckpointGoldenBytes(t *testing.T) {
 	_, golden := goldenFile(t, "g.ckpt", goldenCheckpoint)
 	if got := goldenLogAt(t, 2); !bytes.Equal(got, golden) {
@@ -101,22 +115,24 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 
 	t.Run("previous-format", func(t *testing.T) {
 		want := New(sysFromSource(t, goldenSrc), Options{Workers: 1}).CheckSafety()
-		dir := t.TempDir()
-		path := filepath.Join(dir, CheckpointFileName("g"))
-		old, _ := hex.DecodeString(goldenCheckpointV1)
-		if err := os.WriteFile(path, old, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var depths []int
-		res := New(sysFromSource(t, goldenSrc), Options{Workers: 2, Durability: &DurabilityOptions{
-			Dir: dir, Key: "g", Resume: true,
-			OnWrite: func(_ string, d, _ int) { depths = append(depths, d) },
-		}}).CheckSafety()
-		if !res.OK || !statsEqualIgnoringElapsed(res.Stats, want.Stats) {
-			t.Errorf("resume over a PNPCKPT1 file: %s %+v, fresh %+v", res.Summary(), res.Stats, want.Stats)
-		}
-		if len(depths) == 0 || depths[0] != 1 {
-			t.Errorf("commits at %v, want a fresh log from depth 1", depths)
+		for name, hexBytes := range map[string]string{"PNPCKPT1": goldenCheckpointV1, "PNPCKPT2": goldenCheckpointV2} {
+			dir := t.TempDir()
+			path := filepath.Join(dir, CheckpointFileName("g"))
+			old, _ := hex.DecodeString(hexBytes)
+			if err := os.WriteFile(path, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var depths []int
+			res := New(sysFromSource(t, goldenSrc), Options{Workers: 2, Durability: &DurabilityOptions{
+				Dir: dir, Key: "g", Resume: true,
+				OnWrite: func(_ string, d, _ int) { depths = append(depths, d) },
+			}}).CheckSafety()
+			if res.OK != want.OK || !statsEqualIgnoringElapsed(res.Stats, want.Stats) {
+				t.Errorf("resume over a %s file: %s %+v, fresh %+v", name, res.Summary(), res.Stats, want.Stats)
+			}
+			if len(depths) == 0 || depths[0] != 1 {
+				t.Errorf("%s: commits at %v, want a fresh log from depth 1", name, depths)
+			}
 		}
 	})
 }

@@ -69,8 +69,8 @@ const noNode = ^uint32(0)
 // edge; event re-derives one by expanding the edge's source again.
 //
 // System states are stored the way the level engine stores them: each
-// distinct state's canonical encoding once, in table, whose dense index
-// is the state's id; a node is a (state id, automaton state) pair. No
+// distinct state's vector once, in table, whose dense index is the
+// state's id; a node is a (state id, automaton state) pair. No
 // node keeps a *model.State: build holds live states for two levels
 // only, and the few readers after it (counterexamples, WriteDOT) decode
 // a node's state from its encoding.
@@ -90,7 +90,7 @@ type product struct {
 	graph  bool      // a violating step is left out instead of ending the search, and no stutter edges
 	target pml.RExpr // AG EF's target, evaluated into good as nodes are stored; nil for none
 
-	table     idTable           // canonical encodings of system states, by state id
+	table     idTable           // state vectors of system states, by state id
 	index     map[uint64]uint32 // node of (state id, q), keyed id<<32 | q
 	sid       []uint32          // node -> state id
 	q         []int32
@@ -183,30 +183,20 @@ func (r *Result) fail(kind ViolationKind, msg string) *Result {
 	return r
 }
 
-// liveLevel holds what build keeps of one BFS level's nodes, in node
-// order: each node's state, and its encoding's section ends, k ints a
-// node (its bytes are its entry in product.table). Nodes built from
-// one transition share its state and are adjacent; no two transitions
-// share a state, so the level's distinct states are its runs of equal
-// pointers.
-type liveLevel struct {
-	sts  []*model.State
-	ends []int
-}
-
-func (lv *liveLevel) add(st *model.State, ends []int) {
-	lv.sts = append(lv.sts, st)
-	lv.ends = append(lv.ends, ends...)
-}
+// liveLevel holds each state of one BFS level's nodes, in node order.
+// Nodes built from one transition share its state and are adjacent; no
+// two transitions share a state, so the level's distinct states are its
+// runs of equal pointers.
+type liveLevel []*model.State
 
 // retire returns the level's states to a, each once, and empties it.
 func (lv *liveLevel) retire(a *model.Arena) {
-	for i, st := range lv.sts {
-		if i == 0 || st != lv.sts[i-1] {
+	for i, st := range *lv {
+		if i == 0 || st != (*lv)[i-1] {
 			a.Recycle(st)
 		}
 	}
-	lv.sts, lv.ends = lv.sts[:0], lv.ends[:0]
+	*lv = (*lv)[:0]
 }
 
 // build stores the reachable product breadth-first, one level at a time.
@@ -215,8 +205,8 @@ func (lv *liveLevel) retire(a *model.Arena) {
 // the state limit, or cancellation — with res filled in. Every node it
 // expanded has its row of edges, even then.
 //
-// Like the level engine, it expands states from a recycling arena and
-// encodes each successor from its parent's encoding, and it holds the
+// Like the level engine, it expands states from a recycling arena,
+// interns each successor's vector directly, and it holds the
 // *model.State of the level it expands and of the level it fills, no
 // more: a successor that stores no node goes back to the arena at once,
 // a level's states once the level is expanded.
@@ -226,10 +216,8 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 	p.index = map[uint64]uint32{}
 	arena := &model.Arena{}
 	init := c.sys.InitialState()
-	k := init.NumComponents()
 	var cur, next liveLevel
-	enc, ends := init.AppendComponentKeys(nil, nil)
-	id := p.table.intern(model.Hash64(enc), enc)
+	id := p.table.intern(model.Hash64(init.Bytes()), init.Bytes())
 	if err := p.label(init); err != nil {
 		res.fail(RuntimeError, err.Error())
 		return false
@@ -237,17 +225,13 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 	for _, at := range p.aut.InitTrans {
 		if at.Sat(p.sat) {
 			if _, ok := p.intern(init, id, at.Dst, noNode, res); ok {
-				next.add(init, ends)
+				next = append(next, init)
 			}
 		}
 	}
 	p.roots = len(p.q)
 	p.start = append(p.start, 0)
-	var (
-		trs     []model.Transition
-		scratch []byte
-		sends   []int
-	)
+	var trs []model.Transition
 	for lo, hi, depth := 0, len(p.q), 0; lo < hi; lo, hi, depth = hi, len(p.q), depth+1 {
 		res.Stats.MaxDepth = depth
 		cur, next = next, cur
@@ -258,8 +242,7 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 				cc.cancelResult(res)
 				return false
 			}
-			st := cur.sts[i-lo]
-			penc, pends := p.table.entry(p.sid[u]), cur.ends[(i-lo)*k:(i-lo+1)*k]
+			st := cur[i-lo]
 			trs = c.sys.SuccessorsAppend(st, arena, trs[:0])
 			res.Stats.Transitions += len(trs)
 			for _, tr := range trs {
@@ -270,7 +253,7 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 					return false
 				}
 			}
-			mark := len(next.sts)
+			mark := len(next)
 			var last *model.Transition
 			var live *model.State // the state the new nodes of last hold
 			err := p.successors(u, st, trs, func(tr *model.Transition, q int) {
@@ -279,8 +262,7 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 				}
 				if tr != last {
 					last, live = tr, tr.Next
-					scratch, sends = tr.Next.AppendComponentKeysFrom(st, penc, pends, scratch[:0], sends[:0])
-					id = p.table.intern(model.Hash64(scratch), scratch)
+					id = p.table.intern(model.Hash64(tr.Next.Bytes()), tr.Next.Bytes())
 				}
 				v, ok := p.intern(tr.Next, id, q, u, res)
 				p.to = append(p.to, v)
@@ -291,7 +273,7 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 						// the new level gets its own copy.
 						live = p.decode(id)
 					}
-					next.add(live, sends)
+					next = append(next, live)
 				}
 			})
 			p.start = append(p.start, uint32(len(p.to)))
@@ -303,7 +285,7 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 			// the rest are next's, in trs order.
 			for j := range trs {
 				kept := false
-				for ; mark < len(next.sts) && next.sts[mark] == trs[j].Next; mark++ {
+				for ; mark < len(next) && next[mark] == trs[j].Next; mark++ {
 					kept = true
 				}
 				if !kept && trs[j].Violation == "" {

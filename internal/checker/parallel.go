@@ -35,30 +35,12 @@ import (
 // produced the node in its parent's deterministic SuccessorsAppend
 // order. st is nil once the node's level is retired (see advance):
 // counterexamples are replayed from levels[0], not read off the nodes.
+// A live node's state vector (st.Bytes()) is its canonical encoding,
+// which the visited set, the checkpoint log and violation adjudication
+// read.
 type parNode struct {
 	st          *model.State
 	parent, idx int32
-}
-
-// nodeEnc is a live node's canonical encoding and section ends (from
-// State.AppendComponentKeys), kept beside its level — level[i]'s is
-// encs[i] — rather than in parNode, so retired levels cost 16 bytes a
-// node. A successor's encoding is built from its parent's
-// (AppendComponentKeysFrom), and the checkpoint log and violation
-// adjudication read these bytes instead of re-encoding.
-type nodeEnc struct {
-	enc  []byte
-	ends []int
-}
-
-// add appends enc and ends to s, a worker's slab — the concatenated
-// encodings and ends of the nodes it stored for one level — and returns
-// the new node's nodeEnc, which aliases the slab.
-func (s *nodeEnc) add(enc []byte, ends []int) nodeEnc {
-	b, e := len(s.enc), len(s.ends)
-	s.enc = append(s.enc, enc...)
-	s.ends = append(s.ends, ends...)
-	return nodeEnc{enc: s.enc[b:len(s.enc):len(s.enc)], ends: s.ends[e:len(s.ends):len(s.ends)]}
 }
 
 // parProblem is one violation candidate found while working a level.
@@ -73,25 +55,15 @@ type parProblem struct {
 	msg   string
 }
 
-// parWorker is the per-goroutine scratch: a state arena, a reusable key
-// buffer, a reusable transition slice, and local accumulators flushed
-// at each level barrier so the hot loop touches no shared memory but
-// the visited set (and, under Options.MaxStates, the stored-states
-// total the limit needs).
-//
-// slabs hold the encodings of the nodes this worker stored, by level
-// parity: expanding level d writes level d+1's into the slab of level
-// d-1, which every reader has retired by then (the barrier orders the
-// writes before the reads).
+// parWorker is the per-goroutine scratch: a state arena, a reusable
+// transition slice, and local accumulators flushed at each level
+// barrier so the hot loop touches no shared memory but the visited set
+// (and, under Options.MaxStates, the stored-states total the limit
+// needs).
 type parWorker struct {
 	arena    *model.Arena
-	scratch  []byte
-	ends     []int
 	trs      []model.Transition
-	slabs    [2]nodeEnc
-	slab     *nodeEnc // the slab expand writes
 	next     []parNode
-	nextEnc  []nodeEnc
 	problems []parProblem
 	executed map[*pml.Edge]bool // ReportUnreached only; merged at the end
 	trans    int
@@ -117,8 +89,8 @@ type parRunner struct {
 	// cursors are runLevel's claim positions, one per worker.
 	cursors []levelCursor
 
-	gFrontier, gWorkers *obs.Gauge
-	cBusy               *obs.Counter
+	gFrontier, gFrontierBytes, gWorkers *obs.Gauge
+	cBusy                               *obs.Counter
 }
 
 func (c *Checker) newParRunner(phase string) *parRunner {
@@ -130,6 +102,7 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 		spilled = reg.Counter(obs.Labels("checker_visited_spilled_states_total", "phase", phase))
 		r.cBusy = reg.Counter(obs.Labels("checker_worker_busy_ns_total", "phase", phase))
 		r.gFrontier = reg.Gauge(obs.Labels("checker_frontier_states", "phase", phase))
+		r.gFrontierBytes = reg.Gauge(obs.Labels("checker_frontier_bytes", "phase", phase))
 		r.gWorkers = reg.Gauge(obs.Labels("checker_workers", "phase", phase))
 	}
 	r.gWorkers.Set(int64(w))
@@ -146,13 +119,12 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 }
 
 // seedRoot records the initial state in the visited set and returns the
-// one-node root level and its encoding.
-func (r *parRunner) seedRoot() ([][]parNode, []nodeEnc) {
+// one-node root level.
+func (r *parRunner) seedRoot() [][]parNode {
 	init := r.c.sys.InitialState()
-	enc, ends := init.AppendComponentKeys(nil, nil)
-	r.visited.seen(model.Hash64(enc), enc, ends)
+	r.visited.seen(model.Hash64(init.Bytes()), init.Bytes())
 	r.stored.Store(1)
-	return [][]parNode{{{st: init, parent: -1}}}, []nodeEnc{{enc: enc, ends: ends}}
+	return [][]parNode{{{st: init, parent: -1}}}
 }
 
 // close releases visited-set resources (spill segment mappings and
@@ -254,31 +226,26 @@ func (r *parRunner) segments(n int, bounds []int) []int {
 	return even
 }
 
-// expandLevel expands every node of cur, levels[li], whose encodings
-// are curEnc and whose worker segments are bounds, and collects the
-// next level at the barrier.
-func (r *parRunner) expandLevel(res *Result, li int, cur []parNode, curEnc []nodeEnc, bounds []int, safety bool) ([]parNode, []nodeEnc, []int, []parProblem) {
-	for _, w := range r.workers {
-		w.slab = &w.slabs[(li+1)%2]
-		w.slab.enc, w.slab.ends = w.slab.enc[:0], w.slab.ends[:0]
-	}
-	r.runLevel(len(cur), bounds, func(w *parWorker, i int) { w.expand(r, cur, curEnc, i, safety) })
+// expandLevel expands every node of cur, whose worker segments are
+// bounds, and collects the next level at the barrier.
+func (r *parRunner) expandLevel(res *Result, cur []parNode, bounds []int, safety bool) ([]parNode, []int, []parProblem) {
+	r.runLevel(len(cur), bounds, func(w *parWorker, i int) { w.expand(r, cur, i, safety) })
 	return r.collect(res)
 }
 
 // collect flushes every worker's level-local accumulators into the
-// result stats and returns the concatenated next frontier, its
-// encodings, the bounds of each worker's segment of it (worker k's
-// nodes are next[bounds[k]:bounds[k+1]]), and the problem list.
-// Concatenation order varies between runs; everything downstream is
+// result stats and returns the concatenated next frontier, the bounds
+// of each worker's segment of it (worker k's nodes are
+// next[bounds[k]:bounds[k+1]]), and the problem list. Concatenation
+// order varies between runs; everything downstream is
 // order-insensitive (sets and min-adjudication).
-func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, bounds []int, problems []parProblem) {
+func (r *parRunner) collect(res *Result) (next []parNode, bounds []int, problems []parProblem) {
 	bounds = make([]int, 1, len(r.workers)+1)
 	n := 0
 	for _, w := range r.workers {
 		n += len(w.next)
 	}
-	next, nextEnc = make([]parNode, 0, n), make([]nodeEnc, 0, n)
+	next = make([]parNode, 0, n)
 	stored := 0
 	for _, w := range r.workers {
 		res.Stats.Transitions += w.trans
@@ -289,8 +256,6 @@ func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, bou
 		next = append(next, w.next...)
 		bounds = append(bounds, len(next))
 		w.next = w.next[:0]
-		nextEnc = append(nextEnc, w.nextEnc...)
-		w.nextEnc = w.nextEnc[:0]
 		problems = append(problems, w.problems...)
 		w.problems = w.problems[:0]
 		r.cBusy.Add(w.busy.Nanoseconds())
@@ -308,7 +273,7 @@ func (r *parRunner) collect(res *Result) (next []parNode, nextEnc []nodeEnc, bou
 		s.maybeSpill()
 		res.Stats.SpilledStates = int(s.spilled.Load())
 	}
-	return next, nextEnc, bounds, problems
+	return next, bounds, problems
 }
 
 // limitResult finishes a search that crossed MaxStates. StatesStored is
@@ -334,11 +299,11 @@ func (r *parRunner) cancelResult(res *Result) *Result {
 
 // bestProblem picks the violation to report, deterministically: state
 // problems (counterexample length = node depth) before violating
-// transitions (length = depth+1), then smallest state encoding (curEnc,
-// the level's), then smallest transition index. The order is a pure
+// transitions (length = depth+1), then smallest state encoding of the
+// node in cur, then smallest transition index. The order is a pure
 // function of the level set, so every worker count reports the same
 // counterexample.
-func bestProblem(curEnc []nodeEnc, problems []parProblem) *parProblem {
+func bestProblem(cur []parNode, problems []parProblem) *parProblem {
 	rank := func(p *parProblem) int {
 		if p.trIdx < 0 {
 			return 0
@@ -349,7 +314,7 @@ func bestProblem(curEnc []nodeEnc, problems []parProblem) *parProblem {
 		if rank(p) != rank(q) {
 			return rank(p) < rank(q)
 		}
-		c := bytes.Compare(curEnc[p.node].enc, curEnc[q.node].enc)
+		c := bytes.Compare(cur[p.node].st.Bytes(), cur[q.node].st.Bytes())
 		return c < 0 || c == 0 && p.trIdx < q.trIdx
 	}
 	var best *parProblem
@@ -388,9 +353,9 @@ func (c *Checker) parTrace(levels [][]parNode, depth, node, trIdx int) *trace.Tr
 // level it was expanded from, levels[li], whose worker segments are
 // bounds, unless that is levels[0]: every later read of it goes through
 // parTrace's replay. Each segment's states go back to the arena of the
-// worker that produced them, whose next clones reuse their outer
-// arrays, so the search holds two levels of states, not all of them,
-// and no worker's memory drifts to another.
+// worker that produced them, whose next clones reuse their vectors, so
+// the search holds two levels of states, not all of them, and no
+// worker's memory drifts to another.
 func (r *parRunner) advance(levels [][]parNode, li int, bounds []int, next []parNode) [][]parNode {
 	if li > 0 {
 		cur := levels[li]
@@ -406,16 +371,15 @@ func (r *parRunner) advance(levels [][]parNode, li int, bounds []int, next []par
 }
 
 // expand is the per-node work of one level: generate the successors of
-// cur[i], encode each from cur[i]'s encoding curEnc[i], and feed them
-// through the visited set into w.next. A node the pre-pass reduced
+// cur[i] and feed their vectors through the visited set into w.next. A node the pre-pass reduced
 // takes only its ample process's run of the successors; the indices
 // stay positions in the full order, which parTrace replays. A safety
 // search also records the node's own state problem and every violating
 // transition as adjudication candidates; a reachability search decides
 // only reachability and skips violating transitions.
-func (w *parWorker) expand(r *parRunner, cur []parNode, curEnc []nodeEnc, i int, safety bool) {
+func (w *parWorker) expand(r *parRunner, cur []parNode, i int, safety bool) {
 	c := r.c
-	node, pe := &cur[i], &curEnc[i]
+	node := &cur[i]
 	w.trs = c.sys.SuccessorsAppend(node.st, w.arena, w.trs[:0])
 	if safety {
 		if kind, msg := c.stateProblem(node.st, len(w.trs)); kind != NoViolation {
@@ -450,8 +414,7 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, curEnc []nodeEnc, i int,
 				w.executed[tr.PartnerEdge] = true
 			}
 		}
-		w.scratch, w.ends = tr.Next.AppendComponentKeysFrom(node.st, pe.enc, pe.ends, w.scratch[:0], w.ends[:0])
-		if r.visited.seen(model.Hash64(w.scratch), w.scratch, w.ends) {
+		if enc := tr.Next.Bytes(); r.visited.seen(model.Hash64(enc), enc) {
 			w.matched++
 			w.arena.Recycle(tr.Next)
 			continue
@@ -463,7 +426,6 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, curEnc []nodeEnc, i int,
 			return
 		}
 		w.next = append(w.next, parNode{st: tr.Next, parent: int32(i), idx: int32(ti)})
-		w.nextEnc = append(w.nextEnc, w.slab.add(w.scratch, w.ends))
 	}
 }
 
@@ -486,18 +448,17 @@ func (w *parWorker) recycle(trs []model.Transition) {
 // the level set, identical at every worker count and storage tier; and
 // it is sound: on every cycle, the node at the deepest level has a
 // cycle successor already stored, so that node expands fully.
-func (r *parRunner) ampleLevel(cur []parNode, curEnc []nodeEnc, bounds []int) {
+func (r *parRunner) ampleLevel(cur []parNode, bounds []int) {
 	r.ample = slices.Grow(r.ample[:0], len(cur))[:len(cur)]
 	r.runLevel(len(cur), bounds, func(w *parWorker, i int) {
-		node, pe := &cur[i], &curEnc[i]
-		w.trs = r.c.sys.AmpleSuccessors(node.st, w.arena, w.trs[:0])
+		w.trs = r.c.sys.AmpleSuccessors(cur[i].st, w.arena, w.trs[:0])
 		r.ample[i] = -1
 		if len(w.trs) > 0 && !slices.ContainsFunc(w.trs, func(tr model.Transition) bool {
 			if tr.Violation != "" {
 				return false
 			}
-			w.scratch, w.ends = tr.Next.AppendComponentKeysFrom(node.st, pe.enc, pe.ends, w.scratch[:0], w.ends[:0])
-			return r.visited.contains(model.Hash64(w.scratch), w.scratch, w.ends)
+			enc := tr.Next.Bytes()
+			return r.visited.contains(model.Hash64(enc), enc)
 		}) {
 			r.ample[i] = int32(w.trs[0].Proc)
 			w.reduced++
@@ -511,7 +472,7 @@ func (r *parRunner) ampleLevel(cur []parNode, curEnc []nodeEnc, bounds []int) {
 // the witness is shortest and the stored-state count is the same at
 // every worker count. It reports whether the search is over (witness
 // found, evaluation error, or cancellation), with res filled in.
-func (r *parRunner) scanTarget(levels [][]parNode, li int, curEnc []nodeEnc, bounds []int, target pml.RExpr, res *Result) bool {
+func (r *parRunner) scanTarget(levels [][]parNode, li int, bounds []int, target pml.RExpr, res *Result) bool {
 	cur := levels[li]
 	r.runLevel(len(cur), bounds, func(w *parWorker, i int) {
 		v, err := r.c.sys.EvalGlobal(cur[i].st, target)
@@ -521,7 +482,7 @@ func (r *parRunner) scanTarget(levels [][]parNode, li int, curEnc []nodeEnc, bou
 			w.problems = append(w.problems, parProblem{node: i, trIdx: -1, kind: NoViolation})
 		}
 	})
-	_, _, _, hits := r.collect(res)
+	_, _, hits := r.collect(res)
 	if r.cancel.Load() {
 		r.cancelResult(res)
 		return true
@@ -537,13 +498,13 @@ func (r *parRunner) scanTarget(levels [][]parNode, li int, curEnc []nodeEnc, bou
 			errs = append(errs, p)
 		}
 	}
-	if p := bestProblem(curEnc, sats); p != nil {
+	if p := bestProblem(cur, sats); p != nil {
 		res.OK = true
 		res.Trace = r.c.parTrace(levels, li, p.node, -1)
 		res.Trace.Final = "target state reached"
 		return true
 	}
-	if p := bestProblem(curEnc, errs); p != nil {
+	if p := bestProblem(cur, errs); p != nil {
 		res.Kind = RuntimeError
 		res.Message = p.msg
 		return true
@@ -576,15 +537,15 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 	// counterexample prefixes then start at that frontier (the path from
 	// the root was discarded with the crashed process). Verdicts, stats,
 	// and counterexample lengths are unaffected.
-	levels, rootEnc, base, resumed := ck.restore(r, res)
+	levels, base, resumed := ck.restore(r, res)
 	if !resumed {
-		levels, rootEnc = r.seedRoot()
+		levels = r.seedRoot()
 		res.Stats.StatesStored = 1
 		base = 0
 	}
 	// curBounds are levels[li]'s worker segments; the root and a resumed
 	// frontier have none, so their levels are split evenly.
-	curEnc, curBounds := rootEnc, []int(nil)
+	var curBounds []int
 
 	for li := 0; li < len(levels); li++ {
 		depth := base + li
@@ -597,14 +558,16 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 		}
 		r.gFrontier.Set(int64(len(cur)))
 
-		if !safety && r.scanTarget(levels, li, curEnc, curBounds, target, res) {
+		if !safety && r.scanTarget(levels, li, curBounds, target, res) {
 			return res
 		}
 		if safety && c.opts.PartialOrder {
-			r.ampleLevel(cur, curEnc, curBounds)
+			r.ampleLevel(cur, curBounds)
 		}
 		prevStored := res.Stats.StatesStored
-		next, nextEnc, nextBounds, problems := r.expandLevel(res, li, cur, curEnc, curBounds, safety)
+		next, nextBounds, problems := r.expandLevel(res, cur, curBounds, safety)
+		// Every live node is one vector: the two live levels hold this many.
+		r.gFrontierBytes.Set(int64((len(cur) + len(next)) * len(cur[0].st.Bytes())))
 		m.visited(r.visited.bytes())
 		m.level(&res.Stats, depth, len(cur), res.Stats.StatesStored-prevStored)
 
@@ -614,7 +577,7 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 		if r.limit.Load() {
 			return r.limitResult(res)
 		}
-		if p := bestProblem(curEnc, problems); p != nil {
+		if p := bestProblem(cur, problems); p != nil {
 			res.OK = false
 			res.Kind = p.kind
 			res.Message = p.msg
@@ -629,9 +592,9 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 			res.Message = fmt.Sprintf("depth limit %d reached; search incomplete", c.opts.MaxDepth)
 			return res
 		}
-		ck.barrier(depth+1, rootEnc, nextEnc, &res.Stats)
+		ck.barrier(depth+1, levels[0], next, &res.Stats)
 		levels = r.advance(levels, li, curBounds, next)
-		curEnc, curBounds = nextEnc, nextBounds
+		curBounds = nextBounds
 	}
 	if !safety {
 		res.Message = "target state is unreachable"

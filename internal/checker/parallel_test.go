@@ -440,12 +440,12 @@ func TestLevelsRetiredAfterNextLevelCollected(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		c := New(sysFromSource(t, parOKSrc), Options{Workers: w})
 		r := c.newParRunner("test")
-		levels, curEnc := r.seedRoot()
+		levels := r.seedRoot()
 		var bounds []int
 		res := &Result{}
 		for li := 0; len(levels[li]) > 0; li++ {
-			next, nextEnc, nextBounds, _ := r.expandLevel(res, li, levels[li], curEnc, bounds, true)
-			levels, curEnc = r.advance(levels, li, bounds, next), nextEnc
+			next, nextBounds, _ := r.expandLevel(res, levels[li], bounds, true)
+			levels = r.advance(levels, li, bounds, next)
 			bounds = nextBounds
 			for d := 1; d <= li; d++ {
 				for i, n := range levels[d] {
@@ -473,13 +473,13 @@ func TestShardedSetExact(t *testing.T) {
 	s := newShardedSet(nil)
 	for i := 0; i < 1000; i++ {
 		enc := encOf(i)
-		if s.seen(model.Hash64(enc), enc, nil) {
+		if s.seen(model.Hash64(enc), enc) {
 			t.Fatalf("fresh key %d reported seen", i)
 		}
 	}
 	for i := 0; i < 1000; i++ {
 		enc := encOf(i)
-		if !s.seen(model.Hash64(enc), enc, nil) {
+		if !s.seen(model.Hash64(enc), enc) {
 			t.Fatalf("stored key %d reported unseen", i)
 		}
 	}
@@ -505,7 +505,7 @@ func TestShardedSetConcurrentExactCount(t *testing.T) {
 			var buf []byte
 			for i := 0; i < keys; i++ {
 				buf = append(buf[:0], encOf(i)...)
-				if !s.seen(model.Hash64(buf), buf, nil) {
+				if !s.seen(model.Hash64(buf), buf) {
 					wins[w]++
 				}
 			}
@@ -536,17 +536,17 @@ func TestParBitstateSetMatchesSequentialBits(t *testing.T) {
 		enc := encOf(i)
 		a, b := bitstateHashes(enc, par.mask)
 		want := seq[a] && seq[b]
-		if got := par.contains(model.Hash64(enc), enc, nil); got != want {
+		if got := par.contains(model.Hash64(enc), enc); got != want {
 			t.Fatalf("key %d: contains %v before insert, sequential %v", i, got, want)
 		}
-		if got := par.seen(model.Hash64(enc), enc, nil); got != want {
+		if got := par.seen(model.Hash64(enc), enc); got != want {
 			t.Fatalf("key %d: parallel bitstate %v, sequential %v", i, got, want)
 		}
 		if !want {
 			stored++
 		}
 		seq[a], seq[b] = true, true
-		if !par.contains(model.Hash64(enc), enc, nil) {
+		if !par.contains(model.Hash64(enc), enc) {
 			t.Fatalf("key %d: not contained after insert", i)
 		}
 	}
@@ -555,42 +555,35 @@ func TestParBitstateSetMatchesSequentialBits(t *testing.T) {
 	}
 }
 
-// benchComponentStates builds n distinct states with the component
-// structure of a realistic composition (several processes and channels)
-// where consecutive states differ in one or two components — the
+// componentSrc has the component structure of a realistic composition:
+// several processes with locals, globals and buffered channels.
+const componentSrc = `
+byte g0, g1, g2, g3, g4, g5, g6, g7;
+chan c0 = [3] of { byte }; chan c1 = [2] of { byte }; chan c2 = [1] of { byte }; chan c3 = [2] of { byte };
+active [6] proctype P() { byte x, y; skip }`
+
+// benchComponentStates builds n distinct vectors of componentSrc's
+// layout where consecutive ones differ in one or two components — the
 // neighbor structure collapse compression exploits. Returns the shape
-// plus each state's encoding, fingerprint, and section ends.
-func benchComponentStates(n int) (shape *model.State, encs [][]byte, fps []uint64, endss [][]int) {
-	mk := func(i int) *model.State {
-		st := &model.State{
-			PCs:     []int32{int32(i % 7), int32(i / 7 % 5), 3, 1, 2, 0},
-			Globals: []int64{int64(i % 3), 42, 7, int64(i % 2), 0, 1, 9, 4},
-			Locals: [][]int64{
-				{int64(i % 11), 5}, {2, 3}, {int64(i / 11 % 4), 0},
-				{1, 1}, {0, 8}, {6, int64(i / 44 % 3)},
-			},
-			Chans: [][]int64{
-				{1, 2, 3}, {int64(i % 5)}, {}, {4, 4},
-			},
-			Atomic: -1,
-		}
-		return st
-	}
-	shape = mk(0)
+// plus each vector and its fingerprint.
+func benchComponentStates(tb testing.TB, n int) (shape *model.State, encs [][]byte, fps []uint64) {
+	shape = sysFromSource(tb, componentSrc).InitialState()
 	encs = make([][]byte, n)
 	fps = make([]uint64, n)
-	endss = make([][]int, n)
 	for i := 0; i < n; i++ {
-		st := mk(i)
-		enc, ends := st.AppendComponentKeys(nil, nil)
-		encs[i], endss[i] = enc, ends
-		fps[i] = model.Hash64(enc)
+		v := shape.AppendKey(nil)
+		// PCs 0 and 1, global g0, locals of P[0], P[1], P[2] and P[5],
+		// c0: distinct for n up to 7 * lcm(35, 132) = 32,340.
+		for off, x := range map[int]int{1: i % 7, 2: i / 7 % 5, 7: i % 3, 15: i % 11, 17: i / 11 % 4, 19: i / 4620 % 7, 25: i / 44 % 3, 28: i % 5} {
+			v[off] = byte(x)
+		}
+		encs[i], fps[i] = v, model.Hash64(v)
 	}
-	return shape, encs, fps, endss
+	return shape, encs, fps
 }
 
 func BenchmarkShardedVisited(b *testing.B) {
-	shape, encs, fps, endss := benchComponentStates(4096)
+	shape, encs, fps := benchComponentStates(b, 4096)
 	reportBytes := func(b *testing.B, s parVisited) {
 		b.ReportMetric(float64(s.bytes())/float64(len(encs)), "bytes/state")
 	}
@@ -609,8 +602,8 @@ func BenchmarkShardedVisited(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := newShardedSet(nil)
 			for j := range encs {
-				s.seen(fps[j], encs[j], endss[j])
-				s.seen(fps[j], encs[j], endss[j])
+				s.seen(fps[j], encs[j])
+				s.seen(fps[j], encs[j])
 			}
 			reportBytes(b, s)
 		}
@@ -620,8 +613,8 @@ func BenchmarkShardedVisited(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := newCollapseSet(shape, nil)
 			for j := range encs {
-				s.seen(fps[j], encs[j], endss[j])
-				s.seen(fps[j], encs[j], endss[j])
+				s.seen(fps[j], encs[j])
+				s.seen(fps[j], encs[j])
 			}
 			reportBytes(b, s)
 		}
@@ -637,8 +630,8 @@ func BenchmarkShardedVisited(b *testing.B) {
 				go func(w int) {
 					defer wg.Done()
 					for j := w; j < len(encs); j += workers {
-						s.seen(fps[j], encs[j], endss[j])
-						s.seen(fps[j], encs[j], endss[j])
+						s.seen(fps[j], encs[j])
+						s.seen(fps[j], encs[j])
 					}
 				}(w)
 			}
@@ -656,8 +649,8 @@ func BenchmarkShardedVisited(b *testing.B) {
 				go func(w int) {
 					defer wg.Done()
 					for j := w; j < len(encs); j += workers {
-						s.seen(fps[j], encs[j], endss[j])
-						s.seen(fps[j], encs[j], endss[j])
+						s.seen(fps[j], encs[j])
+						s.seen(fps[j], encs[j])
 					}
 				}(w)
 			}

@@ -165,6 +165,26 @@ func TestVisitedBytesGauge(t *testing.T) {
 	}
 }
 
+// TestFrontierBytesGauge: every live node is one state vector, so at
+// each barrier checker_frontier_bytes is the two live levels' node count
+// times the vector's length; after the last barrier, whose next level
+// is empty, that is the last level's checker_frontier_states.
+func TestFrontierBytesGauge(t *testing.T) {
+	s := sysFromSource(t, progressSource)
+	size := int64(len(s.InitialState().Bytes()))
+	for _, w := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		if res := New(s, Options{IgnoreDeadlock: true, Metrics: reg, Workers: w}).CheckSafety(); !res.OK {
+			t.Fatalf("workers=%d: %s", w, res.Summary())
+		}
+		states := reg.Gauge(obs.Labels("checker_frontier_states", "phase", "safety-par-bfs")).Value()
+		got := reg.Gauge(obs.Labels("checker_frontier_bytes", "phase", "safety-par-bfs")).Value()
+		if states == 0 || got != states*size {
+			t.Errorf("workers=%d: checker_frontier_bytes = %d, want %d states × %d bytes", w, got, states, size)
+		}
+	}
+}
+
 func TestSummaryIncludesElapsedAndReduced(t *testing.T) {
 	r := &Result{OK: true}
 	r.Stats.StatesStored = 10

@@ -138,10 +138,10 @@ func TestRandomProgramsVerdictAgreement(t *testing.T) {
 	}
 }
 
-// TestRandomProgramsSuccessorsLeaveParentsUnchanged: successors share
-// their parents' inner slices (model.State is copy-on-write), so after a
-// whole breadth-first exploration with a recycling arena every stored
-// state must still encode as it did when it was stored.
+// TestRandomProgramsSuccessorsLeaveParentsUnchanged: successors are
+// written into recycled arena storage, so after a whole breadth-first
+// exploration with a recycling arena every stored state must still
+// encode as it did when it was stored.
 func TestRandomProgramsSuccessorsLeaveParentsUnchanged(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	for i := 0; i < 60; i++ {
@@ -177,46 +177,62 @@ func TestRandomProgramsSuccessorsLeaveParentsUnchanged(t *testing.T) {
 	}
 }
 
-// TestRandomProgramsEncodeFromParent: encoding a successor from its
-// parent's encoding (as the level engine does) must reproduce the full
-// encoding, bytes and section ends, on every transition of random
-// programs, whose globals, channels and locals all change.
-func TestRandomProgramsEncodeFromParent(t *testing.T) {
+// stateView renders st through model's exported accessors alone: the
+// atomic holder, each process's PC and locals, the globals, and each
+// channel's messages.
+func stateView(s *model.System, st *model.State) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "atomic=%d", s.AtomicHolder(st))
+	for p, inst := range s.Instances() {
+		fmt.Fprintf(&b, " %s@%d", inst.Name, s.PC(st, p))
+		for i := range inst.Proc.IntVars {
+			fmt.Fprintf(&b, ",%d", s.Local(st, p, i))
+		}
+	}
+	for i := range s.Prog.GlobalVars {
+		fmt.Fprintf(&b, " g%d=%d", i, s.Global(st, i))
+	}
+	for id := 0; id < s.NumChannels(); id++ {
+		fmt.Fprintf(&b, " c%d=%v", id, s.Messages(st, model.ChanID(id)))
+	}
+	return b.String()
+}
+
+// TestRandomProgramsStateVectorIsCanonical is model's representation
+// oracle on random programs, whose globals, channels and locals all
+// change: on every reachable state, the state vector and its view
+// through the accessors determine each other (a view with two vectors
+// is a non-canonical vector), and every vector passes CheckState.
+func TestRandomProgramsStateVectorIsCanonical(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
-	for i := 0; i < 60; i++ {
+	for i := 0; i < 40; i++ {
 		src := randomProgram(r) + drainer
 		s := sysFromSource(t, src)
-		a := &model.Arena{}
 		init := s.InitialState()
-		enc, ends := init.AppendComponentKeys(nil, nil)
-		level := []nodeEnc{{enc, ends}}
-		states := []*model.State{init}
-		seen := map[string]bool{string(enc): true}
-		var trs []model.Transition
-		for len(states) > 0 {
-			var nextStates []*model.State
-			var next []nodeEnc
-			for j, st := range states {
-				trs = s.SuccessorsAppend(st, a, trs[:0])
-				for _, tr := range trs {
-					if tr.Violation != "" {
-						continue
-					}
-					want, wantEnds := tr.Next.AppendComponentKeys(nil, nil)
-					got, gotEnds := tr.Next.AppendComponentKeysFrom(st, level[j].enc, level[j].ends, nil, nil)
-					if !bytes.Equal(got, want) || !slices.Equal(gotEnds, wantEnds) {
-						t.Fatalf("program %d, %s: encoded from parent %x %v, from scratch %x %v\n%s",
-							i, s.FormatTransition(tr), got, gotEnds, want, wantEnds, src)
-					}
-					if seen[string(want)] {
-						continue
-					}
-					seen[string(want)] = true
-					nextStates = append(nextStates, tr.Next)
-					next = append(next, nodeEnc{want, wantEnds})
+		byVector := map[string]string{init.Key(): stateView(s, init)}
+		byView := map[string]string{stateView(s, init): init.Key()}
+		queue := []*model.State{init}
+		for j := 0; j < len(queue); j++ {
+			for _, tr := range s.Successors(queue[j]) {
+				if tr.Violation != "" {
+					continue
 				}
+				k, v := tr.Next.Key(), stateView(s, tr.Next)
+				if old, ok := byVector[k]; ok {
+					if old != v {
+						t.Fatalf("program %d: vector %x has two views:\n%s\n%s\n%s", i, k, old, v, src)
+					}
+					continue
+				}
+				if old, ok := byView[v]; ok {
+					t.Fatalf("program %d: view %s has two vectors:\n%x\n%x\n%s", i, v, old, k, src)
+				}
+				if err := s.CheckState(tr.Next); err != nil {
+					t.Fatalf("program %d: reachable state %s rejected: %v\n%s", i, v, err, src)
+				}
+				byVector[k], byView[v] = v, k
+				queue = append(queue, tr.Next)
 			}
-			states, level = nextStates, next
 		}
 	}
 }
@@ -520,7 +536,7 @@ func TestRandomProgramsEventuallyReachableOracle(t *testing.T) {
 		// target and counterexamples are not all empty.
 		var values []int
 		for _, st := range states {
-			values = append(values, int(st.Globals[0]))
+			values = append(values, int(s.Global(st, 0)))
 		}
 		slices.Sort(values)
 		values = slices.Compact(values)

@@ -10,7 +10,7 @@ import (
 	"pnp/internal/pml"
 )
 
-func sysFromSource(t *testing.T, src string) *model.System {
+func sysFromSource(t testing.TB, src string) *model.System {
 	t.Helper()
 	prog, err := pml.CompileSource(src)
 	if err != nil {

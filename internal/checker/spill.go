@@ -132,12 +132,12 @@ func newSpillSet(mem visitedDrainer, limit int64, dir string, m spillMetrics) *s
 	return &spillSet{mem: mem, limit: limit, dir: dir, maxFiles: spillMaxFiles, m: m}
 }
 
-func (s *spillSet) seen(fp uint64, enc []byte, ends []int) bool {
-	return s.mem.contains(fp, enc, ends) || s.spilledHas(fp, enc) || s.mem.seen(fp, enc, ends)
+func (s *spillSet) seen(fp uint64, enc []byte) bool {
+	return s.mem.contains(fp, enc) || s.spilledHas(fp, enc) || s.mem.seen(fp, enc)
 }
 
-func (s *spillSet) contains(fp uint64, enc []byte, ends []int) bool {
-	return s.mem.contains(fp, enc, ends) || s.spilledHas(fp, enc)
+func (s *spillSet) contains(fp uint64, enc []byte) bool {
+	return s.mem.contains(fp, enc) || s.spilledHas(fp, enc)
 }
 
 func (s *spillSet) spilledHas(fp uint64, enc []byte) bool {

@@ -64,7 +64,7 @@ func writeMergedTestSegment(tb testing.TB, dir string, parts ...[][]byte) (strin
 // holds exactly its entries; a merged one only in the context of the
 // segments its index points into.
 func TestSpillSegmentRoundTrip(t *testing.T) {
-	_, encs, fps, _ := benchComponentStates(1500)
+	_, encs, fps := benchComponentStates(t, 1500)
 	merged, srcs := writeMergedTestSegment(t, t.TempDir(), encs[:900], encs[900:1300], encs[1300:])
 	if seg, err := openSpillSegment(merged); err == nil {
 		seg.close()
@@ -116,7 +116,7 @@ var spillCorruptions = map[string]func([]byte) []byte{
 
 // Every flavor of corruption must be detected at open — never probed.
 func TestSpillSegmentCorruptionDetected(t *testing.T) {
-	_, encs, _, _ := benchComponentStates(200)
+	_, encs, _ := benchComponentStates(t, 200)
 	dir := t.TempDir()
 	path := writeTestSegment(t, dir, encs)
 	data, err := os.ReadFile(path)
@@ -149,17 +149,17 @@ func TestSpillSetUnwritableDirDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chmod(dir, 0o755)
-	_, encs, fps, endss := benchComponentStates(500)
+	_, encs, fps := benchComponentStates(t, 500)
 	s := newSpillSet(newShardedSet(nil), 1, filepath.Join(dir, "sub"), spillMetrics{})
 	defer s.close()
 	for j := range encs {
-		if s.seen(fps[j], encs[j], endss[j]) {
+		if s.seen(fps[j], encs[j]) {
 			t.Fatalf("fresh state %d reported seen", j)
 		}
 		s.maybeSpill()
 	}
 	for j := range encs {
-		if !s.seen(fps[j], encs[j], endss[j]) {
+		if !s.seen(fps[j], encs[j]) {
 			t.Fatalf("state %d lost", j)
 		}
 	}
@@ -175,12 +175,12 @@ func TestSpillSetUnwritableDirDegrades(t *testing.T) {
 // instead of mapping another: later states stay in memory, the
 // segments already written stay probed, and membership stays exact.
 func TestSpillSetStopsAtMaxFiles(t *testing.T) {
-	_, encs, fps, endss := benchComponentStates(500)
+	_, encs, fps := benchComponentStates(t, 500)
 	s := newSpillSet(newShardedSet(nil), 1, t.TempDir(), spillMetrics{})
 	defer s.close()
 	s.maxFiles = 3
 	for j := range encs {
-		if s.seen(fps[j], encs[j], endss[j]) {
+		if s.seen(fps[j], encs[j]) {
 			t.Fatalf("fresh state %d reported seen", j)
 		}
 		if j%50 == 49 {
@@ -196,7 +196,7 @@ func TestSpillSetStopsAtMaxFiles(t *testing.T) {
 		t.Fatalf("%d files in the run dir (%v), want 3", len(files), err)
 	}
 	for j := range encs {
-		if !s.seen(fps[j], encs[j], endss[j]) {
+		if !s.seen(fps[j], encs[j]) {
 			t.Fatalf("state %d lost", j)
 		}
 	}
@@ -219,14 +219,14 @@ func spillMems(shape *model.State) map[string]func() visitedDrainer {
 // at most bits.Len(S) indexes, with strictly decreasing spill and state
 // counts, and keeps one file per spill on disk.
 func TestSpillSetMembershipAcrossSpills(t *testing.T) {
-	shape, encs, fps, endss := benchComponentStates(2000)
+	shape, encs, fps := benchComponentStates(t, 2000)
 	for name, mk := range spillMems(shape) {
 		t.Run(name, func(t *testing.T) {
 			s := newSpillSet(mk(), 1, t.TempDir(), spillMetrics{})
 			defer s.close()
 			spills := 0
 			for j := range encs {
-				if s.seen(fps[j], encs[j], endss[j]) {
+				if s.seen(fps[j], encs[j]) {
 					t.Fatalf("fresh state %d reported seen", j)
 				}
 				if j%8 != 7 {
@@ -260,7 +260,7 @@ func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 				t.Fatalf("only %d spills", spills)
 			}
 			for j := range encs {
-				if !s.seen(fps[j], encs[j], endss[j]) {
+				if !s.seen(fps[j], encs[j]) {
 					t.Fatalf("state %d lost after merges", j)
 				}
 			}
@@ -299,13 +299,13 @@ func TestSpillFold(t *testing.T) {
 // membership exact: it is retried as a plain spill, and only when that
 // fails too does the tier give up.
 func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
-	_, encs, fps, endss := benchComponentStates(400)
+	_, encs, fps := benchComponentStates(t, 400)
 	for _, blocked := range []int{1, 2} {
 		t.Run(fmt.Sprintf("blocked-%d", blocked), func(t *testing.T) {
 			s := newSpillSet(newShardedSet(nil), 1, t.TempDir(), spillMetrics{})
 			defer s.close()
 			for j := range encs {
-				if s.seen(fps[j], encs[j], endss[j]) {
+				if s.seen(fps[j], encs[j]) {
 					t.Fatalf("fresh state %d reported seen", j)
 				}
 				if j%100 == 99 && j < 300 {
@@ -347,7 +347,7 @@ func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
 				}
 			}
 			for j := range encs {
-				if !s.seen(fps[j], encs[j], endss[j]) {
+				if !s.seen(fps[j], encs[j]) {
 					t.Fatalf("state %d lost", j)
 				}
 			}
@@ -371,7 +371,7 @@ func FuzzSpillSegment(f *testing.F) {
 	}
 	f.Add(golden)
 	dir := f.TempDir()
-	_, encs, _, _ := benchComponentStates(60)
+	_, encs, _ := benchComponentStates(f, 60)
 	mergedPath, srcs := writeMergedTestSegment(f, dir, encs[:20], encs[20:40], encs[40:])
 	merged, err := os.ReadFile(mergedPath)
 	if err != nil {
@@ -463,11 +463,11 @@ func TestSpillMetrics(t *testing.T) {
 
 // close removes the per-search segment directory.
 func TestSpillSetCloseRemovesSegments(t *testing.T) {
-	_, encs, fps, endss := benchComponentStates(300)
+	_, encs, fps := benchComponentStates(t, 300)
 	parent := t.TempDir()
 	s := newSpillSet(newShardedSet(nil), 1, parent, spillMetrics{})
 	for j := range encs {
-		s.seen(fps[j], encs[j], endss[j])
+		s.seen(fps[j], encs[j])
 	}
 	s.maybeSpill()
 	if len(s.segs) == 0 {

@@ -11,20 +11,17 @@ import (
 )
 
 // parVisited is the duplicate detector of the parallel engine. seen
-// tests-and-sets a state by its canonical encoding enc (the bytes
-// State.AppendKey produces), its 64-bit fingerprint fp
-// (model.Hash64(enc)), and the component section boundaries ends (from
-// State.AppendComponentKeys; nil makes implementations that need them
-// recompute the split from the system shape). It reports whether the
-// state was already present. Implementations are safe for concurrent
-// callers; enc and ends are only read during the call and may be reused
-// by the caller afterwards.
+// tests-and-sets a state by its canonical encoding enc (its vector,
+// State.Bytes) and its 64-bit fingerprint fp (model.Hash64(enc)). It
+// reports whether the state was already present. Implementations are
+// safe for concurrent callers; enc is only read during the call and may
+// be reused by the caller afterwards.
 type parVisited interface {
-	seen(fp uint64, enc []byte, ends []int) bool
+	seen(fp uint64, enc []byte) bool
 	// contains is seen without the set: it reports whether the state is
 	// present and stores nothing. Partial-order reduction's proviso
 	// reads the set through it between level barriers.
-	contains(fp uint64, enc []byte, ends []int) bool
+	contains(fp uint64, enc []byte) bool
 	// size is the number of states stored. Only called at level
 	// barriers (no concurrent seen).
 	size() int
@@ -254,7 +251,7 @@ func newShardedSet(contention *obs.Counter) *shardedSet {
 	return &shardedSet{contention: contention}
 }
 
-func (s *shardedSet) seen(fp uint64, enc []byte, _ []int) bool {
+func (s *shardedSet) seen(fp uint64, enc []byte) bool {
 	sh := &s.shards[fp%visitedShards]
 	if !sh.mu.TryLock() {
 		s.contention.Add(1)
@@ -265,7 +262,7 @@ func (s *shardedSet) seen(fp uint64, enc []byte, _ []int) bool {
 	return had
 }
 
-func (s *shardedSet) contains(fp uint64, enc []byte, _ []int) bool {
+func (s *shardedSet) contains(fp uint64, enc []byte) bool {
 	sh := &s.shards[fp%visitedShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -392,7 +389,8 @@ func (ct *collapseTable) bytes() int64 {
 }
 
 // collapseSet is the collapse-compressed visited set (Spin's -DCOLLAPSE
-// analogue): each component sub-vector of a state is interned once in a
+// analogue): each component sub-vector of a state — a fixed byte range
+// of its vector, see State.AppendComponentKeys — is interned once in a
 // per-component side table, and the state itself is stored as a tuple
 // of uvarint intern indices, routed to a stripe by the fingerprint of
 // the full encoding. Tuple equality is equivalent to encoding equality
@@ -401,29 +399,29 @@ func (ct *collapseTable) bytes() int64 {
 // set even though the physical index assignment varies run to run.
 // The trade is CPU for memory: one extra hash+probe per component.
 type collapseSet struct {
-	comps  []collapseTable // 1 + processes + channels
-	shards [visitedShards]visitedShard
-	// shape re-splits encodings that arrive without section boundaries
-	// (checkpoint restore).
-	shape      *model.State
+	comps      []collapseTable
+	ends       []int // comps[i] holds bytes [ends[i-1], ends[i]) of every vector
+	shards     [visitedShards]visitedShard
 	contention *obs.Counter
 }
 
+// newCollapseSet builds the set for the states of shape's system.
 func newCollapseSet(shape *model.State, contention *obs.Counter) *collapseSet {
+	_, ends := shape.AppendComponentKeys(nil, nil)
 	return &collapseSet{
-		comps:      make([]collapseTable, shape.NumComponents()),
-		shape:      shape,
+		comps:      make([]collapseTable, len(ends)),
+		ends:       ends,
 		contention: contention,
 	}
 }
 
-func (s *collapseSet) seen(fp uint64, enc []byte, ends []int) bool {
+func (s *collapseSet) seen(fp uint64, enc []byte) bool {
 	sh := &s.shards[fp%visitedShards]
 	if !sh.mu.TryLock() {
 		s.contention.Add(1)
 		sh.mu.Lock()
 	}
-	tuple, _ := s.tuple(sh, enc, ends, true)
+	tuple, _ := s.tuple(sh, enc, true)
 	// Equal tuples are equal states, so the state fingerprint keys the
 	// tuple in the stripe table as well as routing to the stripe.
 	had := sh.t.testAndSet(fp, tuple)
@@ -431,32 +429,21 @@ func (s *collapseSet) seen(fp uint64, enc []byte, ends []int) bool {
 	return had
 }
 
-func (s *collapseSet) contains(fp uint64, enc []byte, ends []int) bool {
+func (s *collapseSet) contains(fp uint64, enc []byte) bool {
 	sh := &s.shards[fp%visitedShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	tuple, ok := s.tuple(sh, enc, ends, false)
+	tuple, ok := s.tuple(sh, enc, false)
 	return ok && sh.t.lookup(fp, tuple)
 }
 
 // tuple builds the index tuple of enc in sh.scratch, sh locked,
 // interning its components if add is set. Without add it reports false
 // at the first component never interned, which no stored state has.
-// Nil ends are recomputed from the system shape.
-func (s *collapseSet) tuple(sh *visitedShard, enc []byte, ends []int, add bool) ([]byte, bool) {
-	if ends == nil {
-		var err error
-		ends, err = model.ComponentEnds(s.shape, enc, nil)
-		if err != nil {
-			// Only reachable with an encoding that AppendKey could not
-			// have produced: intern it whole, as a one-index tuple, so
-			// the set stays total rather than dropping the state.
-			ends = []int{len(enc)}
-		}
-	}
+func (s *collapseSet) tuple(sh *visitedShard, enc []byte, add bool) ([]byte, bool) {
 	tuple := sh.scratch[:0]
 	start := 0
-	for i, end := range ends {
+	for i, end := range s.ends {
 		idx, ok := s.comps[i].intern(enc[start:end], add)
 		if !ok {
 			return nil, false
@@ -502,32 +489,15 @@ func (s *collapseSet) forEachEncoding(fn func(enc []byte)) {
 	}
 }
 
-// compRefs decodes a tuple into its component byte slices. A tuple that
-// does not decode to the expected component count is an exact-stored
-// fallback entry (see seen) and is returned as-is.
+// compRefs decodes a tuple into its component byte slices.
 func (s *collapseSet) compRefs(tuple []byte) [][]byte {
-	refs := make([][]byte, 0, len(s.comps))
-	rest := tuple
+	refs := make([][]byte, len(s.comps))
 	for i := range s.comps {
-		idx, w := binary.Uvarint(rest)
-		if w <= 0 {
-			return [][]byte{tuple}
-		}
+		idx, w := binary.Uvarint(tuple)
 		s.comps[i].mu.RLock()
-		ok := idx < uint64(len(s.comps[i].starts))
-		var e []byte
-		if ok {
-			e = s.comps[i].entry(uint32(idx))
-		}
+		refs[i] = s.comps[i].entry(uint32(idx))
 		s.comps[i].mu.RUnlock()
-		if !ok {
-			return [][]byte{tuple}
-		}
-		refs = append(refs, e)
-		rest = rest[w:]
-	}
-	if len(rest) != 0 {
-		return [][]byte{tuple}
+		tuple = tuple[w:]
 	}
 	return refs
 }
@@ -573,7 +543,7 @@ func newParBitstateSet(bitsLog2 uint, contention *obs.Counter) *parBitstateSet {
 	return &parBitstateSet{bits: make([]uint64, n/64), mask: n - 1, contention: contention}
 }
 
-func (s *parBitstateSet) seen(fp uint64, enc []byte, _ []int) bool {
+func (s *parBitstateSet) seen(fp uint64, enc []byte) bool {
 	a, b := bitstateHashes(enc, s.mask)
 	lk := &s.locks[fp%visitedShards]
 	if !lk.TryLock() {
@@ -606,7 +576,7 @@ func bitstateHashes(key []byte, mask uint64) (uint64, uint64) {
 	return h1 & mask, h2 & mask
 }
 
-func (s *parBitstateSet) contains(_ uint64, enc []byte, _ []int) bool {
+func (s *parBitstateSet) contains(_ uint64, enc []byte) bool {
 	a, b := bitstateHashes(enc, s.mask)
 	return s.bit(a) && s.bit(b)
 }

@@ -3,6 +3,7 @@ package checker
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -146,17 +147,19 @@ func TestEncTableSlotWordCarriesHomeSlot(t *testing.T) {
 
 // --- collapse set ---
 
+// Enough states that both sets outgrow the first page of each of their
+// 64 stripes, which would otherwise dominate the byte comparison.
 func TestCollapseSetMatchesExact(t *testing.T) {
-	shape, encs, fps, endss := benchComponentStates(3000)
+	shape, encs, fps := benchComponentStates(t, 30000)
 	exact := newShardedSet(nil)
 	coll := newCollapseSet(shape, nil)
 	for j := range encs {
-		if got, want := coll.seen(fps[j], encs[j], endss[j]), exact.seen(fps[j], encs[j], endss[j]); got != want {
+		if got, want := coll.seen(fps[j], encs[j]), exact.seen(fps[j], encs[j]); got != want {
 			t.Fatalf("state %d: collapse %v, exact %v", j, got, want)
 		}
 	}
 	for j := range encs {
-		if !coll.seen(fps[j], encs[j], endss[j]) {
+		if !coll.seen(fps[j], encs[j]) {
 			t.Fatalf("state %d lost from collapse set", j)
 		}
 	}
@@ -169,34 +172,40 @@ func TestCollapseSetMatchesExact(t *testing.T) {
 	}
 }
 
-// Nil ends (the checkpoint-restore path) must intern identically to
-// caller-provided ends.
+// The set splits every vector itself, at the fixed ranges it took from
+// the shape it was built with, so sets built from any two states of one
+// system split alike and agree on every vector.
 func TestCollapseSetSelfSplit(t *testing.T) {
-	shape, encs, fps, endss := benchComponentStates(500)
+	shape, encs, fps := benchComponentStates(t, 500)
+	other, err := model.DecodeKey(shape, encs[len(encs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := newCollapseSet(shape, nil)
-	b := newCollapseSet(shape, nil)
+	b := newCollapseSet(other, nil)
+	if !slices.Equal(a.ends, b.ends) || a.ends[len(a.ends)-1] != len(encs[0]) {
+		t.Fatalf("ranges %v and %v for vectors of %d bytes", a.ends, b.ends, len(encs[0]))
+	}
 	for j := range encs {
-		a.seen(fps[j], encs[j], endss[j])
-		b.seen(fps[j], encs[j], nil)
+		if a.seen(fps[j], encs[j]) != b.seen(fps[j], encs[j]) {
+			t.Fatalf("state %d: the two sets disagree", j)
+		}
 	}
 	if a.size() != b.size() {
-		t.Fatalf("sizes diverge: with ends %d, self-split %d", a.size(), b.size())
+		t.Fatalf("sizes diverge: %d and %d", a.size(), b.size())
 	}
 	for j := range encs {
-		if !b.seen(fps[j], encs[j], endss[j]) {
-			t.Fatalf("state %d interned with nil ends not found with ends", j)
-		}
-		if !a.seen(fps[j], encs[j], nil) {
-			t.Fatalf("state %d interned with ends not found with nil ends", j)
+		if !a.contains(fps[j], encs[j]) || !b.contains(fps[j], encs[j]) {
+			t.Fatalf("state %d lost", j)
 		}
 	}
 }
 
 func TestCollapseSetForEachEncodingRoundTrip(t *testing.T) {
-	shape, encs, fps, endss := benchComponentStates(400)
+	shape, encs, fps := benchComponentStates(t, 400)
 	coll := newCollapseSet(shape, nil)
 	for j := range encs {
-		coll.seen(fps[j], encs[j], endss[j])
+		coll.seen(fps[j], encs[j])
 	}
 	want := map[string]bool{}
 	for _, e := range encs {
@@ -215,7 +224,7 @@ func TestCollapseSetForEachEncodingRoundTrip(t *testing.T) {
 }
 
 func TestCollapseSetConcurrent(t *testing.T) {
-	shape, encs, fps, endss := benchComponentStates(2000)
+	shape, encs, fps := benchComponentStates(t, 2000)
 	coll := newCollapseSet(shape, nil)
 	const workers = 8
 	var wins [workers]int
@@ -225,7 +234,7 @@ func TestCollapseSetConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for j := range encs {
-				if !coll.seen(fps[j], encs[j], endss[j]) {
+				if !coll.seen(fps[j], encs[j]) {
 					wins[w]++
 				}
 			}
@@ -247,17 +256,17 @@ func TestCollapseSetConcurrent(t *testing.T) {
 // reset keeps the side tables but drops tuples: re-inserting the same
 // states must report them fresh and re-reach the same size.
 func TestCollapseSetResetKeepsSideTables(t *testing.T) {
-	shape, encs, fps, endss := benchComponentStates(300)
+	shape, encs, fps := benchComponentStates(t, 300)
 	coll := newCollapseSet(shape, nil)
 	for j := range encs {
-		coll.seen(fps[j], encs[j], endss[j])
+		coll.seen(fps[j], encs[j])
 	}
 	coll.reset()
 	if coll.size() != 0 {
 		t.Fatalf("size after reset = %d", coll.size())
 	}
 	for j := range encs {
-		if coll.seen(fps[j], encs[j], endss[j]) {
+		if coll.seen(fps[j], encs[j]) {
 			t.Fatalf("state %d still present after reset", j)
 		}
 	}
@@ -371,11 +380,11 @@ func TestCollapseSearchEncodingsDecode(t *testing.T) {
 	c := New(sys, Options{Workers: 2, Storage: StorageOptions{Visited: VisitedCollapse}})
 	r := c.newParRunner("test")
 	defer r.close()
-	levels, curEnc := r.seedRoot()
+	levels := r.seedRoot()
 	res := &Result{}
 	for li := 0; len(levels[li]) > 0; li++ {
-		next, nextEnc, _, _ := r.expandLevel(res, li, levels[li], curEnc, nil, false)
-		levels, curEnc = append(levels, next), nextEnc
+		next, _, _ := r.expandLevel(res, levels[li], nil, false)
+		levels = append(levels, next)
 	}
 	shape := sys.InitialState()
 	n := 0

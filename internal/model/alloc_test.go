@@ -45,10 +45,9 @@ func TestEvalGuardAllocatesNothing(t *testing.T) {
 }
 
 // maxSuccessorAllocs is what SuccessorsAppend allocates expanding the
-// 30 states of bridgeWalk with a warm arena: only the inner slices their
-// 68 transitions write (see model.State) and the message buffers of
-// sends, never a State or its outer arrays.
-const maxSuccessorAllocs = 80
+// 30 states of bridgeWalk with a warm arena: only the message buffers
+// of sends and receives, never a State or its vector.
+const maxSuccessorAllocs = 42
 
 // bridgeWalk is a fixed run of the bridge: the initial state, then each
 // state's first successor. Its expansions cover guards, else, skip,

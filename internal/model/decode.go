@@ -1,126 +1,94 @@
 package model
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 )
 
-// DecodeKey reconstructs a State from its canonical encoding — the exact
-// bytes AppendKey produces. The encoding is injective but not fully
-// self-describing: the outer arities (process count, globals count,
-// locals and channel slice counts) are fixed per system, so they are
-// taken from shape — any state of the same system, typically
-// System.InitialState(). Inner slice lengths are length-prefixed in the
-// encoding itself.
+// DecodeKey reconstructs a State from its canonical encoding — the
+// exact bytes AppendKey produces — given shape, any state of the same
+// system (typically System.InitialState()). A state is its own
+// encoding, so decoding is a length check and a copy.
 //
 // DecodeKey is the read side of every store of encodings: a resumed
 // checkpoint rebuilds its frontier states through it, and the liveness
 // product rebuilds the states its counterexamples and DOT drawings need
-// from its state table. The round trip is exact — st2 :=
-// DecodeKey(shape, st.AppendKey(nil)) encodes to the same bytes as st.
-//
-// Well-formed bytes are not necessarily a state of the system: a
-// decoded state from outside the process must pass System.CheckState
-// before anything expands it.
+// from its state table. Bytes of the right length are not necessarily
+// a state of the system: a decoded state from outside the process must
+// pass System.CheckState before anything expands it.
 func DecodeKey(shape *State, enc []byte) (*State, error) {
-	d := keyDecoder{buf: enc}
-	st := &State{
-		PCs:     make([]int32, len(shape.PCs)),
-		Locals:  make([][]int64, len(shape.Locals)),
-		Globals: make([]int64, len(shape.Globals)),
-		Chans:   make([][]int64, len(shape.Chans)),
+	if len(enc) != len(shape.v) {
+		return nil, fmt.Errorf("model: decode state key: %d bytes, want %d", len(enc), len(shape.v))
 	}
-	st.Atomic = d.int32()
-	for i := range st.PCs {
-		st.PCs[i] = d.int32()
-	}
-	for i := range st.Globals {
-		st.Globals[i] = d.varint()
-	}
-	for i := range st.Locals {
-		st.Locals[i] = d.slice()
-	}
-	for i := range st.Chans {
-		st.Chans[i] = d.slice()
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("model: decode state key: %w", d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("model: decode state key: %d trailing bytes", len(d.buf))
-	}
-	return st, nil
+	return &State{v: bytes.Clone(enc), l: shape.l}, nil
 }
 
-type keyDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *keyDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("truncated varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *keyDecoder) int32() int32 {
-	v := d.varint()
-	if v != int64(int32(v)) && d.err == nil {
-		d.err = fmt.Errorf("value %d out of int32 range", v)
-	}
-	return int32(v)
-}
-
-func (d *keyDecoder) slice() []int64 {
-	n := d.varint()
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > int64(len(d.buf)) {
-		d.err = fmt.Errorf("bad slice length %d", n)
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = d.varint()
-	}
-	return out
-}
-
-// CheckState reports whether st is shaped like a state of s and can be
-// expanded: every PC names a node of its process, Atomic names a process
-// or is -1, every process holds its proctype's locals, and every channel
-// holds whole messages within its capacity. DecodeKey accepts any
-// well-formed bytes, and SuccessorsAppend indexes by these values, so a
-// state read from a checkpoint or a peer is checked here first.
+// CheckState reports whether st is a state of s in canonical form, so
+// that it can be expanded: the vector has the system's length, every
+// PC names a node of its process, the atomic token names a process or
+// none, every channel count is within its capacity, and re-packing
+// every value — truncated to its declared type — into a zeroed vector
+// gives st's bytes back. That last rule rejects non-zero padding bits
+// and bytes past a channel's count. SuccessorsAppend indexes by these
+// values, so a state read from a checkpoint or a peer is checked here
+// first.
 func (s *System) CheckState(st *State) error {
-	if len(st.PCs) != len(s.insts) || len(st.Locals) != len(s.insts) ||
-		len(st.Globals) != len(s.Prog.GlobalVars) || len(st.Chans) != len(s.shapes) {
-		return fmt.Errorf("model: state shape does not match the system")
+	l := s.layout()
+	if st.l != l || len(st.v) != l.size {
+		return fmt.Errorf("model: state of %d bytes is not laid out for this system", len(st.v))
 	}
-	if st.Atomic < -1 || int(st.Atomic) >= len(s.insts) {
-		return fmt.Errorf("model: atomic holder %d out of range", st.Atomic)
+	if h := st.holder(); h < -1 || int(h) >= len(s.insts) {
+		return fmt.Errorf("model: atomic holder %d out of range", h)
 	}
 	for i, inst := range s.insts {
-		if pc := st.PCs[i]; pc < 0 || int(pc) >= len(inst.Proc.Nodes) {
+		if pc := st.pc(i); int(pc) >= len(inst.Proc.Nodes) {
 			return fmt.Errorf("model: %s: pc %d out of range", inst.Name, pc)
 		}
-		if n := len(st.Locals[i]); n != len(inst.initLocals) {
-			return fmt.Errorf("model: %s: %d locals, want %d", inst.Name, n, len(inst.initLocals))
+	}
+	for id := range l.chans {
+		if c := &l.chans[id]; c.cap > 0 && c.len(st.v) > c.cap {
+			return fmt.Errorf("model: channel %s: %d messages exceed capacity %d", s.shapes[id].name, c.len(st.v), c.cap)
 		}
 	}
-	for id, sh := range s.shapes {
-		n, w := len(st.Chans[id]), len(sh.fields)
-		if w == 0 && n != 0 || w > 0 && (n%w != 0 || n > sh.cap*w) {
-			return fmt.Errorf("model: channel %s: %d values do not fit %d messages of width %d", sh.name, n, sh.cap, w)
-		}
+	if !bytes.Equal(s.repack(st), st.v) {
+		return fmt.Errorf("model: state is not in canonical form")
 	}
 	return nil
+}
+
+// repack writes every value of st, truncated to its declared type, into
+// a zeroed vector.
+func (s *System) repack(st *State) []byte {
+	l := s.layout()
+	v := make([]byte, l.size)
+	copySlot := func(sl slot) { sl.set(v, sl.get(st.v)) }
+	copySlot(l.atomic)
+	for _, sl := range l.pcs {
+		copySlot(sl)
+	}
+	for i, sl := range l.globals {
+		sl.set(v, s.Prog.GlobalVars[i].Type.Truncate(sl.get(st.v)))
+	}
+	for p, inst := range s.insts {
+		for i, sl := range l.locals[p] {
+			sl.set(v, inst.Proc.IntVars[i].Type.Truncate(sl.get(st.v)))
+		}
+	}
+	for id := range l.chans {
+		c := &l.chans[id]
+		if c.cap == 0 {
+			continue
+		}
+		n := c.len(st.v)
+		copySlot(c.count)
+		msg := make([]int64, len(c.fields))
+		for i := 0; i < n; i++ {
+			c.msg(st.v, i, msg)
+			for k, t := range s.shapes[id].fields {
+				msg[k] = t.Truncate(msg[k])
+			}
+			c.put(v, i, msg)
+		}
+	}
+	return v
 }

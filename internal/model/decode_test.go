@@ -2,33 +2,28 @@ package model
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 )
 
 // FuzzDecodeKey feeds DecodeKey the bytes a checkpoint log, possibly
-// fetched from a peer, may hold. Decoding plus System.CheckState must
-// either reject them or yield a state SuccessorsAppend expands without
-// panicking, and a canonical encoding (one the decoded state encodes
-// back to) must split under ComponentEnds exactly as
-// AppendComponentKeys splits it. The seed corpus in testdata holds
-// reachable encodings of componentsSrc.
+// fetched from a peer, may hold, as a state of componentsSrc or of
+// typesSrc (whichever vector length it has). Whatever DecodeKey plus
+// System.CheckState accept must re-pack to itself, hold only values
+// equal to their Truncate, and expand without a panic. The seed corpus
+// in testdata holds reachable vectors of both programs.
 func FuzzDecodeKey(f *testing.F) {
-	s := mustSystem(f, componentsSrc)
-	shape := s.InitialState()
+	systems := []*System{mustSystem(f, componentsSrc), mustSystem(f, typesSrc)}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := DecodeKey(shape, data)
-		if err != nil || s.CheckState(st) != nil {
-			return
-		}
-		s.SuccessorsAppend(st, &Arena{}, nil)
-		enc, ends := st.AppendComponentKeys(nil, nil)
-		if !bytes.Equal(enc, data) {
-			return
-		}
-		got, err := ComponentEnds(shape, data, nil)
-		if err != nil || !slices.Equal(got, ends) {
-			t.Fatalf("ComponentEnds = %v, %v; AppendComponentKeys ends %v", got, err, ends)
+		for _, s := range systems {
+			st, err := DecodeKey(s.InitialState(), data)
+			if err != nil || s.CheckState(st) != nil {
+				continue
+			}
+			if re := s.repack(st); !bytes.Equal(re, data) {
+				t.Fatalf("accepted %x re-packs to %x", data, re)
+			}
+			checkTruncated(t, s, st)
+			s.SuccessorsAppend(st, &Arena{}, nil)
 		}
 	})
 }
@@ -40,5 +35,25 @@ func TestCheckStateAcceptsReachable(t *testing.T) {
 		if err := s.CheckState(st); err != nil {
 			t.Fatalf("reachable state %x rejected: %v", st.AppendKey(nil), err)
 		}
+	}
+}
+
+// DecodeKey accepts exactly the vector's length and copies the bytes.
+func TestDecodeKeyChecksLength(t *testing.T) {
+	s := mustSystem(t, componentsSrc)
+	shape := s.InitialState()
+	enc := shape.AppendKey(nil)
+	for _, bad := range [][]byte{nil, enc[:len(enc)-1], append(shape.AppendKey(nil), 0)} {
+		if _, err := DecodeKey(shape, bad); err == nil {
+			t.Errorf("%d bytes decoded as a state of %d", len(bad), len(enc))
+		}
+	}
+	st, err := DecodeKey(shape, enc)
+	if err != nil || st.Key() != shape.Key() {
+		t.Fatalf("round trip: %x, %v", st.Key(), err)
+	}
+	enc[0] ^= 1
+	if st.Key() != shape.Key() {
+		t.Fatal("the decoded state aliases its input")
 	}
 }

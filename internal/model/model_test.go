@@ -46,7 +46,7 @@ func globalValue(t *testing.T, s *System, st *State, name string) int64 {
 	t.Helper()
 	for i, v := range s.Prog.GlobalVars {
 		if v.Name == name {
-			return st.Globals[i]
+			return s.Global(st, i)
 		}
 	}
 	t.Fatalf("no global %q", name)
@@ -240,8 +240,8 @@ active proctype P() {
 	}
 	// The remaining message must be A.
 	id, _ := s.ChannelByName("c")
-	if len(st.Chans[id]) != 1 || st.Chans[id][0] != 1 {
-		t.Errorf("channel contents = %v, want [A=1]", st.Chans[id])
+	if got := s.Messages(st, id); len(got) != 1 || got[0][0] != 1 {
+		t.Errorf("channel contents = %v, want [A=1]", got)
 	}
 }
 
@@ -273,12 +273,12 @@ active proctype P() {
 	st := runToQuiescence(t, s, s.InitialState(), 10)
 	id, _ := s.ChannelByName("c")
 	want := []int64{1, 1, 2, 3}
-	got := st.Chans[id]
+	got := s.Messages(st, id)
 	if len(got) != len(want) {
 		t.Fatalf("contents = %v, want %v", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i][0] != want[i] {
 			t.Errorf("contents = %v, want %v", got, want)
 			break
 		}
@@ -366,8 +366,8 @@ active proctype B() {
 	if afterFirst == nil {
 		t.Fatal("A could not start")
 	}
-	if afterFirst.Atomic != 0 {
-		t.Fatalf("atomic token = %d, want 0", afterFirst.Atomic)
+	if h := s.AtomicHolder(afterFirst); h != 0 {
+		t.Fatalf("atomic token = %d, want 0", h)
 	}
 	trs := s.Successors(afterFirst)
 	for _, tr := range trs {
@@ -400,8 +400,8 @@ active proctype B() {
 	if after == nil {
 		t.Fatal("A could not start")
 	}
-	if after.Atomic != -1 {
-		t.Errorf("atomic token = %d, want released (-1)", after.Atomic)
+	if h := s.AtomicHolder(after); h != -1 {
+		t.Errorf("atomic token = %d, want released (-1)", h)
 	}
 	// B must now be able to move.
 	moved := false

@@ -11,25 +11,31 @@ import (
 )
 
 // TestQuickSortedInsertMatchesStableSort: inserting messages one at a
-// time with sortedInsert yields the same buffer as a stable sort of the
-// whole batch — Spin's sorted-send semantics.
+// time with a sorted send yields the same buffer as a stable sort of
+// the whole batch — Spin's sorted-send semantics.
 func TestQuickSortedInsertMatchesStableSort(t *testing.T) {
+	s := New(&pml.Compiled{})
+	id := s.AddChannel("c", 255, []pml.Type{pml.TypeByte, pml.TypeShort})
+	c := &s.layout().chans[id]
 	f := func(raw []uint8) bool {
-		const w = 2
 		// Build messages (key, seq) so stability is observable.
 		var msgs [][]int64
 		for i, v := range raw {
 			msgs = append(msgs, []int64{int64(v % 5), int64(i)})
 		}
-		var buf []int64
-		for _, m := range msgs {
-			buf = sortedInsert(buf, m, w)
+		st := s.InitialState()
+		for n, m := range msgs {
+			c.send(st.v, n, m, true)
 		}
 		ref := make([][]int64, len(msgs))
 		copy(ref, msgs)
 		sort.SliceStable(ref, func(i, j int) bool { return ref[i][0] < ref[j][0] })
+		got := s.Messages(st, id)
+		if len(got) != len(ref) {
+			return false
+		}
 		for i, m := range ref {
-			if buf[i*w] != m[0] || buf[i*w+1] != m[1] {
+			if got[i][0] != m[0] || got[i][1] != m[1] {
 				return false
 			}
 		}
@@ -94,12 +100,12 @@ func TestQuickChannelOpsMatchReference(t *testing.T) {
 			} else {
 				ref = ref[1:]
 			}
-			got := st.Chans[id]
+			got := sys.Messages(st, id)
 			if len(got) != len(ref) {
 				t.Fatalf("iter %d step %d: contents %v, want %v", iter, step, got, ref)
 			}
 			for i := range ref {
-				if got[i] != ref[i] {
+				if got[i][0] != ref[i] {
 					t.Fatalf("iter %d step %d: contents %v, want %v", iter, step, got, ref)
 				}
 			}
@@ -107,30 +113,41 @@ func TestQuickChannelOpsMatchReference(t *testing.T) {
 	}
 }
 
-// TestQuickStateKeyInjective: distinct states (different PCs, globals, or
-// channel contents) must have distinct keys; clones must agree.
-func TestQuickStateKeyInjective(t *testing.T) {
-	mk := func(pcs []int32, globals []int64, ch []int64, atomic int32) *State {
-		return &State{
-			PCs:     pcs,
-			Locals:  [][]int64{{}},
-			Globals: globals,
-			Chans:   [][]int64{ch},
-			Atomic:  atomic,
+// quickSystem has one process, one global and two byte channels, so
+// random states of it can be written through the layout.
+func quickSystem(t *testing.T) (*System, *layout) {
+	t.Helper()
+	s := mustSystem(t, `
+int g;
+chan c = [3] of { byte };
+chan d = [3] of { byte };
+active proctype P() { do :: g = g + 1 od }`)
+	return s, s.layout()
+}
+
+// fill writes pc, global g and channel contents into a fresh state.
+func fill(s *System, l *layout, pc, g int64, chans ...[]uint8) *State {
+	st := s.InitialState()
+	l.pcs[0].set(st.v, pc)
+	l.globals[0].set(st.v, int64(int32(g)))
+	for id, msgs := range chans {
+		for n, m := range msgs {
+			l.chans[id].send(st.v, n, []int64{int64(m)}, false)
 		}
 	}
-	f := func(pc1, pc2 int32, g1, g2 int64, c1, c2 []int64, a1, a2 int32) bool {
-		s1 := mk([]int32{pc1}, []int64{g1}, c1, a1)
-		s2 := mk([]int32{pc2}, []int64{g2}, c2, a2)
-		same := pc1 == pc2 && g1 == g2 && a1 == a2 && len(c1) == len(c2)
-		if same {
-			for i := range c1 {
-				if c1[i] != c2[i] {
-					same = false
-					break
-				}
-			}
-		}
+	return st
+}
+
+// TestQuickStateKeyInjective: distinct states (different PCs, globals, or
+// channel contents) must have distinct keys; equal ones equal keys.
+func TestQuickStateKeyInjective(t *testing.T) {
+	s, l := quickSystem(t)
+	nodes := len(s.Instances()[0].Proc.Nodes)
+	f := func(pc1, pc2 uint8, g1, g2 int32, c1, c2 []uint8) bool {
+		c1, c2 = c1[:min(len(c1), 3)], c2[:min(len(c2), 3)]
+		s1 := fill(s, l, int64(pc1)%int64(nodes), int64(g1), c1)
+		s2 := fill(s, l, int64(pc2)%int64(nodes), int64(g2), c2)
+		same := int(pc1)%nodes == int(pc2)%nodes && g1 == g2 && string(c1) == string(c2)
 		return (s1.Key() == s2.Key()) == same
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -138,24 +155,12 @@ func TestQuickStateKeyInjective(t *testing.T) {
 	}
 }
 
-// TestQuickKeyDistinguishesBoundaries: moving a value across a slice
-// boundary (e.g. from one channel to the next) must change the key — the
-// encoding is length-prefixed.
+// TestQuickKeyDistinguishesBoundaries: moving a value across a channel
+// boundary (from one channel to the next) must change the key.
 func TestQuickKeyDistinguishesBoundaries(t *testing.T) {
-	s1 := &State{
-		PCs:     []int32{0},
-		Locals:  [][]int64{{}},
-		Globals: nil,
-		Chans:   [][]int64{{1, 2}, {}},
-		Atomic:  -1,
-	}
-	s2 := &State{
-		PCs:     []int32{0},
-		Locals:  [][]int64{{}},
-		Globals: nil,
-		Chans:   [][]int64{{1}, {2}},
-		Atomic:  -1,
-	}
+	s, l := quickSystem(t)
+	s1 := fill(s, l, 0, 0, []uint8{1, 2}, nil)
+	s2 := fill(s, l, 0, 0, []uint8{1}, []uint8{2})
 	if s1.Key() == s2.Key() {
 		t.Error("keys collide across channel boundaries")
 	}

@@ -22,7 +22,7 @@ func (l linearScan) rendezvous(st *State, p int, e *pml.Edge, id int, vals []int
 		if q == p {
 			continue
 		}
-		node := &s.insts[q].Proc.Nodes[st.PCs[q]]
+		node := &s.insts[q].Proc.Nodes[st.pc(q)]
 		for ei := range node.Edges {
 			er := &node.Edges[ei]
 			if er.Kind != pml.EdgeRecv {
@@ -40,9 +40,9 @@ func (l linearScan) rendezvous(st *State, p int, e *pml.Edge, id int, vals []int
 				continue
 			}
 			next := st.clone(a)
-			applyBinds(next, q, er.RecvArgs, vals)
-			next.PCs[p] = int32(e.Dst)
-			next.PCs[q] = int32(er.Dst)
+			next.applyBinds(q, er.RecvArgs, vals)
+			next.setPC(p, e.Dst)
+			next.setPC(q, er.Dst)
 			s.normalizeAtomic(next, p)
 			out = append(out, Transition{
 				Proc: p, Edge: e, Partner: q, PartnerEdge: er,
@@ -68,7 +68,7 @@ func (l linearScan) receiverReady(st *State, p int, e *pml.Edge, id int, tmo boo
 		if q == p {
 			continue
 		}
-		node := &s.insts[q].Proc.Nodes[st.PCs[q]]
+		node := &s.insts[q].Proc.Nodes[st.pc(q)]
 		for ei := range node.Edges {
 			er := &node.Edges[ei]
 			if er.Kind != pml.EdgeRecv || s.resolveChanFor(s.insts[q], er.Ch) != id {
@@ -88,7 +88,7 @@ func (l linearScan) senderReady(st *State, p int, e *pml.Edge, id int, tmo bool)
 		if q == p {
 			continue
 		}
-		node := &s.insts[q].Proc.Nodes[st.PCs[q]]
+		node := &s.insts[q].Proc.Nodes[st.pc(q)]
 		for ei := range node.Edges {
 			es := &node.Edges[ei]
 			if es.Kind != pml.EdgeSend || s.resolveChanFor(s.insts[q], es.Ch) != id {
@@ -218,7 +218,7 @@ func TestRendezvousIndexMatchesScan(t *testing.T) {
 		var next []*State
 		for _, st := range frontier {
 			for p, inst := range s.insts {
-				node := &inst.Proc.Nodes[st.PCs[p]]
+				node := &inst.Proc.Nodes[st.pc(p)]
 				for ei := range node.Edges {
 					e := &node.Edges[ei]
 					if e.Kind != pml.EdgeSend && e.Kind != pml.EdgeRecv {

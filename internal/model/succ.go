@@ -32,15 +32,14 @@ type env struct {
 	tmo  bool
 }
 
-func (e env) Global(i int) int64 { return e.st.Globals[i] }
-func (e env) Local(i int) int64  { return e.st.Locals[e.proc][i] }
+func (e env) Global(i int) int64 { return e.st.l.globals[i].get(e.st.v) }
+func (e env) Local(i int) int64  { return e.st.l.locals[e.proc][i].get(e.st.v) }
 func (e env) Pid() int64         { return int64(e.proc) }
 func (e env) Timeout() bool      { return e.tmo }
 
 func (e env) ChanLen(ref pml.ChanRef) int {
 	id := e.s.resolveChanFor(e.s.insts[e.proc], ref)
-	w := len(e.s.shapes[id].fields)
-	return len(e.st.Chans[id]) / w
+	return e.st.l.chans[id].len(e.st.v)
 }
 
 func (e env) ChanCap(ref pml.ChanRef) int {
@@ -70,8 +69,8 @@ func (s *System) SuccessorsAppend(st *State, a *Arena, out []Transition) []Trans
 }
 
 func (s *System) successorsPass(st *State, tmo bool, a *Arena, out []Transition) []Transition {
-	if st.Atomic >= 0 {
-		return s.procSuccessors(st, int(st.Atomic), tmo, a, out)
+	if h := st.holder(); h >= 0 {
+		return s.procSuccessors(st, int(h), tmo, a, out)
 	}
 	for p := range s.insts {
 		out = s.procSuccessors(st, p, tmo, a, out)
@@ -89,11 +88,11 @@ func (s *System) successorsPass(st *State, tmo bool, a *Arena, out []Transition)
 // states from a as SuccessorsAppend does. The appended transitions are
 // exactly the run of SuccessorsAppend's transitions whose Proc is theirs.
 func (s *System) AmpleSuccessors(st *State, a *Arena, out []Transition) []Transition {
-	if st.Atomic >= 0 {
+	if st.holder() >= 0 {
 		return out // atomic execution is already exclusive
 	}
 	for p := range s.insts {
-		node := &s.insts[p].Proc.Nodes[st.PCs[p]]
+		node := &s.insts[p].Proc.Nodes[st.pc(p)]
 		if len(node.Edges) == 0 {
 			continue
 		}
@@ -117,7 +116,7 @@ func (s *System) AmpleSuccessors(st *State, a *Arena, out []Transition) []Transi
 // procSuccessors appends the transitions process p can take from st.
 // Else edges fire only when no sibling edge is executable.
 func (s *System) procSuccessors(st *State, p int, tmo bool, a *Arena, out []Transition) []Transition {
-	node := &s.insts[p].Proc.Nodes[st.PCs[p]]
+	node := &s.insts[p].Proc.Nodes[st.pc(p)]
 	hasElse := false
 	for ei := range node.Edges {
 		e := &node.Edges[ei]
@@ -188,8 +187,8 @@ func (s *System) execEdge(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 			ref.Idx += int(i)
 		}
 		next := st.clone(a)
-		storeVar(next, p, ref, v, false)
-		next.PCs[p] = int32(e.Dst)
+		next.store(p, ref, v)
+		next.setPC(p, e.Dst)
 		s.normalizeAtomic(next, p)
 		return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: -1, Next: next})
 	case pml.EdgeSend:
@@ -216,19 +215,14 @@ func (s *System) execSend(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 	if shape.cap == 0 {
 		return s.rendezvous(st, p, e, id, vals, tmo, a, out)
 	}
-	w := len(shape.fields)
-	if len(st.Chans[id])/w >= shape.cap {
+	c := &st.l.chans[id]
+	n := c.len(st.v)
+	if n >= c.cap {
 		return out // buffer full: blocked
 	}
 	next := st.clone(a)
-	if e.Sorted {
-		next.Chans[id] = sortedInsert(st.Chans[id], vals, w)
-	} else {
-		// A fresh array: st's contents are shared (see State).
-		buf := make([]int64, 0, len(st.Chans[id])+len(vals))
-		next.Chans[id] = append(append(buf, st.Chans[id]...), vals...)
-	}
-	next.PCs[p] = int32(e.Dst)
+	c.send(next.v, n, vals, e.Sorted)
+	next.setPC(p, e.Dst)
 	s.normalizeAtomic(next, p)
 	return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: ChanID(id), Msg: vals, Next: next})
 }
@@ -239,7 +233,7 @@ func (s *System) execSend(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 func (s *System) rendezvous(st *State, p int, e *pml.Edge, id int, vals []int64, tmo bool, a *Arena, out []Transition) []Transition {
 	for _, site := range s.rendezvousSites().recv[id] {
 		q, er := int(site.proc), site.e
-		if q == p || st.PCs[q] != site.node {
+		if q == p || st.pc(q) != site.node {
 			continue
 		}
 		ok, err := s.patternMatches(st, q, er.RecvArgs, vals, tmo)
@@ -251,9 +245,9 @@ func (s *System) rendezvous(st *State, p int, e *pml.Edge, id int, vals []int64,
 			continue
 		}
 		next := st.clone(a)
-		applyBinds(next, q, er.RecvArgs, vals)
-		next.PCs[p] = int32(e.Dst)
-		next.PCs[q] = int32(er.Dst)
+		next.applyBinds(q, er.RecvArgs, vals)
+		next.setPC(p, e.Dst)
+		next.setPC(q, er.Dst)
 		s.normalizeAtomic(next, p)
 		out = append(out, Transition{
 			Proc: p, Edge: e, Partner: q, PartnerEdge: er,
@@ -315,12 +309,11 @@ func (s *System) rendezvousSites() *rvIndex {
 
 func (s *System) execRecv(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out []Transition) []Transition {
 	id := s.resolveChanFor(s.insts[p], e.Ch)
-	shape := &s.shapes[id]
-	if shape.cap == 0 {
+	c := &st.l.chans[id]
+	if c.cap == 0 {
 		return out // rendezvous receives execute via the sender's pairing
 	}
-	w := len(shape.fields)
-	n := len(st.Chans[id]) / w
+	n := c.len(st.v)
 	if n == 0 {
 		return out
 	}
@@ -328,12 +321,9 @@ func (s *System) execRecv(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 	if e.Random {
 		limit = n
 	}
-	buf := st.Chans[id]
+	msg := make([]int64, len(c.fields))
 	for i := 0; i < limit; i++ {
-		// msg and the head-of-queue remainder alias buf, which no state
-		// ever writes (see State); a receive from the middle needs a fresh
-		// array.
-		msg := buf[i*w : (i+1)*w]
+		c.msg(st.v, i, msg)
 		ok, err := s.patternMatches(st, p, e.RecvArgs, msg, tmo)
 		if err != nil {
 			return append(out, s.violate(st, p, e, err.Error()))
@@ -342,14 +332,9 @@ func (s *System) execRecv(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 			continue
 		}
 		next := st.clone(a)
-		applyBinds(next, p, e.RecvArgs, msg)
-		if i == 0 {
-			next.Chans[id] = buf[w:]
-		} else {
-			rest := make([]int64, 0, len(buf)-w)
-			next.Chans[id] = append(append(rest, buf[:i*w]...), buf[(i+1)*w:]...)
-		}
-		next.PCs[p] = int32(e.Dst)
+		next.applyBinds(p, e.RecvArgs, msg)
+		c.remove(next.v, i, n)
+		next.setPC(p, e.Dst)
 		s.normalizeAtomic(next, p)
 		return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: ChanID(id), Msg: msg, Next: next})
 	}
@@ -375,67 +360,30 @@ func (s *System) patternMatches(st *State, p int, args []pml.RRecvArg, vals []in
 	return true, nil
 }
 
-// applyBinds stores message fields into bind targets, truncating to the
-// target variable's type; p's locals are copied at most once.
-func applyBinds(st *State, p int, args []pml.RRecvArg, vals []int64) {
-	owned := false
+// applyBinds stores message fields into process p's bind targets,
+// truncating to the target variable's type; st is a fresh clone.
+func (st *State) applyBinds(p int, args []pml.RRecvArg, vals []int64) {
 	for i, a := range args {
-		if a.Kind != pml.RArgBind {
-			continue
+		if a.Kind == pml.RArgBind {
+			st.store(p, a.Var, vals[i])
 		}
-		owned = storeVar(st, p, a.Var, vals[i], owned)
 	}
 }
 
-// storeVar writes v to ref in st, a fresh clone. A local write first
-// replaces p's locals, which st shares with its parent (see State), by
-// a private copy unless owned says this transition already made one. It
-// reports whether p's locals are now private.
-func storeVar(st *State, p int, ref pml.VarRef, v int64, owned bool) bool {
-	v = ref.Type.Truncate(v)
-	if ref.Global {
-		st.Globals[ref.Idx] = v
-		return owned
+// store writes v, truncated to ref's type, to variable ref of process
+// p; st is a fresh clone.
+func (st *State) store(p int, ref pml.VarRef, v int64) {
+	sl := st.l.globals
+	if !ref.Global {
+		sl = st.l.locals[p]
 	}
-	if !owned {
-		st.Locals[p] = append([]int64(nil), st.Locals[p]...)
-	}
-	st.Locals[p][ref.Idx] = v
-	return true
-}
-
-// sortedInsert inserts msg into buf (flattened messages of width w) before
-// the first message that compares strictly greater, preserving insertion
-// order among equal messages — Spin's sorted-send semantics.
-func sortedInsert(buf []int64, msg []int64, w int) []int64 {
-	n := len(buf) / w
-	pos := n
-	for i := 0; i < n; i++ {
-		if lexLess(msg, buf[i*w:(i+1)*w]) {
-			pos = i
-			break
-		}
-	}
-	out := make([]int64, 0, len(buf)+w)
-	out = append(out, buf[:pos*w]...)
-	out = append(out, msg...)
-	out = append(out, buf[pos*w:]...)
-	return out
-}
-
-func lexLess(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	sl[ref.Idx].set(st.v, ref.Type.Truncate(v))
 }
 
 // advance clones st, moves p along e, and renormalizes atomicity.
 func (s *System) advance(st *State, p int, e *pml.Edge, partner int, pe *pml.Edge, ch ChanID, msg []int64, a *Arena) Transition {
 	next := st.clone(a)
-	next.PCs[p] = int32(e.Dst)
+	next.setPC(p, e.Dst)
 	s.normalizeAtomic(next, p)
 	return Transition{Proc: p, Edge: e, Partner: partner, PartnerEdge: pe, Ch: ch, Msg: msg, Next: next}
 }
@@ -444,18 +392,19 @@ func (s *System) violate(st *State, p int, e *pml.Edge, msg string) Transition {
 	return Transition{Proc: p, Edge: e, Partner: -1, Ch: -1, Next: st, Violation: msg}
 }
 
-// normalizeAtomic sets st.Atomic canonically: the actor keeps atomicity
-// only if its new location is inside an atomic region and it can initiate
-// at least one transition there (Spin's semantics: a blocked atomic
-// sequence loses exclusivity). A rendezvous receive does not count — it
-// fires via the sending process, which exclusivity would lock out — so
-// atomicity is released at receive points and re-acquired afterwards.
+// normalizeAtomic sets st's atomic token canonically: the actor keeps
+// atomicity only if its new location is inside an atomic region and it
+// can initiate at least one transition there (Spin's semantics: a
+// blocked atomic sequence loses exclusivity). A rendezvous receive does
+// not count — it fires via the sending process, which exclusivity would
+// lock out — so atomicity is released at receive points and re-acquired
+// afterwards.
 func (s *System) normalizeAtomic(st *State, actor int) {
-	node := &s.insts[actor].Proc.Nodes[st.PCs[actor]]
+	node := &s.insts[actor].Proc.Nodes[st.pc(actor)]
 	if node.Atomic && s.procCanInitiate(st, actor) {
-		st.Atomic = int32(actor)
+		st.setHolder(actor)
 	} else {
-		st.Atomic = -1
+		st.setHolder(-1)
 	}
 }
 
@@ -464,7 +413,7 @@ func (s *System) normalizeAtomic(st *State, actor int) {
 // do not count, and neither does an else edge suppressed only by such
 // receives.
 func (s *System) procCanInitiate(st *State, p int) bool {
-	node := &s.insts[p].Proc.Nodes[st.PCs[p]]
+	node := &s.insts[p].Proc.Nodes[st.pc(p)]
 	hasElse := false
 	anyEnabled := false
 	for ei := range node.Edges {
@@ -497,7 +446,7 @@ func (s *System) ProcEnabled(st *State, p int) bool {
 // procHasEnabled reports whether process p has any executable edge in st.
 // A node with an else edge always does.
 func (s *System) procHasEnabled(st *State, p int) bool {
-	node := &s.insts[p].Proc.Nodes[st.PCs[p]]
+	node := &s.insts[p].Proc.Nodes[st.pc(p)]
 	hasElse := false
 	for ei := range node.Edges {
 		e := &node.Edges[ei]
@@ -525,20 +474,17 @@ func (s *System) edgeEnabled(st *State, p int, e *pml.Edge, tmo bool) bool {
 		return true
 	case pml.EdgeSend:
 		id := s.resolveChanFor(s.insts[p], e.Ch)
-		shape := &s.shapes[id]
-		if shape.cap > 0 {
-			w := len(shape.fields)
-			return len(st.Chans[id])/w < shape.cap
+		if c := &st.l.chans[id]; c.cap > 0 {
+			return c.len(st.v) < c.cap
 		}
 		return s.rendezvousReceiverReady(st, p, e, id, tmo)
 	case pml.EdgeRecv:
 		id := s.resolveChanFor(s.insts[p], e.Ch)
-		shape := &s.shapes[id]
-		if shape.cap == 0 {
+		c := &st.l.chans[id]
+		if c.cap == 0 {
 			return s.rendezvousSenderReady(st, p, e, id, tmo)
 		}
-		w := len(shape.fields)
-		n := len(st.Chans[id]) / w
+		n := c.len(st.v)
 		if n == 0 {
 			return false
 		}
@@ -546,8 +492,14 @@ func (s *System) edgeEnabled(st *State, p int, e *pml.Edge, tmo bool) bool {
 		if e.Random {
 			limit = n
 		}
+		var buf [8]int64
+		msg := buf[:min(len(c.fields), len(buf))]
+		if len(c.fields) > len(buf) {
+			msg = make([]int64, len(c.fields))
+		}
 		for i := 0; i < limit; i++ {
-			ok, err := s.patternMatches(st, p, e.RecvArgs, st.Chans[id][i*w:(i+1)*w], tmo)
+			c.msg(st.v, i, msg)
+			ok, err := s.patternMatches(st, p, e.RecvArgs, msg, tmo)
 			if err != nil || ok {
 				return true
 			}
@@ -572,7 +524,7 @@ func (s *System) rendezvousReceiverReady(st *State, p int, e *pml.Edge, id int, 
 	}
 	for _, site := range s.rendezvousSites().recv[id] {
 		q := int(site.proc)
-		if q == p || st.PCs[q] != site.node {
+		if q == p || st.pc(q) != site.node {
 			continue
 		}
 		if ok, err := s.patternMatches(st, q, site.e.RecvArgs, vals, tmo); err != nil || ok {
@@ -588,7 +540,7 @@ func (s *System) rendezvousReceiverReady(st *State, p int, e *pml.Edge, id int, 
 func (s *System) rendezvousSenderReady(st *State, p int, e *pml.Edge, id int, tmo bool) bool {
 	for _, site := range s.rendezvousSites().send[id] {
 		q, es := int(site.proc), site.e
-		if q == p || st.PCs[q] != site.node {
+		if q == p || st.pc(q) != site.node {
 			continue
 		}
 		ev := env{s: s, st: st, proc: q, tmo: tmo}

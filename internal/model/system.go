@@ -53,9 +53,11 @@ type System struct {
 	shapes []chanShape
 	insts  []*Instance
 	byName map[string]ChanID
-	// rv is the rendezvous partner index (see rendezvousSites), built
-	// on first use; Spawn and AddChannel clear it.
-	rv atomic.Pointer[rvIndex]
+	// rv is the rendezvous partner index (see rendezvousSites) and lay
+	// the state layout (see layout), each built on first use; Spawn and
+	// AddChannel clear both.
+	rv  atomic.Pointer[rvIndex]
+	lay atomic.Pointer[layout]
 }
 
 // New creates a System over a compiled program, materializing its global
@@ -80,6 +82,7 @@ func (s *System) AddChannel(name string, capacity int, fields []pml.Type) ChanID
 		s.byName[name] = id
 	}
 	s.rv.Store(nil)
+	s.lay.Store(nil)
 	return id
 }
 
@@ -151,6 +154,7 @@ func (s *System) Spawn(procName string, args ...Arg) (*Instance, error) {
 	}
 	s.insts = append(s.insts, inst)
 	s.rv.Store(nil)
+	s.lay.Store(nil)
 	return inst, nil
 }
 
@@ -210,22 +214,16 @@ func (s *System) resolveChanFor(inst *Instance, ref pml.ChanRef) int {
 
 // InitialState builds the initial state of the system.
 func (s *System) InitialState() *State {
-	st := &State{
-		Globals: make([]int64, len(s.Prog.GlobalVars)),
-		PCs:     make([]int32, len(s.insts)),
-		Locals:  make([][]int64, len(s.insts)),
-		Chans:   make([][]int64, len(s.shapes)),
-		Atomic:  -1,
-	}
+	l := s.layout()
+	st := &State{v: make([]byte, l.size), l: l}
 	for i, v := range s.Prog.GlobalVars {
-		st.Globals[i] = v.Init
+		l.globals[i].set(st.v, v.Init)
 	}
-	for i, inst := range s.insts {
-		st.PCs[i] = int32(inst.Proc.Entry)
-		st.Locals[i] = append([]int64(nil), inst.initLocals...)
-	}
-	for i := range st.Chans {
-		st.Chans[i] = []int64{}
+	for p, inst := range s.insts {
+		l.pcs[p].set(st.v, int64(inst.Proc.Entry))
+		for i, v := range inst.initLocals {
+			l.locals[p][i].set(st.v, v)
+		}
 	}
 	return st
 }
@@ -240,7 +238,7 @@ func (s *System) EvalGlobal(st *State, e pml.RExpr) (int64, error) {
 // AtEndState reports whether instance i is at a valid end location in st
 // (its final node or an end-labeled node).
 func (s *System) AtEndState(st *State, i int) bool {
-	n := &s.insts[i].Proc.Nodes[st.PCs[i]]
+	n := &s.insts[i].Proc.Nodes[st.pc(i)]
 	return n.Final || n.EndLabel
 }
 
