@@ -19,8 +19,8 @@ test-short:
 race:
 	$(GO) test -race ./internal/faults/... ./internal/pnprt/... ./internal/obs/tracing/
 	$(GO) test -race ./internal/bridge/ -run Runtime
-	$(GO) test -race ./internal/blocks/ ./internal/verifyd/ -run 'Concurrent|Cache'
-	$(GO) test -race ./internal/artifact/ ./internal/adl/
+	$(GO) test -race ./internal/verifyd/ -run 'Concurrent|Cache'
+	$(GO) test -race ./internal/artifact/ ./internal/adl/ ./internal/blocks/
 	$(GO) test -race -short ./internal/checker/ ./internal/model/
 	$(GO) test -race ./internal/verifyd/ -run 'Budget|ServiceJob|Trace'
 	$(GO) test -race -short ./internal/sweep/ ./internal/verifyd/client/

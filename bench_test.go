@@ -7,8 +7,8 @@
 //   - E10AtMostNBounded: the Fig. 14 at-most-N bridge under a state bound.
 //   - E11ModelConstruction: building the bridge model from scratch versus
 //     from cached block models, the paper's reuse claim as one ratio.
-//   - E12MatrixCell: single semantics-matrix cells built directly through
-//     blocks.Builder, one connector spec per row.
+//   - E12MatrixCell: single semantics-matrix cells loaded through adl.Load
+//     on one artifact store, one connector spec per row.
 //   - E13Ablation: the paper-literal block library against the optimized one.
 //   - PORAblation: the bridge search with partial-order reduction.
 //   - RuntimeThroughput: messages/second through executable connectors.
@@ -23,10 +23,13 @@ package pnp_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"pnp"
+	"pnp/internal/adl"
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/bridge"
 	"pnp/internal/checker"
@@ -47,12 +50,12 @@ func reportStates(b *testing.B, res *checker.Result) {
 // BenchmarkE10AtMostNBounded: bounded sweep of the Fig. 14 at-most-N
 // design (the exhaustive 2.4M-state run lives in the bridge tests).
 func BenchmarkE10AtMostNBounded(b *testing.B) {
-	cache := blocks.NewCache()
+	store := artifact.NewMemoryStore()
 	var last *checker.Result
 	for i := 0; i < b.N; i++ {
 		res, err := bridge.Verify(bridge.Config{
 			Variant: bridge.AtMostN, EnterSend: blocks.SynBlockingSend,
-		}, cache, checker.Options{MaxStates: 100000})
+		}, store, checker.Options{MaxStates: 100000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,22 +80,21 @@ func BenchmarkE11ModelConstruction(b *testing.B) {
 		}
 	})
 	b.Run("Reused", func(b *testing.B) {
-		cache := blocks.NewCache()
-		if _, err := bridge.Build(cfg, cache); err != nil {
+		store := artifact.NewMemoryStore()
+		if _, err := bridge.Build(cfg, store); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := bridge.Build(cfg, cache); err != nil {
+			if _, err := bridge.Build(cfg, store); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// matrixBuild composes one E12 producer/consumer cell.
-func matrixBuild(spec blocks.ConnectorSpec, msgs int, cache *blocks.Cache) (*blocks.Builder, error) {
-	const comps = `
+// pipeComponents are the E12/E13 producer and consumer.
+const pipeComponents = `
 byte got;
 proctype Producer(chan esig; chan edat; byte n) {
 	byte i;
@@ -116,29 +118,22 @@ proctype Consumer(chan rsig; chan rdat; byte n) {
 	:: else -> break
 	od
 }`
-	bld, err := blocks.NewBuilder(comps, cache)
-	if err != nil {
-		return nil, err
-	}
-	conn, err := bld.NewConnector("pipe", spec)
-	if err != nil {
-		return nil, err
-	}
-	snd, err := conn.AddSender("p")
-	if err != nil {
-		return nil, err
-	}
-	rcv, err := conn.AddReceiver("c")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := bld.Spawn("Producer", model.Chan(snd.Sig), model.Chan(snd.Dat), model.Int(int64(msgs))); err != nil {
-		return nil, err
-	}
-	if _, err := bld.Spawn("Consumer", model.Chan(rcv.Sig), model.Chan(rcv.Dat), model.Int(int64(msgs))); err != nil {
-		return nil, err
-	}
-	return bld, nil
+
+// loadPipe loads the producer/consumer system over one connector with
+// the given block library, reusing the store's compiled program.
+func loadPipe(library string, spec blocks.ConnectorSpec, msgs int, store *artifact.Store) (*adl.System, error) {
+	src := fmt.Sprintf(`system pipe {
+    components "pc.pml"
+    connector pipe {
+        send    %s
+        channel %s
+        receive %s
+    }
+    instance p = Producer(send pipe, %d)
+    instance c = Consumer(recv pipe, %d)
+}
+`, spec.Send.Token(), adl.ChannelToken(spec.Channel, spec.Size), spec.Recv.Token(), msgs, msgs)
+	return adl.LoadWithLibrary(library, src, func(string) (string, error) { return pipeComponents, nil }, store)
 }
 
 // BenchmarkE12MatrixCell verifies representative semantics-matrix cells.
@@ -151,14 +146,14 @@ func BenchmarkE12MatrixCell(b *testing.B) {
 	for _, spec := range cells {
 		spec := spec
 		b.Run(spec.String(), func(b *testing.B) {
-			cache := blocks.NewCache()
+			store := artifact.NewMemoryStore()
 			var last *checker.Result
 			for i := 0; i < b.N; i++ {
-				bld, err := matrixBuild(spec, 2, cache)
+				sys, err := loadPipe(blocks.LibrarySource, spec, 2, store)
 				if err != nil {
 					b.Fatal(err)
 				}
-				last = checker.New(bld.System(), checker.Options{}).CheckSafety()
+				last = checker.New(sys.Builder.System(), checker.Options{}).CheckSafety()
 			}
 			reportStates(b, last)
 		})
@@ -168,52 +163,16 @@ func BenchmarkE12MatrixCell(b *testing.B) {
 // BenchmarkE13Ablation compares the paper-literal block models against
 // the optimized ones (the paper's Section 6 state-explosion discussion).
 func BenchmarkE13Ablation(b *testing.B) {
+	spec := blocks.ConnectorSpec{Send: blocks.AsynBlockingSend, Channel: blocks.SingleSlot, Recv: blocks.BlockingRecv}
 	run := func(b *testing.B, library string) {
-		cache := blocks.NewCache()
+		store := artifact.NewMemoryStore()
 		var last *checker.Result
 		for i := 0; i < b.N; i++ {
-			bld, err := blocks.NewBuilderWithLibrary(library, `
-byte got;
-proctype Producer(chan esig; chan edat; byte n) {
-	byte i;
-	mtype st;
-	do
-	:: i < n -> edat!i + 1,0,0,0,1; esig?st,_; i = i + 1
-	:: else -> break
-	od
-}
-proctype Consumer(chan rsig; chan rdat; byte n) {
-	mtype st;
-	byte d, sid, sd;
-	bit sel, rem;
-	do
-	:: got < n ->
-	   rdat!0,0,0,0,1; rsig?st,_; rdat?d,sid,sd,sel,rem;
-	   if
-	   :: st == RECV_SUCC -> got = got + 1
-	   :: else
-	   fi
-	:: else -> break
-	od
-}`, cache)
+			sys, err := loadPipe(library, spec, 3, store)
 			if err != nil {
 				b.Fatal(err)
 			}
-			conn, err := bld.NewConnector("pipe", blocks.ConnectorSpec{
-				Send: blocks.AsynBlockingSend, Channel: blocks.SingleSlot, Recv: blocks.BlockingRecv,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			snd, _ := conn.AddSender("p")
-			rcv, _ := conn.AddReceiver("c")
-			if _, err := bld.Spawn("Producer", model.Chan(snd.Sig), model.Chan(snd.Dat), model.Int(3)); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := bld.Spawn("Consumer", model.Chan(rcv.Sig), model.Chan(rcv.Dat), model.Int(3)); err != nil {
-				b.Fatal(err)
-			}
-			last = checker.New(bld.System(), checker.Options{}).CheckSafety()
+			last = checker.New(sys.Builder.System(), checker.Options{}).CheckSafety()
 		}
 		reportStates(b, last)
 	}
@@ -231,12 +190,12 @@ func BenchmarkPORAblation(b *testing.B) {
 			name = "PartialOrder"
 		}
 		b.Run(name, func(b *testing.B) {
-			cache := blocks.NewCache()
+			store := artifact.NewMemoryStore()
 			var last *checker.Result
 			for i := 0; i < b.N; i++ {
 				res, err := bridge.Verify(bridge.Config{
 					Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend,
-				}, cache, checker.Options{PartialOrder: por})
+				}, store, checker.Options{PartialOrder: por})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -17,10 +17,11 @@ import (
 	"os"
 	"time"
 
+	"pnp/internal/adl"
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/bridge"
 	"pnp/internal/checker"
-	"pnp/internal/model"
 	"pnp/internal/obs"
 	"pnp/internal/obs/tracing"
 )
@@ -83,7 +84,7 @@ func rate(states int, d time.Duration) string {
 }
 
 func run(quick, showTrace, metrics bool, rec *tracing.Recorder) error {
-	cache := blocks.NewCache()
+	store := artifact.NewMemoryStore()
 
 	fmt.Println("== E8/E9/E10: bridge safety across connector choices ==")
 	fmt.Printf("%-28s %-20s %-12s %10s %12s %8s %12s %10s\n",
@@ -107,7 +108,7 @@ func run(quick, showTrace, metrics bool, rec *tracing.Recorder) error {
 	}
 	var e8 *checker.Result
 	for _, r := range rows {
-		res, err := bridge.Verify(r.cfg, cache, checker.Options{Metrics: regSafety, Tracer: rec})
+		res, err := bridge.Verify(r.cfg, store, checker.Options{Metrics: regSafety, Tracer: rec})
 		if err != nil {
 			return err
 		}
@@ -152,7 +153,7 @@ func run(quick, showTrace, metrics bool, rec *tracing.Recorder) error {
 		}
 		res, err := bridge.Verify(bridge.Config{
 			Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend,
-		}, cache, checker.Options{PartialOrder: por, Metrics: regPOR, Tracer: rec})
+		}, store, checker.Options{PartialOrder: por, Metrics: regPOR, Tracer: rec})
 		if err != nil {
 			return err
 		}
@@ -173,7 +174,7 @@ func run(quick, showTrace, metrics bool, rec *tracing.Recorder) error {
 	for n := 1; n <= maxN; n++ {
 		res, err := bridge.Verify(bridge.Config{
 			Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend, N: n,
-		}, cache, checker.Options{Metrics: regScale, Tracer: rec})
+		}, store, checker.Options{Metrics: regScale, Tracer: rec})
 		if err != nil {
 			return err
 		}
@@ -205,25 +206,26 @@ func reuseExperiment() error {
 	}
 	scratch2 := time.Since(t0)
 
-	// With reuse: the second build hits the model cache.
-	cache := blocks.NewCache()
+	// With reuse: the second build takes the program and the unchanged
+	// connectors from the artifact store.
+	store := artifact.NewMemoryStore()
 	t0 = time.Now()
-	if _, err := bridge.Build(unsafeCfg, cache); err != nil {
+	if _, err := bridge.Build(unsafeCfg, store); err != nil {
 		return err
 	}
 	first := time.Since(t0)
 	t0 = time.Now()
-	if _, err := bridge.Build(safeCfg, cache); err != nil {
+	if _, err := bridge.Build(safeCfg, store); err != nil {
 		return err
 	}
 	reused := time.Since(t0)
-	hits, misses := cache.Stats()
+	st := store.Stats()
 
 	fmt.Printf("%-44s %12s\n", "initial model construction (cold)", first.Round(time.Microsecond))
 	fmt.Printf("%-44s %12s\n", "re-construction after port swap (cached)", reused.Round(time.Microsecond))
 	fmt.Printf("%-44s %12s\n", "re-construction without reuse (scratch)", scratch2.Round(time.Microsecond))
-	fmt.Printf("cache: %d hit(s), %d miss(es); scratch baseline first build %s\n",
-		hits, misses, scratch1.Round(time.Microsecond))
+	fmt.Printf("modules: %d hit(s), %d miss(es); scratch baseline first build %s\n",
+		st.Hits, st.Misses, scratch1.Round(time.Microsecond))
 	if reused > 0 {
 		fmt.Printf("speedup from reuse: %.1fx\n", float64(scratch2)/float64(reused))
 	}
@@ -231,61 +233,53 @@ func reuseExperiment() error {
 }
 
 // ablationExperiment compares the paper-literal block models (every
-// protocol step its own interleaving point) against the optimized ones on
-// the same producer/consumer system.
+// protocol step its own interleaving point) against the optimized ones
+// on the same producer/consumer system; the full run adds the E9 bridge
+// over the literal models.
 func ablationExperiment(quick, metrics bool) error {
-	const comp = `
-byte done;
-proctype Done() { done = 1 }
-`
-	reg := newRegistry(metrics)
-	build := func(library string, msgs int) (*checker.Result, error) {
-		b, err := blocks.NewBuilderWithLibrary(library, comp, nil)
-		if err != nil {
-			return nil, err
-		}
-		spec := blocks.ConnectorSpec{
-			Send: blocks.AsynBlockingSend, Channel: blocks.SingleSlot, Recv: blocks.BlockingRecv,
-		}
-		conn, err := b.NewConnector("pipe", spec)
-		if err != nil {
-			return nil, err
-		}
-		snd, err := conn.AddSender("p")
-		if err != nil {
-			return nil, err
-		}
-		rcv, err := conn.AddReceiver("c")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := b.Spawn("PnPSender", model.Chan(snd.Sig), model.Chan(snd.Dat), model.Int(int64(msgs)), model.Int(0)); err != nil {
-			return nil, err
-		}
-		if _, err := b.Spawn("PnPReceiver", model.Chan(rcv.Sig), model.Chan(rcv.Dat), model.Int(int64(msgs))); err != nil {
-			return nil, err
-		}
-		return checker.New(b.System(), checker.Options{Metrics: reg}).CheckSafety(), nil
-	}
-
 	msgs := 3
 	if quick {
 		msgs = 2
 	}
-	fmt.Printf("%-28s %10s %12s %12s %10s\n", "library", "states", "transitions", "states/s", "time")
-	for _, lib := range []struct {
-		name string
-		src  string
-	}{
-		{"paper-literal (Figs. 5-11)", blocks.LibrarySourcePlain},
-		{"optimized (Sec. 6)", blocks.LibrarySource},
-	} {
-		res, err := build(lib.src, msgs)
+	pipe := fmt.Sprintf(`system ablation {
+    connector pipe {
+        send    asyn-blocking
+        channel single-slot
+        receive blocking
+    }
+    instance p = PnPSender(send pipe, %d, 0)
+    instance c = PnPReceiver(recv pipe, %d)
+}
+`, msgs, msgs)
+	type row struct {
+		name, library, src string
+		comps              map[string]string
+	}
+	rows := []row{
+		{"paper-literal (Figs. 5-11)", blocks.LibrarySourcePlain, pipe, nil},
+		{"optimized (Sec. 6)", blocks.LibrarySource, pipe, nil},
+	}
+	if !quick {
+		d, err := bridge.Design(bridge.Config{Variant: bridge.ExactlyN, EnterSend: blocks.SynBlockingSend})
 		if err != nil {
 			return err
 		}
+		src, comps, err := d.ADL()
+		if err != nil {
+			return err
+		}
+		rows = append(rows, row{"paper-literal E9 bridge", blocks.LibrarySourcePlain, src, comps})
+	}
+	reg := newRegistry(metrics)
+	fmt.Printf("%-28s %10s %12s %12s %10s\n", "library", "states", "transitions", "states/s", "time")
+	for _, r := range rows {
+		sys, err := adl.LoadWithLibrary(r.library, r.src, func(path string) (string, error) { return r.comps[path], nil }, nil)
+		if err != nil {
+			return err
+		}
+		res := sys.VerifyAll(checker.Options{Metrics: reg})["safety"]
 		fmt.Printf("%-28s %10d %12d %12s %10s\n",
-			lib.name, res.Stats.StatesStored, res.Stats.Transitions,
+			r.name, res.Stats.StatesStored, res.Stats.Transitions,
 			rate(res.Stats.StatesStored, res.Stats.Elapsed),
 			res.Stats.Elapsed.Round(time.Millisecond))
 	}

@@ -11,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/bridge"
 	"pnp/internal/checker"
@@ -24,7 +25,7 @@ func main() {
 }
 
 func run() error {
-	cache := blocks.NewCache()
+	store := artifact.NewMemoryStore()
 
 	fmt.Println("=== Single-lane bridge (paper Section 4) ===")
 	fmt.Println()
@@ -32,7 +33,7 @@ func run() error {
 	res, err := bridge.Verify(bridge.Config{
 		Variant:   bridge.ExactlyN,
 		EnterSend: blocks.AsynBlockingSend,
-	}, cache, checker.Options{})
+	}, store, checker.Options{})
 	if err != nil {
 		return err
 	}
@@ -50,7 +51,7 @@ func run() error {
 	res, err = bridge.Verify(bridge.Config{
 		Variant:   bridge.ExactlyN,
 		EnterSend: blocks.SynBlockingSend,
-	}, cache, checker.Options{})
+	}, store, checker.Options{})
 	if err != nil {
 		return err
 	}
@@ -64,7 +65,7 @@ func run() error {
 	res, err = bridge.Verify(bridge.Config{
 		Variant:   bridge.AtMostN,
 		EnterSend: blocks.SynBlockingSend,
-	}, cache, checker.Options{MaxStates: 200000})
+	}, store, checker.Options{MaxStates: 200000})
 	if err != nil {
 		return err
 	}
@@ -74,8 +75,8 @@ func run() error {
 	}
 	fmt.Printf("    %s (%s)\n", verdict, time.Since(t0).Round(time.Millisecond))
 
-	hits, misses := cache.Stats()
-	fmt.Printf("\nmodel cache across the three runs: %d hits, %d misses\n", hits, misses)
+	st := store.Stats()
+	fmt.Printf("\nmodules across the three runs: %d hit(s), %d miss(es)\n", st.Hits, st.Misses)
 	fmt.Println("(the exactly-N designs share one compiled program: the port swap reused it)")
 
 	fmt.Println("\n[4] The same designs on the goroutine runtime (2 cars/side, 50 crossings each):")

@@ -11,6 +11,7 @@ package abp
 import (
 	"fmt"
 
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/core"
@@ -142,8 +143,8 @@ func design(cfg Config) *core.Design {
 }
 
 // Build composes the protocol.
-func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
-	return design(cfg).Build(cache)
+func Build(cfg Config, store *artifact.Store) (*blocks.Builder, error) {
+	return design(cfg).Build(store)
 }
 
 // Results holds the protocol verdicts.
@@ -154,8 +155,8 @@ type Results struct {
 
 // Verify builds and checks the protocol: in-order exactly-once delivery
 // as an invariant, and completion as a fairness-independent goal.
-func Verify(cfg Config, cache *blocks.Cache, opts checker.Options) (*Results, error) {
-	res, err := design(cfg).Verify(cache, opts)
+func Verify(cfg Config, store *artifact.Store, opts checker.Options) (*Results, error) {
+	res, err := design(cfg).Verify(store, opts)
 	if err != nil {
 		return nil, err
 	}

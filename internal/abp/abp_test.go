@@ -102,7 +102,7 @@ proctype NaiveReceiver(chan dsig; chan ddat; byte k) {
 	:: else -> break
 	od
 }`
-	b, err := blocks.NewBuilder(naive, nil)
+	b, err := blocks.NewBuilder(naive)
 	if err != nil {
 		t.Fatal(err)
 	}

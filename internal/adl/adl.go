@@ -93,7 +93,7 @@ type System struct {
 	Faults *faults.Plan
 	// Modules is the design's module DAG in compilation order — library,
 	// components, linked program, connectors — with per-module reuse
-	// flags. Populated only by LoadModular; the counters summarize it.
+	// flags; the counters summarize it.
 	Modules         []api.ModuleInfo
 	ModulesReused   int
 	ModulesCompiled int
@@ -203,34 +203,6 @@ type parsedLTL struct {
 	props   map[string]string
 }
 
-// Load parses src and composes the described system. Component files are
-// fetched through resolve; a non-nil cache reuses compiled models.
-//
-// Load compiles the design as one monolithic source blob. Services that
-// want per-module reuse accounting, bounded memory, and cross-restart
-// artifact sharing should call LoadModular instead; both paths compose
-// byte-identical systems (same Builder source, same ModelHash).
-func Load(src string, resolve Resolver, cache *blocks.Cache) (*System, error) {
-	pf, err := parse(src)
-	if err != nil {
-		return nil, err
-	}
-	texts, err := resolveComponents(pf, resolve)
-	if err != nil {
-		return nil, err
-	}
-	var compSrc strings.Builder
-	for _, text := range texts {
-		compSrc.WriteString(text)
-		compSrc.WriteByte('\n')
-	}
-	b, err := blocks.NewBuilder(compSrc.String(), cache)
-	if err != nil {
-		return nil, err
-	}
-	return compose(pf, b)
-}
-
 // resolveComponents fetches every referenced component file, in
 // declaration order.
 func resolveComponents(pf *parsedFile, resolve Resolver) ([]string, error) {
@@ -249,9 +221,7 @@ func resolveComponents(pf *parsedFile, resolve Resolver) ([]string, error) {
 }
 
 // compose instantiates the parsed design against an already-built
-// Builder: connectors, instances, properties, and the fault plan. Both
-// load paths (monolithic and modular) funnel through here, so they
-// cannot drift.
+// Builder: connectors, instances, properties, and the fault plan.
 func compose(pf *parsedFile, b *blocks.Builder) (*System, error) {
 	sys := &System{
 		Name:       pf.name,

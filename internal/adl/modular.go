@@ -11,9 +11,8 @@ import (
 	"pnp/internal/pml"
 )
 
-// LoadModular parses src and composes the described system through a
-// content-addressed artifact store, emitting one module per compilation
-// unit instead of treating the design as a monolith:
+// Load parses src and composes the described system through a
+// content-addressed artifact store, one module per compilation unit:
 //
 //	library ──┐
 //	comp A  ──┼──▶ program ──▶ connector₁ … connectorₙ
@@ -27,13 +26,25 @@ import (
 // artifact (the expensive pml compile) and every other connector keep
 // their addresses and are served from the store — and the returned
 // System reports which modules were reused and which had to be built.
+// Concurrent loads of one program on one store compile it once and
+// share one *pml.Compiled.
 //
-// The composed system is byte-identical to Load's: same Builder source,
-// same ModelHash, same verdicts. Only the compilation route and the
-// accounting differ.
-func LoadModular(src string, resolve Resolver, store *artifact.Store) (*System, error) {
+// Component files are fetched through resolve. A nil store means a
+// fresh memory-only one, so nothing is reused across calls.
+func Load(src string, resolve Resolver, store *artifact.Store) (*System, error) {
+	return LoadWithLibrary(blocks.LibrarySource, src, resolve, store)
+}
+
+// LoadModular is Load under its former name. It stays only for bench/,
+// and ROADMAP item 1's bench change, which moves bench onto Load,
+// deletes it.
+var LoadModular = Load
+
+// LoadWithLibrary is Load over an explicit block library source, such
+// as blocks.LibrarySourcePlain, the paper-literal models.
+func LoadWithLibrary(library, src string, resolve Resolver, store *artifact.Store) (*System, error) {
 	if store == nil {
-		return nil, fmt.Errorf("adl: LoadModular requires an artifact store")
+		store = artifact.NewMemoryStore()
 	}
 	pf, err := parse(src)
 	if err != nil {
@@ -64,11 +75,11 @@ func LoadModular(src string, resolve Resolver, store *artifact.Store) (*System, 
 	}
 
 	libRef := artifact.Ref{
-		Hash: model.FingerprintModule(artifact.KindLibrary, nil, blocks.LibrarySource),
+		Hash: model.FingerprintModule(artifact.KindLibrary, nil, library),
 		Kind: artifact.KindLibrary,
 		Name: "library",
 	}
-	intern(libRef, blocks.LibrarySource, nil)
+	intern(libRef, library, nil)
 
 	progDeps := []model.ModuleFingerprint{libRef.Hash}
 	for i, text := range texts {
@@ -81,11 +92,11 @@ func LoadModular(src string, resolve Resolver, store *artifact.Store) (*System, 
 		progDeps = append(progDeps, ref.Hash)
 	}
 
-	// The linked program's canonical source concatenates the library and
-	// the components exactly the way Load does, so both paths produce
-	// the same Builder source and the same ModelHash.
+	// The linked program's canonical source is the library and the
+	// components, each followed by a newline: the Builder source that
+	// ModelHash covers.
 	var full strings.Builder
-	full.WriteString(blocks.LibrarySource)
+	full.WriteString(library)
 	full.WriteByte('\n')
 	for _, text := range texts {
 		full.WriteString(text)
@@ -130,28 +141,17 @@ func LoadModular(src string, resolve Resolver, store *artifact.Store) (*System, 
 	return sys, nil
 }
 
-// programFor resolves the program module to a live *pml.Compiled: a
-// store hit with a payload is the full reuse path; a hit without one (a
-// disk envelope surviving a restart or an LRU eviction) reuses the
-// module's identity and recompiles its canonical source once,
-// reattaching the payload for the next caller; a miss compiles and
-// stores.
+// programFor resolves the program module to a live *pml.Compiled
+// through the store's Build: a stored payload is reused; a miss, or a
+// hit without a payload (a disk envelope surviving a restart or an LRU
+// eviction), compiles the canonical source once, however many loads ask
+// at the same time.
 func programFor(store *artifact.Store, ref artifact.Ref, source string) (*pml.Compiled, bool, error) {
-	if art, ok := store.Get(ref.Hash); ok {
-		if prog, ok := art.Payload.(*pml.Compiled); ok && prog != nil {
-			return prog, true, nil
-		}
-		prog, err := pml.CompileSource(source)
-		if err != nil {
-			return nil, false, fmt.Errorf("adl: recompiling program module %s: %w", ref.Hash, err)
-		}
-		store.Attach(ref.Hash, prog)
-		return prog, true, nil
-	}
-	prog, err := pml.CompileSource(source)
+	payload, reused, err := store.Build(ref, source, func() (any, error) {
+		return pml.CompileSource(source)
+	})
 	if err != nil {
-		return nil, false, fmt.Errorf("blocks: %w", err)
+		return nil, false, fmt.Errorf("adl: compiling program module %s: %w", ref.Hash, err)
 	}
-	store.Put(&artifact.Artifact{Ref: ref, Source: source, Payload: prog})
-	return prog, false, nil
+	return payload.(*pml.Compiled), reused, nil
 }

@@ -40,7 +40,7 @@ func BenchmarkIncrementalRecompile(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		var last *System
 		for i := 0; i < b.N; i++ {
-			sys, err := LoadModular(src, res, newStore())
+			sys, err := Load(src, res, newStore())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -55,11 +55,11 @@ func BenchmarkIncrementalRecompile(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			store := newStore()
-			if _, err := LoadModular(src, res, store); err != nil {
+			if _, err := Load(src, res, store); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			sys, err := LoadModular(edited, res, store)
+			sys, err := Load(edited, res, store)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -71,12 +71,12 @@ func BenchmarkIncrementalRecompile(b *testing.B) {
 
 	b.Run("full-reuse", func(b *testing.B) {
 		store := newStore()
-		if _, err := LoadModular(src, res, store); err != nil {
+		if _, err := Load(src, res, store); err != nil {
 			b.Fatal(err)
 		}
 		var last *System
 		for i := 0; i < b.N; i++ {
-			sys, err := LoadModular(src, res, store)
+			sys, err := Load(src, res, store)
 			if err != nil {
 				b.Fatal(err)
 			}

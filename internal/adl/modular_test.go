@@ -2,6 +2,7 @@ package adl
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"pnp/internal/artifact"
@@ -41,49 +42,69 @@ func newTestStore(t *testing.T) *artifact.Store {
 	return s
 }
 
-// TestLoadModularMatchesLoad pins the refactor's central invariant: the
-// modular compilation route composes a byte-identical system — same
-// Builder source, same verdicts — and only adds module accounting.
-func TestLoadModularMatchesLoad(t *testing.T) {
-	files := map[string]string{"ping.pml": pingPml}
-	mono, err := Load(twoWireSystem, resolver(files), nil)
+// TestLoadNilStore: a nil store loads through a fresh memory-only one
+// and still reports the design's module DAG — library, component,
+// program, then the connectors — all compiled.
+func TestLoadNilStore(t *testing.T) {
+	sys, err := Load(twoWireSystem, resolver(map[string]string{"ping.pml": pingPml}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := LoadModular(twoWireSystem, resolver(files), newTestStore(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mono.Builder.Source() != mod.Builder.Source() {
-		t.Fatal("modular composition must produce the identical program source")
-	}
-	if len(mono.Connectors) != len(mod.Connectors) || len(mono.Sources) != len(mod.Sources) {
-		t.Fatalf("composition diverged: %d/%d connectors, %d/%d properties",
-			len(mono.Connectors), len(mod.Connectors), len(mono.Sources), len(mod.Sources))
-	}
-	monoRes := mono.VerifyAll(checker.Options{})
-	modRes := mod.VerifyAll(checker.Options{})
-	for name, mr := range monoRes {
-		dr := modRes[name]
-		if dr == nil || dr.OK != mr.OK || dr.Stats.StatesStored != mr.Stats.StatesStored {
-			t.Errorf("property %s: monolithic %v/%d states, modular %v",
-				name, mr.OK, mr.Stats.StatesStored, dr)
-		}
-	}
-	// Module DAG shape: library + 1 component + program + 2 connectors.
-	if len(mod.Modules) != 5 {
-		t.Fatalf("modules = %d, want 5:\n%+v", len(mod.Modules), mod.Modules)
-	}
-	if mod.ModulesCompiled != 5 || mod.ModulesReused != 0 {
-		t.Fatalf("cold load: compiled=%d reused=%d, want all 5 compiled",
-			mod.ModulesCompiled, mod.ModulesReused)
+	if sys.ModulesCompiled != 5 || sys.ModulesReused != 0 {
+		t.Fatalf("cold load: compiled=%d reused=%d, want all 5 compiled", sys.ModulesCompiled, sys.ModulesReused)
 	}
 	kinds := []string{artifact.KindLibrary, artifact.KindComponent, artifact.KindProgram,
 		artifact.KindConnector, artifact.KindConnector}
-	for i, m := range mod.Modules {
+	if len(sys.Modules) != len(kinds) {
+		t.Fatalf("modules = %d, want %d:\n%+v", len(sys.Modules), len(kinds), sys.Modules)
+	}
+	for i, m := range sys.Modules {
 		if m.Kind != kinds[i] {
 			t.Errorf("module %d kind = %s, want %s", i, m.Kind, kinds[i])
 		}
+	}
+	if res := sys.VerifyAll(checker.Options{})["safety"]; !res.OK {
+		t.Fatalf("safety: %s", res.Summary())
+	}
+}
+
+// TestLoadConcurrentCompilesOnce: concurrent loads of one design on one
+// store compile its program once — one program-module miss — and share
+// one *pml.Compiled.
+func TestLoadConcurrentCompilesOnce(t *testing.T) {
+	store := newTestStore(t)
+	const loads = 16
+	systems := make([]*System, loads)
+	var wg sync.WaitGroup
+	for i := range systems {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sys, err := Load(twoWireSystem, resolver(map[string]string{"ping.pml": pingPml}), store)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			systems[i] = sys
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	misses := 0
+	for _, sys := range systems {
+		if sys.Builder.Program() != systems[0].Builder.Program() {
+			t.Fatal("concurrent loads of one program hold different *pml.Compiled")
+		}
+		for _, m := range sys.Modules {
+			if m.Kind == artifact.KindProgram && !m.Reused {
+				misses++
+			}
+		}
+	}
+	if misses != 1 {
+		t.Fatalf("%d loads compiled the program, want 1", misses)
 	}
 }
 
@@ -93,7 +114,7 @@ func TestLoadModularMatchesLoad(t *testing.T) {
 func TestLoadModularOneConnectorEdit(t *testing.T) {
 	files := map[string]string{"ping.pml": pingPml}
 	store := newTestStore(t)
-	base, err := LoadModular(twoWireSystem, resolver(files), store)
+	base, err := Load(twoWireSystem, resolver(files), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +122,7 @@ func TestLoadModularOneConnectorEdit(t *testing.T) {
 	if edited == twoWireSystem {
 		t.Fatal("edit did not apply")
 	}
-	sys, err := LoadModular(edited, resolver(files), store)
+	sys, err := Load(edited, resolver(files), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +143,7 @@ func TestLoadModularOneConnectorEdit(t *testing.T) {
 		}
 	}
 	// An unchanged resubmission reuses everything.
-	again, err := LoadModular(edited, resolver(files), store)
+	again, err := Load(edited, resolver(files), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,21 +159,15 @@ func TestLoadModularOneConnectorEdit(t *testing.T) {
 // Only the library survives a component edit.
 func TestLoadModularComponentEdit(t *testing.T) {
 	store := newTestStore(t)
-	if _, err := LoadModular(twoWireSystem, resolver(map[string]string{"ping.pml": pingPml}), store); err != nil {
+	if _, err := Load(twoWireSystem, resolver(map[string]string{"ping.pml": pingPml}), store); err != nil {
 		t.Fatal(err)
 	}
 	edited := strings.Replace(pingPml, "hits <= 2", "hits <= 2", 1) + "\n"
-	sys, err := LoadModular(twoWireSystem, resolver(map[string]string{"ping.pml": edited}), store)
+	sys, err := Load(twoWireSystem, resolver(map[string]string{"ping.pml": edited}), store)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sys.ModulesReused != 1 || sys.Modules[0].Kind != artifact.KindLibrary || !sys.Modules[0].Reused {
 		t.Fatalf("component edit must reuse exactly the library: %+v", sys.Modules)
-	}
-}
-
-func TestLoadModularRequiresStore(t *testing.T) {
-	if _, err := LoadModular(twoWireSystem, resolver(map[string]string{"ping.pml": pingPml}), nil); err == nil {
-		t.Fatal("LoadModular without a store must fail")
 	}
 }

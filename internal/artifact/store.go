@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"pnp/internal/api"
 	"pnp/internal/lru"
@@ -22,6 +23,9 @@ import (
 type Store struct {
 	mem *lru.Cache[model.ModuleFingerprint, *Artifact]
 	dir string // "" = memory only
+	// builds serializes Build per fingerprint stripe, so concurrent
+	// builders of one module build it once.
+	builds [16]sync.Mutex
 }
 
 // Stats is a point-in-time snapshot of store effectiveness.
@@ -36,6 +40,13 @@ func NewStore(maxEntries int, dir string, reg *obs.Registry) (*Store, error) {
 			return nil, fmt.Errorf("artifact: %w", err)
 		}
 	}
+	return newStore(maxEntries, dir, reg), nil
+}
+
+// NewMemoryStore creates a memory-only store with the default bound.
+func NewMemoryStore() *Store { return newStore(0, "", nil) }
+
+func newStore(maxEntries int, dir string, reg *obs.Registry) *Store {
 	return &Store{
 		mem: lru.New[model.ModuleFingerprint, *Artifact](maxEntries, lru.Metrics{
 			Hits:      reg.Counter("artifact_store_hits_total"),
@@ -44,7 +55,7 @@ func NewStore(maxEntries int, dir string, reg *obs.Registry) (*Store, error) {
 			Entries:   reg.Gauge("artifact_store_entries"),
 		}),
 		dir: dir,
-	}, nil
+	}
 }
 
 // Get looks an artifact up by fingerprint, marking it most recently
@@ -75,17 +86,27 @@ func (s *Store) Put(art *Artifact) {
 	}
 }
 
-// Attach reattaches a live payload to an already-stored artifact — the
-// step after a disk or wire hit hands back an envelope and the caller
-// recompiles its canonical source. A no-op for unknown fingerprints.
-// The stored artifact is replaced, not mutated: readers holding the
-// envelope keep a consistent value.
-func (s *Store) Attach(h model.ModuleFingerprint, payload any) {
-	if art, ok := s.mem.Peek(h); ok {
-		live := *art
-		live.Payload = payload
-		s.mem.Put(h, &live)
+// Build returns the live payload of ref's module. A stored payload is
+// reused as is; otherwise build makes one from the module's canonical
+// source, and the artifact is stored with it — on a miss, and on a hit
+// that holds only an envelope (a disk load after a restart or an
+// eviction). reused reports the hit. Builds of one fingerprint are
+// serialized, so concurrent callers build a module once and share one
+// payload. The stored artifact is replaced, not mutated: readers
+// holding the envelope keep a consistent value.
+func (s *Store) Build(ref Ref, source string, build func() (any, error)) (payload any, reused bool, err error) {
+	mu := &s.builds[int(ref.Hash[0])%len(s.builds)]
+	mu.Lock()
+	defer mu.Unlock()
+	art, reused := s.Get(ref.Hash)
+	if reused && art.Payload != nil {
+		return art.Payload, true, nil
 	}
+	if payload, err = build(); err != nil {
+		return nil, reused, err
+	}
+	s.Put(&Artifact{Ref: ref, Source: source, Payload: payload})
+	return payload, reused, nil
 }
 
 // Peek answers a wire lookup: the artifact's envelope JSON, from memory

@@ -100,11 +100,17 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 		t.Fatalf("disk fallthrough must count as a hit: %+v", st)
 	}
 
-	// Reattaching restores the live payload for the next caller.
-	s2.Attach(a.Hash, 42)
-	got, _ = s2.Get(a.Hash)
-	if got.Payload != 42 {
-		t.Fatalf("Attach lost the payload: %v", got.Payload)
+	// Build reattaches a live payload to the envelope, once.
+	builds := 0
+	build := func() (any, error) { builds++; return 42, nil }
+	for i := 0; i < 2; i++ {
+		p, reused, err := s2.Build(a.Ref, a.Source, build)
+		if err != nil || p != 42 || !reused {
+			t.Fatalf("Build %d = (%v, %v, %v), want (42, true, nil)", i, p, reused, err)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("the envelope was built %d times, want once", builds)
 	}
 }
 
@@ -188,7 +194,7 @@ func TestStoreConcurrent(t *testing.T) {
 				a := mkArtifact(KindComponent, "c", fmt.Sprintf("source %d", i%20))
 				s.Put(a)
 				s.Get(a.Hash)
-				s.Attach(a.Hash, g)
+				s.Build(a.Ref, a.Source, func() (any, error) { return g, nil })
 				s.Peek(a.Hash)
 				s.Stats()
 			}

@@ -76,7 +76,7 @@ func TestSpecPlugOperations(t *testing.T) {
 // components, sending n messages with the given tag.
 func buildPipe(t *testing.T, spec ConnectorSpec, n int) *Builder {
 	t.Helper()
-	b, err := NewBuilder("", nil)
+	b, err := NewBuilder("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ proctype CheckSender(chan portSig; chan portDat) {
 	:: else
 	fi
 }`
-	b, err := NewBuilder(src, nil)
+	b, err := NewBuilder(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ proctype GatedReceiver(chan portSig; chan portDat) {
 	od
 }`
 	build := func(ch ChannelKind, size int) *Builder {
-		b, err := NewBuilder(src, nil)
+		b, err := NewBuilder(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +347,7 @@ proctype SelReceiver(chan portSig; chan portDat) {
 	portDat?d,sid,sd,sel,rem;
 	sel1 = d
 }`
-	b, err := NewBuilder(src, nil)
+	b, err := NewBuilder(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ proctype PrioReceiver(chan portSig; chan portDat) {
 	portDat?d,sid,sd,sel,rem;
 	g3 = d
 }`
-	b, err := NewBuilder(src, nil)
+	b, err := NewBuilder(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ proctype CountReceiver(chan portSig; chan portDat) {
 	:: else -> break
 	od
 }`
-	b, err := NewBuilder(src, nil)
+	b, err := NewBuilder(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,30 +527,8 @@ proctype CountReceiver(chan portSig; chan portDat) {
 	}
 }
 
-func TestCacheReuse(t *testing.T) {
-	cache := NewCache()
-	if _, err := NewBuilder("", cache); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewBuilder("", cache); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := cache.Stats()
-	if misses != 1 || hits != 1 {
-		t.Errorf("cache stats = %d hits, %d misses; want 1, 1", hits, misses)
-	}
-	// Different component source compiles fresh.
-	if _, err := NewBuilder("proctype X(chan a; chan b) { skip }", cache); err != nil {
-		t.Fatal(err)
-	}
-	_, misses = cache.Stats()
-	if misses != 2 {
-		t.Errorf("misses = %d, want 2", misses)
-	}
-}
-
 func TestBuilderRejectsBadComponentSource(t *testing.T) {
-	if _, err := NewBuilder("proctype Broken( {", nil); err == nil {
+	if _, err := NewBuilder("proctype Broken( {"); err == nil {
 		t.Error("bad component source accepted")
 	}
 }
@@ -576,7 +554,7 @@ proctype Counter(chan portSig; chan portDat) {
 	:: else -> break
 	od
 }`
-	b, err := NewBuilder(src, nil)
+	b, err := NewBuilder(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package blocks
 
 import (
 	"fmt"
-	"sync"
 
+	"pnp/internal/artifact"
 	"pnp/internal/model"
 	"pnp/internal/pml"
 )
@@ -180,47 +180,13 @@ func (s ConnectorSpec) Token() string {
 	return fmt.Sprintf("send=%s;channel=%s;recv=%s", s.Send.Token(), ch, s.Recv.Token())
 }
 
-// Cache is the in-process compile cache: it memoizes compiled pml
-// programs by source text, modeling the paper's reuse of pre-defined
-// building-block models across verification runs. It is safe for
-// concurrent use, unbounded and process-local — right for in-process
-// callers and the experiment harnesses. Services compose through
-// internal/adl's modular load path backed by an artifact.Store, which
-// bounds memory, persists across restarts, and tracks per-module reuse.
-type Cache struct {
-	mu     sync.Mutex
-	m      map[string]*pml.Compiled
-	hits   int
-	misses int
-}
+// Cache is the artifact store under the compile cache's former name.
+// It stays only for bench/, and ROADMAP item 1's bench change, which
+// moves bench onto adl.Load's store, deletes it.
+type Cache = artifact.Store
 
-// NewCache creates an empty model cache.
-func NewCache() *Cache { return &Cache{m: make(map[string]*pml.Compiled)} }
-
-// Compile returns the compiled form of src, reusing a previous compilation
-// when available.
-func (c *Cache) Compile(src string) (*pml.Compiled, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p, ok := c.m[src]; ok {
-		c.hits++
-		return p, nil
-	}
-	p, err := pml.CompileSource(src)
-	if err != nil {
-		return nil, err
-	}
-	c.m[src] = p
-	c.misses++
-	return p, nil
-}
-
-// Stats reports cache hits and misses.
-func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
+// NewCache returns a memory-only artifact store; it goes with Cache.
+func NewCache() *Cache { return artifact.NewMemoryStore() }
 
 var sigFields = []pml.Type{pml.TypeMtype, pml.TypeByte}
 var datFields = []pml.Type{pml.TypeByte, pml.TypeByte, pml.TypeByte, pml.TypeBit, pml.TypeBit}
@@ -241,27 +207,14 @@ type Builder struct {
 }
 
 // NewBuilder compiles the library together with the user's component
-// source (which may be empty) and prepares an empty system. A non-nil
-// cache is consulted first, reusing pre-built models.
-func NewBuilder(componentSource string, cache *Cache) (*Builder, error) {
-	return NewBuilderWithLibrary(LibrarySource, componentSource, cache)
-}
-
-// NewBuilderWithLibrary composes an explicit block-library source with the
-// user's component source.
-func NewBuilderWithLibrary(library, componentSource string, cache *Cache) (*Builder, error) {
-	full := library + "\n" + componentSource
-	var prog *pml.Compiled
-	var err error
-	if cache != nil {
-		prog, err = cache.Compile(full)
-	} else {
-		prog, err = pml.CompileSource(full)
-	}
+// source (which may be empty) and prepares an empty system.
+func NewBuilder(componentSource string) (*Builder, error) {
+	full := LibrarySource + "\n" + componentSource
+	prog, err := pml.CompileSource(full)
 	if err != nil {
 		return nil, fmt.Errorf("blocks: %w", err)
 	}
-	return &Builder{prog: prog, sys: model.New(prog), src: full}, nil
+	return NewBuilderFromProgram(prog, full), nil
 }
 
 // NewBuilderFromProgram wraps an already-compiled program — a program

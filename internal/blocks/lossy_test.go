@@ -5,6 +5,7 @@ import (
 
 	"pnp/internal/checker"
 	"pnp/internal/model"
+	"pnp/internal/pml"
 )
 
 // lossySrc is a minimal producer/consumer pair for probing the lossy
@@ -44,10 +45,12 @@ proctype LossReceiver(chan portSig; chan portDat; byte want) {
 // library variant (optimized or paper-literal plain).
 func buildLossy(t *testing.T, library string, spec ConnectorSpec, send, want int) *Builder {
 	t.Helper()
-	b, err := NewBuilderWithLibrary(library, lossySrc, nil)
+	full := library + "\n" + lossySrc
+	prog, err := pml.CompileSource(full)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := NewBuilderFromProgram(prog, full)
 	conn, err := b.NewConnector("wire", spec)
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,7 @@ package bridge
 import (
 	"fmt"
 
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/core"
@@ -218,10 +219,10 @@ func (c Config) String() string {
 	return fmt.Sprintf("%s cars=%d n=%d enter=%s", c.Variant, c.CarsPerSide, c.N, c.EnterSend)
 }
 
-// design renders the configured bridge as a design: the connectors,
+// Design renders the configured bridge as a design: the connectors,
 // instances and invariant of bench/designs/bridge.pnp, plus the yield
 // connectors of the at-most-N variant.
-func design(cfg Config) (*core.Design, error) {
+func Design(cfg Config) (*core.Design, error) {
 	cfg = cfg.withDefaults()
 	var ctl, src string
 	recvKind := blocks.BlockingRecv
@@ -269,21 +270,21 @@ func design(cfg Config) (*core.Design, error) {
 }
 
 // Build composes the bridge system: components, connectors, and ports.
-func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
-	d, err := design(cfg)
+func Build(cfg Config, store *artifact.Store) (*blocks.Builder, error) {
+	d, err := Design(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return d.Build(cache)
+	return d.Build(store)
 }
 
 // Verify builds the configured bridge and checks the safety invariant.
-func Verify(cfg Config, cache *blocks.Cache, opts checker.Options) (*checker.Result, error) {
-	d, err := design(cfg)
+func Verify(cfg Config, store *artifact.Store, opts checker.Options) (*checker.Result, error) {
+	d, err := Design(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.Verify(cache, opts)
+	res, err := d.Verify(store, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@ import (
 
 func verifyAtWorkers(t *testing.T, cfg Config, workers int) *checker.Result {
 	t.Helper()
-	res, err := Verify(cfg, blocks.NewCache(), checker.Options{Workers: workers})
+	res, err := Verify(cfg, nil, checker.Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestBridgeE8DeterministicAcrossWorkers(t *testing.T) {
 // same verdict, stats, and counterexample as w1.
 func assertBFSIsWorkersOne(t *testing.T, cfg Config, w1 *checker.Result) {
 	t.Helper()
-	bfs, err := Verify(cfg, blocks.NewCache(), checker.Options{})
+	bfs, err := Verify(cfg, nil, checker.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func (m *bridgeMonitor) leave(color int) {
 func Simulate(ctx context.Context, cfg SimulationConfig) (*SimulationResult, error) {
 	cfg = cfg.withDefaults()
 	// The runtime connectors are the verified design's own.
-	d, err := design(Config{Variant: ExactlyN, CarsPerSide: cfg.CarsPerSide, N: cfg.N, EnterSend: cfg.EnterSend})
+	d, err := Design(Config{Variant: ExactlyN, CarsPerSide: cfg.CarsPerSide, N: cfg.N, EnterSend: cfg.EnterSend})
 	if err != nil {
 		return nil, err
 	}

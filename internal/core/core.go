@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"pnp/internal/adl"
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/pnprt"
@@ -294,13 +295,14 @@ func valid(what, name string, exprs ...string) error {
 	return nil
 }
 
-// load composes the design through its ADL rendering.
-func (d *Design) load(cache *blocks.Cache) (*adl.System, error) {
+// load composes the design through its ADL rendering; a nil store means
+// a fresh memory-only one.
+func (d *Design) load(store *artifact.Store) (*adl.System, error) {
 	src, comps, err := d.ADL()
 	if err != nil {
 		return nil, err
 	}
-	sys, err := adl.Load(src, func(path string) (string, error) { return comps[path], nil }, cache)
+	sys, err := adl.Load(src, func(path string) (string, error) { return comps[path], nil }, store)
 	var ae *adl.Error
 	if errors.As(err, &ae) {
 		// A position would point into generated text; the message names
@@ -310,9 +312,10 @@ func (d *Design) load(cache *blocks.Cache) (*adl.System, error) {
 	return sys, err
 }
 
-// Build composes the design into a verifiable model system.
-func (d *Design) Build(cache *blocks.Cache) (*blocks.Builder, error) {
-	sys, err := d.load(cache)
+// Build composes the design into a verifiable model system, reusing the
+// store's compiled modules.
+func (d *Design) Build(store *artifact.Store) (*blocks.Builder, error) {
+	sys, err := d.load(store)
 	if err != nil {
 		return nil, err
 	}
@@ -336,8 +339,8 @@ func (v VerifyResults) AllOK() bool {
 // Verify builds the design and checks every declared property with
 // adl.System.VerifyAll: fairness, per-property checkpoints and tracing
 // apply as they do to a loaded ADL file.
-func (d *Design) Verify(cache *blocks.Cache, opts checker.Options) (VerifyResults, error) {
-	sys, err := d.load(cache)
+func (d *Design) Verify(store *artifact.Store, opts checker.Options) (VerifyResults, error) {
+	sys, err := d.load(store)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pnp/internal/adl"
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/pnprt"
@@ -34,7 +35,7 @@ func TestCatalogMatchesPaperFigure1(t *testing.T) {
 		t.Errorf("channels = %d, want 5 (1-slot, FIFO, priority, dropping + lossy)", byKind["channel"])
 	}
 	// Every cataloged block must exist as a compiled model in the library.
-	b, err := blocks.NewBuilder("", nil)
+	b, err := blocks.NewBuilder("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,25 +133,32 @@ func TestPlugOperationsDoNotMutateOriginal(t *testing.T) {
 }
 
 func TestDesignSwappedVariantStillVerifies(t *testing.T) {
-	cache := blocks.NewCache()
+	store := artifact.NewMemoryStore()
 	d := pipeline()
-	if _, err := d.Verify(cache, checker.Options{}); err != nil {
+	if _, err := d.Verify(store, checker.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := d.WithSendPort("Wire", blocks.SynBlockingSend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d2.Verify(cache, checker.Options{})
+	res, err := d2.Verify(store, checker.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.AllOK() {
 		t.Fatalf("swapped design failed: %v", res["safety"].Summary())
 	}
-	hits, misses := cache.Stats()
-	if misses != 1 || hits != 1 {
-		t.Errorf("cache stats = %d hits / %d misses; component models should be reused", hits, misses)
+	b1, err := d.Build(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := d2.Build(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b1.Program() != b2.Program() {
+		t.Error("the send-port swap recompiled the program; component models should be reused")
 	}
 }
 

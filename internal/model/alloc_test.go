@@ -3,7 +3,6 @@ package model_test
 import (
 	"testing"
 
-	"pnp/internal/blocks"
 	"pnp/internal/bridge"
 	"pnp/internal/model"
 	"pnp/internal/pml"
@@ -13,7 +12,7 @@ import (
 // block library.
 func bridgeN1(t *testing.T) *model.System {
 	t.Helper()
-	b, err := bridge.Build(bridge.Config{Variant: bridge.ExactlyN, CarsPerSide: 1, N: 1}, blocks.NewCache())
+	b, err := bridge.Build(bridge.Config{Variant: bridge.ExactlyN, CarsPerSide: 1, N: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

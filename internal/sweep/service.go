@@ -12,7 +12,6 @@ import (
 
 	"pnp/internal/adl"
 	"pnp/internal/api"
-	"pnp/internal/blocks"
 	"pnp/internal/obs"
 	"pnp/internal/obs/tracing"
 	"pnp/internal/verifyd"
@@ -175,7 +174,7 @@ func (sv *Service) Start(ctx context.Context, ws api.SweepSpec) (api.SweepStatus
 			return text, nil
 		}
 		return "", fmt.Errorf("unknown component %q", path)
-	}, blocks.NewCache()); err != nil {
+	}, nil); err != nil {
 		return api.SweepStatus{}, err
 	}
 

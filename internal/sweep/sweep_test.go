@@ -327,7 +327,6 @@ func TestMatrixParity(t *testing.T) {
 	}
 
 	// The reference: pnpmatrix's original direct-composition loop.
-	cache := blocks.NewCache()
 	i := 0
 	for _, snd := range []blocks.SendPortKind{
 		blocks.AsynNonblockingSend, blocks.AsynBlockingSend, blocks.AsynCheckingSend,
@@ -342,13 +341,13 @@ func TestMatrixParity(t *testing.T) {
 				if ch == blocks.SingleSlot {
 					spec.Size = 0
 				}
-				verdict, states := referenceCell(t, spec, msgs, cache)
+				verdict, states := referenceCell(t, spec, msgs)
 				fspec := spec
 				fspec.Channel = blocks.LossyBuffer
 				if fspec.Size == 0 {
 					fspec.Size = bufsize
 				}
-				underLossy, _ := referenceCell(t, fspec, msgs, cache)
+				underLossy, _ := referenceCell(t, fspec, msgs)
 
 				row := rows[i]
 				if row.Cell.Connector != spec.String() {
@@ -370,9 +369,9 @@ func TestMatrixParity(t *testing.T) {
 }
 
 // referenceCell is pnpmatrix's evaluate(), inlined as the parity oracle.
-func referenceCell(t *testing.T, spec blocks.ConnectorSpec, msgs int, cache *blocks.Cache) (string, int) {
+func referenceCell(t *testing.T, spec blocks.ConnectorSpec, msgs int) (string, int) {
 	t.Helper()
-	b, err := blocks.NewBuilder(matrixPML, cache)
+	b, err := blocks.NewBuilder(matrixPML)
 	if err != nil {
 		t.Fatal(err)
 	}

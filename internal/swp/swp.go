@@ -14,6 +14,7 @@ package swp
 import (
 	"fmt"
 
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/core"
@@ -129,8 +130,8 @@ func design(cfg Config) *core.Design {
 }
 
 // Build composes the protocol.
-func Build(cfg Config, cache *blocks.Cache) (*blocks.Builder, error) {
-	return design(cfg).Build(cache)
+func Build(cfg Config, store *artifact.Store) (*blocks.Builder, error) {
+	return design(cfg).Build(store)
 }
 
 // Results holds the verdicts.
@@ -140,8 +141,8 @@ type Results struct {
 }
 
 // Verify builds and checks the protocol.
-func Verify(cfg Config, cache *blocks.Cache, opts checker.Options) (*Results, error) {
-	res, err := design(cfg).Verify(cache, opts)
+func Verify(cfg Config, store *artifact.Store, opts checker.Options) (*Results, error) {
+	res, err := design(cfg).Verify(store, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,6 @@ import (
 
 	"pnp/internal/adl"
 	"pnp/internal/api"
-	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/obs"
 )
@@ -298,7 +297,7 @@ func TestServerReplayIncompleteResumes(t *testing.T) {
 	ckptKey := subKey.String() + "-safety"
 
 	resolve := func(path string) (string, error) { return comps[path], nil }
-	sys, err := adl.Load(durableADL, resolve, blocks.NewCache())
+	sys, err := adl.Load(durableADL, resolve, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func (s *Server) replay(recs []journalRecord) []*Job {
 			rec := rj.accepted
 			req := rec.Req
 			resolve := s.resolver(req.Components)
-			sys, err := adl.LoadModular(req.ADL, resolve, s.artifacts)
+			sys, err := adl.Load(req.ADL, resolve, s.artifacts)
 			if err != nil {
 				s.log.Error("journal replay: job no longer composes; dropping",
 					"job_id", id, "err", err.Error())

@@ -371,7 +371,7 @@ func (s *Server) submitKeyed(ctx context.Context, src string, components map[str
 	jctx, jspan := s.tracer.StartSpan(ctx, "job")
 	resolve := s.resolver(components)
 	_, cspan := s.tracer.StartSpan(jctx, "compose")
-	sys, err := adl.LoadModular(src, resolve, s.artifacts)
+	sys, err := adl.Load(src, resolve, s.artifacts)
 	cspan.End()
 	if err != nil {
 		s.mRejected.Inc()

@@ -42,6 +42,7 @@ import (
 
 	"pnp/internal/adl"
 	"pnp/internal/api"
+	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/cluster"
@@ -73,9 +74,10 @@ type (
 	InstanceArg = core.InstanceArg
 	// BlockInfo describes one catalog entry.
 	BlockInfo = core.BlockInfo
-	// ModelCache memoizes compiled block and component models across
-	// verification runs.
-	ModelCache = blocks.Cache
+	// ModelCache is the artifact store of compiled block and component
+	// models that verification runs reuse. It holds up to 1,024
+	// modules, least recently used first out.
+	ModelCache = artifact.Store
 )
 
 // Send port kinds (the paper's Figure 1 catalog).
@@ -110,7 +112,7 @@ func NewDesign(name, componentSource string) *Design {
 }
 
 // NewCache creates a model cache for reuse across verification runs.
-func NewCache() *ModelCache { return blocks.NewCache() }
+func NewCache() *ModelCache { return artifact.NewMemoryStore() }
 
 // Catalog lists the building-block library.
 func Catalog() []BlockInfo { return core.Catalog() }
