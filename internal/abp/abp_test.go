@@ -6,6 +6,7 @@ import (
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
 	"pnp/internal/model"
+	"pnp/internal/pml"
 )
 
 // pinCounts checks a safety search's stored / matched / transitions /
@@ -102,10 +103,12 @@ proctype NaiveReceiver(chan dsig; chan ddat; byte k) {
 	:: else -> break
 	od
 }`
-	b, err := blocks.NewBuilder(naive)
+	full := blocks.LibrarySource + "\n" + naive
+	prog, err := pml.CompileSource(full)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := blocks.NewBuilderFromProgram(prog, full)
 	spec := blocks.ConnectorSpec{
 		Send: blocks.AsynBlockingSend, Channel: blocks.LossyBuffer, Size: 1,
 		Recv: blocks.NonblockingRecv,

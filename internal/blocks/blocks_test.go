@@ -72,14 +72,23 @@ func TestSpecPlugOperations(t *testing.T) {
 	}
 }
 
+// newBuilder compiles the library with the component source src into a
+// Builder with an empty system.
+func newBuilder(t *testing.T, src string) *Builder {
+	t.Helper()
+	full := LibrarySource + "\n" + src
+	prog, err := pml.CompileSource(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewBuilderFromProgram(prog, full)
+}
+
 // buildPipe composes sender -> connector -> receiver with PnP library
 // components, sending n messages with the given tag.
 func buildPipe(t *testing.T, spec ConnectorSpec, n int) *Builder {
 	t.Helper()
-	b, err := NewBuilder("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBuilder(t, "")
 	conn, err := b.NewConnector("pipe", spec)
 	if err != nil {
 		t.Fatal(err)
@@ -218,10 +227,7 @@ proctype CheckSender(chan portSig; chan portDat) {
 	:: else
 	fi
 }`
-	b, err := NewBuilder(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBuilder(t, src)
 	spec := ConnectorSpec{Send: AsynCheckingSend, Channel: SingleSlot, Recv: BlockingRecv}
 	conn, err := b.NewConnector("c", spec)
 	if err != nil {
@@ -277,10 +283,7 @@ proctype GatedReceiver(chan portSig; chan portDat) {
 	od
 }`
 	build := func(ch ChannelKind, size int) *Builder {
-		b, err := NewBuilder(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := newBuilder(t, src)
 		// Blocking send: the sender cannot set allSent until both messages
 		// have actually entered the channel, making the drop deterministic.
 		spec := ConnectorSpec{Send: AsynBlockingSend, Channel: ch, Size: size, Recv: BlockingRecv}
@@ -347,10 +350,7 @@ proctype SelReceiver(chan portSig; chan portDat) {
 	portDat?d,sid,sd,sel,rem;
 	sel1 = d
 }`
-	b, err := NewBuilder(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBuilder(t, src)
 	spec := ConnectorSpec{Send: AsynBlockingSend, Channel: FIFOQueue, Size: 2, Recv: BlockingRecv}
 	conn, err := b.NewConnector("c", spec)
 	if err != nil {
@@ -406,10 +406,7 @@ proctype PrioReceiver(chan portSig; chan portDat) {
 	portDat?d,sid,sd,sel,rem;
 	g3 = d
 }`
-	b, err := NewBuilder(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBuilder(t, src)
 	spec := ConnectorSpec{Send: AsynBlockingSend, Channel: PriorityQueue, Size: 3, Recv: BlockingRecv}
 	conn, err := b.NewConnector("c", spec)
 	if err != nil {
@@ -470,10 +467,7 @@ proctype CountReceiver(chan portSig; chan portDat) {
 	:: else -> break
 	od
 }`
-	b, err := NewBuilder(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBuilder(t, src)
 	spec := ConnectorSpec{Send: AsynBlockingSend, Channel: SingleSlot, Recv: BlockingRecv}
 	conn, err := b.NewConnector("c", spec)
 	if err != nil {
@@ -528,7 +522,7 @@ proctype CountReceiver(chan portSig; chan portDat) {
 }
 
 func TestBuilderRejectsBadComponentSource(t *testing.T) {
-	if _, err := NewBuilder("proctype Broken( {"); err == nil {
+	if _, err := pml.CompileSource(LibrarySource + "\nproctype Broken( {"); err == nil {
 		t.Error("bad component source accepted")
 	}
 }
@@ -554,10 +548,7 @@ proctype Counter(chan portSig; chan portDat) {
 	:: else -> break
 	od
 }`
-	b, err := NewBuilder(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBuilder(t, src)
 	spec := ConnectorSpec{Send: AsynBlockingSend, Channel: FIFOQueue, Size: 2, Recv: BlockingRecv}
 	conn, err := b.NewConnector("c", spec)
 	if err != nil {

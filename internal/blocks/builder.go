@@ -206,17 +206,6 @@ type Builder struct {
 	src  string
 }
 
-// NewBuilder compiles the library together with the user's component
-// source (which may be empty) and prepares an empty system.
-func NewBuilder(componentSource string) (*Builder, error) {
-	full := LibrarySource + "\n" + componentSource
-	prog, err := pml.CompileSource(full)
-	if err != nil {
-		return nil, fmt.Errorf("blocks: %w", err)
-	}
-	return NewBuilderFromProgram(prog, full), nil
-}
-
 // NewBuilderFromProgram wraps an already-compiled program — a program
 // module artifact out of an artifact store — in a fresh Builder with an
 // empty system. src must be the canonical source the program was

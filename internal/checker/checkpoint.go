@@ -151,12 +151,12 @@ func (c *Checker) newCheckpointer(phase string) *checkpointer {
 	return ck
 }
 
-// modelFingerprint identifies the system a log belongs to (FNV-1a over
-// the model's structural fingerprint, hex).
+// modelFingerprint identifies the system a log belongs to (model.Hash64
+// of the model's structural fingerprint, hex).
 func modelFingerprint(sys *model.System) string {
-	var w model.Hash64Writer
-	sys.WriteFingerprint(&w)
-	return fmt.Sprintf("%016x", w.Sum64())
+	var buf bytes.Buffer
+	sys.WriteFingerprint(&buf)
+	return fmt.Sprintf("%016x", model.Hash64(buf.Bytes()))
 }
 
 // barrier appends next, the level just collected at depth, to the log,

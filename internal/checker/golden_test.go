@@ -17,11 +17,11 @@ const goldenSrc = "byte a; active proctype P() { do :: a < 3 -> a = a + 1 :: els
 // goldenCheckpoint is the log of goldenSrc at depth 2: levels 0, 1
 // and 2, one state vector each, then the commit.
 const goldenCheckpoint = "" +
-	"504e50434b50543306000000d8a6dbe94c00030002000600000029bea0cd4c01030003007500000011fad2a7437b2270" +
-	"68617365223a227361666574792d7061722d626673222c226d6f64656c223a2266333262306438343463623365663166" +
+	"504e50434b50543306000000d8a6dbe94c00030002000600000029bea0cd4c010300030075000000930e071d437b2270" +
+	"68617365223a227361666574792d7061722d626673222c226d6f64656c223a2263626564366332303265303761353334" +
 	"222c226465707468223a312c2273746f726564223a322c226d617463686564223a302c227472616e736974696f6e7322" +
-	"3a312c226d61785f6465707468223a307d060000002ec51ce44c020300020175000000f0922ddb437b22706861736522" +
-	"3a227361666574792d7061722d626673222c226d6f64656c223a2266333262306438343463623365663166222c226465" +
+	"3a312c226d61785f6465707468223a307d060000002ec51ce44c0203000201750000007266f861437b22706861736522" +
+	"3a227361666574792d7061722d626673222c226d6f64656c223a2263626564366332303265303761353334222c226465" +
 	"707468223a322c2273746f726564223a332c226d617463686564223a302c227472616e736974696f6e73223a322c226d" +
 	"61785f6465707468223a317d"
 
@@ -50,12 +50,14 @@ const goldenCheckpointV1 = "" +
 
 // goldenSpillSegment was written by the commit before internal/frame
 // existed (hand-rolled length+CRC framing); segments on disk must stay
-// readable, so the bytes are pinned, not regenerated. It holds the
-// entries "alpha", "beta", "gamma".
+// readable, so the bytes are pinned, not regenerated. Its index frame
+// holds model.Hash64 values, so it was re-recorded when that hash
+// changed; the framing is the original. It holds the entries "alpha",
+// "beta", "gamma".
 const goldenSpillSegment = "" +
 	"504e505350494c310c000000a6b6d0ce487b22636f756e74223a337d11000000f17a838405616c706861046265746105" +
-	"67616d6d6130000000baf1e7b86aa96b1fbd7691220b00000000000000a72046959b61277606000000000000002b20ed" +
-	"85bb25c68a0000000000000000"
+	"67616d6d6130000000772fcceaf56c99393cbfe709000000000000000076fc67115527d9250b00000000000000819f2f" +
+	"3adc6ea0b60600000000000000"
 
 func goldenFile(t *testing.T, name, hexBytes string) (path string, data []byte) {
 	t.Helper()

@@ -534,7 +534,7 @@ func TestParBitstateSetMatchesSequentialBits(t *testing.T) {
 	stored := 0
 	for i := 0; i < 500; i++ {
 		enc := encOf(i)
-		a, b := bitstateHashes(enc, par.mask)
+		a, b := bitstateHashes(model.Hash64(enc), par.mask)
 		want := seq[a] && seq[b]
 		if got := par.contains(model.Hash64(enc), enc); got != want {
 			t.Fatalf("key %d: contains %v before insert, sequential %v", i, got, want)

@@ -543,8 +543,8 @@ func newParBitstateSet(bitsLog2 uint, contention *obs.Counter) *parBitstateSet {
 	return &parBitstateSet{bits: make([]uint64, n/64), mask: n - 1, contention: contention}
 }
 
-func (s *parBitstateSet) seen(fp uint64, enc []byte) bool {
-	a, b := bitstateHashes(enc, s.mask)
+func (s *parBitstateSet) seen(fp uint64, _ []byte) bool {
+	a, b := bitstateHashes(fp, s.mask)
 	lk := &s.locks[fp%visitedShards]
 	if !lk.TryLock() {
 		s.contention.Add(1)
@@ -560,24 +560,15 @@ func (s *parBitstateSet) seen(fp uint64, enc []byte) bool {
 	return false
 }
 
-// bitstateHashes is the double-hash pair of the bitstate table: FNV-1a
-// with two different offset bases. The primary hash is exactly
-// model.Hash64 (h1 of the full encoding equals State.Fingerprint); the
-// secondary derives its seeds from the same constants rather than
-// restating them.
-func bitstateHashes(key []byte, mask uint64) (uint64, uint64) {
-	offset, prime := model.Hash64Seeds()
-	h1 := offset
-	h2 := prime*31 + 7
-	for _, b := range key {
-		h1 = (h1 ^ uint64(b)) * prime
-		h2 = (h2 ^ uint64(b)) * (prime + 2)
-	}
-	return h1 & mask, h2 & mask
+// bitstateHashes is the double-hash pair of the bitstate table: the
+// fingerprint itself and one more finaliser round over it, both masked
+// to the table.
+func bitstateHashes(fp, mask uint64) (uint64, uint64) {
+	return fp & mask, model.Mix64(fp) & mask
 }
 
-func (s *parBitstateSet) contains(_ uint64, enc []byte) bool {
-	a, b := bitstateHashes(enc, s.mask)
+func (s *parBitstateSet) contains(fp uint64, _ []byte) bool {
+	a, b := bitstateHashes(fp, s.mask)
 	return s.bit(a) && s.bit(b)
 }
 

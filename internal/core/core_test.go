@@ -11,6 +11,7 @@ import (
 	"pnp/internal/artifact"
 	"pnp/internal/blocks"
 	"pnp/internal/checker"
+	"pnp/internal/pml"
 	"pnp/internal/pnprt"
 )
 
@@ -35,12 +36,12 @@ func TestCatalogMatchesPaperFigure1(t *testing.T) {
 		t.Errorf("channels = %d, want 5 (1-slot, FIFO, priority, dropping + lossy)", byKind["channel"])
 	}
 	// Every cataloged block must exist as a compiled model in the library.
-	b, err := blocks.NewBuilder("")
+	prog, err := pml.CompileSource(blocks.LibrarySource)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name := range names {
-		if b.Program().Proc(name) == nil {
+		if prog.Proc(name) == nil {
 			t.Errorf("catalog entry %s has no library model", name)
 		}
 	}

@@ -63,21 +63,6 @@ func collectStates(t *testing.T, s *System, max int) []*State {
 	return out
 }
 
-// Hash64Writer streams the same hash Hash64 computes in one call.
-func TestHash64WriterMatchesHash64(t *testing.T) {
-	var w Hash64Writer
-	w.Write([]byte("pnp"))
-	if w.Sum64() != Hash64([]byte("pnp")) {
-		t.Fatalf("Hash64Writer diverges from Hash64")
-	}
-	w2 := &Hash64Writer{}
-	w2.Write([]byte("pn"))
-	w2.Write([]byte("p"))
-	if w2.Sum64() != w.Sum64() {
-		t.Fatalf("Hash64Writer is not streaming-consistent")
-	}
-}
-
 // AppendComponentKeys must return exactly the AppendKey bytes (so
 // hashing the whole buffer still equals Hash64(AppendKey)) with strictly
 // increasing component ends covering the whole encoding, and the ends

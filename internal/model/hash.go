@@ -1,53 +1,52 @@
 package model
 
-// FNV-1a 64 parameters.
+import "encoding/binary"
+
+// MurmurHash64A's multiplier and shift, and a fixed seed.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	hashM    = 0xc6a4a7935bd1e995
+	hashR    = 47
+	hashSeed = 0x9e3779b97f4a7c15
 )
 
-// Hash64 is FNV-1a 64 over b — the one hash of canonical state
-// encodings (Hash64(st.AppendKey(nil))), exported so every package
-// hashing encodings (visited sets, checkpoint identity, spill indexes)
-// agrees on one implementation. Equal states always hash equally;
-// distinct states collide with probability ~2^-64.
+// Hash64 is the one hash of canonical state encodings
+// (Hash64(st.Bytes())), exported so every package hashing encodings
+// (visited sets, bitstate bits, checkpoint identity, spill indexes)
+// agrees on one implementation. It is MurmurHash64A's loop — 8
+// little-endian bytes per multiply-xorshift step, the length folded into
+// the seed, the last 1–7 bytes as one more word — closed by Mix64. The
+// value is fixed across platforms and processes: checkpoint logs store
+// it. Equal inputs always hash equally; distinct inputs collide with
+// probability ~2^-64.
 func Hash64(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * fnvPrime64
+	n := len(b)
+	h := hashSeed ^ uint64(n)*hashM
+	for p := b; len(p) >= 8; p = p[8:] {
+		k := binary.LittleEndian.Uint64(p) * hashM
+		h = (h ^ (k^k>>hashR)*hashM) * hashM
 	}
+	var t uint64 // the last n%8 bytes, little-endian
+	switch tail := n & 7; {
+	case tail == 0:
+		return Mix64(h)
+	case n >= 8:
+		t = binary.LittleEndian.Uint64(b[n-8:]) >> (64 - 8*tail)
+	case n >= 4: // two overlapping loads agree on the bytes they share
+		t = uint64(binary.LittleEndian.Uint32(b)) | uint64(binary.LittleEndian.Uint32(b[n-4:]))<<(8*(n-4))
+	default: // 1-3 bytes: the first, middle and last cover them all
+		t = uint64(b[0]) | uint64(b[n/2])<<(8*(n/2)) | uint64(b[n-1])<<(8*(n-1))
+	}
+	return Mix64((h ^ t) * hashM)
+}
+
+// Mix64 is murmur3's fmix64 finaliser, a bijection on uint64 whose every
+// output bit depends on every input bit. Hash64 ends with it; a caller
+// needing a second index from a fingerprint fp uses Mix64(fp).
+func Mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
-}
-
-// Hash64Seeds returns the FNV-1a offset basis and prime, for callers
-// that derive secondary hashes from the same constants (for example the
-// checker's double-hash bitstate tables).
-func Hash64Seeds() (offset, prime uint64) {
-	return fnvOffset64, fnvPrime64
-}
-
-// Hash64Writer is an io.Writer that folds everything written into a
-// running Hash64. The zero value is ready to use.
-type Hash64Writer struct {
-	h       uint64
-	started bool
-}
-
-func (w *Hash64Writer) Write(p []byte) (int, error) {
-	if !w.started {
-		w.h = fnvOffset64
-		w.started = true
-	}
-	for _, b := range p {
-		w.h = (w.h ^ uint64(b)) * fnvPrime64
-	}
-	return len(p), nil
-}
-
-// Sum64 returns the hash of everything written so far.
-func (w *Hash64Writer) Sum64() uint64 {
-	if !w.started {
-		return fnvOffset64
-	}
-	return w.h
 }

@@ -25,14 +25,6 @@ active proctype Q() {
 	od
 }`
 
-func fnvOf(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(b); i++ {
-		h = (h ^ uint64(b[i])) * 1099511628211
-	}
-	return h
-}
-
 // exploreCounts BFS-explores the system, returning how many times each
 // state key was generated as a successor. With useArena it drives the
 // pooled SuccessorsAppend path and recycles every duplicate.
@@ -89,8 +81,8 @@ func TestAppendKeyAndFingerprintMatchKey(t *testing.T) {
 		if string(buf) != "prefix-"+key {
 			t.Fatalf("AppendKey did not append to prefix")
 		}
-		if fp := Hash64([]byte(key)); fp != fnvOf([]byte(key)) {
-			t.Fatalf("Hash64(Key) %x != fnv(Key) %x", fp, fnvOf([]byte(key)))
+		if fp := Hash64([]byte(key)); fp != Hash64(st.Bytes()) {
+			t.Fatalf("Hash64(Key) %x != Hash64(Bytes) %x", fp, Hash64(st.Bytes()))
 		}
 		checked++
 		for _, tr := range s.Successors(st) {
@@ -167,7 +159,7 @@ func TestConcurrentStateAccess(t *testing.T) {
 						t.Errorf("racy AppendKey mismatch")
 						return
 					}
-					if Hash64(buf) != fnvOf([]byte(want[i])) {
+					if Hash64(buf) != Hash64([]byte(want[i])) {
 						t.Errorf("racy Hash64 mismatch")
 						return
 					}

@@ -12,6 +12,7 @@ import (
 	"pnp/internal/checker"
 	"pnp/internal/model"
 	"pnp/internal/obs"
+	"pnp/internal/pml"
 	"pnp/internal/verifyd"
 )
 
@@ -371,10 +372,12 @@ func TestMatrixParity(t *testing.T) {
 // referenceCell is pnpmatrix's evaluate(), inlined as the parity oracle.
 func referenceCell(t *testing.T, spec blocks.ConnectorSpec, msgs int) (string, int) {
 	t.Helper()
-	b, err := blocks.NewBuilder(matrixPML)
+	full := blocks.LibrarySource + "\n" + matrixPML
+	prog, err := pml.CompileSource(full)
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := blocks.NewBuilderFromProgram(prog, full)
 	conn, err := b.NewConnector("pipe", spec)
 	if err != nil {
 		t.Fatal(err)
