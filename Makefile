@@ -22,6 +22,7 @@ race:
 	$(GO) test -race ./internal/verifyd/ -run 'Concurrent|Cache'
 	$(GO) test -race ./internal/artifact/ ./internal/adl/ ./internal/blocks/
 	$(GO) test -race -short ./internal/checker/ ./internal/model/
+	GOMAXPROCS=8 $(GO) test -race -run TestStateTableStress -count 20 ./internal/checker/
 	$(GO) test -race ./internal/verifyd/ -run 'Budget|ServiceJob|Trace'
 	$(GO) test -race -short ./internal/sweep/ ./internal/verifyd/client/
 	$(GO) test -race ./internal/cluster/

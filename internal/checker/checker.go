@@ -107,14 +107,18 @@ type Options struct {
 	StrongFairness bool
 	// Workers is the level engine's goroutine count: N >= 2 expands
 	// each BFS level of the safety and reachability searches on N
-	// goroutines over a sharded visited set; 1 and 0 (the default) run
+	// goroutines over one shared visited set; 1 and 0 (the default) run
 	// the same engine inline on the caller's goroutine. Verdicts,
 	// StatesStored, Reduced, and counterexample lengths are identical
 	// at every worker count (counterexamples stay shortest); which
 	// shortest counterexample is reported may vary. The CLIs and
 	// verifyd default to runtime.GOMAXPROCS(0). Liveness search (LTL,
 	// weak/strong fairness) and AG-EF goal checks are always
-	// sequential — Workers is a documented no-op there.
+	// sequential — Workers is a documented no-op there. At most 256
+	// workers run: the exact visited set names a stored state by
+	// (worker, index) in 36 bits, so each of W workers has room for
+	// 2^(36-⌈log2 W⌉) states — 2^28 at 256 workers — and a search at
+	// least 2^35 in all. Larger values run as 256.
 	Workers int
 	// Storage groups the visited-set storage knobs; see StorageOptions.
 	Storage StorageOptions

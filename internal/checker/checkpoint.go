@@ -320,7 +320,7 @@ func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, 
 	}
 	ck.f = f
 	for _, enc := range log.visited {
-		r.visited.seen(model.Hash64(enc), enc)
+		r.visited.seen(0, model.Hash64(enc), enc)
 	}
 	c := log.commit
 	r.stored.Store(int64(c.Stored))

@@ -90,7 +90,7 @@ type product struct {
 	graph  bool      // a violating step is left out instead of ending the search, and no stutter edges
 	target pml.RExpr // AG EF's target, evaluated into good as nodes are stored; nil for none
 
-	table     idTable           // state vectors of system states, by state id
+	table     *stateTable       // state vectors of system states; single-writer, so a ref is a state id
 	index     map[uint64]uint32 // node of (state id, q), keyed id<<32 | q
 	sid       []uint32          // node -> state id
 	q         []int32
@@ -217,6 +217,7 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 	arena := &model.Arena{}
 	init := c.sys.InitialState()
 	var cur, next liveLevel
+	p.table = newStateTable(len(init.Bytes()), 1, nil)
 	id := p.table.intern(model.Hash64(init.Bytes()), init.Bytes())
 	if err := p.label(init); err != nil {
 		res.fail(RuntimeError, err.Error())
@@ -352,7 +353,7 @@ func (p *product) bytes() int64 {
 
 // decode rebuilds the system state of state id from its encoding.
 func (p *product) decode(id uint32) *model.State {
-	st, err := model.DecodeKey(p.c.sys.InitialState(), p.table.entry(id))
+	st, err := model.DecodeKey(p.c.sys.InitialState(), p.table.entry(uint64(id)))
 	if err != nil {
 		panic("checker: a stored product state does not decode: " + err.Error())
 	}

@@ -61,6 +61,7 @@ type parProblem struct {
 // (and, under Options.MaxStates, the stored-states total the limit
 // needs).
 type parWorker struct {
+	k        int // the worker's index: its segment, cursor and visited-set arena
 	arena    *model.Arena
 	trs      []model.Transition
 	next     []parNode
@@ -79,6 +80,7 @@ type parRunner struct {
 	c       *Checker
 	workers []*parWorker
 	visited parVisited
+	gate    *growGate    // the visited set's: workers pass it at every node, so the exact set can grow mid-level
 	stored  atomic.Int64 // states stored, root included: as of the last barrier, or of the last store under MaxStates
 	stop    atomic.Bool  // cancel or state limit: workers drain promptly
 	limit   atomic.Bool
@@ -94,7 +96,7 @@ type parRunner struct {
 }
 
 func (c *Checker) newParRunner(phase string) *parRunner {
-	w := max(c.opts.Workers, 1)
+	w := min(max(c.opts.Workers, 1), maxWorkers)
 	r := &parRunner{c: c}
 	var contention, spilled *obs.Counter
 	if reg := c.opts.Metrics; reg != nil {
@@ -106,11 +108,12 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 		r.gWorkers = reg.Gauge(obs.Labels("checker_workers", "phase", phase))
 	}
 	r.gWorkers.Set(int64(w))
-	r.visited = c.newParVisited(phase, contention, spilled)
+	r.visited = c.newParVisited(phase, w, contention, spilled)
+	r.gate = visitedGate(r.visited)
 	r.workers = make([]*parWorker, w)
 	r.cursors = make([]levelCursor, w)
 	for i := range r.workers {
-		r.workers[i] = &parWorker{arena: &model.Arena{}, cc: c.newCanceler()}
+		r.workers[i] = &parWorker{k: i, arena: &model.Arena{}, cc: c.newCanceler()}
 		if c.opts.ReportUnreached && !c.opts.PartialOrder {
 			r.workers[i].executed = make(map[*pml.Edge]bool)
 		}
@@ -122,7 +125,7 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 // one-node root level.
 func (r *parRunner) seedRoot() [][]parNode {
 	init := r.c.sys.InitialState()
-	r.visited.seen(model.Hash64(init.Bytes()), init.Bytes())
+	r.visited.seen(0, model.Hash64(init.Bytes()), init.Bytes())
 	r.stored.Store(1)
 	return [][]parNode{{{st: init, parent: -1}}}
 }
@@ -157,8 +160,8 @@ type levelCursor struct {
 // claims chunks of it until it is exhausted, then steals chunks from
 // the other segments in turn. Bounds that do not split n among the
 // workers (the root, a resumed level) are replaced by an even split.
-// Every worker polls stop and its canceler before each node. With one
-// worker it runs inline, goroutine-free, in index order.
+// Every worker polls stop, its canceler and the grow gate before each
+// node. With one worker it runs inline, goroutine-free, in index order.
 func (r *parRunner) runLevel(n int, bounds []int, work func(w *parWorker, i int)) {
 	bounds = r.segments(n, bounds)
 	for k := range r.cursors {
@@ -166,33 +169,35 @@ func (r *parRunner) runLevel(n int, bounds []int, work func(w *parWorker, i int)
 		r.cursors[k].end = int64(bounds[k+1])
 	}
 	chunk := int64(max(1, min(64, n/(8*len(r.workers)))))
-	run := func(k int, w *parWorker) {
+	r.gate.enter(len(r.workers))
+	run := func(w *parWorker) {
 		t0 := time.Now()
-		r.claim(k, w, chunk, work)
+		r.claim(w, chunk, work)
+		r.gate.leave()
 		w.busy += time.Since(t0)
 	}
 	if len(r.workers) == 1 {
-		run(0, r.workers[0])
+		run(r.workers[0])
 		return
 	}
 	var wg sync.WaitGroup
-	for k, w := range r.workers {
+	for _, w := range r.workers {
 		wg.Add(1)
-		go func(k int, w *parWorker) {
+		go func(w *parWorker) {
 			defer wg.Done()
-			run(k, w)
-		}(k, w)
+			run(w)
+		}(w)
 	}
 	wg.Wait()
 }
 
-// claim is worker k's share of runLevel: chunks of its own segment,
+// claim is worker w.k's share of runLevel: chunks of its own segment,
 // then of segments k+1, k+2, ... (mod workers) until every chunk is
 // claimed or the level stops. A claim past a segment's end claims
 // nothing, so each index is worked exactly once.
-func (r *parRunner) claim(k int, w *parWorker, chunk int64, work func(w *parWorker, i int)) {
+func (r *parRunner) claim(w *parWorker, chunk int64, work func(w *parWorker, i int)) {
 	for j := range r.cursors {
-		c := &r.cursors[(k+j)%len(r.cursors)]
+		c := &r.cursors[(w.k+j)%len(r.cursors)]
 		for {
 			lo := c.next.Add(chunk) - chunk
 			if lo >= c.end {
@@ -206,6 +211,7 @@ func (r *parRunner) claim(k int, w *parWorker, chunk int64, work func(w *parWork
 					r.abortCancel()
 					return
 				}
+				r.gate.poll()
 				work(w, int(i))
 			}
 		}
@@ -414,7 +420,7 @@ func (w *parWorker) expand(r *parRunner, cur []parNode, i int, safety bool) {
 				w.executed[tr.PartnerEdge] = true
 			}
 		}
-		if enc := tr.Next.Bytes(); r.visited.seen(model.Hash64(enc), enc) {
+		if enc := tr.Next.Bytes(); r.visited.seen(w.k, model.Hash64(enc), enc) {
 			w.matched++
 			w.arena.Recycle(tr.Next)
 			continue

@@ -469,62 +469,7 @@ func encOf(i int) []byte {
 	return []byte(fmt.Sprintf("state-%d-%s", i, "padding-to-make-keys-nontrivial"))
 }
 
-func TestShardedSetExact(t *testing.T) {
-	s := newShardedSet(nil)
-	for i := 0; i < 1000; i++ {
-		enc := encOf(i)
-		if s.seen(model.Hash64(enc), enc) {
-			t.Fatalf("fresh key %d reported seen", i)
-		}
-	}
-	for i := 0; i < 1000; i++ {
-		enc := encOf(i)
-		if !s.seen(model.Hash64(enc), enc) {
-			t.Fatalf("stored key %d reported unseen", i)
-		}
-	}
-	if s.size() != 1000 {
-		t.Fatalf("size = %d, want 1000", s.size())
-	}
-	if s.bytes() <= 0 {
-		t.Fatalf("bytes = %d, want > 0", s.bytes())
-	}
-}
-
-// Concurrent inserts of overlapping key ranges must store each distinct
-// key exactly once (run with -race).
-func TestShardedSetConcurrentExactCount(t *testing.T) {
-	s := newShardedSet(nil)
-	const keys, workers = 2000, 8
-	var wins [workers]int
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf []byte
-			for i := 0; i < keys; i++ {
-				buf = append(buf[:0], encOf(i)...)
-				if !s.seen(model.Hash64(buf), buf) {
-					wins[w]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.size() != keys {
-		t.Fatalf("size = %d, want %d", s.size(), keys)
-	}
-	total := 0
-	for _, n := range wins {
-		total += n
-	}
-	if total != keys {
-		t.Fatalf("%d first-insert wins across workers, want %d", total, keys)
-	}
-}
-
-// The sharded bitstate set marks exactly the two bitstateHashes bits of
+// The parallel bitstate set marks exactly the two bitstateHashes bits of
 // each key, as a plain one-goroutine bit array does, and contains reads
 // them without setting any.
 func TestParBitstateSetMatchesSequentialBits(t *testing.T) {
@@ -539,7 +484,7 @@ func TestParBitstateSetMatchesSequentialBits(t *testing.T) {
 		if got := par.contains(model.Hash64(enc), enc); got != want {
 			t.Fatalf("key %d: contains %v before insert, sequential %v", i, got, want)
 		}
-		if got := par.seen(model.Hash64(enc), enc); got != want {
+		if got := par.seen(0, model.Hash64(enc), enc); got != want {
 			t.Fatalf("key %d: parallel bitstate %v, sequential %v", i, got, want)
 		}
 		if !want {
@@ -582,7 +527,7 @@ func benchComponentStates(tb testing.TB, n int) (shape *model.State, encs [][]by
 	return shape, encs, fps
 }
 
-func BenchmarkShardedVisited(b *testing.B) {
+func BenchmarkVisitedSets(b *testing.B) {
 	shape, encs, fps := benchComponentStates(b, 4096)
 	reportBytes := func(b *testing.B, s parVisited) {
 		b.ReportMetric(float64(s.bytes())/float64(len(encs)), "bytes/state")
@@ -600,10 +545,10 @@ func BenchmarkShardedVisited(b *testing.B) {
 	b.Run("Exact", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s := newShardedSet(nil)
+			s := newStateTable(len(encs[0]), 1, nil)
 			for j := range encs {
-				s.seen(fps[j], encs[j])
-				s.seen(fps[j], encs[j])
+				s.seen(0, fps[j], encs[j])
+				s.seen(0, fps[j], encs[j])
 			}
 			reportBytes(b, s)
 		}
@@ -613,8 +558,8 @@ func BenchmarkShardedVisited(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := newCollapseSet(shape, nil)
 			for j := range encs {
-				s.seen(fps[j], encs[j])
-				s.seen(fps[j], encs[j])
+				s.seen(0, fps[j], encs[j])
+				s.seen(0, fps[j], encs[j])
 			}
 			reportBytes(b, s)
 		}
@@ -623,15 +568,19 @@ func BenchmarkShardedVisited(b *testing.B) {
 		b.ReportAllocs()
 		const workers = 4
 		for i := 0; i < b.N; i++ {
-			s := newShardedSet(nil)
+			s := newStateTable(len(encs[0]), workers, nil)
+			gate := s.gate
+			gate.enter(workers)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					defer gate.leave()
 					for j := w; j < len(encs); j += workers {
-						s.seen(fps[j], encs[j])
-						s.seen(fps[j], encs[j])
+						gate.poll()
+						s.seen(w, fps[j], encs[j])
+						s.seen(w, fps[j], encs[j])
 					}
 				}(w)
 			}
@@ -649,8 +598,8 @@ func BenchmarkShardedVisited(b *testing.B) {
 				go func(w int) {
 					defer wg.Done()
 					for j := w; j < len(encs); j += workers {
-						s.seen(fps[j], encs[j])
-						s.seen(fps[j], encs[j])
+						s.seen(w, fps[j], encs[j])
+						s.seen(w, fps[j], encs[j])
 					}
 				}(w)
 			}

@@ -132,8 +132,8 @@ func newSpillSet(mem visitedDrainer, limit int64, dir string, m spillMetrics) *s
 	return &spillSet{mem: mem, limit: limit, dir: dir, maxFiles: spillMaxFiles, m: m}
 }
 
-func (s *spillSet) seen(fp uint64, enc []byte) bool {
-	return s.mem.contains(fp, enc) || s.spilledHas(fp, enc) || s.mem.seen(fp, enc)
+func (s *spillSet) seen(k int, fp uint64, enc []byte) bool {
+	return s.mem.contains(fp, enc) || s.spilledHas(fp, enc) || s.mem.seen(k, fp, enc)
 }
 
 func (s *spillSet) contains(fp uint64, enc []byte) bool {

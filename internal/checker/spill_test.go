@@ -150,16 +150,16 @@ func TestSpillSetUnwritableDirDegrades(t *testing.T) {
 	}
 	defer os.Chmod(dir, 0o755)
 	_, encs, fps := benchComponentStates(t, 500)
-	s := newSpillSet(newShardedSet(nil), 1, filepath.Join(dir, "sub"), spillMetrics{})
+	s := newSpillSet(newStateTable(len(encs[0]), 1, nil), 1, filepath.Join(dir, "sub"), spillMetrics{})
 	defer s.close()
 	for j := range encs {
-		if s.seen(fps[j], encs[j]) {
+		if s.seen(0, fps[j], encs[j]) {
 			t.Fatalf("fresh state %d reported seen", j)
 		}
 		s.maybeSpill()
 	}
 	for j := range encs {
-		if !s.seen(fps[j], encs[j]) {
+		if !s.seen(0, fps[j], encs[j]) {
 			t.Fatalf("state %d lost", j)
 		}
 	}
@@ -176,11 +176,11 @@ func TestSpillSetUnwritableDirDegrades(t *testing.T) {
 // segments already written stay probed, and membership stays exact.
 func TestSpillSetStopsAtMaxFiles(t *testing.T) {
 	_, encs, fps := benchComponentStates(t, 500)
-	s := newSpillSet(newShardedSet(nil), 1, t.TempDir(), spillMetrics{})
+	s := newSpillSet(newStateTable(len(encs[0]), 1, nil), 1, t.TempDir(), spillMetrics{})
 	defer s.close()
 	s.maxFiles = 3
 	for j := range encs {
-		if s.seen(fps[j], encs[j]) {
+		if s.seen(0, fps[j], encs[j]) {
 			t.Fatalf("fresh state %d reported seen", j)
 		}
 		if j%50 == 49 {
@@ -196,7 +196,7 @@ func TestSpillSetStopsAtMaxFiles(t *testing.T) {
 		t.Fatalf("%d files in the run dir (%v), want 3", len(files), err)
 	}
 	for j := range encs {
-		if !s.seen(fps[j], encs[j]) {
+		if !s.seen(0, fps[j], encs[j]) {
 			t.Fatalf("state %d lost", j)
 		}
 	}
@@ -208,7 +208,7 @@ func TestSpillSetStopsAtMaxFiles(t *testing.T) {
 // spillMems are the in-memory tiers a spill set can wrap.
 func spillMems(shape *model.State) map[string]func() visitedDrainer {
 	return map[string]func() visitedDrainer{
-		"exact":    func() visitedDrainer { return newShardedSet(nil) },
+		"exact":    func() visitedDrainer { return newStateTable(len(shape.Bytes()), 1, nil) },
 		"collapse": func() visitedDrainer { return newCollapseSet(shape, nil) },
 	}
 }
@@ -226,7 +226,7 @@ func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 			defer s.close()
 			spills := 0
 			for j := range encs {
-				if s.seen(fps[j], encs[j]) {
+				if s.seen(0, fps[j], encs[j]) {
 					t.Fatalf("fresh state %d reported seen", j)
 				}
 				if j%8 != 7 {
@@ -260,7 +260,7 @@ func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 				t.Fatalf("only %d spills", spills)
 			}
 			for j := range encs {
-				if !s.seen(fps[j], encs[j]) {
+				if !s.seen(0, fps[j], encs[j]) {
 					t.Fatalf("state %d lost after merges", j)
 				}
 			}
@@ -302,10 +302,10 @@ func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
 	_, encs, fps := benchComponentStates(t, 400)
 	for _, blocked := range []int{1, 2} {
 		t.Run(fmt.Sprintf("blocked-%d", blocked), func(t *testing.T) {
-			s := newSpillSet(newShardedSet(nil), 1, t.TempDir(), spillMetrics{})
+			s := newSpillSet(newStateTable(len(encs[0]), 1, nil), 1, t.TempDir(), spillMetrics{})
 			defer s.close()
 			for j := range encs {
-				if s.seen(fps[j], encs[j]) {
+				if s.seen(0, fps[j], encs[j]) {
 					t.Fatalf("fresh state %d reported seen", j)
 				}
 				if j%100 == 99 && j < 300 {
@@ -347,7 +347,7 @@ func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
 				}
 			}
 			for j := range encs {
-				if !s.seen(fps[j], encs[j]) {
+				if !s.seen(0, fps[j], encs[j]) {
 					t.Fatalf("state %d lost", j)
 				}
 			}
@@ -465,9 +465,9 @@ func TestSpillMetrics(t *testing.T) {
 func TestSpillSetCloseRemovesSegments(t *testing.T) {
 	_, encs, fps := benchComponentStates(t, 300)
 	parent := t.TempDir()
-	s := newSpillSet(newShardedSet(nil), 1, parent, spillMetrics{})
+	s := newSpillSet(newStateTable(len(encs[0]), 1, nil), 1, parent, spillMetrics{})
 	for j := range encs {
-		s.seen(fps[j], encs[j])
+		s.seen(0, fps[j], encs[j])
 	}
 	s.maybeSpill()
 	if len(s.segs) == 0 {

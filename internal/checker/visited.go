@@ -13,11 +13,13 @@ import (
 // parVisited is the duplicate detector of the parallel engine. seen
 // tests-and-sets a state by its canonical encoding enc (its vector,
 // State.Bytes) and its 64-bit fingerprint fp (model.Hash64(enc)). It
-// reports whether the state was already present. Implementations are
-// safe for concurrent callers; enc is only read during the call and may
-// be reused by the caller afterwards.
+// reports whether the state was already present. k is the calling
+// worker's index: each worker index is used by one goroutine at a time,
+// and the exact set stores a worker's new states in that worker's arena.
+// Implementations are safe for concurrent callers; enc is only read
+// during the call and may be reused by the caller afterwards.
 type parVisited interface {
-	seen(fp uint64, enc []byte) bool
+	seen(k int, fp uint64, enc []byte) bool
 	// contains is seen without the set: it reports whether the state is
 	// present and stores nothing. Partial-order reduction's proviso
 	// reads the set through it between level barriers.
@@ -44,18 +46,22 @@ type visitedDrainer interface {
 	reset()
 }
 
-// visitedShards is the stripe count of the parallel visited structures.
-// 64 stripes keep the probability of two workers wanting the same lock
-// low even at high core counts, for a fixed cost of a few KiB.
+// visitedShards is the stripe count of the collapse set and the lock
+// count of the bitstate set. 64 stripes keep the probability of two
+// workers wanting the same lock low even at high core counts, for a
+// fixed cost of a few KiB.
 const visitedShards = 64
 
-// encTable is an open-addressed hash table of byte strings over an
-// append-only arena of [uvarint length][bytes] entries. Each slot packs
-// the top 28 bits of the entry's fingerprint (its tag) with the entry's
-// arena position + 1 into one uint64, zero marking an empty slot, so slot
-// overhead is 8 bytes against the ~48 of the map[uint64][]string it
-// replaced — and entries live as one length-prefixed copy in the arena
-// instead of a string header plus heap object each.
+// encTable is an open-addressed hash table of variable-length byte
+// strings — collapse's index tuples — over an append-only arena of
+// [uvarint length][bytes] entries. Fixed-width entries (states and
+// their components) live in a stateTable instead, which shares this
+// slot layout. Each slot packs the top 28 bits of the entry's
+// fingerprint (its tag) with the entry's arena position + 1 into one
+// uint64, zero marking an empty slot, so slot overhead is 8 bytes
+// against the ~48 of a map[uint64][]string — and entries live as one
+// length-prefixed copy in the arena instead of a string header plus
+// heap object each.
 //
 // Probing starts at the fingerprint's top log2(len(slots)) bits, a
 // prefix of the tag, so grow re-slots every entry from its slot word
@@ -78,7 +84,6 @@ const visitedShards = 64
 // one. Not safe for concurrent use; callers shard and lock.
 type encTable struct {
 	slots []uint64 // tag(28) | arena position+1 (36); 0 = empty
-	idxs  []uint32 // per-slot intern index; nil unless insertAt is given one
 	shift uint     // 64 - log2(len(slots)): an entry's home slot is fp>>shift
 	n     int
 	pages [][]byte
@@ -124,35 +129,20 @@ func (t *encTable) find(fp uint64, b []byte) (slot uint64, ok bool) {
 
 // testAndSet inserts b if absent, reporting whether it was present.
 func (t *encTable) testAndSet(fp uint64, b []byte) bool {
-	t.ensure()
-	slot, ok := t.find(fp, b)
-	if ok {
-		return true
-	}
-	t.insertAt(slot, fp, b, 0)
-	return false
-}
-
-func (t *encTable) ensure() {
 	if len(t.slots) == 0 {
 		t.slots = make([]uint64, encTableMinSlots)
 		t.shift = 64 - encTableMinSlotsLog2
 	}
-}
-
-// insertAt stores b in the empty slot find returned and reports the
-// arena position of its entry.
-func (t *encTable) insertAt(slot, fp uint64, b []byte, idx uint32) uint64 {
-	pos := t.appendEntry(b)
-	t.slots[slot] = fp&^encPosMask | (pos + 1)
-	if t.idxs != nil {
-		t.idxs[slot] = idx
+	slot, ok := t.find(fp, b)
+	if ok {
+		return true
 	}
+	t.slots[slot] = fp&^encPosMask | (t.appendEntry(b) + 1)
 	t.n++
 	if t.n*4 >= len(t.slots)*3 {
 		t.grow()
 	}
-	return pos
+	return false
 }
 
 // appendEntry adds a length-prefixed copy of b to the last page, or to
@@ -183,36 +173,40 @@ func (t *encTable) entryAt(pos uint64) []byte {
 }
 
 func (t *encTable) grow() {
-	old, oldIdxs := t.slots, t.idxs
-	n := 2 * len(old)
-	if n > encTableMaxSlots {
+	if 2*len(t.slots) > encTableMaxSlots {
 		panic("checker: visited table exceeds 2^28 slots")
 	}
-	t.slots = make([]uint64, n)
-	if oldIdxs != nil {
-		t.idxs = make([]uint32, n)
-	}
 	t.shift--
-	mask := uint64(n - 1)
-	for i, s := range old {
+	t.slots = reslot(t.slots, t.shift, nil)
+}
+
+// reslot returns a slot array twice the size of old holding old's
+// words, each probed linearly from fp>>shift. fp is rehash(word), or
+// with a nil rehash the word itself: its tag, whose prefix is the home
+// slot in a table of up to encTableMaxSlots slots.
+func reslot(old []uint64, shift uint, rehash func(word uint64) uint64) []uint64 {
+	slots := make([]uint64, 2*len(old))
+	mask := uint64(len(slots) - 1)
+	for _, s := range old {
 		if s == 0 {
 			continue
 		}
-		// The home slot is a prefix of the tag the slot word keeps.
-		j := s >> t.shift
-		for t.slots[j] != 0 {
+		fp := s
+		if rehash != nil {
+			fp = rehash(s)
+		}
+		j := fp >> shift
+		for slots[j] != 0 {
 			j = (j + 1) & mask
 		}
-		t.slots[j] = s
-		if oldIdxs != nil {
-			t.idxs[j] = oldIdxs[i]
-		}
+		slots[j] = s
 	}
+	return slots
 }
 
-// bytes is the resident footprint: arena pages plus slot arrays.
+// bytes is the resident footprint: arena pages plus the slot array.
 func (t *encTable) bytes() int64 {
-	return int64(t.total) + int64(cap(t.slots))*8 + int64(cap(t.idxs))*4
+	return int64(t.total) + int64(cap(t.slots))*8
 }
 
 func (t *encTable) forEach(fn func(enc []byte)) {
@@ -227,144 +221,17 @@ func (t *encTable) reset() {
 	*t = encTable{}
 }
 
-// visitedShard is one stripe of shardedSet / collapseSet: a lock, an
-// encTable of entries routed here by fingerprint, and (collapse only) a
-// scratch buffer for building index tuples under the lock.
-type visitedShard struct {
-	mu      sync.Mutex
-	t       encTable
-	scratch []byte
-}
-
-// shardedSet is the exact visited set of the parallel engine: states
-// route to one of visitedShards stripes by fingerprint, and each stripe
-// keeps full encodings in an open-addressed encTable, so a lookup
-// compares the cheap uint64 first and the bytes only on a slot hit.
-type shardedSet struct {
-	shards [visitedShards]visitedShard
-	// contention counts TryLock misses — a worker arriving at a stripe
-	// another worker holds. Nil (metrics disabled) is a no-op.
-	contention *obs.Counter
-}
-
-func newShardedSet(contention *obs.Counter) *shardedSet {
-	return &shardedSet{contention: contention}
-}
-
-func (s *shardedSet) seen(fp uint64, enc []byte) bool {
-	sh := &s.shards[fp%visitedShards]
-	if !sh.mu.TryLock() {
-		s.contention.Add(1)
-		sh.mu.Lock()
-	}
-	had := sh.t.testAndSet(fp, enc)
-	sh.mu.Unlock()
-	return had
-}
-
-func (s *shardedSet) contains(fp uint64, enc []byte) bool {
-	sh := &s.shards[fp%visitedShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.t.lookup(fp, enc)
-}
-
-func (s *shardedSet) size() int { return shardsSize(&s.shards) }
-
-// shardsSize sums the entries of every stripe, each under its lock.
-func shardsSize(shards *[visitedShards]visitedShard) int {
-	n := 0
-	for i := range shards {
-		sh := &shards[i]
-		sh.mu.Lock()
-		n += sh.t.n
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-func (s *shardedSet) bytes() int64 {
-	var b int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		b += sh.t.bytes()
-		sh.mu.Unlock()
-	}
-	return b
-}
-
-func (s *shardedSet) forEachEncoding(fn func(enc []byte)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.t.forEach(fn)
-		sh.mu.Unlock()
-	}
-}
-
-func (s *shardedSet) reset() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.t.reset()
-		sh.mu.Unlock()
-	}
-}
-
-// idTable is an encTable that numbers its entries: each distinct byte
-// string gets the next dense index, and starts records each index's
-// arena position, so an index reads its entry back. Not safe for
-// concurrent use.
-type idTable struct {
-	t      encTable
-	starts []uint64
-}
-
-// find returns b's index, if b is present.
-func (it *idTable) find(fp uint64, b []byte) (uint32, bool) {
-	slot, ok := it.t.find(fp, b)
-	if !ok {
-		return 0, false
-	}
-	return it.t.idxs[slot], true
-}
-
-// intern returns b's index, storing b under the next index first if it
-// is absent.
-func (it *idTable) intern(fp uint64, b []byte) uint32 {
-	it.t.ensure()
-	if it.t.idxs == nil {
-		it.t.idxs = make([]uint32, len(it.t.slots))
-	}
-	slot, ok := it.t.find(fp, b)
-	if ok {
-		return it.t.idxs[slot]
-	}
-	idx := uint32(len(it.starts))
-	it.starts = append(it.starts, it.t.insertAt(slot, fp, b, idx))
-	return idx
-}
-
-// entry returns the bytes stored under idx; the slice stays valid for
-// the table's life.
-func (it *idTable) entry(idx uint32) []byte {
-	return it.t.entryAt(it.starts[idx])
-}
-
-func (it *idTable) bytes() int64 {
-	return it.t.bytes() + int64(cap(it.starts))*8
-}
-
 // collapseTable interns the sub-vectors of one component (one process's
-// locals, one channel's contents, or the shared core). Reads take the
-// read lock — after warm-up almost every component of a new state is
-// already interned — and only a genuinely new sub-vector upgrades to
-// the write lock. Intern indices read their sub-vectors back, so tuples
-// can be expanded into full encodings for a spill.
+// locals, one channel's contents, or the shared core) in a single-writer
+// stateTable, whose refs are dense intern indices. Reads take the read
+// lock — after warm-up almost every component of a new state is already
+// interned — and only a genuinely new sub-vector upgrades to the write
+// lock, under which the table grows inline. Intern indices read their
+// sub-vectors back, so tuples can be expanded into full encodings for a
+// spill.
 type collapseTable struct {
 	mu sync.RWMutex
-	idTable
+	t  *stateTable
 }
 
 // intern returns b's intern index, interning b first if add is set;
@@ -372,50 +239,68 @@ type collapseTable struct {
 func (ct *collapseTable) intern(b []byte, add bool) (uint32, bool) {
 	fp := model.Hash64(b)
 	ct.mu.RLock()
-	idx, ok := ct.find(fp, b)
+	ref, ok := ct.t.find(fp, b)
 	ct.mu.RUnlock()
 	if ok || !add {
-		return idx, ok
+		return uint32(ref), ok
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return ct.idTable.intern(fp, b), true
+	return ct.t.intern(fp, b), true
 }
 
 func (ct *collapseTable) bytes() int64 {
 	ct.mu.RLock()
 	defer ct.mu.RUnlock()
-	return ct.idTable.bytes()
+	return ct.t.bytes()
+}
+
+// collapseStripe is one stripe of collapseSet: a lock, an encTable of
+// the tuples routed here by fingerprint, and a scratch buffer for
+// building index tuples under the lock.
+type collapseStripe struct {
+	mu      sync.Mutex
+	t       encTable
+	scratch []byte
 }
 
 // collapseSet is the collapse-compressed visited set (Spin's -DCOLLAPSE
 // analogue): each component sub-vector of a state — a fixed byte range
 // of its vector, see State.AppendComponentKeys — is interned once in a
 // per-component side table, and the state itself is stored as a tuple
-// of uvarint intern indices, routed to a stripe by the fingerprint of
-// the full encoding. Tuple equality is equivalent to encoding equality
-// — two states produce the same tuple iff every component matches —
-// so membership, verdicts, and StatesStored are identical to the exact
-// set even though the physical index assignment varies run to run.
-// The trade is CPU for memory: one extra hash+probe per component.
+// of uvarint intern indices, routed to one of visitedShards locked
+// stripes by the fingerprint of the full encoding. Tuple equality is
+// equivalent to encoding equality — two states produce the same tuple
+// iff every component matches — so membership, verdicts, and
+// StatesStored are identical to the exact set even though the physical
+// index assignment varies run to run. The trade is CPU for memory: one
+// extra hash+probe per component.
 type collapseSet struct {
-	comps      []collapseTable
-	ends       []int // comps[i] holds bytes [ends[i-1], ends[i]) of every vector
-	shards     [visitedShards]visitedShard
+	comps  []collapseTable
+	ends   []int // comps[i] holds bytes [ends[i-1], ends[i]) of every vector
+	shards [visitedShards]collapseStripe
+	// contention counts TryLock misses — a worker arriving at a stripe
+	// another worker holds. Nil (metrics disabled) is a no-op.
 	contention *obs.Counter
 }
 
 // newCollapseSet builds the set for the states of shape's system.
 func newCollapseSet(shape *model.State, contention *obs.Counter) *collapseSet {
 	_, ends := shape.AppendComponentKeys(nil, nil)
-	return &collapseSet{
+	s := &collapseSet{
 		comps:      make([]collapseTable, len(ends)),
 		ends:       ends,
 		contention: contention,
 	}
+	start := 0
+	for i, end := range ends {
+		s.comps[i].t = newStateTable(end-start, 1, nil)
+		start = end
+	}
+	return s
 }
 
-func (s *collapseSet) seen(fp uint64, enc []byte) bool {
+func (s *collapseSet) seen(_ int, fp uint64, enc []byte) bool {
 	sh := &s.shards[fp%visitedShards]
 	if !sh.mu.TryLock() {
 		s.contention.Add(1)
@@ -440,7 +325,7 @@ func (s *collapseSet) contains(fp uint64, enc []byte) bool {
 // tuple builds the index tuple of enc in sh.scratch, sh locked,
 // interning its components if add is set. Without add it reports false
 // at the first component never interned, which no stored state has.
-func (s *collapseSet) tuple(sh *visitedShard, enc []byte, add bool) ([]byte, bool) {
+func (s *collapseSet) tuple(sh *collapseStripe, enc []byte, add bool) ([]byte, bool) {
 	tuple := sh.scratch[:0]
 	start := 0
 	for i, end := range s.ends {
@@ -455,7 +340,16 @@ func (s *collapseSet) tuple(sh *visitedShard, enc []byte, add bool) ([]byte, boo
 	return tuple, true
 }
 
-func (s *collapseSet) size() int { return shardsSize(&s.shards) }
+func (s *collapseSet) size() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		n += sh.t.n
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 func (s *collapseSet) bytes() int64 {
 	var b int64
@@ -495,7 +389,7 @@ func (s *collapseSet) compRefs(tuple []byte) [][]byte {
 	for i := range s.comps {
 		idx, w := binary.Uvarint(tuple)
 		s.comps[i].mu.RLock()
-		refs[i] = s.comps[i].entry(uint32(idx))
+		refs[i] = s.comps[i].t.entry(idx)
 		s.comps[i].mu.RUnlock()
 		tuple = tuple[w:]
 	}
@@ -543,7 +437,7 @@ func newParBitstateSet(bitsLog2 uint, contention *obs.Counter) *parBitstateSet {
 	return &parBitstateSet{bits: make([]uint64, n/64), mask: n - 1, contention: contention}
 }
 
-func (s *parBitstateSet) seen(fp uint64, _ []byte) bool {
+func (s *parBitstateSet) seen(_ int, fp uint64, _ []byte) bool {
 	a, b := bitstateHashes(fp, s.mask)
 	lk := &s.locks[fp%visitedShards]
 	if !lk.TryLock() {
@@ -604,12 +498,12 @@ const (
 	VisitedCollapse = "collapse"
 )
 
-// newParVisited builds the parallel engine's visited structure:
-// bitstate when requested, otherwise an exact or collapse-compressed
-// set per Options.Visited, wrapped in the disk-spill tier when a memory
-// budget is configured (only then are the spill tier's instruments
-// registered for phase).
-func (c *Checker) newParVisited(phase string, contention, spilled *obs.Counter) parVisited {
+// newParVisited builds the visited structure of a search with the given
+// workers: bitstate when requested, otherwise an exact or
+// collapse-compressed set per Options.Visited, wrapped in the disk-spill
+// tier when a memory budget is configured (only then are the spill
+// tier's instruments registered for phase).
+func (c *Checker) newParVisited(phase string, workers int, contention, spilled *obs.Counter) parVisited {
 	st := c.opts.Storage
 	if st.Bitstate {
 		bits := st.BitstateBits
@@ -619,13 +513,27 @@ func (c *Checker) newParVisited(phase string, contention, spilled *obs.Counter) 
 		return newParBitstateSet(bits, contention)
 	}
 	var mem visitedDrainer
+	init := c.sys.InitialState()
 	if st.Visited == VisitedCollapse {
-		mem = newCollapseSet(c.sys.InitialState(), contention)
+		mem = newCollapseSet(init, contention)
 	} else {
-		mem = newShardedSet(contention)
+		mem = newStateTable(len(init.Bytes()), workers, contention)
 	}
 	if st.MemLimit > 0 {
 		return newSpillSet(mem, st.MemLimit, st.SpillDir, newSpillMetrics(c.opts.Metrics, phase, spilled))
 	}
 	return mem
+}
+
+// visitedGate is the grow gate the level engine's workers pass at every
+// node: the exact set's, directly or under the spill tier; nil for the
+// other sets, which grow under their own locks.
+func visitedGate(v parVisited) *growGate {
+	switch v := v.(type) {
+	case *stateTable:
+		return v.gate
+	case *spillSet:
+		return visitedGate(v.mem)
+	}
+	return nil
 }

@@ -151,15 +151,15 @@ func TestEncTableSlotWordCarriesHomeSlot(t *testing.T) {
 // 64 stripes, which would otherwise dominate the byte comparison.
 func TestCollapseSetMatchesExact(t *testing.T) {
 	shape, encs, fps := benchComponentStates(t, 30000)
-	exact := newShardedSet(nil)
+	exact := newStateTable(len(encs[0]), 1, nil)
 	coll := newCollapseSet(shape, nil)
 	for j := range encs {
-		if got, want := coll.seen(fps[j], encs[j]), exact.seen(fps[j], encs[j]); got != want {
+		if got, want := coll.seen(0, fps[j], encs[j]), exact.seen(0, fps[j], encs[j]); got != want {
 			t.Fatalf("state %d: collapse %v, exact %v", j, got, want)
 		}
 	}
 	for j := range encs {
-		if !coll.seen(fps[j], encs[j]) {
+		if !coll.seen(0, fps[j], encs[j]) {
 			t.Fatalf("state %d lost from collapse set", j)
 		}
 	}
@@ -187,7 +187,7 @@ func TestCollapseSetSelfSplit(t *testing.T) {
 		t.Fatalf("ranges %v and %v for vectors of %d bytes", a.ends, b.ends, len(encs[0]))
 	}
 	for j := range encs {
-		if a.seen(fps[j], encs[j]) != b.seen(fps[j], encs[j]) {
+		if a.seen(0, fps[j], encs[j]) != b.seen(0, fps[j], encs[j]) {
 			t.Fatalf("state %d: the two sets disagree", j)
 		}
 	}
@@ -205,7 +205,7 @@ func TestCollapseSetForEachEncodingRoundTrip(t *testing.T) {
 	shape, encs, fps := benchComponentStates(t, 400)
 	coll := newCollapseSet(shape, nil)
 	for j := range encs {
-		coll.seen(fps[j], encs[j])
+		coll.seen(0, fps[j], encs[j])
 	}
 	want := map[string]bool{}
 	for _, e := range encs {
@@ -234,7 +234,7 @@ func TestCollapseSetConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for j := range encs {
-				if !coll.seen(fps[j], encs[j]) {
+				if !coll.seen(0, fps[j], encs[j]) {
 					wins[w]++
 				}
 			}
@@ -259,14 +259,14 @@ func TestCollapseSetResetKeepsSideTables(t *testing.T) {
 	shape, encs, fps := benchComponentStates(t, 300)
 	coll := newCollapseSet(shape, nil)
 	for j := range encs {
-		coll.seen(fps[j], encs[j])
+		coll.seen(0, fps[j], encs[j])
 	}
 	coll.reset()
 	if coll.size() != 0 {
 		t.Fatalf("size after reset = %d", coll.size())
 	}
 	for j := range encs {
-		if coll.seen(fps[j], encs[j]) {
+		if coll.seen(0, fps[j], encs[j]) {
 			t.Fatalf("state %d still present after reset", j)
 		}
 	}

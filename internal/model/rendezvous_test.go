@@ -347,3 +347,56 @@ proctype Rcv(chan in) { byte v; in?v }
 		t.Fatalf("index not rebuilt after AddChannel: %d channels", len(x.recv))
 	}
 }
+
+// The readiness probes evaluate message values into a stack buffer, so
+// they allocate nothing, in any reachable state of the oracle system.
+func TestRendezvousReadinessAllocatesNothing(t *testing.T) {
+	s := rendezvousOracleSystem(t)
+	s.rendezvousSites()
+	type probe struct {
+		st    *State
+		p, id int
+		e     *pml.Edge
+	}
+	var probes []probe
+	seen := map[string]bool{}
+	for frontier := []*State{s.InitialState()}; len(frontier) > 0; {
+		var next []*State
+		for _, st := range frontier {
+			for p, inst := range s.insts {
+				node := &inst.Proc.Nodes[st.pc(p)]
+				for ei := range node.Edges {
+					e := &node.Edges[ei]
+					if e.Kind != pml.EdgeSend && e.Kind != pml.EdgeRecv {
+						continue
+					}
+					if id := s.resolveChanFor(inst, e.Ch); s.shapes[id].cap == 0 {
+						probes = append(probes, probe{st, p, id, e})
+					}
+				}
+			}
+			for _, tr := range s.Successors(st) {
+				if k := tr.Next.Key(); tr.Violation == "" && !seen[k] {
+					seen[k] = true
+					next = append(next, tr.Next)
+				}
+			}
+		}
+		frontier = next
+	}
+	if len(probes) == 0 {
+		t.Fatal("no rendezvous operation on offer")
+	}
+	n := testing.AllocsPerRun(3, func() {
+		for _, q := range probes {
+			if q.e.Kind == pml.EdgeRecv {
+				s.rendezvousSenderReady(q.st, q.p, q.e, q.id, false)
+			} else {
+				s.rendezvousReceiverReady(q.st, q.p, q.e, q.id, false)
+			}
+		}
+	})
+	if n != 0 {
+		t.Fatalf("%d readiness probes allocate %.1f times", len(probes), n)
+	}
+}

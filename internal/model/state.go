@@ -33,11 +33,31 @@ func (st *State) clone(a *Arena) *State {
 // Arena recycles successor-generation scratch for one explorer (a level
 // engine worker, or the liveness product's build): states discarded as
 // duplicates, or retired once nothing reads them, hand back their State
-// and vector, so the next clone allocates neither. An Arena must not be
-// shared between goroutines; a nil *Arena disables recycling (every
-// clone allocates fresh storage).
+// and vector, so the next clone allocates neither. It also carves the
+// message values of transitions (Transition.Msg) from a slab. An Arena
+// must not be shared between goroutines; a nil *Arena disables both
+// (every clone and message allocates fresh storage).
 type Arena struct {
 	free []*State
+	msgs []int64 // the slab: values past len are unused, values before it are never rewritten
+}
+
+// arenaMsgSlab is the value count of one message slab.
+const arenaMsgSlab = 512
+
+// msg returns a copy of vals that stays valid as long as it is read:
+// carved from the slab, which is replaced rather than reused once full,
+// so a retained message is never overwritten.
+func (a *Arena) msg(vals []int64) []int64 {
+	if a == nil {
+		return append(make([]int64, 0, len(vals)), vals...)
+	}
+	if a.msgs == nil || cap(a.msgs)-len(a.msgs) < len(vals) {
+		a.msgs = make([]int64, 0, max(arenaMsgSlab, len(vals)))
+	}
+	n := len(a.msgs)
+	a.msgs = append(a.msgs, vals...)
+	return a.msgs[n:len(a.msgs):len(a.msgs)]
 }
 
 // Recycle returns a discarded state's storage to the arena. The caller

@@ -200,19 +200,41 @@ func (s *System) execEdge(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 	}
 }
 
-func (s *System) execSend(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out []Transition) []Transition {
+// msgBuf is the stack buffer message values are evaluated into; longer
+// messages allocate.
+type msgBuf [8]int64
+
+// vals returns n values of b, or a fresh slice if n does not fit.
+func (b *msgBuf) vals(n int) []int64 {
+	if n > len(b) {
+		return make([]int64, n)
+	}
+	return b[:n]
+}
+
+// sendValues evaluates p's send arguments in st, truncated to channel
+// id's field types, into buf.
+func (s *System) sendValues(st *State, p int, e *pml.Edge, id int, tmo bool, buf *msgBuf) ([]int64, error) {
 	ev := env{s: s, st: st, proc: p, tmo: tmo}
-	id := s.resolveChanFor(s.insts[p], e.Ch)
-	shape := &s.shapes[id]
-	vals := make([]int64, len(e.SendArgs))
+	vals := buf.vals(len(e.SendArgs))
 	for i, arg := range e.SendArgs {
 		v, err := pml.Eval(arg, ev)
 		if err != nil {
-			return append(out, s.violate(st, p, e, err.Error()))
+			return nil, err
 		}
-		vals[i] = shape.fields[i].Truncate(v)
+		vals[i] = s.shapes[id].fields[i].Truncate(v)
 	}
-	if shape.cap == 0 {
+	return vals, nil
+}
+
+func (s *System) execSend(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out []Transition) []Transition {
+	id := s.resolveChanFor(s.insts[p], e.Ch)
+	var buf msgBuf
+	vals, err := s.sendValues(st, p, e, id, tmo, &buf)
+	if err != nil {
+		return append(out, s.violate(st, p, e, err.Error()))
+	}
+	if s.shapes[id].cap == 0 {
 		return s.rendezvous(st, p, e, id, vals, tmo, a, out)
 	}
 	c := &st.l.chans[id]
@@ -224,13 +246,14 @@ func (s *System) execSend(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 	c.send(next.v, n, vals, e.Sorted)
 	next.setPC(p, e.Dst)
 	s.normalizeAtomic(next, p)
-	return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: ChanID(id), Msg: vals, Next: next})
+	return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: ChanID(id), Msg: a.msg(vals), Next: next})
 }
 
 // rendezvous pairs a send on a zero-capacity channel with every matching
 // receive another process is currently offering; each pairing is one
-// combined transition.
+// combined transition, and the pairings share one copy of vals.
 func (s *System) rendezvous(st *State, p int, e *pml.Edge, id int, vals []int64, tmo bool, a *Arena, out []Transition) []Transition {
+	var msg []int64
 	for _, site := range s.rendezvousSites().recv[id] {
 		q, er := int(site.proc), site.e
 		if q == p || st.pc(q) != site.node {
@@ -249,9 +272,12 @@ func (s *System) rendezvous(st *State, p int, e *pml.Edge, id int, vals []int64,
 		next.setPC(p, e.Dst)
 		next.setPC(q, er.Dst)
 		s.normalizeAtomic(next, p)
+		if msg == nil {
+			msg = a.msg(vals)
+		}
 		out = append(out, Transition{
 			Proc: p, Edge: e, Partner: q, PartnerEdge: er,
-			Ch: ChanID(id), Msg: vals, Next: next,
+			Ch: ChanID(id), Msg: msg, Next: next,
 		})
 	}
 	return out
@@ -321,7 +347,8 @@ func (s *System) execRecv(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 	if e.Random {
 		limit = n
 	}
-	msg := make([]int64, len(c.fields))
+	var buf msgBuf
+	msg := buf.vals(len(c.fields))
 	for i := 0; i < limit; i++ {
 		c.msg(st.v, i, msg)
 		ok, err := s.patternMatches(st, p, e.RecvArgs, msg, tmo)
@@ -336,7 +363,7 @@ func (s *System) execRecv(st *State, p int, e *pml.Edge, tmo bool, a *Arena, out
 		c.remove(next.v, i, n)
 		next.setPC(p, e.Dst)
 		s.normalizeAtomic(next, p)
-		return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: ChanID(id), Msg: msg, Next: next})
+		return append(out, Transition{Proc: p, Edge: e, Partner: -1, Ch: ChanID(id), Msg: a.msg(msg), Next: next})
 	}
 	return out
 }
@@ -492,11 +519,8 @@ func (s *System) edgeEnabled(st *State, p int, e *pml.Edge, tmo bool) bool {
 		if e.Random {
 			limit = n
 		}
-		var buf [8]int64
-		msg := buf[:min(len(c.fields), len(buf))]
-		if len(c.fields) > len(buf) {
-			msg = make([]int64, len(c.fields))
-		}
+		var buf msgBuf
+		msg := buf.vals(len(c.fields))
 		for i := 0; i < limit; i++ {
 			c.msg(st.v, i, msg)
 			ok, err := s.patternMatches(st, p, e.RecvArgs, msg, tmo)
@@ -513,14 +537,10 @@ func (s *System) edgeEnabled(st *State, p int, e *pml.Edge, tmo bool) bool {
 // rendezvousReceiverReady reports whether some other process offers a
 // receive matching p's rendezvous send on channel id.
 func (s *System) rendezvousReceiverReady(st *State, p int, e *pml.Edge, id int, tmo bool) bool {
-	ev := env{s: s, st: st, proc: p, tmo: tmo}
-	vals := make([]int64, len(e.SendArgs))
-	for i, a := range e.SendArgs {
-		v, err := pml.Eval(a, ev)
-		if err != nil {
-			return true // "enabled": execution will surface the error
-		}
-		vals[i] = s.shapes[id].fields[i].Truncate(v)
+	var buf msgBuf
+	vals, err := s.sendValues(st, p, e, id, tmo, &buf)
+	if err != nil {
+		return true // "enabled": execution will surface the error
 	}
 	for _, site := range s.rendezvousSites().recv[id] {
 		q := int(site.proc)
@@ -539,22 +559,13 @@ func (s *System) rendezvousReceiverReady(st *State, p int, e *pml.Edge, id int, 
 // else-semantics and atomic renormalization on the receiving side.
 func (s *System) rendezvousSenderReady(st *State, p int, e *pml.Edge, id int, tmo bool) bool {
 	for _, site := range s.rendezvousSites().send[id] {
-		q, es := int(site.proc), site.e
+		q := int(site.proc)
 		if q == p || st.pc(q) != site.node {
 			continue
 		}
-		ev := env{s: s, st: st, proc: q, tmo: tmo}
-		vals := make([]int64, len(es.SendArgs))
-		bad := false
-		for i, a := range es.SendArgs {
-			v, err := pml.Eval(a, ev)
-			if err != nil {
-				bad = true
-				break
-			}
-			vals[i] = s.shapes[id].fields[i].Truncate(v)
-		}
-		if bad {
+		var buf msgBuf
+		vals, err := s.sendValues(st, q, site.e, id, tmo, &buf)
+		if err != nil {
 			return true
 		}
 		ok, err := s.patternMatches(st, p, e.RecvArgs, vals, tmo)
