@@ -6,9 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"pnp/internal/frame"
 	"pnp/internal/model"
@@ -37,7 +37,8 @@ type DurabilityOptions struct {
 	// Key names this search's checkpoint file within Dir; callers use a
 	// content hash of the submission (plus the property name when one
 	// submission carries several searchable properties). Empty disables
-	// checkpointing.
+	// checkpointing, as does a key another search of this process is
+	// using: a log has one writer.
 	Key string
 	// Interval is the number of completed levels between commits
 	// (default 1: every barrier). Every level is appended as it
@@ -58,23 +59,26 @@ type DurabilityOptions struct {
 // Checkpoint file layout: an 8-byte magic, then internal/frame frames
 // whose first payload byte is a tag:
 //
-//	'L' uvarint depth, then [uvarint length][state vector] entries (the
-//	    spill blob's entry layout): one BFS level, split into frames of
-//	    about ckptFrameBytes
+//	'L' uvarint depth, then n × width bytes: n state vectors of one BFS
+//	    level (frames of about ckptFrameBytes). Every vector is
+//	    layout.size bytes and the commit's model id pins the system, so
+//	    an entry needs no length.
 //	'C' JSON ckptCommit: every level before it is durable
 //
 // Levels follow each other in depth order from the root. The file is
 // only ever appended to — a resume first truncates the uncommitted tail
 // — so a reader keeps the prefix up to the last commit that agrees with
 // the levels before it, and a log cut anywhere reads back as its last
-// durable state.
+// durable state. The same writer keeps a budgeted search's level log
+// when it is not durable: an unsynced scratch file with no commits in
+// the search's spill directory. Either way the log is the search's one
+// on-disk copy of every state, which the spill tier indexes (spill.go).
 //
-// PNPCKPT3 logs hold state vectors. A PNPCKPT2 log, whose entries are
-// the varint encoding that preceded them, is ignored like any foreign
-// file: an old entry can have a vector's length and pass
-// System.CheckState, and resuming from it would expand a state the
-// design cannot reach.
-const ckptMagic = "PNPCKPT3"
+// Older logs are ignored like any foreign file: PNPCKPT3 framed each
+// vector with a uvarint length, and a PNPCKPT2 entry (the varint
+// encoding before vectors) can have a vector's length and pass
+// System.CheckState, so resuming it would expand an unreachable state.
+const ckptMagic = "PNPCKPT4"
 
 const (
 	ckptTagLevel  = 'L'
@@ -117,31 +121,52 @@ func CheckpointFileName(key string) string {
 	return string(b) + ".ckpt"
 }
 
-// checkpointer appends one level search's log. A nil checkpointer
-// (disabled, wrong engine) is a no-op on every method.
+// checkpointer appends one level search's log. A nil checkpointer (no
+// durability and no budget, or the wrong engine) is a no-op on every
+// method.
 type checkpointer struct {
 	c       *Checker
 	opts    DurabilityOptions
+	durable bool // false: a budgeted search's scratch log, never committed or resumed
 	phase   string
 	file    string
 	modelID string
 	f       *os.File // the open log: nil until the first barrier or a resume
+	size    int64    // bytes in the log: the offset of the next frame
 	buf     []byte   // the frame being built, reused across barriers
 	since   int
 	failed  bool
+	spill   *spillSet // under a memory budget: indexes the logged vectors
 
 	cBytes *obs.Counter
 }
 
-// newCheckpointer arms checkpointing for one level search, or returns
-// nil when it does not apply (no options or no key).
-func (c *Checker) newCheckpointer(phase string) *checkpointer {
+// ckptOwners holds the paths of the durable logs open in this process.
+// A budgeted search reads its log back at offsets it counted itself, so
+// a log has one writer: a second search under a key in use (verifyd runs
+// jobs of one submission side by side) must not truncate or append to it.
+var ckptOwners sync.Map
+
+// newCheckpointer arms the level log of one level search: the durable
+// checkpoint when Options.Durability applies (options with a key, no
+// ReportUnreached) and no other search of the process holds the key's
+// log, otherwise the scratch log of spill, the search's spill tier. It
+// returns nil when neither applies.
+func (c *Checker) newCheckpointer(phase string, spill *spillSet) *checkpointer {
 	o := c.opts.Durability
-	if o == nil || o.Dir == "" || o.Key == "" || c.opts.ReportUnreached {
-		return nil
+	var file string
+	taken := true
+	if o != nil && o.Dir != "" && o.Key != "" && !c.opts.ReportUnreached {
+		file = filepath.Join(o.Dir, CheckpointFileName(o.Key))
+		_, taken = ckptOwners.LoadOrStore(file, true)
 	}
-	ck := &checkpointer{c: c, opts: *o, phase: phase, modelID: modelFingerprint(c.sys)}
-	ck.file = filepath.Join(o.Dir, CheckpointFileName(o.Key))
+	if taken {
+		if spill == nil {
+			return nil
+		}
+		return &checkpointer{spill: spill, cBytes: spill.m.bytes}
+	}
+	ck := &checkpointer{c: c, opts: *o, durable: true, phase: phase, modelID: modelFingerprint(c.sys), spill: spill, file: file}
 	if ck.opts.Interval < 1 {
 		ck.opts.Interval = 1
 	}
@@ -160,16 +185,28 @@ func modelFingerprint(sys *model.System) string {
 }
 
 // barrier appends next, the level just collected at depth, to the log,
-// and commits every Interval barriers. The first barrier of a fresh
-// search creates the log and writes root, levels[0], ahead of it. An empty next means the search is
-// about to terminate, so nothing is written. A write failure disables
-// the checkpointer but never fails the search.
+// commits every Interval barriers when durable, then lets the spill
+// tier index what the log now holds when the budget is exceeded. The
+// first barrier of a fresh search creates the log and writes root,
+// levels[0], ahead of it. An empty next means the search is about to
+// terminate, so nothing is written. A write failure disables the log
+// but never fails the search; it turns the spill tier off too, since
+// the index could point at vectors the log lacks.
 func (ck *checkpointer) barrier(depth int, root, next []parNode, st *Stats) {
-	if ck == nil || ck.failed || len(next) == 0 {
+	if ck == nil || len(next) == 0 {
 		return
 	}
-	if err := ck.extend(depth, root, next, st); err != nil {
+	s := ck.spill
+	if !ck.failed && (ck.durable || !s.failed) && ck.extend(depth, root, next, st) != nil {
 		ck.failed = true
+	}
+	if s != nil {
+		if ck.failed {
+			s.fail()
+		} else if s.due() {
+			s.spill(ck.f, ck.size)
+		}
+		st.SpilledStates = int(s.spilled.Load())
 	}
 }
 
@@ -181,6 +218,9 @@ func (ck *checkpointer) extend(depth int, root, next []parNode, st *Stats) error
 	}
 	if err := ck.writeLevel(depth, next); err != nil {
 		return err
+	}
+	if !ck.durable {
+		return nil
 	}
 	if ck.since++; ck.since < ck.opts.Interval {
 		return nil
@@ -209,7 +249,14 @@ func (ck *checkpointer) extend(depth int, root, next []parNode, st *Stats) error
 
 // create starts a fresh log holding the root level.
 func (ck *checkpointer) create(root []parNode) error {
-	if err := os.MkdirAll(ck.opts.Dir, 0o755); err != nil {
+	dir := ck.opts.Dir
+	if !ck.durable {
+		if err := ck.spill.ensureRunDir(); err != nil {
+			return err
+		}
+		dir = ck.spill.runDir
+		ck.file = filepath.Join(dir, "levels.log")
+	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	f, err := os.Create(ck.file)
@@ -217,7 +264,9 @@ func (ck *checkpointer) create(root []parNode) error {
 		return err
 	}
 	ck.f = f
-	syncDir(ck.opts.Dir)
+	if ck.durable {
+		syncDir(dir)
+	}
 	if err := ck.write([]byte(ckptMagic)); err != nil {
 		return err
 	}
@@ -225,20 +274,24 @@ func (ck *checkpointer) create(root []parNode) error {
 }
 
 // writeLevel appends one level, given by its nodes' state vectors, as
-// 'L' frames.
+// 'L' frames, and queues each frame's run of vectors for the spill tier
+// to index.
 func (ck *checkpointer) writeLevel(depth int, level []parNode) error {
-	start := func() { ck.buf = binary.AppendUvarint(ck.startFrame(ckptTagLevel), uint64(depth)) }
-	start()
-	for i := range level {
-		enc := level[i].st.Bytes()
-		ck.buf = binary.AppendUvarint(ck.buf, uint64(len(enc)))
-		ck.buf = append(ck.buf, enc...)
-		if len(ck.buf) >= ckptFrameBytes || i == len(level)-1 {
-			if err := ck.writeFrame(); err != nil {
-				return err
-			}
-			start()
+	per := max(1, ckptFrameBytes/len(level[0].st.Bytes()))
+	for len(level) > 0 {
+		n := min(len(level), per)
+		ck.buf = binary.AppendUvarint(ck.startFrame(ckptTagLevel), uint64(depth))
+		run := ckptRun{off: ck.size + int64(len(ck.buf)), n: n}
+		for i := range level[:n] {
+			ck.buf = append(ck.buf, level[i].st.Bytes()...)
 		}
+		if err := ck.writeFrame(); err != nil {
+			return err
+		}
+		if ck.spill != nil {
+			ck.spill.pending = append(ck.spill.pending, run)
+		}
+		level = level[n:]
 	}
 	return nil
 }
@@ -259,6 +312,7 @@ func (ck *checkpointer) writeFrame() error {
 
 func (ck *checkpointer) write(b []byte) error {
 	n, err := ck.f.Write(b)
+	ck.size += int64(n)
 	ck.cBytes.Add(int64(n))
 	return err
 }
@@ -274,53 +328,62 @@ func syncDir(dir string) {
 
 // restore loads the last intact commit of the log into the runner and
 // returns the resumed frontier level and its depth, leaving the log
-// open for appending right after that commit. ok is false — and the
-// search starts fresh — when resume is off, the file is missing, or
-// anything about it fails validation: an entry that is not a vector of
-// the system's length, or a frontier state the system could not reach
+// open for appending right after that commit. The log is mapped, not
+// read into memory. Under a memory budget its committed vectors become
+// one spill segment and the in-memory tier starts empty; otherwise they
+// go into the in-memory visited set. ok is false — and the search
+// starts fresh — when resume is off, the file is missing, or anything
+// about it fails validation: a level frame that is not whole vectors
+// of the system's width, or a frontier state the system could not reach
 // or not in canonical form (model.System.CheckState).
 func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, depth int, ok bool) {
-	if ck == nil || !ck.opts.Resume {
+	if ck == nil || !ck.durable || !ck.opts.Resume {
 		return nil, 0, false
 	}
-	data, err := os.ReadFile(ck.file)
+	f, err := os.OpenFile(ck.file, os.O_RDWR|os.O_APPEND, 0)
 	if err != nil {
 		return nil, 0, false
 	}
-	log, err := readCheckpoint(data)
+	defer func() {
+		if !ok {
+			f.Close()
+		}
+	}()
+	var view fileView
+	if view.extendTo(f, -1) != nil {
+		return nil, 0, false
+	}
+	defer view.close()
+	sys := ck.c.sys
+	shape := sys.InitialState()
+	width := len(shape.Bytes())
+	log, err := readCheckpoint(view.data, width)
 	if err != nil || log.commit.Phase != ck.phase || log.commit.Model != ck.modelID ||
 		log.commit.POR != ck.c.opts.PartialOrder {
 		return nil, 0, false
 	}
-	sys := ck.c.sys
-	shape := sys.InitialState()
-	// Every entry goes into the visited set, whose collapse tier cuts it
-	// at the vector's fixed offsets.
-	for _, enc := range log.visited {
-		if len(enc) != len(shape.Bytes()) {
-			return nil, 0, false
-		}
-	}
-	frontier := log.visited[log.front:]
-	front := make([]parNode, 0, len(frontier))
-	for _, b := range frontier {
-		st, err := model.DecodeKey(shape, b)
+	var front []parNode
+	ok = true
+	eachVector(view.data, log.runs[log.front:], width, func(_ int64, vec []byte) {
+		st, err := model.DecodeKey(shape, vec)
 		if err != nil || sys.CheckState(st) != nil {
-			return nil, 0, false
+			ok = false
+		} else if ok {
+			front = append(front, parNode{st: st, parent: -1})
 		}
-		front = append(front, parNode{st: st, parent: -1})
-	}
-	f, err := os.OpenFile(ck.file, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
+	})
+	if !ok || f.Truncate(log.size) != nil {
 		return nil, 0, false
 	}
-	if err := f.Truncate(log.size); err != nil {
-		f.Close()
-		return nil, 0, false
+	ck.f, ck.size = f, log.size
+	indexed := false
+	if s := ck.spill; s != nil {
+		s.pending = log.runs
+		indexed = s.spill(f, log.size)
+		res.Stats.SpilledStates = int(s.spilled.Load())
 	}
-	ck.f = f
-	for _, enc := range log.visited {
-		r.visited.seen(0, model.Hash64(enc), enc)
+	if !indexed {
+		eachVector(view.data, log.runs, width, func(_ int64, vec []byte) { r.visited.seen(0, model.Hash64(vec), vec) })
 	}
 	c := log.commit
 	r.stored.Store(int64(c.Stored))
@@ -332,9 +395,10 @@ func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, 
 	return [][]parNode{front}, c.Depth, true
 }
 
-// finish closes the log and removes it once the search produced a real
-// verdict. A Canceled search keeps its file — that is the crash/resume
-// path — as does a crash (finish never runs).
+// finish closes the log, removes a durable one once the search produced
+// a real verdict, and gives up its ownership. A Canceled search keeps
+// its file — the crash/resume path — as does a crash (finish never
+// runs). The spill tier removes a scratch log with its directory.
 func (ck *checkpointer) finish(res *Result) {
 	if ck == nil {
 		return
@@ -342,32 +406,54 @@ func (ck *checkpointer) finish(res *Result) {
 	if ck.f != nil {
 		ck.f.Close()
 	}
-	if res.Kind != Canceled {
-		os.Remove(ck.file)
+	if ck.durable {
+		if res.Kind != Canceled {
+			os.Remove(ck.file)
+		}
+		ckptOwners.Delete(ck.file)
 	}
 }
 
 // ckptLog is the committed prefix of a checkpoint log.
 type ckptLog struct {
-	commit  ckptCommit
-	visited [][]byte // every stored state's encoding, level by level
-	front   int      // index in visited of the frontier, the last level
-	size    int64    // byte length of the prefix, through the commit
+	commit ckptCommit
+	runs   []ckptRun // every 'L' frame before the commit, in log order
+	front  int       // runs[front:] hold the frontier, the last level
+	size   int64     // byte length of the prefix, through the commit
 }
 
-// readCheckpoint parses a checkpoint log up to its last valid commit:
-// one whose depth is the last level's and whose Stored counts every
-// entry before it. Scanning stops at the first torn or corrupt frame, so
-// everything it keeps passed its CRC. Entries alias data.
-func readCheckpoint(data []byte) (*ckptLog, error) {
-	if !bytes.HasPrefix(data, []byte(ckptMagic)) {
+// ckptRun is the vectors of one 'L' frame: n of them from byte off.
+type ckptRun struct {
+	off int64
+	n   int
+}
+
+// eachVector calls fn with the offset and bytes of every width-byte
+// vector of runs, runs of the log data.
+func eachVector(data []byte, runs []ckptRun, width int, fn func(off int64, vec []byte)) {
+	w := int64(width)
+	for _, r := range runs {
+		for off := r.off; off < r.off+int64(r.n)*w; off += w {
+			fn(off, data[off:off+w:off+w])
+		}
+	}
+}
+
+// readCheckpoint parses a log of width-byte vectors up to its last
+// valid commit: one whose depth is the last level's and whose Stored
+// counts every vector before it. Scanning stops at the first torn or
+// corrupt frame, or a level frame that is not whole vectors, so
+// everything it keeps passed its CRC. The log aliases data.
+func readCheckpoint(data []byte, width int) (*ckptLog, error) {
+	if width < 1 || !bytes.HasPrefix(data, []byte(ckptMagic)) {
 		return nil, errors.New("checker: bad checkpoint magic")
 	}
 	var (
-		log     *ckptLog
-		entries [][]byte
-		depth   = -1 // of the last level read
-		front   int  // where its entries start
+		log    *ckptLog
+		runs   []ckptRun
+		stored int
+		depth  = -1 // of the last level read
+		front  int  // where its runs start
 	)
 	rest := data[len(ckptMagic):]
 scan:
@@ -376,31 +462,31 @@ scan:
 		if err != nil {
 			break
 		}
+		at := int64(len(data)-len(rest)) + frame.HeaderSize + 1 // the offset of body
 		rest = next
 		body := payload[1:]
 		switch payload[0] {
 		case ckptTagLevel:
 			d, w := binary.Uvarint(body)
-			switch {
-			case w <= 0:
+			if w <= 0 || len(body) == w || (len(body)-w)%width != 0 {
 				break scan
+			}
+			switch {
 			case d == uint64(depth+1):
 				depth++
-				front = len(entries)
+				front = len(runs)
 			case depth < 0 || d != uint64(depth):
 				break scan
 			}
-			more, err := readEntries(body[w:], entries)
-			if err != nil {
-				break scan
-			}
-			entries = more
+			n := (len(body) - w) / width
+			runs = append(runs, ckptRun{off: at + int64(w), n: n})
+			stored += n
 		case ckptTagCommit:
 			var c ckptCommit
-			if json.Unmarshal(body, &c) != nil || c.Depth != depth || c.Stored != len(entries) || front == len(entries) {
+			if json.Unmarshal(body, &c) != nil || c.Depth != depth || c.Stored != stored || front == len(runs) {
 				break scan
 			}
-			log = &ckptLog{commit: c, front: front, size: int64(len(data) - len(rest))}
+			log = &ckptLog{commit: c, runs: runs, front: front, size: int64(len(data) - len(rest))}
 		default:
 			break scan
 		}
@@ -408,20 +494,5 @@ scan:
 	if log == nil {
 		return nil, errors.New("checker: checkpoint has no intact commit")
 	}
-	log.visited = entries[:log.commit.Stored]
 	return log, nil
-}
-
-// readEntries appends the concatenated length-prefixed state encodings
-// in body to into.
-func readEntries(body []byte, into [][]byte) ([][]byte, error) {
-	for len(body) > 0 {
-		n, w := binary.Uvarint(body)
-		if w <= 0 || n > uint64(len(body)-w) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		into = append(into, body[w:w+int(n)])
-		body = body[w+int(n):]
-	}
-	return into, nil
 }

@@ -282,7 +282,6 @@ func craftedLog(t *testing.T, sys *model.System, front []byte) []byte {
 	data := []byte(ckptMagic)
 	for depth, enc := range [][]byte{sys.InitialState().Bytes(), front} {
 		payload := binary.AppendUvarint([]byte{ckptTagLevel}, uint64(depth))
-		payload = binary.AppendUvarint(payload, uint64(len(enc)))
 		data = frame.Append(data, append(payload, enc...))
 	}
 	commit, err := json.Marshal(ckptCommit{Phase: "safety-par-bfs", Model: modelFingerprint(sys), Depth: 1, Stored: 2, Transitions: 1})
@@ -296,7 +295,10 @@ func craftedLog(t *testing.T, sys *model.System, front []byte) []byte {
 // holds bytes that are not a state the system can be in must be
 // ignored, not expanded (expanding a PC past its process's nodes
 // indexes out of range): the search starts fresh and reaches the fresh
-// verdict. The vector of src is [atomic][pc][g][l][count][field][field].
+// verdict. A frontier of the wrong length is not whole vectors, so the
+// reader already drops its frame and with it the commit; one of the
+// right length reads back and is refused by System.CheckState. The
+// vector of src is [atomic][pc][g][l][count][field][field].
 func TestCheckpointResumeRejectsImpossibleState(t *testing.T) {
 	const src = `
 chan c = [1] of { byte, byte };
@@ -324,9 +326,11 @@ active proctype P() { byte l; c!1,2; c?l,g; l = g }`
 		t.Run(name, func(t *testing.T) {
 			sys := sysFromSource(t, src)
 			dir := t.TempDir()
-			data := craftedLog(t, sys, bad(sys.InitialState().AppendKey(nil)))
-			if _, err := readCheckpoint(data); err != nil {
-				t.Fatalf("the crafted log does not read back: %v", err)
+			front := bad(sys.InitialState().AppendKey(nil))
+			data := craftedLog(t, sys, front)
+			width := len(sys.InitialState().Bytes())
+			if _, err := readCheckpoint(data, width); (err == nil) != (len(front) == width) {
+				t.Fatalf("a crafted frontier of %d bytes for %d-byte vectors: readCheckpoint = %v", len(front), width, err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, CheckpointFileName("bad")), data, 0o644); err != nil {
 				t.Fatal(err)
@@ -346,7 +350,7 @@ active proctype P() { byte l; c!1,2; c?l,g; l = g }`
 	if err := os.WriteFile(filepath.Join(dir, CheckpointFileName("good")), craftedLog(t, sys, succ.Bytes()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ck := New(sys, Options{Workers: 1, Durability: &DurabilityOptions{Dir: dir, Key: "good", Resume: true}}).newCheckpointer("safety-par-bfs")
+	ck := New(sys, Options{Workers: 1, Durability: &DurabilityOptions{Dir: dir, Key: "good", Resume: true}}).newCheckpointer("safety-par-bfs", nil)
 	if _, depth, ok := ck.restore(New(sys, Options{Workers: 1}).newParRunner("safety-par-bfs"), &Result{}); !ok || depth != 1 {
 		t.Fatalf("a crafted log of a reachable frontier does not resume: ok %v, depth %d", ok, depth)
 	}
@@ -367,6 +371,7 @@ active proctype Q() { do :: b < 6 -> b = b + 1 :: else -> break od }`
 		Dir: t.TempDir(), Key: "t",
 		OnWrite: func(file string, d, _ int) { logs[d], _ = os.ReadFile(file) },
 	}}).CheckSafety()
+	width := len(sysFromSource(t, src).InitialState().Bytes())
 	prev, last := logs[4], logs[5]
 	if len(prev) == 0 || len(last) <= len(prev) || !bytes.HasPrefix(last, prev) {
 		t.Fatalf("depth-5 log (%d bytes) does not extend the depth-4 log (%d bytes)", len(last), len(prev))
@@ -378,7 +383,7 @@ active proctype Q() { do :: b < 6 -> b = b + 1 :: else -> break od }`
 		if cut == len(last) {
 			want = 5
 		}
-		if log, err := readCheckpoint(last[:cut]); err != nil || log.commit.Depth != want {
+		if log, err := readCheckpoint(last[:cut], width); err != nil || log.commit.Depth != want {
 			t.Fatalf("cut at %d: readCheckpoint = %+v, %v; want the depth-%d commit", cut, log, err, want)
 		}
 		if err := os.WriteFile(filepath.Join(dir, CheckpointFileName("t")), last[:cut], 0o644); err != nil {
@@ -430,7 +435,7 @@ func TestCheckpointIntervalResumeTruncatesUncommitted(t *testing.T) {
 			continue
 		}
 		data, _ = os.ReadFile(file)
-		l, err := readCheckpoint(data)
+		l, err := readCheckpoint(data, ckptWidth(t))
 		if err != nil {
 			t.Fatalf("canceled log: %v", err)
 		}
@@ -462,7 +467,7 @@ func TestCheckpointIntervalResumeTruncatesUncommitted(t *testing.T) {
 	if !bytes.HasPrefix(resumedLog, data[:log.size]) {
 		t.Fatal("resumed log does not continue the committed prefix")
 	}
-	if l, err := readCheckpoint(resumedLog); err != nil || l.commit.Depth != first || l.size != int64(len(resumedLog)) {
+	if l, err := readCheckpoint(resumedLog, ckptWidth(t)); err != nil || l.commit.Depth != first || l.size != int64(len(resumedLog)) {
 		t.Fatalf("continued log reads back as %+v, %v; want its depth-%d commit at the end (stale levels left in?)", l, err, first)
 	}
 }
@@ -539,24 +544,39 @@ func TestCheckpointResumeBitstate(t *testing.T) {
 }
 
 // FuzzReadCheckpoint feeds readCheckpoint the bytes a replica may fetch
-// from a peer. It must never panic, and a log it accepts must hold
-// exactly the committed number of states and a non-empty frontier.
+// from a peer, as a log of goldenSrc's vectors. It must never panic,
+// and a log it accepts must hold exactly the committed number of whole
+// vectors inside its committed prefix, and a non-empty frontier.
 func FuzzReadCheckpoint(f *testing.F) {
+	width := goldenWidth(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		log, err := readCheckpoint(data)
+		log, err := readCheckpoint(data, width)
 		if err != nil {
 			return
-		}
-		if len(log.visited) != log.commit.Stored {
-			t.Fatalf("accepted %d states under a commit of %d", len(log.visited), log.commit.Stored)
-		}
-		if log.front < 0 || log.front >= len(log.visited) {
-			t.Fatalf("accepted an empty frontier (starts at %d of %d)", log.front, len(log.visited))
 		}
 		if log.size < int64(len(ckptMagic)) || log.size > int64(len(data)) {
 			t.Fatalf("committed prefix of %d bytes in %d", log.size, len(data))
 		}
+		n, front := 0, 0
+		eachVector(data, log.runs, width, func(off int64, vec []byte) {
+			if off < int64(len(ckptMagic)) || off+int64(len(vec)) > log.size || len(vec) != width {
+				t.Fatalf("vector of %d bytes at %d outside the %d-byte committed prefix", len(vec), off, log.size)
+			}
+			n++
+		})
+		eachVector(data, log.runs[log.front:], width, func(int64, []byte) { front++ })
+		if n != log.commit.Stored {
+			t.Fatalf("accepted %d states under a commit of %d", n, log.commit.Stored)
+		}
+		if front == 0 {
+			t.Fatalf("accepted an empty frontier (frame %d of %d)", log.front, len(log.runs))
+		}
 	})
+}
+
+// ckptWidth is the vector width of ckptSrc's states.
+func ckptWidth(tb testing.TB) int {
+	return len(sysFromSource(tb, ckptSrc).InitialState().Bytes())
 }
 
 // DecodeKey inverts AppendKey exactly, given the system's state shape.

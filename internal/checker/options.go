@@ -13,20 +13,20 @@ type StorageOptions struct {
 	// either way. Ignored by bitstate runs.
 	Visited string
 	// MemLimit caps the resident bytes of the level engine's visited set
-	// (entries plus table overhead, the checker_visited_bytes gauge).
-	// When a level barrier finds the set over budget, its entries are
-	// spilled to fingerprint-indexed segment files under SpillDir and
-	// lookups probe the (mmap-backed) segments after the in-memory
-	// tier, so the search completes with the exact same verdict and
-	// stats. The budget covers the visited set only: the two live
-	// levels' states are outside it, and on wide levels they dominate.
-	// Each spill's index merges the indexes of the trailing segments
-	// that hold no more spills than it, so a search that spilled S
-	// times probes at most ⌊log2 S⌋+1 indexes. 0 disables spilling.
+	// (entries plus table overhead, the checker_visited_bytes gauge). A
+	// budgeted search writes each BFS level once to its level log (the
+	// checkpoint under Durability, else a scratch file under SpillDir).
+	// Over budget at a barrier, the states logged since the last spill
+	// become a segment file of (fingerprint, log offset) pairs and the
+	// in-memory tier starts over; lookups then probe the mmap-backed
+	// segments and log, so verdict and stats are exact. A resume indexes
+	// the log instead of loading it. The budget covers the visited set
+	// only, not the two live levels. After S spills at most ⌊log2 S⌋+1
+	// indexes are probed. 0 disables spilling.
 	MemLimit int64
-	// SpillDir is the parent directory for spill segments (a unique
-	// per-search subdirectory is created on first spill and removed when
-	// the search ends). Empty means the system temp directory.
+	// SpillDir is the parent directory for spill segments and scratch
+	// level logs (a per-search subdirectory, created on first use and
+	// removed when the search ends). Empty means the system temp dir.
 	SpillDir string
 	// Bitstate replaces the exact visited set with a double-hash
 	// bitstate table of 2^BitstateBits bits (Spin's -DBITSTATE

@@ -71,8 +71,11 @@ type parWorker struct {
 	matched  int
 	reduced  int
 	stored   int // new states, unless MaxStates is set: then parRunner.stored counts them
-	busy     time.Duration
-	cc       *canceler
+	// runLevel's wall time splits per worker into startup (until its
+	// goroutine runs), busy (working nodes) and wait (at the barrier).
+	startup, busy, wait time.Duration
+	start, end          time.Time // of the running level
+	cc                  *canceler
 }
 
 // parRunner holds the cross-worker state of one parallel search.
@@ -92,7 +95,7 @@ type parRunner struct {
 	cursors []levelCursor
 
 	gFrontier, gFrontierBytes, gWorkers *obs.Gauge
-	cBusy                               *obs.Counter
+	cStartup, cBusy, cWait              *obs.Counter
 }
 
 func (c *Checker) newParRunner(phase string) *parRunner {
@@ -102,7 +105,9 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 	if reg := c.opts.Metrics; reg != nil {
 		contention = reg.Counter(obs.Labels("checker_visited_shard_contention_total", "phase", phase))
 		spilled = reg.Counter(obs.Labels("checker_visited_spilled_states_total", "phase", phase))
+		r.cStartup = reg.Counter(obs.Labels("checker_worker_startup_ns_total", "phase", phase))
 		r.cBusy = reg.Counter(obs.Labels("checker_worker_busy_ns_total", "phase", phase))
+		r.cWait = reg.Counter(obs.Labels("checker_worker_barrier_wait_ns_total", "phase", phase))
 		r.gFrontier = reg.Gauge(obs.Labels("checker_frontier_states", "phase", phase))
 		r.gFrontierBytes = reg.Gauge(obs.Labels("checker_frontier_bytes", "phase", phase))
 		r.gWorkers = reg.Gauge(obs.Labels("checker_workers", "phase", phase))
@@ -161,8 +166,11 @@ type levelCursor struct {
 // the other segments in turn. Bounds that do not split n among the
 // workers (the root, a resumed level) are replaced by an even split.
 // Every worker polls stop, its canceler and the grow gate before each
-// node. With one worker it runs inline, goroutine-free, in index order.
-func (r *parRunner) runLevel(n int, bounds []int, work func(w *parWorker, i int)) {
+// node. With one worker it runs inline, goroutine-free, in index order,
+// and all of the level's time is busy. It returns the level's wall time,
+// which the workers' startup, busy and wait times split exactly.
+func (r *parRunner) runLevel(n int, bounds []int, work func(w *parWorker, i int)) time.Duration {
+	t0 := time.Now()
 	bounds = r.segments(n, bounds)
 	for k := range r.cursors {
 		r.cursors[k].next.Store(int64(bounds[k]))
@@ -170,25 +178,33 @@ func (r *parRunner) runLevel(n int, bounds []int, work func(w *parWorker, i int)
 	}
 	chunk := int64(max(1, min(64, n/(8*len(r.workers)))))
 	r.gate.enter(len(r.workers))
-	run := func(w *parWorker) {
-		t0 := time.Now()
+	if len(r.workers) == 1 {
+		w := r.workers[0]
 		r.claim(w, chunk, work)
 		r.gate.leave()
-		w.busy += time.Since(t0)
-	}
-	if len(r.workers) == 1 {
-		run(r.workers[0])
-		return
+		d := time.Since(t0)
+		w.busy += d
+		return d
 	}
 	var wg sync.WaitGroup
 	for _, w := range r.workers {
 		wg.Add(1)
 		go func(w *parWorker) {
 			defer wg.Done()
-			run(w)
+			w.start = time.Now()
+			r.claim(w, chunk, work)
+			r.gate.leave()
+			w.end = time.Now()
 		}(w)
 	}
 	wg.Wait()
+	t1 := time.Now()
+	for _, w := range r.workers {
+		w.startup += w.start.Sub(t0)
+		w.busy += w.end.Sub(w.start)
+		w.wait += t1.Sub(w.end)
+	}
+	return t1.Sub(t0)
 }
 
 // claim is worker w.k's share of runLevel: chunks of its own segment,
@@ -264,20 +280,18 @@ func (r *parRunner) collect(res *Result) (next []parNode, bounds []int, problems
 		w.next = w.next[:0]
 		problems = append(problems, w.problems...)
 		w.problems = w.problems[:0]
+		r.cStartup.Add(w.startup.Nanoseconds())
 		r.cBusy.Add(w.busy.Nanoseconds())
-		w.busy = 0
+		r.cWait.Add(w.wait.Nanoseconds())
+		w.startup, w.busy, w.wait = 0, 0, 0
 	}
 	res.Stats.StatesStored = int(r.stored.Add(int64(stored)))
 
-	// Barrier-granularity memory accounting: record the peak before any
-	// spill (that is what the search actually needed resident), then let
-	// the spill tier flush if the budget is exceeded.
+	// Barrier-granularity memory accounting: the peak before the spill
+	// tier indexes the level (that is what the search actually needed
+	// resident). The spill itself waits until the level is logged.
 	if b := r.visited.bytes(); b > res.Stats.VisitedBytes {
 		res.Stats.VisitedBytes = b
-	}
-	if s, ok := r.visited.(*spillSet); ok {
-		s.maybeSpill()
-		res.Stats.SpilledStates = int(s.spilled.Load())
 	}
 	return next, bounds, problems
 }
@@ -521,12 +535,12 @@ func (r *parRunner) scanTarget(levels [][]parNode, li int, bounds []int, target 
 // searchLevels is the one breadth-first engine: restore or seed the
 // root level, then per level expand, collect at the barrier, honour
 // cancellation and the state limit, adjudicate, append the new level to
-// the checkpoint log. With a nil target it is the safety search
-// (assertions, runtime errors, invariants, deadlock; shortest
-// counterexamples). With a target it is the reachability search:
-// Result.OK reports that the target IS reachable, violations met along
-// the way are ignored, and each level is scanned for the target before
-// it is expanded.
+// the level log and let the spill tier index it. With a nil target it
+// is the safety search (assertions, runtime errors, invariants,
+// deadlock; shortest counterexamples). With a target it is the
+// reachability search: Result.OK reports that the target IS reachable,
+// violations met along the way are ignored, and each level is scanned
+// for the target before it is expanded.
 func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 	safety := target == nil
 	start := time.Now()
@@ -537,7 +551,8 @@ func (c *Checker) searchLevels(phase string, target pml.RExpr) *Result {
 
 	r := c.newParRunner(phase)
 	defer r.close()
-	ck := c.newCheckpointer(phase)
+	spill, _ := r.visited.(*spillSet)
+	ck := c.newCheckpointer(phase, spill)
 	defer func() { ck.finish(res) }()
 	// On resume, levels[0] is the checkpointed frontier at depth base;
 	// counterexample prefixes then start at that frontier (the path from

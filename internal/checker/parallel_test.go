@@ -7,8 +7,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pnp/internal/model"
+	"pnp/internal/obs"
 )
 
 // parWorkerCounts are the worker counts every determinism test sweeps.
@@ -606,4 +608,34 @@ func BenchmarkVisitedSets(b *testing.B) {
 			wg.Wait()
 		}
 	})
+}
+
+// Each level's wall time splits exactly into the workers' startup, busy
+// and barrier-wait times: at 2 workers the three counters sum to twice
+// the levels' wall time. At one worker the level runs inline, so there
+// is no startup and no wait.
+func TestWorkerTimeSplitsLevelWallTime(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		r := New(sysFromSource(t, parOKSrc), Options{Workers: workers, Metrics: reg}).newParRunner("test")
+		var wall time.Duration
+		levels := r.seedRoot()
+		for li := 0; len(levels[li]) > 0; li++ {
+			cur := levels[li]
+			wall += r.runLevel(len(cur), nil, func(w *parWorker, i int) { w.expand(r, cur, i, false) })
+			next, _, _ := r.collect(&Result{})
+			levels = append(levels, next)
+		}
+		r.close()
+		counter := func(name string) int64 { return reg.Counter(obs.Labels(name, "phase", "test")).Value() }
+		startup, busy, wait := counter("checker_worker_startup_ns_total"), counter("checker_worker_busy_ns_total"),
+			counter("checker_worker_barrier_wait_ns_total")
+		if len(levels) < 5 || busy <= 0 || startup+busy+wait != int64(workers)*wall.Nanoseconds() {
+			t.Errorf("workers=%d, %d levels: startup %d + busy %d + wait %d ns, want %d × %d ns of level wall time",
+				workers, len(levels), startup, busy, wait, workers, wall.Nanoseconds())
+		}
+		if workers == 1 && (startup != 0 || wait != 0) {
+			t.Errorf("one worker: startup %d ns, wait %d ns; want none", startup, wait)
+		}
+	}
 }

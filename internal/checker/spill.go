@@ -3,12 +3,14 @@ package checker
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -18,54 +20,40 @@ import (
 	"pnp/internal/obs"
 )
 
-// The spill tier keeps searches alive past Options.MemLimit: when the
-// in-memory visited set exceeds the budget at a level barrier, every
-// entry is flushed to an immutable fingerprint-indexed segment file
-// under Options.SpillDir and the in-memory tier starts over (collapse
-// side tables survive, so compression keeps working). Lookups ask the
-// in-memory tier first — within a level segments are immutable and the
-// in-memory tier only grows, so a state found there needs no disk
-// probe — then probe the segments' indexes read-only, lock-free,
-// through shared mmaps, so membership stays exact and verdicts and
-// StatesStored match the unbudgeted run; the search degrades to disk
-// speed instead of dying.
+// The spill tier keeps searches alive past Options.MemLimit. A budgeted
+// search writes every level once, at its barrier, to its level log
+// (checkpoint.go): the checkpoint file under Options.Durability, else an
+// unsynced scratch log in the search's spill directory. The log is the
+// one on-disk copy of every state, as the on-disk BFS queue is the state
+// store in Stern & Dill's disk-based Murφ (CAV 1998). When the in-memory
+// visited set exceeds the budget at a barrier, the states logged since
+// the last spill become an immutable segment of sorted (fingerprint, log
+// offset) pairs, and the in-memory tier starts over (collapse side
+// tables survive). Lookups ask the in-memory tier first — within a level
+// segments are immutable and the in-memory tier only grows — then probe
+// the segments read-only, lock-free, comparing a candidate with its
+// vector in a read-only mapping of the log. Membership stays exact, so
+// verdicts and StatesStored match the unbudgeted run.
 //
-// Every segment's blob is written once and kept until the search ends;
-// only the 16-byte index entries are ever rewritten (keys separated
-// from values, as in WiscKey). The indexes are merged as a binary
-// counter over spills (the logarithmic method of an LSM tree): a
-// spill's segment holds the new entries' blob and one index that
-// k-way merges the new entries with the indexes of every trailing
-// segment holding no more spills than the running total, so a search
-// that spilled S times probes at most ⌊log2 S⌋+1 indexes and each
-// index entry is rewritten at most log2 S times. Nothing on disk is
-// re-hashed, re-sorted or copied.
+// Keys live apart from values, as in WiscKey (Lu et al., FAST 2016): only
+// the 16-byte index entries are ever rewritten. Indexes merge as a binary
+// counter over spills (an LSM tree's logarithmic method): a spill's
+// segment k-way merges the new entries with the indexes of every trailing
+// segment holding no more spills than the running total, and deletes
+// those. So after S spills a search maps at most ⌊log2 S⌋+1 indexes plus
+// the log, and rewrites each entry at most log2 S times.
 //
-// Segment layout (the CRC framing of internal/frame, as in checkpoint
-// logs, so bit rot is detected at open):
+// Segment layout (internal/frame's CRC framing; the index frame is
+// streamed and its header patched afterwards):
 //
-//	8-byte magic "PNPSPIL1"
+//	8-byte magic "PNPSPIL2"
 //	framed 'H' JSON header {count}
-//	[u32 blob length][u32 blob CRC]  blob: this spill's entries, [uvarint len][encoding] each
-//	[u32 index length][u32 index CRC]
-//	index: count × [fp u64 LE][off u64 LE], sorted by fp
+//	framed index: count × [fp u64 LE][log offset u64 LE], sorted by fp
 //
-// An index entry's off holds the entry's offset in a blob in its low 32
-// bits (the frame cap keeps blobs under 4 GiB) and the back-distance d
-// in its high 32: d = 0 is this segment's own blob, d > 0 the blob of
-// the segment written d spills earlier. An unmerged segment has d = 0
-// throughout, so it reads as a plain offset: the PNPSPIL1 bytes of
-// earlier releases stay valid (a golden test pins them). The blob and
-// the index are both streamed and their frame headers patched
-// afterwards; only the 16-byte-per-entry index of the new entries is
-// buffered and sorted in memory during a spill.
-//
-// Segments are private scratch: each is written once, under its final
-// name, never forced to stable storage, and deleted when the search
-// ends. Nothing reads them after a crash (resume replays the checkpoint
-// log), and a torn or corrupt file fails validation at open, which
-// turns the tier off rather than trusting it.
-const spillMagic = "PNPSPIL1"
+// Segments are private scratch, never fsynced and deleted when merged or
+// when the search ends; resume rebuilds an index from the checkpoint log.
+// A corrupt segment fails validation at open and turns the tier off.
+const spillMagic = "PNPSPIL2"
 
 const spillSectionHeader = 'H'
 
@@ -76,16 +64,13 @@ type spillHeader struct {
 // spillFrameMax is the largest payload a u32-length frame can hold.
 const spillFrameMax = 1<<32 - 1
 
-// spillOffBits is the width of the blob-offset half of an index entry's
-// off; the back-distance d sits above it.
-const spillOffBits = 32
-
-// spillMaxFiles bounds the segments one search writes. Every segment
-// stays mapped until the search ends, one mapping each, and mappings
-// are a per-process limit (vm.max_map_count, 65530 by default) shared
-// with concurrent searches and the Go heap, so a search that reaches
-// this many turns the tier off rather than let an mmap or the runtime
-// run out of them. Reaching it takes that many over-budget levels.
+// spillMaxFiles bounds the live segments of one search, one mapping
+// each. Mappings are a per-process limit (vm.max_map_count, 65530 by
+// default) shared with concurrent searches and the Go heap, so a search
+// that reaches this many turns the tier off rather than let an mmap or
+// the runtime run out of them. The binary counter keeps the live count
+// at the number of set bits of the spill count, so only indexes too
+// large to merge within the frame limit can pile up this far.
 const spillMaxFiles = 1 << 12
 
 // spillSecondsBuckets bound checker_spill_seconds: a spill of a few
@@ -95,8 +80,9 @@ var spillSecondsBuckets = []float64{0.0001, 0.001, 0.004, 0.016, 0.064, 0.256, 1
 // spillMetrics are the spill tier's instruments; nil ones are no-ops.
 type spillMetrics struct {
 	states  *obs.Counter   // checker_visited_spilled_states_total
-	bytes   *obs.Counter   // checker_spill_bytes_total
+	bytes   *obs.Counter   // checker_spill_bytes_total: segments and the scratch log
 	seconds *obs.Histogram // checker_spill_seconds
+	off     *obs.Counter   // checker_spill_tier_off_total: searches whose tier turned off
 }
 
 // newSpillMetrics registers the spill tier's instruments for phase
@@ -106,30 +92,41 @@ func newSpillMetrics(reg *obs.Registry, phase string, states *obs.Counter) spill
 		states:  states,
 		bytes:   reg.Counter(obs.Labels("checker_spill_bytes_total", "phase", phase)),
 		seconds: reg.Histogram(obs.Labels("checker_spill_seconds", "phase", phase), spillSecondsBuckets),
+		off:     reg.Counter(obs.Labels("checker_spill_tier_off_total", "phase", phase)),
 	}
 }
 
+// memTier is what the spill tier needs of its in-memory set: to forget
+// every entry once they are indexed on disk. Side tables survive a
+// reset, so collapse interning keeps paying off.
+type memTier interface {
+	parVisited
+	reset()
+}
+
 // spillSet wraps an in-memory visited set with the segment tier.
-// Segments are only added at level barriers (maybeSpill), which the
-// runner serializes, so workers inside a level read immutable segment
-// lists without locks.
+// Segments are only added at level barriers (checkpointer.barrier),
+// which the runner serializes, so workers inside a level read an
+// immutable segment list and log mapping without locks.
 type spillSet struct {
-	mem      visitedDrainer
+	mem      memTier
 	limit    int64
+	width    int             // bytes of every state vector
 	dir      string          // user-chosen parent ("" = system temp)
-	runDir   string          // per-search segment directory, created lazily
-	files    []*spillSegment // every segment written, oldest first: the blobs entries resolve into
+	runDir   string          // per-search directory, created lazily
+	log      fileView        // the log's prefix as of the last spill
 	segs     []*spillSegment // the live indexes, oldest first: what a lookup probes
+	pending  []ckptRun       // the level frames logged since the last spill, queued by checkpointer.writeLevel
 	written  int             // segment files attempted so far; names the next one
 	w        *bufio.Writer   // reused by every spill
 	spilled  atomic.Int64
-	failed   bool // a failed spill disables the tier; memory keeps growing
-	maxFiles int  // segments written before the tier turns off (spillMaxFiles)
+	failed   bool // a failed spill or log write disables the tier; memory keeps growing
+	maxFiles int  // live segments past which the tier turns off (spillMaxFiles)
 	m        spillMetrics
 }
 
-func newSpillSet(mem visitedDrainer, limit int64, dir string, m spillMetrics) *spillSet {
-	return &spillSet{mem: mem, limit: limit, dir: dir, maxFiles: spillMaxFiles, m: m}
+func newSpillSet(mem memTier, width int, limit int64, dir string, m spillMetrics) *spillSet {
+	return &spillSet{mem: mem, width: width, limit: limit, dir: dir, maxFiles: spillMaxFiles, m: m}
 }
 
 func (s *spillSet) seen(k int, fp uint64, enc []byte) bool {
@@ -142,7 +139,7 @@ func (s *spillSet) contains(fp uint64, enc []byte) bool {
 
 func (s *spillSet) spilledHas(fp uint64, enc []byte) bool {
 	for _, seg := range s.segs {
-		if seg.contains(fp, enc) {
+		if seg.contains(fp, enc, s.log.data) {
 			return true
 		}
 	}
@@ -152,80 +149,105 @@ func (s *spillSet) spilledHas(fp uint64, enc []byte) bool {
 // size is the total membership: spilled entries plus the in-memory tier.
 func (s *spillSet) size() int { return int(s.spilled.Load()) + s.mem.size() }
 
-// bytes reports only resident memory — segment files are the point of
-// the tier and do not count against the budget. The mmap'd index/blob
-// pages are file-backed and reclaimable, so they are excluded too.
+// bytes reports only resident memory: the log and the segments are
+// file-backed, their mapped pages reclaimable.
 func (s *spillSet) bytes() int64 { return s.mem.bytes() }
 
-// maybeSpill flushes the in-memory tier to a new segment when it
-// exceeds the budget, merging into its index the indexes of the
-// trailing segments spillFold picks. Called at level barriers only. A
-// merge that fails is retried as a plain spill; either way no existing
-// segment is touched, so a failed merge never loses a state or
-// disables the tier. A spill that fails (unwritable directory, corrupt
-// segment on re-open) deletes its partial output and permanently falls
-// back to in-memory growth: the search continues, just without the
-// budget. So does a search that has written maxFiles segments, since
-// each holds a mapping until close; its segments stay probed, so
-// membership stays exact.
-func (s *spillSet) maybeSpill() {
-	if s.failed || s.mem.bytes() <= s.limit {
-		return
+// ensureRunDir creates the search's spill directory on first use.
+func (s *spillSet) ensureRunDir() error {
+	if s.runDir != "" {
+		return nil
 	}
-	n := s.mem.size()
-	if n == 0 {
-		return
-	}
-	if len(s.files) >= s.maxFiles {
-		s.failed = true
-		return
-	}
-	if s.runDir == "" {
-		parent := s.dir
-		if parent != "" {
-			if err := os.MkdirAll(parent, 0o755); err != nil {
-				s.failed = true
-				return
-			}
+	if s.dir != "" {
+		if err := os.MkdirAll(s.dir, 0o755); err != nil {
+			return err
 		}
-		d, err := os.MkdirTemp(parent, "pnp-spill-*")
-		if err != nil {
-			s.failed = true
-			return
-		}
-		s.runDir = d
-		s.w = bufio.NewWriterSize(nil, 1<<20)
 	}
-	t0 := time.Now()
-	first := spillFold(n, s.segs)
-	seg, err := s.writeSegment(n, s.segs[first:])
-	if err != nil && first < len(s.segs) {
-		first = len(s.segs)
-		seg, err = s.writeSegment(n, nil)
-	}
+	d, err := os.MkdirTemp(s.dir, "pnp-spill-*")
 	if err != nil {
-		s.failed = true
-		return
+		return err
 	}
-	s.files = append(s.files, seg)
-	s.segs = append(s.segs[:first], seg)
-	s.mem.reset()
-	s.spilled.Add(int64(n))
-	s.m.states.Add(int64(n))
-	s.m.bytes.Add(int64(len(seg.data)))
-	s.m.seconds.Observe(time.Since(t0).Seconds())
+	s.runDir = d
+	return nil
 }
 
-// writeSegment writes the in-memory tier to a new segment file whose
+// fail turns the tier off for the rest of the search: what is in
+// memory stays there and grows, and the live segments stay probed.
+func (s *spillSet) fail() {
+	if !s.failed {
+		s.m.off.Add(1)
+	}
+	s.failed = true
+}
+
+// due reports whether the in-memory tier exceeds the budget, so the
+// barrier must spill.
+func (s *spillSet) due() bool {
+	return !s.failed && s.mem.bytes() > s.limit && s.mem.size() > 0
+}
+
+// spill indexes the vectors of the pending level frames — the states
+// the in-memory tier holds — in a new segment whose index also merges
+// those of the trailing segments spillFold picks, then deletes those
+// and empties the in-memory tier. A failed merge is retried as a plain
+// spill, and no live segment is touched before the new one validates.
+// A spill that fails anyway (unwritable directory, a log shorter than
+// logSize, invalid segment), or would pass maxFiles live segments,
+// turns the tier off. It reports whether the states were indexed. The
+// log is read through the writer's own file, never reopened by path: a
+// file renamed over the path cannot stand in for it.
+func (s *spillSet) spill(log *os.File, logSize int64) bool {
+	if len(s.segs) >= s.maxFiles || s.ensureRunDir() != nil || s.log.extendTo(log, logSize) != nil {
+		s.fail()
+		return false
+	}
+	t0 := time.Now()
+	n := 0
+	for _, r := range s.pending {
+		n += r.n
+	}
+	ents := make([]idxEnt, 0, n)
+	eachVector(s.log.data, s.pending, s.width, func(off int64, vec []byte) {
+		ents = append(ents, idxEnt{fp: model.Hash64(vec), off: uint64(off)})
+	})
+	slices.SortFunc(ents, func(a, b idxEnt) int { return cmp.Compare(a.fp, b.fp) })
+	first := spillFold(len(ents), s.segs)
+	seg, err := s.writeSegment(ents, s.segs[first:])
+	if err != nil && first < len(s.segs) {
+		first = len(s.segs)
+		seg, err = s.writeSegment(ents, nil)
+	}
+	if err != nil {
+		s.fail()
+		return false
+	}
+	for _, old := range s.segs[first:] {
+		old.close()
+		os.Remove(old.path)
+	}
+	s.segs = append(s.segs[:first], seg)
+	s.pending = s.pending[:0]
+	s.mem.reset()
+	s.spilled.Add(int64(len(ents)))
+	s.m.states.Add(int64(len(ents)))
+	s.m.bytes.Add(int64(len(seg.view.data)))
+	s.m.seconds.Observe(time.Since(t0).Seconds())
+	return true
+}
+
+// writeSegment writes the sorted entries to a new segment file whose
 // index also covers srcs, and opens it. On error nothing new is left on
 // disk.
-func (s *spillSet) writeSegment(n int, srcs []*spillSegment) (*spillSegment, error) {
+func (s *spillSet) writeSegment(ents []idxEnt, srcs []*spillSegment) (*spillSegment, error) {
 	path := filepath.Join(s.runDir, fmt.Sprintf("seg-%06d.seg", s.written))
 	s.written++
-	if err := writeSpillSegment(s.w, path, len(s.files), n, s.mem.forEachEncoding, srcs); err != nil {
+	if s.w == nil {
+		s.w = bufio.NewWriterSize(nil, 1<<20)
+	}
+	if err := writeSpillSegment(s.w, path, ents, srcs); err != nil {
 		return nil, err
 	}
-	seg, err := openSpillSegment(path, s.files...)
+	seg, err := openSpillSegment(path, int64(len(s.log.data)), s.width)
 	if err != nil {
 		// The segment we just wrote does not validate: treat it as lost
 		// rather than trusting it.
@@ -262,41 +284,29 @@ func spillFold(n int, segs []*spillSegment) int {
 	return i
 }
 
-// close releases mappings and removes this search's segment directory.
+// close releases the mappings and removes this search's spill
+// directory, the scratch log included.
 func (s *spillSet) close() {
-	for _, seg := range s.files {
+	for _, seg := range s.segs {
 		seg.close()
 	}
-	s.files, s.segs = nil, nil
+	s.segs = nil
+	s.log.close()
 	if s.runDir != "" {
 		os.RemoveAll(s.runDir)
 		s.runDir = ""
 	}
 }
 
-// idxEnt is one index entry of a segment being written.
+// idxEnt is one index entry: a state's fingerprint and the log offset
+// of its vector.
 type idxEnt struct{ fp, off uint64 }
 
-// crcWriter writes through to w and keeps a running CRC-32 (IEEE) of
-// what it wrote: the checksum of a frame streamed without being held.
-type crcWriter struct {
-	w   *bufio.Writer
-	crc uint32
-}
-
-func (c *crcWriter) write(p []byte) {
-	c.w.Write(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-}
-
-// writeSpillSegment writes segment number num (the count of segments
-// written before it) at path: a blob of the count entries emit streams,
-// and an index that k-way merges their sorted entries with the sorted
-// indexes of srcs, each source entry's back-distance grown by the
-// segments written since its source. A failed write removes the file.
-// w is reset onto the file.
-func writeSpillSegment(w *bufio.Writer, path string, num, count int, emit func(fn func(enc []byte)), srcs []*spillSegment) (err error) {
-	total := count
+// writeSpillSegment writes a segment at path whose index k-way merges
+// the sorted entries with the sorted indexes of srcs. A failed write
+// removes the file. w is reset onto the file.
+func writeSpillSegment(w *bufio.Writer, path string, entries []idxEnt, srcs []*spillSegment) (err error) {
+	total := len(entries)
 	for _, src := range srcs {
 		total += src.count
 	}
@@ -327,50 +337,27 @@ func writeSpillSegment(w *bufio.Writer, path string, num, count int, emit func(f
 	w.Write(fh[:])
 	w.Write(hdr)
 
-	// The blob and index frames are streamed: reserve each header, write
-	// the payload through a running CRC, patch the header afterwards.
-	// They are not built by internal/frame because a segment is never
-	// held in memory, but they are read back through frame.Next like
-	// every other frame.
+	// The index frame is streamed: a merged index is never held in
+	// memory. Reserve the frame header, write the payload in chunks
+	// through a running CRC, patch the header afterwards.
+	indexFrameOff := int64(len(spillMagic)) + frame.HeaderSize + int64(len(hdr))
 	var zero [frame.HeaderSize]byte
-	blobFrameOff := int64(len(spillMagic)) + frame.HeaderSize + int64(len(hdr))
 	w.Write(zero[:])
-	blob := crcWriter{w: w}
-	var blobLen uint64
-	index := make([]idxEnt, 0, count)
-	var tmpLen [binary.MaxVarintLen64]byte
-	emit(func(enc []byte) {
-		index = append(index, idxEnt{fp: model.Hash64(enc), off: blobLen})
-		n := binary.PutUvarint(tmpLen[:], uint64(len(enc)))
-		blob.write(tmpLen[:n])
-		blob.write(enc)
-		blobLen += uint64(n) + uint64(len(enc))
-	})
-	if len(index) != count {
-		return fmt.Errorf("checker: spill: drained %d entries, expected %d", len(index), count)
+	var crc uint32
+	chunk := make([]byte, 0, 16<<10)
+	flush := func() {
+		w.Write(chunk)
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		chunk = chunk[:0]
 	}
-	if blobLen > spillFrameMax {
-		return fmt.Errorf("checker: spill: blob exceeds frame limit (%d bytes)", blobLen)
-	}
-	sort.Slice(index, func(i, j int) bool { return index[i].fp < index[j].fp })
-
-	indexFrameOff := blobFrameOff + frame.HeaderSize + int64(blobLen)
-	w.Write(zero[:])
-	idx := crcWriter{w: w}
-	chunk := make([]byte, 0, 16<<10) // entries go out in chunks: one CRC update each
 	put := func(fp, off uint64) {
 		if len(chunk) == cap(chunk) {
-			idx.write(chunk)
-			chunk = chunk[:0]
+			flush()
 		}
 		chunk = binary.LittleEndian.AppendUint64(chunk, fp)
 		chunk = binary.LittleEndian.AppendUint64(chunk, off)
 	}
 	heads := make([]int, len(srcs))
-	shifts := make([]uint64, len(srcs)) // added to a source entry's off: its d grows by num - the source's number
-	for k, src := range srcs {
-		shifts[k] = uint64(num-src.num()) << spillOffBits
-	}
 	for next := 0; ; {
 		best := -1
 		var bestFP uint64
@@ -381,73 +368,61 @@ func writeSpillSegment(w *bufio.Writer, path string, num, count int, emit func(f
 				}
 			}
 		}
-		if next < len(index) && (best < 0 || index[next].fp < bestFP) {
-			put(index[next].fp, index[next].off)
+		if next < len(entries) && (best < 0 || entries[next].fp < bestFP) {
+			put(entries[next].fp, entries[next].off)
 			next++
 		} else if best >= 0 {
-			put(bestFP, srcs[best].offAt(heads[best])+shifts[best])
+			put(bestFP, srcs[best].offAt(heads[best]))
 			heads[best]++
 		} else {
 			break
 		}
 	}
-	idx.write(chunk)
+	flush()
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	patch := func(off int64, n, crc uint32) error {
-		binary.LittleEndian.PutUint32(fh[0:4], n)
-		binary.LittleEndian.PutUint32(fh[4:8], crc)
-		_, err := f.WriteAt(fh[:], off)
-		return err
-	}
-	if err := patch(blobFrameOff, uint32(blobLen), blob.crc); err != nil {
-		return err
-	}
-	return patch(indexFrameOff, uint32(16*total), idx.crc)
+	binary.LittleEndian.PutUint32(fh[0:4], uint32(16*total))
+	binary.LittleEndian.PutUint32(fh[4:8], crc)
+	_, err = f.WriteAt(fh[:], indexFrameOff)
+	return err
 }
 
-// spillSegment is one immutable on-disk segment, probed through a
-// read-only mapping of the whole file (or an in-heap copy where mmap is
-// unavailable).
+// spillSegment is one immutable on-disk index, probed through a
+// read-only view of the whole file.
 type spillSegment struct {
 	path     string
-	data     []byte
-	mapped   bool
+	view     fileView
 	count    int
 	spills   int // spills merged into this segment's index (in memory only)
-	blobOff  int
-	blobLen  int
 	indexOff int
-	// prior are the segments written before this one, oldest first: an
-	// index entry with back-distance d > 0 lives in prior[len(prior)-d].
-	prior []*spillSegment
 }
 
-// openSpillSegment maps and fully validates a segment written after the
-// segments prior (oldest first): every index entry must resolve in the
-// blob its back-distance names, so a standalone open (no prior)
-// rejects any entry with d > 0. Any validation failure returns an
-// error; callers discard the segment and carry on — a corrupt segment
-// degrades the search, never crashes it.
-func openSpillSegment(path string, prior ...*spillSegment) (*spillSegment, error) {
-	data, mapped, err := mapFile(path)
+// openSpillSegment maps and fully validates the segment at path as an
+// index of width-byte vectors in a level log of logLen bytes: its
+// frames' CRCs, its sort order, and every entry's vector inside the
+// log. Any validation failure returns an error; callers discard the
+// segment and carry on — a corrupt segment degrades the search, never
+// crashes it.
+func openSpillSegment(path string, logLen int64, width int) (*spillSegment, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	seg := &spillSegment{path: path, data: data, mapped: mapped, prior: prior[:len(prior):len(prior)]}
-	if err := seg.validate(); err != nil {
+	defer f.Close()
+	seg := &spillSegment{path: path}
+	if err := seg.view.extendTo(f, -1); err != nil {
+		return nil, err
+	}
+	if err := seg.validate(logLen, width); err != nil {
 		seg.close()
 		return nil, err
 	}
 	return seg, nil
 }
 
-// num is the segment's number: how many segments were written before it.
-func (g *spillSegment) num() int { return len(g.prior) }
-
-func (g *spillSegment) validate() error {
-	data := g.data
+func (g *spillSegment) validate(logLen int64, width int) error {
+	data := g.view.data
 	bad := func(msg string) error { return fmt.Errorf("checker: spill segment %s: %s", g.path, msg) }
 	if len(data) < len(spillMagic)+8 || string(data[:len(spillMagic)]) != spillMagic {
 		return bad("bad magic")
@@ -472,12 +447,6 @@ func (g *spillSegment) validate() error {
 	if err := json.Unmarshal(hdr[1:], &h); err != nil {
 		return bad("bad header: " + err.Error())
 	}
-	g.blobOff = pos + frame.HeaderSize
-	blob, err := next()
-	if err != nil {
-		return err
-	}
-	g.blobLen = len(blob)
 	g.indexOff = pos + frame.HeaderSize
 	index, err := next()
 	if err != nil {
@@ -497,64 +466,64 @@ func (g *spillSegment) validate() error {
 			return bad("index not sorted")
 		}
 		prev = fp
-		if _, ok := g.entryAt(g.offAt(i)); !ok {
-			return bad("entry out of range")
+		if off := g.offAt(i); off > uint64(logLen) || uint64(logLen)-off < uint64(width) {
+			return bad("entry outside the log")
 		}
 	}
 	return nil
 }
 
 func (g *spillSegment) fpAt(i int) uint64 {
-	return binary.LittleEndian.Uint64(g.data[g.indexOff+16*i:])
+	return binary.LittleEndian.Uint64(g.view.data[g.indexOff+16*i:])
 }
 
 func (g *spillSegment) offAt(i int) uint64 {
-	return binary.LittleEndian.Uint64(g.data[g.indexOff+16*i+8:])
-}
-
-// entryAt resolves an index entry's off: the encoding at its low 32
-// bits in the blob of the segment its back-distance names.
-func (g *spillSegment) entryAt(off uint64) ([]byte, bool) {
-	src := g
-	if d := off >> spillOffBits; d > 0 {
-		if d > uint64(len(g.prior)) {
-			return nil, false
-		}
-		src = g.prior[uint64(len(g.prior))-d]
-	}
-	return src.blobEntry(off & (1<<spillOffBits - 1))
-}
-
-// blobEntry returns the [uvarint len][encoding] entry at off in the
-// segment's own blob.
-func (g *spillSegment) blobEntry(off uint64) ([]byte, bool) {
-	if off >= uint64(g.blobLen) {
-		return nil, false
-	}
-	blob := g.data[g.blobOff : g.blobOff+g.blobLen]
-	l, w := binary.Uvarint(blob[off:])
-	if w <= 0 || l > uint64(len(blob))-off-uint64(w) {
-		return nil, false
-	}
-	start := off + uint64(w)
-	return blob[start : start+l], true
+	return binary.LittleEndian.Uint64(g.view.data[g.indexOff+16*i+8:])
 }
 
 // contains probes the segment: binary search over the sorted
-// fingerprint index, then byte comparison of each colliding entry.
-func (g *spillSegment) contains(fp uint64, enc []byte) bool {
+// fingerprint index, then byte comparison of each colliding entry's
+// vector in log, a view of the level log at least as long as the one
+// the segment was validated against.
+func (g *spillSegment) contains(fp uint64, enc, log []byte) bool {
 	i := sort.Search(g.count, func(i int) bool { return g.fpAt(i) >= fp })
 	for ; i < g.count && g.fpAt(i) == fp; i++ {
-		if e, ok := g.entryAt(g.offAt(i)); ok && bytes.Equal(e, enc) {
+		if off := g.offAt(i); off+uint64(len(enc)) <= uint64(len(log)) && bytes.Equal(log[off:off+uint64(len(enc))], enc) {
 			return true
 		}
 	}
 	return false
 }
 
-func (g *spillSegment) close() {
-	if g.mapped {
-		unmapFile(g.data)
+func (g *spillSegment) close() { g.view.close() }
+
+// extendTo extends v to the first size bytes of f, open for reading
+// (the whole file when size < 0). A file shorter than size is an error:
+// a view never reaches past the end of its file.
+func (v *fileView) extendTo(f *os.File, size int64) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return err
 	}
-	g.data = nil
+	if size < 0 {
+		size = fi.Size()
+	} else if size > fi.Size() {
+		return fmt.Errorf("checker: %s holds %d bytes, not %d", f.Name(), fi.Size(), size)
+	}
+	if size <= int64(len(v.data)) {
+		return nil
+	}
+	return v.extend(f, size)
+}
+
+// growHeap extends data, an in-heap copy of a prefix of f, to f's first
+// size bytes by reading only the bytes past it. The copy grows like an
+// append, so extending a log at every spill costs linear time overall.
+func growHeap(data []byte, f *os.File, size int64) ([]byte, error) {
+	old := len(data)
+	data = slices.Grow(data, int(size)-old)[:size]
+	if _, err := f.ReadAt(data[old:], int64(old)); err != nil {
+		return data[:old], err
+	}
+	return data, nil
 }

@@ -4,12 +4,18 @@ package checker
 
 import "os"
 
-// mapFile on platforms without syscall.Mmap reads the whole file into
-// memory; spill then only bounds the live visited structure, not total
-// process memory. The unix build maps the file instead.
-func mapFile(path string) (data []byte, mapped bool, err error) {
-	data, err = os.ReadFile(path)
-	return data, false, err
+// fileView is a read-only view of a prefix of a file that is only ever
+// appended to. Without syscall.Mmap it is an in-heap copy grown by the
+// appended bytes, so spill bounds the visited set, not process memory.
+type fileView struct {
+	data []byte
 }
 
-func unmapFile([]byte) {}
+// extend grows v to the first size bytes of f, size > len(v.data).
+func (v *fileView) extend(f *os.File, size int64) error {
+	var err error
+	v.data, err = growHeap(v.data, f, size)
+	return err
+}
+
+func (v *fileView) close() { v.data = nil }

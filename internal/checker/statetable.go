@@ -304,16 +304,6 @@ func (t *stateTable) bytes() int64 {
 	return b
 }
 
-// forEachEncoding calls fn with every entry, writer by writer in
-// insertion order. Only called with no put in flight.
-func (t *stateTable) forEachEncoding(fn func(enc []byte)) {
-	for k := range t.arenas {
-		for idx := range t.arenas[k].n {
-			fn(t.entry(uint64(idx)<<t.wbits | uint64(k)))
-		}
-	}
-}
-
 // reset drops every entry and frees the slots and pages, so a spilled
 // table starts over at its initial size. Only called with no put in
 // flight.

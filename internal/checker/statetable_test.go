@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -41,15 +42,11 @@ func TestStateTableExact(t *testing.T) {
 	if s.size() != n {
 		t.Fatalf("size = %d, want %d", s.size(), n)
 	}
-	got := 0
-	s.forEachEncoding(func(enc []byte) {
-		if !s.contains(model.Hash64(enc), enc) {
-			t.Fatalf("forEachEncoding yielded %q, which contains does not find", enc)
+	for i := 0; i < n; i++ {
+		k := keyOf(i, width)
+		if ref, had := s.put(0, model.Hash64(k), k); !had || !bytes.Equal(s.entry(ref), k) {
+			t.Fatalf("key %d: present %v, stored copy %q", i, had, s.entry(ref))
 		}
-		got++
-	})
-	if got != n {
-		t.Fatalf("forEachEncoding visited %d entries, want %d", got, n)
 	}
 	if s.bytes() < n*width {
 		t.Fatalf("bytes = %d, below the %d bytes of entries", s.bytes(), n*width)
@@ -355,13 +352,24 @@ func TestStateTableResetFreesBytes(t *testing.T) {
 		t.Fatal("the table does not work after reset")
 	}
 
-	spill := newSpillSet(newStateTable(width, 1, nil), 1<<16, t.TempDir(), spillMetrics{})
+	spill := newSpillSet(newStateTable(width, 1, nil), width, 1<<16, t.TempDir(), spillMetrics{})
 	defer spill.close()
-	for i := 0; i < 5000; i++ {
-		k := keyOf(i, width)
-		spill.seen(0, model.Hash64(k), k)
+	keys := make([][]byte, 5000)
+	for i := range keys {
+		keys[i] = keyOf(i, width)
+		spill.seen(0, model.Hash64(keys[i]), keys[i])
 	}
-	spill.maybeSpill()
+	path, log, ents := testLog(t, t.TempDir(), keys)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spill.pending = []ckptRun{{off: int64(ents[0].off), n: len(keys)}}
+	if !spill.due() {
+		t.Fatal("5000 entries do not exceed the budget")
+	}
+	spill.spill(f, int64(len(log)))
 	if spill.failed || spill.bytes() > 1<<16 {
 		t.Fatalf("after a spill: bytes %d over the %d budget (tier failed: %v)", spill.bytes(), 1<<16, spill.failed)
 	}

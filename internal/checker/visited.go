@@ -34,18 +34,6 @@ type parVisited interface {
 	bytes() int64
 }
 
-// visitedDrainer is the extra capability the spill tier needs from its
-// in-memory set: stream out every stored encoding and then forget them
-// (side tables survive a reset so collapse interning keeps paying off).
-type visitedDrainer interface {
-	parVisited
-	// forEachEncoding calls fn with every stored full canonical encoding.
-	// fn must not retain enc. Only called at level barriers.
-	forEachEncoding(fn func(enc []byte))
-	// reset drops all stored entries (size returns 0 afterwards).
-	reset()
-}
-
 // visitedShards is the stripe count of the collapse set and the lock
 // count of the bitstate set. 64 stripes keep the probability of two
 // workers wanting the same lock low even at high core counts, for a
@@ -209,14 +197,6 @@ func (t *encTable) bytes() int64 {
 	return int64(t.total) + int64(cap(t.slots))*8
 }
 
-func (t *encTable) forEach(fn func(enc []byte)) {
-	for _, s := range t.slots {
-		if s != 0 {
-			fn(t.entryAt(s&encPosMask - 1))
-		}
-	}
-}
-
 func (t *encTable) reset() {
 	*t = encTable{}
 }
@@ -226,9 +206,7 @@ func (t *encTable) reset() {
 // stateTable, whose refs are dense intern indices. Reads take the read
 // lock — after warm-up almost every component of a new state is already
 // interned — and only a genuinely new sub-vector upgrades to the write
-// lock, under which the table grows inline. Intern indices read their
-// sub-vectors back, so tuples can be expanded into full encodings for a
-// spill.
+// lock, under which the table grows inline.
 type collapseTable struct {
 	mu sync.RWMutex
 	t  *stateTable
@@ -365,37 +343,6 @@ func (s *collapseSet) bytes() int64 {
 	return b
 }
 
-// forEachEncoding expands every stored tuple back into the full
-// canonical encoding via the side tables.
-func (s *collapseSet) forEachEncoding(fn func(enc []byte)) {
-	var buf []byte
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.t.forEach(func(tuple []byte) {
-			buf = buf[:0]
-			for _, ct := range s.compRefs(tuple) {
-				buf = append(buf, ct...)
-			}
-			fn(buf)
-		})
-		sh.mu.Unlock()
-	}
-}
-
-// compRefs decodes a tuple into its component byte slices.
-func (s *collapseSet) compRefs(tuple []byte) [][]byte {
-	refs := make([][]byte, len(s.comps))
-	for i := range s.comps {
-		idx, w := binary.Uvarint(tuple)
-		s.comps[i].mu.RLock()
-		refs[i] = s.comps[i].t.entry(idx)
-		s.comps[i].mu.RUnlock()
-		tuple = tuple[w:]
-	}
-	return refs
-}
-
 // reset drops the stored tuples but keeps the component side tables:
 // after a spill the same sub-vectors keep resolving to the same
 // indices, so compression keeps working without re-paying warm-up.
@@ -512,7 +459,7 @@ func (c *Checker) newParVisited(phase string, workers int, contention, spilled *
 		}
 		return newParBitstateSet(bits, contention)
 	}
-	var mem visitedDrainer
+	var mem memTier
 	init := c.sys.InitialState()
 	if st.Visited == VisitedCollapse {
 		mem = newCollapseSet(init, contention)
@@ -520,7 +467,7 @@ func (c *Checker) newParVisited(phase string, workers int, contention, spilled *
 		mem = newStateTable(len(init.Bytes()), workers, contention)
 	}
 	if st.MemLimit > 0 {
-		return newSpillSet(mem, st.MemLimit, st.SpillDir, newSpillMetrics(c.opts.Metrics, phase, spilled))
+		return newSpillSet(mem, len(init.Bytes()), st.MemLimit, st.SpillDir, newSpillMetrics(c.opts.Metrics, phase, spilled))
 	}
 	return mem
 }

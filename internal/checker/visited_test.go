@@ -33,14 +33,17 @@ func TestEncTableBasics(t *testing.T) {
 		t.Fatalf("n = %d, want %d", tab.n, n)
 	}
 	got := 0
-	tab.forEach(func(enc []byte) {
-		if !tab.lookup(model.Hash64(enc), enc) {
-			t.Fatalf("forEach yielded %q, which lookup does not find", enc)
+	for _, slot := range tab.slots {
+		if slot == 0 {
+			continue
+		}
+		if enc := tab.entryAt(slot&encPosMask - 1); !tab.lookup(model.Hash64(enc), enc) {
+			t.Fatalf("slot holds %q, which lookup does not find", enc)
 		}
 		got++
-	})
+	}
 	if got != n {
-		t.Fatalf("forEach visited %d entries, want %d", got, n)
+		t.Fatalf("%d slots filled, want %d", got, n)
 	}
 	if tab.bytes() <= 0 {
 		t.Fatal("bytes not positive")
@@ -201,28 +204,6 @@ func TestCollapseSetSelfSplit(t *testing.T) {
 	}
 }
 
-func TestCollapseSetForEachEncodingRoundTrip(t *testing.T) {
-	shape, encs, fps := benchComponentStates(t, 400)
-	coll := newCollapseSet(shape, nil)
-	for j := range encs {
-		coll.seen(0, fps[j], encs[j])
-	}
-	want := map[string]bool{}
-	for _, e := range encs {
-		want[string(e)] = true
-	}
-	got := 0
-	coll.forEachEncoding(func(enc []byte) {
-		if !want[string(enc)] {
-			t.Fatalf("forEachEncoding produced unknown encoding %x", enc)
-		}
-		got++
-	})
-	if got != len(encs) {
-		t.Fatalf("forEachEncoding yielded %d entries, want %d", got, len(encs))
-	}
-}
-
 func TestCollapseSetConcurrent(t *testing.T) {
 	shape, encs, fps := benchComponentStates(t, 2000)
 	coll := newCollapseSet(shape, nil)
@@ -372,9 +353,10 @@ func TestVisitedModesReachabilityParity(t *testing.T) {
 	}
 }
 
-// Collapse-compressed full searches must round-trip every stored state:
-// run a search, then verify every encoding streamed out of the visited
-// set decodes to a valid state of the system.
+// Collapse-compressed full searches must store exactly the states the
+// levels hold: run a search, then check every state of every level is
+// a member that decodes and round-trips, and that the set holds no
+// more states than the levels do.
 func TestCollapseSearchEncodingsDecode(t *testing.T) {
 	sys := sysFromSource(t, parOKSrc)
 	c := New(sys, Options{Workers: 2, Storage: StorageOptions{Visited: VisitedCollapse}})
@@ -388,20 +370,26 @@ func TestCollapseSearchEncodingsDecode(t *testing.T) {
 	}
 	shape := sys.InitialState()
 	n := 0
-	r.visited.(visitedDrainer).forEachEncoding(func(enc []byte) {
-		st, err := model.DecodeKey(shape, enc)
-		if err != nil {
-			t.Fatalf("stored encoding does not decode: %v", err)
+	for _, level := range levels {
+		for _, node := range level {
+			enc := node.st.Bytes()
+			if !r.visited.contains(model.Hash64(enc), enc) {
+				t.Fatalf("level state %x is not stored", enc)
+			}
+			st, err := model.DecodeKey(shape, enc)
+			if err != nil {
+				t.Fatalf("stored encoding does not decode: %v", err)
+			}
+			if !bytes.Equal(st.AppendKey(nil), enc) {
+				t.Fatal("stored encoding does not round-trip")
+			}
+			n++
 		}
-		if !bytes.Equal(st.AppendKey(nil), enc) {
-			t.Fatal("stored encoding does not round-trip")
-		}
-		n++
-	})
-	if n != r.visited.size() {
-		t.Fatalf("streamed %d encodings, size() = %d", n, r.visited.size())
 	}
-	if n == 0 {
+	if n != r.visited.size() {
+		t.Fatalf("levels hold %d states, size() = %d", n, r.visited.size())
+	}
+	if n < 2 {
 		t.Fatal("no states stored")
 	}
 }
