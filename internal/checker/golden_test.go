@@ -60,13 +60,15 @@ const goldenCheckpointV1 = "" +
 	"226d61785f6465707468223a317d100000000e4e48de56040104020004010600000401040000060000002943c0104604" +
 	"01040200"
 
-// goldenSpillSegment pins the segment format: the index of the three
-// vectors of goldenCheckpoint's log. Segments are per-search scratch,
-// never read by another search or release, so the bytes pin what the
-// writer produces and the reader accepts, not cross-version reads.
+// goldenSpillSegment pins the segment format: the index and filter of
+// the three vectors of goldenCheckpoint's log. Segments are per-search
+// scratch, never read by another search or release, so the bytes pin
+// what the writer produces and the reader accepts, not cross-version
+// reads.
 const goldenSpillSegment = "" +
-	"504e505350494c320c000000a6b6d0ce487b22636f756e74223a337d30000000daf8f2bfd413a9de61345602a9000000" +
-	"000000009abbe8cbd66a35c31f0000000000000085f1f832ec8e5ffb1200000000000000"
+	"504e505350494c331d000000668bb290487b22636f756e74223a332c2266696c7465725f776f726473223a317d300000" +
+	"00daf8f2bfd413a9de61345602a9000000000000009abbe8cbd66a35c31f0000000000000085f1f832ec8e5ffb120000" +
+	"000000000008000000d75334c56088120400400000"
 
 func goldenFile(t *testing.T, name, hexBytes string) (path string, data []byte) {
 	t.Helper()

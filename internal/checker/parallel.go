@@ -96,6 +96,10 @@ type parRunner struct {
 
 	gFrontier, gFrontierBytes, gWorkers *obs.Gauge
 	cStartup, cBusy, cWait              *obs.Counter
+	// cSerial sums the wall time between one runLevel returning and the
+	// next starting (levelEnd): the barrier's serial section.
+	cSerial  *obs.Counter
+	levelEnd time.Time
 }
 
 func (c *Checker) newParRunner(phase string) *parRunner {
@@ -108,6 +112,7 @@ func (c *Checker) newParRunner(phase string) *parRunner {
 		r.cStartup = reg.Counter(obs.Labels("checker_worker_startup_ns_total", "phase", phase))
 		r.cBusy = reg.Counter(obs.Labels("checker_worker_busy_ns_total", "phase", phase))
 		r.cWait = reg.Counter(obs.Labels("checker_worker_barrier_wait_ns_total", "phase", phase))
+		r.cSerial = reg.Counter(obs.Labels("checker_level_serial_ns_total", "phase", phase))
 		r.gFrontier = reg.Gauge(obs.Labels("checker_frontier_states", "phase", phase))
 		r.gFrontierBytes = reg.Gauge(obs.Labels("checker_frontier_bytes", "phase", phase))
 		r.gWorkers = reg.Gauge(obs.Labels("checker_workers", "phase", phase))
@@ -171,6 +176,9 @@ type levelCursor struct {
 // which the workers' startup, busy and wait times split exactly.
 func (r *parRunner) runLevel(n int, bounds []int, work func(w *parWorker, i int)) time.Duration {
 	t0 := time.Now()
+	if !r.levelEnd.IsZero() {
+		r.cSerial.Add(t0.Sub(r.levelEnd).Nanoseconds())
+	}
 	bounds = r.segments(n, bounds)
 	for k := range r.cursors {
 		r.cursors[k].next.Store(int64(bounds[k]))
@@ -182,7 +190,8 @@ func (r *parRunner) runLevel(n int, bounds []int, work func(w *parWorker, i int)
 		w := r.workers[0]
 		r.claim(w, chunk, work)
 		r.gate.leave()
-		d := time.Since(t0)
+		r.levelEnd = time.Now()
+		d := r.levelEnd.Sub(t0)
 		w.busy += d
 		return d
 	}
@@ -199,6 +208,7 @@ func (r *parRunner) runLevel(n int, bounds []int, work func(w *parWorker, i int)
 	}
 	wg.Wait()
 	t1 := time.Now()
+	r.levelEnd = t1
 	for _, w := range r.workers {
 		w.startup += w.start.Sub(t0)
 		w.busy += w.end.Sub(w.start)

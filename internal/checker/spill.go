@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -43,22 +44,48 @@ import (
 // those. So after S spills a search maps at most ⌊log2 S⌋+1 indexes plus
 // the log, and rewrites each entry at most log2 S times.
 //
-// Segment layout (internal/frame's CRC framing; the index frame is
-// streamed and its header patched afterwards):
+// Almost every probe of a segment is a miss, so each segment carries a
+// fingerprint filter, as each run of an LSM store does (Dayan,
+// Athanassoulis & Idreos, "Monkey", SIGMOD 2017): a blocked Bloom filter
+// of ⌈10·count/64⌉ 64-bit words, 10 bits per entry, where an entry sets
+// 3 bits of one word (spillFilterSlot), so a probe reads one word and
+// searches the index only when all three bits are set — for about 2.3 %
+// of absent states. The word index rises with the fingerprint, so the
+// writer finishes the words in order as it streams the merge. validate
+// checks every entry's bits, so a filter never hides a state. Lookups
+// walk the segments newest first: the newest is the smallest, and the
+// one where a breadth-first search finds most of its matches.
 //
-//	8-byte magic "PNPSPIL2"
-//	framed 'H' JSON header {count}
+// Segment layout (internal/frame's CRC framing; the filter and index
+// frames are streamed and their headers patched afterwards):
+//
+//	8-byte magic "PNPSPIL3"
+//	framed 'H' JSON header {count, filter_words}
 //	framed index: count × [fp u64 LE][log offset u64 LE], sorted by fp
+//	framed filter: filter_words × [u64 LE]
 //
 // Segments are private scratch, never fsynced and deleted when merged or
 // when the search ends; resume rebuilds an index from the checkpoint log.
 // A corrupt segment fails validation at open and turns the tier off.
-const spillMagic = "PNPSPIL2"
+const spillMagic = "PNPSPIL3"
 
 const spillSectionHeader = 'H'
 
 type spillHeader struct {
-	Count int `json:"count"`
+	Count       int `json:"count"`
+	FilterWords int `json:"filter_words"`
+}
+
+// spillFilterWords is the filter size of a segment of count entries:
+// 10 bits per entry, in whole words.
+func spillFilterWords(count int) int { return (10*count + 63) / 64 }
+
+// spillFilterSlot places fp in a filter of words words: the word it
+// sets, hi64(fp·words), which rises with fp, and the 3 bits it sets
+// there, taken from fp's low bits.
+func spillFilterSlot(fp, words uint64) (word, mask uint64) {
+	word, _ = bits.Mul64(fp, words)
+	return word, 1<<(fp&63) | 1<<(fp>>6&63) | 1<<(fp>>12&63)
 }
 
 // spillFrameMax is the largest payload a u32-length frame can hold.
@@ -72,6 +99,14 @@ const spillFrameMax = 1<<32 - 1
 // at the number of set bits of the spill count, so only indexes too
 // large to merge within the frame limit can pile up this far.
 const spillMaxFiles = 1 << 12
+
+// spillRunPrefix starts the name of every search's spill run directory.
+const spillRunPrefix = "pnp-spill-"
+
+// spillOwnerFile is the file of a spill run directory whose lock the
+// search holds until it closes the directory (lockRunDir), so a
+// directory whose lock is free belongs to no live search.
+const spillOwnerFile = "owner"
 
 // spillSecondsBuckets bound checker_spill_seconds: a spill of a few
 // states takes well under a millisecond, a multi-GB one seconds.
@@ -114,8 +149,9 @@ type spillSet struct {
 	width    int             // bytes of every state vector
 	dir      string          // user-chosen parent ("" = system temp)
 	runDir   string          // per-search directory, created lazily
+	owner    *os.File        // holds runDir's owner lock (nil without flock)
 	log      fileView        // the log's prefix as of the last spill
-	segs     []*spillSegment // the live indexes, oldest first: what a lookup probes
+	segs     []*spillSegment // the live indexes, oldest first; a lookup probes them newest first
 	pending  []ckptRun       // the level frames logged since the last spill, queued by checkpointer.writeLevel
 	written  int             // segment files attempted so far; names the next one
 	w        *bufio.Writer   // reused by every spill
@@ -137,9 +173,10 @@ func (s *spillSet) contains(fp uint64, enc []byte) bool {
 	return s.mem.contains(fp, enc) || s.spilledHas(fp, enc)
 }
 
+// spilledHas probes the segments newest first.
 func (s *spillSet) spilledHas(fp uint64, enc []byte) bool {
-	for _, seg := range s.segs {
-		if seg.contains(fp, enc, s.log.data) {
+	for i := len(s.segs) - 1; i >= 0; i-- {
+		if s.segs[i].contains(fp, enc, s.log.data) {
 			return true
 		}
 	}
@@ -153,7 +190,9 @@ func (s *spillSet) size() int { return int(s.spilled.Load()) + s.mem.size() }
 // file-backed, their mapped pages reclaimable.
 func (s *spillSet) bytes() int64 { return s.mem.bytes() }
 
-// ensureRunDir creates the search's spill directory on first use.
+// ensureRunDir creates the search's spill directory on first use and
+// takes its owner lock, which close releases: SweepSpillDirs removes
+// only the directories of searches that died without closing.
 func (s *spillSet) ensureRunDir() error {
 	if s.runDir != "" {
 		return nil
@@ -163,11 +202,14 @@ func (s *spillSet) ensureRunDir() error {
 			return err
 		}
 	}
-	d, err := os.MkdirTemp(s.dir, "pnp-spill-*")
+	d, err := os.MkdirTemp(s.dir, spillRunPrefix+"*")
 	if err != nil {
 		return err
 	}
+	// A directory left unlocked (a file system without flock) is never
+	// swept: it costs its cleanup after a crash, not the spill tier.
 	s.runDir = d
+	s.owner, _ = lockRunDir(d)
 	return nil
 }
 
@@ -210,7 +252,7 @@ func (s *spillSet) spill(log *os.File, logSize int64) bool {
 	eachVector(s.log.data, s.pending, s.width, func(off int64, vec []byte) {
 		ents = append(ents, idxEnt{fp: model.Hash64(vec), off: uint64(off)})
 	})
-	slices.SortFunc(ents, func(a, b idxEnt) int { return cmp.Compare(a.fp, b.fp) })
+	sortByFP(ents)
 	first := spillFold(len(ents), s.segs)
 	seg, err := s.writeSegment(ents, s.segs[first:])
 	if err != nil && first < len(s.segs) {
@@ -296,11 +338,55 @@ func (s *spillSet) close() {
 		os.RemoveAll(s.runDir)
 		s.runDir = ""
 	}
+	if s.owner != nil {
+		s.owner.Close()
+		s.owner = nil
+	}
 }
 
 // idxEnt is one index entry: a state's fingerprint and the log offset
 // of its vector.
 type idxEnt struct{ fp, off uint64 }
+
+// sortByFP sorts ents by fingerprint in place. One American flag sort
+// pass (McIlroy, Bostic & McIlroy, Computing Systems 1993) moves each
+// entry into the bucket of its fingerprint's top byte, so a spill's few
+// thousand uniform fingerprints leave buckets of a few entries, which
+// an insertion sort finishes. It needs no copy of ents, unlike an LSD
+// radix sort, and a tenth of the time of a comparison sort.
+func sortByFP(ents []idxEnt) {
+	var start, next [257]int
+	for _, e := range ents {
+		start[e.fp>>56+1]++
+	}
+	for b := range 256 {
+		start[b+1] += start[b]
+		next[b] = start[b]
+	}
+	for b := range 256 {
+		for next[b] < start[b+1] {
+			e := ents[next[b]]
+			for d := int(e.fp >> 56); d != b; d = int(e.fp >> 56) {
+				ents[next[d]], e = e, ents[next[d]]
+				next[d]++
+			}
+			ents[next[b]] = e
+			next[b]++
+		}
+	}
+	for b := range 256 {
+		bucket := ents[start[b]:start[b+1]]
+		if len(bucket) > 32 {
+			slices.SortFunc(bucket, func(a, b idxEnt) int { return cmp.Compare(a.fp, b.fp) })
+			continue
+		}
+		for i := 1; i < len(bucket); i++ {
+			for j := i; j > 0 && bucket[j].fp < bucket[j-1].fp; j-- {
+				bucket[j], bucket[j-1] = bucket[j-1], bucket[j]
+			}
+		}
+	}
+}
 
 // writeSpillSegment writes a segment at path whose index k-way merges
 // the sorted entries with the sorted indexes of srcs. A failed write
@@ -326,84 +412,145 @@ func writeSpillSegment(w *bufio.Writer, path string, entries []idxEnt, srcs []*s
 		}
 	}()
 
-	w.Reset(f)
-	w.WriteString(spillMagic)
-	hb, err := json.Marshal(spillHeader{Count: total})
+	words := spillFilterWords(total)
+	hb, err := json.Marshal(spillHeader{Count: total, FilterWords: words})
 	if err != nil {
 		return err
 	}
 	hdr := append([]byte{spillSectionHeader}, hb...)
 	fh := frame.Header(hdr)
+	w.Reset(f)
+	w.WriteString(spillMagic)
 	w.Write(fh[:])
 	w.Write(hdr)
 
-	// The index frame is streamed: a merged index is never held in
-	// memory. Reserve the frame header, write the payload in chunks
-	// through a running CRC, patch the header afterwards.
-	indexFrameOff := int64(len(spillMagic)) + frame.HeaderSize + int64(len(hdr))
+	// The index and filter frames are streamed: neither is ever held in
+	// memory. The index streams through w behind a zeroed frame header;
+	// the index's size is known, so each run of filter words the merge
+	// finishes is written into its place past the index. Both frame
+	// headers are patched afterwards.
+	indexOff := int64(len(spillMagic)) + frame.HeaderSize + int64(len(hdr))
+	filterOff := indexOff + frame.HeaderSize + 16*int64(total)
 	var zero [frame.HeaderSize]byte
 	w.Write(zero[:])
-	var crc uint32
-	chunk := make([]byte, 0, 16<<10)
-	flush := func() {
-		w.Write(chunk)
-		crc = crc32.Update(crc, crc32.IEEETable, chunk)
-		chunk = chunk[:0]
-	}
-	put := func(fp, off uint64) {
-		if len(chunk) == cap(chunk) {
-			flush()
+	var werr error
+	index := newFrameStream(16*total, func(b []byte, _ int64) { w.Write(b) })
+	filter := newFrameStream(8*words, func(b []byte, at int64) {
+		if _, err := f.WriteAt(b, filterOff+frame.HeaderSize+at); err != nil && werr == nil {
+			werr = err
 		}
-		chunk = binary.LittleEndian.AppendUint64(chunk, fp)
-		chunk = binary.LittleEndian.AppendUint64(chunk, off)
-	}
+	})
+	var word, at uint64 // the filter word being filled and its index
 	heads := make([]int, len(srcs))
+	headFPs := make([]uint64, len(srcs)) // the fingerprint at each head
+	for k, src := range srcs {
+		if src.count > 0 {
+			headFPs[k] = src.fpAt(0)
+		}
+	}
 	for next := 0; ; {
 		best := -1
-		var bestFP uint64
+		var fp, off uint64
 		for k, src := range srcs {
-			if heads[k] < src.count {
-				if fp := src.fpAt(heads[k]); best < 0 || fp < bestFP {
-					best, bestFP = k, fp
-				}
+			if heads[k] < src.count && (best < 0 || headFPs[k] < fp) {
+				best, fp = k, headFPs[k]
 			}
 		}
-		if next < len(entries) && (best < 0 || entries[next].fp < bestFP) {
-			put(entries[next].fp, entries[next].off)
+		if next < len(entries) && (best < 0 || entries[next].fp < fp) {
+			fp, off = entries[next].fp, entries[next].off
 			next++
 		} else if best >= 0 {
-			put(bestFP, srcs[best].offAt(heads[best]))
-			heads[best]++
+			src := srcs[best]
+			off = src.offAt(heads[best])
+			if heads[best]++; heads[best] < src.count {
+				headFPs[best] = src.fpAt(heads[best])
+			}
 		} else {
 			break
 		}
+		index.put(fp)
+		index.put(off)
+		i, mask := spillFilterSlot(fp, uint64(words))
+		for ; at < i; at++ {
+			filter.put(word)
+			word = 0
+		}
+		word |= mask
 	}
-	flush()
+	for ; at < uint64(words); at++ {
+		filter.put(word)
+		word = 0
+	}
+	index.flush()
+	filter.flush()
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(fh[0:4], uint32(16*total))
-	binary.LittleEndian.PutUint32(fh[4:8], crc)
-	_, err = f.WriteAt(fh[:], indexFrameOff)
+	if werr != nil {
+		return werr
+	}
+	if err := index.patch(f, indexOff); err != nil {
+		return err
+	}
+	return filter.patch(f, filterOff)
+}
+
+// frameStream streams one frame's payload, u64 LE words, to out in
+// chunks, each with its offset in the payload, keeping the frame's
+// running CRC. A chunk holds 16 KiB, or the whole payload of size
+// bytes if that is less.
+type frameStream struct {
+	chunk []byte
+	crc   uint32
+	size  int64
+	out   func(b []byte, at int64)
+}
+
+func newFrameStream(size int, out func(b []byte, at int64)) *frameStream {
+	return &frameStream{chunk: make([]byte, 0, max(8, min(size, 16<<10))), out: out}
+}
+
+func (s *frameStream) put(v uint64) {
+	if len(s.chunk) == cap(s.chunk) {
+		s.flush()
+	}
+	s.chunk = binary.LittleEndian.AppendUint64(s.chunk, v)
+}
+
+func (s *frameStream) flush() {
+	s.out(s.chunk, s.size)
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.chunk)
+	s.size += int64(len(s.chunk))
+	s.chunk = s.chunk[:0]
+}
+
+// patch writes the frame header at off, once the payload is flushed.
+func (s *frameStream) patch(f *os.File, off int64) error {
+	var fh [frame.HeaderSize]byte
+	binary.LittleEndian.PutUint32(fh[0:4], uint32(s.size))
+	binary.LittleEndian.PutUint32(fh[4:8], s.crc)
+	_, err := f.WriteAt(fh[:], off)
 	return err
 }
 
 // spillSegment is one immutable on-disk index, probed through a
 // read-only view of the whole file.
 type spillSegment struct {
-	path     string
-	view     fileView
-	count    int
-	spills   int // spills merged into this segment's index (in memory only)
-	indexOff int
+	path      string
+	view      fileView
+	count     int
+	spills    int // spills merged into this segment's index (in memory only)
+	indexOff  int
+	filterOff int
+	words     uint64 // of the filter
 }
 
 // openSpillSegment maps and fully validates the segment at path as an
 // index of width-byte vectors in a level log of logLen bytes: its
-// frames' CRCs, its sort order, and every entry's vector inside the
-// log. Any validation failure returns an error; callers discard the
-// segment and carry on — a corrupt segment degrades the search, never
-// crashes it.
+// frames' CRCs, its sort order, every entry's vector inside the log and
+// every entry's bits in the filter. Any validation failure returns an
+// error; callers discard the segment and carry on — a corrupt segment
+// degrades the search, never crashes it.
 func openSpillSegment(path string, logLen int64, width int) (*spillSegment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -452,6 +599,11 @@ func (g *spillSegment) validate(logLen int64, width int) error {
 	if err != nil {
 		return err
 	}
+	g.filterOff = pos + frame.HeaderSize
+	filter, err := next()
+	if err != nil {
+		return err
+	}
 	if pos != len(data) {
 		return bad("trailing bytes")
 	}
@@ -459,6 +611,10 @@ func (g *spillSegment) validate(logLen int64, width int) error {
 		return bad("index/count mismatch")
 	}
 	g.count = h.Count
+	if len(filter)%8 != 0 || h.FilterWords != len(filter)/8 || h.FilterWords != spillFilterWords(g.count) {
+		return bad("filter/count mismatch")
+	}
+	g.words = uint64(h.FilterWords)
 	var prev uint64
 	for i := 0; i < g.count; i++ {
 		fp := g.fpAt(i)
@@ -469,8 +625,21 @@ func (g *spillSegment) validate(logLen int64, width int) error {
 		if off := g.offAt(i); off > uint64(logLen) || uint64(logLen)-off < uint64(width) {
 			return bad("entry outside the log")
 		}
+		if !g.mayHold(fp) {
+			return bad("entry missing from the filter")
+		}
 	}
 	return nil
+}
+
+// mayHold reports whether fp passes the filter: false means the segment
+// does not hold it.
+func (g *spillSegment) mayHold(fp uint64) bool {
+	if g.words == 0 {
+		return false
+	}
+	w, mask := spillFilterSlot(fp, g.words)
+	return binary.LittleEndian.Uint64(g.view.data[g.filterOff+8*int(w):])&mask == mask
 }
 
 func (g *spillSegment) fpAt(i int) uint64 {
@@ -481,11 +650,14 @@ func (g *spillSegment) offAt(i int) uint64 {
 	return binary.LittleEndian.Uint64(g.view.data[g.indexOff+16*i+8:])
 }
 
-// contains probes the segment: binary search over the sorted
-// fingerprint index, then byte comparison of each colliding entry's
-// vector in log, a view of the level log at least as long as the one
-// the segment was validated against.
+// contains probes the segment: the filter, then binary search over the
+// sorted fingerprint index, then byte comparison of each colliding
+// entry's vector in log, a view of the level log at least as long as
+// the one the segment was validated against.
 func (g *spillSegment) contains(fp uint64, enc, log []byte) bool {
+	if !g.mayHold(fp) {
+		return false
+	}
 	i := sort.Search(g.count, func(i int) bool { return g.fpAt(i) >= fp })
 	for ; i < g.count && g.fpAt(i) == fp; i++ {
 		if off := g.offAt(i); off+uint64(len(enc)) <= uint64(len(log)) && bytes.Equal(log[off:off+uint64(len(enc))], enc) {

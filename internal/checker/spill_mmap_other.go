@@ -19,3 +19,12 @@ func (v *fileView) extend(f *os.File, size int64) error {
 }
 
 func (v *fileView) close() { v.data = nil }
+
+// lockRunDir takes no lock: without flock a run directory has no
+// owner file, and SweepSpillDirs cannot tell a live search's directory
+// from a dead one's.
+func lockRunDir(string) (*os.File, error) { return nil, nil }
+
+// SweepSpillDirs removes nothing without flock: a killed search's run
+// directory stays until removed by hand.
+func SweepSpillDirs(string) (int, error) { return 0, nil }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -111,18 +112,45 @@ func TestSpillSegmentRoundTrip(t *testing.T) {
 	}
 }
 
+// spillFrameAt returns the offset of frame n of segment file b: 0 the
+// header, 1 the index, 2 the filter.
+func spillFrameAt(b []byte, n int) int {
+	at := len(spillMagic)
+	for ; n > 0; n-- {
+		at += frame.HeaderSize + int(binary.LittleEndian.Uint32(b[at:]))
+	}
+	return at
+}
+
+// reframe recomputes the CRC of the frame at at, so a mutation of its
+// payload passes the framing and only a content check can catch it.
+func reframe(b []byte, at int) {
+	n := int(binary.LittleEndian.Uint32(b[at:]))
+	binary.LittleEndian.PutUint32(b[at+4:], crc32.ChecksumIEEE(b[at+frame.HeaderSize:at+frame.HeaderSize+n]))
+}
+
 // spillCorruptions are the ways a segment file can rot, each applied to
 // a copy of a valid file with at least one entry.
 var spillCorruptions = map[string]func([]byte) []byte{
 	"magic":  func(b []byte) []byte { b[0] ^= 0xff; return b },
 	"header": func(b []byte) []byte { b[len(spillMagic)+9] ^= 0xff; return b },
-	"index":  func(b []byte) []byte { b[len(b)-4] ^= 0xff; return b },
+	"index":  func(b []byte) []byte { b[spillFrameAt(b, 2)-4] ^= 0xff; return b },
 	// The last entry's vector far past the log, under a valid CRC: only
 	// the range check can catch it.
 	"offset": func(b []byte) []byte {
-		at := len(spillMagic) + frame.HeaderSize + int(binary.LittleEndian.Uint32(b[len(spillMagic):]))
-		binary.LittleEndian.PutUint64(b[len(b)-8:], 1<<40)
-		binary.LittleEndian.PutUint32(b[at+4:], crc32.ChecksumIEEE(b[at+frame.HeaderSize:]))
+		binary.LittleEndian.PutUint64(b[spillFrameAt(b, 2)-8:], 1<<40)
+		reframe(b, spillFrameAt(b, 1))
+		return b
+	},
+	// One of the first entry's filter bits cleared, under a valid CRC:
+	// only the per-entry filter check can catch it.
+	"filter": func(b []byte) []byte {
+		index, filter := spillFrameAt(b, 1), spillFrameAt(b, 2)
+		words := uint64(binary.LittleEndian.Uint32(b[filter:]) / 8)
+		w, mask := spillFilterSlot(binary.LittleEndian.Uint64(b[index+frame.HeaderSize:]), words)
+		at := filter + frame.HeaderSize + 8*int(w)
+		binary.LittleEndian.PutUint64(b[at:], binary.LittleEndian.Uint64(b[at:])&^(mask&-mask))
+		reframe(b, filter)
 		return b
 	},
 	"truncated": func(b []byte) []byte { return b[:len(b)-10] },
@@ -216,14 +244,14 @@ func (h *spillHarness) tierOff() {
 	}
 }
 
-// runFiles lists the spill run directory.
+// runFiles lists the spill run directory but its owner lock file.
 func (h *spillHarness) runFiles() []os.DirEntry {
 	h.tb.Helper()
 	files, err := os.ReadDir(h.s.runDir)
 	if err != nil {
 		h.tb.Fatal(err)
 	}
-	return files
+	return slices.DeleteFunc(files, func(f os.DirEntry) bool { return f.Name() == spillOwnerFile })
 }
 
 // A spillSet whose directory cannot be created (its parent is a file)
@@ -347,6 +375,37 @@ func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 	}
 }
 
+// sortByFP orders entries by fingerprint, keeping every entry, for a
+// spill's few uniform fingerprints, for buckets past the insertion-sort
+// size and for duplicates.
+func TestSortByFP(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for name, fp := range map[string]func() uint64{
+		"uniform":   rng.Uint64,
+		"one-byte":  func() uint64 { return 0xab<<56 | rng.Uint64()>>8 },
+		"repeating": func() uint64 { return rng.Uint64N(40) << 50 },
+	} {
+		for _, n := range []int{0, 1, 900, 20000} {
+			ents := make([]idxEnt, n)
+			for i := range ents {
+				ents[i] = idxEnt{fp: fp(), off: uint64(i)}
+			}
+			byFPOff := func(a, b idxEnt) int { return cmp.Or(cmp.Compare(a.fp, b.fp), cmp.Compare(a.off, b.off)) }
+			want := slices.Clone(ents)
+			slices.SortFunc(want, byFPOff)
+			sortByFP(ents)
+			if !slices.IsSortedFunc(ents, func(a, b idxEnt) int { return cmp.Compare(a.fp, b.fp) }) {
+				t.Fatalf("%s/%d: not sorted", name, n)
+			}
+			// Equal fingerprints may come in any order.
+			slices.SortFunc(ents, byFPOff)
+			if !slices.Equal(ents, want) {
+				t.Fatalf("%s/%d: entries lost or duplicated", name, n)
+			}
+		}
+	}
+}
+
 func TestSpillFold(t *testing.T) {
 	seg := func(spills, count int) *spillSegment {
 		return &spillSegment{spills: spills, count: count}
@@ -440,13 +499,14 @@ func FuzzSpillSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(merged)
-	for _, name := range []string{"magic", "header", "index", "offset", "truncated", "trailing", "empty"} {
+	for _, name := range []string{"magic", "header", "index", "offset", "filter", "truncated", "trailing", "empty"} {
 		f.Add(spillCorruptions[name](slices.Clone(merged)))
 	}
 	// A header count whose 16× wraps around to the index length.
 	wrap := []byte(spillMagic)
-	wrap = frame.Append(wrap, []byte(`H{"count":1152921504606846977}`))
+	wrap = frame.Append(wrap, []byte(`H{"count":1152921504606846977,"filter_words":1}`))
 	wrap = frame.Append(wrap, make([]byte, 16))
+	wrap = frame.Append(wrap, make([]byte, 8))
 	f.Add(wrap)
 	path := filepath.Join(dir, "fuzz.seg")
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -492,6 +552,9 @@ func TestSpillMetrics(t *testing.T) {
 		barriers++
 		runs, _ := filepath.Glob(filepath.Join(parent, "pnp-spill-*", "*"))
 		for _, p := range runs {
+			if filepath.Base(p) == spillOwnerFile {
+				continue
+			}
 			fi, err := os.Stat(p)
 			if err != nil {
 				t.Fatal(err)
@@ -521,6 +584,157 @@ func TestSpillMetrics(t *testing.T) {
 	spilled := reg.Counter(obs.Labels("checker_visited_spilled_states_total", "phase", phase))
 	if spilled.Value() != int64(res.Stats.SpilledStates) {
 		t.Errorf("spilled states counter %d, Stats %d", spilled.Value(), res.Stats.SpilledStates)
+	}
+}
+
+// bfsLevels returns the state vectors of sys's breadth-first levels,
+// the root level first.
+func bfsLevels(tb testing.TB, sys *model.System) [][][]byte {
+	tb.Helper()
+	shape := sys.InitialState()
+	cur := [][]byte{slices.Clone(shape.Bytes())}
+	seen := map[string]bool{string(cur[0]): true}
+	var levels [][][]byte
+	for len(cur) > 0 {
+		levels = append(levels, cur)
+		var next [][]byte
+		for _, enc := range cur {
+			st, err := model.DecodeKey(shape, enc)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, tr := range sys.Successors(st) {
+				if k := tr.Next.Bytes(); tr.Violation == "" && !seen[string(k)] {
+					seen[string(k)] = true
+					next = append(next, slices.Clone(k))
+				}
+			}
+		}
+		cur = next
+	}
+	return levels
+}
+
+// Every entry of every segment a search of 207 spills holds — each
+// merged one included — passes its segment's filter, so the filter
+// never hides a state.
+func TestSpillFilterHoldsEveryEntry(t *testing.T) {
+	sys := sysFromSource(t, `
+byte a; byte b;
+active proctype P() { do :: a < 52 -> a = a + 1 :: else -> break od }
+active proctype Q() { do :: b < 50 -> b = b + 1 :: else -> break od }
+active proctype R() { skip }`)
+	levels := bfsLevels(t, sys)
+	h := newSpillHarness(t, sys.InitialState(), newStateTable(len(levels[0][0]), 1, nil), t.TempDir())
+	merged := 0
+	for _, level := range levels {
+		h.level(level) // MemLimit 1: every barrier past the root spills
+		for _, seg := range h.s.segs {
+			if seg.spills > 1 {
+				merged++
+			}
+			for i := range seg.count {
+				if !seg.mayHold(seg.fpAt(i)) {
+					t.Fatalf("after %d spills: entry %d of %s fails its filter", h.depth-1, i, seg.path)
+				}
+			}
+		}
+	}
+	if h.depth-1 != 207 || merged == 0 {
+		t.Fatalf("%d spills, %d merged segments seen; want 207 spills and merges", h.depth-1, merged)
+	}
+	var all [][]byte
+	for _, level := range levels {
+		all = append(all, level...)
+	}
+	h.has(all)
+}
+
+// The filter's false-positive rate — the share of absent fingerprints
+// that still cost an index search — is under 5 % (2.3 % expected at 10
+// bits and 3 probes per entry) on 10⁵ absent fingerprints against a
+// segment of 10⁵ entries.
+func TestSpillFilterFalsePositives(t *testing.T) {
+	const n = 100000
+	rng := rand.New(rand.NewPCG(1, 2))
+	ents := make([]idxEnt, n)
+	for i := range ents {
+		ents[i] = idxEnt{fp: rng.Uint64()}
+	}
+	seg, err := openSpillSegment(writeTestSegment(t, t.TempDir(), 0, ents), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.close()
+	if seg.words != uint64(spillFilterWords(n)) || seg.words != 15625 {
+		t.Fatalf("filter of %d words, want 15625", seg.words)
+	}
+	fps := 0
+	for range n {
+		if seg.mayHold(rng.Uint64()) {
+			fps++
+		}
+	}
+	rate := float64(fps) / n
+	t.Logf("false-positive rate %.2f %%", 100*rate)
+	if rate >= 0.05 {
+		t.Fatalf("false-positive rate %.2f %%, want under 5 %%", 100*rate)
+	}
+}
+
+// checker_level_serial_ns_total counts the wall time between levels
+// once per search. Every spill runs inside that time, so at 2 workers
+// under a 1 KiB budget it is at least checker_spill_seconds' sum.
+func TestLevelSerialCounter(t *testing.T) {
+	reg := obs.NewRegistry()
+	const phase = "safety-par-bfs"
+	res := New(sysFromSource(t, ckptSrc), Options{Workers: 2, Metrics: reg,
+		Storage: StorageOptions{MemLimit: 1024, SpillDir: t.TempDir()}}).CheckSafety()
+	if !res.OK || res.Stats.SpilledStates == 0 {
+		t.Fatalf("%s, %d spilled", res.Summary(), res.Stats.SpilledStates)
+	}
+	serial := reg.Counter(obs.Labels("checker_level_serial_ns_total", "phase", phase)).Value()
+	spill := reg.Histogram(obs.Labels("checker_spill_seconds", "phase", phase), spillSecondsBuckets).Sum()
+	if serial <= 0 || float64(serial) < spill*1e9 {
+		t.Fatalf("serial section %d ns, spills %.0f ns", serial, spill*1e9)
+	}
+	if elapsed := res.Stats.Elapsed.Nanoseconds(); serial > elapsed {
+		t.Fatalf("serial section %d ns longer than the search, %d ns", serial, elapsed)
+	}
+}
+
+// SweepSpillDirs removes a run directory whose owner lock is free — a
+// killed search's — and keeps one whose lock a live search holds and
+// one with no owner file yet.
+func TestSweepSpillDirs(t *testing.T) {
+	parent := t.TempDir()
+	shape, encs, _ := benchComponentStates(t, 10)
+	live := newSpillSet(newStateTable(len(encs[0]), 1, nil), len(shape.Bytes()), 1, parent, spillMetrics{})
+	defer live.close()
+	if err := live.ensureRunDir(); err != nil {
+		t.Fatal(err)
+	}
+	if live.owner == nil {
+		t.Skip("no run dir locks on this platform")
+	}
+	dead := filepath.Join(parent, "pnp-spill-dead")
+	starting := filepath.Join(parent, "pnp-spill-starting")
+	for _, d := range []string{dead, starting} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dead, spillOwnerFile), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := SweepSpillDirs(parent)
+	if err != nil || n != 1 {
+		t.Fatalf("SweepSpillDirs = %d, %v; want 1 removed", n, err)
+	}
+	for d, want := range map[string]bool{dead: false, starting: true, live.runDir: true} {
+		if _, err := os.Stat(d); (err == nil) != want {
+			t.Errorf("%s: exists=%v, want %v", filepath.Base(d), err == nil, want)
+		}
 	}
 }
 

@@ -124,10 +124,17 @@ func newStateTable(width, writers int, contention *obs.Counter) *stateTable {
 
 // find reports b's ref, if b is present. Safe beside concurrent puts.
 func (t *stateTable) find(fp uint64, b []byte) (uint64, bool) {
-	slots := t.slots
+	return t.probe(t.slots, t.shift, fp, b)
+}
+
+// probe is find in slots, t's slot array with home-slot shift shift as
+// of some grow: the current one, or one a grow has since replaced,
+// which holds a subset of the entries (arena pages never move), so a
+// probe of it can only miss what the table holds.
+func (t *stateTable) probe(slots []uint64, shift uint, fp uint64, b []byte) (uint64, bool) {
 	mask := uint64(len(slots) - 1)
 	tag := fp &^ encPosMask
-	for i := fp >> t.shift; ; i = (i + 1) & mask {
+	for i := fp >> shift; ; i = (i + 1) & mask {
 		s := atomic.LoadUint64(&slots[i])
 		if s == 0 {
 			return 0, false

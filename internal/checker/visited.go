@@ -203,33 +203,62 @@ func (t *encTable) reset() {
 
 // collapseTable interns the sub-vectors of one component (one process's
 // locals, one channel's contents, or the shared core) in a single-writer
-// stateTable, whose refs are dense intern indices. Reads take the read
-// lock — after warm-up almost every component of a new state is already
-// interned — and only a genuinely new sub-vector upgrades to the write
-// lock, under which the table grows inline.
+// stateTable, whose refs are dense intern indices. After warm-up almost
+// every component of a new state is already interned, so intern first
+// probes the slot array view publishes, with atomic loads and no lock,
+// as the exact set's readers do. Only a miss takes mu, under which the
+// table's one writer finds or inserts and grows inline; an insert that
+// grew the table publishes the new array. A reader holding a replaced
+// array can only miss, and a miss retries under mu, so intern indices
+// stay exact.
 type collapseTable struct {
-	mu sync.RWMutex
-	t  *stateTable
+	mu   sync.Mutex
+	t    *stateTable
+	view atomic.Pointer[slotView]
+}
+
+// slotView is a stateTable's slot array and home-slot shift as of one
+// grow.
+type slotView struct {
+	slots []uint64
+	shift uint
+}
+
+func (ct *collapseTable) init(width int) {
+	ct.t = newStateTable(width, 1, nil)
+	ct.publish()
+}
+
+// publish makes the table's slot array the one lock-free reads probe,
+// if a grow replaced it; mu held.
+func (ct *collapseTable) publish() {
+	if v := ct.view.Load(); v == nil || len(v.slots) != len(ct.t.slots) {
+		ct.view.Store(&slotView{ct.t.slots, ct.t.shift})
+	}
 }
 
 // intern returns b's intern index, interning b first if add is set;
 // without add, an absent b reports false.
 func (ct *collapseTable) intern(b []byte, add bool) (uint32, bool) {
 	fp := model.Hash64(b)
-	ct.mu.RLock()
-	ref, ok := ct.t.find(fp, b)
-	ct.mu.RUnlock()
-	if ok || !add {
-		return uint32(ref), ok
+	v := ct.view.Load()
+	if ref, ok := ct.t.probe(v.slots, v.shift, fp, b); ok {
+		return uint32(ref), true
 	}
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	return ct.t.intern(fp, b), true
+	if !add {
+		ref, ok := ct.t.find(fp, b)
+		return uint32(ref), ok
+	}
+	ref := ct.t.intern(fp, b)
+	ct.publish()
+	return ref, true
 }
 
 func (ct *collapseTable) bytes() int64 {
-	ct.mu.RLock()
-	defer ct.mu.RUnlock()
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
 	return ct.t.bytes()
 }
 
@@ -272,7 +301,7 @@ func newCollapseSet(shape *model.State, contention *obs.Counter) *collapseSet {
 	}
 	start := 0
 	for i, end := range ends {
-		s.comps[i].t = newStateTable(end-start, 1, nil)
+		s.comps[i].init(end - start)
 		start = end
 	}
 	return s

@@ -2,6 +2,7 @@ package checker
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -231,6 +232,77 @@ func TestCollapseSetConcurrent(t *testing.T) {
 	}
 	if total != len(encs) {
 		t.Fatalf("%d first-insert wins, want %d", total, len(encs))
+	}
+}
+
+// Goroutines interning overlapping sub-vectors through several grows of
+// one component table, most of them through the lock-free probe of a
+// published slot array, agree on every index: equal bytes get equal
+// indices, distinct bytes distinct ones, and the indices are dense. A
+// lookup without add finds every sub-vector its goroutine interned.
+func TestCollapseTableConcurrentIntern(t *testing.T) {
+	const (
+		goroutines = 8
+		keys       = 20000
+		span       = keys / 2 // each goroutine's keys overlap its neighbours'
+	)
+	key := func(i int) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(i)*0x9e3779b97f4a7c15) }
+	var ct collapseTable
+	ct.init(8)
+	got := make([][]uint32, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			idx := make([]uint32, keys)
+			for j := range span {
+				i := (g*keys/goroutines + j) % keys
+				ref, ok := ct.intern(key(i), true)
+				if !ok {
+					t.Errorf("goroutine %d: intern of key %d failed", g, i)
+					return
+				}
+				idx[i] = ref + 1
+				if j%7 == 0 { // a key interned a while ago, without add
+					back := (g*keys/goroutines + j/2) % keys
+					if ref, ok := ct.intern(key(back), false); !ok || ref+1 != idx[back] {
+						t.Errorf("goroutine %d: key %d looked up as %d/%v, interned as %d", g, back, ref, ok, idx[back]-1)
+						return
+					}
+				}
+			}
+			got[g] = idx
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	owner := make(map[uint32]int, keys)
+	for i := range keys {
+		want := uint32(0)
+		for g := range goroutines {
+			if v := got[g][i]; v != 0 {
+				if want != 0 && v != want {
+					t.Fatalf("key %d interned as %d and as %d", i, want-1, v-1)
+				}
+				want = v
+			}
+		}
+		if want == 0 {
+			t.Fatalf("key %d interned by no goroutine", i)
+		}
+		if j, dup := owner[want]; dup {
+			t.Fatalf("keys %d and %d share index %d", j, i, want-1)
+		}
+		owner[want] = i
+		if want > keys {
+			t.Fatalf("index %d past %d keys: not dense", want-1, keys)
+		}
+	}
+	if n := len(ct.view.Load().slots); n < keys || ct.t.size() != keys {
+		t.Fatalf("published %d slots, table holds %d entries; want a grown table of %d", n, ct.t.size(), keys)
 	}
 }
 
