@@ -33,8 +33,8 @@ func (c *Checker) WriteDOT(w io.Writer, maxStates int) error {
 	}
 
 	globals := c.sys.Prog.GlobalVars
-	for u := range min(len(p.q), maxStates) {
-		st := p.decode(p.sid[u])
+	for u := range min(p.nodes.size(), maxStates) {
+		st := p.decode(uint32(u))
 		var parts []string
 		for i, g := range globals {
 			parts = append(parts, fmt.Sprintf("%s=%d", g.Name, c.sys.Global(st, i)))

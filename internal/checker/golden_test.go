@@ -66,9 +66,8 @@ const goldenCheckpointV1 = "" +
 // what the writer produces and the reader accepts, not cross-version
 // reads.
 const goldenSpillSegment = "" +
-	"504e505350494c331d000000668bb290487b22636f756e74223a332c2266696c7465725f776f726473223a317d300000" +
-	"00daf8f2bfd413a9de61345602a9000000000000009abbe8cbd66a35c31f0000000000000085f1f832ec8e5ffb120000" +
-	"000000000008000000d75334c56088120400400000"
+	"504e505350494c3430000000daf8f2bfd413a9de61345602a9000000000000009abbe8cbd66a35c31f00000000000000" +
+	"85f1f832ec8e5ffb120000000000000008000000d75334c56088120400400000"
 
 func goldenFile(t *testing.T, name, hexBytes string) (path string, data []byte) {
 	t.Helper()

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -36,11 +37,12 @@ func PropsFromSource(prog *pml.Compiled, defs map[string]string) (map[string]pml
 // automaton for the negated formula breadth-first, edges included, then
 // splits it into strongly connected components: the formula fails iff
 // some component holds an accepting node and a cycle that is fair under
-// the rule in force. Each system state is stored once, as its canonical
-// encoding in the level engine's exact table; on top of that a product
-// node costs about 32 bytes (state id, automaton state, BFS parent, edge
-// row, index entry), 8 more for its enabled set under fairness, and an
-// edge 8. Stats.VisitedBytes reports the total.
+// the rule in force. Each system state is stored once, as its vector in
+// a table of the level engine's kind; on top of that a product node
+// costs about 30 bytes (its 8-byte (state id, automaton state) entry
+// and its slot in a second such table, BFS parent, edge row), 8 more
+// for its enabled set under fairness, and an edge 8. Stats.VisitedBytes
+// reports the total.
 func (c *Checker) CheckLTL(formula string, props map[string]pml.RExpr) *Result {
 	var res *Result
 	withPhaseLabel("liveness", func() { res = c.checkLTL(formula, props) })
@@ -70,10 +72,11 @@ const noNode = ^uint32(0)
 //
 // System states are stored the way the level engine stores them: each
 // distinct state's vector once, in table, whose dense index is the
-// state's id; a node is a (state id, automaton state) pair. No
-// node keeps a *model.State: build holds live states for two levels
-// only, and the few readers after it (counterexamples, WriteDOT) decode
-// a node's state from its encoding.
+// state's id. A node is one 8-byte entry of nodes, the little-endian
+// pair (state id, automaton state), and its dense index there is the
+// node id. No node keeps a *model.State: build and the few readers
+// after it (counterexamples, WriteDOT) decode a node's state from its
+// vector.
 //
 // With a one-state automaton (stateGraph) it is the plain reachable
 // state graph that AG EF and WriteDOT read.
@@ -90,10 +93,8 @@ type product struct {
 	graph  bool      // a violating step is left out instead of ending the search, and no stutter edges
 	target pml.RExpr // AG EF's target, evaluated into good as nodes are stored; nil for none
 
-	table     *stateTable       // state vectors of system states; single-writer, so a ref is a state id
-	index     map[uint64]uint32 // node of (state id, q), keyed id<<32 | q
-	sid       []uint32          // node -> state id
-	q         []int32
+	table     *stateTable // state vectors of system states; single-writer, so a ref is a state id
+	nodes     *stateTable // (state id, q) of each node; single-writer, so a ref is a node id
 	parent    []uint32
 	start     []uint32
 	to        []uint32
@@ -183,41 +184,23 @@ func (r *Result) fail(kind ViolationKind, msg string) *Result {
 	return r
 }
 
-// liveLevel holds each state of one BFS level's nodes, in node order.
-// Nodes built from one transition share its state and are adjacent; no
-// two transitions share a state, so the level's distinct states are its
-// runs of equal pointers.
-type liveLevel []*model.State
-
-// retire returns the level's states to a, each once, and empties it.
-func (lv *liveLevel) retire(a *model.Arena) {
-	for i, st := range *lv {
-		if i == 0 || st != (*lv)[i-1] {
-			a.Recycle(st)
-		}
-	}
-	*lv = (*lv)[:0]
-}
-
 // build stores the reachable product breadth-first, one level at a time.
 // It reports false when the search ended early — a safety violation
 // (with its shortest prefix) unless in graph mode, an evaluation error,
 // the state limit, or cancellation — with res filled in. Every node it
 // expanded has its row of edges, even then.
 //
-// Like the level engine, it expands states from a recycling arena,
-// interns each successor's vector directly, and it holds the
-// *model.State of the level it expands and of the level it fills, no
-// more: a successor that stores no node goes back to the arena at once,
-// a level's states once the level is expanded.
+// Like the level engine, it expands states from a recycling arena and
+// interns each successor's vector directly. It holds no state between
+// nodes: each node's state is decoded from its stored vector, and it
+// and its successors go back to the arena once the node is expanded.
 func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 	c := p.c
-	full := func() bool { return p.limit > 0 && len(p.q) > p.limit }
-	p.index = map[uint64]uint32{}
+	full := func() bool { return p.limit > 0 && p.nodes.size() > p.limit }
 	arena := &model.Arena{}
 	init := c.sys.InitialState()
-	var cur, next liveLevel
 	p.table = newStateTable(len(init.Bytes()), 1, nil)
+	p.nodes = newStateTable(8, 1, nil)
 	id := p.table.intern(model.Hash64(init.Bytes()), init.Bytes())
 	if err := p.label(init); err != nil {
 		res.fail(RuntimeError, err.Error())
@@ -225,25 +208,22 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 	}
 	for _, at := range p.aut.InitTrans {
 		if at.Sat(p.sat) {
-			if _, ok := p.intern(init, id, at.Dst, noNode, res); ok {
-				next = append(next, init)
-			}
+			p.intern(init, id, at.Dst, noNode, res)
 		}
 	}
-	p.roots = len(p.q)
+	p.roots = p.nodes.size()
 	p.start = append(p.start, 0)
 	var trs []model.Transition
-	for lo, hi, depth := 0, len(p.q), 0; lo < hi; lo, hi, depth = hi, len(p.q), depth+1 {
+	for lo, hi, depth := 0, p.roots, 0; lo < hi; lo, hi, depth = hi, p.nodes.size(), depth+1 {
 		res.Stats.MaxDepth = depth
-		cur, next = next, cur
-		next.retire(arena)
 		for i := lo; i < hi; i++ {
 			u := uint32(i)
 			if cc.hit() {
 				cc.cancelResult(res)
 				return false
 			}
-			st := cur[i-lo]
+			// Every entry of table is init's width, so this cannot fail.
+			st, _ := arena.Decode(init, p.table.entry(uint64(p.sidOf(u))))
 			trs = c.sys.SuccessorsAppend(st, arena, trs[:0])
 			res.Stats.Transitions += len(trs)
 			for _, tr := range trs {
@@ -254,45 +234,30 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 					return false
 				}
 			}
-			mark := len(next)
 			var last *model.Transition
-			var live *model.State // the state the new nodes of last hold
 			err := p.successors(u, st, trs, func(tr *model.Transition, q int) {
 				if full() {
 					return
 				}
 				if tr != last {
-					last, live = tr, tr.Next
+					last = tr
 					id = p.table.intern(model.Hash64(tr.Next.Bytes()), tr.Next.Bytes())
 				}
-				v, ok := p.intern(tr.Next, id, q, u, res)
-				p.to = append(p.to, v)
+				p.to = append(p.to, p.intern(tr.Next, id, q, u, res))
 				p.movers = append(p.movers, [2]int16{int16(tr.Proc), int16(tr.Partner)})
-				if ok {
-					if live == st {
-						// A stutter step: st is the expanded level's, so
-						// the new level gets its own copy.
-						live = p.decode(id)
-					}
-					next = append(next, live)
-				}
 			})
 			p.start = append(p.start, uint32(len(p.to)))
 			if err != nil {
 				res.fail(RuntimeError, err.Error())
 				return false
 			}
-			// Successors that stored no node go back to the arena now;
-			// the rest are next's, in trs order.
+			// A violating transition's Next is st itself.
 			for j := range trs {
-				kept := false
-				for ; mark < len(next) && next[mark] == trs[j].Next; mark++ {
-					kept = true
-				}
-				if !kept && trs[j].Violation == "" {
+				if trs[j].Violation == "" {
 					arena.Recycle(trs[j].Next)
 				}
 			}
+			arena.Recycle(st)
 			if full() {
 				res.Stats.Truncated = true
 				res.fail(SearchLimit, fmt.Sprintf("state limit %d exceeded", p.limit))
@@ -301,23 +266,23 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 		}
 		res.Stats.VisitedBytes = p.bytes()
 		m.visited(res.Stats.VisitedBytes)
-		m.level(&res.Stats, depth, hi-lo, len(p.q)-hi)
+		m.level(&res.Stats, depth, hi-lo, p.nodes.size()-hi)
 	}
 	return true
 }
 
 // intern returns the node of (state id, q), storing it first if it is
-// new (ok reports that); st is the state itself.
-func (p *product) intern(st *model.State, id uint32, q int, parent uint32, res *Result) (node uint32, ok bool) {
-	k := uint64(id)<<32 | uint64(q)
-	if v, ok := p.index[k]; ok {
+// new; st is the state itself.
+func (p *product) intern(st *model.State, id uint32, q int, parent uint32, res *Result) uint32 {
+	var k [8]byte
+	binary.LittleEndian.PutUint32(k[:4], id)
+	binary.LittleEndian.PutUint32(k[4:], uint32(q))
+	ref, had := p.nodes.put(0, model.Hash64(k[:]), k[:])
+	v := uint32(ref)
+	if had {
 		res.Stats.StatesMatched++
-		return v, false
+		return v
 	}
-	v := uint32(len(p.q))
-	p.index[k] = v
-	p.sid = append(p.sid, id)
-	p.q = append(p.q, int32(q))
 	p.parent = append(p.parent, parent)
 	if p.words > 0 {
 		base := len(p.enabled)
@@ -339,21 +304,29 @@ func (p *product) intern(st *model.State, id uint32, q int, parent uint32, res *
 	}
 	p.accepting = p.accepting || p.aut.States[q].Accepting
 	res.Stats.StatesStored++
-	return v, true
+	return v
 }
 
-// bytes is the resident size of the product: the state table, the node
-// index (counted at 16 bytes an entry) and the per-node and per-edge
-// arrays.
+// bytes is the resident size of the product: its two tables and the
+// per-node and per-edge arrays.
 func (p *product) bytes() int64 {
-	b := p.table.bytes() + int64(len(p.index))*16
-	b += int64(cap(p.sid)+cap(p.q)+cap(p.parent)+cap(p.start)+cap(p.to))*4 + int64(cap(p.movers))*4
+	b := p.table.bytes() + p.nodes.bytes()
+	b += int64(cap(p.parent)+cap(p.start)+cap(p.to))*4 + int64(cap(p.movers))*4
 	return b + int64(cap(p.enabled))*8 + int64(cap(p.good))
 }
 
-// decode rebuilds the system state of state id from its encoding.
-func (p *product) decode(id uint32) *model.State {
-	st, err := model.DecodeKey(p.c.sys.InitialState(), p.table.entry(uint64(id)))
+// sidOf and qOf read node u's state id and automaton state.
+func (p *product) sidOf(u uint32) uint32 {
+	return binary.LittleEndian.Uint32(p.nodes.entry(uint64(u)))
+}
+
+func (p *product) qOf(u uint32) int {
+	return int(binary.LittleEndian.Uint32(p.nodes.entry(uint64(u))[4:]))
+}
+
+// decode rebuilds node u's system state from its vector.
+func (p *product) decode(u uint32) *model.State {
+	st, err := model.DecodeKey(p.c.sys.InitialState(), p.table.entry(uint64(p.sidOf(u))))
 	if err != nil {
 		panic("checker: a stored product state does not decode: " + err.Error())
 	}
@@ -380,6 +353,7 @@ func (p *product) successors(u uint32, st *model.State, trs []model.Transition, 
 	if len(trs) == 0 && !p.graph {
 		trs = []model.Transition{{Proc: -1, Partner: -1, Ch: -1, Next: st}}
 	}
+	moves := p.aut.States[p.qOf(u)].Trans
 	for i := range trs {
 		if trs[i].Violation != "" {
 			continue
@@ -387,7 +361,7 @@ func (p *product) successors(u uint32, st *model.State, trs []model.Transition, 
 		if err := p.label(trs[i].Next); err != nil {
 			return err
 		}
-		for _, at := range p.aut.States[p.q[u]].Trans {
+		for _, at := range moves {
 			if at.Sat(p.sat) {
 				emit(&trs[i], at.Dst)
 			}
@@ -401,7 +375,7 @@ func (p *product) successors(u uint32, st *model.State, trs []model.Transition, 
 func (p *product) event(u, e uint32) trace.Event {
 	ev := stutterEvent
 	k := p.start[u]
-	st := p.decode(p.sid[u])
+	st := p.decode(u)
 	p.successors(u, st, p.c.sys.Successors(st), func(tr *model.Transition, _ int) {
 		if k == e && tr.Proc >= 0 {
 			ev = eventOf(p.c.sys, *tr)
@@ -463,7 +437,7 @@ type sccPass struct {
 type sccFrame struct{ v, e uint32 }
 
 func newSCCPass(p *product, cc *canceler) *sccPass {
-	n := len(p.q)
+	n := p.nodes.size()
 	return &sccPass{
 		p: p, cc: cc,
 		tag: make([]uint32, n), index: make([]uint32, n), low: make([]uint32, n),
@@ -499,7 +473,7 @@ func (s *sccPass) search() (entry uint32, moves []uint64) {
 			acc := noNode
 			for _, v := range scc {
 				s.comp[v] = s.stamp
-				if p.aut.States[p.q[v]].Accepting {
+				if p.aut.States[p.qOf(v)].Accepting {
 					acc = min(acc, v)
 				}
 			}

@@ -28,10 +28,12 @@ type StorageOptions struct {
 	// level logs (a per-search subdirectory, created on first use and
 	// removed when the search ends). Empty means the system temp dir.
 	SpillDir string
-	// Bitstate replaces the exact visited set with a double-hash
-	// bitstate table of 2^BitstateBits bits (Spin's -DBITSTATE
-	// analogue). The search becomes probabilistic: violations found are
-	// real, but coverage may be partial.
+	// Bitstate replaces the exact visited set with a bitstate table of
+	// 2^BitstateBits bits (Spin's -DBITSTATE analogue), default 2^24: a
+	// blocked Bloom filter where a state sets 3 bits of one word with
+	// one CAS, so the table takes no lock. The search becomes
+	// probabilistic: violations found are real, but coverage may be
+	// partial.
 	Bitstate     bool
 	BitstateBits uint
 }

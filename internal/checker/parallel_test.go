@@ -471,34 +471,76 @@ func encOf(i int) []byte {
 	return []byte(fmt.Sprintf("state-%d-%s", i, "padding-to-make-keys-nontrivial"))
 }
 
-// The parallel bitstate set marks exactly the two bitstateHashes bits of
-// each key, as a plain one-goroutine bit array does, and contains reads
-// them without setting any.
+// The parallel bitstate set marks exactly the bloomSlot bits of each
+// key, as a plain one-goroutine word array does, counts a key as new
+// unless all of them were set, and contains reads them without setting
+// any.
 func TestParBitstateSetMatchesSequentialBits(t *testing.T) {
 	const bits = 14
-	seq := make([]bool, 1<<bits)
+	seq := make([]uint64, 1<<(bits-6))
 	par := newParBitstateSet(bits, nil)
 	stored := 0
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 2000; i++ {
 		enc := encOf(i)
-		a, b := bitstateHashes(model.Hash64(enc), par.mask)
-		want := seq[a] && seq[b]
-		if got := par.contains(model.Hash64(enc), enc); got != want {
+		fp := model.Hash64(enc)
+		w, mask := bloomSlot(fp, uint64(len(seq)))
+		want := seq[w]&mask == mask
+		if got := par.contains(fp, enc); got != want {
 			t.Fatalf("key %d: contains %v before insert, sequential %v", i, got, want)
 		}
-		if got := par.seen(0, model.Hash64(enc), enc); got != want {
+		if got := par.seen(0, fp, enc); got != want {
 			t.Fatalf("key %d: parallel bitstate %v, sequential %v", i, got, want)
 		}
 		if !want {
 			stored++
 		}
-		seq[a], seq[b] = true, true
-		if !par.contains(model.Hash64(enc), enc) {
+		seq[w] |= mask
+		if !par.contains(fp, enc) {
 			t.Fatalf("key %d: not contained after insert", i)
 		}
 	}
 	if par.size() != stored {
 		t.Fatalf("sizes diverge: %d vs %d", par.size(), stored)
+	}
+	if stored == 2000 {
+		t.Fatal("no key collided; the filter is too large to test the all-bits rule")
+	}
+}
+
+// Workers racing on the same keys store each key once: over 8
+// goroutines inserting the same 2,000 keys in the same order into one
+// bitstate set, the first-insert wins sum to size(), and both equal what
+// one goroutine's set stores for the same keys. The set is large enough
+// that no key's bits are all set by others, so the count does not
+// depend on which goroutine wins each race.
+func TestParBitstateSetExactlyOnce(t *testing.T) {
+	const bits, keys, workers = 20, 2000, 8
+	fps := make([]uint64, keys)
+	alone := newParBitstateSet(bits, nil)
+	for i := range fps {
+		fps[i] = model.Hash64(encOf(i))
+		alone.seen(0, fps[i], nil)
+	}
+	for round := 0; round < 20; round++ {
+		set := newParBitstateSet(bits, nil)
+		var wins atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range fps {
+					if !set.seen(w, fps[i], nil) {
+						wins.Add(1)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if int(wins.Load()) != set.size() || set.size() != alone.size() {
+			t.Fatalf("round %d: %d first-insert wins, size %d, one goroutine stores %d",
+				round, wins.Load(), set.size(), alone.size())
+		}
 	}
 }
 

@@ -651,8 +651,8 @@ func TestRandomProgramsProductStatesReplay(t *testing.T) {
 			if path := statePath(reflect.ValueOf(p).Elem(), "product", map[uintptr]bool{}); path != "" {
 				t.Fatalf("program %d, %s: the built product holds a *model.State at %s", i, formula, path)
 			}
-			for v := range uint32(len(p.q)) {
-				want := p.table.entry(uint64(p.sid[v]))
+			for v := range uint32(p.nodes.size()) {
+				want := p.table.entry(uint64(p.sidOf(v)))
 				ends := follow(s, s.InitialState(), p.prefix(v))
 				if !slices.ContainsFunc(ends[len(ends)-1], func(c replayed) bool { return bytes.Equal(c.st.AppendKey(nil), want) }) {
 					t.Fatalf("program %d, %s: node %d's prefix does not replay to its stored state:\n%s\n%s",

@@ -126,7 +126,7 @@ func (c *Checker) checkEventuallyReachable(target pml.RExpr) *Result {
 	}
 	// The reversed edges as compressed sparse rows: the predecessors of
 	// node v are in[from[v]:from[v+1]].
-	n := len(p.q)
+	n := p.nodes.size()
 	from := make([]uint32, n+1)
 	for _, v := range p.to {
 		from[v+1]++

@@ -5,10 +5,8 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -48,7 +46,7 @@ import (
 // fingerprint filter, as each run of an LSM store does (Dayan,
 // Athanassoulis & Idreos, "Monkey", SIGMOD 2017): a blocked Bloom filter
 // of ⌈10·count/64⌉ 64-bit words, 10 bits per entry, where an entry sets
-// 3 bits of one word (spillFilterSlot), so a probe reads one word and
+// 3 bits of one word (bloomSlot), so a probe reads one word and
 // searches the index only when all three bits are set — for about 2.3 %
 // of absent states. The word index rises with the fingerprint, so the
 // writer finishes the words in order as it streams the merge. validate
@@ -59,34 +57,21 @@ import (
 // Segment layout (internal/frame's CRC framing; the filter and index
 // frames are streamed and their headers patched afterwards):
 //
-//	8-byte magic "PNPSPIL3"
-//	framed 'H' JSON header {count, filter_words}
+//	8-byte magic "PNPSPIL4"
 //	framed index: count × [fp u64 LE][log offset u64 LE], sorted by fp
-//	framed filter: filter_words × [u64 LE]
+//	framed filter: spillFilterWords(count) × [u64 LE]
+//
+// The frame lengths give count and the filter size; validate requires
+// them to agree.
 //
 // Segments are private scratch, never fsynced and deleted when merged or
 // when the search ends; resume rebuilds an index from the checkpoint log.
 // A corrupt segment fails validation at open and turns the tier off.
-const spillMagic = "PNPSPIL3"
-
-const spillSectionHeader = 'H'
-
-type spillHeader struct {
-	Count       int `json:"count"`
-	FilterWords int `json:"filter_words"`
-}
+const spillMagic = "PNPSPIL4"
 
 // spillFilterWords is the filter size of a segment of count entries:
 // 10 bits per entry, in whole words.
 func spillFilterWords(count int) int { return (10*count + 63) / 64 }
-
-// spillFilterSlot places fp in a filter of words words: the word it
-// sets, hi64(fp·words), which rises with fp, and the 3 bits it sets
-// there, taken from fp's low bits.
-func spillFilterSlot(fp, words uint64) (word, mask uint64) {
-	word, _ = bits.Mul64(fp, words)
-	return word, 1<<(fp&63) | 1<<(fp>>6&63) | 1<<(fp>>12&63)
-}
 
 // spillFrameMax is the largest payload a u32-length frame can hold.
 const spillFrameMax = 1<<32 - 1
@@ -413,23 +398,15 @@ func writeSpillSegment(w *bufio.Writer, path string, entries []idxEnt, srcs []*s
 	}()
 
 	words := spillFilterWords(total)
-	hb, err := json.Marshal(spillHeader{Count: total, FilterWords: words})
-	if err != nil {
-		return err
-	}
-	hdr := append([]byte{spillSectionHeader}, hb...)
-	fh := frame.Header(hdr)
 	w.Reset(f)
 	w.WriteString(spillMagic)
-	w.Write(fh[:])
-	w.Write(hdr)
 
 	// The index and filter frames are streamed: neither is ever held in
 	// memory. The index streams through w behind a zeroed frame header;
 	// the index's size is known, so each run of filter words the merge
 	// finishes is written into its place past the index. Both frame
 	// headers are patched afterwards.
-	indexOff := int64(len(spillMagic)) + frame.HeaderSize + int64(len(hdr))
+	indexOff := int64(len(spillMagic))
 	filterOff := indexOff + frame.HeaderSize + 16*int64(total)
 	var zero [frame.HeaderSize]byte
 	w.Write(zero[:])
@@ -470,7 +447,7 @@ func writeSpillSegment(w *bufio.Writer, path string, entries []idxEnt, srcs []*s
 		}
 		index.put(fp)
 		index.put(off)
-		i, mask := spillFilterSlot(fp, uint64(words))
+		i, mask := bloomSlot(fp, uint64(words))
 		for ; at < i; at++ {
 			filter.put(word)
 			word = 0
@@ -583,17 +560,6 @@ func (g *spillSegment) validate(logLen int64, width int) error {
 		pos = len(data) - len(rest)
 		return payload, nil
 	}
-	hdr, err := next()
-	if err != nil {
-		return err
-	}
-	if len(hdr) < 1 || hdr[0] != spillSectionHeader {
-		return bad("missing header section")
-	}
-	var h spillHeader
-	if err := json.Unmarshal(hdr[1:], &h); err != nil {
-		return bad("bad header: " + err.Error())
-	}
 	g.indexOff = pos + frame.HeaderSize
 	index, err := next()
 	if err != nil {
@@ -607,14 +573,14 @@ func (g *spillSegment) validate(logLen int64, width int) error {
 	if pos != len(data) {
 		return bad("trailing bytes")
 	}
-	if len(index)%16 != 0 || h.Count != len(index)/16 { // not 16*Count: it can overflow
-		return bad("index/count mismatch")
+	if len(index)%16 != 0 {
+		return bad("index not whole entries")
 	}
-	g.count = h.Count
-	if len(filter)%8 != 0 || h.FilterWords != len(filter)/8 || h.FilterWords != spillFilterWords(g.count) {
+	g.count = len(index) / 16
+	if len(filter) != 8*spillFilterWords(g.count) {
 		return bad("filter/count mismatch")
 	}
-	g.words = uint64(h.FilterWords)
+	g.words = uint64(len(filter) / 8)
 	var prev uint64
 	for i := 0; i < g.count; i++ {
 		fp := g.fpAt(i)
@@ -638,7 +604,7 @@ func (g *spillSegment) mayHold(fp uint64) bool {
 	if g.words == 0 {
 		return false
 	}
-	w, mask := spillFilterSlot(fp, g.words)
+	w, mask := bloomSlot(fp, g.words)
 	return binary.LittleEndian.Uint64(g.view.data[g.filterOff+8*int(w):])&mask == mask
 }
 

@@ -113,7 +113,7 @@ func TestSpillSegmentRoundTrip(t *testing.T) {
 }
 
 // spillFrameAt returns the offset of frame n of segment file b: 0 the
-// header, 1 the index, 2 the filter.
+// index, 1 the filter.
 func spillFrameAt(b []byte, n int) int {
 	at := len(spillMagic)
 	for ; n > 0; n-- {
@@ -132,22 +132,21 @@ func reframe(b []byte, at int) {
 // spillCorruptions are the ways a segment file can rot, each applied to
 // a copy of a valid file with at least one entry.
 var spillCorruptions = map[string]func([]byte) []byte{
-	"magic":  func(b []byte) []byte { b[0] ^= 0xff; return b },
-	"header": func(b []byte) []byte { b[len(spillMagic)+9] ^= 0xff; return b },
-	"index":  func(b []byte) []byte { b[spillFrameAt(b, 2)-4] ^= 0xff; return b },
+	"magic": func(b []byte) []byte { b[0] ^= 0xff; return b },
+	"index": func(b []byte) []byte { b[spillFrameAt(b, 1)-4] ^= 0xff; return b },
 	// The last entry's vector far past the log, under a valid CRC: only
 	// the range check can catch it.
 	"offset": func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[spillFrameAt(b, 2)-8:], 1<<40)
-		reframe(b, spillFrameAt(b, 1))
+		binary.LittleEndian.PutUint64(b[spillFrameAt(b, 1)-8:], 1<<40)
+		reframe(b, spillFrameAt(b, 0))
 		return b
 	},
 	// One of the first entry's filter bits cleared, under a valid CRC:
 	// only the per-entry filter check can catch it.
 	"filter": func(b []byte) []byte {
-		index, filter := spillFrameAt(b, 1), spillFrameAt(b, 2)
+		index, filter := spillFrameAt(b, 0), spillFrameAt(b, 1)
 		words := uint64(binary.LittleEndian.Uint32(b[filter:]) / 8)
-		w, mask := spillFilterSlot(binary.LittleEndian.Uint64(b[index+frame.HeaderSize:]), words)
+		w, mask := bloomSlot(binary.LittleEndian.Uint64(b[index+frame.HeaderSize:]), words)
 		at := filter + frame.HeaderSize + 8*int(w)
 		binary.LittleEndian.PutUint64(b[at:], binary.LittleEndian.Uint64(b[at:])&^(mask&-mask))
 		reframe(b, filter)
@@ -499,15 +498,9 @@ func FuzzSpillSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(merged)
-	for _, name := range []string{"magic", "header", "index", "offset", "filter", "truncated", "trailing", "empty"} {
+	for _, name := range []string{"magic", "index", "offset", "filter", "truncated", "trailing", "empty"} {
 		f.Add(spillCorruptions[name](slices.Clone(merged)))
 	}
-	// A header count whose 16× wraps around to the index length.
-	wrap := []byte(spillMagic)
-	wrap = frame.Append(wrap, []byte(`H{"count":1152921504606846977,"filter_words":1}`))
-	wrap = frame.Append(wrap, make([]byte, 16))
-	wrap = frame.Append(wrap, make([]byte, 8))
-	f.Add(wrap)
 	path := filepath.Join(dir, "fuzz.seg")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {

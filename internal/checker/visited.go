@@ -3,6 +3,7 @@ package checker
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -34,10 +35,9 @@ type parVisited interface {
 	bytes() int64
 }
 
-// visitedShards is the stripe count of the collapse set and the lock
-// count of the bitstate set. 64 stripes keep the probability of two
-// workers wanting the same lock low even at high core counts, for a
-// fixed cost of a few KiB.
+// visitedShards is the stripe count of the collapse set. 64 stripes
+// keep the probability of two workers wanting the same lock low even at
+// high core counts, for a fixed cost of a few KiB.
 const visitedShards = 64
 
 // encTable is an open-addressed hash table of variable-length byte
@@ -384,83 +384,55 @@ func (s *collapseSet) reset() {
 	}
 }
 
-// paddedMutex is a mutex padded to its own cache line.
-type paddedMutex struct {
-	sync.Mutex
-	_ [56]byte
-}
-
-// parBitstateSet is the bitstate (supertrace) structure of the parallel
-// engine. Bit words are shared across stripes and flipped with CAS, but
-// the test-and-set decision for one fingerprint is serialized by a
-// stripe lock so two workers racing on the same state cannot both claim
-// to have stored it. Which of two hash-colliding distinct states is
-// counted as stored can still depend on arrival order — bitstate
-// coverage is probabilistic in the sequential engine too.
+// parBitstateSet is the bitstate (supertrace) structure of the level
+// engine: a blocked Bloom filter of 2^bitsLog2 bits in which a
+// fingerprint sets 3 bits of one word (bloomSlot; 3 is Spin's default
+// bitstate hash count). One CAS sets all three, so of workers racing on
+// the same state exactly one sees bits it set, and it alone stores the
+// state. Which of two hash-colliding distinct states is counted as
+// stored can still depend on arrival order — bitstate coverage is
+// probabilistic in any case.
 type parBitstateSet struct {
-	locks      [visitedShards]paddedMutex
 	bits       []uint64
-	mask       uint64
 	count      atomic.Int64
-	contention *obs.Counter
+	contention *obs.Counter // lost CASes
 }
 
 func newParBitstateSet(bitsLog2 uint, contention *obs.Counter) *parBitstateSet {
 	if bitsLog2 < 10 {
 		bitsLog2 = 10
 	}
-	n := uint64(1) << bitsLog2
-	return &parBitstateSet{bits: make([]uint64, n/64), mask: n - 1, contention: contention}
+	return &parBitstateSet{bits: make([]uint64, 1<<(bitsLog2-6)), contention: contention}
 }
 
 func (s *parBitstateSet) seen(_ int, fp uint64, _ []byte) bool {
-	a, b := bitstateHashes(fp, s.mask)
-	lk := &s.locks[fp%visitedShards]
-	if !lk.TryLock() {
+	w, mask := bloomSlot(fp, uint64(len(s.bits)))
+	word := &s.bits[w]
+	for {
+		old := atomic.LoadUint64(word)
+		if old&mask == mask {
+			return true
+		}
+		if atomic.CompareAndSwapUint64(word, old, old|mask) {
+			s.count.Add(1)
+			return false
+		}
 		s.contention.Add(1)
-		lk.Lock()
 	}
-	hadA := s.setBit(a)
-	hadB := s.setBit(b)
-	lk.Unlock()
-	if hadA && hadB {
-		return true
-	}
-	s.count.Add(1)
-	return false
-}
-
-// bitstateHashes is the double-hash pair of the bitstate table: the
-// fingerprint itself and one more finaliser round over it, both masked
-// to the table.
-func bitstateHashes(fp, mask uint64) (uint64, uint64) {
-	return fp & mask, model.Mix64(fp) & mask
 }
 
 func (s *parBitstateSet) contains(fp uint64, _ []byte) bool {
-	a, b := bitstateHashes(fp, s.mask)
-	return s.bit(a) && s.bit(b)
+	w, mask := bloomSlot(fp, uint64(len(s.bits)))
+	return atomic.LoadUint64(&s.bits[w])&mask == mask
 }
 
-// bit reports whether bit pos is set.
-func (s *parBitstateSet) bit(pos uint64) bool {
-	return atomic.LoadUint64(&s.bits[pos/64])&(1<<(pos%64)) != 0
-}
-
-// setBit atomically sets bit pos, reporting whether it was already set.
-// A CAS loop rather than atomic.Uint64.Or: the module targets go1.22.
-func (s *parBitstateSet) setBit(pos uint64) bool {
-	word := &s.bits[pos/64]
-	bit := uint64(1) << (pos % 64)
-	for {
-		old := atomic.LoadUint64(word)
-		if old&bit != 0 {
-			return true
-		}
-		if atomic.CompareAndSwapUint64(word, old, old|bit) {
-			return false
-		}
-	}
+// bloomSlot places fp in a blocked Bloom filter of words 64-bit words:
+// the word it sets, hi64(fp·words), which rises with fp, and the 3 bits
+// it sets there, taken from fp's low bits. Both the bitstate set and the
+// spill segments' fingerprint filters use it.
+func bloomSlot(fp, words uint64) (word, mask uint64) {
+	word, _ = bits.Mul64(fp, words)
+	return word, 1<<(fp&63) | 1<<(fp>>6&63) | 1<<(fp>>12&63)
 }
 
 func (s *parBitstateSet) size() int { return int(s.count.Load()) }

@@ -12,15 +12,12 @@ import (
 //
 // DecodeKey is the read side of every store of encodings: a resumed
 // checkpoint rebuilds its frontier states through it, and the liveness
-// product rebuilds the states its counterexamples and DOT drawings need
-// from its state table. Bytes of the right length are not necessarily
-// a state of the system: a decoded state from outside the process must
-// pass System.CheckState before anything expands it.
+// product, through Arena.Decode, rebuilds from its state table every
+// state it expands or draws. Bytes of the right length are not
+// necessarily a state of the system: a decoded state from outside the
+// process must pass System.CheckState before anything expands it.
 func DecodeKey(shape *State, enc []byte) (*State, error) {
-	if len(enc) != len(shape.v) {
-		return nil, fmt.Errorf("model: decode state key: %d bytes, want %d", len(enc), len(shape.v))
-	}
-	return &State{v: bytes.Clone(enc), l: shape.l}, nil
+	return (*Arena)(nil).Decode(shape, enc)
 }
 
 // CheckState reports whether st is a state of s in canonical form, so

@@ -57,3 +57,37 @@ func TestDecodeKeyChecksLength(t *testing.T) {
 		t.Fatal("the decoded state aliases its input")
 	}
 }
+
+// Arena.Decode returns DecodeKey's bytes, with its length check, and
+// with a recycled state to reuse it allocates nothing.
+func TestArenaDecodeReusesStorage(t *testing.T) {
+	s := mustSystem(t, componentsSrc)
+	shape := s.InitialState()
+	a := &Arena{}
+	for _, st := range collectStates(t, s, 50) {
+		enc := st.AppendKey(nil)
+		want, err := DecodeKey(shape, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Decode(shape, enc)
+		if err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("Decode = %x, %v; DecodeKey = %x", got.Bytes(), err, want.Bytes())
+		}
+		a.Recycle(got)
+	}
+	if _, err := a.Decode(shape, shape.AppendKey(nil)[1:]); err == nil {
+		t.Error("a short vector decoded")
+	}
+	enc := shape.AppendKey(nil)
+	if allocs := testing.AllocsPerRun(100, func() { a.Recycle(must(a.Decode(shape, enc))) }); allocs != 0 {
+		t.Errorf("Decode with a recycled state: %.0f allocations, want 0", allocs)
+	}
+}
+
+func must(st *State, err error) *State {
+	if err != nil {
+		panic(err)
+	}
+	return st
+}

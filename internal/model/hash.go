@@ -14,7 +14,7 @@ const (
 // (visited sets, bitstate bits, checkpoint identity, spill indexes)
 // agrees on one implementation. It is MurmurHash64A's loop — 8
 // little-endian bytes per multiply-xorshift step, the length folded into
-// the seed, the last 1–7 bytes as one more word — closed by Mix64. The
+// the seed, the last 1–7 bytes as one more word — closed by mix64. The
 // value is fixed across platforms and processes: checkpoint logs store
 // it. Equal inputs always hash equally; distinct inputs collide with
 // probability ~2^-64.
@@ -28,7 +28,7 @@ func Hash64(b []byte) uint64 {
 	var t uint64 // the last n%8 bytes, little-endian
 	switch tail := n & 7; {
 	case tail == 0:
-		return Mix64(h)
+		return mix64(h)
 	case n >= 8:
 		t = binary.LittleEndian.Uint64(b[n-8:]) >> (64 - 8*tail)
 	case n >= 4: // two overlapping loads agree on the bytes they share
@@ -36,13 +36,12 @@ func Hash64(b []byte) uint64 {
 	default: // 1-3 bytes: the first, middle and last cover them all
 		t = uint64(b[0]) | uint64(b[n/2])<<(8*(n/2)) | uint64(b[n-1])<<(8*(n-1))
 	}
-	return Mix64((h ^ t) * hashM)
+	return mix64((h ^ t) * hashM)
 }
 
-// Mix64 is murmur3's fmix64 finaliser, a bijection on uint64 whose every
-// output bit depends on every input bit. Hash64 ends with it; a caller
-// needing a second index from a fingerprint fp uses Mix64(fp).
-func Mix64(h uint64) uint64 {
+// mix64 is murmur3's fmix64 finaliser, a bijection on uint64 whose every
+// output bit depends on every input bit. Hash64 ends with it.
+func mix64(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

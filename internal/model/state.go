@@ -2,6 +2,7 @@ package model
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"pnp/internal/pml"
 )
@@ -69,6 +70,19 @@ func (a *Arena) Recycle(st *State) {
 		return
 	}
 	a.free = append(a.free, st)
+}
+
+// Decode is DecodeKey into recycled storage: the state enc encodes,
+// laid out like shape, in a State and vector the arena hands back, so
+// decoding a stored state allocates nothing once the arena holds one.
+func (a *Arena) Decode(shape *State, enc []byte) (*State, error) {
+	if len(enc) != len(shape.v) {
+		return nil, fmt.Errorf("model: decode state key: %d bytes, want %d", len(enc), len(shape.v))
+	}
+	st := a.take()
+	st.v = append(st.v[:0], enc...)
+	st.l = shape.l
+	return st, nil
 }
 
 // take pops a recycled state, whose fields clone overwrites, or
