@@ -93,7 +93,7 @@ func run() int {
 	dataDir := flag.String("data-dir", "", "durable state directory (job journal + search checkpoints); submissions survive a crash and a restart resumes interrupted searches")
 	visited := flag.String("visited", "", "default visited-set storage for parallel searches: exact or collapse (jobs may override per submission)")
 	memLimit := flag.String("mem-limit", "", "default per-search visited-set memory budget (e.g. 2GiB); searches over budget spill visited states to disk")
-	spillDir := flag.String("spill-dir", "", "parent directory for spill segment files (default: the OS temp dir); never wire-settable by clients")
+	spillDir := flag.String("spill-dir", "", "directory for spill scratch files, unlinked as they are created (default: the OS temp dir); never wire-settable by clients")
 	ckptInterval := flag.Int("checkpoint-interval", 1, "completed BFS levels between checkpoint commits (with --data-dir)")
 	traceEntries := flag.Int("trace-entries", tracing.DefaultRecorderCapacity,
 		"flight-recorder capacity in spans; jobs and sweeps record traces served on /v1/*/trace and /debug/trace (0 disables tracing)")

@@ -64,7 +64,7 @@ func run() int {
 	por := flag.Bool("por", false, "partial-order reduction for the safety search")
 	visited := flag.String("visited", "", "visited-set storage for parallel searches: exact or collapse (collapse interns per-process/per-channel sub-vectors, Spin -DCOLLAPSE style)")
 	memLimit := flag.String("mem-limit", "", "visited-set memory budget with an optional size suffix (e.g. 512MB, 2GiB); searches over budget spill visited states to disk and keep going")
-	spillDir := flag.String("spill-dir", "", "parent directory for spill segment files (default: the OS temp dir)")
+	spillDir := flag.String("spill-dir", "", "directory for spill scratch files, unlinked as they are created (default: the OS temp dir)")
 	ckptDir := flag.String("checkpoint-dir", "", "log parallel searches level by level into this directory and resume them on re-run (keyed by a content hash of the design)")
 	ckptInterval := flag.Int("checkpoint-interval", 1, "completed BFS levels between checkpoint commits (with -checkpoint-dir)")
 	unreached := flag.Bool("unreached", false, "report never-executed transitions (dead code)")

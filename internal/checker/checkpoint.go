@@ -70,9 +70,10 @@ type DurabilityOptions struct {
 // — so a reader keeps the prefix up to the last commit that agrees with
 // the levels before it, and a log cut anywhere reads back as its last
 // durable state. The same writer keeps a budgeted search's level log
-// when it is not durable: an unsynced scratch file with no commits in
-// the search's spill directory. Either way the log is the search's one
-// on-disk copy of every state, which the spill tier indexes (spill.go).
+// when it is not durable: an unsynced scratch file with no commits,
+// unlinked in the spill directory as it is created. Either way the log
+// is the search's one on-disk copy of every state, which the spill tier
+// indexes (spill.go).
 //
 // Older logs are ignored like any foreign file: PNPCKPT3 framed each
 // vector with a uvarint length, and a PNPCKPT2 entry (the varint
@@ -247,25 +248,19 @@ func (ck *checkpointer) extend(depth int, root, next []parNode, st *Stats) error
 	return nil
 }
 
-// create starts a fresh log holding the root level.
+// create starts a fresh log holding the root level: the named
+// checkpoint file when durable, else a scratch file of the spill tier.
 func (ck *checkpointer) create(root []parNode) error {
-	dir := ck.opts.Dir
+	var err error
 	if !ck.durable {
-		if err := ck.spill.ensureRunDir(); err != nil {
-			return err
+		ck.f, err = ck.spill.create()
+	} else if err = os.MkdirAll(ck.opts.Dir, 0o755); err == nil {
+		if ck.f, err = os.Create(ck.file); err == nil {
+			syncDir(ck.opts.Dir)
 		}
-		dir = ck.spill.runDir
-		ck.file = filepath.Join(dir, "levels.log")
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
 	}
-	f, err := os.Create(ck.file)
 	if err != nil {
 		return err
-	}
-	ck.f = f
-	if ck.durable {
-		syncDir(dir)
 	}
 	if err := ck.write([]byte(ckptMagic)); err != nil {
 		return err
@@ -398,13 +393,16 @@ func (ck *checkpointer) restore(r *parRunner, res *Result) (levels [][]parNode, 
 // finish closes the log, removes a durable one once the search produced
 // a real verdict, and gives up its ownership. A Canceled search keeps
 // its file — the crash/resume path — as does a crash (finish never
-// runs). The spill tier removes a scratch log with its directory.
+// runs). A scratch log was unlinked when it was created: it is gone once
+// closed and unmapped.
 func (ck *checkpointer) finish(res *Result) {
 	if ck == nil {
 		return
 	}
-	if ck.f != nil {
+	if ck.f != nil && ck.durable {
 		ck.f.Close()
+	} else if ck.f != nil {
+		closeScratch(ck.f)
 	}
 	if ck.durable {
 		if res.Kind != Canceled {

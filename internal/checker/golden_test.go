@@ -187,7 +187,7 @@ func TestSpillSegmentGoldenBytes(t *testing.T) {
 	if !bytes.Equal(rewritten, golden) {
 		t.Errorf("segment bytes moved:\n got %x\nwant %x", rewritten, golden)
 	}
-	seg, err := openSpillSegment(path, int64(len(log)), width)
+	seg, err := openSegmentFile(path, int64(len(log)), width)
 	if err != nil {
 		t.Fatalf("openSpillSegment: %v", err)
 	}

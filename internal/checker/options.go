@@ -24,9 +24,11 @@ type StorageOptions struct {
 	// only, not the two live levels. After S spills at most ⌊log2 S⌋+1
 	// indexes are probed. 0 disables spilling.
 	MemLimit int64
-	// SpillDir is the parent directory for spill segments and scratch
-	// level logs (a per-search subdirectory, created on first use and
-	// removed when the search ends). Empty means the system temp dir.
+	// SpillDir is the directory for spill segments and scratch level
+	// logs, created on first use. Empty means the system temp dir. Each
+	// file is unlinked as it is created (on unix builds), so a search
+	// leaves nothing there however it ends, and its files show in df,
+	// not in ls or du.
 	SpillDir string
 	// Bitstate replaces the exact visited set with a bitstate table of
 	// 2^BitstateBits bits (Spin's -DBITSTATE analogue), default 2^24: a

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -22,7 +21,7 @@ import (
 // The spill tier keeps searches alive past Options.MemLimit. A budgeted
 // search writes every level once, at its barrier, to its level log
 // (checkpoint.go): the checkpoint file under Options.Durability, else an
-// unsynced scratch log in the search's spill directory. The log is the
+// unsynced scratch log in the spill directory. The log is the
 // one on-disk copy of every state, as the on-disk BFS queue is the state
 // store in Stern & Dill's disk-based Murφ (CAV 1998). When the in-memory
 // visited set exceeds the budget at a barrier, the states logged since
@@ -38,7 +37,7 @@ import (
 // the 16-byte index entries are ever rewritten. Indexes merge as a binary
 // counter over spills (an LSM tree's logarithmic method): a spill's
 // segment k-way merges the new entries with the indexes of every trailing
-// segment holding no more spills than the running total, and deletes
+// segment holding no more spills than the running total, and unmaps
 // those. So after S spills a search maps at most ⌊log2 S⌋+1 indexes plus
 // the log, and rewrites each entry at most log2 S times.
 //
@@ -64,9 +63,12 @@ import (
 // The frame lengths give count and the filter size; validate requires
 // them to agree.
 //
-// Segments are private scratch, never fsynced and deleted when merged or
-// when the search ends; resume rebuilds an index from the checkpoint log.
-// A corrupt segment fails validation at open and turns the tier off.
+// Segments and the scratch log are private scratch, never fsynced: each
+// is unlinked as it is created (scratchFile), so it lives only as long
+// as its descriptor and mappings, and a search leaves nothing on disk
+// however it ends — a merged-away segment is gone once unmapped. Resume
+// rebuilds an index from the checkpoint log. A corrupt segment fails
+// validation at open and turns the tier off.
 const spillMagic = "PNPSPIL4"
 
 // spillFilterWords is the filter size of a segment of count entries:
@@ -84,14 +86,6 @@ const spillFrameMax = 1<<32 - 1
 // at the number of set bits of the spill count, so only indexes too
 // large to merge within the frame limit can pile up this far.
 const spillMaxFiles = 1 << 12
-
-// spillRunPrefix starts the name of every search's spill run directory.
-const spillRunPrefix = "pnp-spill-"
-
-// spillOwnerFile is the file of a spill run directory whose lock the
-// search holds until it closes the directory (lockRunDir), so a
-// directory whose lock is free belongs to no live search.
-const spillOwnerFile = "owner"
 
 // spillSecondsBuckets bound checker_spill_seconds: a spill of a few
 // states takes well under a millisecond, a multi-GB one seconds.
@@ -131,15 +125,13 @@ type memTier interface {
 type spillSet struct {
 	mem      memTier
 	limit    int64
-	width    int             // bytes of every state vector
-	dir      string          // user-chosen parent ("" = system temp)
-	runDir   string          // per-search directory, created lazily
-	owner    *os.File        // holds runDir's owner lock (nil without flock)
-	log      fileView        // the log's prefix as of the last spill
-	segs     []*spillSegment // the live indexes, oldest first; a lookup probes them newest first
-	pending  []ckptRun       // the level frames logged since the last spill, queued by checkpointer.writeLevel
-	written  int             // segment files attempted so far; names the next one
-	w        *bufio.Writer   // reused by every spill
+	width    int                            // bytes of every state vector
+	dir      string                         // where scratch files go ("" = system temp), created on demand
+	scratch  func(string) (*os.File, error) // scratchFile; tests substitute failures
+	log      fileView                       // the log's prefix as of the last spill
+	segs     []*spillSegment                // the live indexes, oldest first; a lookup probes them newest first
+	pending  []ckptRun                      // the level frames logged since the last spill, queued by checkpointer.writeLevel
+	w        *bufio.Writer                  // reused by every spill
 	spilled  atomic.Int64
 	failed   bool // a failed spill or log write disables the tier; memory keeps growing
 	maxFiles int  // live segments past which the tier turns off (spillMaxFiles)
@@ -147,7 +139,7 @@ type spillSet struct {
 }
 
 func newSpillSet(mem memTier, width int, limit int64, dir string, m spillMetrics) *spillSet {
-	return &spillSet{mem: mem, width: width, limit: limit, dir: dir, maxFiles: spillMaxFiles, m: m}
+	return &spillSet{mem: mem, width: width, limit: limit, dir: dir, scratch: scratchFile, maxFiles: spillMaxFiles, m: m}
 }
 
 func (s *spillSet) seen(k int, fp uint64, enc []byte) bool {
@@ -175,27 +167,15 @@ func (s *spillSet) size() int { return int(s.spilled.Load()) + s.mem.size() }
 // file-backed, their mapped pages reclaimable.
 func (s *spillSet) bytes() int64 { return s.mem.bytes() }
 
-// ensureRunDir creates the search's spill directory on first use and
-// takes its owner lock, which close releases: SweepSpillDirs removes
-// only the directories of searches that died without closing.
-func (s *spillSet) ensureRunDir() error {
-	if s.runDir != "" {
-		return nil
-	}
+// create makes a scratch file, the scratch log or a segment, in the
+// spill directory, creating the directory if it is missing.
+func (s *spillSet) create() (*os.File, error) {
 	if s.dir != "" {
 		if err := os.MkdirAll(s.dir, 0o755); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	d, err := os.MkdirTemp(s.dir, spillRunPrefix+"*")
-	if err != nil {
-		return err
-	}
-	// A directory left unlocked (a file system without flock) is never
-	// swept: it costs its cleanup after a crash, not the spill tier.
-	s.runDir = d
-	s.owner, _ = lockRunDir(d)
-	return nil
+	return s.scratch(s.dir)
 }
 
 // fail turns the tier off for the rest of the search: what is in
@@ -215,7 +195,7 @@ func (s *spillSet) due() bool {
 
 // spill indexes the vectors of the pending level frames — the states
 // the in-memory tier holds — in a new segment whose index also merges
-// those of the trailing segments spillFold picks, then deletes those
+// those of the trailing segments spillFold picks, then unmaps those
 // and empties the in-memory tier. A failed merge is retried as a plain
 // spill, and no live segment is touched before the new one validates.
 // A spill that fails anyway (unwritable directory, a log shorter than
@@ -224,7 +204,7 @@ func (s *spillSet) due() bool {
 // log is read through the writer's own file, never reopened by path: a
 // file renamed over the path cannot stand in for it.
 func (s *spillSet) spill(log *os.File, logSize int64) bool {
-	if len(s.segs) >= s.maxFiles || s.ensureRunDir() != nil || s.log.extendTo(log, logSize) != nil {
+	if len(s.segs) >= s.maxFiles || s.log.extendTo(log, logSize) != nil {
 		s.fail()
 		return false
 	}
@@ -250,7 +230,6 @@ func (s *spillSet) spill(log *os.File, logSize int64) bool {
 	}
 	for _, old := range s.segs[first:] {
 		old.close()
-		os.Remove(old.path)
 	}
 	s.segs = append(s.segs[:first], seg)
 	s.pending = s.pending[:0]
@@ -262,23 +241,24 @@ func (s *spillSet) spill(log *os.File, logSize int64) bool {
 	return true
 }
 
-// writeSegment writes the sorted entries to a new segment file whose
-// index also covers srcs, and opens it. On error nothing new is left on
-// disk.
+// writeSegment writes the sorted entries to a new scratch file as a
+// segment whose index also covers srcs, and maps it through the same
+// descriptor, which it then closes: the mapping alone holds the file. A
+// segment that does not validate is treated as lost rather than trusted.
 func (s *spillSet) writeSegment(ents []idxEnt, srcs []*spillSegment) (*spillSegment, error) {
-	path := filepath.Join(s.runDir, fmt.Sprintf("seg-%06d.seg", s.written))
-	s.written++
+	f, err := s.create()
+	if err != nil {
+		return nil, err
+	}
+	defer closeScratch(f)
 	if s.w == nil {
 		s.w = bufio.NewWriterSize(nil, 1<<20)
 	}
-	if err := writeSpillSegment(s.w, path, ents, srcs); err != nil {
+	if err := writeSpillSegment(s.w, f, ents, srcs); err != nil {
 		return nil, err
 	}
-	seg, err := openSpillSegment(path, int64(len(s.log.data)), s.width)
+	seg, err := openSpillSegment(f, int64(len(s.log.data)), s.width)
 	if err != nil {
-		// The segment we just wrote does not validate: treat it as lost
-		// rather than trusting it.
-		os.Remove(path)
 		return nil, err
 	}
 	seg.spills = 1
@@ -311,22 +291,14 @@ func spillFold(n int, segs []*spillSegment) int {
 	return i
 }
 
-// close releases the mappings and removes this search's spill
-// directory, the scratch log included.
+// close releases the mappings of the segments and the log, the last
+// references to the segments' unlinked files.
 func (s *spillSet) close() {
 	for _, seg := range s.segs {
 		seg.close()
 	}
 	s.segs = nil
 	s.log.close()
-	if s.runDir != "" {
-		os.RemoveAll(s.runDir)
-		s.runDir = ""
-	}
-	if s.owner != nil {
-		s.owner.Close()
-		s.owner = nil
-	}
 }
 
 // idxEnt is one index entry: a state's fingerprint and the log offset
@@ -373,10 +345,10 @@ func sortByFP(ents []idxEnt) {
 	}
 }
 
-// writeSpillSegment writes a segment at path whose index k-way merges
-// the sorted entries with the sorted indexes of srcs. A failed write
-// removes the file. w is reset onto the file.
-func writeSpillSegment(w *bufio.Writer, path string, entries []idxEnt, srcs []*spillSegment) (err error) {
+// writeSpillSegment writes a segment to f, a new file, whose index
+// k-way merges the sorted entries with the sorted indexes of srcs. w is
+// reset onto f.
+func writeSpillSegment(w *bufio.Writer, f *os.File, entries []idxEnt, srcs []*spillSegment) error {
 	total := len(entries)
 	for _, src := range srcs {
 		total += src.count
@@ -384,19 +356,6 @@ func writeSpillSegment(w *bufio.Writer, path string, entries []idxEnt, srcs []*s
 	if 16*uint64(total) > spillFrameMax {
 		return fmt.Errorf("checker: spill: index exceeds frame limit (%d entries)", total)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			os.Remove(path)
-		}
-	}()
-
 	words := spillFilterWords(total)
 	w.Reset(f)
 	w.WriteString(spillMagic)
@@ -513,7 +472,6 @@ func (s *frameStream) patch(f *os.File, off int64) error {
 // spillSegment is one immutable on-disk index, probed through a
 // read-only view of the whole file.
 type spillSegment struct {
-	path      string
 	view      fileView
 	count     int
 	spills    int // spills merged into this segment's index (in memory only)
@@ -522,19 +480,14 @@ type spillSegment struct {
 	words     uint64 // of the filter
 }
 
-// openSpillSegment maps and fully validates the segment at path as an
-// index of width-byte vectors in a level log of logLen bytes: its
-// frames' CRCs, its sort order, every entry's vector inside the log and
-// every entry's bits in the filter. Any validation failure returns an
-// error; callers discard the segment and carry on — a corrupt segment
-// degrades the search, never crashes it.
-func openSpillSegment(path string, logLen int64, width int) (*spillSegment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	seg := &spillSegment{path: path}
+// openSpillSegment maps the whole of f and fully validates it as a
+// segment indexing width-byte vectors in a level log of logLen bytes:
+// its frames' CRCs, its sort order, every entry's vector inside the log
+// and every entry's bits in the filter. Any validation failure returns
+// an error; callers discard the segment and carry on — a corrupt segment
+// degrades the search, never crashes it. The mapping outlives f.
+func openSpillSegment(f *os.File, logLen int64, width int) (*spillSegment, error) {
+	seg := &spillSegment{}
 	if err := seg.view.extendTo(f, -1); err != nil {
 		return nil, err
 	}
@@ -547,7 +500,7 @@ func openSpillSegment(path string, logLen int64, width int) (*spillSegment, erro
 
 func (g *spillSegment) validate(logLen int64, width int) error {
 	data := g.view.data
-	bad := func(msg string) error { return fmt.Errorf("checker: spill segment %s: %s", g.path, msg) }
+	bad := func(msg string) error { return fmt.Errorf("checker: spill segment: %s", msg) }
 	if len(data) < len(spillMagic)+8 || string(data[:len(spillMagic)]) != spillMagic {
 		return bad("bad magic")
 	}

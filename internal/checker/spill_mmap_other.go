@@ -20,11 +20,14 @@ func (v *fileView) extend(f *os.File, size int64) error {
 
 func (v *fileView) close() { v.data = nil }
 
-// lockRunDir takes no lock: without flock a run directory has no
-// owner file, and SweepSpillDirs cannot tell a live search's directory
-// from a dead one's.
-func lockRunDir(string) (*os.File, error) { return nil, nil }
+// scratchFile creates a file in dir, the system temp dir when dir is
+// empty. An open file cannot be unlinked on these builds, so it keeps
+// its name until closeScratch: a killed search leaves its files behind.
+func scratchFile(dir string) (*os.File, error) { return os.CreateTemp(dir, "pnp-spill-*") }
 
-// SweepSpillDirs removes nothing without flock: a killed search's run
-// directory stays until removed by hand.
-func SweepSpillDirs(string) (int, error) { return 0, nil }
+// closeScratch closes a scratchFile and removes it. A segment's view is
+// an in-heap copy here, so its file goes as soon as it is read.
+func closeScratch(f *os.File) {
+	f.Close()
+	os.Remove(f.Name())
+}

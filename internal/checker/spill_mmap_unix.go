@@ -4,8 +4,6 @@ package checker
 
 import (
 	"os"
-	"path/filepath"
-	"strings"
 	"syscall"
 )
 
@@ -60,58 +58,22 @@ func (v *fileView) close() {
 	v.data, v.mapped = nil, nil
 }
 
-// lockRunDir takes the run directory's owner lock: an exclusive flock
-// on spillOwnerFile, which the kernel drops when the process dies,
-// however it dies. The file is locked under a temporary name and only
-// then renamed into place, so a sweep never finds an owner file that is
-// not yet locked.
-func lockRunDir(dir string) (*os.File, error) {
-	f, err := os.CreateTemp(dir, spillOwnerFile+"-*")
+// scratchFile creates a file in dir, the system temp dir when dir is
+// empty, and unlinks it at once, as tmpfile(3) does: the file lives as
+// long as its descriptor and mappings, so a search leaves nothing behind
+// however it ends, SIGKILL included. Only a kill between the two calls
+// can leave a file, an empty one. A failed unlink fails the create.
+func scratchFile(dir string) (*os.File, error) {
+	f, err := os.CreateTemp(dir, "pnp-spill-*")
 	if err != nil {
 		return nil, err
 	}
-	err = syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB)
-	if err == nil {
-		err = os.Rename(f.Name(), filepath.Join(dir, spillOwnerFile))
-	}
-	if err != nil {
+	if err := os.Remove(f.Name()); err != nil {
 		f.Close()
-		os.Remove(f.Name())
 		return nil, err
 	}
 	return f, nil
 }
 
-// SweepSpillDirs removes the spill run directories (spillRunPrefix*) under
-// dir, the system temp dir when dir is empty, that a search killed
-// before it could clean up left behind: those whose owner lock can be
-// taken without blocking. A directory with no owner file is left alone:
-// its search may still be starting. It returns how many it removed.
-func SweepSpillDirs(dir string) (int, error) {
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	removed := 0
-	for _, e := range ents {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), spillRunPrefix) {
-			continue
-		}
-		run := filepath.Join(dir, e.Name())
-		f, err := os.Open(filepath.Join(run, spillOwnerFile))
-		if err != nil {
-			continue
-		}
-		if syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB) == nil && os.RemoveAll(run) == nil {
-			removed++
-		}
-		f.Close()
-	}
-	return removed, nil
-}
+// closeScratch closes a scratchFile, already unlinked.
+func closeScratch(f *os.File) { f.Close() }

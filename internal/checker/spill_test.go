@@ -6,6 +6,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/bits"
@@ -31,24 +32,39 @@ func testLog(tb testing.TB, dir string, encs [][]byte) (path string, data []byte
 		body = append(body, e...)
 	}
 	data = frame.Append([]byte(ckptMagic), body)
-	path = filepath.Join(dir, "levels.log")
+	path = filepath.Join(dir, "level.log")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		tb.Fatal(err)
 	}
 	return path, data, ents
 }
 
-// writeTestSegment writes, at dir/seg-num.seg, a segment whose index
-// merges ents, sorted here, with the indexes of srcs.
+// writeTestSegment writes, at dir/num.seg, a segment whose index merges
+// ents, sorted here, with the indexes of srcs.
 func writeTestSegment(tb testing.TB, dir string, num int, ents []idxEnt, srcs ...*spillSegment) string {
 	tb.Helper()
 	ents = slices.Clone(ents)
 	slices.SortFunc(ents, func(a, b idxEnt) int { return cmp.Compare(a.fp, b.fp) })
-	path := filepath.Join(dir, fmt.Sprintf("seg-%06d.seg", num))
-	if err := writeSpillSegment(bufio.NewWriter(nil), path, ents, srcs); err != nil {
+	path := filepath.Join(dir, fmt.Sprintf("%d.seg", num))
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer f.Close()
+	if err := writeSpillSegment(bufio.NewWriter(nil), f, ents, srcs); err != nil {
 		tb.Fatalf("writeSpillSegment: %v", err)
 	}
 	return path
+}
+
+// openSegmentFile opens the segment file at path with openSpillSegment.
+func openSegmentFile(path string, logLen int64, width int) (*spillSegment, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return openSpillSegment(f, logLen, width)
 }
 
 // writeMergedTestSegment writes each part of ents but the last as a
@@ -60,7 +76,7 @@ func writeMergedTestSegment(tb testing.TB, dir string, logLen int64, width int, 
 	last := len(parts) - 1
 	var srcs []*spillSegment
 	for num := range last {
-		seg, err := openSpillSegment(writeTestSegment(tb, dir, num, parts[num]), logLen, width)
+		seg, err := openSegmentFile(writeTestSegment(tb, dir, num, parts[num]), logLen, width)
 		if err != nil {
 			tb.Fatalf("openSpillSegment: %v", err)
 		}
@@ -79,7 +95,7 @@ func TestSpillSegmentRoundTrip(t *testing.T) {
 	_, log, ents := testLog(t, dir, encs)
 	width := len(encs[0])
 	merged := writeMergedTestSegment(t, t.TempDir(), int64(len(log)), width, ents[:900], ents[900:1300], ents[1300:])
-	if seg, err := openSpillSegment(merged, int64(len(log)-1), width); err == nil {
+	if seg, err := openSegmentFile(merged, int64(len(log)-1), width); err == nil {
 		seg.close()
 		t.Fatal("segment opened over a log that ends inside its last vector")
 	}
@@ -87,7 +103,7 @@ func TestSpillSegmentRoundTrip(t *testing.T) {
 		"plain":  writeTestSegment(t, t.TempDir(), 0, ents),
 		"merged": merged,
 	} {
-		seg, err := openSpillSegment(path, int64(len(log)), width)
+		seg, err := openSegmentFile(path, int64(len(log)), width)
 		if err != nil {
 			t.Fatalf("%s: openSpillSegment: %v", name, err)
 		}
@@ -173,7 +189,7 @@ func TestSpillSegmentCorruptionDetected(t *testing.T) {
 			if err := os.WriteFile(p, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if seg, err := openSpillSegment(p, int64(len(log)), len(encs[0])); err == nil {
+			if seg, err := openSegmentFile(p, int64(len(log)), len(encs[0])); err == nil {
 				seg.close()
 				t.Fatal("corrupt segment opened without error")
 			}
@@ -184,7 +200,9 @@ func TestSpillSegmentCorruptionDetected(t *testing.T) {
 // spillHarness is a budgeted search's barriers in miniature: each level
 // call stores a batch of fresh states, logs it as the next level of a
 // scratch log (the batch of the first call is the root level and level
-// 1) and lets the spill tier index it.
+// 1) and lets the spill tier index it. At every barrier and after close
+// it checks that the spill dir holds no file and that every segment a
+// barrier merged away is unmapped.
 type spillHarness struct {
 	tb    testing.TB
 	s     *spillSet
@@ -197,8 +215,31 @@ type spillHarness struct {
 func newSpillHarness(tb testing.TB, shape *model.State, mem memTier, dir string) *spillHarness {
 	reg := obs.NewRegistry()
 	s := newSpillSet(mem, len(shape.Bytes()), 1, dir, newSpillMetrics(reg, "test", reg.Counter("spilled")))
-	tb.Cleanup(s.close)
-	return &spillHarness{tb: tb, s: s, ck: &checkpointer{spill: s, cBytes: s.m.bytes}, shape: shape}
+	h := &spillHarness{tb: tb, s: s, ck: &checkpointer{spill: s, cBytes: s.m.bytes}, shape: shape}
+	tb.Cleanup(func() {
+		segs := s.segs
+		h.ck.finish(&Result{})
+		s.close()
+		for i, seg := range segs {
+			if seg.view.data != nil {
+				tb.Errorf("segment %d still mapped after close", i)
+			}
+		}
+		h.noFiles()
+	})
+	return h
+}
+
+// noFiles fails the test if the spill dir holds anything. A dir that
+// does not exist, or is not one, holds nothing.
+func (h *spillHarness) noFiles() {
+	h.tb.Helper()
+	if !scratchUnlinked {
+		return
+	}
+	if ents, err := os.ReadDir(h.s.dir); err == nil && len(ents) > 0 {
+		h.tb.Fatalf("spill dir holds %d entries, %s first; want none", len(ents), ents[0].Name())
+	}
 }
 
 func (h *spillHarness) level(encs [][]byte) {
@@ -218,7 +259,14 @@ func (h *spillHarness) level(encs [][]byte) {
 		h.root, nodes = nodes[:1], nodes[1:]
 	}
 	h.depth++
+	before := slices.Clone(h.s.segs)
 	h.ck.barrier(h.depth, h.root, nodes, &Stats{})
+	for i, seg := range before {
+		if live := slices.Contains(h.s.segs, seg); live != (seg.view.data != nil) {
+			h.tb.Fatalf("barrier %d: segment %d live=%v but mapped=%v", h.depth, i, live, seg.view.data != nil)
+		}
+	}
+	h.noFiles()
 }
 
 // has fails the test unless the set holds every one of encs.
@@ -241,16 +289,6 @@ func (h *spillHarness) tierOff() {
 	if !h.s.failed || h.s.m.off.Value() != 1 {
 		h.tb.Fatalf("tier failed=%v, checker_spill_tier_off_total %d; want off, counted once", h.s.failed, h.s.m.off.Value())
 	}
-}
-
-// runFiles lists the spill run directory but its owner lock file.
-func (h *spillHarness) runFiles() []os.DirEntry {
-	h.tb.Helper()
-	files, err := os.ReadDir(h.s.runDir)
-	if err != nil {
-		h.tb.Fatal(err)
-	}
-	return slices.DeleteFunc(files, func(f os.DirEntry) bool { return f.Name() == spillOwnerFile })
 }
 
 // A spillSet whose directory cannot be created (its parent is a file)
@@ -311,9 +349,6 @@ func TestSpillSetStopsAtMaxFiles(t *testing.T) {
 		t.Fatalf("failed=%v, %d segments, %d spilled; want the tier off after 3 spills of 150 states",
 			h.s.failed, len(h.s.segs), h.s.spilled.Load())
 	}
-	if files := h.runFiles(); len(files) != 3 {
-		t.Fatalf("%d files in the run dir, want the log and 2 segments", len(files))
-	}
 	h.has(encs)
 	h.tierOff()
 	if h.s.mem.size() != len(encs)-150 {
@@ -333,8 +368,7 @@ func spillMems(shape *model.State) map[string]func() memTier {
 // and collapse in-memory tiers. Spilling after every small level merges
 // indexes like a binary counter: a search that spilled S times probes
 // at most bits.Len(S) indexes, with strictly decreasing spill and state
-// counts, and its run dir holds the log and the live segments only —
-// each merged segment is deleted.
+// counts; each merged segment is unmapped (the harness checks).
 func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 	shape, encs, _ := benchComponentStates(t, 2000)
 	for name, mk := range spillMems(shape) {
@@ -358,9 +392,6 @@ func TestSpillSetMembershipAcrossSpills(t *testing.T) {
 				}
 				if total != spills {
 					t.Fatalf("segments hold %d spills, want %d", total, spills)
-				}
-				if files := h.runFiles(); len(files) != len(s.segs)+1 {
-					t.Fatalf("after %d spills: %d files for %d segments and the log", spills, len(files), len(s.segs))
 				}
 			}
 			if spills < 200 {
@@ -429,7 +460,7 @@ func TestSpillFold(t *testing.T) {
 	}
 }
 
-// A merge that cannot be written leaves its sources in place and
+// A merge whose file cannot be created leaves its sources mapped and
 // membership exact: it is retried as a plain spill, and only when that
 // fails too does the tier give up.
 func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
@@ -446,21 +477,22 @@ func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
 			if len(before) != 2 {
 				t.Fatalf("%d segments before the merge, want 2", len(before))
 			}
-			// A directory where the next segment file goes makes
-			// creating it fail.
-			for k := 0; k < blocked; k++ {
-				path := filepath.Join(s.runDir, fmt.Sprintf("seg-%06d.seg", s.written+k))
-				if err := os.Mkdir(path, 0o755); err != nil {
-					t.Fatal(err)
+			// The next blocked segment files cannot be created.
+			fails := blocked
+			s.scratch = func(dir string) (*os.File, error) {
+				if fails > 0 {
+					fails--
+					return nil, errors.New("no space left on device")
 				}
+				return scratchFile(dir)
 			}
 			h.level(encs[300:]) // would fold both indexes
 			if !slices.Equal(s.segs[:2], before) {
 				t.Fatal("sources replaced by a failed merge")
 			}
-			for _, seg := range before {
-				if _, err := os.Stat(seg.path); err != nil {
-					t.Errorf("source %s: %v", seg.path, err)
+			for i, seg := range before {
+				if seg.view.data == nil {
+					t.Errorf("source %d unmapped by a failed merge", i)
 				}
 			}
 			switch blocked {
@@ -506,7 +538,7 @@ func FuzzSpillSegment(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		seg, err := openSpillSegment(path, int64(len(log)), width)
+		seg, err := openSegmentFile(path, int64(len(log)), width)
 		if err != nil {
 			return
 		}
@@ -526,57 +558,64 @@ func FuzzSpillSegment(f *testing.F) {
 	})
 }
 
-// A 1 KB-budget durable search records one checker_spill_seconds sample
-// and one new segment file per spill, and at every commit
-// checker_spill_bytes_total equals the summed size of every segment the
-// run dir has held: each spill adds its segment's bytes once, and no
-// file is rewritten. The log is the checkpoint, so no other spill-tier
-// file exists.
+// Each spill creates one file, its segment, and counts that segment's
+// bytes once: at every barrier of ckptSrc's levels checker_spill_bytes_total
+// equals the summed mapped size of every segment created so far, plus the
+// scratch log's bytes when the log is not durable (a durable one counts
+// in checkpoint_bytes_written_total), and checker_spill_seconds holds
+// one sample per segment. A whole durable search under a 1 KB budget
+// counts its spilled states as its Stats do.
 func TestSpillMetrics(t *testing.T) {
+	sys := sysFromSource(t, ckptSrc)
+	levels := bfsLevels(t, sys)
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			h := newSpillHarness(t, sys.InitialState(), newStateTable(len(levels[0][0]), 1, nil), t.TempDir())
+			if durable {
+				c := New(sys, Options{Durability: &DurabilityOptions{Dir: t.TempDir(), Key: "m"}})
+				h.ck = c.newCheckpointer("safety-par-bfs", h.s)
+			}
+			created := 0
+			h.s.scratch = func(dir string) (*os.File, error) {
+				created++
+				return scratchFile(dir)
+			}
+			seen := map[*spillSegment]bool{}
+			var segBytes int64
+			for _, level := range levels {
+				h.level(level) // MemLimit 1: every barrier past the root spills
+				for _, seg := range h.s.segs {
+					if !seen[seg] {
+						seen[seg] = true
+						segBytes += int64(len(seg.view.data))
+					}
+				}
+				files, want := len(seen), segBytes
+				if !durable && h.ck.f != nil {
+					files, want = files+1, want+h.ck.size
+				}
+				m := h.s.m
+				if created != files || m.seconds.Count() != int64(len(seen)) || m.bytes.Value() != want {
+					t.Fatalf("barrier %d: %d files created, %d spill samples and %d bytes counted; want %d files, %d samples, %d bytes",
+						h.depth, created, m.seconds.Count(), m.bytes.Value(), files, len(seen), want)
+				}
+			}
+			if len(seen) < 100 {
+				t.Fatalf("%d segments over %d barriers", len(seen), h.depth)
+			}
+		})
+	}
+
 	reg := obs.NewRegistry()
-	parent := t.TempDir()
-	const phase = "safety-par-bfs"
-	seconds := reg.Histogram(obs.Labels("checker_spill_seconds", "phase", phase), spillSecondsBuckets)
-	written := reg.Counter(obs.Labels("checker_spill_bytes_total", "phase", phase))
-	barriers := 0
-	held := map[string]int64{} // every segment file seen, by name
-	var heldBytes int64
-	onWrite := func(string, int, int) {
-		barriers++
-		runs, _ := filepath.Glob(filepath.Join(parent, "pnp-spill-*", "*"))
-		for _, p := range runs {
-			if filepath.Base(p) == spillOwnerFile {
-				continue
-			}
-			fi, err := os.Stat(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if size, ok := held[p]; ok && size != fi.Size() {
-				t.Fatalf("barrier %d: %s rewritten, %d bytes then %d", barriers, p, size, fi.Size())
-			} else if !ok {
-				held[p] = fi.Size()
-				heldBytes += fi.Size()
-			}
-		}
-		if seconds.Count() != int64(len(held)) || written.Value() != heldBytes {
-			t.Fatalf("barrier %d: %d spill samples and %d bytes counted, %d files of %d bytes held",
-				barriers, seconds.Count(), written.Value(), len(held), heldBytes)
-		}
-	}
-	res := New(sysFromSource(t, ckptSrc), Options{Workers: 2, Metrics: reg,
-		Storage:    StorageOptions{MemLimit: 1024, SpillDir: parent},
-		Durability: &DurabilityOptions{Dir: t.TempDir(), Key: "m", Interval: 1, OnWrite: onWrite},
+	res := New(sys, Options{Workers: 2, Metrics: reg,
+		Storage:    StorageOptions{MemLimit: 1024, SpillDir: t.TempDir()},
+		Durability: &DurabilityOptions{Dir: t.TempDir(), Key: "m"},
 	}).CheckSafety()
-	if !res.OK || res.Stats.SpilledStates == 0 {
-		t.Fatalf("%s, %d spilled", res.Summary(), res.Stats.SpilledStates)
-	}
-	if seconds.Count() < 100 || barriers < 100 {
-		t.Fatalf("%d spills over %d barriers", seconds.Count(), barriers)
-	}
-	spilled := reg.Counter(obs.Labels("checker_visited_spilled_states_total", "phase", phase))
-	if spilled.Value() != int64(res.Stats.SpilledStates) {
-		t.Errorf("spilled states counter %d, Stats %d", spilled.Value(), res.Stats.SpilledStates)
+	const phase = "safety-par-bfs"
+	spilled := reg.Counter(obs.Labels("checker_visited_spilled_states_total", "phase", phase)).Value()
+	spills := reg.Histogram(obs.Labels("checker_spill_seconds", "phase", phase), spillSecondsBuckets).Count()
+	if !res.OK || res.Stats.SpilledStates == 0 || spilled != int64(res.Stats.SpilledStates) || spills < 100 {
+		t.Fatalf("%s: %d spilled, counter %d, %d spills", res.Summary(), res.Stats.SpilledStates, spilled, spills)
 	}
 }
 
@@ -628,7 +667,7 @@ active proctype R() { skip }`)
 			}
 			for i := range seg.count {
 				if !seg.mayHold(seg.fpAt(i)) {
-					t.Fatalf("after %d spills: entry %d of %s fails its filter", h.depth-1, i, seg.path)
+					t.Fatalf("after %d spills: entry %d of a segment of %d spills fails its filter", h.depth-1, i, seg.spills)
 				}
 			}
 		}
@@ -654,7 +693,7 @@ func TestSpillFilterFalsePositives(t *testing.T) {
 	for i := range ents {
 		ents[i] = idxEnt{fp: rng.Uint64()}
 	}
-	seg, err := openSpillSegment(writeTestSegment(t, t.TempDir(), 0, ents), 1, 1)
+	seg, err := openSegmentFile(writeTestSegment(t, t.TempDir(), 0, ents), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,63 +735,28 @@ func TestLevelSerialCounter(t *testing.T) {
 	}
 }
 
-// SweepSpillDirs removes a run directory whose owner lock is free — a
-// killed search's — and keeps one whose lock a live search holds and
-// one with no owner file yet.
-func TestSweepSpillDirs(t *testing.T) {
-	parent := t.TempDir()
-	shape, encs, _ := benchComponentStates(t, 10)
-	live := newSpillSet(newStateTable(len(encs[0]), 1, nil), len(shape.Bytes()), 1, parent, spillMetrics{})
-	defer live.close()
-	if err := live.ensureRunDir(); err != nil {
-		t.Fatal(err)
-	}
-	if live.owner == nil {
-		t.Skip("no run dir locks on this platform")
-	}
-	dead := filepath.Join(parent, "pnp-spill-dead")
-	starting := filepath.Join(parent, "pnp-spill-starting")
-	for _, d := range []string{dead, starting} {
-		if err := os.Mkdir(d, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dead, spillOwnerFile), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n, err := SweepSpillDirs(parent)
-	if err != nil || n != 1 {
-		t.Fatalf("SweepSpillDirs = %d, %v; want 1 removed", n, err)
-	}
-	for d, want := range map[string]bool{dead: false, starting: true, live.runDir: true} {
-		if _, err := os.Stat(d); (err == nil) != want {
-			t.Errorf("%s: exists=%v, want %v", filepath.Base(d), err == nil, want)
-		}
-	}
-}
-
-// close removes the per-search spill directory, scratch log included.
+// close unmaps every segment and the log, the last references to their
+// unlinked files, and leaves the spill dir as empty as it was during
+// the search.
 func TestSpillSetCloseRemovesSegments(t *testing.T) {
 	shape, encs, _ := benchComponentStates(t, 300)
-	parent := t.TempDir()
-	h := newSpillHarness(t, shape, newStateTable(len(encs[0]), 1, nil), parent)
+	h := newSpillHarness(t, shape, newStateTable(len(encs[0]), 1, nil), t.TempDir())
 	h.level(encs)
-	if len(h.s.segs) == 0 {
+	segs := h.s.segs
+	if len(segs) == 0 || h.s.log.data == nil {
 		t.Fatal("no segment written")
 	}
-	runDir := h.s.runDir
 	h.ck.finish(&Result{})
 	h.s.close()
-	if _, err := os.Stat(runDir); !os.IsNotExist(err) {
-		t.Errorf("run dir %s not removed (err=%v)", runDir, err)
+	for i, seg := range segs {
+		if seg.view.data != nil {
+			t.Errorf("segment %d still mapped", i)
+		}
 	}
-	ents, err := os.ReadDir(parent)
-	if err != nil {
-		t.Fatal(err)
+	if h.s.log.data != nil {
+		t.Error("log still mapped")
 	}
-	if len(ents) != 0 {
-		t.Errorf("%d entries left in spill parent", len(ents))
-	}
+	h.noFiles()
 }
 
 // --- checkpoint/resume over collapse and spilled visited sets ---
@@ -1029,7 +1033,7 @@ func TestDurableSpillWritesEachStateOnce(t *testing.T) {
 // whose first mmap failed, extends a copy of a growing file's prefix by
 // the appended bytes only.
 func TestGrowHeapExtendsByTheAppendedBytes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "levels.log")
+	path := filepath.Join(t.TempDir(), "level.log")
 	if err := os.WriteFile(path, []byte("PNPCKPT4abc"), 0o644); err != nil {
 		t.Fatal(err)
 	}

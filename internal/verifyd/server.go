@@ -202,8 +202,6 @@ func NewServer(cfg Config) *Server {
 // incomplete ones — and arms search checkpointing; re-enqueued jobs
 // resume their searches from the last checkpoint commit in
 // DataDir/checkpoints. Without DataDir it is identical to NewServer.
-// Either way it first removes the spill run dirs that killed searches
-// left in the spill dir (checker.SweepSpillDirs).
 func OpenServer(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -217,14 +215,6 @@ func OpenServer(cfg Config) (*Server, error) {
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	// Spill run dirs that searches killed before they could clean up
-	// (SIGKILL, OOM) would otherwise fill the spill dir across restarts.
-	spillDir := cfg.Options.Storage.SpillDir
-	if n, err := checker.SweepSpillDirs(spillDir); err != nil {
-		log.Warn("spill dir sweep failed", "spill_dir", spillDir, "err", err.Error())
-	} else if n > 0 {
-		log.Info("removed stale spill dirs", "spill_dir", spillDir, "removed", n)
 	}
 	// Compiled-module artifacts share the result cache's entry bound; on
 	// a DataDir server they are also mirrored to DataDir/artifacts, so

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -364,6 +366,47 @@ func TestAPIDocMatchesRouteTable(t *testing.T) {
 	for pattern := range documented {
 		if strings.Contains(pattern, " /v1/") && !table[pattern] {
 			t.Errorf("docs/API.md documents %q, which no route table serves", pattern)
+		}
+	}
+}
+
+// TestDegradedModeTableNamesRealTests keeps DESIGN.md's table of the
+// storage tier's degraded modes honest: every test or fuzz target it
+// names (a /subtest suffix aside) is declared in some _test.go file.
+func TestDegradedModeTableNamesRealTests(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := bytes.Cut(doc, []byte("### Degraded modes of the storage tier"))
+	if !ok {
+		t.Fatal("DESIGN.md has no degraded-modes section")
+	}
+	if end := bytes.Index(table, []byte("\n#")); end >= 0 {
+		table = table[:end]
+	}
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := regexp.MustCompile("`((?:Test|Fuzz)\\w*)[^`]*`").FindAllSubmatch(table, -1)
+	if len(named) == 0 {
+		t.Fatal("the degraded-modes table names no test")
+	}
+	for _, m := range named {
+		if !declared[string(m[1])] {
+			t.Errorf("DESIGN.md's degraded-modes table names %s, which no _test.go declares", m[1])
 		}
 	}
 }
