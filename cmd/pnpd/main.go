@@ -94,7 +94,7 @@ func run() int {
 	visited := flag.String("visited", "", "default visited-set storage for parallel searches: exact or collapse (jobs may override per submission)")
 	memLimit := flag.String("mem-limit", "", "default per-search visited-set memory budget (e.g. 2GiB); searches over budget spill visited states to disk")
 	spillDir := flag.String("spill-dir", "", "directory for spill scratch files, unlinked as they are created (default: the OS temp dir); never wire-settable by clients")
-	ckptInterval := flag.Int("checkpoint-interval", 1, "completed BFS levels between checkpoint commits (with --data-dir)")
+	ckptInterval := flag.Int("checkpoint-interval", 0, "completed BFS levels between checkpoint commits (with --data-dir); 0 paces commits by the disk: the next once the search has explored as long as the last one took")
 	traceEntries := flag.Int("trace-entries", tracing.DefaultRecorderCapacity,
 		"flight-recorder capacity in spans; jobs and sweeps record traces served on /v1/*/trace and /debug/trace (0 disables tracing)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
@@ -170,7 +170,11 @@ func run() int {
 		b := fmt.Sprintf("listening on http://%s (workers=%d, cache=%d, timeout=%s)",
 			at, cfgWorkers(cfg), *cacheEntries, *jobTimeout)
 		if *dataDir != "" {
-			b += fmt.Sprintf("\npnpd: durable state in %s (checkpoint every %d level(s))", *dataDir, *ckptInterval)
+			cadence := "checkpoint commits paced by the disk"
+			if *ckptInterval > 0 {
+				cadence = fmt.Sprintf("checkpoint every %d level(s)", *ckptInterval)
+			}
+			b += fmt.Sprintf("\npnpd: durable state in %s (%s)", *dataDir, cadence)
 		}
 		return b
 	}

@@ -87,7 +87,7 @@ func TestVerifyAllCheckpointsPerProperty(t *testing.T) {
 	want := filepath.Join(dir, checker.CheckpointFileName("design-safety"))
 	wrote := false
 	res := sys.VerifyAll(checker.Options{Workers: 1, Durability: &checker.DurabilityOptions{
-		Dir: dir, Key: "design",
+		Dir: dir, Key: "design", Interval: 1,
 		OnWrite: func(file string, depth, states int) {
 			if file != want {
 				t.Errorf("checkpoint written to %s, want %s", file, want)

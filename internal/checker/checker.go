@@ -222,13 +222,14 @@ func fmtElapsed(d time.Duration) time.Duration {
 
 // Checker verifies one instantiated system.
 type Checker struct {
-	sys  *model.System
-	opts Options
+	sys   *model.System
+	opts  Options
+	clock ckptClock // wallClock; tests substitute a fake to pace checkpoint commits
 }
 
 // New creates a Checker for a system with the given options.
 func New(sys *model.System, opts Options) *Checker {
-	return &Checker{sys: sys, opts: opts}
+	return &Checker{sys: sys, opts: opts, clock: wallClock}
 }
 
 // InvariantFromSource parses src as a global-scope pml expression and

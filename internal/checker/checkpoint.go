@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"pnp/internal/frame"
 	"pnp/internal/model"
@@ -40,11 +41,16 @@ type DurabilityOptions struct {
 	// checkpointing, as does a key another search of this process is
 	// using: a log has one writer.
 	Key string
-	// Interval is the number of completed levels between commits
-	// (default 1: every barrier). Every level is appended as it
-	// completes; a commit and an fsync make the log up to it durable, so
-	// larger intervals trade re-exploration after a crash for fewer
-	// fsyncs.
+	// Interval is the number of completed levels between commits. Every
+	// level is appended as it completes; a commit and an fsync make the
+	// log up to it durable. Zero (the default), or less, paces commits by
+	// the disk: a log's first commit, fresh or resumed, is at its first
+	// barrier, and each later one once the search has explored, since the
+	// previous commit finished, at least as long as that commit's fsync
+	// took. fsync time then stays within the exploration time plus one
+	// commit, and a crash loses at most one commit's duration of
+	// exploration plus one level. Interval ≥ 1 commits every Interval
+	// barriers, whatever the disk costs.
 	Interval int
 	// Resume continues the log for Key from its last intact commit
 	// before exploring. A missing, foreign, or corrupt log is ignored and
@@ -135,12 +141,31 @@ type checkpointer struct {
 	f       *os.File // the open log: nil until the first barrier or a resume
 	size    int64    // bytes in the log: the offset of the next frame
 	buf     []byte   // the frame being built, reused across barriers
-	since   int
+	since   int      // barriers since the last commit (Interval ≥ 1)
 	failed  bool
 	spill   *spillSet // under a memory budget: indexes the logged vectors
 
-	cBytes *obs.Counter
+	// Pacing (Interval < 1): the next commit is due once the clock has
+	// moved last past mark.
+	paced bool
+	clock ckptClock
+	last  time.Duration // the previous commit's fsync (zero before the first)
+	mark  time.Time     // when that commit finished, OnWrite included
+
+	cBytes   *obs.Counter
+	cCommits *obs.Counter
+	hFsync   *obs.Histogram
 }
+
+// ckptClock is what a durable log's commits are paced by: the time and
+// the commit's fsync. Tests substitute a fake through Checker.clock so
+// that a commit takes a chosen number of levels, without sleeping.
+type ckptClock struct {
+	now  func() time.Time
+	sync func(*os.File) error
+}
+
+var wallClock = ckptClock{now: time.Now, sync: (*os.File).Sync}
 
 // ckptOwners holds the paths of the durable logs open in this process.
 // A budgeted search reads its log back at offsets it counted itself, so
@@ -167,12 +192,12 @@ func (c *Checker) newCheckpointer(phase string, spill *spillSet) *checkpointer {
 		}
 		return &checkpointer{spill: spill, cBytes: spill.m.bytes}
 	}
-	ck := &checkpointer{c: c, opts: *o, durable: true, phase: phase, modelID: modelFingerprint(c.sys), spill: spill, file: file}
-	if ck.opts.Interval < 1 {
-		ck.opts.Interval = 1
-	}
+	ck := &checkpointer{c: c, opts: *o, durable: true, phase: phase, modelID: modelFingerprint(c.sys), spill: spill, file: file,
+		paced: o.Interval < 1, clock: c.clock}
 	if reg := c.opts.Metrics; reg != nil {
 		ck.cBytes = reg.Counter("checkpoint_bytes_written_total")
+		ck.cCommits = reg.Counter("checker_checkpoint_commits_total")
+		ck.hFsync = reg.Histogram("checker_checkpoint_fsync_seconds", nil)
 	}
 	return ck
 }
@@ -186,7 +211,7 @@ func modelFingerprint(sys *model.System) string {
 }
 
 // barrier appends next, the level just collected at depth, to the log,
-// commits every Interval barriers when durable, then lets the spill
+// commits it if durable and a commit is due, then lets the spill
 // tier index what the log now holds when the budget is exceeded. The
 // first barrier of a fresh search creates the log and writes root,
 // levels[0], ahead of it. An empty next means the search is about to
@@ -220,13 +245,9 @@ func (ck *checkpointer) extend(depth int, root, next []parNode, st *Stats) error
 	if err := ck.writeLevel(depth, next); err != nil {
 		return err
 	}
-	if !ck.durable {
+	if !ck.durable || !ck.due() {
 		return nil
 	}
-	if ck.since++; ck.since < ck.opts.Interval {
-		return nil
-	}
-	ck.since = 0
 	cb, err := json.Marshal(ckptCommit{
 		Phase: ck.phase, Model: ck.modelID, POR: ck.c.opts.PartialOrder, Depth: depth,
 		Stored: st.StatesStored, Matched: st.StatesMatched,
@@ -239,13 +260,33 @@ func (ck *checkpointer) extend(depth int, root, next []parNode, st *Stats) error
 	if err := ck.writeFrame(); err != nil {
 		return err
 	}
-	if err := ck.f.Sync(); err != nil {
+	start := ck.clock.now()
+	if err := ck.clock.sync(ck.f); err != nil {
 		return err
 	}
+	ck.last = ck.clock.now().Sub(start)
+	ck.hFsync.Observe(ck.last.Seconds())
+	ck.cCommits.Add(1)
 	if ck.opts.OnWrite != nil {
 		ck.opts.OnWrite(ck.file, depth, st.StatesStored)
 	}
+	ck.mark = ck.clock.now()
 	return nil
+}
+
+// due reports whether this barrier commits: every Interval barriers,
+// or, paced, once the time since the previous commit finished is at
+// least what it took. Before its first commit a log, fresh or resumed,
+// has no previous one (zero last), so it commits at its first barrier.
+func (ck *checkpointer) due() bool {
+	if ck.paced {
+		return ck.clock.now().Sub(ck.mark) >= ck.last
+	}
+	if ck.since++; ck.since < ck.opts.Interval {
+		return false
+	}
+	ck.since = 0
+	return true
 }
 
 // create starts a fresh log holding the root level: the named

@@ -9,13 +9,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"pnp/internal/frame"
 	"pnp/internal/model"
 	"pnp/internal/obs"
 )
 
-// ckptSrc is deep enough (~120 levels) that a search canceled mid-way
+// ckptSrc is deep enough (322 levels) that a search canceled mid-way
 // has real work left, and wide enough that every barrier snapshot
 // carries a non-trivial frontier.
 const ckptSrc = `
@@ -368,7 +369,7 @@ active proctype Q() { do :: b < 6 -> b = b + 1 :: else -> break od }`
 	full := New(sysFromSource(t, src), Options{Workers: 1}).CheckSafety()
 	logs := map[int][]byte{}
 	New(sysFromSource(t, src), Options{Workers: 1, Durability: &DurabilityOptions{
-		Dir: t.TempDir(), Key: "t",
+		Dir: t.TempDir(), Key: "t", Interval: 1,
 		OnWrite: func(file string, d, _ int) { logs[d], _ = os.ReadFile(file) },
 	}}).CheckSafety()
 	width := len(sysFromSource(t, src).InitialState().Bytes())
@@ -472,6 +473,97 @@ func TestCheckpointIntervalResumeTruncatesUncommitted(t *testing.T) {
 	}
 }
 
+// pacedClock is a fake ckptClock: every reading moves it one tick, so a
+// barrier that does not commit (one reading) explores for one tick, and
+// an fsync moves it k ticks more and counts itself in syncs. Nothing is
+// synced.
+func pacedClock(k int, syncs *int) ckptClock {
+	var ticks time.Duration
+	return ckptClock{
+		now: func() time.Time { ticks++; return time.Unix(0, 0).Add(ticks) },
+		sync: func(*os.File) error {
+			ticks += time.Duration(k)
+			*syncs++
+			return nil
+		},
+	}
+}
+
+// A paced search (Interval 0) commits at its first barrier, then once
+// it has explored as long as its previous commit took. On a clock where
+// a commit takes about k levels, a fresh log commits at depth 1 (what
+// verifyd's resume proof tells a fresh attempt by) and then about every
+// k levels. Each commit reaches OnWrite only after its fsync and at a
+// deeper level than the one before, and the log stolen at any commit —
+// what a crash right after it leaves — resumes to the uninterrupted
+// stats at 1 and 8 workers, committing at its first barrier. Under the
+// same clock, Interval 1 still commits at every level.
+func TestCheckpointPacedCommits(t *testing.T) {
+	const k = 20
+	full := New(sysFromSource(t, ckptSrc), Options{Workers: 1}).CheckSafety()
+	commits := func(interval int) (depths []int, logs [][]byte) {
+		syncs := 0
+		c := New(sysFromSource(t, ckptSrc), Options{Workers: 2, Durability: &DurabilityOptions{
+			Dir: t.TempDir(), Key: "p", Interval: interval,
+			OnWrite: func(file string, d, _ int) {
+				if syncs != len(depths)+1 {
+					t.Fatalf("interval %d: commit %d (depth %d) reported after %d fsyncs", interval, len(depths)+1, d, syncs)
+				}
+				if n := len(depths); n > 0 && d <= depths[n-1] {
+					t.Fatalf("interval %d: commit at depth %d after one at %d", interval, d, depths[n-1])
+				}
+				log, err := os.ReadFile(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				depths, logs = append(depths, d), append(logs, log)
+			},
+		}})
+		c.clock = pacedClock(k, &syncs)
+		if res := c.CheckSafety(); !res.OK || !statsEqualIgnoringElapsed(res.Stats, full.Stats) {
+			t.Fatalf("interval %d: %s %+v, uninterrupted %+v", interval, res.Summary(), res.Stats, full.Stats)
+		}
+		return depths, logs
+	}
+
+	every, _ := commits(1)
+	if len(every) != full.Stats.MaxDepth || every[len(every)-1] != full.Stats.MaxDepth {
+		t.Fatalf("interval 1 committed at %v, want every depth 1..%d", every, full.Stats.MaxDepth)
+	}
+	depths, logs := commits(0)
+	if len(depths) == 0 || depths[0] != 1 || len(depths) < full.Stats.MaxDepth/(k+2) {
+		t.Fatalf("paced: %d commits over %d levels (%v)", len(depths), full.Stats.MaxDepth, depths)
+	}
+	for i := 1; i < len(depths); i++ {
+		if gap := depths[i] - depths[i-1]; gap < k || gap > k+2 {
+			t.Fatalf("paced: commits at %v, %d levels apart; want %d to %d", depths, gap, k, k+2)
+		}
+	}
+	for i, d := range depths {
+		for _, w := range []int{1, 8} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, CheckpointFileName("p")), logs[i], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			first := -1
+			res := New(sysFromSource(t, ckptSrc), Options{Workers: w, Durability: &DurabilityOptions{
+				Dir: dir, Key: "p", Resume: true,
+				OnWrite: func(_ string, d, _ int) {
+					if first < 0 {
+						first = d
+					}
+				},
+			}}).CheckSafety()
+			if !res.OK || !statsEqualIgnoringElapsed(res.Stats, full.Stats) {
+				t.Fatalf("workers=%d, log of depth %d: resumed %s %+v, uninterrupted %+v", w, d, res.Summary(), res.Stats, full.Stats)
+			}
+			if want := d + 1; d < full.Stats.MaxDepth && first != want {
+				t.Fatalf("workers=%d, log of depth %d: first commit after resume at depth %d, want %d", w, d, first, want)
+			}
+		}
+	}
+}
+
 // A checkpoint writes each stored state once: after a canceled run the
 // bytes written equal the log's size — nothing was rewritten.
 func TestCheckpointWritesEachStateOnce(t *testing.T) {
@@ -481,7 +573,7 @@ func TestCheckpointWritesEachStateOnce(t *testing.T) {
 	defer cancel()
 	res := New(sysFromSource(t, ckptSrc), Options{Workers: 2, Context: ctx, Metrics: reg,
 		Durability: &DurabilityOptions{
-			Dir: dir, Key: "w",
+			Dir: dir, Key: "w", Interval: 1,
 			OnWrite: func(_ string, d, _ int) {
 				if d == 30 {
 					cancel()
@@ -510,7 +602,7 @@ func TestCheckpointResumeBitstate(t *testing.T) {
 	}
 	var stolen []byte
 	snap := New(sysFromSource(t, ckptSrc), bitstate(Options{Workers: 2, Durability: &DurabilityOptions{
-		Dir: t.TempDir(), Key: "b",
+		Dir: t.TempDir(), Key: "b", Interval: 1,
 		OnWrite: func(file string, d, _ int) {
 			if d == 40 {
 				stolen, _ = os.ReadFile(file)

@@ -88,7 +88,7 @@ func goldenLogAt(t *testing.T, depth int) []byte {
 	t.Helper()
 	var log []byte
 	res := New(sysFromSource(t, goldenSrc), Options{Workers: 1, Durability: &DurabilityOptions{
-		Dir: t.TempDir(), Key: "g",
+		Dir: t.TempDir(), Key: "g", Interval: 1,
 		OnWrite: func(file string, d, _ int) {
 			if d == depth {
 				log, _ = os.ReadFile(file)
@@ -138,7 +138,7 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 			}
 			var depths []int
 			res := New(sysFromSource(t, goldenSrc), Options{Workers: 2, Durability: &DurabilityOptions{
-				Dir: dir, Key: "g", Resume: true,
+				Dir: dir, Key: "g", Interval: 1, Resume: true,
 				OnWrite: func(_ string, d, _ int) { depths = append(depths, d) },
 			}}).CheckSafety()
 			if res.OK != want.OK || !statsEqualIgnoringElapsed(res.Stats, want.Stats) {

@@ -208,7 +208,7 @@ func porSnapshot(t *testing.T, src string, depth int) *DurabilityOptions {
 	t.Helper()
 	var stolen []byte
 	New(sysFromSource(t, src), Options{PartialOrder: true, Workers: 2, Durability: &DurabilityOptions{
-		Dir: t.TempDir(), Key: "por",
+		Dir: t.TempDir(), Key: "por", Interval: 1,
 		OnWrite: func(file string, d, _ int) {
 			if d == depth {
 				stolen, _ = os.ReadFile(file)

@@ -107,7 +107,7 @@ func searchUntilKilled(t *testing.T, dir string) {
 	commits := 0
 	New(sysFromSource(t, ckptSrc), Options{Workers: 2,
 		Storage: StorageOptions{MemLimit: 1024, SpillDir: filepath.Join(dir, "spill")},
-		Durability: &DurabilityOptions{Dir: filepath.Join(dir, "ckpt"), Key: "k",
+		Durability: &DurabilityOptions{Dir: filepath.Join(dir, "ckpt"), Key: "k", Interval: 1,
 			OnWrite: func(string, int, int) {
 				if commits++; commits == 2 {
 					fmt.Println("ready")

@@ -923,7 +923,7 @@ func TestDurableLogHasOneOwner(t *testing.T) {
 	var second *Result
 	secondWrites := 0
 	first := New(sysFromSource(t, src), budget(Options{Workers: 2, Durability: &DurabilityOptions{
-		Dir: dir, Key: "same",
+		Dir: dir, Key: "same", Interval: 1,
 		OnWrite: func(_ string, d, _ int) {
 			if d != 10 {
 				return
@@ -951,7 +951,7 @@ func TestDurableLogHasOneOwner(t *testing.T) {
 	// Once the first search is done, the key is free again.
 	writes := 0
 	res := New(sysFromSource(t, src), budget(Options{Workers: 1, Durability: &DurabilityOptions{
-		Dir: dir, Key: "same", OnWrite: func(string, int, int) { writes++ },
+		Dir: dir, Key: "same", Interval: 1, OnWrite: func(string, int, int) { writes++ },
 	}})).CheckSafety()
 	if !res.OK || writes == 0 {
 		t.Errorf("a later search under the key: %s, %d commits", res.Summary(), writes)
@@ -986,7 +986,7 @@ func TestDurableLogReadThroughItsOwnFile(t *testing.T) {
 	dir := t.TempDir()
 	replaced := false
 	res := New(sysFromSource(t, wrapSrc), budget(Options{Workers: 2, Durability: &DurabilityOptions{
-		Dir: dir, Key: "k",
+		Dir: dir, Key: "k", Interval: 1,
 		OnWrite: func(file string, d, _ int) {
 			if d != 10 {
 				return

@@ -63,7 +63,9 @@ type Config struct {
 	// nothing written to disk.
 	DataDir string
 	// CheckpointInterval is the number of completed BFS levels between
-	// checkpoint commits when DataDir is set (default 1: every barrier).
+	// checkpoint commits when DataDir is set. Zero (the default) paces
+	// commits by the disk (checker.DurabilityOptions.Interval): a search
+	// commits once it has explored as long as its last commit took.
 	CheckpointInterval int
 	// Resolver loads component files referenced by raw ADL submissions.
 	// JSON submissions can inline components instead; inline components
@@ -725,8 +727,8 @@ func (s *Server) checkpointFor(job *Job, ps adl.PropertySource) *checker.Durabil
 		OnWrite: func(file string, depth, states int) {
 			once.Do(func() {
 				// Depth doubles as the resume proof: a search resumed from
-				// a checkpoint writes its first commit past the restored
-				// depth, a fresh one at the first barrier.
+				// a checkpoint commits at its first barrier, one level past
+				// the restored depth; a fresh one at depth 1.
 				s.appendJournal(journalRecord{
 					Type: recCheckpoint, ID: job.ID, Seq: job.seq, Time: time.Now(),
 					Key: key, File: filepath.Base(file), Depth: depth, Attempt: job.Attempt,
