@@ -9,7 +9,7 @@
 //	pnpd [--addr :7447] [--workers N] [--search-budget N]
 //	     [--cache-entries N] [--job-timeout 30s] [--metrics-addr :8080]
 //	     [--root DIR] [--trace-entries N] [--log-level info]
-//	     [--data-dir DIR] [--checkpoint-interval N]
+//	     [--data-dir DIR]
 //	     [--visited collapse] [--mem-limit 2GiB] [--spill-dir DIR]
 //	pnpd --coordinator --nodes=http://h1:7447,http://h2:7447 [--addr :7446]
 //	     [--probe-interval 2s] [--cache-entries N]
@@ -94,7 +94,6 @@ func run() int {
 	visited := flag.String("visited", "", "default visited-set storage for parallel searches: exact or collapse (jobs may override per submission)")
 	memLimit := flag.String("mem-limit", "", "default per-search visited-set memory budget (e.g. 2GiB); searches over budget spill visited states to disk")
 	spillDir := flag.String("spill-dir", "", "directory for spill scratch files, unlinked as they are created (default: the OS temp dir); never wire-settable by clients")
-	ckptInterval := flag.Int("checkpoint-interval", 0, "completed BFS levels between checkpoint commits (with --data-dir); 0 paces commits by the disk: the next once the search has explored as long as the last one took")
 	traceEntries := flag.Int("trace-entries", tracing.DefaultRecorderCapacity,
 		"flight-recorder capacity in spans; jobs and sweeps record traces served on /v1/*/trace and /debug/trace (0 disables tracing)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
@@ -136,15 +135,14 @@ func run() int {
 		return runCoordinator(*addr, *nodes, *probeInterval, *cacheEntries, *metricsAddr, reg, rec, logger)
 	}
 	cfg := verifyd.Config{
-		Workers:            *workers,
-		SearchBudget:       *searchBudget,
-		CacheEntries:       *cacheEntries,
-		JobTimeout:         *jobTimeout,
-		DataDir:            *dataDir,
-		CheckpointInterval: *ckptInterval,
-		Registry:           reg,
-		Tracer:             rec,
-		Logger:             logger,
+		Workers:      *workers,
+		SearchBudget: *searchBudget,
+		CacheEntries: *cacheEntries,
+		JobTimeout:   *jobTimeout,
+		DataDir:      *dataDir,
+		Registry:     reg,
+		Tracer:       rec,
+		Logger:       logger,
 		Options: checker.Options{Storage: checker.StorageOptions{
 			Visited:  *visited,
 			MemLimit: memBudget,
@@ -170,11 +168,7 @@ func run() int {
 		b := fmt.Sprintf("listening on http://%s (workers=%d, cache=%d, timeout=%s)",
 			at, cfgWorkers(cfg), *cacheEntries, *jobTimeout)
 		if *dataDir != "" {
-			cadence := "checkpoint commits paced by the disk"
-			if *ckptInterval > 0 {
-				cadence = fmt.Sprintf("checkpoint every %d level(s)", *ckptInterval)
-			}
-			b += fmt.Sprintf("\npnpd: durable state in %s (%s)", *dataDir, cadence)
+			b += fmt.Sprintf("\npnpd: durable state in %s (checkpoint commits paced by the disk)", *dataDir)
 		}
 		return b
 	}

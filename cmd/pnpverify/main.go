@@ -66,7 +66,6 @@ func run() int {
 	memLimit := flag.String("mem-limit", "", "visited-set memory budget with an optional size suffix (e.g. 512MB, 2GiB); searches over budget spill visited states to disk and keep going")
 	spillDir := flag.String("spill-dir", "", "directory for spill scratch files, unlinked as they are created (default: the OS temp dir)")
 	ckptDir := flag.String("checkpoint-dir", "", "log parallel searches level by level into this directory and resume them on re-run (keyed by a content hash of the design)")
-	ckptInterval := flag.Int("checkpoint-interval", 0, "completed BFS levels between checkpoint commits (with -checkpoint-dir); 0 paces commits by the disk: the next once the search has explored as long as the last one took")
 	unreached := flag.Bool("unreached", false, "report never-executed transitions (dead code)")
 	dotFile := flag.String("dot", "", "write the state graph (<=500 states) to this DOT file")
 	simulate := flag.Int("simulate", 0, "random-walk simulate N steps instead of verifying")
@@ -174,10 +173,9 @@ func run() int {
 		// per property, so each search gets its own checkpoint log.
 		sum := sha256.Sum256(src)
 		opts.Durability = &checker.DurabilityOptions{
-			Dir:      *ckptDir,
-			Key:      hex.EncodeToString(sum[:]),
-			Interval: *ckptInterval,
-			Resume:   true,
+			Dir:    *ckptDir,
+			Key:    hex.EncodeToString(sum[:]),
+			Resume: true,
 		}
 	}
 	if *timeout > 0 {

@@ -69,17 +69,13 @@ const goldenSpillSegment = "" +
 	"504e505350494c3430000000daf8f2bfd413a9de61345602a9000000000000009abbe8cbd66a35c31f00000000000000" +
 	"85f1f832ec8e5ffb120000000000000008000000d75334c56088120400400000"
 
-func goldenFile(t *testing.T, name, hexBytes string) (path string, data []byte) {
-	t.Helper()
+func goldenBytes(tb testing.TB, hexBytes string) []byte {
+	tb.Helper()
 	data, err := hex.DecodeString(hexBytes)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	path = filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path, data
+	return data
 }
 
 // goldenLogAt runs goldenSrc with a checkpoint log and returns the log
@@ -107,7 +103,7 @@ func goldenLogAt(t *testing.T, depth int) []byte {
 // previous format is ignored on resume — the search starts fresh and reaches the
 // same verdict and counts.
 func TestCheckpointGoldenBytes(t *testing.T) {
-	_, golden := goldenFile(t, "g.ckpt", goldenCheckpoint)
+	golden := goldenBytes(t, goldenCheckpoint)
 	if got := goldenLogAt(t, 2); !bytes.Equal(got, golden) {
 		t.Errorf("checkpoint bytes moved:\n got %x\nwant %x", got, golden)
 	}
@@ -173,25 +169,20 @@ func goldenLogEntries(tb testing.TB) (log []byte, width int, ents []idxEnt) {
 	return log, width, ents
 }
 
-// TestSpillSegmentGoldenBytes: the writer produces the golden bytes for
-// the index of goldenCheckpoint's vectors, and the golden segment opens
-// over that log and finds each of them.
+// TestSpillSegmentGoldenBytes: the layout produces the golden bytes for
+// the index of goldenCheckpoint's vectors, and the golden segment
+// validates over that log and finds each of them.
 func TestSpillSegmentGoldenBytes(t *testing.T) {
 	log, width, ents := goldenLogEntries(t)
-	dir := t.TempDir()
-	rewritten, err := os.ReadFile(writeTestSegment(t, dir, 0, ents))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, golden := goldenFile(t, "g.seg", goldenSpillSegment)
+	rewritten := layoutTestSegment(ents)
+	golden := goldenBytes(t, goldenSpillSegment)
 	if !bytes.Equal(rewritten, golden) {
 		t.Errorf("segment bytes moved:\n got %x\nwant %x", rewritten, golden)
 	}
-	seg, err := openSegmentFile(path, int64(len(log)), width)
+	seg, err := validSegment(golden, int64(len(log)), width)
 	if err != nil {
-		t.Fatalf("openSpillSegment: %v", err)
+		t.Fatalf("validate: %v", err)
 	}
-	defer seg.close()
 	if seg.count != len(ents) || len(ents) != 3 {
 		t.Fatalf("count = %d, want %d entries, 3", seg.count, len(ents))
 	}

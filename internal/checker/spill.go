@@ -1,12 +1,10 @@
 package checker
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"slices"
 	"sort"
@@ -47,14 +45,12 @@ import (
 // of ⌈10·count/64⌉ 64-bit words, 10 bits per entry, where an entry sets
 // 3 bits of one word (bloomSlot), so a probe reads one word and
 // searches the index only when all three bits are set — for about 2.3 %
-// of absent states. The word index rises with the fingerprint, so the
-// writer finishes the words in order as it streams the merge. validate
-// checks every entry's bits, so a filter never hides a state. Lookups
-// walk the segments newest first: the newest is the smallest, and the
-// one where a breadth-first search finds most of its matches.
+// of absent states. validate checks every entry's bits, so a filter
+// never hides a state. Lookups walk the segments newest first: the
+// newest is the smallest, and the one where a breadth-first search
+// finds most of its matches.
 //
-// Segment layout (internal/frame's CRC framing; the filter and index
-// frames are streamed and their headers patched afterwards):
+// Segment layout (internal/frame's CRC framing):
 //
 //	8-byte magic "PNPSPIL4"
 //	framed index: count × [fp u64 LE][log offset u64 LE], sorted by fp
@@ -68,7 +64,7 @@ import (
 // as its descriptor and mappings, and a search leaves nothing on disk
 // however it ends — a merged-away segment is gone once unmapped. Resume
 // rebuilds an index from the checkpoint log. A corrupt segment fails
-// validation at open and turns the tier off.
+// validation before it goes live, and so does its spill.
 const spillMagic = "PNPSPIL4"
 
 // spillFilterWords is the filter size of a segment of count entries:
@@ -131,7 +127,6 @@ type spillSet struct {
 	log      fileView                       // the log's prefix as of the last spill
 	segs     []*spillSegment                // the live indexes, oldest first; a lookup probes them newest first
 	pending  []ckptRun                      // the level frames logged since the last spill, queued by checkpointer.writeLevel
-	w        *bufio.Writer                  // reused by every spill
 	spilled  atomic.Int64
 	failed   bool // a failed spill or log write disables the tier; memory keeps growing
 	maxFiles int  // live segments past which the tier turns off (spillMaxFiles)
@@ -241,27 +236,35 @@ func (s *spillSet) spill(log *os.File, logSize int64) bool {
 	return true
 }
 
-// writeSegment writes the sorted entries to a new scratch file as a
-// segment whose index also covers srcs, and maps it through the same
-// descriptor, which it then closes: the mapping alone holds the file. A
-// segment that does not validate is treated as lost rather than trusted.
+// writeSegment lays out, in a new scratch file, a segment whose index
+// k-way merges the sorted entries with the indexes of srcs, and
+// validates it through the view it was laid out in. The descriptor is
+// then closed: the view alone holds the file. A segment that does not
+// validate is treated as lost rather than trusted.
 func (s *spillSet) writeSegment(ents []idxEnt, srcs []*spillSegment) (*spillSegment, error) {
+	total := len(ents)
+	for _, src := range srcs {
+		total += src.count
+	}
+	if 16*uint64(total) > spillFrameMax {
+		return nil, fmt.Errorf("checker: spill: index exceeds frame limit (%d entries)", total)
+	}
 	f, err := s.create()
 	if err != nil {
 		return nil, err
 	}
 	defer closeScratch(f)
-	if s.w == nil {
-		s.w = bufio.NewWriterSize(nil, 1<<20)
-	}
-	if err := writeSpillSegment(s.w, f, ents, srcs); err != nil {
-		return nil, err
-	}
-	seg, err := openSpillSegment(f, int64(len(s.log.data)), s.width)
+	view, err := writeScratch(f, spillSegmentSize(total), func(data []byte) {
+		layoutSpillSegment(data, total, ents, srcs)
+	})
 	if err != nil {
 		return nil, err
 	}
-	seg.spills = 1
+	seg := &spillSegment{view: view, spills: 1}
+	if err := seg.validate(int64(len(s.log.data)), s.width); err != nil {
+		seg.close()
+		return nil, err
+	}
 	for _, src := range srcs {
 		seg.spills += src.spills
 	}
@@ -345,38 +348,23 @@ func sortByFP(ents []idxEnt) {
 	}
 }
 
-// writeSpillSegment writes a segment to f, a new file, whose index
-// k-way merges the sorted entries with the sorted indexes of srcs. w is
-// reset onto f.
-func writeSpillSegment(w *bufio.Writer, f *os.File, entries []idxEnt, srcs []*spillSegment) error {
-	total := len(entries)
-	for _, src := range srcs {
-		total += src.count
-	}
-	if 16*uint64(total) > spillFrameMax {
-		return fmt.Errorf("checker: spill: index exceeds frame limit (%d entries)", total)
-	}
-	words := spillFilterWords(total)
-	w.Reset(f)
-	w.WriteString(spillMagic)
+// spillSegmentSize is the byte size of a segment of total entries.
+func spillSegmentSize(total int) int {
+	return len(spillMagic) + 2*frame.HeaderSize + 16*total + 8*spillFilterWords(total)
+}
 
-	// The index and filter frames are streamed: neither is ever held in
-	// memory. The index streams through w behind a zeroed frame header;
-	// the index's size is known, so each run of filter words the merge
-	// finishes is written into its place past the index. Both frame
-	// headers are patched afterwards.
-	indexOff := int64(len(spillMagic))
-	filterOff := indexOff + frame.HeaderSize + 16*int64(total)
-	var zero [frame.HeaderSize]byte
-	w.Write(zero[:])
-	var werr error
-	index := newFrameStream(16*total, func(b []byte, _ int64) { w.Write(b) })
-	filter := newFrameStream(8*words, func(b []byte, at int64) {
-		if _, err := f.WriteAt(b, filterOff+frame.HeaderSize+at); err != nil && werr == nil {
-			werr = err
-		}
-	})
-	var word, at uint64 // the filter word being filled and its index
+// layoutSpillSegment lays out in data, spillSegmentSize(total) zeroed
+// bytes, the segment whose index k-way merges the sorted entries with
+// the sorted indexes of srcs, total entries in all. Each entry ORs its
+// bits into its filter word in place, and each frame's header is
+// written last, over the payload just laid out.
+func layoutSpillSegment(data []byte, total int, entries []idxEnt, srcs []*spillSegment) {
+	copy(data, spillMagic)
+	indexAt := len(spillMagic) + frame.HeaderSize
+	index := data[indexAt : indexAt+16*total]
+	filterAt := indexAt + len(index) + frame.HeaderSize
+	filter := data[filterAt:]
+	words := uint64(len(filter) / 8)
 	heads := make([]int, len(srcs))
 	headFPs := make([]uint64, len(srcs)) // the fingerprint at each head
 	for k, src := range srcs {
@@ -384,7 +372,8 @@ func writeSpillSegment(w *bufio.Writer, f *os.File, entries []idxEnt, srcs []*sp
 			headFPs[k] = src.fpAt(0)
 		}
 	}
-	for next := 0; ; {
+	next := 0
+	for at := 0; at < len(index); at += 16 {
 		best := -1
 		var fp, off uint64
 		for k, src := range srcs {
@@ -395,82 +384,27 @@ func writeSpillSegment(w *bufio.Writer, f *os.File, entries []idxEnt, srcs []*sp
 		if next < len(entries) && (best < 0 || entries[next].fp < fp) {
 			fp, off = entries[next].fp, entries[next].off
 			next++
-		} else if best >= 0 {
+		} else {
 			src := srcs[best]
 			off = src.offAt(heads[best])
 			if heads[best]++; heads[best] < src.count {
 				headFPs[best] = src.fpAt(heads[best])
 			}
-		} else {
-			break
 		}
-		index.put(fp)
-		index.put(off)
-		i, mask := bloomSlot(fp, uint64(words))
-		for ; at < i; at++ {
-			filter.put(word)
-			word = 0
-		}
-		word |= mask
+		binary.LittleEndian.PutUint64(index[at:], fp)
+		binary.LittleEndian.PutUint64(index[at+8:], off)
+		w, mask := bloomSlot(fp, words)
+		word := filter[8*w:]
+		binary.LittleEndian.PutUint64(word, binary.LittleEndian.Uint64(word)|mask)
 	}
-	for ; at < uint64(words); at++ {
-		filter.put(word)
-		word = 0
-	}
-	index.flush()
-	filter.flush()
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if werr != nil {
-		return werr
-	}
-	if err := index.patch(f, indexOff); err != nil {
-		return err
-	}
-	return filter.patch(f, filterOff)
+	h := frame.Header(index)
+	copy(data[indexAt-frame.HeaderSize:], h[:])
+	h = frame.Header(filter)
+	copy(data[filterAt-frame.HeaderSize:], h[:])
 }
 
-// frameStream streams one frame's payload, u64 LE words, to out in
-// chunks, each with its offset in the payload, keeping the frame's
-// running CRC. A chunk holds 16 KiB, or the whole payload of size
-// bytes if that is less.
-type frameStream struct {
-	chunk []byte
-	crc   uint32
-	size  int64
-	out   func(b []byte, at int64)
-}
-
-func newFrameStream(size int, out func(b []byte, at int64)) *frameStream {
-	return &frameStream{chunk: make([]byte, 0, max(8, min(size, 16<<10))), out: out}
-}
-
-func (s *frameStream) put(v uint64) {
-	if len(s.chunk) == cap(s.chunk) {
-		s.flush()
-	}
-	s.chunk = binary.LittleEndian.AppendUint64(s.chunk, v)
-}
-
-func (s *frameStream) flush() {
-	s.out(s.chunk, s.size)
-	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.chunk)
-	s.size += int64(len(s.chunk))
-	s.chunk = s.chunk[:0]
-}
-
-// patch writes the frame header at off, once the payload is flushed.
-func (s *frameStream) patch(f *os.File, off int64) error {
-	var fh [frame.HeaderSize]byte
-	binary.LittleEndian.PutUint32(fh[0:4], uint32(s.size))
-	binary.LittleEndian.PutUint32(fh[4:8], s.crc)
-	_, err := f.WriteAt(fh[:], off)
-	return err
-}
-
-// spillSegment is one immutable on-disk index, probed through a
-// read-only view of the whole file.
+// spillSegment is one immutable on-disk index, probed through the view
+// of the whole file it was laid out in.
 type spillSegment struct {
 	view      fileView
 	count     int
@@ -480,24 +414,11 @@ type spillSegment struct {
 	words     uint64 // of the filter
 }
 
-// openSpillSegment maps the whole of f and fully validates it as a
-// segment indexing width-byte vectors in a level log of logLen bytes:
-// its frames' CRCs, its sort order, every entry's vector inside the log
-// and every entry's bits in the filter. Any validation failure returns
-// an error; callers discard the segment and carry on — a corrupt segment
-// degrades the search, never crashes it. The mapping outlives f.
-func openSpillSegment(f *os.File, logLen int64, width int) (*spillSegment, error) {
-	seg := &spillSegment{}
-	if err := seg.view.extendTo(f, -1); err != nil {
-		return nil, err
-	}
-	if err := seg.validate(logLen, width); err != nil {
-		seg.close()
-		return nil, err
-	}
-	return seg, nil
-}
-
+// validate fully checks the segment's view as an index of width-byte
+// vectors in a level log of logLen bytes: its frames' CRCs, its sort
+// order, every entry's vector inside the log and every entry's bits in
+// the filter. Callers discard a segment that fails and carry on — a
+// corrupt segment degrades the search, never crashes it.
 func (g *spillSegment) validate(logLen int64, width int) error {
 	data := g.view.data
 	bad := func(msg string) error { return fmt.Errorf("checker: spill segment: %s", msg) }

@@ -118,3 +118,24 @@ func searchUntilKilled(t *testing.T, dir string) {
 	}).CheckSafety()
 	os.Exit(1)
 }
+
+// A page of a segment's mapping that the file cannot back faults on its
+// first write; writeScratch reports that as an error and unmaps, where
+// the fault would otherwise kill the process. The file is cut short
+// under the mapping, as a full disk leaves a page without a block.
+func TestWriteScratchFaultFailsSegment(t *testing.T) {
+	f, err := scratchFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeScratch(f)
+	v, err := writeScratch(f, 1<<16, func(data []byte) {
+		if err := f.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-1] = 1
+	})
+	if err == nil || v.data != nil {
+		t.Fatalf("writeScratch over a truncated file: view of %d bytes, err %v; want an error", len(v.data), err)
+	}
+}

@@ -3,15 +3,19 @@
 package checker
 
 import (
+	"fmt"
 	"os"
+	"runtime/debug"
 	"syscall"
 )
 
-// fileView is a read-only view of a prefix of a file that is only ever
-// appended to: a spill segment, or the level log the segments index. It
-// is an mmap, so multi-GB logs cost no heap, and a search holds at most
-// ⌊log2 S⌋+2 of them, well below the process's mapping limit
-// (vm.max_map_count).
+// fileView is a view of a prefix of a file: a spill segment, or the
+// level log the segments index. It is an mmap, so multi-GB logs cost no
+// heap, and a search holds at most ⌊log2 S⌋+2 of them, well below the
+// process's mapping limit (vm.max_map_count). A segment's view is the
+// writable mapping it was laid out in (writeScratch), read only from
+// then on; the log's is a read-only mapping of a file that is only ever
+// appended to.
 //
 // A growing file is mapped ahead of its end: a view that outgrows its
 // mapping maps twice as much, so a log read back at every spill is
@@ -56,6 +60,32 @@ func (v *fileView) close() {
 		syscall.Munmap(v.mapped)
 	}
 	v.data, v.mapped = nil, nil
+}
+
+// writeScratch sizes f, a new scratch file, to size bytes, maps it
+// writable and has fill lay out its bytes in place: the mapping is the
+// view. A page the file system cannot back (a full disk) faults on its
+// first write; that fault fails the segment, not the process.
+func writeScratch(f *os.File, size int, fill func([]byte)) (v fileView, err error) {
+	if err := f.Truncate(int64(size)); err != nil {
+		return fileView{}, err
+	}
+	m, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
+	if err != nil {
+		return fileView{}, err
+	}
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			syscall.Munmap(m)
+			v, err = fileView{}, fmt.Errorf("checker: spill segment: %v", r)
+		}
+	}()
+	fill(m)
+	return fileView{data: m, mapped: m}, nil
 }
 
 // scratchFile creates a file in dir, the system temp dir when dir is

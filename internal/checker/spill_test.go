@@ -1,11 +1,9 @@
 package checker
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -39,51 +37,42 @@ func testLog(tb testing.TB, dir string, encs [][]byte) (path string, data []byte
 	return path, data, ents
 }
 
-// writeTestSegment writes, at dir/num.seg, a segment whose index merges
+// layoutTestSegment lays out the bytes of a segment whose index merges
 // ents, sorted here, with the indexes of srcs.
-func writeTestSegment(tb testing.TB, dir string, num int, ents []idxEnt, srcs ...*spillSegment) string {
-	tb.Helper()
+func layoutTestSegment(ents []idxEnt, srcs ...*spillSegment) []byte {
 	ents = slices.Clone(ents)
 	slices.SortFunc(ents, func(a, b idxEnt) int { return cmp.Compare(a.fp, b.fp) })
-	path := filepath.Join(dir, fmt.Sprintf("%d.seg", num))
-	f, err := os.Create(path)
-	if err != nil {
-		tb.Fatal(err)
+	total := len(ents)
+	for _, src := range srcs {
+		total += src.count
 	}
-	defer f.Close()
-	if err := writeSpillSegment(bufio.NewWriter(nil), f, ents, srcs); err != nil {
-		tb.Fatalf("writeSpillSegment: %v", err)
-	}
-	return path
+	data := make([]byte, spillSegmentSize(total))
+	layoutSpillSegment(data, total, ents, srcs)
+	return data
 }
 
-// openSegmentFile opens the segment file at path with openSpillSegment.
-func openSegmentFile(path string, logLen int64, width int) (*spillSegment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return openSpillSegment(f, logLen, width)
+// validSegment validates data as a segment indexing width-byte vectors
+// in a logLen-byte log.
+func validSegment(data []byte, logLen int64, width int) (*spillSegment, error) {
+	seg := &spillSegment{view: fileView{data: data}}
+	return seg, seg.validate(logLen, width)
 }
 
-// writeMergedTestSegment writes each part of ents but the last as a
-// plain segment, numbered in order, then segment len(parts)-1: the last
-// part's entries merged with all of theirs. It returns the merged
-// segment's path; the sources are open until the test ends.
-func writeMergedTestSegment(tb testing.TB, dir string, logLen int64, width int, parts ...[]idxEnt) string {
+// layoutMergedTestSegment lays out each part of ents but the last as a
+// plain segment, then returns the bytes of the last part's entries
+// merged with all of theirs.
+func layoutMergedTestSegment(tb testing.TB, logLen int64, width int, parts ...[]idxEnt) []byte {
 	tb.Helper()
 	last := len(parts) - 1
 	var srcs []*spillSegment
-	for num := range last {
-		seg, err := openSegmentFile(writeTestSegment(tb, dir, num, parts[num]), logLen, width)
+	for _, part := range parts[:last] {
+		seg, err := validSegment(layoutTestSegment(part), logLen, width)
 		if err != nil {
-			tb.Fatalf("openSpillSegment: %v", err)
+			tb.Fatalf("validate: %v", err)
 		}
-		tb.Cleanup(seg.close)
 		srcs = append(srcs, seg)
 	}
-	return writeTestSegment(tb, dir, last, parts[last], srcs...)
+	return layoutTestSegment(parts[last], srcs...)
 }
 
 // A segment, written whole or merged from sources and new entries,
@@ -94,20 +83,18 @@ func TestSpillSegmentRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	_, log, ents := testLog(t, dir, encs)
 	width := len(encs[0])
-	merged := writeMergedTestSegment(t, t.TempDir(), int64(len(log)), width, ents[:900], ents[900:1300], ents[1300:])
-	if seg, err := openSegmentFile(merged, int64(len(log)-1), width); err == nil {
-		seg.close()
-		t.Fatal("segment opened over a log that ends inside its last vector")
+	merged := layoutMergedTestSegment(t, int64(len(log)), width, ents[:900], ents[900:1300], ents[1300:])
+	if _, err := validSegment(merged, int64(len(log)-1), width); err == nil {
+		t.Fatal("segment validated over a log that ends inside its last vector")
 	}
-	for name, path := range map[string]string{
-		"plain":  writeTestSegment(t, t.TempDir(), 0, ents),
+	for name, data := range map[string][]byte{
+		"plain":  layoutTestSegment(ents),
 		"merged": merged,
 	} {
-		seg, err := openSegmentFile(path, int64(len(log)), width)
+		seg, err := validSegment(data, int64(len(log)), width)
 		if err != nil {
-			t.Fatalf("%s: openSpillSegment: %v", name, err)
+			t.Fatalf("%s: validate: %v", name, err)
 		}
-		defer seg.close()
 		if seg.count != len(encs) {
 			t.Fatalf("%s: count = %d, want %d", name, seg.count, len(encs))
 		}
@@ -128,7 +115,7 @@ func TestSpillSegmentRoundTrip(t *testing.T) {
 	}
 }
 
-// spillFrameAt returns the offset of frame n of segment file b: 0 the
+// spillFrameAt returns the offset of frame n of segment b: 0 the
 // index, 1 the filter.
 func spillFrameAt(b []byte, n int) int {
 	at := len(spillMagic)
@@ -145,8 +132,8 @@ func reframe(b []byte, at int) {
 	binary.LittleEndian.PutUint32(b[at+4:], crc32.ChecksumIEEE(b[at+frame.HeaderSize:at+frame.HeaderSize+n]))
 }
 
-// spillCorruptions are the ways a segment file can rot, each applied to
-// a copy of a valid file with at least one entry.
+// spillCorruptions are the ways a segment can rot, each applied to a
+// copy of a valid one with at least one entry.
 var spillCorruptions = map[string]func([]byte) []byte{
 	"magic": func(b []byte) []byte { b[0] ^= 0xff; return b },
 	"index": func(b []byte) []byte { b[spillFrameAt(b, 1)-4] ^= 0xff; return b },
@@ -173,25 +160,16 @@ var spillCorruptions = map[string]func([]byte) []byte{
 	"empty":     func(b []byte) []byte { return b[:0] },
 }
 
-// Every flavor of corruption must be detected at open — never probed.
+// Every flavor of corruption must fail validation — never be probed.
 func TestSpillSegmentCorruptionDetected(t *testing.T) {
 	_, encs, _ := benchComponentStates(t, 200)
-	dir := t.TempDir()
-	_, log, ents := testLog(t, dir, encs)
-	data, err := os.ReadFile(writeTestSegment(t, dir, 0, ents))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, log, ents := testLog(t, t.TempDir(), encs)
+	data := layoutTestSegment(ents)
 	for name, mutate := range spillCorruptions {
 		t.Run(name, func(t *testing.T) {
 			bad := mutate(append([]byte(nil), data...))
-			p := filepath.Join(dir, "bad-"+name+".seg")
-			if err := os.WriteFile(p, bad, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if seg, err := openSegmentFile(p, int64(len(log)), len(encs[0])); err == nil {
-				seg.close()
-				t.Fatal("corrupt segment opened without error")
+			if _, err := validSegment(bad, int64(len(log)), len(encs[0])); err == nil {
+				t.Fatal("corrupt segment validated without error")
 			}
 		})
 	}
@@ -460,89 +438,87 @@ func TestSpillFold(t *testing.T) {
 	}
 }
 
-// A merge whose file cannot be created leaves its sources mapped and
-// membership exact: it is retried as a plain spill, and only when that
-// fails too does the tier give up.
+// A merge whose file cannot be created, or cannot be sized (a read-only
+// file outside the spill dir), leaves its sources mapped and membership
+// exact: it is retried as a plain spill, and only when that fails too
+// does the tier give up.
 func TestSpillSetFailedMergeKeepsSegments(t *testing.T) {
 	shape, encs, _ := benchComponentStates(t, 400)
-	for _, blocked := range []int{1, 2} {
-		t.Run(fmt.Sprintf("blocked-%d", blocked), func(t *testing.T) {
-			h := newSpillHarness(t, shape, newStateTable(len(encs[0]), 1, nil), t.TempDir())
-			for j := 0; j < 300; j += 100 {
-				h.level(encs[j : j+100])
-			}
-			// Three spills: one segment of two spills, one of one.
-			s := h.s
-			before := slices.Clone(s.segs)
-			if len(before) != 2 {
-				t.Fatalf("%d segments before the merge, want 2", len(before))
-			}
-			// The next blocked segment files cannot be created.
-			fails := blocked
-			s.scratch = func(dir string) (*os.File, error) {
-				if fails > 0 {
-					fails--
-					return nil, errors.New("no space left on device")
+	readOnly := filepath.Join(t.TempDir(), "read-only")
+	if err := os.WriteFile(readOnly, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	broken := map[string]func() (*os.File, error){
+		"blocked":   func() (*os.File, error) { return nil, errors.New("no space left on device") },
+		"unsizable": func() (*os.File, error) { return os.Open(readOnly) },
+	}
+	for flavour, brokenFile := range broken {
+		for _, blocked := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s-%d", flavour, blocked), func(t *testing.T) {
+				h := newSpillHarness(t, shape, newStateTable(len(encs[0]), 1, nil), t.TempDir())
+				for j := 0; j < 300; j += 100 {
+					h.level(encs[j : j+100])
 				}
-				return scratchFile(dir)
-			}
-			h.level(encs[300:]) // would fold both indexes
-			if !slices.Equal(s.segs[:2], before) {
-				t.Fatal("sources replaced by a failed merge")
-			}
-			for i, seg := range before {
-				if seg.view.data == nil {
-					t.Errorf("source %d unmapped by a failed merge", i)
+				// Three spills: one segment of two spills, one of one.
+				s := h.s
+				before := slices.Clone(s.segs)
+				if len(before) != 2 {
+					t.Fatalf("%d segments before the merge, want 2", len(before))
 				}
-			}
-			switch blocked {
-			case 1:
-				if s.failed || len(s.segs) != 3 || s.spilled.Load() != 400 {
-					t.Fatalf("retry: failed=%v, %d segments, %d spilled; want a plain spill",
-						s.failed, len(s.segs), s.spilled.Load())
+				// The next blocked segment files are broken.
+				fails := blocked
+				s.scratch = func(dir string) (*os.File, error) {
+					if fails > 0 {
+						fails--
+						return brokenFile()
+					}
+					return scratchFile(dir)
 				}
-			case 2:
-				if len(s.segs) != 2 || s.spilled.Load() != 300 {
-					t.Fatalf("%d segments, %d spilled; want the tier off, memory kept", len(s.segs), s.spilled.Load())
+				h.level(encs[300:]) // would fold both indexes
+				if !slices.Equal(s.segs[:2], before) {
+					t.Fatal("sources replaced by a failed merge")
 				}
-				h.tierOff()
-			}
-			h.has(encs)
-		})
+				for i, seg := range before {
+					if seg.view.data == nil {
+						t.Errorf("source %d unmapped by a failed merge", i)
+					}
+				}
+				switch blocked {
+				case 1:
+					if s.failed || len(s.segs) != 3 || s.spilled.Load() != 400 {
+						t.Fatalf("retry: failed=%v, %d segments, %d spilled; want a plain spill",
+							s.failed, len(s.segs), s.spilled.Load())
+					}
+				case 2:
+					if len(s.segs) != 2 || s.spilled.Load() != 300 {
+						t.Fatalf("%d segments, %d spilled; want the tier off, memory kept", len(s.segs), s.spilled.Load())
+					}
+					h.tierOff()
+				}
+				h.has(encs)
+			})
+		}
 	}
 }
 
-// FuzzSpillSegment feeds openSpillSegment arbitrary file contents as an
-// index of the vectors of a fixed log, goldenCheckpoint's. It must
-// reject them, or return a segment whose every index entry's vector
-// lies in the log and is found under the entry's own fingerprint, and
-// whose probes never panic.
+// FuzzSpillSegment feeds validate arbitrary bytes as an index of the
+// vectors of a fixed log, goldenCheckpoint's. It must reject them, or
+// accept a segment whose every index entry's vector lies in the log and
+// is found under the entry's own fingerprint, and whose probes never
+// panic.
 func FuzzSpillSegment(f *testing.F) {
-	golden, err := hex.DecodeString(goldenSpillSegment)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(golden)
-	dir := f.TempDir()
+	f.Add(goldenBytes(f, goldenSpillSegment))
 	log, width, ents := goldenLogEntries(f)
-	merged, err := os.ReadFile(writeMergedTestSegment(f, dir, int64(len(log)), width, ents[:1], ents[1:2], ents[2:]))
-	if err != nil {
-		f.Fatal(err)
-	}
+	merged := layoutMergedTestSegment(f, int64(len(log)), width, ents[:1], ents[1:2], ents[2:])
 	f.Add(merged)
 	for _, name := range []string{"magic", "index", "offset", "filter", "truncated", "trailing", "empty"} {
 		f.Add(spillCorruptions[name](slices.Clone(merged)))
 	}
-	path := filepath.Join(dir, "fuzz.seg")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		seg, err := openSegmentFile(path, int64(len(log)), width)
+		seg, err := validSegment(data, int64(len(log)), width)
 		if err != nil {
 			return
 		}
-		defer seg.close()
 		for i := 0; i < seg.count; i++ {
 			off := seg.offAt(i)
 			if off+uint64(width) > uint64(len(log)) {
@@ -693,11 +669,10 @@ func TestSpillFilterFalsePositives(t *testing.T) {
 	for i := range ents {
 		ents[i] = idxEnt{fp: rng.Uint64()}
 	}
-	seg, err := openSegmentFile(writeTestSegment(t, t.TempDir(), 0, ents), 1, 1)
+	seg, err := validSegment(layoutTestSegment(ents), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer seg.close()
 	if seg.words != uint64(spillFilterWords(n)) || seg.words != 15625 {
 		t.Fatalf("filter of %d words, want 15625", seg.words)
 	}

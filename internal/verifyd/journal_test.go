@@ -350,7 +350,7 @@ func TestServerReplayIncompleteResumes(t *testing.T) {
 	j.close()
 
 	reg := obs.NewRegistry()
-	s, err := OpenServer(Config{Workers: 2, DataDir: dataDir, CheckpointInterval: 1, Registry: reg})
+	s, err := OpenServer(Config{Workers: 2, DataDir: dataDir, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,11 +62,6 @@ type Config struct {
 	// (the default) keeps the server exactly as before: memory-only,
 	// nothing written to disk.
 	DataDir string
-	// CheckpointInterval is the number of completed BFS levels between
-	// checkpoint commits when DataDir is set. Zero (the default) paces
-	// commits by the disk (checker.DurabilityOptions.Interval): a search
-	// commits once it has explored as long as its last commit took.
-	CheckpointInterval int
 	// Resolver loads component files referenced by raw ADL submissions.
 	// JSON submissions can inline components instead; inline components
 	// shadow the resolver.
@@ -711,8 +706,9 @@ func (s *Server) finishJob(job *Job, rep *api.Report, hits, misses int) {
 // key). The checkpoint key is the submission content address suffixed
 // per property (adl.PropertySource.CheckpointKey), so a resumed attempt — locally after a restart, or on
 // a cluster replica that fetched the file — finds exactly its own
-// frontier. One checkpoint journal record is written per property per
-// attempt (the file path never changes, so later commits add nothing).
+// frontier. Commits are paced by the disk (Interval 0). One checkpoint
+// journal record is written per property per attempt (the file path
+// never changes, so later commits add nothing).
 func (s *Server) checkpointFor(job *Job, ps adl.PropertySource) *checker.DurabilityOptions {
 	if s.ckptDir == "" || job.subKey == nil {
 		return nil
@@ -720,10 +716,9 @@ func (s *Server) checkpointFor(job *Job, ps adl.PropertySource) *checker.Durabil
 	key := ps.CheckpointKey(job.subKey.String())
 	var once sync.Once
 	return &checker.DurabilityOptions{
-		Dir:      s.ckptDir,
-		Key:      key,
-		Interval: s.cfg.CheckpointInterval,
-		Resume:   true,
+		Dir:    s.ckptDir,
+		Key:    key,
+		Resume: true,
 		OnWrite: func(file string, depth, states int) {
 			once.Do(func() {
 				// Depth doubles as the resume proof: a search resumed from
