@@ -222,9 +222,10 @@ func fmtElapsed(d time.Duration) time.Duration {
 
 // Checker verifies one instantiated system.
 type Checker struct {
-	sys   *model.System
-	opts  Options
-	clock ckptClock // wallClock; tests substitute a fake to pace checkpoint commits
+	sys      *model.System
+	opts     Options
+	clock    ckptClock // wallClock; tests substitute a fake to pace checkpoint commits
+	allEdges bool      // CheckLTL stores every product edge; tests compare it with the pruned build
 }
 
 // New creates a Checker for a system with the given options.

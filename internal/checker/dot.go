@@ -57,19 +57,19 @@ func (c *Checker) WriteDOT(w io.Writer, maxStates int) error {
 		if _, err := fmt.Fprintf(w, "  s%d [label=\"%s\"%s];\n", u, label, attrs); err != nil {
 			return err
 		}
-		if u+1 >= len(p.start) {
+		if u+1 >= p.start.size() {
 			continue // stored, but not expanded before the cap
 		}
 		// The k-th transition without a violation is the row's k-th edge.
-		e := p.start[u]
+		e := p.start.at(uint32(u))
 		for _, tr := range trs {
 			if tr.Violation != "" {
 				continue
 			}
-			if e == p.start[u+1] {
+			if e == p.start.at(uint32(u+1)) {
 				break
 			}
-			to := p.to[e]
+			to := p.to.at(e)
 			e++
 			if int(to) >= maxStates {
 				continue

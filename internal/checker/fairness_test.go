@@ -161,6 +161,64 @@ active proctype Worker() {
 	}
 }
 
+// TestStrongFairnessFindsFairSubcycle: a component that starves a
+// process it enables somewhere is not the end of the search. Chooser
+// can set x to 0, 1 or 2 forever, and Worker is enabled only at x == 2,
+// so the component of all three values starves Worker; the cycle that
+// keeps x below 2 never enables Worker and is strongly fair. Only the
+// nodes enabling Worker are dropped before the rest is decomposed again.
+func TestStrongFairnessFindsFairSubcycle(t *testing.T) {
+	src := `
+byte x, done;
+active proctype Chooser() {
+	end: do
+	:: x = 0
+	:: x = 1
+	:: x = 2
+	od
+}
+active proctype Worker() {
+	x == 2 -> done = 1
+}`
+	s := sysFromSource(t, src)
+	p := props(t, s.Prog, map[string]string{"finished": "done == 1"})
+	res := verifyLTL(t, s, Options{StrongFairness: true}, "<> finished", p)
+	if res.OK || res.Kind != AcceptanceCycle {
+		t.Fatalf("Chooser may keep x below 2 forever under strong fairness; got %s", res.Summary())
+	}
+	path := replays(s, res.Trace)
+	for _, st := range path[len(res.Trace.Prefix):] {
+		if s.Global(st, 0) == 2 {
+			t.Fatalf("the fair cycle enables Worker:\n%s", res.Trace)
+		}
+	}
+}
+
+// TestFairnessPastSixtyFourProcesses: enabled sets take a second word
+// from the 65th process on. Worker is pid 69 and always enabled until
+// it moves, so weak fairness makes it move, and <> finished holds.
+func TestFairnessPastSixtyFourProcesses(t *testing.T) {
+	src := `
+byte done;
+active [69] proctype Idle() {
+	end: do
+	:: skip
+	od
+}
+active proctype Worker() {
+	done = 1
+}`
+	p := props(t, sysFromSource(t, src).Prog, map[string]string{"finished": "done == 1"})
+	if res := verifyLTL(t, sysFromSource(t, src), Options{}, "<> finished", p); res.OK {
+		t.Fatal("without fairness, the idle processes may starve Worker forever")
+	}
+	for _, opts := range []Options{{WeakFairness: true}, {StrongFairness: true}} {
+		if res := verifyLTL(t, sysFromSource(t, src), opts, "<> finished", p); !res.OK {
+			t.Fatalf("%+v: Worker must move: %s\n%s", opts, res.Summary(), res.Trace)
+		}
+	}
+}
+
 // TestStrongFairnessStillRefutesImpossible: no fairness can conjure a
 // state transition that does not exist.
 func TestStrongFairnessStillRefutesImpossible(t *testing.T) {

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -34,15 +35,16 @@ func PropsFromSource(prog *pml.Compiled, defs map[string]string) (map[string]pml
 // fair runs; strong wins when both are set.
 //
 // The search stores the reachable product of the system and a Büchi
-// automaton for the negated formula breadth-first, edges included, then
-// splits it into strongly connected components: the formula fails iff
-// some component holds an accepting node and a cycle that is fair under
-// the rule in force. Each system state is stored once, as its vector in
-// a table of the level engine's kind; on top of that a product node
-// costs about 30 bytes (its 8-byte (state id, automaton state) entry
-// and its slot in a second such table, BFS parent, edge row), 8 more
-// for its enabled set under fairness, and an edge 8. Stats.VisitedBytes
-// reports the total.
+// automaton for the negated formula breadth-first, then splits it into
+// strongly connected components: the formula fails iff some component
+// holds an accepting node and a cycle that is fair under the rule in
+// force. Each system state is stored once, as its vector in a table of
+// the level engine's kind; on top of that a product node costs about
+// 30 bytes (its 8-byte (state id, automaton state) entry and its slot
+// in a second such table, BFS parent, edge row) and 8 more for its
+// enabled set under fairness. An edge is stored only inside an
+// automaton component that can carry an accepting cycle, at 4 bytes,
+// 8 under fairness. Stats.VisitedBytes reports the total.
 func (c *Checker) CheckLTL(formula string, props map[string]pml.RExpr) *Result {
 	var res *Result
 	withPhaseLabel("liveness", func() { res = c.checkLTL(formula, props) })
@@ -66,9 +68,16 @@ const noNode = ^uint32(0)
 // product is the reachable product of the system and the Büchi
 // automaton, its nodes numbered in breadth-first order. Edges are kept as
 // compressed sparse rows: the edges out of node u are
-// to[start[u]:start[u+1]], and movers[e] holds the pids acting on edge e
-// (-1 when unused, so a stutter edge is {-1, -1}). No event is stored per
-// edge; event re-derives one by expanding the edge's source again.
+// to[start[u]:start[u+1]], and under fairness movers[e] holds the pids
+// acting on edge e (-1 when unused, so a stutter edge is {-1, -1}). No
+// event is stored per edge; event re-derives one by expanding the edge's
+// source again.
+//
+// Only edges an accepting cycle can use are stored (Bloem, Ravi &
+// Somenzi, CAV 1999): a product cycle stays inside one automaton
+// component, so an edge u→v is stored only when q(u) and q(v) share a
+// component holding an accepting state and a transition (keeps), and a
+// product component with an accepting node and a cycle keeps them all.
 //
 // System states are stored the way the level engine stores them: each
 // distinct state's vector once, in table, whose dense index is the
@@ -87,22 +96,21 @@ type product struct {
 	vals   []bool
 	sat    func(int) bool
 	fair   fairness
-	words  int       // bitset words per node in enabled; 0 without fairness
-	roots  int       // nodes 0..roots-1 hold the initial state
+	comp   []int     // automaton component of each automaton state whose edges are stored, or -1
 	limit  int       // build stops once more than limit nodes are stored; 0 = no cap
 	graph  bool      // a violating step is left out instead of ending the search, and no stutter edges
 	target pml.RExpr // AG EF's target, evaluated into good as nodes are stored; nil for none
 
-	table     *stateTable // state vectors of system states; single-writer, so a ref is a state id
-	nodes     *stateTable // (state id, q) of each node; single-writer, so a ref is a node id
-	parent    []uint32
-	start     []uint32
-	to        []uint32
-	movers    [][2]int16
-	enabled   []uint64
-	good      []bool // target holds at the node's state; nil without target
-	targetErr error  // the target's first evaluation error, in node order
-	accepting bool   // some stored node is accepting
+	table     *stateTable    // state vectors of system states; single-writer, so a ref is a state id
+	nodes     *stateTable    // (state id, q) of each node; single-writer, so a ref is a node id
+	parent    column[uint32] // columns grow in pages that never move
+	start     column[uint32]
+	to        column[uint32]
+	movers    column[[2]int16] // empty without fairness
+	enabled   column[uint64]   // rows of bitset words; width 0 without fairness
+	good      column[bool]     // target holds at the node's state; empty without target
+	targetErr error            // the target's first evaluation error, in node order
+	accepting bool             // some stored node is accepting, in a component whose edges are stored
 }
 
 func (c *Checker) checkLTL(formula string, props map[string]pml.RExpr) *Result {
@@ -144,7 +152,10 @@ func (c *Checker) ltlProduct(f *ltl.Formula, props map[string]pml.RExpr) (*produ
 	if err != nil {
 		return nil, err
 	}
-	p := &product{c: c, aut: aut, limit: c.opts.MaxStates}
+	p := &product{c: c, aut: aut, limit: c.opts.MaxStates, comp: cycleComps(aut)}
+	if c.allEdges {
+		p.comp = make([]int, len(aut.States))
+	}
 	for _, name := range aut.Atoms {
 		e, ok := props[name]
 		if !ok {
@@ -161,7 +172,7 @@ func (c *Checker) ltlProduct(f *ltl.Formula, props map[string]pml.RExpr) (*produ
 		p.fair = weaklyFair
 	}
 	if p.fair != unfair {
-		p.words = (c.sys.NumInstances() + 63) / 64
+		p.enabled.width = (c.sys.NumInstances() + 63) / 64
 	}
 	return p, nil
 }
@@ -169,11 +180,59 @@ func (c *Checker) ltlProduct(f *ltl.Formula, props map[string]pml.RExpr) (*produ
 // stateGraph returns the reachable state graph of the system, up to
 // limit states, as a product with a one-state automaton and no atoms
 // (so sat is never called): every reachable state is exactly one node,
-// and its edges are the transitions without a safety violation.
+// and its edges, all stored (comp puts the one automaton state in a
+// component of its own), are the transitions without a safety violation.
 func (c *Checker) stateGraph(limit int) *product {
 	loop := []ltl.Trans{{Dst: 0}}
 	aut := &ltl.Automaton{States: []ltl.AState{{Trans: loop}}, InitTrans: loop}
-	return &product{c: c, aut: aut, limit: limit, graph: true}
+	return &product{c: c, aut: aut, limit: limit, graph: true, comp: []int{0}}
+}
+
+// cycleComps numbers the strongly connected components of aut's states
+// (Tarjan) and returns each state's number when its component holds an
+// accepting state and a transition between two of its states, and -1
+// otherwise: only such a component can carry an accepting cycle.
+func cycleComps(aut *ltl.Automaton) []int {
+	// A state's index is its 1-based stack position, so low 0 means
+	// not yet visited; a finished component's states get low len+1.
+	comp, low := make([]int, len(aut.States)), make([]int, len(aut.States))
+	var stack []int
+	var visit func(q int)
+	visit = func(q int) {
+		stack = append(stack, q)
+		index := len(stack)
+		low[q] = index
+		for _, t := range aut.States[q].Trans {
+			if low[t.Dst] == 0 {
+				visit(t.Dst)
+			}
+			low[q] = min(low[q], low[t.Dst])
+		}
+		if low[q] != index {
+			return
+		}
+		scc := stack[index-1:]
+		stack = stack[:index-1]
+		looped := len(scc) > 1 || slices.ContainsFunc(aut.States[q].Trans, func(t ltl.Trans) bool { return t.Dst == q })
+		accepting := slices.ContainsFunc(scc, func(r int) bool { return aut.States[r].Accepting })
+		for _, r := range scc {
+			low[r], comp[r] = len(low)+1, -1
+			if looped && accepting {
+				comp[r] = q
+			}
+		}
+	}
+	for q := range aut.States {
+		if low[q] == 0 {
+			visit(q)
+		}
+	}
+	return comp
+}
+
+// keeps reports whether an edge from automaton state q to r is stored.
+func (p *product) keeps(q, r int) bool {
+	return p.comp[q] >= 0 && p.comp[q] == p.comp[r]
 }
 
 // fail marks r as failed with kind and msg.
@@ -211,10 +270,9 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 			p.intern(init, id, at.Dst, noNode, res)
 		}
 	}
-	p.roots = p.nodes.size()
-	p.start = append(p.start, 0)
+	p.start.push(0)
 	var trs []model.Transition
-	for lo, hi, depth := 0, p.roots, 0; lo < hi; lo, hi, depth = hi, p.nodes.size(), depth+1 {
+	for lo, hi, depth := 0, p.nodes.size(), 0; lo < hi; lo, hi, depth = hi, p.nodes.size(), depth+1 {
 		res.Stats.MaxDepth = depth
 		for i := lo; i < hi; i++ {
 			u := uint32(i)
@@ -235,6 +293,7 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 				}
 			}
 			var last *model.Transition
+			qu := p.qOf(u)
 			err := p.successors(u, st, trs, func(tr *model.Transition, q int) {
 				if full() {
 					return
@@ -243,10 +302,14 @@ func (p *product) build(res *Result, m *meter, cc *canceler) bool {
 					last = tr
 					id = p.table.intern(model.Hash64(tr.Next.Bytes()), tr.Next.Bytes())
 				}
-				p.to = append(p.to, p.intern(tr.Next, id, q, u, res))
-				p.movers = append(p.movers, [2]int16{int16(tr.Proc), int16(tr.Partner)})
+				if v := p.intern(tr.Next, id, q, u, res); p.keeps(qu, q) {
+					p.to.push(v)
+					if p.fair != unfair {
+						p.movers.push([2]int16{int16(tr.Proc), int16(tr.Partner)})
+					}
+				}
 			})
-			p.start = append(p.start, uint32(len(p.to)))
+			p.start.push(uint32(p.to.size()))
 			if err != nil {
 				res.fail(RuntimeError, err.Error())
 				return false
@@ -283,15 +346,12 @@ func (p *product) intern(st *model.State, id uint32, q int, parent uint32, res *
 		res.Stats.StatesMatched++
 		return v
 	}
-	p.parent = append(p.parent, parent)
-	if p.words > 0 {
-		base := len(p.enabled)
-		for w := 0; w < p.words; w++ {
-			p.enabled = append(p.enabled, 0)
-		}
+	p.parent.push(parent)
+	if p.enabled.width > 0 {
+		en := p.enabled.grow()
 		for pid := 0; pid < p.c.sys.NumInstances(); pid++ {
 			if p.c.sys.ProcEnabled(st, pid) {
-				p.enabled[base+pid/64] |= 1 << (pid % 64)
+				en[pid/64] |= 1 << (pid % 64)
 			}
 		}
 	}
@@ -300,9 +360,9 @@ func (p *product) intern(st *model.State, id uint32, q int, parent uint32, res *
 		if err != nil && p.targetErr == nil {
 			p.targetErr = err
 		}
-		p.good = append(p.good, err == nil && x != 0)
+		p.good.push(err == nil && x != 0)
 	}
-	p.accepting = p.accepting || p.aut.States[q].Accepting
+	p.accepting = p.accepting || p.aut.States[q].Accepting && p.comp[q] >= 0
 	res.Stats.StatesStored++
 	return v
 }
@@ -311,8 +371,8 @@ func (p *product) intern(st *model.State, id uint32, q int, parent uint32, res *
 // per-node and per-edge arrays.
 func (p *product) bytes() int64 {
 	b := p.table.bytes() + p.nodes.bytes()
-	b += int64(cap(p.parent)+cap(p.start)+cap(p.to))*4 + int64(cap(p.movers))*4
-	return b + int64(cap(p.enabled))*8 + int64(cap(p.good))
+	b += int64(p.parent.capacity()+p.start.capacity()+p.to.capacity()+p.movers.capacity()) * 4
+	return b + int64(p.enabled.capacity())*8 + int64(p.good.capacity())
 }
 
 // sidOf and qOf read node u's state id and automaton state.
@@ -370,49 +430,59 @@ func (p *product) successors(u uint32, st *model.State, trs []model.Transition, 
 	return nil
 }
 
-// event re-derives the trace event of edge e out of node u: expansion is
-// deterministic, so the edge's position names its transition.
-func (p *product) event(u, e uint32) trace.Event {
-	ev := stutterEvent
-	k := p.start[u]
+// step re-derives the trace event of the first edge out of node u, in
+// emission order, that hit accepts: expansion is deterministic.
+func (p *product) step(u uint32, hit func(tr *model.Transition, q int) bool) trace.Event {
+	var at *model.Transition
 	st := p.decode(u)
-	p.successors(u, st, p.c.sys.Successors(st), func(tr *model.Transition, _ int) {
-		if k == e && tr.Proc >= 0 {
-			ev = eventOf(p.c.sys, *tr)
+	p.successors(u, st, p.c.sys.Successors(st), func(tr *model.Transition, q int) {
+		if at == nil && hit(tr, q) {
+			at = tr
+		}
+	})
+	if at == nil || at.Proc < 0 {
+		return stutterEvent
+	}
+	return eventOf(p.c.sys, *at)
+}
+
+// event re-derives the trace event of stored edge e out of node u, the
+// stored edges being those keeps admits.
+func (p *product) event(u, e uint32) trace.Event {
+	k, qu := p.start.at(u), p.qOf(u)
+	return p.step(u, func(_ *model.Transition, q int) bool {
+		if !p.keeps(qu, q) {
+			return false
 		}
 		k++
+		return k-1 == e
 	})
-	return ev
 }
 
 // stutterEvent is the step a state without successors repeats forever.
 var stutterEvent = trace.Event{Action: "(stutter)"}
 
-// prefix returns the events of the BFS path from a root to node v.
+// prefix returns the events of the BFS path from a root to node v. The
+// tree edge into a node is the first edge its parent emits to it, which
+// its parent's row need not hold.
 func (p *product) prefix(v uint32) []trace.Event {
 	var out []trace.Event
-	for ; p.parent[v] != noNode; v = p.parent[v] {
-		u := p.parent[v]
-		e := p.start[u]
-		for p.to[e] != v {
-			e++
-		}
-		out = append(out, p.event(u, e))
+	for ; p.parent.at(v) != noNode; v = p.parent.at(v) {
+		q, want := p.qOf(v), p.table.entry(uint64(p.sidOf(v)))
+		out = append(out, p.step(p.parent.at(v), func(tr *model.Transition, r int) bool {
+			return r == q && bytes.Equal(tr.Next.Bytes(), want)
+		}))
 	}
 	slices.Reverse(out)
 	return out
 }
 
-func (p *product) enabledSet(v uint32) []uint64 {
-	return p.enabled[int(v)*p.words : int(v+1)*p.words]
-}
-
 func (p *product) isEnabled(v uint32, pid int) bool {
-	return p.enabledSet(v)[pid/64]&(1<<(pid%64)) != 0
+	return p.enabled.row(v)[pid/64]&(1<<(pid%64)) != 0
 }
 
 func (p *product) moves(e uint32, pid int) bool {
-	return int(p.movers[e][0]) == pid || int(p.movers[e][1]) == pid
+	return int(p.movers.at(e)[0]) == pid || int(p.movers.at(e)[1]) == pid
 }
 
 // sccPass decomposes node sets of the product into strongly connected
@@ -434,7 +504,10 @@ type sccPass struct {
 	tasks   uint32
 }
 
-type sccFrame struct{ v, e uint32 }
+type sccFrame struct {
+	v, e uint32
+	loop bool // v has an edge to itself
+}
 
 func newSCCPass(p *product, cc *canceler) *sccPass {
 	n := p.nodes.size()
@@ -450,46 +523,48 @@ func newSCCPass(p *product, cc *canceler) *sccPass {
 // is nearest a root, so the lasso through it has the shortest prefix. It
 // returns that node (noNode when there is none) and the pids that move
 // inside the component, and leaves s.stamp naming the component. Task 0
-// is the whole product; under strong fairness a component that starves a
-// pid it enables loses the nodes enabling it, and the rest is decomposed
-// again as a new task.
+// is every node in id order, as only the kept edges join nodes; under
+// strong fairness a component that starves a pid it enables loses the
+// nodes enabling it, and the rest is decomposed again as a new task.
 func (s *sccPass) search() (entry uint32, moves []uint64) {
 	p := s.p
 	type task struct {
 		id      uint32
 		members []uint32
 	}
-	roots := make([]uint32, p.roots)
-	for i := range roots {
-		roots[i] = uint32(i)
-	}
-	tasks := []task{{0, roots}}
+	var tasks []task
 	entry, stamp := noNode, uint32(0)
+	visit := func(scc []uint32) {
+		s.stamp++
+		acc := noNode
+		for _, v := range scc {
+			s.comp[v] = s.stamp
+			if p.aut.States[p.qOf(v)].Accepting {
+				acc = min(acc, v)
+			}
+		}
+		if acc >= entry {
+			return // no accepting node, or none nearer than the best so far
+		}
+		mv, starved := s.judge(scc)
+		switch {
+		case !slices.ContainsFunc(starved, func(w uint64) bool { return w != 0 }):
+			entry, moves, stamp = acc, mv, s.stamp
+		case p.fair == stronglyFair:
+			if rest := s.prune(scc, starved); len(rest) > 0 {
+				tasks = append(tasks, task{s.tasks, rest})
+			}
+		}
+	}
+	for v := range uint32(p.nodes.size()) {
+		s.run(0, v, visit)
+	}
 	for len(tasks) > 0 {
 		tk := tasks[len(tasks)-1]
 		tasks = tasks[:len(tasks)-1]
-		s.run(tk.id, tk.members, func(scc []uint32) {
-			s.stamp++
-			acc := noNode
-			for _, v := range scc {
-				s.comp[v] = s.stamp
-				if p.aut.States[p.qOf(v)].Accepting {
-					acc = min(acc, v)
-				}
-			}
-			if acc >= entry {
-				return // no accepting node, or none nearer than the best so far
-			}
-			mv, starved := s.judge(scc)
-			switch {
-			case !slices.ContainsFunc(starved, func(w uint64) bool { return w != 0 }):
-				entry, moves, stamp = acc, mv, s.stamp
-			case p.fair == stronglyFair:
-				if rest := s.prune(scc, starved); len(rest) > 0 {
-					tasks = append(tasks, task{s.tasks, rest})
-				}
-			}
-		})
+		for _, v := range tk.members {
+			s.run(tk.id, v, visit)
+		}
 	}
 	s.stamp = stamp
 	return entry, moves
@@ -504,24 +579,24 @@ func (s *sccPass) judge(scc []uint32) (moves, starved []uint64) {
 	if p.fair == unfair {
 		return nil, nil
 	}
-	moves = make([]uint64, p.words)
-	some := make([]uint64, p.words)
-	all := make([]uint64, p.words)
+	moves = make([]uint64, p.enabled.width)
+	some := make([]uint64, p.enabled.width)
+	all := make([]uint64, p.enabled.width)
 	for w := range all {
 		all[w] = ^uint64(0)
 	}
 	for _, v := range scc {
-		for e := p.start[v]; e < p.start[v+1]; e++ {
-			if s.comp[p.to[e]] != s.stamp {
+		for e := p.start.at(v); e < p.start.at(v+1); e++ {
+			if s.comp[p.to.at(e)] != s.stamp {
 				continue
 			}
-			for _, pid := range p.movers[e] {
+			for _, pid := range p.movers.at(e) {
 				if pid >= 0 {
 					moves[pid/64] |= 1 << (pid % 64)
 				}
 			}
 		}
-		for w, en := range p.enabledSet(v) {
+		for w, en := range p.enabled.row(v) {
 			some[w] |= en
 			all[w] &= en
 		}
@@ -542,7 +617,7 @@ func (s *sccPass) prune(scc []uint32, starved []uint64) []uint32 {
 	s.tasks++
 	var rest []uint32
 	for _, v := range scc {
-		if !intersects(s.p.enabledSet(v), starved) {
+		if !intersects(s.p.enabled.row(v), starved) {
 			s.tag[v], s.index[v] = s.tasks, 0
 			rest = append(rest, v)
 		}
@@ -559,54 +634,55 @@ func intersects(a, b []uint64) bool {
 	return false
 }
 
-// run decomposes the nodes tagged task, reachable from members, calling
-// visit with each nontrivial component.
-func (s *sccPass) run(task uint32, members []uint32, visit func(scc []uint32)) {
+// run decomposes the nodes tagged task that root reaches, unless root
+// is outside the task or already decomposed or the search is canceled,
+// calling visit with each nontrivial component.
+func (s *sccPass) run(task, root uint32, visit func(scc []uint32)) {
 	p := s.p
-	for _, root := range members {
-		if s.tag[root] != task || s.index[root] != 0 {
+	if s.tag[root] != task || s.index[root] != 0 || s.cc.hit() {
+		return
+	}
+	s.push(root)
+	for len(s.calls) > 0 {
+		if s.cc.hit() {
+			return
+		}
+		fr := &s.calls[len(s.calls)-1]
+		v := fr.v
+		if fr.e < p.start.at(v+1) {
+			w := p.to.at(fr.e)
+			fr.e++
+			switch {
+			case s.tag[w] != task:
+			case s.index[w] == 0:
+				s.push(w)
+			case w == v:
+				fr.loop = true
+			case s.onStack[w]:
+				s.low[v] = min(s.low[v], s.index[w])
+			}
 			continue
 		}
-		s.push(root)
-		for len(s.calls) > 0 {
-			if s.cc.hit() {
-				return
-			}
-			fr := &s.calls[len(s.calls)-1]
-			v := fr.v
-			if fr.e < p.start[v+1] {
-				w := p.to[fr.e]
-				fr.e++
-				switch {
-				case s.tag[w] != task:
-				case s.index[w] == 0:
-					s.push(w)
-				case s.onStack[w]:
-					s.low[v] = min(s.low[v], s.index[w])
-				}
-				continue
-			}
-			s.calls = s.calls[:len(s.calls)-1]
-			if n := len(s.calls); n > 0 {
-				u := s.calls[n-1].v
-				s.low[u] = min(s.low[u], s.low[v])
-			}
-			if s.low[v] != s.index[v] {
-				continue
-			}
-			i := len(s.stack) - 1
-			for s.stack[i] != v {
-				i--
-			}
-			scc := s.stack[i:]
-			for _, w := range scc {
-				s.onStack[w] = false
-			}
-			if len(scc) > 1 || slices.Contains(p.to[p.start[v]:p.start[v+1]], v) {
-				visit(scc)
-			}
-			s.stack = s.stack[:i]
+		s.calls = s.calls[:len(s.calls)-1]
+		if n := len(s.calls); n > 0 {
+			u := s.calls[n-1].v
+			s.low[u] = min(s.low[u], s.low[v])
 		}
+		if s.low[v] != s.index[v] {
+			continue
+		}
+		i := len(s.stack) - 1
+		for s.stack[i] != v {
+			i--
+		}
+		scc := s.stack[i:]
+		for _, w := range scc {
+			s.onStack[w] = false
+		}
+		if len(scc) > 1 || fr.loop {
+			visit(scc)
+		}
+		s.stack = s.stack[:i]
 	}
 }
 
@@ -615,7 +691,7 @@ func (s *sccPass) push(v uint32) {
 	s.index[v], s.low[v] = s.counter, s.counter
 	s.onStack[v] = true
 	s.stack = append(s.stack, v)
-	s.calls = append(s.calls, sccFrame{v, s.p.start[v]})
+	s.calls = append(s.calls, sccFrame{v: v, e: s.p.start.at(v)})
 }
 
 // cycle returns a cycle through entry inside the component stamped
@@ -629,14 +705,14 @@ func (s *sccPass) cycle(entry uint32, moves []uint64) []trace.Event {
 	walk := func(goal func(e uint32) bool) {
 		path := s.walk(cur, goal)
 		edges = append(edges, path...)
-		cur = p.to[path[len(path)-1]]
+		cur = p.to.at(path[len(path)-1])
 	}
 	served := func(pid int) bool {
 		if p.fair == weaklyFair && !p.isEnabled(entry, pid) {
 			return true
 		}
 		for _, e := range edges {
-			if p.moves(e, pid) || p.fair == weaklyFair && !p.isEnabled(p.to[e], pid) {
+			if p.moves(e, pid) || p.fair == weaklyFair && !p.isEnabled(p.to.at(e), pid) {
 				return true
 			}
 		}
@@ -648,16 +724,16 @@ func (s *sccPass) cycle(entry uint32, moves []uint64) []trace.Event {
 		case moves[pid/64]&(1<<(pid%64)) != 0:
 			walk(func(e uint32) bool { return p.moves(e, pid) })
 		case p.fair == weaklyFair:
-			walk(func(e uint32) bool { return !p.isEnabled(p.to[e], pid) })
+			walk(func(e uint32) bool { return !p.isEnabled(p.to.at(e), pid) })
 		}
 	}
 	if len(edges) == 0 || cur != entry {
-		walk(func(e uint32) bool { return p.to[e] == entry })
+		walk(func(e uint32) bool { return p.to.at(e) == entry })
 	}
 	events := make([]trace.Event, len(edges))
 	for i, e := range edges {
 		events[i] = p.event(entry, e)
-		entry = p.to[e]
+		entry = p.to.at(e)
 	}
 	return events
 }
@@ -670,8 +746,8 @@ func (s *sccPass) walk(u uint32, goal func(e uint32) bool) []uint32 {
 	via := map[uint32]crumb{u: {noNode, 0}}
 	for queue := []uint32{u}; len(queue) > 0; queue = queue[1:] {
 		v := queue[0]
-		for e := p.start[v]; e < p.start[v+1]; e++ {
-			w := p.to[e]
+		for e := p.start.at(v); e < p.start.at(v+1); e++ {
+			w := p.to.at(e)
 			if s.comp[w] != s.stamp {
 				continue
 			}
@@ -691,3 +767,41 @@ func (s *sccPass) walk(u uint32, goal func(e uint32) bool) []uint32 {
 	}
 	panic("checker: no path inside a strongly connected component")
 }
+
+// column is an append-only array of rows of width values (1 when width
+// is 0), stored in pages of 2^columnPageLog2 rows: a page, once
+// allocated, is never copied, so a growing column costs neither a copy
+// nor a second array while it is made.
+type column[T any] struct {
+	width int
+	pages [][]T
+	n     uint32 // rows
+}
+
+const columnPageLog2 = 12
+
+// grow appends a row of zeros and returns it.
+func (a *column[T]) grow() []T {
+	if a.n%(1<<columnPageLog2) == 0 {
+		a.pages = append(a.pages, make([]T, max(a.width, 1)<<columnPageLog2))
+	}
+	a.n++
+	return a.row(a.n - 1)
+}
+
+func (a *column[T]) push(v T) { a.grow()[0] = v }
+
+// row returns row i, which stays valid as the column grows.
+func (a *column[T]) row(i uint32) []T {
+	w := max(a.width, 1)
+	o := int(i%(1<<columnPageLog2)) * w
+	return a.pages[i>>columnPageLog2][o : o+w : o+w]
+}
+
+// at reads row i of a column of width 1.
+func (a *column[T]) at(i uint32) T { return a.pages[i>>columnPageLog2][i%(1<<columnPageLog2)] }
+
+// size is the number of rows; capacity the number of values allocated.
+func (a *column[T]) size() int { return int(a.n) }
+
+func (a *column[T]) capacity() int { return len(a.pages) * max(a.width, 1) << columnPageLog2 }

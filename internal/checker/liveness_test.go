@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"pnp/internal/ltl"
+	"pnp/internal/model"
 	"pnp/internal/pml"
 )
 
@@ -205,5 +207,151 @@ active proctype P() { do :: x < 200 -> x = x + 1 :: else -> break od }`)
 	}
 	if res.Stats.StatesStored != 6 {
 		t.Errorf("StatesStored = %d, want MaxStates+1 = 6", res.Stats.StatesStored)
+	}
+}
+
+// builtProduct builds the product of s and the automaton for ¬formula,
+// storing every edge when all is set.
+func builtProduct(t *testing.T, s *model.System, opts Options, formula string, defs map[string]string, all bool) (*product, *Result) {
+	t.Helper()
+	f, err := ltl.Parse(formula)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(s, opts)
+	c.allEdges = all
+	p, err := c.ltlProduct(f, props(t, s.Prog, defs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{OK: true}
+	if !p.build(res, nil, nil) {
+		t.Fatalf("%s: build ended early: %s", formula, res.Summary())
+	}
+	return p, res
+}
+
+const loopXY = `
+byte x, y;
+active proctype P() { do :: x = 1 - x :: y < 3 -> y = y + 1 od }`
+
+// TestLTLProductStoresOnlyAcceptingComponentEdges: an edge is stored
+// only inside an automaton component that can carry an accepting cycle.
+// A [] p product that never leaves the automaton's non-accepting start
+// component stores none and needs no SCC pass; a <> p product whose
+// runs stay in its one accepting component stores every edge.
+func TestLTLProductStoresOnlyAcceptingComponentEdges(t *testing.T) {
+	defs := map[string]string{"p": "y < 4", "q": "y == 9"}
+	p, _ := builtProduct(t, sysFromSource(t, loopXY), Options{WeakFairness: true}, "[] p", defs, false)
+	if p.to.size() != 0 || p.movers.size() != 0 || p.accepting {
+		t.Errorf("[] p: %d edges and %d movers stored, accepting=%v; want none", p.to.size(), p.movers.size(), p.accepting)
+	}
+	full, _ := builtProduct(t, sysFromSource(t, loopXY), Options{WeakFairness: true}, "[] p", defs, true)
+	if full.to.size() == 0 || full.nodes.size() != p.nodes.size() {
+		t.Errorf("[] p with every edge: %d edges, %d nodes (pruned %d)", full.to.size(), full.nodes.size(), p.nodes.size())
+	}
+
+	p, res := builtProduct(t, sysFromSource(t, loopXY), Options{}, "<> q", defs, false)
+	full, _ = builtProduct(t, sysFromSource(t, loopXY), Options{}, "<> q", defs, true)
+	if p.to.size() == 0 || p.to.size() != full.to.size() || p.movers.size() != 0 || !p.accepting {
+		t.Errorf("<> q: %d edges stored (every edge: %d), %d movers without fairness, accepting=%v; want all of them, 0, true",
+			p.to.size(), full.to.size(), p.movers.size(), p.accepting)
+	}
+	if p.to.size() != res.Stats.Transitions {
+		t.Errorf("<> q: %d edges stored for %d transitions", p.to.size(), res.Stats.Transitions)
+	}
+}
+
+// TestStateGraphKeepsEveryEdge: AG EF and WriteDOT read the state graph,
+// which stores an edge per transition.
+func TestStateGraphKeepsEveryEdge(t *testing.T) {
+	s := sysFromSource(t, loopXY)
+	c := New(s, Options{})
+	p := c.stateGraph(0)
+	res := &Result{}
+	if !p.build(res, nil, nil) {
+		t.Fatal(res.Summary())
+	}
+	if p.to.size() == 0 || p.to.size() != res.Stats.Transitions {
+		t.Errorf("state graph: %d edges for %d transitions", p.to.size(), res.Stats.Transitions)
+	}
+	var sb strings.Builder
+	if err := c.WriteDOT(&sb, 100); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(sb.String(), " -> "); n != res.Stats.Transitions {
+		t.Errorf("DOT draws %d edges for %d transitions", n, res.Stats.Transitions)
+	}
+}
+
+// TestColumnPagesNeverMove: a row read before the column grows past
+// many pages still aliases the column's storage.
+func TestColumnPagesNeverMove(t *testing.T) {
+	c := column[uint64]{width: 3}
+	first := c.grow()
+	first[2] = 7
+	for i := 1; i < 3<<columnPageLog2; i++ {
+		r := c.grow()
+		r[0] = uint64(i)
+	}
+	first[1] = 9
+	if r := c.row(0); r[1] != 9 || r[2] != 7 || len(r) != 3 {
+		t.Fatalf("row 0 = %v", r)
+	}
+	if c.size() != 3<<columnPageLog2 || c.capacity() != 9<<columnPageLog2 || c.row(5000)[0] != 5000 {
+		t.Fatalf("size %d, capacity %d, row 5000 %v", c.size(), c.capacity(), c.row(5000))
+	}
+	var b column[bool]
+	b.push(true)
+	b.row(0)[0] = false
+	if b.at(0) || b.size() != 1 {
+		t.Fatal("a width-0 column is not one value per row")
+	}
+}
+
+// TestCycleCompsMatchesReachability: the automaton classification
+// against a reachability closure. Two states share a number iff each
+// reaches the other, and a state has one iff it reaches itself and
+// shares its component with an accepting state.
+func TestCycleCompsMatchesReachability(t *testing.T) {
+	for _, formula := range []string{"[] p", "<> p", "[] <> p", "[] (p -> <> q)", "<> [] p", "p U q",
+		"[] !p", "(p U q) U (<> [] p)", "[] (p -> X (q U p))", "<> (p && X X !q) || [] <> (p && !q)"} {
+		f, err := ltl.Parse(formula)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aut, err := ltl.Translate(ltl.Not(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(aut.States)
+		reach := make([][]bool, n) // reach[q][r]: one or more transitions lead from q to r
+		for q := range reach {
+			reach[q] = make([]bool, n)
+			for stack := []int{q}; len(stack) > 0; {
+				r := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, tr := range aut.States[r].Trans {
+					if !reach[q][tr.Dst] {
+						reach[q][tr.Dst] = true
+						stack = append(stack, tr.Dst)
+					}
+				}
+			}
+		}
+		comp := cycleComps(aut)
+		for q := range n {
+			kept := false
+			for r := range n {
+				mutual := reach[q][r] && reach[r][q]
+				kept = kept || mutual && aut.States[r].Accepting
+				if comp[q] >= 0 && (comp[q] == comp[r]) != mutual {
+					t.Errorf("%s: states %d and %d: numbers %d and %d, mutually reachable %v", formula, q, r, comp[q], comp[r], mutual)
+				}
+			}
+			if kept != (comp[q] >= 0) {
+				t.Errorf("%s: state %d numbered %d, can carry an accepting cycle %v", formula, q, comp[q], kept)
+			}
+		}
 	}
 }

@@ -713,3 +713,261 @@ func statePath(v reflect.Value, path string, seen map[uintptr]bool) string {
 	}
 	return ""
 }
+
+// livenessFormulas and livenessRules are the batteries the liveness
+// oracles below cross: six formula shapes over p and q, and the three
+// fairness rules.
+var (
+	livenessFormulas = []string{"[] p", "<> p", "[] <> p", "[] (p -> <> q)", "<> [] p", "p U q"}
+	livenessRules    = []Options{{}, {WeakFairness: true}, {StrongFairness: true}}
+	livenessProps    = map[string]string{"p": "g0 > 0", "q": "g1 > 0"}
+)
+
+// reachableWithin returns the number of reachable states of s, stopping
+// once it exceeds limit.
+func reachableWithin(s *model.System, limit int) int {
+	seen := map[string]bool{s.InitialState().Key(): true}
+	for queue := []*model.State{s.InitialState()}; len(queue) > 0 && len(seen) <= limit; queue = queue[1:] {
+		for _, tr := range s.Successors(queue[0]) {
+			if k := tr.Next.Key(); tr.Violation == "" && !seen[k] {
+				seen[k] = true
+				queue = append(queue, tr.Next)
+			}
+		}
+	}
+	return len(seen)
+}
+
+// lassoGraph is the reachable state graph of a system, explicit: state
+// 0 is the initial state, states are numbered breadth-first, and a
+// state without successors has a stutter edge to itself.
+type lassoGraph struct {
+	succ    [][]lassoEdge
+	parent  []int    // breadth-first parent; -1 for state 0
+	letter  [][]bool // the atoms' values at each state
+	enabled [][]bool // enabled[st][pid]
+}
+
+type lassoEdge struct{ to, proc, partner int } // -1 for a pid that does not move
+
+func newLassoGraph(t *testing.T, s *model.System, atoms []string, pr map[string]pml.RExpr) *lassoGraph {
+	g := &lassoGraph{}
+	index := map[string]int{}
+	var states []*model.State
+	add := func(st *model.State, parent int) int {
+		if k, ok := index[st.Key()]; ok {
+			return k
+		}
+		index[st.Key()] = len(states)
+		states = append(states, st)
+		g.parent = append(g.parent, parent)
+		vals := make([]bool, len(atoms))
+		for j, a := range atoms {
+			v, err := s.EvalGlobal(st, pr[a])
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals[j] = v != 0
+		}
+		g.letter = append(g.letter, vals)
+		en := make([]bool, s.NumInstances())
+		for pid := range en {
+			en[pid] = s.ProcEnabled(st, pid)
+		}
+		g.enabled = append(g.enabled, en)
+		return len(states) - 1
+	}
+	add(s.InitialState(), -1)
+	for u := 0; u < len(states); u++ {
+		trs := s.Successors(states[u])
+		if len(trs) == 0 {
+			trs = []model.Transition{{Proc: -1, Partner: -1, Next: states[u]}}
+		}
+		var out []lassoEdge
+		for _, tr := range trs {
+			if tr.Violation == "" {
+				out = append(out, lassoEdge{add(tr.Next, u), tr.Proc, tr.Partner})
+			}
+		}
+		g.succ = append(g.succ, out)
+	}
+	return g
+}
+
+// fairness returns the strongest rule the cycle through states with
+// the given steps into them is fair under: 0 none, 1 weak, 2 strong.
+// Under weak fairness every pid enabled at all its states moves in it,
+// under strong fairness every pid enabled at one of them does, as
+// lassoFault judges.
+func (g *lassoGraph) fairness(states []int, steps []lassoEdge) int {
+	fair := 2
+	for pid := range g.enabled[0] {
+		moved := slices.ContainsFunc(steps, func(e lassoEdge) bool { return e.proc == pid || e.partner == pid })
+		some, all := false, true
+		for _, st := range states {
+			some, all = some || g.enabled[st][pid], all && g.enabled[st][pid]
+		}
+		switch {
+		case moved:
+		case all:
+			return 0
+		case some:
+			fair = 1
+		}
+	}
+	return fair
+}
+
+// TestRandomProgramsLivenessBruteForce: every "verified" survives brute
+// force. On random programs of at most 500 states it enumerates every
+// lasso of at most six steps, prefix plus cycle, over Successors (a
+// state without successors stutters), and also every cycle of at most
+// six steps from each state behind that state's breadth-first prefix.
+// It judges each lasso by ltl.EvalWord and the fairness predicate
+// lassoFault applies. When a lasso violates a formula and is fair under
+// a rule, CheckLTL must not verify the formula under that rule. The
+// oracle shares no code with the product or the SCC pass.
+func TestRandomProgramsLivenessBruteForce(t *testing.T) {
+	const maxStates, maxSteps = 500, 6
+	r := rand.New(rand.NewSource(61))
+	atoms := []string{"p", "q"}
+	checked, asserted := 0, 0
+	for i := 0; i < 100; i++ {
+		src := randomProgram(r) + drainer + spinner
+		s := sysFromSource(t, src)
+		if reachableWithin(s, maxStates) > maxStates {
+			continue
+		}
+		checked++
+		pr := props(t, s.Prog, livenessProps)
+		g := newLassoGraph(t, s, atoms, pr)
+		// fairest maps each lasso word to the strongest rule one of its
+		// lassos is fair under.
+		fairest := map[string]int{}
+		words := map[string]*ltl.Word{}
+		lasso := func(prefix, cycle []int, steps []lassoEdge) {
+			w := &ltl.Word{Atoms: atoms}
+			for _, st := range prefix {
+				w.Prefix = append(w.Prefix, g.letter[st])
+			}
+			for _, st := range cycle {
+				w.Cycle = append(w.Cycle, g.letter[st])
+			}
+			key := fmt.Sprint(w.Prefix, w.Cycle)
+			fair := g.fairness(cycle, steps)
+			if old, ok := fairest[key]; !ok || fair > old {
+				fairest[key], words[key] = fair, w
+			}
+		}
+		// Every lasso of at most maxSteps steps from the initial state:
+		// path[j:n] is a cycle when the last step returns to path[j].
+		path, steps := []int{0}, []lassoEdge{}
+		var extend func()
+		extend = func() {
+			n := len(path) - 1
+			for j := range n {
+				if path[j] == path[n] {
+					lasso(path[:j], path[j:n], steps[j:])
+				}
+			}
+			if n == maxSteps {
+				return
+			}
+			for _, e := range g.succ[path[n]] {
+				path, steps = append(path, e.to), append(steps, e)
+				extend()
+				path, steps = path[:n+1], steps[:n]
+			}
+		}
+		extend()
+		// Every cycle of at most maxSteps steps from each state, behind
+		// its breadth-first prefix.
+		for root := range g.succ {
+			var prefix []int
+			for v := g.parent[root]; v >= 0; v = g.parent[v] {
+				prefix = append(prefix, v)
+			}
+			slices.Reverse(prefix)
+			var loop func(cycle []int, steps []lassoEdge)
+			loop = func(cycle []int, steps []lassoEdge) {
+				for _, e := range g.succ[cycle[len(cycle)-1]] {
+					if e.to == root {
+						lasso(prefix, cycle, append(steps, e))
+					} else if len(cycle) < maxSteps {
+						loop(append(cycle, e.to), append(steps, e))
+					}
+				}
+			}
+			loop([]int{root}, nil)
+		}
+
+		for _, formula := range livenessFormulas {
+			f, err := ltl.Parse(formula)
+			if err != nil {
+				t.Fatal(err)
+			}
+			worst := -1 // the strongest rule a violating lasso is fair under
+			var witness string
+			for key, w := range words {
+				if fairest[key] > worst && !ltl.EvalWord(f, w) {
+					worst, witness = fairest[key], key
+				}
+			}
+			for rule := 0; rule <= worst; rule++ {
+				asserted++
+				if res := New(sysFromSource(t, src), livenessRules[rule]).CheckLTL(formula, pr); res.OK {
+					t.Fatalf("program %d, %q, %+v: verified, but the lasso word %s violates it and is fair\n%s",
+						i, formula, livenessRules[rule], witness, src)
+				}
+			}
+		}
+	}
+	t.Logf("%d programs, %d (formula, rule) pairs with a fair violating lasso", checked, asserted)
+	if checked < 40 || asserted == 0 {
+		t.Fatalf("only %d programs have at most %d states, %d pairs asserted", checked, maxStates, asserted)
+	}
+}
+
+// TestRandomProgramsLivenessPrunedMatchesAllEdges: storing only the
+// edges inside accepting automaton components changes nothing a search
+// reports. On random programs × six formulas × three fairness rules, the
+// pruned product and one storing every edge agree on the verdict, its
+// message, every count and the counterexample's text.
+func TestRandomProgramsLivenessPrunedMatchesAllEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(63))
+	report := func(res *Result) string {
+		st := res.Stats
+		return fmt.Sprintf("%v %s %q stored=%d matched=%d transitions=%d depth=%d truncated=%v\n%s",
+			res.OK, res.Kind, res.Message, st.StatesStored, st.StatesMatched, st.Transitions, st.MaxDepth, st.Truncated, res.Trace)
+	}
+	checked, failed := 0, 0
+	for i := 0; checked < 40 && i < 150; i++ {
+		src := randomProgram(r) + drainer + spinner
+		if reachableWithin(sysFromSource(t, src), 600) > 600 {
+			continue
+		}
+		checked++
+		for _, formula := range livenessFormulas {
+			for _, opts := range livenessRules {
+				var got [2]string
+				for k, all := range []bool{false, true} {
+					s := sysFromSource(t, src)
+					c := New(s, opts)
+					c.allEdges = all
+					res := c.CheckLTL(formula, props(t, s.Prog, livenessProps))
+					got[k] = report(res)
+					if k == 0 && !res.OK {
+						failed++
+					}
+				}
+				if got[0] != got[1] {
+					t.Fatalf("program %d, %q, %+v: pruned product reports\n%s\nevery edge stored reports\n%s\n%s",
+						i, formula, opts, got[0], got[1], src)
+				}
+			}
+		}
+	}
+	if checked < 40 || failed == 0 || failed == checked*len(livenessFormulas)*len(livenessRules) {
+		t.Fatalf("%d programs checked, %d searches failed: the battery does not cover both verdicts", checked, failed)
+	}
+}

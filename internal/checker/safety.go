@@ -126,43 +126,46 @@ func (c *Checker) checkEventuallyReachable(target pml.RExpr) *Result {
 	}
 	// The reversed edges as compressed sparse rows: the predecessors of
 	// node v are in[from[v]:from[v+1]].
-	n := p.nodes.size()
+	n := uint32(p.nodes.size())
 	from := make([]uint32, n+1)
-	for _, v := range p.to {
-		from[v+1]++
+	for e := range uint32(p.to.size()) {
+		from[p.to.at(e)+1]++
 	}
 	for v := range n {
 		from[v+1] += from[v]
 	}
-	in := make([]uint32, len(p.to))
+	in := make([]uint32, p.to.size())
 	next := slices.Clone(from[:n])
 	for u := range n {
-		for _, v := range p.to[p.start[u]:p.start[u+1]] {
-			in[next[v]] = uint32(u)
+		for e := p.start.at(u); e < p.start.at(u+1); e++ {
+			v := p.to.at(e)
+			in[next[v]] = u
 			next[v]++
 		}
 	}
 
-	good := p.good
 	var stack []uint32
-	for v, ok := range good {
-		if ok {
-			stack = append(stack, uint32(v))
+	for v := range n {
+		if p.good.at(v) {
+			stack = append(stack, v)
 		}
 	}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, u := range in[from[v]:from[v+1]] {
-			if !good[u] {
-				good[u] = true
+			if !p.good.at(u) {
+				p.good.row(u)[0] = true
 				stack = append(stack, u)
 			}
 		}
 	}
-	if v := slices.Index(good, false); v >= 0 {
-		res.fail(InvariantViolation, "target became unreachable")
-		res.Trace = &trace.Trace{Prefix: p.prefix(uint32(v)), Final: res.Message}
+	for v := range n {
+		if !p.good.at(v) {
+			res.fail(InvariantViolation, "target became unreachable")
+			res.Trace = &trace.Trace{Prefix: p.prefix(v), Final: res.Message}
+			break
+		}
 	}
 	return res
 }

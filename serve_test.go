@@ -410,3 +410,41 @@ func TestDegradedModeTableNamesRealTests(t *testing.T) {
 		}
 	}
 }
+
+// TestArchitectureListsEveryPackage keeps DESIGN.md §4's architecture
+// block whole: every directory under internal/ and cmd/ that holds a
+// non-test Go file appears in it.
+func TestArchitectureListsEveryPackage(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := bytes.Cut(doc, []byte("## 4. Architecture"))
+	if !ok {
+		t.Fatal("DESIGN.md has no architecture section")
+	}
+	_, block, _ := bytes.Cut(section, []byte("```\n"))
+	block, _, ok = bytes.Cut(block, []byte("```"))
+	if !ok {
+		t.Fatal("DESIGN.md §4 has no architecture block")
+	}
+	listed := map[string]bool{}
+	for _, m := range regexp.MustCompile(`── (\S+)`).FindAllSubmatch(block, -1) {
+		listed[strings.TrimSuffix(string(m[1]), "/")] = true
+	}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			if dir := filepath.ToSlash(filepath.Dir(path)); !listed[dir] {
+				listed[dir] = true // report each directory once
+				t.Errorf("DESIGN.md §4 does not list %s", dir)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
